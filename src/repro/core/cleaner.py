@@ -267,7 +267,7 @@ class GarbageCleaner:
                 )
             if removed:
                 if (
-                    len(leaf.entries) < tree.min_leaf
+                    len(leaf) < tree.min_leaf
                     and leaf.page_id != tree.root_id
                 ):
                     # Underflow: dissolve the leaf and reinsert the

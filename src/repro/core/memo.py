@@ -28,6 +28,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -221,6 +222,51 @@ class UpdateMemo:
         entry.n_old -= 1
         if entry.n_old <= 0:
             del bucket[oid]
+
+    # holds: bucket_lock
+    def sweep_obsolete(
+        self, oids: Sequence[int], stamps: Sequence[int], budget: int
+    ) -> List[int]:
+        """Clean one leaf (Figure 8, step 1) given its id columns.
+
+        Probes in slot order and returns the slots of the obsolete
+        entries, each already accounted as by :meth:`note_cleaned`;
+        probing stops with the ``budget``-th removal.  State and tallies
+        end up exactly as after one :meth:`latest_stamp` per probed entry
+        and one :meth:`note_cleaned` per removal.
+        """
+        if budget <= 0:
+            return []
+        buckets = self._buckets
+        n_buckets = self.n_buckets
+        cleaned = self._obs_cleaned
+        slots: List[int] = []
+        hits = 0
+        slot = -1
+        for slot, oid in enumerate(oids):
+            bucket = buckets[oid % n_buckets]
+            entry = bucket.get(oid)
+            if entry is None:
+                continue
+            hits += 1
+            if entry.s_latest != stamps[slot]:
+                slots.append(slot)
+                if cleaned is not None:
+                    cleaned.inc()
+                entry.n_old -= 1
+                if entry.n_old <= 0:
+                    del bucket[oid]
+                if len(slots) == budget:
+                    break
+        self.lookup_count += slot + 1
+        self.hit_count += hits
+        if self._rc is not None:
+            # The same per-bucket accesses the per-entry methods report.
+            for oid in oids[: slot + 1]:
+                self._rc_bucket(oid, False)
+            for removed in slots:
+                self._rc_bucket(oids[removed], True)
+        return slots
 
     # holds: bucket_lock
     def purge_phantoms(

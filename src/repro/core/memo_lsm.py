@@ -78,6 +78,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -142,20 +143,22 @@ def _mix64(x: int) -> int:
     return x
 
 
+def _bloom_hashes(oid: int) -> Tuple[int, int]:
+    """The double-hashing pair of ``oid``: one per probe serves all runs."""
+    return _mix64(oid), _mix64(oid ^ 0x9E3779B97F4A7C15) | 1
+
+
 def _bloom_build(oids: List[int], m_bits: int, k: int) -> bytearray:
     bloom = bytearray(m_bits // 8)
     for oid in oids:
-        h1 = _mix64(oid)
-        h2 = _mix64(oid ^ 0x9E3779B97F4A7C15) | 1
+        h1, h2 = _bloom_hashes(oid)
         for i in range(k):
             bit = (h1 + i * h2) % m_bits
             bloom[bit >> 3] |= 1 << (bit & 7)
     return bloom
 
 
-def _bloom_maybe(bloom: bytes, m_bits: int, k: int, oid: int) -> bool:
-    h1 = _mix64(oid)
-    h2 = _mix64(oid ^ 0x9E3779B97F4A7C15) | 1
+def _bloom_maybe(bloom: bytes, m_bits: int, k: int, h1: int, h2: int) -> bool:
     for i in range(k):
         bit = (h1 + i * h2) % m_bits
         if not bloom[bit >> 3] & (1 << (bit & 7)):
@@ -290,11 +293,12 @@ class _Run:
 
     # -- probing -----------------------------------------------------------
 
-    def maybe_contains(self, oid: int) -> bool:
-        """RAM-only screen: key range then Bloom filter — no I/O."""
+    def maybe_contains(self, oid: int, h1: int, h2: int) -> bool:
+        """RAM-only screen: key range, then Bloom filter on
+        ``_bloom_hashes(oid)`` — no I/O."""
         if oid < self.min_oid or oid > self.max_oid:
             return False
-        return _bloom_maybe(self.bloom, self.m_bits, self.k, oid)
+        return _bloom_maybe(self.bloom, self.m_bits, self.k, h1, h2)
 
     def _file(self):  # lazy, kept open across probes
         if self._fh is None:
@@ -499,8 +503,11 @@ class SpillingUpdateMemo(UpdateMemo):
     def _probe_runs_first(self, oid: int) -> Optional[Tuple[int, int, int]]:  # holds: latch
         """Newest record for ``oid`` across runs (newest→oldest), or
         ``None``.  Charges one page read per Bloom-passed run."""
+        if not self._runs:
+            return None
+        h1, h2 = _bloom_hashes(oid)
         for run in reversed(self._runs):
-            if not run.maybe_contains(oid):
+            if not run.maybe_contains(oid, h1, h2):
                 continue
             self._charge_read_pages(1)
             self.run_probe_count += 1
@@ -528,8 +535,9 @@ class SpillingUpdateMemo(UpdateMemo):
             total += n
             if tag == ABSOLUTE:
                 return (s_latest, total) if total > 0 else None
+        h1, h2 = _bloom_hashes(oid)
         for run in reversed(self._runs):
-            if not run.maybe_contains(oid):
+            if not run.maybe_contains(oid, h1, h2):
                 continue
             self._charge_read_pages(1)
             self.run_probe_count += 1
@@ -629,6 +637,24 @@ class SpillingUpdateMemo(UpdateMemo):
         else:
             self._ram_set(oid, (ABSOLUTE, s_latest, total - 1))
         self._maybe_spill()
+
+    def sweep_obsolete(  # holds: latch
+        self, oids: Sequence[int], stamps: Sequence[int], budget: int
+    ) -> List[int]:
+        """The base memo's sweep through the tiers: each probe is a
+        :meth:`latest_stamp` (RAM, then the runs newest to oldest), each
+        removal a :meth:`note_cleaned` — which may spill mid-sweep."""
+        slots: List[int] = []
+        if budget <= 0:
+            return slots
+        for slot, oid in enumerate(oids):
+            s_latest = self.latest_stamp(oid)
+            if s_latest is not None and stamps[slot] != s_latest:
+                self.note_cleaned(oid)
+                slots.append(slot)
+                if len(slots) == budget:
+                    break
+        return slots
 
     def purge_phantoms(
         self, stamp_threshold: int, exclude: Optional[Set[int]] = None

@@ -609,7 +609,7 @@ class RUMTree(RTreeBase):
                         page_id=page_id,
                         level=level,
                         is_leaf=True,
-                        entries_tested=len(node.entries),
+                        entries_tested=len(node),
                         entries_matched=0,
                         residency=residency,
                         io=zero,
@@ -645,30 +645,15 @@ class RUMTree(RTreeBase):
         """
         budget = len(leaf) - keep_at_least
         if budget <= 0:
-            # Nothing may be removed: skip the sweep without materialising
-            # the entries of a lazily decoded leaf.
             return 0
-        memo = self.memo
-        latest = memo.latest_stamp
-        note_cleaned = memo.note_cleaned
-        kept: List[LeafEntry] = []
-        keep = kept.append
-        removed = 0
-        # Obsolescence probes go through memo.latest_stamp (first-hit,
-        # tallies maintained inside the memo); the exhausted-budget
-        # short circuit skips the probe exactly as before.
-        for entry in leaf.entries:
-            if removed < budget:
-                s_latest = latest(entry.oid)
-                if s_latest is not None and entry.stamp != s_latest:
-                    note_cleaned(entry.oid)
-                    removed += 1
-                    continue
-            keep(entry)
-        if removed:
-            leaf.entries = kept
+        # A lazily decoded leaf answers both ends on its page image, so a
+        # sweep that finds nothing decodes nothing.
+        oids, stamps = leaf.id_columns()
+        slots = self.memo.sweep_obsolete(oids, stamps, budget)
+        if slots:
+            leaf.drop_slots(slots)
             self.buffer.mark_dirty(leaf)
-        return removed
+        return len(slots)
 
     def _on_entry_placed(self, node: Node, entry: LeafEntry) -> None:
         if not self.clean_upon_touch:

@@ -76,10 +76,12 @@ block_rows = _impl.block_rows
 
 # Bulk measures and predicate masks ----------------------------------------
 areas = _impl.areas
+bounds = _impl.bounds
 intersect_indices = _impl.intersect_indices
 contain_indices = _impl.contain_indices
 min_dist_sq = _impl.min_dist_sq
 enlargements = _impl.enlargements
+least_enlargement = _impl.least_enlargement
 overlap_delta = _impl.overlap_delta
 
 # Bulk encoders -------------------------------------------------------------
@@ -98,10 +100,12 @@ __all__ = [
     "block_get",
     "block_rows",
     "areas",
+    "bounds",
     "intersect_indices",
     "contain_indices",
     "min_dist_sq",
     "enlargements",
+    "least_enlargement",
     "overlap_delta",
     "morton_keys",
     "argsort",

@@ -120,6 +120,18 @@ def block_rows(block: Block) -> List[Any]:
 # -- bulk measures and predicate masks --------------------------------------
 
 
+def bounds(block: Block) -> Tuple[float, float, float, float]:
+    """The MBR of a non-empty block; the columns go through lists so that
+    equal values (``-0.0``) resolve as in the scalar backend."""
+    if _is_scalar(block):
+        return _py.bounds(block)
+    _n, x1, y1, x2, y2 = block
+    return (
+        min(x1.tolist()), min(y1.tolist()),
+        max(x2.tolist()), max(y2.tolist()),
+    )
+
+
 def areas(block: Block) -> List[float]:
     """Per-rectangle areas."""
     if _is_scalar(block):
@@ -185,6 +197,17 @@ def enlargements(
     area = (x2 - x1) * (y2 - y1)
     enl = (ux2 - ux1) * (uy2 - uy1) - area
     return enl.tolist(), area.tolist()
+
+
+def least_enlargement(
+    block: Block, rx1: float, ry1: float, rx2: float, ry2: float
+) -> Tuple[float, float, int]:
+    """``(enlargement, area, index)`` of the child ChooseSubtree picks;
+    array columns keep the tuple ``min`` for its tie and ``-0.0`` rules."""
+    if _is_scalar(block):
+        return _py.least_enlargement(block, rx1, ry1, rx2, ry2)
+    enl, area = enlargements(block, rx1, ry1, rx2, ry2)
+    return min(zip(enl, area, range(block[0])))
 
 
 def overlap_delta(

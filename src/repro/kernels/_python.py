@@ -84,6 +84,12 @@ def block_rows(block: Block) -> List[Tuple[float, float, float, float]]:
 # -- bulk measures and predicate masks --------------------------------------
 
 
+def bounds(block: Block) -> Tuple[float, float, float, float]:
+    """The MBR of a non-empty block, as ``Rect.union_all`` computes it:
+    ``min``/``max`` keep the first of equal values, ``-0.0`` included."""
+    return min(block[1]), min(block[2]), max(block[3]), max(block[4])
+
+
 def areas(block: Block) -> List[float]:
     """Per-rectangle areas."""
     return [
@@ -163,6 +169,37 @@ def enlargements(
         ea((ux2 - ux1) * (uy2 - uy1) - area)
         aa(area)
     return enl, area_out
+
+
+def least_enlargement(
+    block: Block, rx1: float, ry1: float, rx2: float, ry2: float
+) -> Tuple[float, float, int]:
+    """``(enlargement, area, index)`` of the child ChooseSubtree picks.
+
+    One pass, no intermediate lists; bit-identical to
+    ``min(zip(*enlargements(block, ...), range(n)))`` — least enlargement,
+    ties by least area, then by lowest index.
+    """
+    best_enl = best_area = 0.0
+    best = -1
+    i = 0
+    for ex1, ey1, ex2, ey2 in zip(block[1], block[2], block[3], block[4]):
+        area = (ex2 - ex1) * (ey2 - ey1)
+        enl = (
+            ((ex2 if ex2 > rx2 else rx2) - (ex1 if ex1 < rx1 else rx1))
+            * ((ey2 if ey2 > ry2 else ry2) - (ey1 if ey1 < ry1 else ry1))
+            - area
+        )
+        if (
+            best < 0
+            or enl < best_enl
+            or (enl == best_enl and area < best_area)
+        ):
+            best_enl, best_area, best = enl, area, i
+        i += 1
+    if best < 0:
+        raise ValueError("least_enlargement() of an empty block")
+    return best_enl, best_area, best
 
 
 def overlap_delta(

@@ -60,7 +60,9 @@ SplitFunction = Callable[[Sequence, int], Tuple[list, list]]
 #: Consecutive mutation-free range searches before a query mirror is built.
 #: Hysteresis: mixed update/query phases never pay the build walk, while a
 #: query burst (the paper's range-query experiments) amortises one build
-#: over hundreds of windows.
+#: over hundreds of windows.  The wait adapts: a mirror invalidated before
+#: it served as many queries as it waited for doubles the next wait, one
+#: that paid off resets it to this value (counts, not clocks).
 MIRROR_QUERY_STREAK = 16
 
 #: Capture sampling (``RTreeBase._obs_query_end`` / ``_obs_update_end``).
@@ -156,6 +158,8 @@ class RTreeBase:
         self._mirror = None
         self._mirror_streak = 0
         self._mirror_streak_version = -1
+        self._mirror_wait = MIRROR_QUERY_STREAK
+        self._mirror_served = 0
 
         #: Observability handle (None = disabled).  The protocol entry
         #: points (update/query/kNN) guard on it, so the un-instrumented
@@ -575,7 +579,7 @@ class RTreeBase:
     def _insert(self, entry, level: int, reinserted: Set[int]) -> Node:
         """Insert ``entry`` into some node at ``level``; returns that node."""
         node = self._choose_node(entry.rect, level)
-        node.entries.append(entry)
+        node.add_entry(entry)
         if not node.is_leaf:
             self.parent[entry.child_id] = node.page_id
         self.buffer.mark_dirty(node)
@@ -690,16 +694,15 @@ class RTreeBase:
             return 0
         rx1, ry1, rx2, ry2 = rect.xmin, rect.ymin, rect.xmax, rect.ymax
         block = node.coord_block()
-        enls, node_areas = kernels.enlargements(block, rx1, ry1, rx2, ry2)
-        if not leaf_children:
-            return min(zip(enls, node_areas, range(n)))[2]
-
-        ranked = sorted(zip(enls, node_areas, range(n)))
-        if ranked[0][0] == 0.0:
-            # The new rect fits a child MBR without growing it: that child
+        least = kernels.least_enlargement(block, rx1, ry1, rx2, ry2)
+        if not leaf_children or least[0] == 0.0:
+            # Above the leaf parents least enlargement decides.  At the
+            # leaf parents a child the new rect fits without growing
             # cannot increase any overlap, so (overlap-delta, enlargement,
             # area) is already minimal for the least-area such child.
-            return ranked[0][2]
+            return least[2]
+        enls, node_areas = kernels.enlargements(block, rx1, ry1, rx2, ry2)
+        ranked = sorted(zip(enls, node_areas, range(n)))
         candidates = ranked[: self.choose_subtree_candidates]
         best_idx = candidates[0][2]
         best_key: Optional[Tuple[float, float, float]] = None
@@ -722,7 +725,7 @@ class RTreeBase:
         self, node: Node, level: int, reinserted: Set[int]
     ) -> None:
         cap = self.leaf_cap if node.is_leaf else self.index_cap
-        if len(node.entries) <= cap:
+        if len(node) <= cap:
             return
         if (
             self.forced_reinsert
@@ -867,20 +870,29 @@ class RTreeBase:
         version = buffer.version
         mirror = self._mirror
         if mirror is None or mirror.version != version:
+            if mirror is not None:
+                # A stale mirror: did it repay the queries it waited for?
+                self._mirror_wait = (
+                    self._mirror_wait * 2
+                    if self._mirror_served < self._mirror_wait
+                    else MIRROR_QUERY_STREAK
+                )
             self._mirror = mirror = None
             if version != self._mirror_streak_version:
                 self._mirror_streak_version = version
                 self._mirror_streak = 1
             else:
                 self._mirror_streak += 1
-                if self._mirror_streak >= MIRROR_QUERY_STREAK:
+                if self._mirror_streak >= self._mirror_wait:
                     from .mirror import build_mirror
 
                     self._mirror = mirror = build_mirror(
                         buffer, self.root_id
                     )
+                    self._mirror_served = 0
         self._served_by_mirror = mirror is not None
         if mirror is not None:
+            self._mirror_served += 1
             leaf_ids, results = mirror.search(wx1, wy1, wx2, wy2)
             if buffer.in_operation:
                 # Inside an outer operation the charged reads must land in

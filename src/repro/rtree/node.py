@@ -17,7 +17,7 @@ the doubly-linked circular ring that the RUM-tree's cleaning tokens walk
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro import kernels
 
@@ -169,6 +169,23 @@ class Node:
         entries = self.entries
         return [entries[i] for i in indices]
 
+    def add_entry(self, entry: Entry) -> None:
+        """Append ``entry`` after the last slot (then ``mark_dirty``, as
+        after any edit)."""
+        self.entries.append(entry)
+
+    def id_columns(self) -> Tuple[List[int], List[int]]:
+        """The oid and stamp columns of a leaf, in slot order."""
+        entries = self.entries
+        return [e.oid for e in entries], [e.stamp for e in entries]
+
+    def drop_slots(self, slots: Sequence[int]) -> None:
+        """Remove the entries at ``slots`` (ascending); the rest keep
+        their order."""
+        entries = self.entries
+        for slot in reversed(slots):
+            del entries[slot]
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -213,6 +230,12 @@ class LazyNode(Node):
     call, no entry objects) and :meth:`take` materialises only the
     requested entries — together they let a range query test a whole leaf
     and build objects for just the matches.
+
+    The update path edits the same image: ``add_entry``, ``id_columns``,
+    ``drop_slots`` and ``mbr`` work on ``_page_bytes``/``_entry_count``,
+    authoritative until a full page or a structural change reads
+    ``entries`` and thaws; the codec re-packs only such a leaf's header.
+    ``mark_dirty`` clears ``cached_bytes``/``columns`` as for any node.
     """
 
     __slots__ = ("_entries", "_entry_count", "_codec", "_page_bytes")
@@ -288,6 +311,39 @@ class LazyNode(Node):
     def materialized(self) -> bool:
         """True once the entry list has been built (tests/introspection)."""
         return self._entries is not None
+
+    @property
+    def page_image(self) -> Optional[bytes]:
+        """The page whose entry region is current (its header may not
+        be), or ``None`` once thawed."""
+        return self._page_bytes if self._entries is None else None
+
+    def add_entry(self, entry: Entry) -> None:
+        count = self._entry_count
+        if self._entries is not None or count >= self._codec.leaf_cap:
+            super().add_entry(entry)
+            return
+        self._page_bytes = self._codec.splice_entry(
+            self._page_bytes, count, entry
+        )
+        self._entry_count = count + 1
+
+    def id_columns(self) -> Tuple[List[int], List[int]]:
+        if self._entries is not None or not self._codec.rum_leaves:
+            return super().id_columns()
+        return self._codec.id_columns(self._entry_count, self._page_bytes)
+
+    def drop_slots(self, slots: Sequence[int]) -> None:
+        if self._entries is not None:
+            super().drop_slots(slots)
+            return
+        self._page_bytes = self._codec.drop_slots(self._page_bytes, slots)
+        self._entry_count -= len(slots)
+
+    def mbr(self) -> Rect:
+        if self._entries is not None:
+            return super().mbr()
+        return Rect(*kernels.bounds(self.coord_block()))
 
     def __len__(self) -> int:
         entries = self._entries

@@ -48,7 +48,10 @@ format-string construction and per-entry Python-call overhead:
 * the **lazy leaf path** (``decode(..., lazy=True)``) parses only the
   32-byte header and returns a :class:`~repro.rtree.node.LazyNode` that
   thaws its entries on first access, so header-only consumers (entry
-  counts, ring walks, recovery traversals) never materialise entries.
+  counts, ring walks, recovery traversals) never materialise entries;
+  an update edits that page image in place (``splice_entry``,
+  ``id_columns``, ``drop_slots``) and **encode** of a still-frozen leaf
+  packs 32 bytes.
 
 Page checksums
 --------------
@@ -106,6 +109,10 @@ _CRC = struct.Struct("<I")
 _INDEX_FMT = "4dq"
 _CLASSIC_FMT = "4dq"
 _RUM_FMT = "4d3q"
+
+#: Single leaf entries, for splicing one into a page image.
+_CLASSIC_ENTRY = struct.Struct("<" + _CLASSIC_FMT)
+_RUM_ENTRY = struct.Struct("<" + _RUM_FMT)
 
 #: (entry format, count) -> precompiled batch unpack kernel.
 _BATCH_CACHE: Dict[Tuple[str, int], struct.Struct] = {}
@@ -166,20 +173,25 @@ class PageChecksumError(RuntimeError):
         self.computed = computed
 
 
+def _page_crc(data: bytes) -> int:
+    """crc32 of a page with its checksum field read as zero; a computed 0
+    is remapped, because a stored 0 means "no checksum"."""
+    crc = crc32(data[:CHECKSUM_OFFSET])
+    crc = crc32(data[CHECKSUM_OFFSET + 4:], crc32(b"\x00\x00\x00\x00", crc))
+    return crc or 0xFFFFFFFF
+
+
 def stamp_checksum(data: bytes) -> bytes:
     """``data`` with its header checksum field set to the page's crc32.
 
     Usable on any page image (the field is zeroed before hashing, so
-    re-stamping is idempotent).  A computed crc of 0 is remapped so the
-    stored field is never 0 — 0 is reserved for "no checksum".
+    re-stamping is idempotent).
     """
-    buf = bytearray(data)
-    buf[CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = b"\x00\x00\x00\x00"
-    crc = crc32(buf) & 0xFFFFFFFF
-    if crc == 0:
-        crc = 0xFFFFFFFF
-    _CRC.pack_into(buf, CHECKSUM_OFFSET, crc)
-    return bytes(buf)
+    return (
+        data[:CHECKSUM_OFFSET]
+        + _CRC.pack(_page_crc(data))
+        + data[CHECKSUM_OFFSET + 4:]
+    )
 
 
 def checksum_ok(data: bytes) -> bool:
@@ -190,27 +202,15 @@ def checksum_ok(data: bytes) -> bool:
     to check them against.
     """
     (stored,) = _CRC.unpack_from(data, CHECKSUM_OFFSET)
-    if stored == 0:
-        return True
-    buf = bytearray(data)
-    buf[CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = b"\x00\x00\x00\x00"
-    crc = crc32(buf) & 0xFFFFFFFF
-    if crc == 0:
-        crc = 0xFFFFFFFF
-    return crc == stored
+    return stored == 0 or stored == _page_crc(data)
 
 
 def _verify_or_raise(page_id: int, data: bytes) -> None:
     (stored,) = _CRC.unpack_from(data, CHECKSUM_OFFSET)
-    if stored == 0:
-        return
-    buf = bytearray(data)
-    buf[CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = b"\x00\x00\x00\x00"
-    crc = crc32(buf) & 0xFFFFFFFF
-    if crc == 0:
-        crc = 0xFFFFFFFF
-    if crc != stored:
-        raise PageChecksumError(page_id, stored, crc)
+    if stored:
+        crc = _page_crc(data)
+        if crc != stored:
+            raise PageChecksumError(page_id, stored, crc)
 
 
 class NodeCodec:
@@ -252,13 +252,21 @@ class NodeCodec:
 
     def encode(self, node: Node) -> bytes:
         """Serialise ``node`` into exactly ``node_size`` bytes."""
-        entries = node.entries
-        count = len(entries)
+        count = len(node)
         cap = self.leaf_cap if node.is_leaf else self.index_cap
         if count > cap:
             raise PageOverflowError(
                 f"node {node.page_id}: {count} entries exceed capacity {cap}"
             )
+        image = node.page_image if isinstance(node, LazyNode) else None
+        if image is not None:
+            # An unmaterialised leaf: its entry region is current; only
+            # the header lives on the node.
+            page = _HEADER.pack(
+                1, count, node.prev_leaf, node.next_leaf, 0
+            ) + image[NODE_HEADER_BYTES:]
+            return stamp_checksum(page) if self.checksums else page
+        entries = node.entries
         # The checksum field is packed as 0 and stamped afterwards (the
         # crc covers the fully assembled page).
         flat: List[Any] = [
@@ -403,6 +411,47 @@ class NodeCodec:
                 e.stamp = 0
                 append(e)
         return out
+
+    # -- page-image edits (LazyNode, while unmaterialised) -------------------
+
+    def splice_entry(self, data: bytes, slot: int, entry: LeafEntry) -> bytes:
+        """``data`` with ``entry`` packed into the free leaf slot ``slot``."""
+        r = entry.rect
+        if self.rum_leaves:
+            packed = _RUM_ENTRY.pack(
+                r.xmin, r.ymin, r.xmax, r.ymax,
+                entry.oid, entry.oid, entry.stamp,
+            )
+        else:
+            packed = _CLASSIC_ENTRY.pack(
+                r.xmin, r.ymin, r.xmax, r.ymax, entry.oid
+            )
+        at = NODE_HEADER_BYTES + slot * len(packed)
+        return data[:at] + packed + data[at + len(packed):]
+
+    def id_columns(
+        self, count: int, data: bytes
+    ) -> Tuple[List[int], List[int]]:
+        """The oid and stamp columns of a RUM leaf page, in slot order."""
+        words = memoryview(data)[
+            NODE_HEADER_BYTES:NODE_HEADER_BYTES + count * RUM_LEAF_ENTRY_BYTES
+        ].cast("q")
+        step = RUM_LEAF_ENTRY_BYTES // 8
+        return words[5::step].tolist(), words[6::step].tolist()
+
+    def drop_slots(self, data: bytes, slots: Sequence[int]) -> bytes:
+        """``data`` without the leaf entries at ``slots`` (ascending): the
+        survivors close up in order and the freed tail is zeroed."""
+        stride = self.leaf_entry_bytes
+        parts: List[bytes] = []
+        begin = 0
+        for slot in slots:
+            end = NODE_HEADER_BYTES + slot * stride
+            parts.append(data[begin:end])
+            begin = end + stride
+        parts.append(data[begin:])
+        parts.append(bytes(len(slots) * stride))
+        return b"".join(parts)
 
     def verify_page(self, page_id: int, data: bytes) -> None:
         """Raise :class:`PageChecksumError` when ``data`` fails its stored

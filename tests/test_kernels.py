@@ -179,6 +179,76 @@ def test_enlargements_and_overlap_delta_identical(rects, new, data):
     _assert_all_equal(deltas, "overlap_delta")
 
 
+def _least_bits(result):
+    enl, area, index = result
+    return (_bits([enl, area]), index)
+
+
+@given(rects=_RECTS, new=_RECT)
+@settings(max_examples=100, deadline=None)
+def test_least_enlargement_is_min_of_enlargements(rects, new):
+    # The single pass must pick what ChooseSubtree picked before it
+    # existed — min over (enlargement, area, index) — on every backend
+    # and both block births, sign of zero included.
+    for impl, block in _blocks(rects):
+        enl, area = impl.enlargements(block, *new)
+        want = min(zip(enl, area, range(len(rects))))
+        got = impl.least_enlargement(block, *new)
+        assert _least_bits(got) == _least_bits(want)
+        assert type(got[2]) is int
+
+
+@pytest.mark.parametrize(
+    "rects, new, want_index",
+    [
+        # Collinear road-network points: every MBR is a zero-area segment
+        # on y = 0.5 and so is its union with a point on the same road —
+        # enlargement 0.0 without containment; ties go to least area,
+        # then to the lowest index.
+        ([(0.1, 0.5, 0.2, 0.5), (0.3, 0.5, 0.4, 0.5)], (0.9, 0.5, 0.9, 0.5), 0),
+        # Exact ties on enlargement: the smaller area wins ...
+        ([(0.0, 0.0, 1.0, 1.0), (0.25, 0.25, 0.75, 0.75)], (0.5, 0.5, 0.5, 0.5), 1),
+        # ... and exact ties on both keep the first.
+        ([(0.0, 0.0, 1.0, 1.0)] * 3, (0.5, 0.5, 0.5, 0.5), 0),
+        # -0.0 == 0.0: the pair ties on enlargement and falls to area.
+        ([(-0.0, -0.0, 1.0, 2.0), (0.0, 0.0, 1.0, 1.0)], (0.0, -0.0, 0.5, 0.5), 1),
+    ],
+)
+def test_least_enlargement_degenerate_cases(rects, new, want_index):
+    for impl, block in _blocks(rects):
+        enl, area = impl.enlargements(block, *new)
+        want = min(zip(enl, area, range(len(rects))))
+        got = impl.least_enlargement(block, *new)
+        assert _least_bits(got) == _least_bits(want)
+        assert got[2] == want_index
+
+
+def test_least_enlargement_rejects_an_empty_block():
+    for impl, block in _blocks([]):
+        with pytest.raises(ValueError):
+            impl.least_enlargement(block, 0.0, 0.0, 1.0, 1.0)
+
+
+@given(rects=_RECTS)
+@settings(max_examples=100, deadline=None)
+def test_bounds_is_union_all(rects):
+    want = Rect.union_all(e.rect for e in _entries(rects))
+    for impl, block in _blocks(rects):
+        got = impl.bounds(block)
+        assert all(type(v) is float for v in got)
+        assert _bits(got) == _bits(want.as_tuple())
+
+
+def test_bounds_keeps_the_first_zero_and_rejects_an_empty_block():
+    # -0.0 == 0.0: like Rect.union_all, the first of equal values stays.
+    rects = [(-0.0, 0.0, 0.0, -0.0), (0.0, -0.0, -0.0, 0.0)]
+    for impl, block in _blocks(rects):
+        assert _bits(impl.bounds(block)) == _bits(rects[0])
+    for impl, block in _blocks([]):
+        with pytest.raises(ValueError):
+            impl.bounds(block)
+
+
 @needs_numpy
 @given(rects=st.lists(_RECT, min_size=2, max_size=80), data=st.data())
 @settings(max_examples=60, deadline=None)
