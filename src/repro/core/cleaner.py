@@ -226,10 +226,10 @@ class GarbageCleaner:
         uses the tree's uncounted introspection path)."""
         first = next(self.tree.iter_leaf_nodes()).page_id
         pages = [first]
-        node = self.tree._peek_node(first)
+        node = self.tree.buffer.peek_node(first)
         while node.next_leaf != first:
             pages.append(node.next_leaf)
-            node = self.tree._peek_node(node.next_leaf)
+            node = self.tree.buffer.peek_node(node.next_leaf)
         return pages
 
     # ------------------------------------------------------------------

@@ -186,51 +186,12 @@ class RUMTree(RTreeBase):
     # Memo-based insert / update / delete (Figures 4 and 5)
     # ------------------------------------------------------------------
 
-    def insert_object(self, oid: int, rect: Rect) -> None:
-        """MemoBasedInsert — inserts and updates are the same operation."""
-        obs = self.obs
-        if obs is None:
-            self._memo_based_insert(oid, rect)
-            return
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("insert", io=self.stats, tree=self.name, oid=oid):
-                self._memo_based_insert(oid, rect)
-        else:
-            self._memo_based_insert(oid, rect)
-        self._obs_op_end(
-            begin, "insert", self._obs_c_updates, self._obs_h_update_io,
-            self._obs_drift_update,
-        )
-
-    def update_object(
-        self, oid: int, old_rect: Optional[Rect], new_rect: Rect
-    ) -> None:
-        """Memo-based update.  ``old_rect`` is ignored: *"The old value of
-        the object being updated is not required"* (Section 3.2.1)."""
-        obs = self.obs
-        if obs is None:
-            self._memo_based_insert(oid, new_rect)
-            return
-        tick = self._obs_utick
-        if tick:
-            # Unsampled update: exact counter + leaf-I/O histogram only
-            # (see RTreeBase._obs_update_lite).
-            self._obs_utick = tick - 1
-            s = self.stats
-            lio0 = s.leaf_reads + s.leaf_writes
-            self._memo_based_insert(oid, new_rect)
-            self._obs_update_lite(lio0)
-            return
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("update", io=self.stats, tree=self.name, oid=oid):
-                self._memo_based_insert(oid, new_rect)
-        else:
-            self._memo_based_insert(oid, new_rect)
-        self._obs_update_end(begin)
+    #: "Inserts and updates are the same operation": both feed the
+    #: update drift model.
+    _INSERT_IS_UPDATE = True
 
     def _memo_based_insert(self, oid: int, rect: Rect) -> None:
+        """MemoBasedInsert (Figure 4) — the body of inserts and updates."""
         stamp = self.stamps.next()
         # Update the memo first so that clean-upon-touch already sees the
         # previous entry of this object as obsolete while the target leaf
@@ -242,30 +203,28 @@ class RUMTree(RTreeBase):
             self._insert(LeafEntry(rect, oid, stamp), 0, set())
         self._after_update()
 
-    def delete_object(self, oid: int, old_rect: Optional[Rect] = None) -> None:
+    _insert_body = _memo_based_insert
+
+    def _update_body(
+        self, oid: int, old_rect: Optional[Rect], new_rect: Rect
+    ) -> None:
+        """Memo-based update.  ``old_rect`` is ignored: *"The old value of
+        the object being updated is not required"* (Section 3.2.1)."""
+        self._memo_based_insert(oid, new_rect)
+
+    def _memo_based_delete(
+        self, oid: int, old_rect: Optional[Rect] = None
+    ) -> None:
         """MemoBasedDelete (Figure 5): a deletion never touches the tree —
         it only bumps the memo so every tree entry of ``oid`` becomes
         obsolete and is garbage-collected later."""
-        obs = self.obs
-        if obs is None:
-            self._memo_based_delete(oid)
-            return
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("delete", io=self.stats, tree=self.name, oid=oid):
-                self._memo_based_delete(oid)
-        else:
-            self._memo_based_delete(oid)
-        self._obs_op_end(
-            begin, "delete", self._obs_c_updates, self._obs_h_update_io, None
-        )
-
-    def _memo_based_delete(self, oid: int) -> None:
         stamp = self.stamps.next()
         self.memo.record_update(oid, stamp)
         if self.recovery_option == RECOVERY_FULL_LOG:
             self.wal.append_memo_change(oid, stamp)
         self._after_update()
+
+    _delete_body = _memo_based_delete
 
     def _after_update(self) -> None:  # holds: latch
         self.cleaner.on_update()
@@ -375,25 +334,8 @@ class RUMTree(RTreeBase):
     # Search (Figure 3b): raw R-tree answer set filtered through the memo
     # ------------------------------------------------------------------
 
-    def search(self, window: Rect) -> List[Tuple[int, Rect]]:
-        """All live objects whose latest MBR intersects ``window``."""
-        obs = self.obs
-        if obs is None:
-            return self._memo_filtered_search(window)
-        tick = self._obs_qtick
-        if tick:
-            self._obs_qtick = tick - 1
-            return self._memo_filtered_search(window)
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("query", io=self.stats, tree=self.name):
-                results = self._memo_filtered_search(window)
-        else:
-            results = self._memo_filtered_search(window)
-        self._obs_query_end(begin, window)
-        return results
-
     def _memo_filtered_search(self, window: Rect) -> List[Tuple[int, Rect]]:
+        """All live objects whose latest MBR intersects ``window``."""
         # CheckStatus per raw entry via memo.latest_stamp — the first-hit
         # probe every memo tier answers in ~O(1) (the disk-tiered memo
         # stops at the newest record instead of aggregating N_old), with
@@ -409,7 +351,9 @@ class RUMTree(RTreeBase):
                 append((e.oid, e.rect))
         return results
 
-    def nearest_neighbors(
+    _search_body = _memo_filtered_search
+
+    def _memo_filtered_knn(
         self, x: float, y: float, k: int
     ) -> List[Tuple[int, Rect]]:
         """The ``k`` live objects nearest to ``(x, y)``, nearest first.
@@ -420,25 +364,6 @@ class RUMTree(RTreeBase):
         further candidates whenever an obsolete entry (or an older version
         of an object already reported) is skipped.
         """
-        if k <= 0:
-            return []
-        obs = self.obs
-        if obs is None:
-            return self._memo_filtered_knn(x, y, k)
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("knn", io=self.stats, tree=self.name, k=k):
-                results = self._memo_filtered_knn(x, y, k)
-        else:
-            results = self._memo_filtered_knn(x, y, k)
-        self._obs_op_end(
-            begin, "knn", self._obs_c_knn, self._obs_h_query_io, None
-        )
-        return results
-
-    def _memo_filtered_knn(
-        self, x: float, y: float, k: int
-    ) -> List[Tuple[int, Rect]]:
         results: List[Tuple[int, Rect]] = []
         reported = set()
         for entry, _dist in self.iter_nearest(x, y):
@@ -452,86 +377,35 @@ class RUMTree(RTreeBase):
                 break
         return results
 
+    _knn_body = _memo_filtered_knn
+
     # ------------------------------------------------------------------
-    # EXPLAIN/ANALYZE overrides (memo-aware traces)
+    # EXPLAIN/ANALYZE: the base reports plus the memo's side of the story
     # ------------------------------------------------------------------
+
+    def _explain_filtered(self, explain, *args) -> "ExplainReport":
+        """A base query report plus the Figure-3b filter's outcome: the
+        filter probes the memo once per raw entry it inspects (the
+        memo's own tally), and what it lets through is the answer.  The
+        filter touches no pages, so the traversal's ``io_delta`` is
+        still the whole cost of the query."""
+        lookups = self.memo.lookup_count
+        report = explain(*args)
+        inspections = self.memo.lookup_count - lookups
+        report.memo = {
+            "inspections": inspections,
+            "latest": report.results,
+            "obsolete": inspections - report.results,
+        }
+        return report
 
     def explain_query(self, window: Rect) -> "ExplainReport":
-        """ANALYZE one memo-filtered range query: the base traversal
-        trace plus the Figure-3b memo filter, with the inspection
-        outcome (latest vs obsolete) in the ``memo`` block.  The filter
-        itself touches no pages, so the traversal's ``io_delta`` is
-        still the whole cost of the query."""
-        from repro import kernels
-        from repro.obs.explain import ExplainReport
-
-        mirror = self._mirror
-        mirror_valid = (
-            mirror is not None and mirror.version == self.buffer.version
-        )
-        visits, raw, io_delta = self._explain_range_traversal(window)
-        check_status = self.memo.check_status
-        latest = sum(
-            1 for e in raw if check_status(e.oid, e.stamp) == "LATEST"
-        )
-        return ExplainReport(
-            op="query",
-            tree=self.name,
-            backend=kernels.BACKEND,
-            params={
-                "window": (window.xmin, window.ymin, window.xmax, window.ymax)
-            },
-            served_by="mirror" if mirror_valid else "traversal",
-            visits=visits,
-            io_delta=io_delta,
-            results=latest,
-            memo={
-                "inspections": len(raw),
-                "latest": latest,
-                "obsolete": len(raw) - latest,
-            },
-            mirror=mirror.summary() if mirror_valid else None,
-        )
+        """ANALYZE one memo-filtered range query."""
+        return self._explain_filtered(super().explain_query, window)
 
     def explain_knn(self, x: float, y: float, k: int) -> "ExplainReport":
-        """ANALYZE one memo-filtered kNN query (Section 3.2.3): the
-        best-first stream is filtered through CheckStatus, exactly as
-        :meth:`nearest_neighbors` does."""
-        from repro import kernels
-        from repro.obs.explain import ExplainReport
-
-        inspections = 0
-        obsolete = 0
-        reported: Set[int] = set()
-
-        def accept(entry: LeafEntry) -> bool:
-            nonlocal inspections, obsolete
-            inspections += 1
-            if self.memo.check_status(entry.oid, entry.stamp) != "LATEST":
-                obsolete += 1
-                return False
-            if entry.oid in reported:  # defensive; latest entries are unique
-                return False
-            reported.add(entry.oid)
-            return True
-
-        visits, results, io_delta = self._explain_knn_traversal(
-            x, y, max(k, 0), accept
-        )
-        return ExplainReport(
-            op="knn",
-            tree=self.name,
-            backend=kernels.BACKEND,
-            params={"x": x, "y": y, "k": k},
-            visits=visits,
-            io_delta=io_delta,
-            results=len(results),
-            memo={
-                "inspections": inspections,
-                "latest": inspections - obsolete,
-                "obsolete": obsolete,
-            },
-        )
+        """ANALYZE one memo-filtered kNN query (Section 3.2.3)."""
+        return self._explain_filtered(super().explain_knn, x, y, k)
 
     def explain_update(
         self, oid: int, new_rect: Rect, old_rect: Optional[Rect] = None
@@ -539,8 +413,8 @@ class RUMTree(RTreeBase):
         """ANALYZE one memo-based update — **this mutates the tree**.
 
         ``old_rect`` is accepted for protocol compatibility and ignored
-        (Section 3.2.1).  The trace replays :meth:`_memo_based_insert`
-        step by step with a stats snapshot between its three phases:
+        (Section 3.2.1).  The real :meth:`_memo_based_insert` runs, split
+        at the boundaries of its insertion's buffer operation into
 
         * ``memo``   — stamp bump + UM record (+ the Option III forced
           log write, the only phase I/O the memo side can charge);
@@ -548,88 +422,15 @@ class RUMTree(RTreeBase):
         * ``clean``  — the token cleaner steps driven by this update
           (plus a UM checkpoint when one falls due).
 
-        The visit list is the ChooseSubtree descent the insertion takes,
-        pre-walked read-only with uncounted peeks (zero per-visit I/O);
-        the contiguous phase deltas sum to ``io_delta`` exactly, so the
-        report reconciles with fully attributed phases.
+        The visits are the ChooseSubtree descents the insertion really
+        took (forced reinsertions included), each carrying the I/O of
+        its fetch; the phases hold the rest, so the report reconciles.
         """
-        from repro import kernels
-        from repro.obs.explain import ExplainReport
-
-        visits = self._explain_insert_path(new_rect)
-        height_before = self.height
-        before = self.stats.snapshot()
-        stamp = self.stamps.next()
-        self.memo.record_update(oid, stamp)
-        if self.recovery_option == RECOVERY_FULL_LOG:
-            self.wal.append_memo_change(oid, stamp)
-        memo_io = self.stats.snapshot() - before
-        p = self.stats.snapshot()
-        with self.buffer.operation():
-            self._insert(LeafEntry(new_rect, oid, stamp), 0, set())
-        insert_io = self.stats.snapshot() - p
-        p = self.stats.snapshot()
-        self._after_update()
-        clean_io = self.stats.snapshot() - p
-        io_delta = self.stats.snapshot() - before
-        return ExplainReport(
-            op="update",
-            tree=self.name,
-            backend=kernels.BACKEND,
-            params={"oid": oid, "new_rect": tuple(new_rect)},
-            visits=visits,
-            phases={"memo": memo_io, "insert": insert_io, "clean": clean_io},
-            io_delta=io_delta,
-            results=1,
-            memo={"stamp": stamp},
-            extra={
-                "height_before": height_before,
-                "height_after": self.height,
-                "visit_io_attributed": False,
-            },
+        report = self._explain_update(
+            oid, None, new_rect, ("memo", "insert", "clean")
         )
-
-    def _explain_insert_path(self, rect: Rect):
-        """The ChooseSubtree descent an insertion of ``rect`` follows,
-        pre-walked read-only with uncounted peeks (the real insertion
-        afterwards charges the I/O; splits may extend the real path)."""
-        from repro.obs.explain import NodeVisit
-        from repro.storage.iostats import IOSnapshot
-
-        zero = IOSnapshot()
-        visits: List[NodeVisit] = []
-        page_id = self.root_id
-        level = self.height - 1
-        while True:
-            residency = self.buffer.residency(page_id)
-            node = self._peek_node(page_id)
-            if node.is_leaf:
-                visits.append(
-                    NodeVisit(
-                        page_id=page_id,
-                        level=level,
-                        is_leaf=True,
-                        entries_tested=len(node),
-                        entries_matched=0,
-                        residency=residency,
-                        io=zero,
-                    )
-                )
-                return visits
-            idx = self._choose_child_index(node, rect, level == 1)
-            visits.append(
-                NodeVisit(
-                    page_id=page_id,
-                    level=level,
-                    is_leaf=False,
-                    entries_tested=len(node.entries),
-                    entries_matched=1,
-                    residency=residency,
-                    io=zero,
-                )
-            )
-            page_id = node.entries[idx].child_id
-            level -= 1
+        report.memo = {"stamp": self.stamps.current}
+        return report
 
     # ------------------------------------------------------------------
     # Cleaning integration

@@ -26,9 +26,9 @@ Checked invariant classes:
   counter's next value, so recovered counters cannot re-issue a stamp
   that is already in the tree.
 
-The validator reads pages through the tree's uncounted introspection path
-(``_peek_node``), so calling it never perturbs the I/O accounting that
-the experiments measure.
+The validator reads pages through the buffer pool's uncounted read
+(``BufferPool.peek_node``), so calling it never perturbs the I/O
+accounting that the experiments measure.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _check_structure(tree: "RTreeBase") -> List[int]:
                     _fail(
                         f"parent directory stale for child {entry.child_id}"
                     )
-                child = tree._peek_node(entry.child_id)
+                child = tree.buffer.peek_node(entry.child_id)
                 child_mbr = visit(child, depth + 1)
                 if entry.rect != child_mbr:
                     _fail(
@@ -89,7 +89,7 @@ def _check_structure(tree: "RTreeBase") -> List[int]:
                     )
         return node.mbr()
 
-    root = tree._peek_node(tree.root_id)
+    root = tree.buffer.peek_node(tree.root_id)
     if root.entries:
         visit(root, 0)
         if len(leaf_depths) > 1:
@@ -112,8 +112,8 @@ def _check_ring(tree: "RTreeBase", expected: Set[int]) -> None:
         if current in seen:
             _fail(f"ring revisits page {current}")
         seen.add(current)
-        node = tree._peek_node(current)
-        successor = tree._peek_node(node.next_leaf)
+        node = tree.buffer.peek_node(current)
+        successor = tree.buffer.peek_node(node.next_leaf)
         if successor.prev_leaf != current:
             _fail(f"ring back-pointer broken at {node.next_leaf}")
         current = node.next_leaf

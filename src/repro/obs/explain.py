@@ -1,14 +1,19 @@
-"""EXPLAIN/ANALYZE report structures for tree operations.
+"""EXPLAIN/ANALYZE: an observer on the real traversal, and its report.
 
 ``tree.explain_query(window)`` / ``explain_knn`` / ``explain_update``
-execute the *real* algorithm against the real buffer (ANALYZE
-semantics: the I/O they report is I/O they actually charged) while
-recording a per-node traversal trace:
+execute the *real* operation body against the real buffer (ANALYZE
+semantics: the I/O they report is I/O they actually charged) with a
+:class:`TraversalObserver` installed for the duration.  Nothing is
+re-implemented for the sake of explaining it: the tree's own traversal
+loops report each node they inspect, and the observer taps the buffer
+pool for what the tree cannot know.  The resulting trace holds
 
-* one :class:`NodeVisit` per ``get_node`` with the node's level, the
-  buffer residency the page was served from, entries tested vs matched
-  by the kernel call, and the **exact** I/O delta of that single visit;
-* per-phase I/O snapshots for mutating ops (insert vs cleaning);
+* one :class:`NodeVisit` per node a traversal inspected, with the
+  node's level, the buffer residency the page was served from, entries
+  tested vs matched by the kernel call, and the **exact** I/O delta of
+  that single fetch;
+* per-phase residual I/O for mutating ops (everything the operation
+  charged that was not a traversal fetch: write-backs, splits, cleaning);
 * memo inspection counts for RUM trees;
 * the mirror-vs-traversal serving decision the live query path would
   have taken.
@@ -18,18 +23,30 @@ The defining invariant — pinned by tests — is that the trace reconciles
 of the operation: per-visit I/O plus per-phase residuals sum to
 ``io_delta``, in the PR 2 span tradition of never reporting estimated
 I/O where exact accounting is available.
-
-This module owns only the data model and rendering; the instrumented
-traversals live on the tree classes (``RTreeBase.explain_query`` etc.)
-next to the algorithms they mirror.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro import kernels
 from repro.storage.iostats import IOSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.rtree.base import RTreeBase
+    from repro.rtree.node import Node
 
 #: Schema tag stamped on every :meth:`ExplainReport.as_dict`.
 SCHEMA = "explain/v1"
@@ -69,9 +86,9 @@ class ExplainReport:
     params: Dict[str, Any] = field(default_factory=dict)
     served_by: Optional[str] = None  # queries: "mirror" | "traversal"
     visits: List[NodeVisit] = field(default_factory=list)
-    #: Residual I/O not attributable to a single visit (e.g. the leaf
-    #: write-back and split writes of an insert, or cleaner steps), keyed
-    #: by phase name.  Empty for read-only ops.
+    #: Residual I/O not claimed by a visit (e.g. the leaf write-back and
+    #: split writes of an insert, or cleaner steps), keyed by phase name.
+    #: Empty for read-only ops.
     phases: Dict[str, IOSnapshot] = field(default_factory=dict)
     io_delta: IOSnapshot = field(default_factory=IOSnapshot)
     results: int = 0
@@ -186,6 +203,151 @@ class ExplainReport:
         lines.append(f"  results: {self.results}")
         lines.append(f"  reconciles with IOStats delta: {self.reconciles()}")
         return "\n".join(lines)
+
+
+class TraversalObserver:
+    """Watches one real operation of ``tree`` for the span of a ``with``.
+
+    Three sources, none of which costs the un-observed path more than an
+    ``is None`` test per visited node:
+
+    * the tree's traversal loops (range descent, best-first kNN, the
+      top-down deletion search, ChooseSubtree) call :meth:`visit` for
+      each node they inspect, through ``tree._watch``;
+    * ``buffer.get_node`` is tapped on the pool instance, so the
+      residency before and the exact I/O across every fetch are known —
+      a visit claims the fetch that produced its node, fetches nobody
+      claims (ring maintenance, cleaning steps) stay in the phase;
+    * ``buffer.operation`` is tapped too: each boundary of an outermost
+      buffer operation ends the current phase of ``phases`` until one
+      name is left, which takes the rest.
+      ``("memo", "insert", "clean")`` thus reads: before the insertion's
+      operation opens, inside it, after it.  With no names (read-only
+      operations) every charged page is a visit's.
+
+    A phase's I/O is its residual — what it charged minus what its
+    visits claimed — so visits plus phases equal ``io_delta`` exactly.
+    Attribution assumes the tree is not operated on concurrently.
+    """
+
+    def __init__(self, tree: "RTreeBase", phases: Sequence[str] = ()) -> None:
+        self.tree = tree
+        self.visits: List[NodeVisit] = []
+        self.phases: Dict[str, IOSnapshot] = {}
+        self.io_delta = IOSnapshot()
+        self._names = list(phases)
+        self._fetched: Optional[Tuple[int, str, IOSnapshot]] = None
+        self._claimed = IOSnapshot()
+
+    def __enter__(self) -> "TraversalObserver":
+        buffer = self.tree.buffer
+        # An instance-level patch already in place (the stack benchmark's
+        # tracer) is what the taps call through to and what exit restores.
+        self._untapped = {
+            name: vars(buffer).get(name) for name in ("get_node", "operation")
+        }
+        self._get_node = buffer.get_node
+        self._open_operation = buffer.operation
+        buffer.get_node = self._fetch  # type: ignore[method-assign]
+        buffer.operation = self._operation  # type: ignore[method-assign]
+        self.tree._watch = self
+        self._start = self._phase_start = self.tree.stats.snapshot()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        buffer = self.tree.buffer
+        self.tree._watch = None
+        for name, previous in self._untapped.items():
+            if previous is None:
+                delattr(buffer, name)
+            else:
+                setattr(buffer, name, previous)
+        if self._names:
+            self._end_phase()
+        self.io_delta = self.tree.stats.snapshot() - self._start
+
+    def _fetch(self, page_id: int) -> "Node":
+        buffer = self.tree.buffer
+        residency = buffer.residency(page_id)
+        before = buffer.stats.snapshot()
+        node: "Node" = self._get_node(page_id)
+        self._fetched = (
+            page_id, residency, buffer.stats.snapshot() - before
+        )
+        return node
+
+    @contextmanager
+    def _operation(self) -> Iterator[None]:
+        outermost = not self.tree.buffer.in_operation
+        if outermost:
+            self._boundary()
+        with self._open_operation():
+            yield
+        if outermost:
+            self._boundary()
+
+    def _boundary(self) -> None:
+        if len(self._names) > 1:
+            self._end_phase()
+
+    def _end_phase(self) -> None:
+        now = self.tree.stats.snapshot()
+        self.phases[self._names.pop(0)] = (
+            now - self._phase_start - self._claimed
+        )
+        self._phase_start = now
+        self._claimed = IOSnapshot()
+
+    def visit(self, node: "Node", tested: int, matched: int) -> None:
+        """One node inspected by a traversal loop, right after its fetch:
+        ``tested`` rows scanned, ``matched`` passed the predicate."""
+        if self._fetched is None or self._fetched[0] != node.page_id:
+            raise RuntimeError(
+                f"visit of page {node.page_id} does not follow its fetch"
+            )
+        page_id, residency, io = self._fetched
+        self._fetched = None
+        tree = self.tree
+        level = tree.height - 1
+        while page_id != tree.root_id:
+            page_id = tree.parent[page_id]
+            level -= 1
+        self._claimed = self._claimed + io
+        self.visits.append(
+            NodeVisit(
+                page_id=node.page_id,
+                level=level,
+                is_leaf=node.is_leaf,
+                entries_tested=tested,
+                entries_matched=matched,
+                residency=residency,
+                io=io,
+            )
+        )
+
+
+def analyze(
+    tree: "RTreeBase",
+    op: str,
+    params: Dict[str, Any],
+    run: Callable[[], Optional[Sequence[Any]]],
+    phases: Sequence[str] = (),
+) -> ExplainReport:
+    """Run ``run()`` — a real operation body of ``tree`` — under a
+    :class:`TraversalObserver` and report what it saw.  ``results`` is
+    the size of the answer ``run`` returns (1 for a mutation)."""
+    with TraversalObserver(tree, phases) as seen:
+        answer = run()
+    return ExplainReport(
+        op=op,
+        tree=tree.name,
+        backend=kernels.BACKEND,
+        params=params,
+        visits=seen.visits,
+        phases=seen.phases,
+        io_delta=seen.io_delta,
+        results=1 if answer is None else len(answer),
+    )
 
 
 def _io_brief(io: IOSnapshot) -> str:

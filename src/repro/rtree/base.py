@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from operator import attrgetter, sub
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -39,13 +40,16 @@ from typing import (
 
 from repro import kernels
 from repro.concurrency.locks import ReadWriteLock
+from repro.obs.drift import DriftMonitor
+from repro.obs.explain import analyze
+from repro.obs.recorder import IO_FIELDS
 from repro.storage.buffer import BufferPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.racecheck import RaceChecker
     from repro.core.batch import BatchPlan, BatchResult
     from repro.obs import Observability
-    from repro.obs.explain import ExplainReport
+    from repro.obs.explain import ExplainReport, TraversalObserver
 
 from .geometry import Rect
 from .node import IndexEntry, LeafEntry, Node
@@ -65,15 +69,37 @@ SplitFunction = Callable[[Sequence, int], Tuple[list, list]]
 #: that paid off resets it to this value (counts, not clocks).
 MIRROR_QUERY_STREAK = 16
 
-#: Capture sampling (``RTreeBase._obs_query_end`` / ``_obs_update_end``).
-#: A sampled operation completing faster than the threshold doubles the
-#: capture stride (up to the cap); a slow one resets it to 1.  Steady
-#: state thus converges to one full capture per ``_OBS_QUERY_STRIDE_MAX``
+#: Everything ``range_search`` keeps about the mirror between queries.
+_MIRROR_STATE = (
+    "_mirror", "_mirror_streak", "_mirror_streak_version", "_mirror_wait",
+    "_mirror_served",
+)
+
+#: Capture sampling (the stride rule in ``RTreeBase._observed``).  A
+#: sampled operation completing faster than the threshold doubles its
+#: class's capture stride (up to the cap); a slow one resets it to 1.
+#: Steady state thus converges to one full capture per ``_OBS_STRIDE_MAX``
 #: operations, keeping the metrics-level overhead on microsecond-scale
 #: operations inside the bench_micro budget, while any latency
 #: regression snaps sampling back to full fidelity within one stride.
-_OBS_QUERY_FAST_S = 1e-3
-_OBS_QUERY_STRIDE_MAX = 256
+_OBS_FAST_S = 1e-3
+_OBS_STRIDE_MAX = 256
+
+#: Reads the raw I/O counters of an ``IOStats`` in flight-recorder order.
+_IO_COUNTERS = attrgetter(*IO_FIELDS)
+
+
+class _Sampler:
+    """Capture-stride state of one sampled operation class: every
+    ``stride``-th operation pays the full capture, ``tick`` counts down
+    the operations left until the next one that does."""
+
+    __slots__ = ("tick", "stride")
+
+    def __init__(self) -> None:
+        self.tick = 0
+        self.stride = 1
+
 
 _SPLIT_FUNCTIONS: Dict[str, SplitFunction] = {
     "rstar": rstar_split,
@@ -165,39 +191,15 @@ class RTreeBase:
         #: points (update/query/kNN) guard on it, so the un-instrumented
         #: path costs one attribute load and a None check.
         self.obs: Optional["Observability"] = None
-        self._obs_c_updates = None
-        self._obs_c_queries = None
-        self._obs_c_knn = None
-        self._obs_h_update_io = None
-        self._obs_h_query_io = None
-        self._obs_c_batches = None
-        self._obs_c_batch_ops = None
-        self._obs_c_batch_deduped = None
-        self._obs_c_batch_coalesced = None
-        self._obs_h_batch_size = None
-        #: Flight-recorder / drift instruments, bound in attach_obs.  The
-        #: memo reference is populated by the RUM subclass (the baselines
-        #: have no memo) so per-op memo lookup/hit deltas — read off the
-        #: memo's unconditional plain-int tallies — ride every recorder
-        #: record.
-        self._obs_recorder = None
-        self._obs_rec_memo = None
-        self._obs_drift = None
-        self._obs_drift_update = None
-        self._obs_drift_query = None
-        #: Capture-sampling state (see ``_obs_query_end`` and
-        #: ``_obs_update_end``): every operation is counted, but only
-        #: every ``stride``-th pays the full recorder/drift capture.
-        #: The ``tick`` fields count down the ops remaining until the
-        #: next sampled one.
-        self._obs_qtick = 0
-        self._obs_qstride = 1
-        self._obs_utick = 0
-        self._obs_ustride = 1
+        self._obs_unbind()
         #: Serving decision of the most recent range_search ("mirror" vs
         #: "traversal"); one boolean store per query on every path so the
         #: obs A/B comparison is unaffected.
         self._served_by_mirror = False
+        #: Visit observer installed by EXPLAIN/ANALYZE for the duration
+        #: of one operation (see :mod:`repro.obs.explain`); the four
+        #: traversal loops report each visited node to it.
+        self._watch: Optional["TraversalObserver"] = None
 
         if attach is not None:
             self.root_id = attach["root_id"]
@@ -231,69 +233,86 @@ class RTreeBase:
         level ``off`` — detaches everything.
         """
         enabled = obs is not None and obs.enabled
+        # Queries skipped since the last sampled one have not been
+        # counted yet; settle the balance before the counter is dropped
+        # or rebound.  (Updates need no settlement: their counter and
+        # histogram are exact per-op on the unsampled path too.)
+        pending = self._obs_qsample.stride - 1 - self._obs_qsample.tick
+        if pending > 0 and self._obs_c_queries is not None:
+            self._obs_c_queries.inc(pending)
+        self._obs_unbind()
         self.obs = obs if enabled else None
         self.buffer.attach_obs(obs if enabled else None)
         if enabled and obs.metrics_on:
             reg = obs.registry
-            self._obs_c_updates = reg.counter("tree.updates")
-            self._obs_c_queries = reg.counter("tree.queries")
-            self._obs_c_knn = reg.counter("tree.knn_queries")
-            self._obs_h_update_io = reg.histogram(
+            updates = self._obs_c_updates = reg.counter("tree.updates")
+            queries = self._obs_c_queries = reg.counter("tree.queries")
+            update_io = self._obs_h_update_io = reg.histogram(
                 "tree.update_leaf_io", self._IO_BUCKETS
             )
-            self._obs_h_query_io = reg.histogram(
-                "tree.query_leaf_io", self._IO_BUCKETS
-            )
+            query_io = reg.histogram("tree.query_leaf_io", self._IO_BUCKETS)
             reg.gauge("tree.height").set_function(lambda: self.height)
-            self._obs_c_batches = reg.counter("tree.batches")
-            self._obs_c_batch_ops = reg.counter("tree.batch_ops")
-            self._obs_c_batch_deduped = reg.counter("tree.batch_deduped")
-            self._obs_c_batch_coalesced = reg.counter(
-                "tree.batch_coalesced_writes"
-            )
-            self._obs_h_batch_size = reg.histogram(
-                "tree.batch_size", self._BATCH_BUCKETS
+            self._obs_batch = (
+                reg.counter("tree.batches"),
+                reg.counter("tree.batch_ops"),
+                reg.counter("tree.batch_deduped"),
+                reg.counter("tree.batch_coalesced_writes"),
+                reg.histogram("tree.batch_size", self._BATCH_BUCKETS),
             )
             # Flight recorder + drift monitor (always on at metrics and
             # above; the hot path reaches them only through these bound
             # references — lint rule REP010).
             self._obs_recorder = obs.recorder
-            from repro.obs.drift import DriftMonitor
-
             self._obs_drift = DriftMonitor(reg)
-            self._obs_drift_update = self._obs_drift.track(
+            update_drift = self._obs_drift.track(
                 "update", self._drift_update_predicted
             )
-            self._obs_drift_query = self._obs_drift.track(
+            query_drift = self._obs_drift.track(
                 "query", self._drift_query_predicted
             )
-            self._obs_qtick = 0
-            self._obs_qstride = 1
-            self._obs_utick = 0
-            self._obs_ustride = 1
-        else:
-            # Queries skipped since the last sampled one have not been
-            # counted yet; settle the balance before dropping the counter.
-            # (Updates need no settlement: their counter and histogram
-            # are exact per-op on the unsampled path too.)
-            pending = self._obs_qstride - 1 - self._obs_qtick
-            if pending > 0 and self._obs_c_queries is not None:
-                self._obs_c_queries.inc(pending)
-            self._obs_qtick = 0
-            self._obs_qstride = 1
-            self._obs_utick = 0
-            self._obs_ustride = 1
-            self._obs_c_updates = self._obs_c_queries = None
-            self._obs_c_knn = None
-            self._obs_h_update_io = self._obs_h_query_io = None
-            self._obs_c_batches = self._obs_c_batch_ops = None
-            self._obs_c_batch_deduped = None
-            self._obs_c_batch_coalesced = None
-            self._obs_h_batch_size = None
-            self._obs_recorder = None
-            self._obs_rec_memo = None
-            self._obs_drift = None
-            self._obs_drift_update = self._obs_drift_query = None
+            # The one counting rule, for every tree type — kind: (span
+            # name, op counter, leaf-I/O histogram, drift tracker, capture
+            # sampler).  Every operation through a public entry point
+            # lands in exactly one row.
+            insert_drift = update_drift if self._INSERT_IS_UPDATE else None
+            self._obs_kinds = {
+                "insert": ("insert", updates, update_io, insert_drift, None),
+                "update": (
+                    "update", updates, update_io, update_drift,
+                    self._obs_usample,
+                ),
+                "delete": ("delete", updates, update_io, None, None),
+                "query": (
+                    "query", queries, query_io, query_drift,
+                    self._obs_qsample,
+                ),
+                "knn": (
+                    "knn", reg.counter("tree.knn_queries"), query_io,
+                    None, None,
+                ),
+                "batch": ("update_batch", None, None, None, None),
+            }
+
+    def _obs_unbind(self) -> None:
+        """Every instrument ``attach_obs`` binds, in its detached state."""
+        #: Per-kind accounting table (see attach_obs); the counters and
+        #: histogram the inline paths touch are bound as attributes too.
+        self._obs_kinds: Dict[str, tuple] = {}
+        self._obs_c_updates = self._obs_c_queries = None
+        self._obs_h_update_io = None
+        self._obs_batch = None
+        #: Flight recorder and drift monitor.  The memo reference is
+        #: populated by the RUM subclass (the baselines have no memo) so
+        #: per-op memo lookup/hit deltas — read off the memo's
+        #: unconditional plain-int tallies — ride every recorder record.
+        self._obs_recorder = None
+        self._obs_rec_memo = None
+        self._obs_drift = None
+        #: Capture sampling of the two hot operation classes: every
+        #: operation is counted, but only every ``stride``-th pays the
+        #: full recorder/drift capture (see ``_observed``).
+        self._obs_usample = _Sampler()
+        self._obs_qsample = _Sampler()
 
     def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
         """Attach the Eraser race detector to the tree and its storage.
@@ -307,233 +326,70 @@ class RTreeBase:
 
     # -- per-operation capture (flight recorder + drift feed) --------------
 
-    def _obs_op_begin(self):
-        """Capture the op's starting state; cheap by design.
+    def _observed(self, kind, body, *args, window=None, **attrs):
+        """Run ``body(*args)`` as one fully captured operation of class
+        ``kind`` (enabled path only) and return its result.
 
-        Called only on the enabled path (``self.obs`` is not ``None``
-        implies ``metrics_on``, so the recorder is bound).  Raw counter
-        reads instead of ``stats.snapshot()`` keep the per-op cost to a
-        ``perf_counter`` call plus attribute loads.
+        The single accounting body: wraps the run in a span at ``trace``
+        level, then feeds the kind's op counter, its per-op leaf-I/O
+        histogram, the flight recorder, and — where the kind has one —
+        the drift monitor's measured EWMA, all from one 10-field I/O
+        delta off the raw counters (raw reads instead of
+        ``stats.snapshot()`` keep the capture to two ``perf_counter``
+        calls plus two counter sweeps).  ``window`` marks a range query:
+        its extents feed the drift model and its serving decision rides
+        the record.
+
+        For the sampled kinds it then applies the stride rule: a capture
+        faster than ``_OBS_FAST_S`` doubles the stride (slow-op detection
+        and recorder coverage degrade gracefully to one op in
+        ``_OBS_STRIDE_MAX``), a slow one resets it, and at ``trace``
+        level the stride never widens so every operation is recorded.
         """
+        span, counter, histogram, tracker, sampler = self._obs_kinds[kind]
+        obs = self.obs
         s = self.stats
         m = self._obs_rec_memo
-        return (
-            time.perf_counter(),
-            s.leaf_reads,
-            s.leaf_writes,
-            s.internal_reads,
-            s.internal_writes,
-            s.index_reads,
-            s.index_writes,
-            s.log_writes,
-            s.log_reads,
-            s.memo_reads,
-            s.memo_writes,
-            0 if m is None else m.lookup_count,
-            0 if m is None else m.hit_count,
-        )
-
-    def _obs_op_end(
-        self, begin, kind, counter, histogram, tracker, served="-",
-        window=None,
-    ) -> None:
-        """Account one finished operation (enabled path only).
-
-        Feeds the op counter, the per-op leaf-I/O histogram, the flight
-        recorder, and — for update/query — the drift monitor's measured
-        EWMA.  The I/O delta is computed once from the raw counters
-        captured by :meth:`_obs_op_begin`.
-        """
-        s = self.stats
-        dur_s = time.perf_counter() - begin[0]
-        io10 = (
-            s.leaf_reads - begin[1],
-            s.leaf_writes - begin[2],
-            s.internal_reads - begin[3],
-            s.internal_writes - begin[4],
-            s.index_reads - begin[5],
-            s.index_writes - begin[6],
-            s.log_writes - begin[7],
-            s.log_reads - begin[8],
-            s.memo_reads - begin[9],
-            s.memo_writes - begin[10],
-        )
+        lookups0 = 0 if m is None else m.lookup_count
+        hits0 = 0 if m is None else m.hit_count
+        io0 = _IO_COUNTERS(s)
+        t0 = time.perf_counter()
+        if obs.tracing:
+            with obs.span(span, io=s, tree=self.name, **attrs):
+                result = body(*args)
+        else:
+            result = body(*args)
+        dur_s = time.perf_counter() - t0
+        io10 = tuple(map(sub, _IO_COUNTERS(s), io0))
         if counter is not None:
             counter.value += 1
         if histogram is not None:
-            # Inlined Histogram.observe — this runs once per update, and
-            # the method-call overhead is measurable against the <2%
-            # metrics-level budget enforced by bench_micro.
-            leaf_io = io10[0] + io10[1]
-            histogram.counts[bisect_left(histogram.buckets, leaf_io)] += 1
-            histogram.count += 1
-            histogram.total += leaf_io
-        m = self._obs_rec_memo
+            histogram.observe(io10[0] + io10[1])
         self._obs_recorder.record(
             kind,
             self.name,
             dur_s,
             io10,
-            0 if m is None else m.lookup_count - begin[11],
-            0 if m is None else m.hit_count - begin[12],
-            served,
+            0 if m is None else m.lookup_count - lookups0,
+            0 if m is None else m.hit_count - hits0,
+            "-" if window is None
+            else "mirror" if self._served_by_mirror else "traversal",
         )
         if tracker is not None:
             if window is not None:
                 tracker.observe_window(
                     window.xmax - window.xmin, window.ymax - window.ymin
                 )
-            # Counted I/O per the paper's model: leaf + index + log + memo.
-            tracker.observe(
-                io10[0] + io10[1] + io10[4] + io10[5] + io10[6] + io10[7]
-                + io10[8] + io10[9]
-            )
-
-    def _obs_query_end(self, begin, window) -> None:
-        """Account one *sampled* range query.
-
-        Queries are the only operation class fast enough (microseconds at
-        mirror steady state) that full per-op capture breaks the <2%
-        metrics-level overhead budget, so the search wrappers count down
-        ``_obs_qtick`` and only every ``_obs_qstride``-th query lands
-        here.  The counter increment covers this query plus the skipped
-        ones, so ``tree.queries`` is exact at every sample boundary (and
-        at detach, which settles the remainder); histogram, recorder and
-        drift feeds see the sampled queries only.  At ``trace`` level the
-        stride never widens, so every query is recorded.
-        """
-        s = self.stats
-        dur_s = time.perf_counter() - begin[0]
-        io10 = (
-            s.leaf_reads - begin[1],
-            s.leaf_writes - begin[2],
-            s.internal_reads - begin[3],
-            s.internal_writes - begin[4],
-            s.index_reads - begin[5],
-            s.index_writes - begin[6],
-            s.log_writes - begin[7],
-            s.log_reads - begin[8],
-            s.memo_reads - begin[9],
-            s.memo_writes - begin[10],
-        )
-        stride = self._obs_qstride
-        self._obs_c_queries.value += stride
-        hist = self._obs_h_query_io
-        leaf_io = io10[0] + io10[1]
-        hist.counts[bisect_left(hist.buckets, leaf_io)] += 1
-        hist.count += 1
-        hist.total += leaf_io
-        m = self._obs_rec_memo
-        self._obs_recorder.record(
-            "query",
-            self.name,
-            dur_s,
-            io10,
-            0 if m is None else m.lookup_count - begin[11],
-            0 if m is None else m.hit_count - begin[12],
-            "mirror" if self._served_by_mirror else "traversal",
-        )
-        tracker = self._obs_drift_query
-        tracker.observe_window(
-            window.xmax - window.xmin, window.ymax - window.ymin
-        )
-        tracker.observe(
-            io10[0] + io10[1] + io10[4] + io10[5] + io10[6] + io10[7]
-            + io10[8] + io10[9]
-        )
-        if self.obs.tracing:
-            return
-        if dur_s < _OBS_QUERY_FAST_S:
-            if stride < _OBS_QUERY_STRIDE_MAX:
-                stride *= 2
-                self._obs_qstride = stride
-        elif stride != 1:
-            stride = 1
-            self._obs_qstride = 1
-        self._obs_qtick = stride - 1
-
-    def _obs_update_lite(self, lio0) -> None:
-        """Account one *unsampled* update: counter + leaf-I/O histogram.
-
-        Unlike queries, the update counter and histogram stay exact on
-        every operation — both are pure I/O accounting that needs no
-        clock and touches three small hot objects, so the per-op cost is
-        a few hundred nanoseconds.  What the unsampled path skips is the
-        expensive capture: ``perf_counter`` calls, the 10-field I/O
-        delta, the flight-recorder record, and the drift EWMA feed,
-        whose working set is large enough that paying it every update
-        breaks the <2% metrics-level budget (``bench_micro`` A/B).
-        ``lio0`` is ``stats.leaf_reads + stats.leaf_writes`` captured by
-        the wrapper before the operation body ran.
-        """
-        s = self.stats
-        self._obs_c_updates.value += 1
-        h = self._obs_h_update_io
-        v = s.leaf_reads + s.leaf_writes - lio0
-        h.counts[bisect_left(h.buckets, v)] += 1
-        h.count += 1
-        h.total += v
-
-    def _obs_update_end(self, begin) -> None:
-        """Account one *sampled* update (full capture + stride control).
-
-        Mirrors :meth:`_obs_query_end`: every ``_obs_ustride``-th update
-        lands here and feeds the recorder, the drift monitor, and the
-        exact counter/histogram; the ops in between go through
-        :meth:`_obs_update_lite`.  A sampled update faster than
-        ``_OBS_QUERY_FAST_S`` doubles the stride (slow-op detection and
-        recorder coverage degrade gracefully to one op in
-        ``_OBS_QUERY_STRIDE_MAX``); a slow one resets it, and at
-        ``trace`` level the stride never widens so every update is
-        recorded.
-        """
-        s = self.stats
-        dur_s = time.perf_counter() - begin[0]
-        io10 = (
-            s.leaf_reads - begin[1],
-            s.leaf_writes - begin[2],
-            s.internal_reads - begin[3],
-            s.internal_writes - begin[4],
-            s.index_reads - begin[5],
-            s.index_writes - begin[6],
-            s.log_writes - begin[7],
-            s.log_reads - begin[8],
-            s.memo_reads - begin[9],
-            s.memo_writes - begin[10],
-        )
-        self._obs_c_updates.value += 1
-        hist = self._obs_h_update_io
-        leaf_io = io10[0] + io10[1]
-        hist.counts[bisect_left(hist.buckets, leaf_io)] += 1
-        hist.count += 1
-        hist.total += leaf_io
-        m = self._obs_rec_memo
-        self._obs_recorder.record(
-            "update",
-            self.name,
-            dur_s,
-            io10,
-            0 if m is None else m.lookup_count - begin[11],
-            0 if m is None else m.hit_count - begin[12],
-            "-",
-        )
-        tracker = self._obs_drift_update
-        if tracker is not None:
-            tracker.observe(
-                io10[0] + io10[1] + io10[4] + io10[5] + io10[6] + io10[7]
-                + io10[8] + io10[9]
-            )
-        stride = self._obs_ustride
-        if self.obs.tracing:
-            return
-        if dur_s < _OBS_QUERY_FAST_S:
-            if stride < _OBS_QUERY_STRIDE_MAX:
-                stride *= 2
-                self._obs_ustride = stride
-        elif stride != 1:
-            stride = 1
-            self._obs_ustride = 1
-        self._obs_utick = stride - 1
+            # Counted I/O per the paper's model: leaf + index + log + memo
+            # — everything but the (cached) internal nodes.
+            tracker.observe(sum(io10) - io10[2] - io10[3])
+        if sampler is not None and not obs.tracing:
+            if dur_s >= _OBS_FAST_S:
+                sampler.stride = 1
+            elif sampler.stride < _OBS_STRIDE_MAX:
+                sampler.stride *= 2
+            sampler.tick = sampler.stride - 1
+        return result
 
     # -- drift predictors (overridden per tree type) -----------------------
 
@@ -566,6 +422,124 @@ class RTreeBase:
         if self._obs_drift is None:
             return []
         return [dict(row) for row in self._obs_drift.rows()]
+
+    # ------------------------------------------------------------------
+    # Moving-object index protocol — each operation written once
+    # ------------------------------------------------------------------
+    #
+    # The experiment harness, the batch pipeline and the serving layer
+    # drive all three trees through these five entry points.  Each is the
+    # only instrumented copy of its operation: the obs-off fast path goes
+    # straight to the tree type's *body*; the enabled path accounts the
+    # same body through ``_observed``.  Subclasses bind the bodies to
+    # their algorithms and never touch observability.
+
+    #: Whether an insertion feeds the update drift model (true where
+    #: inserts and updates are the same operation — the RUM-tree).
+    _INSERT_IS_UPDATE = False
+
+    def insert_object(self, oid: int, rect: Rect) -> None:
+        """Index a new object."""
+        if self.obs is None:
+            self._insert_body(oid, rect)
+        else:
+            self._observed("insert", self._insert_body, oid, rect, oid=oid)
+
+    def update_object(
+        self, oid: int, old_rect: Optional[Rect], new_rect: Rect
+    ) -> None:
+        """Move ``oid`` from ``old_rect`` to ``new_rect``.
+
+        The baselines need the exact MBR currently stored; the RUM-tree
+        ignores it (Section 3.2.1) and accepts ``None``.
+        """
+        if self.obs is None:
+            self._update_body(oid, old_rect, new_rect)
+            return
+        sampler = self._obs_usample
+        if not sampler.tick:
+            self._observed(
+                "update", self._update_body, oid, old_rect, new_rect, oid=oid
+            )
+            return
+        # Unsampled update.  The counter and histogram stay exact on
+        # every operation — both are pure I/O accounting that needs no
+        # clock and touches three small hot objects, a few hundred
+        # nanoseconds.  What this path skips is the expensive capture
+        # (``perf_counter`` calls, the 10-field delta, the recorder
+        # record, the drift feed), whose working set is large enough that
+        # paying it every update breaks the <2% metrics-level budget
+        # (``bench_micro`` A/B) — and so would a call, hence inline.
+        sampler.tick -= 1
+        s = self.stats
+        lio0 = s.leaf_reads + s.leaf_writes
+        self._update_body(oid, old_rect, new_rect)
+        self._obs_c_updates.value += 1
+        h = self._obs_h_update_io
+        v = s.leaf_reads + s.leaf_writes - lio0
+        h.counts[bisect_left(h.buckets, v)] += 1
+        h.count += 1
+        h.total += v
+
+    def delete_object(self, oid: int, old_rect: Optional[Rect] = None) -> None:
+        """Remove an object entirely (``old_rect`` as for updates)."""
+        if self.obs is None:
+            self._delete_body(oid, old_rect)
+        else:
+            self._observed("delete", self._delete_body, oid, old_rect, oid=oid)
+
+    def search(self, window: Rect) -> List[Tuple[int, Rect]]:
+        """All live objects whose current MBR intersects ``window``."""
+        if self.obs is None:
+            return self._search_body(window)
+        sampler = self._obs_qsample
+        if sampler.tick:
+            # Unsampled query: microseconds at mirror steady state, so
+            # it pays for nothing but this countdown and the next sampled
+            # query counts it.
+            sampler.tick -= 1
+            return self._search_body(window)
+        # ``tree.queries`` is thus exact at every sample boundary (and at
+        # detach, which settles the remainder); histogram, recorder and
+        # drift feeds see the sampled queries only.
+        self._obs_c_queries.value += sampler.stride - 1
+        return self._observed("query", self._search_body, window, window=window)
+
+    def nearest_neighbors(
+        self, x: float, y: float, k: int
+    ) -> List[Tuple[int, Rect]]:
+        """The ``k`` live objects nearest to ``(x, y)``, nearest first."""
+        if k <= 0:
+            return []
+        if self.obs is None:
+            return self._knn_body(x, y, k)
+        return self._observed("knn", self._knn_body, x, y, k, k=k)
+
+    # -- operation bodies (the baselines' defaults) -------------------------
+
+    def _insert_body(self, oid: int, rect: Rect) -> None:
+        """Single-path R* insertion; the placement hooks keep subclass
+        state (the FUR-tree's secondary index) in step."""
+        self.insert(rect, oid)
+
+    def _update_body(
+        self, oid: int, old_rect: Optional[Rect], new_rect: Rect
+    ) -> None:
+        raise NotImplementedError
+
+    def _delete_body(self, oid: int, old_rect: Optional[Rect]) -> None:
+        raise NotImplementedError
+
+    def _search_body(self, window: Rect) -> List[Tuple[int, Rect]]:
+        return [(e.oid, e.rect) for e in self.range_search(window)]
+
+    def _knn_body(self, x: float, y: float, k: int) -> List[Tuple[int, Rect]]:
+        results: List[Tuple[int, Rect]] = []
+        for entry, _dist in self.iter_nearest(x, y):
+            results.append((entry.oid, entry.rect))
+            if len(results) == k:
+                break
+        return results
 
     # ------------------------------------------------------------------
     # Insertion
@@ -618,20 +592,18 @@ class RTreeBase:
         from repro.core.batch import plan_batch
 
         plan = plan_batch(ops)
-        obs = self.obs
-        if obs is None:
+        if self.obs is None:
             return self._apply_batch_plan(plan)
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span(
-                "update_batch", io=self.stats, tree=self.name,
-                ops=plan.total_ops, deduped=plan.deduped,
-            ):
-                result = self._apply_batch_plan(plan)
-        else:
-            result = self._apply_batch_plan(plan)
-        self._obs_record_batch(result)
-        self._obs_op_end(begin, "batch", None, None, None)
+        result = self._observed(
+            "batch", self._apply_batch_plan, plan,
+            ops=plan.total_ops, deduped=plan.deduped,
+        )
+        batches, batch_ops, deduped, coalesced, sizes = self._obs_batch
+        batches.inc()
+        batch_ops.inc(result.total_ops)
+        deduped.inc(result.deduped)
+        coalesced.inc(result.coalesced_writes)
+        sizes.observe(float(result.total_ops))
         return result
 
     def _apply_batch_plan(self, plan: "BatchPlan") -> "BatchResult":
@@ -656,27 +628,23 @@ class RTreeBase:
             pages_written=scope.pages_written,
         )
 
-    def _obs_record_batch(self, result: "BatchResult") -> None:
-        """Account one finished batch (enabled path only)."""
-        if self._obs_c_batches is not None:
-            self._obs_c_batches.inc()
-            self._obs_c_batch_ops.inc(result.total_ops)
-            self._obs_c_batch_deduped.inc(result.deduped)
-            self._obs_c_batch_coalesced.inc(result.coalesced_writes)
-            self._obs_h_batch_size.observe(float(result.total_ops))
-
     def _choose_node(self, rect: Rect, level: int) -> Node:
         """Descend from the root to a node at ``level`` (leaves = level 0)."""
         if level >= self.height:
             raise ValueError(
                 f"target level {level} but tree height is {self.height}"
             )
+        watch = self._watch
         node = self.buffer.get_node(self.root_id)
         current = self.height - 1
         while current > level:
             idx = self._choose_child_index(node, rect, current == 1)
+            if watch is not None:
+                watch.visit(node, len(node), 1)
             node = self.buffer.get_node(node.entries[idx].child_id)
             current -= 1
+        if watch is not None:
+            watch.visit(node, len(node), 0)
         return node
 
     def _choose_child_index(
@@ -904,6 +872,7 @@ class RTreeBase:
                 buffer.charge_leaf_reads(leaf_ids)
             return results
         results: List[LeafEntry] = []
+        watch = self._watch
         with buffer.operation():
             stack = [self.root_id]
             while stack:
@@ -911,6 +880,8 @@ class RTreeBase:
                 hits = kernels.intersect_indices(
                     node.coord_block(), wx1, wy1, wx2, wy2
                 )
+                if watch is not None:
+                    watch.visit(node, len(node), len(hits))
                 if not hits:
                     continue
                 if node.is_leaf:
@@ -920,28 +891,11 @@ class RTreeBase:
                     stack.extend(entries[i].child_id for i in hits)
         return results
 
-    def nearest_entries(self, x: float, y: float, k: int) -> List[LeafEntry]:
-        """The ``k`` leaf entries nearest to ``(x, y)`` (best-first search).
-
-        Classic incremental nearest-neighbour over the R-tree using the
-        MINDIST lower bound: internal entries are expanded in distance
-        order, so only leaves that can still contribute are read.  For the
-        RUM-tree this is a raw candidate stream that the memo then filters
-        (see :meth:`repro.core.rum.RUMTree.nearest_neighbors`).
-        """
-        if k <= 0:
-            return []
-        results: List[LeafEntry] = []
-        for entry, _dist in self.iter_nearest(x, y):
-            results.append(entry)
-            if len(results) == k:
-                break
-        return results
-
     def iter_nearest(
         self, x: float, y: float
     ) -> Iterator[Tuple[LeafEntry, float]]:
-        """Yield ``(leaf entry, distance)`` pairs in increasing distance.
+        """Yield ``(leaf entry, distance)`` pairs in increasing distance
+        (classic best-first search over the MINDIST lower bound).
 
         The traversal is lazy: each ``next()`` performs only the node
         reads needed to guarantee the next entry is globally nearest,
@@ -960,6 +914,7 @@ class RTreeBase:
         heap: List[Tuple[float, int, bool, object]] = [
             (0.0, counter, False, self.root_id)
         ]
+        watch = self._watch
         with self.buffer.operation():
             while heap:
                 dist_sq, _tie, is_entry, payload = heapq.heappop(heap)
@@ -971,6 +926,9 @@ class RTreeBase:
                 # leaves beyond the k-th neighbour's distance cost nothing.
                 node = self.buffer.get_node(payload)
                 dists = kernels.min_dist_sq(node.coord_block(), x, y)
+                if watch is not None:
+                    # Every entry of a visited node enters the heap.
+                    watch.visit(node, len(node), len(node))
                 if node.is_leaf:
                     for i, d in enumerate(dists):
                         counter += 1
@@ -1010,13 +968,17 @@ class RTreeBase:
     ) -> Optional[Tuple[Node, int]]:
         rx1, ry1 = rect.xmin, rect.ymin
         rx2, ry2 = rect.xmax, rect.ymax
+        watch = self._watch
         stack = [self.root_id]
         while stack:
             node = self.buffer.get_node(stack.pop())
             if node.is_leaf:
                 for i, entry in enumerate(node.entries):
                     if entry.oid == oid and entry.rect == rect:
+                        if watch is not None:
+                            watch.visit(node, len(node), 1)
                         return node, i
+                hits = ()
             else:
                 hits = kernels.contain_indices(
                     node.coord_block(), rx1, ry1, rx2, ry2
@@ -1024,6 +986,8 @@ class RTreeBase:
                 if hits:
                     entries = node.entries
                     stack.extend(entries[i].child_id for i in hits)
+            if watch is not None:
+                watch.visit(node, len(node), len(hits))
         return None
 
     def _condense(self, leaf: Node) -> None:
@@ -1128,34 +1092,11 @@ class RTreeBase:
         """
         stack = [self.root_id]
         while stack:
-            node = self._peek_node(stack.pop())
+            node = self.buffer.peek_node(stack.pop())
             if node.is_leaf:
                 yield node
             else:
                 stack.extend(e.child_id for e in node.entries)
-
-    def _peek_node(self, page_id: int) -> Node:
-        """Uncounted read used by introspection only.
-
-        Consults every cache layer (internal, operation, resident LRU)
-        before the raw disk page, so introspection never observes a page
-        image that in-memory state has already superseded.
-        """
-        buffer = self.buffer
-        cached = buffer._internal_cache.get(page_id)
-        if cached is not None:
-            return cached
-        cached = buffer._op_leaf_cache.get(page_id)
-        if cached is not None:
-            return cached
-        cached = buffer._lru.get(page_id)
-        if cached is not None:
-            return cached
-        # Lazy decode: introspection walks (leaf counts, ring checks) often
-        # need only the header; entries thaw on first access.
-        return buffer.codec.decode(
-            page_id, buffer.disk.peek(page_id), lazy=True
-        )
 
     def iter_leaf_entries(self) -> Iterator[LeafEntry]:
         for node in self.iter_leaf_nodes():
@@ -1178,276 +1119,100 @@ class RTreeBase:
         ]
 
     # ------------------------------------------------------------------
-    # EXPLAIN/ANALYZE (see repro.obs.explain for the report structures)
+    # EXPLAIN/ANALYZE (see repro.obs.explain for observer and report)
     # ------------------------------------------------------------------
+    #
+    # Each explain_* runs the operation's *real* body with a visit
+    # observer installed for the duration: the traversal loops above
+    # report every node they inspect, the observer taps the buffer for
+    # the residency and exact I/O of each fetch.  Nothing here knows how
+    # a search descends or an update inserts.
 
     def explain_query(self, window: Rect) -> "ExplainReport":
-        """ANALYZE one range query: run the real traversal against the
+        """ANALYZE one range query: run the real search body against the
         real buffer, recording a per-node trace whose I/O reconciles
         exactly with the operation's IOStats delta.
 
-        The traversal charges the same counted leaf reads a live
-        ``range_search`` would (that equivalence is the query mirror's
-        contract), so the report's ``io_delta`` *is* the cost of asking
-        the query.  ``served_by`` reports which path the live query
-        would take right now; a valid mirror additionally contributes a
-        ``mirror`` summary block.  Mirror streak state is not touched.
+        The descent is forced even when a mirror would answer: it charges
+        the same counted leaf reads (that equivalence is the query
+        mirror's contract), so the report's ``io_delta`` *is* the cost of
+        asking the query.  ``served_by`` reports which path the live
+        query would take right now; a valid mirror additionally
+        contributes a ``mirror`` summary block.  Mirror, streak and wait
+        are left exactly as found, and the query is not counted as a live
+        one.
         """
-        from repro.obs.explain import ExplainReport
-
+        found = {name: getattr(self, name) for name in _MIRROR_STATE}
         mirror = self._mirror
         mirror_valid = (
             mirror is not None and mirror.version == self.buffer.version
         )
-        visits, raw, io_delta = self._explain_range_traversal(window)
-        return ExplainReport(
-            op="query",
-            tree=self.name,
-            backend=kernels.BACKEND,
-            params={
-                "window": (window.xmin, window.ymin, window.xmax, window.ymax)
-            },
-            served_by="mirror" if mirror_valid else "traversal",
-            visits=visits,
-            io_delta=io_delta,
-            results=len(raw),
-            mirror=mirror.summary() if mirror_valid else None,
-        )
-
-    def _explain_range_traversal(self, window: Rect):
-        """Instrumented twin of the stack-based descent in
-        :meth:`range_search`: identical visit set and kernel calls, plus
-        per-visit residency and exact per-visit I/O deltas."""
-        from repro.obs.explain import NodeVisit
-
-        buffer = self.buffer
-        wx1, wy1 = window.xmin, window.ymin
-        wx2, wy2 = window.xmax, window.ymax
-        visits: List[NodeVisit] = []
-        results: List[LeafEntry] = []
-        before = self.stats.snapshot()
-        with buffer.operation():
-            stack = [(self.root_id, self.height - 1)]
-            while stack:
-                page_id, level = stack.pop()
-                residency = buffer.residency(page_id)
-                v_before = self.stats.snapshot()
-                node = buffer.get_node(page_id)
-                v_io = self.stats.snapshot() - v_before
-                hits = kernels.intersect_indices(
-                    node.coord_block(), wx1, wy1, wx2, wy2
-                )
-                entries = node.entries
-                visits.append(
-                    NodeVisit(
-                        page_id=page_id,
-                        level=level,
-                        is_leaf=node.is_leaf,
-                        entries_tested=len(entries),
-                        entries_matched=len(hits),
-                        residency=residency,
-                        io=v_io,
-                    )
-                )
-                if not hits:
-                    continue
-                if node.is_leaf:
-                    results.extend(node.take(hits))
-                else:
-                    stack.extend(
-                        (entries[i].child_id, level - 1) for i in hits
-                    )
-        io_delta = self.stats.snapshot() - before
-        return visits, results, io_delta
+        # With no mirror and a fresh streak, range_search descends.
+        self._mirror = None
+        self._mirror_streak_version = -1
+        try:
+            report = analyze(
+                self,
+                "query",
+                {"window": (window.xmin, window.ymin, window.xmax, window.ymax)},
+                lambda: self._search_body(window),
+            )
+        finally:
+            for name, value in found.items():
+                setattr(self, name, value)
+        report.served_by = "mirror" if mirror_valid else "traversal"
+        report.mirror = mirror.summary() if mirror_valid else None
+        return report
 
     def explain_knn(self, x: float, y: float, k: int) -> "ExplainReport":
-        """ANALYZE one kNN query (best-first MINDIST search)."""
-        from repro.obs.explain import ExplainReport
-
-        visits, results, io_delta = self._explain_knn_traversal(
-            x, y, k, None
+        """ANALYZE one kNN query (best-first MINDIST search);
+        ``entries_matched`` of a visit counts the heap items the node
+        contributed."""
+        return analyze(
+            self,
+            "knn",
+            {"x": x, "y": y, "k": k},
+            lambda: self._knn_body(x, y, k) if k > 0 else [],
         )
-        return ExplainReport(
-            op="knn",
-            tree=self.name,
-            backend=kernels.BACKEND,
-            params={"x": x, "y": y, "k": k},
-            visits=visits,
-            io_delta=io_delta,
-            results=len(results),
-        )
-
-    def _explain_knn_traversal(self, x: float, y: float, k: int, accept):
-        """Instrumented twin of :meth:`iter_nearest`.
-
-        ``accept(entry)`` decides whether a surfaced entry counts toward
-        ``k`` (the RUM override filters through the memo); ``None``
-        accepts everything.  ``entries_matched`` of a visit counts the
-        heap items the node contributed.
-        """
-        import heapq
-        import math
-
-        from repro.obs.explain import NodeVisit
-
-        buffer = self.buffer
-        visits: List[NodeVisit] = []
-        results: List[Tuple[LeafEntry, float]] = []
-        before = self.stats.snapshot()
-        if k > 0:
-            counter = 0
-            heap: List[Tuple[float, int, bool, object, int]] = [
-                (0.0, 0, False, self.root_id, self.height - 1)
-            ]
-            with buffer.operation():
-                while heap and len(results) < k:
-                    dist_sq, _tie, is_entry, payload, level = heapq.heappop(
-                        heap
-                    )
-                    if is_entry:
-                        leaf, slot = payload
-                        entry = leaf.take((slot,))[0]
-                        if accept is None or accept(entry):
-                            results.append((entry, math.sqrt(dist_sq)))
-                        continue
-                    residency = buffer.residency(payload)
-                    v_before = self.stats.snapshot()
-                    node = buffer.get_node(payload)
-                    v_io = self.stats.snapshot() - v_before
-                    dists = kernels.min_dist_sq(node.coord_block(), x, y)
-                    n = len(node.entries)
-                    visits.append(
-                        NodeVisit(
-                            page_id=payload,
-                            level=level,
-                            is_leaf=node.is_leaf,
-                            entries_tested=n,
-                            entries_matched=n,
-                            residency=residency,
-                            io=v_io,
-                        )
-                    )
-                    if node.is_leaf:
-                        for i, d in enumerate(dists):
-                            counter += 1
-                            heapq.heappush(
-                                heap, (d, counter, True, (node, i), 0)
-                            )
-                    else:
-                        entries = node.entries
-                        for i, d in enumerate(dists):
-                            counter += 1
-                            heapq.heappush(
-                                heap,
-                                (
-                                    d,
-                                    counter,
-                                    False,
-                                    entries[i].child_id,
-                                    level - 1,
-                                ),
-                            )
-        io_delta = self.stats.snapshot() - before
-        return visits, results, io_delta
 
     def explain_update(
         self, oid: int, new_rect: Rect, old_rect: Optional[Rect] = None
     ) -> "ExplainReport":
         """ANALYZE one update — **this mutates the tree** (the update is
-        really performed; that is what makes the reported I/O exact).
+        really performed, and counted like any other; that is what makes
+        the reported I/O exact).
 
-        Generic version for the top-down/bottom-up baselines: the
-        deletion search path is pre-walked read-only with *uncounted*
-        peeks (per-visit ``io`` is zero), then the real
-        ``update_object`` runs and its whole delta is reported as the
-        ``update`` phase — so the report still reconciles exactly.  The
-        RUM override replaces this with a fully attributed memo-based
-        trace.
+        The visits are the nodes the update's own traversals inspected
+        (the top-down deletion search and the insertion descent; a
+        bottom-up update that stays in its leaf traverses nothing), each
+        with the I/O its fetch charged; everything else — write-backs,
+        splits, secondary-index maintenance — is the ``update`` phase.
         """
-        from repro.obs.explain import ExplainReport
-
         if old_rect is None:
             raise ValueError(
                 "old_rect is required to explain a top-down/bottom-up update"
             )
-        visits = self._explain_find_path(oid, old_rect)
+        return self._explain_update(oid, old_rect, new_rect, ("update",))
+
+    def _explain_update(
+        self, oid: int, old_rect: Optional[Rect], new_rect: Rect, phases
+    ) -> "ExplainReport":
+        params = {"oid": oid, "new_rect": tuple(new_rect)}
+        if old_rect is not None:
+            params["old_rect"] = tuple(old_rect)
         height_before = self.height
-        before = self.stats.snapshot()
-        self.update_object(oid, old_rect, new_rect)
-        io_delta = self.stats.snapshot() - before
-        return ExplainReport(
-            op="update",
-            tree=self.name,
-            backend=kernels.BACKEND,
-            params={
-                "oid": oid,
-                "old_rect": tuple(old_rect),
-                "new_rect": tuple(new_rect),
-            },
-            visits=visits,
-            phases={"update": io_delta},
-            io_delta=io_delta,
-            results=1,
-            extra={
-                "height_before": height_before,
-                "height_after": self.height,
-                "visit_io_attributed": False,
-            },
+        report = analyze(
+            self,
+            "update",
+            params,
+            lambda: self.update_object(oid, old_rect, new_rect),
+            phases,
         )
-
-    def _explain_find_path(self, oid: int, rect: Rect):
-        """Read-only twin of :meth:`_find_leaf_entry` using uncounted
-        peeks: the containment-search path a top-down deletion follows,
-        with zero per-visit I/O (the real op charges it)."""
-        from repro.obs.explain import NodeVisit
-        from repro.storage.iostats import IOSnapshot
-
-        rx1, ry1 = rect.xmin, rect.ymin
-        rx2, ry2 = rect.xmax, rect.ymax
-        zero = IOSnapshot()
-        visits: List[NodeVisit] = []
-        stack = [(self.root_id, self.height - 1)]
-        while stack:
-            page_id, level = stack.pop()
-            residency = self.buffer.residency(page_id)
-            node = self._peek_node(page_id)
-            entries = node.entries
-            if node.is_leaf:
-                matched = sum(
-                    1
-                    for e in entries
-                    if e.oid == oid and e.rect == rect
-                )
-                visits.append(
-                    NodeVisit(
-                        page_id=page_id,
-                        level=level,
-                        is_leaf=True,
-                        entries_tested=len(entries),
-                        entries_matched=matched,
-                        residency=residency,
-                        io=zero,
-                    )
-                )
-                if matched:
-                    break
-            else:
-                hits = kernels.contain_indices(
-                    node.coord_block(), rx1, ry1, rx2, ry2
-                )
-                visits.append(
-                    NodeVisit(
-                        page_id=page_id,
-                        level=level,
-                        is_leaf=False,
-                        entries_tested=len(entries),
-                        entries_matched=len(hits),
-                        residency=residency,
-                        io=zero,
-                    )
-                )
-                stack.extend((entries[i].child_id, level - 1) for i in hits)
-        return visits
+        report.extra = {
+            "height_before": height_before,
+            "height_after": self.height,
+        }
+        return report
 
     # -- structural invariants (used heavily by the test suite) -----------
 

@@ -22,7 +22,7 @@ hooks below charge it faithfully.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.storage.buffer import BufferPool
 
@@ -66,7 +66,6 @@ class FURTree(RTreeBase):
     ):
         if extension < 0:
             raise ValueError("extension must be non-negative")
-        kwargs.setdefault("maintain_leaf_ring", False)
         super().__init__(buffer, **kwargs)
         self.extension = extension
         self.index = SecondaryIndex(
@@ -110,39 +109,15 @@ class FURTree(RTreeBase):
         )
 
     # ------------------------------------------------------------------
-    # Moving-object index protocol
+    # Operation bodies (entry points: RTreeBase; an insertion is the
+    # base's — the placement hook registers it in the secondary index)
     # ------------------------------------------------------------------
 
-    def insert_object(self, oid: int, rect: Rect) -> None:
-        """Index a new object; the placement hook registers it in the
-        secondary index."""
-        self.insert(rect, oid)
-
-    def update_object(self, oid: int, old_rect: Rect, new_rect: Rect) -> None:
-        """Bottom-up update (Figure 1b)."""
-        obs = self.obs
-        if obs is None:
-            self._bottom_up_update(oid, new_rect)
-            return
-        tick = self._obs_utick
-        if tick:
-            # Unsampled update: exact counter + leaf-I/O histogram only
-            # (see RTreeBase._obs_update_lite).
-            self._obs_utick = tick - 1
-            s = self.stats
-            lio0 = s.leaf_reads + s.leaf_writes
-            self._bottom_up_update(oid, new_rect)
-            self._obs_update_lite(lio0)
-            return
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("update", io=self.stats, tree=self.name, oid=oid):
-                self._bottom_up_update(oid, new_rect)
-        else:
-            self._bottom_up_update(oid, new_rect)
-        self._obs_update_end(begin)
-
-    def _bottom_up_update(self, oid: int, new_rect: Rect) -> None:
+    def _bottom_up_update(
+        self, oid: int, old_rect: Optional[Rect], new_rect: Rect
+    ) -> None:
+        """Bottom-up update (Figure 1b); the secondary index stands in
+        for ``old_rect``."""
         leaf_page = self.index.lookup(oid)
         if leaf_page is None:
             raise ObjectNotFoundError(oid)
@@ -163,7 +138,9 @@ class FURTree(RTreeBase):
             self._top_down_fallback(leaf, entry_idx, oid, new_rect)
             self.updates_top_down += 1
 
-    def delete_object(self, oid: int, old_rect: Rect) -> None:
+    _update_body = _bottom_up_update
+
+    def _bottom_up_delete(self, oid: int, old_rect: Optional[Rect]) -> None:
         """Bottom-up deletion: the index pinpoints the leaf directly."""
         leaf_page = self.index.lookup(oid)
         if leaf_page is None:
@@ -178,43 +155,7 @@ class FURTree(RTreeBase):
             self.index.remove(oid)
             self._condense(leaf)
 
-    def search(self, window: Rect) -> List[Tuple[int, Rect]]:
-        """All objects whose current MBR intersects ``window``."""
-        obs = self.obs
-        if obs is None:
-            return [(e.oid, e.rect) for e in self.range_search(window)]
-        tick = self._obs_qtick
-        if tick:
-            self._obs_qtick = tick - 1
-            return [(e.oid, e.rect) for e in self.range_search(window)]
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("query", io=self.stats, tree=self.name):
-                results = [(e.oid, e.rect) for e in self.range_search(window)]
-        else:
-            results = [(e.oid, e.rect) for e in self.range_search(window)]
-        self._obs_query_end(begin, window)
-        return results
-
-    def nearest_neighbors(
-        self, x: float, y: float, k: int
-    ) -> List[Tuple[int, Rect]]:
-        """The ``k`` objects nearest to ``(x, y)``, nearest first."""
-        obs = self.obs
-        if obs is None:
-            return [(e.oid, e.rect) for e in self.nearest_entries(x, y, k)]
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("knn", io=self.stats, tree=self.name, k=k):
-                results = [
-                    (e.oid, e.rect) for e in self.nearest_entries(x, y, k)
-                ]
-        else:
-            results = [(e.oid, e.rect) for e in self.nearest_entries(x, y, k)]
-        self._obs_op_end(
-            begin, "knn", self._obs_c_knn, self._obs_h_query_io, None
-        )
-        return results
+    _delete_body = _bottom_up_delete
 
     # ------------------------------------------------------------------
     # The three bottom-up cases

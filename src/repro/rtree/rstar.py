@@ -6,16 +6,15 @@ single-path *insert* of the new entry.  The deletion search is the costly
 part — it may follow multiple paths because R-tree node MBRs overlap — and
 is exactly what the RUM-tree's memo-based approach eliminates.
 
-The class also defines the small *moving-object index* protocol shared by
-all three trees so the experiment harness can drive them uniformly:
-``insert_object`` / ``update_object`` / ``delete_object`` / ``search``.
+The *moving-object index* protocol the experiment harness drives all three
+trees through (``insert_object`` / ``update_object`` / ``delete_object`` /
+``search``) lives on :class:`RTreeBase`; this class supplies its top-down
+update and delete bodies.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-from repro.storage.buffer import BufferPool
+from typing import Optional
 
 from .base import RTreeBase
 from .geometry import Rect
@@ -30,17 +29,9 @@ class RStarTree(RTreeBase):
 
     name = "R*-tree"
 
-    def __init__(self, buffer: BufferPool, **kwargs):
-        kwargs.setdefault("maintain_leaf_ring", False)
-        super().__init__(buffer, **kwargs)
+    # -- operation bodies (entry points: RTreeBase) -------------------------
 
-    # -- moving-object index protocol --------------------------------------
-
-    def insert_object(self, oid: int, rect: Rect) -> None:
-        """Index a new object (single-path R* insertion)."""
-        self.insert(rect, oid)
-
-    def update_object(self, oid: int, old_rect: Rect, new_rect: Rect) -> None:
+    def _top_down_update(self, oid: int, old_rect: Rect, new_rect: Rect) -> None:
         """Top-down update: search & delete the old entry, insert the new.
 
         ``old_rect`` must be the exact MBR currently stored for ``oid`` —
@@ -51,89 +42,17 @@ class RStarTree(RTreeBase):
         cost matches the paper's accounting ``IO_TD = IO_search + 3``
         (Section 4.2.1) even when the object stays in the same leaf.
         """
-        obs = self.obs
-        if obs is None:
-            self._top_down_update(oid, old_rect, new_rect)
-            return
-        tick = self._obs_utick
-        if tick:
-            # Unsampled update: exact counter + leaf-I/O histogram only
-            # (see RTreeBase._obs_update_lite).
-            self._obs_utick = tick - 1
-            s = self.stats
-            lio0 = s.leaf_reads + s.leaf_writes
-            self._top_down_update(oid, old_rect, new_rect)
-            self._obs_update_lite(lio0)
-            return
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("update", io=self.stats, tree=self.name, oid=oid):
-                self._top_down_update(oid, old_rect, new_rect)
-        else:
-            self._top_down_update(oid, old_rect, new_rect)
-        self._obs_update_end(begin)
-
-    def _top_down_update(self, oid: int, old_rect: Rect, new_rect: Rect) -> None:
-        if not self.delete(oid, old_rect):
-            raise ObjectNotFoundError(oid)
+        self._top_down_delete(oid, old_rect)
         self.insert(new_rect, oid)
 
-    def delete_object(self, oid: int, old_rect: Rect) -> None:
+    _update_body = _top_down_update
+
+    def _top_down_delete(self, oid: int, old_rect: Rect) -> None:
         """Remove an object entirely (top-down search & delete)."""
-        obs = self.obs
-        if obs is None:
-            if not self.delete(oid, old_rect):
-                raise ObjectNotFoundError(oid)
-            return
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("delete", io=self.stats, tree=self.name, oid=oid):
-                if not self.delete(oid, old_rect):
-                    raise ObjectNotFoundError(oid)
-        else:
-            if not self.delete(oid, old_rect):
-                raise ObjectNotFoundError(oid)
-        self._obs_op_end(
-            begin, "delete", self._obs_c_updates, self._obs_h_update_io, None
-        )
+        if not self.delete(oid, old_rect):
+            raise ObjectNotFoundError(oid)
 
-    def search(self, window: Rect) -> List[Tuple[int, Rect]]:
-        """All objects whose current MBR intersects ``window``."""
-        obs = self.obs
-        if obs is None:
-            return [(e.oid, e.rect) for e in self.range_search(window)]
-        tick = self._obs_qtick
-        if tick:
-            self._obs_qtick = tick - 1
-            return [(e.oid, e.rect) for e in self.range_search(window)]
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("query", io=self.stats, tree=self.name):
-                results = [(e.oid, e.rect) for e in self.range_search(window)]
-        else:
-            results = [(e.oid, e.rect) for e in self.range_search(window)]
-        self._obs_query_end(begin, window)
-        return results
-
-    def nearest_neighbors(
-        self, x: float, y: float, k: int
-    ) -> List[Tuple[int, Rect]]:
-        """The ``k`` objects nearest to ``(x, y)``, nearest first."""
-        obs = self.obs
-        if obs is None:
-            return [(e.oid, e.rect) for e in self.nearest_entries(x, y, k)]
-        begin = self._obs_op_begin()
-        if obs.tracing:
-            with obs.span("knn", io=self.stats, tree=self.name, k=k):
-                results = [
-                    (e.oid, e.rect) for e in self.nearest_entries(x, y, k)
-                ]
-        else:
-            results = [(e.oid, e.rect) for e in self.nearest_entries(x, y, k)]
-        self._obs_op_end(
-            begin, "knn", self._obs_c_knn, self._obs_h_query_io, None
-        )
-        return results
+    _delete_body = _top_down_delete
 
     def lookup(self, oid: int, rect: Rect) -> Optional[Rect]:
         """Return the stored MBR for ``oid`` (testing aid)."""

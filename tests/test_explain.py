@@ -9,6 +9,8 @@ observability attached (EXPLAIN needs no obs — it is a property of the
 tree, not of the telemetry layer).
 """
 
+import hashlib
+
 import pytest
 
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
@@ -149,10 +151,14 @@ class TestUpdateReconciliation:
         assert report.io_delta == delta
         assert report.reconciles()
         assert set(report.phases) == {"memo", "insert", "clean"}
-        total = IOSnapshot()
+        total = report.visit_io_total()
         for io in report.phases.values():
             total = total + io
-        assert total == delta  # visits carry zero I/O (pre-walked peeks)
+        assert total == delta
+        # The visits are the real descent: the leaf fetch is theirs, not
+        # the insert phase's.
+        assert report.visit_io_total().leaf_reads >= 1
+        assert report.visit_io_total() != IOSnapshot()
         assert report.memo["stamp"] > 0
         # The descent trace ends at a leaf.
         assert report.visits[-1].is_leaf
@@ -169,6 +175,157 @@ class TestUpdateReconciliation:
         assert report.phases["memo"].log_writes >= 1
 
 
+def _twins(build, n_updates=250, **kwargs):
+    """Two trees built identically from one seed (obsolete entries
+    present on the RUM-tree), plus the workload that built them."""
+    pair = []
+    for _ in range(2):
+        tree, w = _loaded(build, **kwargs)
+        for oid, old, new in w.updates(n_updates):
+            tree.update_object(oid, old, new)
+        pair.append(tree)
+    return pair[0], pair[1], w
+
+
+def _fetches(tree):
+    """Record the page ids fetched through ``buffer.get_node`` from now
+    on (an instance-level tap, the way the stack benchmark traces)."""
+    seen = []
+    real = tree.buffer.get_node
+
+    def tap(page_id):
+        seen.append(page_id)
+        return real(page_id)
+
+    tree.buffer.get_node = tap
+    return seen
+
+
+def _disk_digest(tree):
+    tree.buffer.flush()
+    digest = hashlib.sha256()
+    disk = tree.buffer.disk
+    for page_id in disk.page_ids():
+        digest.update(page_id.to_bytes(8, "little"))
+        digest.update(disk.peek(page_id))
+    return digest.hexdigest()
+
+
+class TestExplainedIsLive:
+    """EXPLAIN observes the real operation, so on twin trees the
+    explained run and the live run are indistinguishable from below:
+    same fetch sequence, same answer, same counted I/O, same pages."""
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=IDS)
+    def test_query_fetches_results_and_io_equal_range_search(self, build):
+        explained, live, _ = _twins(build)
+        window = Rect(0.15, 0.2, 0.7, 0.65)
+        seen_e, seen_l = _fetches(explained), _fetches(live)
+        before_e = explained.stats.snapshot()
+        before_l = live.stats.snapshot()
+        report = explained.explain_query(window)
+        answer = live.search(window)
+        assert seen_e == seen_l and seen_e
+        assert [v.page_id for v in report.visits] == seen_e
+        assert report.results == len(answer)
+        assert report.io_delta == live.stats.snapshot() - before_l
+        assert report.io_delta == explained.stats.snapshot() - before_e
+        assert report.reconciles() and not report.phases
+        # The observer left nothing behind.
+        assert "get_node" in vars(explained.buffer)  # the test's own tap
+        assert "operation" not in vars(explained.buffer)
+        assert explained._watch is None
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=IDS)
+    def test_knn_fetches_results_and_io_equal_nearest_neighbors(self, build):
+        explained, live, _ = _twins(build)
+        seen_e, seen_l = _fetches(explained), _fetches(live)
+        before_l = live.stats.snapshot()
+        report = explained.explain_knn(0.45, 0.55, 7)
+        answer = live.nearest_neighbors(0.45, 0.55, 7)
+        assert seen_e == seen_l and seen_e
+        assert [v.page_id for v in report.visits] == seen_e
+        assert report.results == len(answer) == 7
+        assert report.io_delta == live.stats.snapshot() - before_l
+        assert report.reconciles() and not report.phases
+        assert explained.explain_knn(0.45, 0.55, 0).results == 0
+
+    @pytest.mark.parametrize(
+        "build,kwargs",
+        [
+            (build_rstar_tree, {}),
+            (build_fur_tree, {}),
+            (build_rum_tree, {}),
+            (build_rum_tree, {"recovery_option": "III"}),
+        ],
+        ids=["rstar", "fur", "rum", "rum-option-III"],
+    )
+    def test_update_leaves_twin_trees_identical(self, build, kwargs):
+        explained, live, w = _twins(build, **kwargs)
+        moves = list(w.updates(30))
+        seen_e, seen_l = _fetches(explained), _fetches(live)
+        before_e = explained.stats.snapshot()
+        before_l = live.stats.snapshot()
+        attributed = IOSnapshot()
+        for oid, old, new in moves:
+            report = explained.explain_update(oid, new, old_rect=old)
+            live.update_object(oid, old, new)
+            assert report.reconciles()
+            attributed = attributed + report.visit_io_total()
+        assert seen_e == seen_l
+        assert (
+            explained.stats.snapshot() - before_e
+            == live.stats.snapshot() - before_l
+        )
+        assert _disk_digest(explained) == _disk_digest(live)
+        assert sorted(explained.search(Rect(0, 0, 1, 1))) == sorted(
+            live.search(Rect(0, 0, 1, 1))
+        )
+        if build is build_rum_tree:
+            assert explained.memo.snapshot() == live.memo.snapshot()
+            assert explained.stamps.current == live.stamps.current
+            # Every insertion descent ends in a fetched leaf: visit I/O
+            # is attributed, not folded into the phases.
+            assert attributed.leaf_reads >= len(moves)
+        if kwargs:
+            assert explained.wal.total_bytes() == live.wal.total_bytes()
+        explained.check_invariants()
+
+    def test_visits_of_a_top_down_update_are_its_real_searches(self):
+        tree, w = _loaded(build_rstar_tree, n=400)
+        oid, old, new = next(iter(w.updates(1)))
+        report = tree.explain_update(oid, new, old_rect=old)
+        leaves = [v for v in report.visits if v.is_leaf]
+        # The deletion search ends at the leaf holding the entry, the
+        # insertion descent at the leaf receiving it.
+        assert [v.entries_matched for v in leaves][-2:] == [1, 0]
+        assert report.visits[0].level == tree.height - 1
+        assert all(
+            v.residency in ("internal", "op", "lru", "disk")
+            for v in report.visits
+        )
+        assert "visit_io_attributed" not in report.extra
+
+    def test_explain_query_leaves_a_valid_mirror_exactly_as_found(self):
+        tree, _ = _loaded(build_rum_tree)
+        window = Rect(0.2, 0.2, 0.6, 0.6)
+        for _ in range(40):
+            tree.search(window)
+        assert tree._mirror is not None
+        assert tree._mirror.version == tree.buffer.version
+        found = {
+            name: getattr(tree, name)
+            for name in vars(tree) if name.startswith("_mirror")
+        }
+        assert len(found) >= 5
+        report = tree.explain_query(window)
+        assert report.served_by == "mirror" and report.mirror is not None
+        assert report.visits  # the traversal was forced all the same
+        after = {name: getattr(tree, name) for name in found}
+        assert after == found and after["_mirror"] is found["_mirror"]
+        assert report.results == len(tree.search(window))
+
+
 class TestExplainWithObsAttached:
     """EXPLAIN runs must not corrupt the live telemetry counters."""
 
@@ -179,6 +336,24 @@ class TestExplainWithObsAttached:
         report = tree.explain_query(Rect(0.2, 0.2, 0.6, 0.6))
         assert report.reconciles()
         assert obs.registry.snapshot().counters.get("tree.queries", 0) == q0
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=IDS)
+    @pytest.mark.parametrize("level", ["metrics", "trace"])
+    def test_explained_update_counts_explained_queries_do_not(
+        self, build, level
+    ):
+        obs = Observability(level=level)
+        tree, w = _loaded(build, obs=obs)
+        before = obs.registry.snapshot()
+        oid, old, new = next(iter(w.updates(1)))
+        assert tree.explain_update(oid, new, old_rect=old).reconciles()
+        assert tree.explain_query(Rect(0.2, 0.2, 0.6, 0.6)).reconciles()
+        assert tree.explain_knn(0.5, 0.5, 3).reconciles()
+        tree.attach_obs(None)
+        delta = (obs.registry.snapshot() - before).counters
+        assert delta["tree.updates"] == 1
+        assert delta.get("tree.queries", 0) == 0
+        assert delta.get("tree.knn_queries", 0) == 0
 
     def test_explain_update_reconciles_under_metrics(self):
         obs = Observability(level="metrics")

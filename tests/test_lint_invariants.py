@@ -96,7 +96,7 @@ class TestStructuralCorruption:
             check_tree(deep_rstar)
 
     def test_stale_parent_directory_caught(self, deep_rstar):
-        root = deep_rstar._peek_node(deep_rstar.root_id)
+        root = deep_rstar.buffer.peek_node(deep_rstar.root_id)
         child_id = root.entries[0].child_id
         deep_rstar.parent[child_id] = 999_999
         with pytest.raises(InvariantViolation, match="parent directory"):

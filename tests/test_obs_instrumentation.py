@@ -93,6 +93,60 @@ class TestMetricsWiring:
         hist = delta.histograms["tree.update_leaf_io"]
         assert hist.count == 170
 
+    @pytest.mark.parametrize(
+        "build",
+        [build_rstar_tree, build_fur_tree, build_rum_tree],
+        ids=["rstar", "fur", "rum"],
+    )
+    def test_one_counting_rule_for_three_trees(self, build):
+        """Every operation through a public entry point is accounted the
+        same way on every tree type (at the parent commit 300 inserts +
+        1 delete read 301 / 1 / 0 on RUM / R* / FUR)."""
+        obs = Observability(level="metrics", recorder_capacity=4096)
+        tree = build(node_size=2048, obs=obs)
+        workload = default_network_workload(
+            300, moving_distance=0.02, seed=5
+        )
+        where = {}
+        for oid, rect in workload.initial():
+            tree.insert_object(oid, rect)
+            where[oid] = rect
+        for oid, old_rect, new_rect in workload.updates(50):
+            tree.update_object(oid, old_rect, new_rect)
+            where[oid] = new_rect
+        tree.delete_object(7, where[7])
+        for _ in range(12):
+            tree.search(Rect(0.3, 0.3, 0.7, 0.7))
+        for _ in range(3):
+            tree.nearest_neighbors(0.5, 0.5, 4)
+        assert tree.nearest_neighbors(0.5, 0.5, 0) == []  # not an operation
+        tree.attach_obs(None)
+        snap = obs.registry.snapshot()
+        assert snap.counters["tree.updates"] == 351
+        assert snap.counters["tree.queries"] == 12
+        assert snap.counters["tree.knn_queries"] == 3
+        assert snap.histograms["tree.update_leaf_io"].count == 351
+        recorded = {}
+        for r in obs.recorder.records():
+            recorded[r.op] = recorded.get(r.op, 0) + 1
+        # Inserts, deletes and kNN are captured every time; updates and
+        # queries are sampled, so the recorder holds some of each.
+        assert recorded["insert"] == 300
+        assert recorded["delete"] == 1
+        assert recorded["knn"] == 3
+        assert 1 <= recorded["update"] <= 50
+        assert 1 <= recorded["query"] <= 12
+        assert snap.histograms["tree.query_leaf_io"].count == (
+            recorded["query"] + 3
+        )
+        # Drift feeds stay as they were: only the RUM-tree's inserts are
+        # updates as far as the Section-4 model is concerned.
+        samples = snap.gauges["drift.update.samples"]
+        if build is build_rum_tree:
+            assert samples == 300 + recorded["update"]
+        else:
+            assert samples == recorded["update"]
+
     def test_buffer_misses_match_disk_reads(self):
         obs, _sink = _traced_obs()
         tree = build_rum_tree(node_size=2048, obs=obs)
@@ -201,27 +255,50 @@ class TestMemoOpTallies:
         assert memo.lookup_count == 1
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module the capture reads: every
+    ``perf_counter()`` call advances by ``step`` seconds, so a captured
+    operation appears to last exactly ``step``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.step = 0.0
+
+    def perf_counter(self):
+        self.now += self.step
+        return self.now
+
+
+def _recorded(obs, op):
+    return sum(1 for r in obs.recorder.records() if r.op == op)
+
+
 class TestOpSampling:
     """The adaptive stride keeps full capture off most hot ops while the
-    counters/histograms stay exact — pinned here for updates and at the
-    query sample boundaries."""
+    counters/histograms stay exact.  Pinned through what the contract
+    promises — registry values and flight-recorder coverage — not
+    through the sampler's state."""
 
     def test_update_counter_and_histogram_exact_under_sampling(self):
-        obs = Observability(level="metrics")
+        obs = Observability(level="metrics", recorder_capacity=4096)
         tree = build_rum_tree(node_size=2048, obs=obs)
         _run_workload(tree, n_objects=120, n_updates=700)
         snap = obs.registry.snapshot()
         assert snap.counters["tree.updates"] == 820
         assert snap.histograms["tree.update_leaf_io"].count == 820
-        # Fast in-memory updates widen the stride toward the cap.
-        assert tree._obs_ustride > 1
+        # Fast in-memory updates widen the stride: the recorder saw only
+        # a sample of them (and every loading insert).
+        assert 0 < _recorded(obs, "update") < 700
+        assert _recorded(obs, "insert") == 120
 
     def test_trace_level_never_widens_update_stride(self):
-        obs = Observability(level="trace")
+        obs = Observability(level="trace", recorder_capacity=4096)
         tree = build_rum_tree(node_size=2048, obs=obs)
         _run_workload(tree, n_updates=300)
-        assert tree._obs_ustride == 1
-        assert tree._obs_utick == 0
+        for _ in range(40):
+            tree.search(Rect(0.4, 0.4, 0.6, 0.6))
+        assert _recorded(obs, "update") == 300
+        assert _recorded(obs, "query") == 40
 
     def test_query_counter_exact_at_detach(self):
         obs = Observability(level="metrics")
@@ -237,11 +314,56 @@ class TestOpSampling:
         obs = Observability(level="metrics")
         tree = build_rum_tree(node_size=2048, obs=obs)
         _run_workload(tree, n_updates=700)
-        assert tree._obs_ustride > 1
-        tree.attach_obs(Observability(level="metrics"))
-        assert tree._obs_ustride == 1
-        assert tree._obs_utick == 0
-        assert tree._obs_qstride == 1
+        for _ in range(100):
+            tree.search(Rect(0.4, 0.4, 0.6, 0.6))
+        fresh = Observability(level="metrics")
+        tree.attach_obs(fresh)
+        # Re-attaching settles the old query counter and starts over at
+        # every-op capture: the first operation of each class is recorded.
+        assert obs.registry.snapshot().counters["tree.queries"] == 100
+        tree.update_object(1, None, Rect.from_point(0.5, 0.5))
+        tree.search(Rect(0.4, 0.4, 0.6, 0.6))
+        assert _recorded(fresh, "update") == 1
+        assert _recorded(fresh, "query") == 1
+
+    @pytest.mark.parametrize("op", ["update", "query"])
+    def test_coverage_widens_when_fast_and_snaps_back_when_slow(
+        self, op, monkeypatch
+    ):
+        import repro.rtree.base as base
+
+        clock = _FakeClock()
+        monkeypatch.setattr(base, "time", clock)
+        obs = Observability(level="metrics", recorder_capacity=4096)
+        tree = build_rum_tree(node_size=2048, obs=obs)
+        _run_workload(tree, n_updates=0)
+
+        def run(n):
+            for i in range(n):
+                if op == "update":
+                    tree.update_object(
+                        i % 120, None, Rect.from_point(0.3, 0.3 + i * 1e-4)
+                    )
+                else:
+                    tree.search(Rect(0.4, 0.4, 0.6, 0.6))
+
+        run(600)  # every capture reads as instantaneous
+        # The stride doubles per capture: 600 ops are ~10 records.
+        assert 5 <= _recorded(obs, op) <= 12
+        clock.step = 1.0  # from here every capture reads as 1 s: slow
+        run(300)  # long enough to reach the next sampled op
+        obs.recorder.clear()
+        run(20)
+        assert _recorded(obs, op) == 20  # back to every-op capture
+        clock.step = 0.0
+        run(600)
+        assert _recorded(obs, op) < 40  # and it widens again
+        tree.attach_obs(None)
+        counters = obs.registry.snapshot().counters
+        if op == "update":
+            assert counters["tree.updates"] == 120 + 1520
+        else:
+            assert counters["tree.queries"] == 1520
 
 
 class TestAttachDetach:

@@ -19,7 +19,7 @@ from repro.rtree.geometry import Rect
 class TestConstruction:
     def test_new_tree_is_single_leaf_root(self, rstar_tree):
         assert rstar_tree.height == 1
-        root = rstar_tree._peek_node(rstar_tree.root_id)
+        root = rstar_tree.buffer.peek_node(rstar_tree.root_id)
         assert root.is_leaf and not root.entries
         # The root leaf's ring points at itself.
         assert root.prev_leaf == root.page_id
@@ -137,7 +137,7 @@ class TestStructuralInvariants:
             if leaf.page_id == rstar_tree.root_id:
                 continue
             parent_id = rstar_tree.parent[leaf.page_id]
-            parent = rstar_tree._peek_node(parent_id)
+            parent = rstar_tree.buffer.peek_node(parent_id)
             parent.find_child_index(leaf.page_id)  # raises if absent
 
     def test_directory_mbrs_exact(self, rstar_tree):
