@@ -3,13 +3,14 @@
 
 Usage::
 
-    python scripts/loc_report.py [--markdown] [ROOT ...]
+    python scripts/loc_report.py [--markdown] [ROOT | FILE.py ...]
 
 For each root (default ``src`` and ``tests``) prints, per package and in
 total, the physical lines of its ``*.py`` files (what ``wc -l`` counts,
 the figure ROADMAP and CHANGES.md quote) and the code lines among them
-(not blank, not a ``#`` comment).  ``--markdown`` emits tables for the CI
-job summary.
+(not blank, not a ``#`` comment).  ``.py`` file arguments are reported
+together, one row each plus their total — the per-file figures an issue
+quotes.  ``--markdown`` emits tables for the CI job summary.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ def package_of(path: pathlib.Path, root: pathlib.Path) -> str:
     return parts[0] if parts else "."
 
 
-def report(root: pathlib.Path) -> List[Tuple[str, int, int, int]]:
-    """Rows ``(package, files, lines, code)``, packages sorted, total last."""
+def report(keyed: List[Tuple[str, pathlib.Path]]) -> List[Tuple[str, int, int, int]]:
+    """Rows ``(key, files, lines, code)`` over ``(key, file)`` pairs,
+    keys sorted, total last."""
     totals: Dict[str, List[int]] = defaultdict(lambda: [0, 0, 0])
-    for path in sorted(root.rglob("*.py")):
+    for name, path in keyed:
         lines, code = count(path)
-        for key in (package_of(path, root), "total"):
+        for key in (name, "total"):
             row = totals[key]
             row[0] += 1
             row[1] += lines
@@ -57,21 +59,31 @@ def report(root: pathlib.Path) -> List[Tuple[str, int, int, int]]:
 
 def main(argv: List[str]) -> int:
     markdown = "--markdown" in argv
-    roots = [arg for arg in argv if arg != "--markdown"] or ["src", "tests"]
-    for name in roots:
-        rows = report(REPO / name)
+    args = [arg for arg in argv if arg != "--markdown"] or ["src", "tests"]
+    files = [arg for arg in args if arg.endswith(".py")]
+    tables = [
+        (f"{root}/", [
+            (package_of(path, REPO / root), path)
+            for path in sorted((REPO / root).rglob("*.py"))
+        ])
+        for root in args if root not in files
+    ]
+    if files:
+        tables.append(("files", [(name, REPO / name) for name in files]))
+    for name, keyed in tables:
+        rows = report(keyed)
         if markdown:
-            print(f"### `{name}/` line counts\n")
+            print(f"### `{name}` line counts\n")
             print("| package | files | lines | code lines |")
             print("|---|---:|---:|---:|")
             for row in rows:
                 print("| {} | {} | {} | {} |".format(*row))
             print()
         else:
-            print(f"{name}/")
-            for package, files, lines, code in rows:
+            print(name)
+            for package, n_files, lines, code in rows:
                 print(
-                    f"  {package:<14} {files:>4} files {lines:>7} lines "
+                    f"  {package:<14} {n_files:>4} files {lines:>7} lines "
                     f"{code:>7} code"
                 )
     return 0

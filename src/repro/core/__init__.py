@@ -1,7 +1,9 @@
 """The paper's contribution: the RUM-tree and its supporting machinery.
 
 * :class:`~repro.core.rum.RUMTree` — memo-based insert/update/delete/search;
-* :class:`~repro.core.memo.UpdateMemo` — the in-memory Update Memo;
+* :class:`~repro.core.memo.UpdateMemo` — the Update Memo, the one
+  implementation of its semantics; :mod:`~repro.core.memo_lsm` is the
+  optional run tier its table can spill to;
 * :class:`~repro.core.stamp.StampCounter` — global stamp assignment;
 * :class:`~repro.core.cleaner.GarbageCleaner` — cleaning tokens,
   clean-upon-touch, phantom inspection;

@@ -31,12 +31,19 @@ additional safety margin.
 from __future__ import annotations
 
 import time
+from operator import add, sub
 from typing import TYPE_CHECKING, List, Optional, Set
+
+from repro.storage.iostats import IO_FIELDS, io_counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
 
     from .rum import RUMTree
+
+
+#: A zero I/O delta in flight-recorder field order.
+_NO_IO = (0,) * len(IO_FIELDS)
 
 
 class CleaningToken:
@@ -74,11 +81,11 @@ class CleaningToken:
         #: wall time is the meaningful unit because token steps are
         #: interleaved with the update stream that drives them).
         self.cycle_started_at = time.perf_counter()
-        #: I/O charged by this token's steps in the current cycle (the 8
-        #: IOStats fields in declaration order), accumulated per step only
+        #: I/O charged by this token's steps in the current cycle (the
+        #: flight recorder's ``IO_FIELDS``), accumulated per step only
         #: while a flight recorder is attached.  Cycle records thus carry
         #: the cleaning cost alone, not the interleaved update stream's.
-        self.cycle_io = [0] * 8
+        self.cycle_io = _NO_IO
 
 
 class GarbageCleaner:
@@ -239,12 +246,7 @@ class GarbageCleaner:
         tree = self.tree
         rec = self._obs_recorder
         if rec is not None:
-            s = tree.stats
-            io_before = (
-                s.leaf_reads, s.leaf_writes, s.internal_reads,
-                s.internal_writes, s.index_reads, s.index_writes,
-                s.log_writes, s.log_reads,
-            )
+            io_before = io_counters(tree.stats)
         with tree.buffer.operation():
             leaf = tree.buffer.get_node(token.position)
             # Advance before mutating the tree: if the cleaning dissolves
@@ -277,16 +279,8 @@ class GarbageCleaner:
                 else:
                     tree._adjust_upward(leaf)
         if rec is not None:
-            s = tree.stats
-            c = token.cycle_io
-            c[0] += s.leaf_reads - io_before[0]
-            c[1] += s.leaf_writes - io_before[1]
-            c[2] += s.internal_reads - io_before[2]
-            c[3] += s.internal_writes - io_before[3]
-            c[4] += s.index_reads - io_before[4]
-            c[5] += s.index_writes - io_before[5]
-            c[6] += s.log_writes - io_before[6]
-            c[7] += s.log_reads - io_before[7]
+            step_io = map(sub, io_counters(tree.stats), io_before)
+            token.cycle_io = tuple(map(add, token.cycle_io, step_io))
         self._check_cycle(token)
 
     def _check_cycle(self, token: CleaningToken) -> None:
@@ -313,12 +307,12 @@ class GarbageCleaner:
                     "cleaner_cycle",
                     self.tree.name,
                     cycle_ms / 1000.0,
-                    tuple(token.cycle_io),
+                    token.cycle_io,
                     0,
                     0,
                     "-",
                 )
-                token.cycle_io = [0] * 8
+                token.cycle_io = _NO_IO
             self._obs.event(
                 "cleaner.cycle",
                 token=self.tokens.index(token),

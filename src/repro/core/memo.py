@@ -1,8 +1,8 @@
 """The Update Memo (Section 3.1).
 
-The UM is the RUM-tree's in-memory auxiliary structure distinguishing the
-*latest* entry of an object from its *obsolete* entries.  It is a hash table
-on the object identifier whose entries have the form ``(oid, S_latest,
+The UM is the RUM-tree's auxiliary structure distinguishing the *latest*
+entry of an object from its *obsolete* entries.  It is a hash table on
+the object identifier whose entries have the form ``(oid, S_latest,
 N_old)``:
 
 * ``S_latest`` — the stamp of the latest entry of ``oid``;
@@ -16,15 +16,45 @@ nodes over the inspection ratio, Section 4.1, not by the number of objects).
 
 The memo is bucketised so that the concurrency experiment (Section 3.5) can
 lock individual hash buckets.
+
+Below a run tier
+----------------
+
+The paper's memo is all in RAM.  :class:`UpdateMemo` is that table, and it
+can stand on an optional *run tier* (:class:`repro.core.memo_lsm.RunStore`)
+that takes the table over as an immutable sorted run whenever it outgrows a
+byte budget.  The table is then the newest tier of an LSM, and because the
+tiers below it cannot be edited, every entry — in RAM or in a run — is a
+*tagged record* that aggregates, newest to oldest, to the logical entry:
+
+* ``DELTA(stamp, d)`` — ``d >= 1`` updates happened; adds ``d`` to
+  ``N_old``.  What ``record_update`` writes on a RAM miss above a tier:
+  no older tier is read, which keeps an update at the paper's O(1), no-I/O
+  cost.
+* ``ABSOLUTE(stamp, n)`` — ``N_old`` is exactly ``n >= 1`` as of this
+  record; older records of the oid are superseded.  Written by a clean
+  (which has to know the total anyway) and by restore / phantom purge.
+* ``TOMBSTONE(stamp)`` — the entry does not exist (``n`` is 0); masks older
+  records.  Written when a clean drains ``N_old`` to zero while runs may
+  still hold records of the oid.
+
+:func:`fold` is that aggregation rule, written once: the memo's deep probe,
+the store's scans and its compaction all apply it, and only the memo
+decides which tag to write.  The newest record of an oid already carries
+``S_latest``, so CheckStatus stops at the first record it finds; only a
+clean, which needs the total ``N_old``, walks down to an ``ABSOLUTE`` /
+``TOMBSTONE`` base.  Without a tier every entry is ``ABSOLUTE`` and a RAM
+miss means "absent": the tier is consulted only where a RAM miss or a
+``DELTA`` entry is not the whole answer.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
-    ContextManager,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -40,32 +70,70 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
 
+    from .memo_lsm import RunStore, _Run
+
 #: CheckStatus results (Figure 6).
 LATEST = "LATEST"
 OBSOLETE = "OBSOLETE"
 
+#: Record tags (see module docstring).
+DELTA = 0
+ABSOLUTE = 1
+TOMBSTONE = 2
+
+#: One tagged record, laid out as a run stores it: (oid, stamp, n, tag).
+Record = Tuple[int, int, int, int]
+
+
+def fold(older: Optional[Record], newer: Record) -> Record:
+    """``newer`` laid over ``older``, two records of one oid.
+
+    ``ABSOLUTE`` / ``TOMBSTONE`` replace; a ``DELTA`` adds to what lies
+    below it and keeps that record's footing — still a ``DELTA`` over a
+    ``DELTA``, an ``ABSOLUTE`` over a base (a tombstone counts zero).
+    """
+    if older is None or newer[3] != DELTA:
+        return newer
+    return (
+        newer[0],
+        newer[1],
+        older[2] + newer[2],
+        DELTA if older[3] == DELTA else ABSOLUTE,
+    )
+
 
 class UMEntry:
-    """One Update-Memo entry ``(oid, S_latest, N_old)``."""
+    """One Update-Memo entry ``(oid, S_latest, N_old)`` and its record
+    tag (``ABSOLUTE`` — the whole truth — unless a run tier lies below)."""
 
-    __slots__ = ("oid", "s_latest", "n_old")
+    __slots__ = ("oid", "s_latest", "n_old", "tag")
 
-    def __init__(self, oid: int, s_latest: int, n_old: int):
+    def __init__(self, oid: int, s_latest: int, n_old: int, tag: int = ABSOLUTE):
         self.oid = oid
         self.s_latest = s_latest
         self.n_old = n_old
+        self.tag = tag
 
     def as_tuple(self) -> Tuple[int, int, int]:
         return (self.oid, self.s_latest, self.n_old)
+
+    def as_record(self) -> Record:
+        return (self.oid, self.s_latest, self.n_old, self.tag)
 
     def __repr__(self) -> str:
         return f"UMEntry(oid={self.oid}, S_latest={self.s_latest}, N_old={self.n_old})"
 
 
 class UpdateMemo:
-    """Hash table on oid holding ``(oid, S_latest, N_old)`` entries."""
+    """Hash table on oid holding ``(oid, S_latest, N_old)`` entries.
 
-    def __init__(self, n_buckets: int = 64):
+    ``tier`` puts a run store below the table (see the module docstring).
+    A memo on a tier is not for the lock-striped concurrency experiment —
+    a spill touches every bucket, which per-bucket locks cannot cover — so
+    it builds none: serialise it behind the owning tree's structure latch.
+    """
+
+    def __init__(self, n_buckets: int = 64, tier: Optional["RunStore"] = None):
         if n_buckets <= 0:
             raise ValueError("n_buckets must be positive")
         self.n_buckets = n_buckets
@@ -75,10 +143,15 @@ class UpdateMemo:
         self._buckets: List[Dict[int, UMEntry]] = [  # guarded-by: bucket_lock
             {} for _ in range(n_buckets)
         ]
+        self.tier = tier
+        #: The tier's age-ordered run list, which the tier edits in place
+        #: (empty for good without one): a RAM miss means "absent" exactly
+        #: while this is empty.
+        self._runs: Sequence["_Run"] = () if tier is None else tier.runs
         #: Per-bucket locks for the concurrency experiment (Section 3.5).
-        self.bucket_locks: List[LockLike] = [
-            make_lock() for _ in range(n_buckets)
-        ]
+        self.bucket_locks: List[LockLike] = (
+            [make_lock() for _ in range(n_buckets)] if tier is None else []
+        )
         self._rc: Optional["RaceChecker"] = None
         #: Lifetime probe tallies, plain ints kept *unconditionally*:
         #: memo probes run up to once per leaf entry scanned, so even a
@@ -95,7 +168,7 @@ class UpdateMemo:
         self._obs_cleaned = None
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry.
+        """Bind telemetry (cascading to the tier's instruments).
 
         Memo *size* (entries, bytes, aggregate ``N_old``) is exposed as
         callback gauges sampled at snapshot time; phantom purges — which
@@ -111,6 +184,8 @@ class UpdateMemo:
         the lazy gauges ``memo.lookups``/``memo.hits`` (values count
         from memo construction, not from attach).
         """
+        if self.tier is not None:
+            self.tier.attach_obs(obs)
         if obs is None or not obs.metrics_on:
             self._obs_purge_runs = self._obs_purged = None
             self._obs_inserts = self._obs_obsoleted = self._obs_cleaned = None
@@ -128,6 +203,8 @@ class UpdateMemo:
         reg.gauge("memo.entries").set_function(self.__len__)
         reg.gauge("memo.bytes").set_function(self.size_bytes)
         reg.gauge("memo.total_n_old").set_function(self.total_n_old)
+        if self.tier is not None:
+            reg.gauge("memo.ram_bytes").set_function(self.ram_size_bytes)
 
     def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
         """Bind (or unbind) the Eraser race detector.
@@ -161,67 +238,116 @@ class UpdateMemo:
     # The paper's memo operations
     # ------------------------------------------------------------------
 
-    def record_update(self, oid: int, stamp: int) -> None:
+    def record_update(self, oid: int, stamp: int) -> None:  # holds: bucket_lock
         """Step 5 of MemoBasedInsert (Figure 4) — also used verbatim by
         MemoBasedDelete (Figure 5).
 
         If no entry exists a new ``(oid, stamp, 1)`` entry is inserted;
         otherwise ``S_latest`` becomes ``stamp`` and ``N_old`` grows by one
-        (the former latest entry just became obsolete).
+        (the former latest entry just became obsolete).  Never reads the
+        tier: above one, a RAM miss writes a ``DELTA`` that adds to
+        whatever the runs hold (so "insert vs obsoleted" is unknowable
+        there at O(1), and a RAM miss is reported as an insert).
         """
-        self._rc_bucket(oid, True)
-        bucket = self._bucket(oid)
+        if self._rc is not None:
+            self._rc_bucket(oid, True)
+        bucket = self._buckets[oid % self.n_buckets]
         entry = bucket.get(oid)
-        if entry is None:
-            bucket[oid] = UMEntry(oid, stamp, 1)
-            if self._obs_inserts is not None:
-                self._obs_inserts.inc()
-        else:
+        if entry is not None:
             entry.s_latest = stamp
             entry.n_old += 1
+            if entry.tag == TOMBSTONE:
+                entry.tag = ABSOLUTE
             if self._obs_obsoleted is not None:
                 self._obs_obsoleted.inc()
+            return
+        if self._obs_inserts is not None:
+            self._obs_inserts.inc()
+        tier = self.tier
+        if tier is None:
+            bucket[oid] = UMEntry(oid, stamp, 1)
+        else:
+            bucket[oid] = UMEntry(oid, stamp, 1, DELTA)
+            self._maybe_spill(tier)
 
-    def check_status(self, oid: int, stamp: int) -> str:
-        """CheckStatus (Figure 6): classify a leaf entry as LATEST or
-        OBSOLETE by comparing its stamp against ``S_latest``."""
-        self._rc_bucket(oid, False)
-        entry = self._bucket(oid).get(oid)
+    def latest_stamp(self, oid: int) -> Optional[int]:  # holds: bucket_lock
+        """``S_latest`` for ``oid``, or ``None`` when no entry exists.
+
+        A *first-hit* probe: the newest record of ``oid`` — in RAM, else
+        in the newest run holding one, a Bloom-screened page read —
+        already carries the latest stamp, so nothing aggregates ``N_old``.
+        Hot callers (search filtering, the cleaner's CheckStatus) should
+        prefer this over :meth:`get`.
+        """
+        if self._rc is not None:
+            self._rc_bucket(oid, False)
+        entry = self._buckets[oid % self.n_buckets].get(oid)
         self.lookup_count += 1
         if entry is None:
+            if not self._runs:
+                return None
+            rec = self.tier.probe(oid)
+            if rec is None or rec[3] == TOMBSTONE:
+                return None
+            self.hit_count += 1
+            return rec[1]
+        if entry.tag == TOMBSTONE:
+            return None
+        self.hit_count += 1
+        return entry.s_latest
+
+    def check_status(self, oid: int, stamp: int) -> str:  # holds: bucket_lock
+        """CheckStatus (Figure 6): classify a leaf entry as LATEST or
+        OBSOLETE by comparing its stamp against ``S_latest``."""
+        if self._rc is not None:
+            self._rc_bucket(oid, False)
+        entry = self._buckets[oid % self.n_buckets].get(oid)
+        self.lookup_count += 1
+        if entry is None:
+            if not self._runs:
+                return LATEST
+            rec = self.tier.probe(oid)
+            if rec is None or rec[3] == TOMBSTONE:
+                return LATEST
+            self.hit_count += 1
+            return LATEST if stamp == rec[1] else OBSOLETE
+        if entry.tag == TOMBSTONE:
             return LATEST
         self.hit_count += 1
         return LATEST if stamp == entry.s_latest else OBSOLETE
 
-    def is_obsolete(self, oid: int, stamp: int) -> bool:
+    def is_obsolete(self, oid: int, stamp: int) -> bool:  # holds: bucket_lock
         """Convenience predicate used by query filtering and the cleaner."""
-        self._rc_bucket(oid, False)
-        entry = self._bucket(oid).get(oid)
+        if self._rc is not None:
+            self._rc_bucket(oid, False)
+        entry = self._buckets[oid % self.n_buckets].get(oid)
         self.lookup_count += 1
         if entry is None:
+            if not self._runs:
+                return False
+            rec = self.tier.probe(oid)
+            if rec is None or rec[3] == TOMBSTONE:
+                return False
+            self.hit_count += 1
+            return stamp != rec[1]
+        if entry.tag == TOMBSTONE:
             return False
         self.hit_count += 1
         return stamp != entry.s_latest
 
-    def note_cleaned(self, oid: int) -> None:
+    def note_cleaned(self, oid: int) -> None:  # holds: bucket_lock
         """An obsolete entry of ``oid`` was physically removed: decrement
         ``N_old`` and drop the memo entry when it reaches zero (Figure 8,
         step 1b)."""
-        self._rc_bucket(oid, True)
-        bucket = self._bucket(oid)
-        entry = bucket.get(oid)
-        if entry is None:
-            raise KeyError(
-                f"cleaned an obsolete entry for oid {oid} with no UM entry"
-            )
-        # Count only cleans that actually drained an N_old — a KeyError
-        # raised above means nothing was cleaned, so `memo.cleaned` must
-        # not move (it reconciles against the cleaner's removal count).
+        if self._rc is not None:
+            self._rc_bucket(oid, True)
+        bucket = self._buckets[oid % self.n_buckets]
+        self._clean_one(bucket, oid, bucket.get(oid))
+        # Count only cleans that actually drained an N_old — the KeyError
+        # of an absent entry means nothing was cleaned, so `memo.cleaned`
+        # must not move (it reconciles against the cleaner's removal count).
         if self._obs_cleaned is not None:
             self._obs_cleaned.inc()
-        entry.n_old -= 1
-        if entry.n_old <= 0:
-            del bucket[oid]
 
     # holds: bucket_lock
     def sweep_obsolete(
@@ -233,12 +359,14 @@ class UpdateMemo:
         entries, each already accounted as by :meth:`note_cleaned`;
         probing stops with the ``budget``-th removal.  State and tallies
         end up exactly as after one :meth:`latest_stamp` per probed entry
-        and one :meth:`note_cleaned` per removal.
+        and one :meth:`note_cleaned` per removal — which above a tier may
+        spill mid-sweep.
         """
         if budget <= 0:
             return []
         buckets = self._buckets
         n_buckets = self.n_buckets
+        runs = self._runs
         cleaned = self._obs_cleaned
         slots: List[int] = []
         hits = 0
@@ -247,15 +375,22 @@ class UpdateMemo:
             bucket = buckets[oid % n_buckets]
             entry = bucket.get(oid)
             if entry is None:
+                if not runs:
+                    continue
+                rec = self.tier.probe(oid)
+                if rec is None or rec[3] == TOMBSTONE:
+                    continue
+                s_latest = rec[1]
+            elif entry.tag == TOMBSTONE:
                 continue
+            else:
+                s_latest = entry.s_latest
             hits += 1
-            if entry.s_latest != stamps[slot]:
+            if s_latest != stamps[slot]:
                 slots.append(slot)
                 if cleaned is not None:
                     cleaned.inc()
-                entry.n_old -= 1
-                if entry.n_old <= 0:
-                    del bucket[oid]
+                self._clean_one(bucket, oid, entry)
                 if len(slots) == budget:
                     break
         self.lookup_count += slot + 1
@@ -267,6 +402,51 @@ class UpdateMemo:
             for removed in slots:
                 self._rc_bucket(oids[removed], True)
         return slots
+
+    # holds: bucket_lock
+    def _folded(self, oid: int, entry: Optional[UMEntry]) -> Optional[Record]:
+        """The record of ``oid`` aggregated over RAM (``entry``) and, where
+        RAM does not settle it, the runs — a full-depth probe."""
+        if entry is not None and entry.tag != DELTA:
+            return entry.as_record()
+        below = self.tier.probe(oid, deep=True) if self._runs else None
+        return below if entry is None else fold(below, entry.as_record())
+
+    # holds: bucket_lock
+    def _clean_one(
+        self, bucket: Dict[int, UMEntry], oid: int, entry: Optional[UMEntry]
+    ) -> None:
+        """Account one removed obsolete entry of ``oid`` against its RAM
+        entry (``None`` on a miss).
+
+        An ``ABSOLUTE`` entry counts down in place.  Anything else cannot
+        say ``N_old`` alone, so the total is learnt from the tier first
+        and written back as an ``ABSOLUTE`` that supersedes every older
+        record of the oid.  At zero, "no obsolete entries" is *absence* —
+        unless runs may still hold older records, which a tombstone has
+        to mask.
+        """
+        tier = self.tier
+        if entry is None or entry.tag != ABSOLUTE:
+            rec = self._folded(oid, entry)
+            if rec is None or rec[2] <= 0:
+                raise KeyError(
+                    f"cleaned an obsolete entry for oid {oid} with no UM entry"
+                )
+            if entry is None:
+                entry = bucket[oid] = UMEntry(oid, rec[1], rec[2])
+            else:
+                entry.n_old = rec[2]
+                entry.tag = ABSOLUTE
+        entry.n_old -= 1
+        if entry.n_old <= 0:
+            if self._runs:
+                entry.n_old = 0
+                entry.tag = TOMBSTONE
+            else:
+                del bucket[oid]
+        if tier is not None:
+            self._maybe_spill(tier)
 
     # holds: bucket_lock
     def purge_phantoms(
@@ -283,8 +463,15 @@ class UpdateMemo:
         been relocated by node splits during the inspection cycle — their
         entries may genuinely still be in the tree, so the purge skips
         them (the cleaner shields them for one extra cycle).
+
+        Above a tier this is a filtered major merge: one charged scan
+        pulls every run up into RAM as absolutes and restarts the tier
+        empty, and the survivors spill again if they exceed the budget.
         """
         self._rc_all(True)
+        tier = self.tier
+        if tier is not None:
+            self._load([e.as_tuple() for e in self._entries(charged=True)])
         purged = 0
         for bucket in self._buckets:
             victims = [
@@ -296,6 +483,8 @@ class UpdateMemo:
             for oid in victims:
                 del bucket[oid]
             purged += len(victims)
+        if tier is not None:
+            self._maybe_spill(tier)
         if self._obs_purge_runs is not None:
             self._obs_purge_runs.inc()
             self._obs_purged.inc(purged)
@@ -305,21 +494,26 @@ class UpdateMemo:
     # Lookup / snapshot / restore
     # ------------------------------------------------------------------
 
-    def get(self, oid: int) -> Optional[UMEntry]:
+    def get(self, oid: int) -> Optional[UMEntry]:  # holds: bucket_lock
+        """The aggregate entry of ``oid`` (a full-depth probe where RAM
+        does not hold it whole), or ``None``."""
         self._rc_bucket(oid, False)
-        return self._bucket(oid).get(oid)
+        entry = self._bucket(oid).get(oid)
+        if entry is not None and entry.tag == ABSOLUTE:
+            return entry
+        rec = self._folded(oid, entry)
+        if rec is None or rec[2] <= 0:
+            return None
+        return UMEntry(oid, rec[1], rec[2])
 
     def snapshot(self) -> List[Tuple[int, int, int]]:  # holds: bucket_lock
-        """A stable copy of all entries (checkpointing, Section 3.4)."""
+        """A stable copy of all entries (checkpointing, Section 3.4);
+        above a tier, a charged scan of every run."""
         self._rc_all(False)
-        return [
-            entry.as_tuple()
-            for bucket in self._buckets
-            for entry in bucket.values()
-        ]
+        return [entry.as_tuple() for entry in self._entries(charged=True)]
 
     # holds: bucket_lock
-    def restore(self, entries: Iterator[Tuple[int, int, int]]) -> None:
+    def restore(self, entries: Iterable[Tuple[int, int, int]]) -> None:
         """Replace the whole memo content (crash recovery).
 
         Entries with ``n_old <= 0`` are dropped: a non-positive count can
@@ -330,64 +524,133 @@ class UpdateMemo:
         is represented by *absence* (Section 3.1), never by a zero count.
         """
         self._rc_all(True)
+        self._load(entries)
+        if self.tier is not None:
+            self._maybe_spill(self.tier)
+
+    # holds: bucket_lock
+    def _load(self, entries: Iterable[Tuple[int, int, int]]) -> None:
+        """Make ``entries`` the whole memo: absolutes in RAM, over a tier
+        restarted empty."""
         for bucket in self._buckets:
             bucket.clear()
+        if self.tier is not None:
+            self.tier.reset()
         for oid, s_latest, n_old in entries:
-            if n_old <= 0:
-                continue
-            self._bucket(oid)[oid] = UMEntry(oid, s_latest, n_old)
+            if n_old > 0:
+                self._buckets[oid % self.n_buckets][oid] = UMEntry(
+                    oid, s_latest, n_old
+                )
+
+    # holds: bucket_lock
+    def _entries(self, charged: bool) -> Iterator[UMEntry]:
+        """Every live entry, RAM folded over the runs below it.  Only
+        operation-path callers charge the run scan: gauge callbacks
+        sample sizes at snapshot time, and charging those reads would
+        pollute per-op I/O deltas."""
+        below = self.tier.fold_runs(self._runs, charged) if self._runs else {}
+        for bucket in self._buckets:
+            for entry in bucket.values():
+                older = below.pop(entry.oid, None)
+                if older is not None and entry.tag == DELTA:
+                    yield UMEntry(
+                        entry.oid, entry.s_latest, entry.n_old + older[2]
+                    )
+                elif entry.tag != TOMBSTONE:
+                    yield entry
+        for oid, stamp, n, _tag in below.values():
+            if n > 0:
+                yield UMEntry(oid, stamp, n)
+
+    def __iter__(self) -> Iterator[UMEntry]:  # holds: bucket_lock
+        return self._entries(charged=False)
 
     # ------------------------------------------------------------------
-    # Spill-tier hooks (overridden by SpillingUpdateMemo)
+    # Spilling to the tier (no-ops without one)
     # ------------------------------------------------------------------
 
-    def latest_stamp(self, oid: int) -> Optional[int]:
-        """``S_latest`` for ``oid``, or ``None`` when no entry exists.
+    @contextmanager
+    def defer_spills(self) -> Iterator[None]:
+        """Suspend budget-triggered spills for a batch apply (PR 5):
+        every ``record_update`` in the scope stays in RAM, and scope
+        exit flushes at most one run — the batch *becomes* a memo run
+        flush instead of shearing into many mid-batch spills."""
+        tier = self.tier
+        if tier is not None:
+            tier.deferred += 1
+        try:
+            yield
+        finally:
+            if tier is not None:
+                tier.deferred -= 1
+                self._maybe_spill(tier)
 
-        Semantically ``get(oid).s_latest`` with probe-tally accounting,
-        but overridable by the disk-tiered memo as a *first-hit* probe:
-        the newest record for ``oid`` already carries the latest stamp,
-        so the probe can stop without aggregating ``N_old`` across runs.
-        Hot callers (search filtering, the cleaner's CheckStatus) should
-        prefer this over :meth:`get`.
-        """
-        self._rc_bucket(oid, False)
-        entry = self._bucket(oid).get(oid)
-        self.lookup_count += 1
-        if entry is None:
-            return None
-        self.hit_count += 1
-        return entry.s_latest
+    def _maybe_spill(self, tier: "RunStore") -> None:  # holds: bucket_lock
+        # The table is counted bucket by bucket when the question is
+        # asked, so no memo carries a cross-bucket entry count.
+        if not tier.deferred and self.ram_size_bytes() > tier.spill_budget:
+            self.flush_ram()
 
-    def defer_spills(self) -> ContextManager[None]:
-        """Context manager suspending budget-triggered spills.
+    def flush_ram(self) -> None:  # holds: bucket_lock
+        """Spill the whole table as one new run (the newest in the age
+        order), empty it, and let the tier compact."""
+        tier = self.tier
+        if tier is None or not any(self._buckets):
+            return
+        tier.flush(
+            sorted(
+                entry.as_record()
+                for bucket in self._buckets
+                for entry in bucket.values()
+            )
+        )
+        for bucket in self._buckets:
+            bucket.clear()
+        tier.compact()
 
-        A no-op for the pure in-RAM memo.  The disk-tiered memo overrides
-        it so a batch apply (PR 5) stages all its ``record_update`` calls
-        in RAM and flushes at most one run at scope exit instead of
-        spilling mid-batch.
-        """
-        return nullcontext()
+    def close(self) -> None:
+        """Release the tier's run file handles (every change of the run
+        set is already durable when the call that made it returns)."""
+        if self.tier is not None:
+            self.tier.close()
+
+    @property
+    def runs(self) -> Tuple["_Run", ...]:
+        """The runs below the table, oldest first (read-only view)."""
+        return tuple(self._runs)
+
+    @property
+    def run_probe_count(self) -> int:
+        """Run pages read by probes — the tier's lifetime tally."""
+        return self.tier.run_probe_count
+
+    @property
+    def bloom_fp_count(self) -> int:
+        """How many of those page reads were Bloom false positives."""
+        return self.tier.bloom_fp_count
 
     # ------------------------------------------------------------------
     # Size metrics (Figures 12d/13d/14d)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:  # holds: bucket_lock
-        return sum(len(bucket) for bucket in self._buckets)
+        if not self._runs:
+            # Tombstones exist only to mask runs: with none, every RAM
+            # entry is live — O(buckets), no merge.
+            return sum(map(len, self._buckets))
+        return sum(1 for _ in self)
 
     def size_bytes(self) -> int:
-        """Memo size using the paper's per-entry footprint ``E``."""
+        """Logical memo size at the paper's per-entry footprint ``E``
+        (live entries, whatever tier they sit in)."""
         return len(self) * UM_ENTRY_BYTES
 
-    def total_n_old(self) -> int:  # holds: bucket_lock
-        """Sum of ``N_old`` — an upper bound on obsolete entries in the tree."""
-        return sum(
-            entry.n_old
-            for bucket in self._buckets
-            for entry in bucket.values()
-        )
+    def ram_size_bytes(self) -> int:  # holds: bucket_lock
+        """Bytes of table held in RAM — the whole memo without a tier,
+        bounded by the tier's ``spill_budget`` outside a
+        :meth:`defer_spills` scope with one."""
+        return sum(map(len, self._buckets)) * UM_ENTRY_BYTES
 
-    def __iter__(self) -> Iterator[UMEntry]:  # holds: bucket_lock
-        for bucket in self._buckets:
-            yield from bucket.values()
+    def total_n_old(self) -> int:
+        """Sum of ``N_old`` — an upper bound on obsolete entries in the tree."""
+        return sum(entry.n_old for entry in self)

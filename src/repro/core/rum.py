@@ -119,10 +119,10 @@ class RUMTree(RTreeBase):
         kwargs.setdefault("maintain_leaf_ring", True)
         super().__init__(buffer, **kwargs)
 
-        # An injected memo (e.g. the disk-tiered SpillingUpdateMemo, or a
-        # reopened instance during crash recovery) replaces the default
-        # in-RAM hash; every memo touch goes through self.memo, so the
-        # tree is agnostic to which tier answers.
+        # An injected memo (e.g. one standing on a run tier, or a reopened
+        # instance during crash recovery) replaces the default all-RAM
+        # table; every memo touch goes through self.memo, so the tree is
+        # agnostic to which tier answers.
         self.memo = memo if memo is not None else UpdateMemo(
             n_buckets=memo_buckets
         )
@@ -334,7 +334,7 @@ class RUMTree(RTreeBase):
     # Search (Figure 3b): raw R-tree answer set filtered through the memo
     # ------------------------------------------------------------------
 
-    def _memo_filtered_search(self, window: Rect) -> List[Tuple[int, Rect]]:
+    def _memo_filtered_search(self, window: Rect, stamped: bool) -> List[tuple]:
         """All live objects whose latest MBR intersects ``window``."""
         # CheckStatus per raw entry via memo.latest_stamp — the first-hit
         # probe every memo tier answers in ~O(1) (the disk-tiered memo
@@ -343,19 +343,19 @@ class RUMTree(RTreeBase):
         # is identical to check_status's.
         raw = self.range_search(window)
         latest = self.memo.latest_stamp
-        results: List[Tuple[int, Rect]] = []
+        results: List[tuple] = []
         append = results.append
         for e in raw:
             s_latest = latest(e.oid)
             if s_latest is None or e.stamp == s_latest:
-                append((e.oid, e.rect))
+                append((e.oid, e.rect, e.stamp) if stamped else (e.oid, e.rect))
         return results
 
     _search_body = _memo_filtered_search
 
     def _memo_filtered_knn(
-        self, x: float, y: float, k: int
-    ) -> List[Tuple[int, Rect]]:
+        self, x: float, y: float, k: int, stamped: bool
+    ) -> List[tuple]:
         """The ``k`` live objects nearest to ``(x, y)``, nearest first.
 
         Demonstrates that the memo filter composes with *any* R-tree query
@@ -364,15 +364,17 @@ class RUMTree(RTreeBase):
         further candidates whenever an obsolete entry (or an older version
         of an object already reported) is skipped.
         """
-        results: List[Tuple[int, Rect]] = []
+        results: List[tuple] = []
         reported = set()
-        for entry, _dist in self.iter_nearest(x, y):
-            if self.memo.check_status(entry.oid, entry.stamp) != "LATEST":
+        for e, dist in self.iter_nearest(x, y):
+            if self.memo.check_status(e.oid, e.stamp) != "LATEST":
                 continue
-            if entry.oid in reported:  # defensive; latest entries are unique
+            if e.oid in reported:  # defensive; latest entries are unique
                 continue
-            reported.add(entry.oid)
-            results.append((entry.oid, entry.rect))
+            reported.add(e.oid)
+            results.append(
+                (dist, e.oid, e.stamp, e.rect) if stamped else (e.oid, e.rect)
+            )
             if len(results) == k:
                 break
         return results

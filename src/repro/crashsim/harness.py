@@ -606,7 +606,7 @@ def _recover_and_verify(
             f"{scenario.name}: memo reopen kept the manifest temp file",
             checks, "memo manifest temp dropped at reopen",
         )
-        live_names = {run.path.name for run in memo2._runs}
+        live_names = {run.path.name for run in memo2.runs}
         on_disk = {p.name for p in memo_dir.glob(f"*{RUN_SUFFIX}")}
         _check(
             on_disk == live_names,

@@ -101,8 +101,8 @@ def run_fig14_memo(
 
     Figure 14(d) shows the Update Memo growing linearly with the object
     population — which caps how far the in-RAM memo scales.  This leg
-    reruns the memo half of the sweep against the LSM-tiered
-    :class:`~repro.core.memo_lsm.SpillingUpdateMemo`: every object gets
+    reruns the memo half of the sweep against a memo on a run tier
+    (:class:`~repro.core.memo_lsm.RunStore`): every object gets
     one update plus ``update_factor`` random re-updates, while RAM is
     pinned at ``spill_budget`` bytes and overflow spills to sorted runs.
     Reported per population: the logical memo size (still linear, as the
@@ -160,8 +160,8 @@ def run_fig14_memo(
                     "memo_bytes": memo.size_bytes(),
                     "peak_ram_bytes": peak_ram,
                     "spill_budget": spill_budget,
-                    "runs": len(memo._runs),
-                    "spilled_pages": sum(r.pages for r in memo._runs),
+                    "runs": len(memo.runs),
+                    "spilled_pages": sum(r.pages for r in memo.runs),
                     "flush_writes": stats.memo_writes,
                     "probe_pages_per_lookup": round(
                         probed_pages / max(1, 2 * probe_sample), 3

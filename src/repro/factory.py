@@ -97,11 +97,11 @@ def build_rum_tree(
     """A RUM-tree on a fresh storage stack (RUM leaf layout).
 
     A write-ahead log is attached automatically when ``recovery_option``
-    is ``"II"`` or ``"III"``.  Passing ``memo_dir`` swaps the in-RAM
-    Update Memo for the LSM-tiered :class:`~repro.core.memo_lsm.
-    SpillingUpdateMemo` rooted at that directory (``memo_spill_budget``
-    bytes of RAM, ``memo_compact_threshold`` same-tier runs per merge),
-    sharing the stack's I/O counters so run traffic lands in
+    is ``"II"`` or ``"III"``.  Passing ``memo_dir`` stands the Update
+    Memo on a run tier (:class:`~repro.core.memo_lsm.RunStore`) rooted
+    at that directory (``memo_spill_budget`` bytes of RAM,
+    ``memo_compact_threshold`` same-tier runs per merge), sharing the
+    stack's I/O counters so run traffic lands in
     ``stats.memo_reads``/``memo_writes``.
     """
     buffer = build_storage(

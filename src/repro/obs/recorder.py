@@ -35,25 +35,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Tuple
 
-from repro.storage.iostats import IOSnapshot
+from repro.storage.iostats import IO_FIELDS, IOSnapshot
 
 #: Schema tag stamped on every :meth:`FlightRecorder.dump`.
 SCHEMA = "flight_recorder/v1"
-
-#: Field order of the raw 10-tuple I/O deltas stored per record — matches
-#: the :class:`IOSnapshot` dataclass declaration order.
-IO_FIELDS: Tuple[str, ...] = (
-    "leaf_reads",
-    "leaf_writes",
-    "internal_reads",
-    "internal_writes",
-    "index_reads",
-    "index_writes",
-    "log_writes",
-    "log_reads",
-    "memo_reads",
-    "memo_writes",
-)
 
 #: Default ring capacity (operations retained).
 DEFAULT_CAPACITY = 256

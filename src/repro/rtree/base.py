@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from operator import attrgetter, sub
+from operator import sub
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -42,8 +42,8 @@ from repro import kernels
 from repro.concurrency.locks import ReadWriteLock
 from repro.obs.drift import DriftMonitor
 from repro.obs.explain import analyze
-from repro.obs.recorder import IO_FIELDS
 from repro.storage.buffer import BufferPool
+from repro.storage.iostats import io_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.racecheck import RaceChecker
@@ -84,9 +84,6 @@ _MIRROR_STATE = (
 #: regression snaps sampling back to full fidelity within one stride.
 _OBS_FAST_S = 1e-3
 _OBS_STRIDE_MAX = 256
-
-#: Reads the raw I/O counters of an ``IOStats`` in flight-recorder order.
-_IO_COUNTERS = attrgetter(*IO_FIELDS)
 
 
 class _Sampler:
@@ -352,7 +349,7 @@ class RTreeBase:
         m = self._obs_rec_memo
         lookups0 = 0 if m is None else m.lookup_count
         hits0 = 0 if m is None else m.hit_count
-        io0 = _IO_COUNTERS(s)
+        io0 = io_counters(s)
         t0 = time.perf_counter()
         if obs.tracing:
             with obs.span(span, io=s, tree=self.name, **attrs):
@@ -360,7 +357,7 @@ class RTreeBase:
         else:
             result = body(*args)
         dur_s = time.perf_counter() - t0
-        io10 = tuple(map(sub, _IO_COUNTERS(s), io0))
+        io10 = tuple(map(sub, io_counters(s), io0))
         if counter is not None:
             counter.value += 1
         if histogram is not None:
@@ -488,32 +485,41 @@ class RTreeBase:
         else:
             self._observed("delete", self._delete_body, oid, old_rect, oid=oid)
 
-    def search(self, window: Rect) -> List[Tuple[int, Rect]]:
-        """All live objects whose current MBR intersects ``window``."""
+    def search(self, window: Rect, stamped: bool = False) -> List[tuple]:
+        """All live objects whose current MBR intersects ``window``, as
+        ``(oid, rect)`` — or, ``stamped``, ``(oid, rect, stamp)``: what a
+        merge over several trees needs to tell the newer of two answers
+        for one object (the shard router's max-stamp rule)."""
         if self.obs is None:
-            return self._search_body(window)
+            return self._search_body(window, stamped)
         sampler = self._obs_qsample
-        if sampler.tick:
+        if sampler.tick > 0:
             # Unsampled query: microseconds at mirror steady state, so
             # it pays for nothing but this countdown and the next sampled
-            # query counts it.
+            # query counts it.  (Served queries share the read latch, so
+            # the countdown can race below zero: that only brings the
+            # next capture forward.)
             sampler.tick -= 1
-            return self._search_body(window)
+            return self._search_body(window, stamped)
         # ``tree.queries`` is thus exact at every sample boundary (and at
         # detach, which settles the remainder); histogram, recorder and
         # drift feeds see the sampled queries only.
         self._obs_c_queries.value += sampler.stride - 1
-        return self._observed("query", self._search_body, window, window=window)
+        return self._observed(
+            "query", self._search_body, window, stamped, window=window
+        )
 
     def nearest_neighbors(
-        self, x: float, y: float, k: int
-    ) -> List[Tuple[int, Rect]]:
-        """The ``k`` live objects nearest to ``(x, y)``, nearest first."""
+        self, x: float, y: float, k: int, stamped: bool = False
+    ) -> List[tuple]:
+        """The ``k`` live objects nearest to ``(x, y)``, nearest first, as
+        ``(oid, rect)`` — or, ``stamped``, ``(dist, oid, stamp, rect)``
+        (see :meth:`search`)."""
         if k <= 0:
             return []
         if self.obs is None:
-            return self._knn_body(x, y, k)
-        return self._observed("knn", self._knn_body, x, y, k, k=k)
+            return self._knn_body(x, y, k, stamped)
+        return self._observed("knn", self._knn_body, x, y, k, stamped, k=k)
 
     # -- operation bodies (the baselines' defaults) -------------------------
 
@@ -530,13 +536,18 @@ class RTreeBase:
     def _delete_body(self, oid: int, old_rect: Optional[Rect]) -> None:
         raise NotImplementedError
 
-    def _search_body(self, window: Rect) -> List[Tuple[int, Rect]]:
-        return [(e.oid, e.rect) for e in self.range_search(window)]
+    def _search_body(self, window: Rect, stamped: bool) -> List[tuple]:
+        raw = self.range_search(window)
+        if stamped:
+            return [(e.oid, e.rect, e.stamp) for e in raw]
+        return [(e.oid, e.rect) for e in raw]
 
-    def _knn_body(self, x: float, y: float, k: int) -> List[Tuple[int, Rect]]:
-        results: List[Tuple[int, Rect]] = []
-        for entry, _dist in self.iter_nearest(x, y):
-            results.append((entry.oid, entry.rect))
+    def _knn_body(self, x: float, y: float, k: int, stamped: bool) -> List[tuple]:
+        results: List[tuple] = []
+        for e, dist in self.iter_nearest(x, y):
+            results.append(
+                (dist, e.oid, e.stamp, e.rect) if stamped else (e.oid, e.rect)
+            )
             if len(results) == k:
                 break
         return results
@@ -1155,7 +1166,7 @@ class RTreeBase:
                 self,
                 "query",
                 {"window": (window.xmin, window.ymin, window.xmax, window.ymax)},
-                lambda: self._search_body(window),
+                lambda: self._search_body(window, False),
             )
         finally:
             for name, value in found.items():
@@ -1172,7 +1183,7 @@ class RTreeBase:
             self,
             "knn",
             {"x": x, "y": y, "k": k},
-            lambda: self._knn_body(x, y, k) if k > 0 else [],
+            lambda: self._knn_body(x, y, k, False) if k > 0 else [],
         )
 
     def explain_update(

@@ -342,17 +342,11 @@ class ShardRouter:
     def _query_shard(
         self, shard: Shard, window: Rect
     ) -> List[Tuple[int, Rect, int]]:
-        """Memo-filtered range search on one shard, keeping stamps."""
+        """The shard tree's own search, keeping stamps."""
         tree = shard.tree
         with tree.latch.read():
             before = self._leaf_io(tree)
-            raw = tree.range_search(window)
-            latest = tree.memo.latest_stamp
-            results: List[Tuple[int, Rect, int]] = []
-            for entry in raw:
-                s_latest = latest(entry.oid)
-                if s_latest is None or entry.stamp == s_latest:
-                    results.append((entry.oid, entry.rect, entry.stamp))
+            results = tree.search(window, stamped=True)
             leaf_io = self._leaf_io(tree) - before
         self._simulate_io(shard, leaf_io)
         return results
@@ -396,19 +390,12 @@ class ShardRouter:
     def _knn_shard(
         self, shard: Shard, x: float, y: float, k: int
     ) -> List[Tuple[float, int, int, Rect]]:
-        """The shard's ``k`` nearest live objects (a bounded candidate
-        heap: the best-first stream is already distance-ordered, so the
-        first ``k`` memo-latest entries are the shard-local answer)."""
+        """The shard's ``k`` nearest live objects — the shard-local
+        answer of the tree's own kNN, keeping distances and stamps."""
         tree = shard.tree
-        candidates: List[Tuple[float, int, int, Rect]] = []
         with tree.latch.read():
             before = self._leaf_io(tree)
-            for entry, dist in tree.iter_nearest(x, y):
-                if tree.memo.check_status(entry.oid, entry.stamp) != "LATEST":
-                    continue
-                candidates.append((dist, entry.oid, entry.stamp, entry.rect))
-                if len(candidates) == k:
-                    break
+            candidates = tree.nearest_neighbors(x, y, k, stamped=True)
             leaf_io = self._leaf_io(tree) - before
         self._simulate_io(shard, leaf_io)
         return candidates

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from typing import Dict
+from operator import attrgetter
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,15 @@ class IOSnapshot:
         the dataclass declaration.
         """
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: The counters in declaration order: the layout of every raw I/O delta
+#: tuple (flight-recorder records, the cleaner's per-cycle cost).
+IO_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(IOSnapshot))
+
+#: Reads the raw counters of an :class:`IOStats` in that order — the one
+#: way a before/after delta for ``FlightRecorder.record`` is taken.
+io_counters = attrgetter(*IO_FIELDS)
 
 
 class IOStats:

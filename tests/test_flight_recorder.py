@@ -19,6 +19,7 @@ from repro.obs import FlightRecorder, Observability, OpRecord
 from repro.obs.recorder import IO_FIELDS, SCHEMA
 from repro.rtree.geometry import Rect
 from repro.storage.iostats import IOSnapshot
+from repro.storage.wal import UM_ENTRY_BYTES
 from repro.workload.objects import default_network_workload
 
 
@@ -181,6 +182,28 @@ class TestTreeIntegration:
         # A full-extent query inspects every surfaced entry in the memo.
         assert r.memo_lookups > 0
         assert 0 <= r.memo_hits <= r.memo_lookups
+
+    def test_cleaner_cycle_record_carries_the_memo_io(self, tmp_path):
+        """Regression: the cleaner hand-typed an 8-field I/O delta where
+        the recorder takes 10, so the run pages a cycle's sweeps read
+        from a memo on a run tier never reached its record."""
+        obs = Observability(level="trace", recorder_capacity=4096)
+        tree = build_rum_tree(
+            node_size=2048, obs=obs, phantom_inspection=False,
+            memo_dir=str(tmp_path), memo_spill_budget=8 * UM_ENTRY_BYTES,
+        )
+        self._workload(tree)
+        tree.cleaner.run_full_cycle()  # closes the cycle the updates began
+        obs.recorder.clear()
+        before = tree.stats.snapshot()
+        tree.cleaner.run_full_cycle()
+        delta = tree.stats.snapshot() - before
+        (cycle,) = [
+            r for r in obs.recorder.records() if r.op == "cleaner_cycle"
+        ]
+        assert cycle.io.memo_reads > 0
+        assert cycle.io == delta
+        tree.memo.close()
 
     def test_off_level_has_no_recorder(self):
         obs = Observability.disabled()

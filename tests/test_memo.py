@@ -1,5 +1,14 @@
-"""Tests for the Update Memo, the stamp counter, and CheckStatus."""
+"""Tests for the Update Memo, the stamp counter, and CheckStatus.
 
+Every Section 3.1 behaviour is checked twice: on the bare table (the
+``Test*`` classes) and, through the ``Test*Tiered`` subclasses, on the
+same table above a run tier whose budget is three entries and which
+compacts at two runs — so the very same assertions hold on both sides of
+a spill.  (Subclasses rather than ``parametrize`` so the test ids of the
+bare table stay what they were.)
+"""
+
+import tempfile
 import threading
 
 import pytest
@@ -7,9 +16,63 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.memo import LATEST, OBSOLETE, UpdateMemo
+from repro.core.memo_lsm import RunStore
 from repro.core.stamp import StampCounter
 from repro.obs import Observability
 from repro.storage.wal import UM_ENTRY_BYTES
+
+
+class MemoCases:
+    """``self.new_memo()`` builds the memo under test."""
+
+    TIERED = False
+
+    def setup_method(self):
+        self._memos, self._dirs = [], []
+
+    def teardown_method(self):
+        for memo in self._memos:
+            memo.close()
+        for tmp in self._dirs:
+            tmp.cleanup()
+
+    def new_memo(self, n_buckets=64):
+        tier = None
+        if self.TIERED:
+            self._dirs.append(tempfile.TemporaryDirectory(prefix="memo-tier-"))
+            tier = RunStore(
+                self._dirs[-1].name,
+                spill_budget=3 * UM_ENTRY_BYTES,
+                compact_threshold=2,
+            )
+        self._memos.append(UpdateMemo(n_buckets, tier))
+        return self._memos[-1]
+
+
+# Hypothesis wants one test function per executing class, so the two
+# property tests are declared per class around a shared ``check_*`` body.
+_ANY_ENTRIES = given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=50),
+            st.integers(min_value=0, max_value=10**6),
+            st.integers(min_value=-3, max_value=5),
+        ),
+        max_size=60,
+        unique_by=lambda e: e[0],
+    ),
+    src_buckets=st.integers(min_value=1, max_value=17),
+    dst_buckets=st.integers(min_value=1, max_value=17),
+)
+_ANY_OPS = given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=20),
+            st.sampled_from(["update", "clean"]),
+        ),
+        max_size=200,
+    )
+)
 
 
 class TestStampCounter:
@@ -55,18 +118,18 @@ class TestStampCounter:
         assert len(set(results)) == 8 * 500  # all unique
 
 
-class TestUpdateMemoBasics:
+class TestUpdateMemoBasics(MemoCases):
     def test_new_object_gets_entry_with_n_old_one(self):
         """Figure 4: a fresh UM entry always starts at N_old = 1 — even a
         first insert, which is what creates phantom entries (footnote 1)."""
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.record_update(7, 100)
         entry = memo.get(7)
         assert entry.s_latest == 100
         assert entry.n_old == 1
 
     def test_update_bumps_latest_and_n_old(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.record_update(7, 100)
         memo.record_update(7, 200)
         entry = memo.get(7)
@@ -74,7 +137,7 @@ class TestUpdateMemoBasics:
         assert entry.n_old == 2
 
     def test_check_status(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         assert memo.check_status(7, 50) == LATEST  # no entry -> latest
         memo.record_update(7, 100)
         assert memo.check_status(7, 100) == LATEST
@@ -84,7 +147,7 @@ class TestUpdateMemoBasics:
         assert not memo.is_obsolete(8, 1)
 
     def test_note_cleaned_decrements_and_drops(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.record_update(7, 100)
         memo.record_update(7, 200)
         memo.note_cleaned(7)
@@ -93,7 +156,7 @@ class TestUpdateMemoBasics:
         assert memo.get(7) is None  # N_old reached zero: entry removed
 
     def test_note_cleaned_without_entry_raises(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         with pytest.raises(KeyError):
             memo.note_cleaned(7)
 
@@ -103,7 +166,7 @@ class TestUpdateMemoBasics:
         the counter and it no longer reconciled against the cleaner's
         actual removal count."""
         obs = Observability(level="metrics")
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.attach_obs(obs)
         memo.record_update(1, 10)
         memo.note_cleaned(1)
@@ -115,7 +178,7 @@ class TestUpdateMemoBasics:
     def test_no_entry_with_zero_n_old_exists(self):
         """Invariant from Section 3.1: "no UM entry has N_old equivalent
         to zero"."""
-        memo = UpdateMemo()
+        memo = self.new_memo()
         for oid in range(20):
             memo.record_update(oid, oid + 1)
         for oid in range(0, 20, 2):
@@ -124,9 +187,9 @@ class TestUpdateMemoBasics:
             assert entry.n_old >= 1
 
 
-class TestPhantomPurge:
+class TestPhantomPurge(MemoCases):
     def test_purges_only_older_than_threshold(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.record_update(1, 10)
         memo.record_update(2, 20)
         memo.record_update(3, 30)
@@ -137,24 +200,24 @@ class TestPhantomPurge:
         assert memo.get(3) is not None
 
     def test_purge_empty(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         assert memo.purge_phantoms(100) == 0
 
 
-class TestSnapshotRestore:
+class TestSnapshotRestore(MemoCases):
     def test_roundtrip(self):
-        memo = UpdateMemo(n_buckets=4)
+        memo = self.new_memo(n_buckets=4)
         for oid in range(50):
             memo.record_update(oid, oid * 10 + 1)
         snapshot = memo.snapshot()
-        other = UpdateMemo(n_buckets=16)  # different bucket count is fine
+        other = self.new_memo(n_buckets=16)  # different bucket count is fine
         other.restore(iter(snapshot))
         assert len(other) == 50
         for oid in range(50):
             assert other.get(oid).s_latest == oid * 10 + 1
 
     def test_restore_clears_previous(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.record_update(1, 1)
         memo.restore(iter([(2, 5, 1)]))
         assert memo.get(1) is None
@@ -167,7 +230,7 @@ class TestSnapshotRestore:
         restored zero-count entry could never drain and leaked forever.
         "No obsolete entries" must round-trip as *absence* (Section 3.1).
         """
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.restore(iter([(1, 5, 0), (2, 6, -3), (3, 7, 2)]))
         assert memo.get(1) is None
         assert memo.get(2) is None
@@ -176,31 +239,22 @@ class TestSnapshotRestore:
         # The invariant the leak violated: every entry counts >= 1.
         assert all(entry.n_old >= 1 for entry in memo)
 
-    @given(
-        entries=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=50),
-                st.integers(min_value=0, max_value=10**6),
-                st.integers(min_value=-3, max_value=5),
-            ),
-            max_size=60,
-            unique_by=lambda e: e[0],
-        ),
-        src_buckets=st.integers(min_value=1, max_value=17),
-        dst_buckets=st.integers(min_value=1, max_value=17),
-    )
+    @_ANY_ENTRIES
     def test_snapshot_restore_roundtrip_across_bucket_counts(
         self, entries, src_buckets, dst_buckets
     ):
+        self.check_roundtrip(entries, src_buckets, dst_buckets)
+
+    def check_roundtrip(self, entries, src_buckets, dst_buckets):
         """snapshot() -> restore() preserves exactly the valid entries,
         whatever the bucket counts on either side; a second round-trip
         is the identity."""
-        memo = UpdateMemo(n_buckets=src_buckets)
+        memo = self.new_memo(n_buckets=src_buckets)
         memo.restore(iter(entries))
         expected = sorted(e for e in entries if e[2] > 0)
         assert sorted(memo.snapshot()) == expected
 
-        other = UpdateMemo(n_buckets=dst_buckets)
+        other = self.new_memo(n_buckets=dst_buckets)
         other.restore(iter(memo.snapshot()))
         assert sorted(other.snapshot()) == expected
         for oid, s_latest, n_old in expected:
@@ -208,16 +262,16 @@ class TestSnapshotRestore:
             assert entry.s_latest == s_latest and entry.n_old == n_old
 
 
-class TestSizeMetrics:
+class TestSizeMetrics(MemoCases):
     def test_len_and_bytes(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         for oid in range(10):
             memo.record_update(oid, oid + 1)
         assert len(memo) == 10
         assert memo.size_bytes() == 10 * UM_ENTRY_BYTES
 
     def test_total_n_old(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         memo.record_update(1, 1)
         memo.record_update(1, 2)
         memo.record_update(2, 3)
@@ -227,7 +281,7 @@ class TestSizeMetrics:
         """size_bytes/total_n_old stay consistent through the full entry
         lifecycle: records grow them, cleans shrink them, purges drop
         whole entries."""
-        memo = UpdateMemo()
+        memo = self.new_memo()
         for oid in range(8):
             memo.record_update(oid, oid + 1)       # N_old = 1 each
         for oid in range(4):
@@ -249,34 +303,29 @@ class TestSizeMetrics:
         assert memo.total_n_old() == 7  # oid 0 at 1, oids 1-3 at 2
 
     def test_empty_memo_reports_zero(self):
-        memo = UpdateMemo()
+        memo = self.new_memo()
         assert memo.size_bytes() == 0
         assert memo.total_n_old() == 0
 
     def test_bucket_lock_accessible(self):
-        memo = UpdateMemo(n_buckets=8)
+        memo = self.new_memo(n_buckets=8)
         lock = memo.bucket_lock(13)
         assert lock is memo.bucket_locks[13 % 8]
 
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
-            UpdateMemo(n_buckets=0)
+            self.new_memo(n_buckets=0)
 
 
-class TestMemoProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=20),
-                st.sampled_from(["update", "clean"]),
-            ),
-            max_size=200,
-        )
-    )
+class TestMemoProperties(MemoCases):
+    @_ANY_OPS
     def test_n_old_tracks_operations(self, ops):
+        self.check_n_old_tracks_operations(ops)
+
+    def check_n_old_tracks_operations(self, ops):
         """N_old equals (updates so far) - (cleans so far) for each oid,
         and the entry exists iff that number is positive."""
-        memo = UpdateMemo(n_buckets=4)
+        memo = self.new_memo(n_buckets=4)
         counter = StampCounter()
         balance = {}
         for oid, kind in ops:
@@ -293,3 +342,43 @@ class TestMemoProperties:
                 assert entry is not None and entry.n_old == count
             else:
                 assert entry is None
+
+
+# ---------------------------------------------------------------------------
+# The same behaviours above a run tier
+# ---------------------------------------------------------------------------
+
+
+class TestUpdateMemoBasicsTiered(TestUpdateMemoBasics):
+    TIERED = True
+
+
+class TestPhantomPurgeTiered(TestPhantomPurge):
+    TIERED = True
+
+
+class TestSnapshotRestoreTiered(TestSnapshotRestore):
+    TIERED = True
+
+    @_ANY_ENTRIES
+    def test_snapshot_restore_roundtrip_across_bucket_counts(
+        self, entries, src_buckets, dst_buckets
+    ):
+        self.check_roundtrip(entries, src_buckets, dst_buckets)
+
+
+class TestSizeMetricsTiered(TestSizeMetrics):
+    TIERED = True
+
+    def test_bucket_lock_accessible(self):
+        """A spill touches every bucket, which per-bucket locks cannot
+        cover: a memo on a tier builds none."""
+        assert self.new_memo(n_buckets=8).bucket_locks == []
+
+
+class TestMemoPropertiesTiered(TestMemoProperties):
+    TIERED = True
+
+    @_ANY_OPS
+    def test_n_old_tracks_operations(self, ops):
+        self.check_n_old_tracks_operations(ops)

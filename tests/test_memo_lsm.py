@@ -1,11 +1,18 @@
-"""Tests for the LSM-tiered disk-resident Update Memo.
+"""Tests for the Update Memo's run tier.
 
 Covers the run file format (CRC, fences, Bloom filters), the spill /
 probe / compact lifecycle, manifest crash safety under fault injection,
-and — the core contract — behavioural equivalence with the pure in-RAM
-:class:`~repro.core.memo.UpdateMemo` under arbitrary operation
-interleavings, including across a close/reopen cycle.
+and — the core contract — that a memo on a tier behaves as the Section
+3.1 table (a dict model) under arbitrary operation interleavings,
+including across a close/reopen cycle.  ``tests/test_memo.py`` runs the
+paper's per-operation behaviours on both sides of a spill; this file
+holds what only exists with runs on disk.
 """
+
+import hashlib
+import random
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +30,8 @@ from repro.core.memo_lsm import (
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.iostats import IOStats
 from repro.storage.wal import UM_ENTRY_BYTES
+
+PARENT_RUNS = Path(__file__).parent / "fixtures" / "memo_runs_parent"
 
 
 def tiny_memo(tmp_path, budget_entries=4, threshold=2, **kwargs):
@@ -45,7 +54,7 @@ class TestConstruction:
     def test_empty_directory_starts_empty(self, tmp_path):
         memo = tiny_memo(tmp_path)
         assert len(memo) == 0
-        assert memo._runs == []
+        assert memo.runs == ()
         memo.close()
 
 
@@ -55,7 +64,7 @@ class TestSpillAndProbe:
         for oid in range(40):
             memo.record_update(oid, oid + 1)
             assert memo.ram_size_bytes() <= 4 * UM_ENTRY_BYTES
-        assert len(memo._runs) >= 1
+        assert len(memo.runs) >= 1
         assert (tmp_path / MANIFEST_FILE).exists()
         memo.close()
 
@@ -77,7 +86,7 @@ class TestSpillAndProbe:
         for stamp in range(1, 8):
             memo.record_update(5, stamp)
             memo.record_update(100 + stamp, stamp)  # filler forcing spills
-        assert len(memo._runs) >= 2
+        assert len(memo.runs) >= 2
         assert memo.get(5).n_old == 7
         assert memo.get(5).s_latest == 7
         memo.close()
@@ -86,7 +95,7 @@ class TestSpillAndProbe:
         memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
         memo.record_update(1, 10)
         memo.flush_ram()
-        assert memo._runs  # the record now lives on disk
+        assert memo.runs  # the record now lives on disk
         memo.note_cleaned(1)
         assert memo.get(1) is None  # tombstone masks the spilled record
         assert memo.latest_stamp(1) is None
@@ -150,7 +159,7 @@ class TestCompaction:
         for stamp in range(1, 200):
             memo.record_update(stamp % 17, stamp)
         # Size-tiering with threshold 2 keeps at most one run per tier.
-        assert len(memo._runs) <= 8
+        assert len(memo.runs) <= 8
         for oid in range(17):
             assert memo.get(oid) is not None
         memo.close()
@@ -162,12 +171,12 @@ class TestCompaction:
         memo.flush_ram()
         memo.note_cleaned(1)  # tombstone over the spilled record
         memo.flush_ram()
-        assert len(memo._runs) == 2
-        memo._compact(0, len(memo._runs))
-        assert len(memo._runs) == 1
+        assert len(memo.runs) == 2
+        memo.tier._compact(0, len(memo.runs) - 1)
+        assert len(memo.runs) == 1
         # The tombstone and its victim are both gone from the merged run.
         assert all(
-            rec[0] != 1 for rec in memo._runs[0].iter_records()
+            rec[0] != 1 for rec in memo.runs[0].iter_records()
         )
         assert memo.get(1) is None
         assert memo.get(2).s_latest == 2
@@ -216,7 +225,7 @@ class TestReopen:
         for oid in range(10):
             memo.record_update(oid, oid + 1)
         memo.flush_ram()
-        run_path = memo._runs[0].path
+        run_path = memo.runs[0].path
         memo.close()
         data = bytearray(run_path.read_bytes())
         data[len(data) // 2] ^= 0xFF
@@ -251,7 +260,7 @@ class TestFaultInjection:
         injector = FaultInjector()
         memo = self._filled(tmp_path, injector)
         durable = sorted(memo.snapshot())
-        n_runs = len(memo._runs)
+        n_runs = len(memo.runs)
         injector.arm("memo.run_flush", mode="torn")
         memo.record_update(100, 50)
         with pytest.raises(SimulatedCrash):
@@ -259,7 +268,7 @@ class TestFaultInjection:
         # The torn image exists but the manifest never named it.
         assert len(list(tmp_path.glob(f"*{RUN_SUFFIX}"))) == n_runs + 1
         memo2 = tiny_memo(tmp_path, budget_entries=2, threshold=99)
-        assert len(memo2._runs) == n_runs
+        assert len(memo2.runs) == n_runs
         assert len(list(tmp_path.glob(f"*{RUN_SUFFIX}"))) == n_runs
         assert sorted(memo2.snapshot()) == durable
         memo2.close()
@@ -329,15 +338,87 @@ class TestAccounting:
         with memo.defer_spills():
             for oid in range(50):
                 memo.record_update(oid, oid + 1)
-            runs_inside = len(memo._runs)
+            runs_inside = len(memo.runs)
         assert runs_inside == 0  # nothing spilled mid-scope
-        assert len(memo._runs) == 1  # exactly one run at scope exit
+        assert len(memo.runs) == 1  # exactly one run at scope exit
         memo.close()
 
 
 # ---------------------------------------------------------------------------
-# Behavioural equivalence with the in-RAM memo
+# Behavioural equivalence with the Section 3.1 table
 # ---------------------------------------------------------------------------
+
+
+class ModelMemo:
+    """The paper's table as a dict, ``oid -> [S_latest, N_old]``."""
+
+    def __init__(self):
+        self.table = {}
+
+    def record_update(self, oid, stamp):
+        entry = self.table.setdefault(oid, [stamp, 0])
+        entry[0] = stamp
+        entry[1] += 1
+
+    def note_cleaned(self, oid):
+        self.table[oid][1] -= 1
+        if self.table[oid][1] <= 0:
+            del self.table[oid]
+
+    def purge_phantoms(self, threshold, exclude=()):
+        victims = [
+            oid for oid, (s_latest, _n) in self.table.items()
+            if s_latest < threshold and oid not in exclude
+        ]
+        for oid in victims:
+            del self.table[oid]
+        return len(victims)
+
+    def latest_stamp(self, oid):
+        return self.table[oid][0] if oid in self.table else None
+
+    def snapshot(self):
+        return sorted((oid, s, n) for oid, (s, n) in self.table.items())
+
+
+def agrees_with_model(memo, model, oids):
+    """Every read of ``memo`` answers as the dict model does."""
+    assert sorted(memo.snapshot()) == model.snapshot()
+    assert len(memo) == len(model.table)
+    assert memo.total_n_old() == sum(n for _s, n in model.table.values())
+    assert memo.size_bytes() == len(model.table) * UM_ENTRY_BYTES
+    for oid in oids:
+        s_latest = model.latest_stamp(oid)
+        assert memo.latest_stamp(oid) == s_latest
+        entry = memo.get(oid)
+        if s_latest is None:
+            assert entry is None
+            assert memo.check_status(oid, 1) == LATEST
+        else:
+            assert entry.as_tuple() == (oid, *model.table[oid])
+            assert memo.check_status(oid, s_latest) == LATEST
+            assert memo.is_obsolete(oid, s_latest - 1)
+
+
+def apply_ops(ops, *memos):
+    """Drive one operation sequence into every memo, each probed and
+    purged alike; an oid is cleaned only while it has an entry."""
+    stamp = 0
+    for kind, oid in ops:
+        if kind == "update":
+            stamp += 1
+            for memo in memos:
+                memo.record_update(oid, stamp)
+        elif kind == "purge":
+            purged = {memo.purge_phantoms(max(0, stamp - 5)) for memo in memos}
+            assert len(purged) == 1
+        else:
+            latest = {memo.latest_stamp(oid) for memo in memos}
+            assert len(latest) == 1
+            if kind == "clean" and latest != {None}:
+                for memo in memos:
+                    memo.note_cleaned(oid)
+
 
 _OPS = st.lists(
     st.tuples(
@@ -354,80 +435,182 @@ class TestDifferentialEquivalence:
     def test_spill_probe_compact_recover_equivalence(
         self, tmp_path_factory, ops, budget_entries
     ):
-        """Any interleaving of the paper's memo operations produces
-        bit-identical behaviour on the spilling memo and the in-RAM
-        memo — including CheckStatus on every (oid, stamp) pair seen,
-        the full snapshot, and the state after a close/reopen cycle."""
+        """Any interleaving of the paper's memo operations leaves a memo
+        on a tier answering exactly as the dict model — CheckStatus on
+        every oid, the aggregate entries, the sizes — including after a
+        close/reopen cycle."""
         tmp = tmp_path_factory.mktemp("memolsm")
-        spill = SpillingUpdateMemo(
-            tmp,
-            spill_budget=budget_entries * UM_ENTRY_BYTES,
-            compact_threshold=2,
-        )
-        ram = UpdateMemo()
-        stamp = 0
-        for kind, oid in ops:
-            if kind == "update":
-                stamp += 1
-                spill.record_update(oid, stamp)
-                ram.record_update(oid, stamp)
-            elif kind == "clean":
-                entry = ram.get(oid)
-                if entry is not None:
-                    spill.note_cleaned(oid)
-                    ram.note_cleaned(oid)
-            elif kind == "purge":
-                threshold = max(0, stamp - 5)
-                assert spill.purge_phantoms(threshold) == ram.purge_phantoms(
-                    threshold
-                )
-            else:
-                assert spill.latest_stamp(oid) == ram.latest_stamp(oid)
-                assert spill.check_status(oid, stamp) == ram.check_status(
-                    oid, stamp
-                )
-        assert sorted(spill.snapshot()) == sorted(ram.snapshot())
-        assert len(spill) == len(ram)
-        assert spill.total_n_old() == ram.total_n_old()
-        assert spill.size_bytes() == ram.size_bytes()
-        for oid in range(25):
-            assert spill.latest_stamp(oid) == ram.latest_stamp(oid)
-            a, b = spill.get(oid), ram.get(oid)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert (a.s_latest, a.n_old) == (b.s_latest, b.n_old)
+        spill = tiny_memo(tmp, budget_entries)
+        model = ModelMemo()
+        apply_ops(ops, spill, model)
+        agrees_with_model(spill, model, range(25))
         # Crash model: RAM dies, spilled runs survive.  Push RAM down
         # first so the reopened memo must equal the full state.
         spill.flush_ram()
         spill.close()
-        reopened = SpillingUpdateMemo(
-            tmp,
-            spill_budget=budget_entries * UM_ENTRY_BYTES,
-            compact_threshold=2,
-        )
-        assert sorted(reopened.snapshot()) == sorted(ram.snapshot())
+        reopened = tiny_memo(tmp, budget_entries)
+        agrees_with_model(reopened, model, range(25))
         reopened.close()
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        entries=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=40),
-                st.integers(min_value=1, max_value=10**6),
-                st.integers(min_value=-2, max_value=4),
-            ),
-            max_size=40,
-            unique_by=lambda e: e[0],
-        )
-    )
-    def test_restore_matches_in_ram_memo(self, tmp_path_factory, entries):
-        tmp = tmp_path_factory.mktemp("memolsm-restore")
-        spill = SpillingUpdateMemo(
-            tmp, spill_budget=3 * UM_ENTRY_BYTES, compact_threshold=2
-        )
-        ram = UpdateMemo()
-        spill.restore(iter(entries))
-        ram.restore(iter(entries))
-        assert sorted(spill.snapshot()) == sorted(ram.snapshot())
-        assert spill.ram_size_bytes() <= 3 * UM_ENTRY_BYTES
-        spill.close()
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_OPS)
+    def test_unreached_budget_is_the_bare_table(self, tmp_path_factory, ops):
+        """A tier whose budget is never reached costs nothing: no run
+        file, no memo I/O, and state and tallies equal the bare table's
+        after any operation sequence."""
+        tmp = tmp_path_factory.mktemp("memolsm-idle")
+        stats = IOStats()
+        tiered = SpillingUpdateMemo(tmp, stats=stats)
+        bare = UpdateMemo()
+        apply_ops(ops, tiered, bare)
+        assert sorted(tiered.snapshot()) == sorted(bare.snapshot())
+        tallies = ("lookup_count", "hit_count")
+        assert [getattr(tiered, t) for t in tallies] == [
+            getattr(bare, t) for t in tallies
+        ]
+        assert tiered.run_probe_count == tiered.bloom_fp_count == 0
+        assert tiered.runs == () and not list(tmp.glob(f"*{RUN_SUFFIX}"))
+        # Only the purge's manifest rewrite touches the disk at all.
+        purges = sum(kind == "purge" for kind, _oid in ops)
+        assert (stats.memo_reads, stats.memo_writes) == (0, purges)
+        tiered.close()
+
+
+# ---------------------------------------------------------------------------
+# One implementation, one format
+# ---------------------------------------------------------------------------
+
+
+def test_spilling_memo_is_a_constructor_only():
+    callables = [
+        name for name, value in vars(SpillingUpdateMemo).items()
+        if callable(value) or isinstance(value, (property, staticmethod, classmethod))
+    ]
+    assert callables == ["__init__"]
+
+
+def test_flushed_run_described_as_its_file_loads(tmp_path):
+    """A flush describes its run from the image it wrote — exactly what
+    loading the file back yields."""
+    memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+    for oid in range(400):
+        memo.record_update(oid * 3, oid + 1)
+    memo.flush_ram()
+    for run in memo.runs:
+        loaded = _Run.load(run.path)
+        for field in ("count", "min_oid", "max_oid", "m_bits", "k", "bloom", "fences"):
+            assert getattr(run, field) == getattr(loaded, field), field
+        loaded.close()
+    memo.close()
+
+
+def test_purge_charges_its_run_scan(tmp_path):
+    """Phantom inspection above a tier folds every run — a full scan,
+    charged like the checkpoint snapshot's."""
+    stats = IOStats()
+    memo = tiny_memo(tmp_path, budget_entries=4, threshold=99, stats=stats)
+    for oid in range(40):
+        memo.record_update(oid, oid + 1)
+    run_pages = sum(run.pages for run in memo.runs)
+    assert run_pages >= 2
+    before = stats.memo_reads
+    assert memo.purge_phantoms(11) == 10
+    assert stats.memo_reads - before == run_pages
+    memo.close()
+
+
+def scripted_ops(memo):
+    """A fixed script over every mutating memo operation; returns the
+    dict model it ends in."""
+    rng = random.Random(20240607)
+    model = ModelMemo()
+    stamp = 0
+
+    def update(oid):
+        nonlocal stamp
+        stamp += 1
+        memo.record_update(oid, stamp)
+        model.record_update(oid, stamp)
+
+    for step in range(600):
+        roll = rng.random()
+        oid = rng.randrange(48)
+        if roll < 0.55:
+            update(oid)
+        elif roll < 0.85:
+            if oid in model.table:
+                memo.note_cleaned(oid)
+                model.note_cleaned(oid)
+        elif roll < 0.90:
+            with memo.defer_spills():
+                for other in range(oid, oid + 9):
+                    update(other)
+        elif roll < 0.97:
+            oids = [rng.randrange(48) for _ in range(10)]
+            stamps = [
+                model.table[o][0] - rng.randrange(2) if o in model.table else 0
+                for o in oids
+            ]
+            for slot in memo.sweep_obsolete(oids, stamps, 4):
+                model.note_cleaned(oids[slot])
+        elif step > 300:
+            memo.purge_phantoms(stamp - 120, exclude={3, 5})
+            model.purge_phantoms(stamp - 120, exclude={3, 5})
+    return model
+
+
+#: sha256 of every file ``scripted_ops`` + ``flush_ram`` leaves behind, and
+#: the tallies it ends with, recorded on the commit before the two memo
+#: classes became one (``memo_reads`` excluded: that commit's purge forgot
+#: to charge its scan).
+SCRIPT_DIGESTS = {
+    "memo.manifest": "f2dc98f1eca05145a427a7184cd26f4da202d68897a317e29f1c53def935fdac",
+    "run-00000281.run": "f7fb0c3500181372a29e1f7b8ee916bbb886f1d10485996fa936d36c21b86735",
+    "run-00000282.run": "093ff16331255ffddbbaa8313127263b5ec7b54908bf57d5f03674b0ebf23e89",
+    "run-00000287.run": "0efbe6fd197c88d6387a5c1174558462368d178bdfaf8ca165fe66cf68aaed84",
+    "run-00000294.run": "22f9e2cb669ecd8dae5eda39c62c1dd3da0b894f83036472d3c010abe710dfda",
+    "run-00000295.run": "b24161ca1f07e921363391d20e50bcb05b0078a5f17adee88d7f2fb5108c3137",
+    "run-00000300.run": "01f1b38e97282c948dc799d5fec350688062345ff102999e2c615ba744381bcd",
+    "run-00000301.run": "f86c2827c09dc61ff58ae9880401ae0b872751d0a791c6a276503620bca33b12",
+    "run-00000302.run": "450e0e933f0b1a2f0f731fe48bc8a92eb1f69d76c3e4a79e49d57a74c0141e8b",
+    "run-00000303.run": "bf047fb479105b865ad8f9bf8e92cbaf18b940424d5875dc76103871b84d5412",
+}
+SCRIPT_TALLIES = {
+    "memo_writes": 616, "lookups": 412, "hits": 346,
+    "run_probes": 879, "bloom_fp": 7,
+}
+
+
+def script_memo(directory, **kwargs):
+    return tiny_memo(directory, budget_entries=3, n_buckets=4, **kwargs)
+
+
+def test_fixed_script_writes_the_recorded_bytes(tmp_path):
+    stats = IOStats()
+    memo = script_memo(tmp_path, stats=stats)
+    model = scripted_ops(memo)
+    agrees_with_model(memo, model, ())
+    memo.flush_ram()
+    memo.close()
+    tallies = {
+        "memo_writes": stats.memo_writes, "lookups": memo.lookup_count,
+        "hits": memo.hit_count, "run_probes": memo.run_probe_count,
+        "bloom_fp": memo.bloom_fp_count,
+    }
+    assert tallies == SCRIPT_TALLIES
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    } == SCRIPT_DIGESTS
+
+
+def test_directory_written_before_the_merge_opens(tmp_path):
+    """``fixtures/memo_runs_parent`` is what the same script left behind
+    on the commit before the merge."""
+    shutil.copytree(PARENT_RUNS, tmp_path / "memo")
+    memo = script_memo(tmp_path / "memo")
+    assert len(memo.runs) == len(SCRIPT_DIGESTS) - 1
+    scratch = script_memo(tmp_path / "scratch")
+    agrees_with_model(memo, scripted_ops(scratch), range(60))
+    memo.close()
+    scratch.close()

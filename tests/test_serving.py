@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.obs import Observability
 from repro.rtree.geometry import Rect
 from repro.serving import ServingClient, ShardRouter, ShardServer
 from repro.serving.protocol import (
@@ -45,6 +46,32 @@ class TestShardRouterBasics:
                 router.upsert(oid, _square(oid / 20.0, oid / 20.0))
             assert router.count_objects() == 20
             assert router.shard_object_counts() == [20]
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_served_operations_reach_the_tree_counters(self, n_shards):
+        """Regression: the router re-typed the memo filter on top of
+        ``range_search`` / ``iter_nearest``, so served queries bypassed
+        the trees' one counted entry point (``tree.queries`` and
+        ``tree.knn_queries`` read 0 behind a router)."""
+        obs = Observability(level="metrics")
+        with ShardRouter(n_shards, obs=obs) as router:
+            # Objects stay in their quadrant (no migrations), and every
+            # window sits inside one: a range query has one shard leg.
+            spots = [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8)]
+            for step in range(300):
+                x, y = spots[step % 4]
+                router.upsert(step % 60, _square(x + step % 7 / 100, y))
+            for step in range(50):
+                x, y = spots[step % 4]
+                assert router.query(_square(x, y, half=0.1))
+            for _ in range(7):
+                assert len(router.nearest_neighbors(0.5, 0.5, 3)) == 3
+            router.attach_obs(None)  # settles the sampled query counter
+        counters = obs.registry.snapshot().counters
+        assert counters["tree.updates"] == 300
+        assert counters["tree.queries"] == 50
+        # A kNN asks every shard for its k nearest.
+        assert counters["tree.knn_queries"] == 7 * n_shards
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
