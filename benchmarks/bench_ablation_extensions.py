@@ -13,7 +13,10 @@ from repro.experiments.ablation_extensions import run_extension_ablation
 
 def test_extension_ablation(benchmark):
     result = run_experiment(benchmark, run_extension_ablation)
-    headers = ["structure", "approach", "update_io", "entries", "garbage"]
+    headers = [
+        "structure", "approach", "update_io", "entries", "garbage",
+        "memo_entries", "memo_kb",
+    ]
     archive(
         "ablation_extensions",
         [
@@ -32,3 +35,9 @@ def test_extension_ablation(benchmark):
     assert cost[("B+-tree", "memo")] < cost[("B+-tree", "classic")]
     assert cost[("quadtree", "memo")] < cost[("quadtree", "classic")]
     assert cost[("grid file", "memo")] < cost[("grid file", "classic")]
+    # ... and its memo follows the garbage, not the objects (Section 4.1):
+    # the shared cleaner's phantom inspection purges the entry every
+    # insert leaves behind.
+    for row in result.rows:
+        if row["approach"] == "memo":
+            assert row["memo_entries"] < row["objects"] / 10, row

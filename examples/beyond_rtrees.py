@@ -86,9 +86,10 @@ def main() -> None:
     for name, io_per_update in rows:
         print(f"{name:<{width}}  {io_per_update:>13.2f}")
     print(
-        "\nThe memo variants reuse the RUM-tree's Update Memo, stamp"
-        "\ncounter and lazy cleaning verbatim — only the underlying index"
-        "\nchanged, supporting the paper's closing generality claim."
+        "\nThe memo variants run on the RUM-tree's own UpdateMemo,"
+        "\nStampCounter and GarbageCleaner objects — each supplies only its"
+        "\nring of leaves and what cleaning one of them means — supporting"
+        "\nthe paper's closing generality claim."
     )
 
 

@@ -183,9 +183,12 @@ The memo transplants verbatim onto a B+-tree, a PR quadtree, and a grid
 file — the conclusion's full list: classic updates cost ~4 I/Os
 (read+write at the old location, read+write at the new), memo-based
 updates ~2.3 I/Os (one insertion plus amortised cleaning) — the same
-~2x reduction pattern as the RUM-tree, with the identical Update
-Memo/stamp-counter/cleaner machinery reused across all four index
-families.
+~2x reduction pattern as the RUM-tree, on the same `UpdateMemo`,
+`StampCounter` and `GarbageCleaner` objects: each structure supplies
+only its leaf ring and what cleaning one ring position means.  Phantom
+inspection therefore runs on all of them, and the memo ends proportional
+to the garbage (`memo_entries` ≈ `garbage`), not to the 4,000 objects an
+insert-is-an-update load leaves one memo entry each for (Section 4.1).
 """),
 }
 

@@ -6,11 +6,12 @@
   optional run tier its table can spill to;
 * :class:`~repro.core.stamp.StampCounter` — global stamp assignment;
 * :class:`~repro.core.cleaner.GarbageCleaner` — cleaning tokens,
-  clean-upon-touch, phantom inspection;
+  clean-upon-touch, phantom inspection, for any
+  :class:`~repro.core.cleaner.MemoHost`;
 * :mod:`~repro.core.recovery` — crash-recovery options I/II/III.
 """
 
-from .cleaner import CleaningToken, GarbageCleaner
+from .cleaner import CleaningToken, GarbageCleaner, MemoHost
 from .memo import LATEST, OBSOLETE, UMEntry, UpdateMemo
 from .recovery import (
     RECOVERY_PROCEDURES,
@@ -35,6 +36,7 @@ __all__ = [
     "OBSOLETE",
     "StampCounter",
     "GarbageCleaner",
+    "MemoHost",
     "CleaningToken",
     "RecoveryReport",
     "recover_option_i",

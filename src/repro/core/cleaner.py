@@ -1,11 +1,20 @@
-"""The RUM-tree garbage cleaner (Section 3.3).
+"""The garbage cleaner of the memo-based update approach (Section 3.3).
 
 Obsolete entries are removed *lazily and in batches* by cleaning tokens:
-logical tokens that traverse the circular doubly-linked ring of leaf nodes.
-Every ``inspection_interval`` updates each token inspects the leaf it sits
-on, deletes the obsolete entries found there, adjusts the ancestors'
-MBRs (or reinserts the survivors if the leaf underflows, Figure 8), and
-moves to the next leaf in the ring.
+logical tokens that traverse the circular ring of leaves.  Every
+``inspection_interval`` updates each token inspects the leaf it sits on,
+has the obsolete entries found there deleted and the structure repaired
+(on the RUM-tree: the ancestors' MBRs adjusted, or the survivors
+reinserted if the leaf underflows, Figure 8), and moves to the next leaf
+in the ring.
+
+This module owns the *policy* — step credit, round-robin tokens, cycle
+accounting, phantom inspection and its guards — once, for every index
+type that is updated through an Update Memo.  The *mechanism* — which
+positions form the ring and what inspecting one of them means — belongs
+to the host: :class:`MemoHost` declares that contract and carries what
+the hosts (the RUM-tree and its B+-tree, quadtree and grid transplants)
+do identically off their update paths.
 
 With ``m`` tokens of interval ``I`` the *inspection ratio* — leaf nodes
 inspected per processed update — is ``ir = m / I`` (Equation 1), the knob
@@ -32,14 +41,27 @@ from __future__ import annotations
 
 import time
 from operator import add, sub
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from repro.storage.iostats import IO_FIELDS, io_counters
+from repro.storage.iostats import IO_FIELDS, IOStats, io_counters
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+from .memo import LATEST, UpdateMemo
+from .stamp import StampCounter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
-    from .rum import RUMTree
+#: Whatever names one leaf of the ring to its host (a page id, a cell
+#: number, a node object); the cleaner only stores, compares and returns it.
+Position = Hashable
 
 
 #: A zero I/O delta in flight-recorder field order.
@@ -60,7 +82,7 @@ class CleaningToken:
         "cycle_io",
     )
 
-    def __init__(self, position: int, min_cycle_steps: int = 1):
+    def __init__(self, position: Position, min_cycle_steps: int = 1):
         self.position = position
         self.cycle_start = position
         #: Stamp-counter samples awaiting cycle completions (newest last).
@@ -93,13 +115,16 @@ class GarbageCleaner:
 
     Parameters
     ----------
-    tree:
-        The owning RUM-tree.
+    host:
+        The index being cleaned (see :class:`MemoHost`).
     n_tokens:
         Number of cleaning tokens working in parallel (Figure 7).
     inspection_ratio:
         ``ir`` — leaf nodes inspected per processed update, in aggregate
         over all tokens (each token's interval is ``n_tokens / ir``).
+        It gates the per-update credit only: at 0 nothing is ever
+        inspected on behalf of an update, and :meth:`run_full_cycle`
+        still cleans.
     phantom_inspection:
         Enable periodic purging of phantom memo entries.
     phantom_lag_cycles:
@@ -109,7 +134,7 @@ class GarbageCleaner:
 
     def __init__(
         self,
-        tree: "RUMTree",
+        host: "MemoHost",
         n_tokens: int = 1,
         inspection_ratio: float = 0.2,
         phantom_inspection: bool = True,
@@ -121,8 +146,8 @@ class GarbageCleaner:
             raise ValueError("inspection_ratio must be non-negative")
         if phantom_lag_cycles < 1:
             raise ValueError("phantom_lag_cycles must be at least 1")
-        self.tree = tree
-        self.n_tokens = n_tokens if inspection_ratio > 0 else 0
+        self.host = host
+        self.n_tokens = n_tokens
         self.inspection_ratio = inspection_ratio if n_tokens > 0 else 0.0
         self.phantom_inspection = phantom_inspection
         self.phantom_lag_cycles = phantom_lag_cycles
@@ -139,12 +164,7 @@ class GarbageCleaner:
         self.entries_removed = 0
         self.phantoms_purged = 0
         self.cycles_completed = 0
-        self._obs = None
-        self._obs_steps = None
-        self._obs_removed = None
-        self._obs_cycles = None
-        self._obs_cycle_ms = None
-        self._obs_recorder = None
+        self.attach_obs(None)
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind telemetry: token steps, entries cleaned, cycle counts and
@@ -203,8 +223,8 @@ class GarbageCleaner:
         here vs ``n`` additions there) and the same token steps run — but
         the bookkeeping is paid once and the steps execute back to back
         at the end of the batch instead of interleaved with it.  Inside a
-        buffer batch scope the steps' page writes then coalesce with the
-        batch's own writeback.
+        batch scope of the host's storage the steps' page writes then
+        coalesce with the batch's own writeback.
         """
         if self.n_tokens == 0 or self.inspection_ratio <= 0 or n_updates <= 0:
             return
@@ -220,66 +240,40 @@ class GarbageCleaner:
 
     def _spawn_tokens(self) -> None:
         """Place the tokens on the ring, spread as evenly as it allows."""
-        ring = self._ring_pages()
+        ring = self.host.leaf_ring()
         for k in range(self.n_tokens):
             start = ring[(k * len(ring)) // self.n_tokens]
             token = CleaningToken(start, min_cycle_steps=len(ring))
             if self.phantom_inspection and k == 0:
-                token.pending_markers.append(self.tree.stamps.current)
+                token.pending_markers.append(self.host.stamps.current)
             self.tokens.append(token)
-
-    def _ring_pages(self) -> List[int]:
-        """Current leaf ring as a page-id list (no I/O charged: the walk
-        uses the tree's uncounted introspection path)."""
-        first = next(self.tree.iter_leaf_nodes()).page_id
-        pages = [first]
-        node = self.tree.buffer.peek_node(first)
-        while node.next_leaf != first:
-            pages.append(node.next_leaf)
-            node = self.tree.buffer.peek_node(node.next_leaf)
-        return pages
 
     # ------------------------------------------------------------------
 
     def _step(self, token: CleaningToken) -> None:
         """Clean the token's current leaf and pass the token on (Figure 8)."""
-        tree = self.tree
+        host = self.host
         rec = self._obs_recorder
         if rec is not None:
-            io_before = io_counters(tree.stats)
-        with tree.buffer.operation():
-            leaf = tree.buffer.get_node(token.position)
-            # Advance before mutating the tree: if the cleaning dissolves
-            # the successor leaf, the dissolution hook re-homes the token.
-            token.position = leaf.next_leaf
-            token.steps_in_cycle += 1
-            removed = tree.clean_leaf(leaf)
-            self.leaves_inspected += 1
-            self.entries_removed += removed
-            if self._obs_steps is not None:
-                self._obs_steps.inc()
-                if removed:
-                    self._obs_removed.inc(removed)
-            if self._obs is not None and self._obs.debug:
-                self._obs.event(
-                    "cleaner.step",
-                    page=leaf.page_id,
-                    removed=removed,
-                    step=token.steps_in_cycle,
-                )
+            io_before = io_counters(host.stats)
+        position = token.position
+        token.position, removed = host.clean_at(position)
+        token.steps_in_cycle += 1
+        self.leaves_inspected += 1
+        self.entries_removed += removed
+        if self._obs_steps is not None:
+            self._obs_steps.inc()
             if removed:
-                if (
-                    len(leaf) < tree.min_leaf
-                    and leaf.page_id != tree.root_id
-                ):
-                    # Underflow: dissolve the leaf and reinsert the
-                    # survivors (step 2 of Figure 8).  The dissolution hook
-                    # re-homes any token parked on this page.
-                    tree._condense(leaf)
-                else:
-                    tree._adjust_upward(leaf)
+                self._obs_removed.inc(removed)
+        if self._obs is not None and self._obs.debug:
+            self._obs.event(
+                "cleaner.step",
+                page=position,
+                removed=removed,
+                step=token.steps_in_cycle,
+            )
         if rec is not None:
-            step_io = map(sub, io_counters(tree.stats), io_before)
+            step_io = map(sub, io_counters(host.stats), io_before)
             token.cycle_io = tuple(map(add, token.cycle_io, step_io))
         self._check_cycle(token)
 
@@ -292,7 +286,7 @@ class GarbageCleaner:
         self.cycles_completed += 1
         cycle_steps = token.steps_in_cycle
         token.steps_in_cycle = 0
-        token.min_cycle_steps = max(1, self.tree.num_leaf_nodes())
+        token.min_cycle_steps = max(1, len(self.host.leaf_ring()))
         tainted = token.tainted
         token.tainted = False
         if self._obs is not None:
@@ -305,7 +299,7 @@ class GarbageCleaner:
             if self._obs_recorder is not None:
                 self._obs_recorder.record(
                     "cleaner_cycle",
-                    self.tree.name,
+                    self.host.name,
                     cycle_ms / 1000.0,
                     token.cycle_io,
                     0,
@@ -320,22 +314,22 @@ class GarbageCleaner:
                 dur_ms=cycle_ms,
                 tainted=tainted,
                 entries_removed_total=self.entries_removed,
-                memo_entries=len(self.tree.memo),
+                memo_entries=len(self.host.memo),
             )
-        if not self.phantom_inspection or token is not self._marker_token():
-            return
+        if not self.phantom_inspection or token is not self.tokens[0]:
+            return  # only token 0 carries stamp markers
         if tainted:
             # The cycle-start page was dissolved mid-cycle; the re-homed
             # boundary leaf may not have been visited, so Lemma 1 does not
             # apply to the pending samples.  Restart the marker pipeline —
             # purging is merely delayed by one clean cycle.
-            token.pending_markers = [self.tree.stamps.current]
+            token.pending_markers = [self.host.stamps.current]
             return
-        token.pending_markers.append(self.tree.stamps.current)
+        token.pending_markers.append(self.host.stamps.current)
         if len(token.pending_markers) > self.phantom_lag_cycles:
             marker = token.pending_markers.pop(0)
             shielded = self._purge_shield_current | self._purge_shield_previous
-            purged = self.tree.memo.purge_phantoms(marker, exclude=shielded)
+            purged = self.host.memo.purge_phantoms(marker, exclude=shielded)
             self.phantoms_purged += purged
             if self._obs is not None and purged:
                 self._obs.event(
@@ -349,13 +343,10 @@ class GarbageCleaner:
         self._purge_shield_previous = self._purge_shield_current
         self._purge_shield_current = set()
 
-    def _marker_token(self) -> Optional[CleaningToken]:
-        return self.tokens[0] if self.tokens else None
-
     # ------------------------------------------------------------------
 
     def on_leaf_dissolved(
-        self, page_id: int, successor: int, predecessor: int
+        self, position: Position, successor: Position, predecessor: Position
     ) -> None:
         """A leaf left the ring: re-home any token state referring to it.
 
@@ -366,11 +357,11 @@ class GarbageCleaner:
         cleaning sweep and fire phantom inspection far too early.
         """
         for token in self.tokens:
-            if token.position == page_id:
+            if token.position == position:
                 token.position = successor
-            if token.cycle_start == page_id:
+            if token.cycle_start == position:
                 token.cycle_start = (
-                    predecessor if predecessor != page_id else successor
+                    predecessor if predecessor != position else successor
                 )
                 token.tainted = True
 
@@ -386,7 +377,7 @@ class GarbageCleaner:
         removed_before = self.entries_removed
         token.cycle_start = token.position
         token.steps_in_cycle = 0
-        token.min_cycle_steps = max(1, self.tree.num_leaf_nodes())
+        token.min_cycle_steps = max(1, len(self.host.leaf_ring()))
         completed = self.cycles_completed
         # The ring may shrink or grow while we walk; the guard bounds the
         # walk without affecting the completion condition.
@@ -399,8 +390,8 @@ class GarbageCleaner:
 
     def protect_from_purge(self, oid: int) -> None:
         """Shield ``oid`` from phantom purging for at least one full
-        cycle (called when a split relocates one of its obsolete
-        entries; see ``RUMTree._on_leaf_split``)."""
+        cycle (called by the host when a split relocates one of its
+        obsolete entries; see ``RUMTree._on_leaf_split``)."""
         self._purge_shield_current.add(oid)
 
     def reset(self) -> None:
@@ -411,3 +402,117 @@ class GarbageCleaner:
         self._next_token = 0
         self._purge_shield_current = set()
         self._purge_shield_previous = set()
+
+
+class MemoHost:
+    """An index updated through an Update Memo: what the cleaner asks of
+    it, and what every such index does identically off its update path.
+
+    **The host contract.**  :class:`GarbageCleaner` reaches its host
+    through four attributes — ``memo`` and ``stamps`` (wired by
+    :meth:`_wire_memo`), ``stats`` (the host's I/O counters) and ``name``
+    — and two methods:
+
+    ``leaf_ring()``
+        The positions of the leaf ring, in ring order, *without charging
+        any I/O*.  Tokens are spread over it and its length is the step
+        floor of a cycle.
+    ``clean_at(position)``
+        With the host's usual I/O accounting: read the leaf at
+        ``position``, remove its obsolete entries (one
+        ``memo.sweep_obsolete`` over its id columns), repair the
+        structure, and return ``(next_position, removed)`` — the position
+        that follows in the ring *once the repair is done*.
+
+    In return the host reports the two structural events that can falsify
+    the Lemma-1 hypothesis (``docs/PHANTOM_INSPECTION.md``): a split that
+    relocates an obsolete entry calls ``cleaner.protect_from_purge(oid)``,
+    and a position that leaves the ring calls
+    ``cleaner.on_leaf_dissolved(position, successor, predecessor)``.
+
+    The metrics below additionally read ``_stored_ids()``: the
+    ``(oid, stamp)`` of every stored entry, uncounted.
+    """
+
+    name: str
+    stats: IOStats
+    memo: UpdateMemo
+    stamps: StampCounter
+    cleaner: GarbageCleaner
+    clean_upon_touch: bool
+
+    def _wire_memo(
+        self,
+        inspection_ratio: float,
+        clean_upon_touch: bool,
+        memo_buckets: int,
+        memo: Optional[UpdateMemo] = None,
+        stamp_counter: Optional[StampCounter] = None,
+        **cleaner_options,
+    ) -> None:
+        """Give the index its Update Memo, stamp counter and cleaner."""
+        # An injected memo (e.g. one standing on a run tier, or a reopened
+        # instance during crash recovery) replaces the default all-RAM
+        # table; every memo touch goes through self.memo, so the index is
+        # agnostic to which tier answers.
+        self.memo = memo if memo is not None else UpdateMemo(
+            n_buckets=memo_buckets
+        )
+        # An injected stamp counter lets several trees draw from one
+        # totally-ordered stamp stream — the sharded serving layer's
+        # cross-shard ordering rule (docs/SHARDING.md) depends on every
+        # shard's stamps being globally comparable.  Each tree's own
+        # stream stays strictly monotone either way (the counter is a
+        # thread-safe monotone source), which is all Lemma 1 needs.
+        self.stamps = (
+            stamp_counter if stamp_counter is not None else StampCounter()
+        )
+        self.clean_upon_touch = clean_upon_touch
+        self.cleaner = GarbageCleaner(
+            self, inspection_ratio=inspection_ratio, **cleaner_options
+        )
+
+    def leaf_ring(self) -> List[Position]:
+        raise NotImplementedError
+
+    def clean_at(self, position: Position) -> Tuple[Position, int]:
+        raise NotImplementedError
+
+    def _stored_ids(self) -> Iterator[Tuple[int, int]]:
+        raise NotImplementedError
+
+    # -- memo-only deletion (Figure 5) ---------------------------------
+
+    def delete_object(self, oid: int, old: object = None) -> None:
+        """MemoBasedDelete: a deletion never touches the structure — it
+        only bumps the memo, so every stored entry of ``oid`` becomes
+        obsolete and is garbage-collected later.  ``old`` (the old key or
+        position a classic delete needs) is ignored."""
+        self.memo.record_update(oid, self.stamps.next())
+        self._after_update()
+
+    def _after_update(self) -> None:
+        self.cleaner.on_update()
+
+    def _visible(self, oid: int, stamp: int) -> bool:
+        """CheckStatus (Figure 3b): queries report latest entries only."""
+        return self.memo.check_status(oid, stamp) == LATEST
+
+    # -- metrics (garbage ratio, memo size) ----------------------------
+
+    def garbage_count(self) -> int:
+        """Exact number of obsolete entries currently stored."""
+        return sum(
+            1
+            for oid, stamp in self._stored_ids()
+            if self.memo.is_obsolete(oid, stamp)
+        )
+
+    def garbage_ratio(self, num_objects: int) -> float:
+        """Obsolete entries over indexed objects (Section 3.3.1)."""
+        if num_objects <= 0:
+            return 0.0
+        return self.garbage_count() / num_objects
+
+    def memo_size_bytes(self) -> int:
+        return self.memo.size_bytes()

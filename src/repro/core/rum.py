@@ -20,7 +20,15 @@ here; the recovery procedures themselves live in
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    ContextManager,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.racecheck import RaceChecker
@@ -36,7 +44,7 @@ from repro.rtree.base import RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import LeafEntry, Node
 
-from .cleaner import GarbageCleaner
+from .cleaner import MemoHost
 from .memo import UpdateMemo
 from .stamp import StampCounter
 
@@ -48,7 +56,7 @@ RECOVERY_FULL_LOG = "III"    # checkpoints + every memo change
 _RECOVERY_OPTIONS = (RECOVERY_NONE, RECOVERY_CHECKPOINT, RECOVERY_FULL_LOG)
 
 
-class RUMTree(RTreeBase):
+class RUMTree(RTreeBase, MemoHost):
     """R-tree with Update Memo.
 
     Parameters
@@ -113,43 +121,28 @@ class RUMTree(RTreeBase):
                 raise ValueError(
                     f"recovery option {recovery_option} needs a write-ahead log"
                 )
-        if inspection_ratio < 0:
-            raise ValueError("inspection_ratio must be non-negative")
 
         kwargs.setdefault("maintain_leaf_ring", True)
         super().__init__(buffer, **kwargs)
-
-        # An injected memo (e.g. one standing on a run tier, or a reopened
-        # instance during crash recovery) replaces the default all-RAM
-        # table; every memo touch goes through self.memo, so the tree is
-        # agnostic to which tier answers.
-        self.memo = memo if memo is not None else UpdateMemo(
-            n_buckets=memo_buckets
+        self._wire_memo(
+            inspection_ratio,
+            clean_upon_touch,
+            memo_buckets,
+            memo=memo,
+            stamp_counter=stamp_counter,
+            n_tokens=n_tokens,
+            phantom_inspection=phantom_inspection,
+            phantom_lag_cycles=phantom_lag_cycles,
         )
-        # An injected stamp counter lets several trees draw from one
-        # totally-ordered stamp stream — the sharded serving layer's
-        # cross-shard ordering rule (docs/SHARDING.md) depends on every
-        # shard's stamps being globally comparable.  Each tree's own
-        # stream stays strictly monotone either way (the counter is a
-        # thread-safe monotone source), which is all Lemma 1 needs.
-        self.stamps = (
-            stamp_counter if stamp_counter is not None else StampCounter()
-        )
-        self.clean_upon_touch = clean_upon_touch
         self.recovery_option = recovery_option
         self.checkpoint_interval = checkpoint_interval
         self.wal = wal
         # Mutated by every update path; serialised by the structure
         # latch like the rest of the tree's volatile state.
         self._updates_since_checkpoint = 0  # guarded-by: latch
-
-        self.cleaner = GarbageCleaner(
-            self,
-            n_tokens=n_tokens,
-            inspection_ratio=inspection_ratio,
-            phantom_inspection=phantom_inspection and inspection_ratio > 0,
-            phantom_lag_cycles=phantom_lag_cycles,
-        )
+        #: The ring successor of the leaf a cleaning step is working on
+        #: (see :meth:`clean_at`).
+        self._ring_successor: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -435,7 +428,7 @@ class RUMTree(RTreeBase):
         return report
 
     # ------------------------------------------------------------------
-    # Cleaning integration
+    # Cleaning integration (the MemoHost side of the tree)
     # ------------------------------------------------------------------
 
     def clean_leaf(self, leaf: Node, keep_at_least: int = 0) -> int:
@@ -492,9 +485,43 @@ class RUMTree(RTreeBase):
                 self.cleaner.protect_from_purge(entry.oid)
 
     def _on_leaf_dissolved(self, node: Node) -> None:
+        if node.page_id == self._ring_successor:
+            self._ring_successor = node.next_leaf
         self.cleaner.on_leaf_dissolved(
             node.page_id, node.next_leaf, node.prev_leaf
         )
+
+    def leaf_ring(self) -> List[int]:
+        """The leaf ring as a page-id list (no I/O charged: the walk uses
+        the uncounted introspection path)."""
+        first = next(self.iter_leaf_nodes()).page_id
+        pages = [first]
+        node = self.buffer.peek_node(first)
+        while node.next_leaf != first:
+            pages.append(node.next_leaf)
+            node = self.buffer.peek_node(node.next_leaf)
+        return pages
+
+    def clean_at(self, position: int) -> Tuple[int, int]:
+        """One cleaning step on the leaf at page ``position`` (Figure 8)."""
+        with self.buffer.operation():
+            leaf = self.buffer.get_node(position)
+            # Named before the tree is mutated: if the cleaning dissolves
+            # the successor leaf too, the dissolution hook moves it on.
+            self._ring_successor = leaf.next_leaf
+            removed = self.clean_leaf(leaf)
+            if removed:
+                if len(leaf) < self.min_leaf and position != self.root_id:
+                    # Underflow: dissolve the leaf and reinsert the
+                    # survivors (step 2 of Figure 8).  The dissolution hook
+                    # re-homes any token parked on this page.
+                    self._condense(leaf)
+                else:
+                    self._adjust_upward(leaf)
+        return self._ring_successor, removed
+
+    def _stored_ids(self) -> Iterator[Tuple[int, int]]:
+        return ((e.oid, e.stamp) for e in self.iter_leaf_entries())
 
     def _insert(self, entry, level: int, reinserted: Set[int]):
         # Reinserted obsolete entries (leaf condensation, forced reinsert)
@@ -509,27 +536,6 @@ class RUMTree(RTreeBase):
             self.cleaner.entries_removed += 1
             return None
         return super()._insert(entry, level, reinserted)
-
-    # ------------------------------------------------------------------
-    # Metrics (garbage ratio, memo size)
-    # ------------------------------------------------------------------
-
-    def garbage_count(self) -> int:
-        """Exact number of obsolete entries currently in the tree."""
-        return sum(
-            1
-            for entry in self.iter_leaf_entries()
-            if self.memo.is_obsolete(entry.oid, entry.stamp)
-        )
-
-    def garbage_ratio(self, num_objects: int) -> float:
-        """Obsolete entries over indexed objects (Section 3.3.1)."""
-        if num_objects <= 0:
-            return 0.0
-        return self.garbage_count() / num_objects
-
-    def memo_size_bytes(self) -> int:
-        return self.memo.size_bytes()
 
     # ------------------------------------------------------------------
     # Crash simulation (Section 3.4)

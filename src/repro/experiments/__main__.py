@@ -248,10 +248,13 @@ _register(
 )
 _register(
     "extensions",
-    "Section 6: memo-based updates on B+-trees and grid files",
+    "Section 6: memo-based updates on B+-trees, quadtrees and grid files",
     (
         run_extension_ablation,
-        _plain(["structure", "approach", "update_io", "garbage"]),
+        _plain([
+            "structure", "approach", "update_io", "garbage",
+            "memo_entries", "memo_kb",
+        ]),
     ),
 )
 

@@ -4,7 +4,10 @@ The conclusion claims the memo approach carries over to "B-trees,
 quadtrees and Grid Files".  This driver replays an identical update-heavy
 workload on the classic and the memo-based variant of all three
 structures and reports the per-update disk-access ratio — the headline
-RUM-vs-R* comparison, repeated on three other index families.
+RUM-vs-R* comparison, repeated on three other index families.  The memo
+rows also report the Update Memo's size: all three run on the RUM-tree's
+garbage cleaner, whose phantom inspection keeps the memo proportional to
+the garbage, not to the objects (Section 4.1).
 """
 
 from __future__ import annotations
@@ -14,11 +17,15 @@ import random
 from repro.extensions.btree import BPlusTree, MemoBTree
 from repro.extensions.grid import GridFile, MemoGrid
 from repro.extensions.quadtree import MemoQuadtree, PRQuadtree
+from repro.storage.iostats import IOSnapshot
 
 from .harness import ExperimentResult, scaled
 
 
-def _drive_btree(tree, num_objects: int, updates: int, seed: int) -> None:
+def _drive_btree(
+    tree, num_objects: int, updates: int, seed: int
+) -> IOSnapshot:
+    """Load, then update; returns the I/O of the update phase."""
     rng = random.Random(seed)
     keys = {}
     for oid in range(num_objects):
@@ -30,10 +37,13 @@ def _drive_btree(tree, num_objects: int, updates: int, seed: int) -> None:
         new_key = min(0.999, max(0.0, keys[oid] + rng.uniform(-0.05, 0.05)))
         tree.update_object(oid, keys[oid], new_key)
         keys[oid] = new_key
-    tree._measured = tree.stats.snapshot() - before  # type: ignore[attr-defined]
+    return tree.stats.snapshot() - before
 
 
-def _drive_grid(grid, num_objects: int, updates: int, seed: int) -> None:
+def _drive_grid(
+    grid, num_objects: int, updates: int, seed: int
+) -> IOSnapshot:
+    """Load, then update; returns the I/O of the update phase."""
     rng = random.Random(seed)
     positions = {}
     for oid in range(num_objects):
@@ -49,7 +59,7 @@ def _drive_grid(grid, num_objects: int, updates: int, seed: int) -> None:
         )
         grid.update_object(oid, positions[oid], new)
         positions[oid] = new
-    grid._measured = grid.stats.snapshot() - before  # type: ignore[attr-defined]
+    return grid.stats.snapshot() - before
 
 
 def run_extension_ablation(
@@ -62,7 +72,10 @@ def run_extension_ablation(
     """One row per (structure, update approach) with per-update I/O."""
     result = ExperimentResult(
         experiment="Extension ablation",
-        description="memo-based vs classic updates on B+-trees and grid files",
+        description=(
+            "memo-based vs classic updates on B+-trees, quadtrees and "
+            "grid files"
+        ),
     )
     n = scaled(num_objects)
     updates = max(16, int(n * updates_per_object))
@@ -98,15 +111,17 @@ def run_extension_ablation(
         ),
     )
     for family, approach, structure, drive in structures:
-        drive(structure, n, updates, seed)
-        measured = structure._measured
+        measured = drive(structure, n, updates, seed)
         row = {
             "structure": family,
             "approach": approach,
+            "objects": n,
             "update_io": measured.leaf_total / updates,
             "entries": structure.num_entries(),
         }
-        if hasattr(structure, "garbage_count"):
+        if approach == "memo":
             row["garbage"] = structure.garbage_count()
+            row["memo_entries"] = len(structure.memo)
+            row["memo_kb"] = structure.memo_size_bytes() / 1024.0
         result.rows.append(row)
     return result

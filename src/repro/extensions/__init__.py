@@ -2,8 +2,12 @@
 
 The conclusion of the paper argues the memo-based approach generalises to
 "B-trees, quadtrees and Grid Files".  This package substantiates it with
-three transplants that reuse the *same* Update Memo, stamp counter and lazy
-cleaning machinery as the RUM-tree:
+three transplants on the RUM-tree's own :class:`~repro.core.memo.UpdateMemo`,
+:class:`~repro.core.stamp.StampCounter` and
+:class:`~repro.core.cleaner.GarbageCleaner` (phantom inspection and its
+guards included); each supplies only what
+:class:`~repro.core.cleaner.MemoHost` asks of a host — its ring of leaves
+and what cleaning one ring position means:
 
 * :class:`~repro.extensions.btree.MemoBTree` vs the classic
   :class:`~repro.extensions.btree.BPlusTree`;

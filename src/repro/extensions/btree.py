@@ -9,8 +9,9 @@ module substantiates that claim for the B+-tree:
   the usual top-down update (delete the old key, insert the new one);
 * :class:`MemoBTree` — the same tree updated memo-style: an update only
   *inserts* a stamped entry, the shared :class:`~repro.core.memo.UpdateMemo`
-  marks older entries obsolete, queries filter through CheckStatus, and a
-  cleaning token walks the (naturally linked) leaf level.
+  marks older entries obsolete, queries filter through CheckStatus, and the
+  RUM-tree's :class:`~repro.core.cleaner.GarbageCleaner` walks the
+  (naturally linked) leaf level as its ring.
 
 Both share the storage substrate (paged disk + buffer pool), so their
 update costs are directly comparable: a top-down B-tree update costs one
@@ -26,11 +27,11 @@ attribute that changes frequently.
 
 from __future__ import annotations
 
+import bisect
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
-from repro.core.memo import LATEST, UpdateMemo
-from repro.core.stamp import StampCounter
+from repro.core.cleaner import MemoHost
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.iostats import IOStats
@@ -227,8 +228,6 @@ class BPlusTree:
     def _leaf_insert(
         self, leaf: BTreeNode, key: float, oid: int, stamp: int
     ) -> None:
-        import bisect
-
         i = bisect.bisect_right(leaf.keys, key)
         leaf.keys.insert(i, key)
         leaf.oids.insert(i, oid)
@@ -237,7 +236,9 @@ class BPlusTree:
         if len(leaf.keys) > self.leaf_cap:
             self._split_leaf(leaf)
 
-    def _split_leaf(self, leaf: BTreeNode) -> None:
+    def _split_leaf(self, leaf: BTreeNode) -> BTreeNode:
+        """Move the upper half to a new leaf linked in right after
+        ``leaf``; returns that sibling."""
         mid = len(leaf.keys) // 2
         sibling = self._new_node(is_leaf=True)
         sibling.keys = leaf.keys[mid:]
@@ -259,6 +260,7 @@ class BPlusTree:
         self.buffer.mark_dirty(leaf)
         self.buffer.mark_dirty(sibling)
         self._push_up(leaf, sibling.keys[0], sibling)
+        return sibling
 
     def _push_up(
         self, left: BTreeNode, separator: float, right: BTreeNode
@@ -331,10 +333,15 @@ class BPlusTree:
 
     def range_search(self, low: float, high: float) -> List[Tuple[int, float]]:
         """All ``(oid, key)`` with ``low <= key <= high``."""
-        results: List[Tuple[int, float]] = []
-        for key, oid, _stamp in self._scan(low, high):
-            results.append((oid, key))
-        return results
+        return [
+            (oid, key)
+            for key, oid, stamp in self._scan(low, high)
+            if self._visible(oid, stamp)
+        ]
+
+    def _visible(self, oid: int, stamp: int) -> bool:
+        """Hook: the memo variant hides obsolete entries from queries."""
+        return True
 
     def _scan(
         self, low: float, high: float
@@ -375,25 +382,11 @@ class BPlusTree:
         """Uncounted leaf walk (metrics and the cleaner's ring discovery)."""
         stack = [self.root_id]
         while stack:
-            node = self._peek_node(stack.pop())
+            node = self.buffer.peek_node(stack.pop())
             if node.is_leaf:
                 yield node
             else:
                 stack.extend(node.children)
-
-    def _peek_node(self, page_id: int) -> BTreeNode:
-        cached = self.buffer._internal_cache.get(page_id)
-        if cached is not None:
-            return cached
-        cached = self.buffer._op_leaf_cache.get(page_id)
-        if cached is not None:
-            return cached
-        cached = self.buffer._lru.get(page_id)
-        if cached is not None:
-            return cached
-        return self.buffer.codec.decode(
-            page_id, self.buffer.disk.peek(page_id)
-        )
 
     def num_entries(self) -> int:
         return sum(len(leaf) for leaf in self.iter_leaves())
@@ -402,11 +395,13 @@ class BPlusTree:
         return sum(1 for _ in self.iter_leaves())
 
 
-class MemoBTree(BPlusTree):
+class MemoBTree(MemoHost, BPlusTree):
     """B+-tree with memo-based updates — the RUM principle transplanted.
 
-    Reuses the *same* :class:`UpdateMemo` and :class:`StampCounter` as the
-    RUM-tree, plus a token-style cleaner walking the linked leaf level.
+    A :class:`~repro.core.cleaner.MemoHost` like the RUM-tree: the same
+    Update Memo, stamp counter and garbage cleaner, over the ring the
+    leaf level already is.  A split is the only structural event to
+    report; leaves are never merged, so none leaves the ring.
     """
 
     name = "Memo-B+-tree"
@@ -419,98 +414,60 @@ class MemoBTree(BPlusTree):
         memo_buckets: int = 64,
     ):
         super().__init__(node_size, memo_leaves=True)
-        if inspection_ratio < 0:
-            raise ValueError("inspection_ratio must be non-negative")
-        self.memo = UpdateMemo(n_buckets=memo_buckets)
-        self.stamps = StampCounter()
-        self.inspection_ratio = inspection_ratio
-        self.clean_upon_touch = clean_upon_touch
-        self._step_credit = 0.0
-        self._token_position: Optional[int] = None
-        self.leaves_inspected = 0
-        self.entries_removed = 0
+        self._wire_memo(inspection_ratio, clean_upon_touch, memo_buckets)
 
     # -- memo-based operations ---------------------------------------------------
 
     def insert_object(self, oid: int, key: float) -> None:
-        self._memo_insert(oid, key)
-
-    def update_object(self, oid: int, old_key, new_key: float) -> None:
-        """One insertion; the old entry just becomes obsolete."""
-        self._memo_insert(oid, new_key)
-
-    def delete_object(self, oid: int, old_key=None) -> None:
-        self.memo.record_update(oid, self.stamps.next())
-        self._after_update()
-
-    def _memo_insert(self, oid: int, key: float) -> None:
+        """Inserts and updates are the same operation."""
         stamp = self.stamps.next()
         self.memo.record_update(oid, stamp)
         with self.buffer.operation():
             leaf = self._find_leaf(key)
             if self.clean_upon_touch:
-                self.entries_removed += self._clean_leaf(leaf)
+                self.cleaner.entries_removed += self._sweep(leaf)
             self._leaf_insert(leaf, key, oid, stamp)
         self._after_update()
 
-    def _after_update(self) -> None:
-        self._step_credit += self.inspection_ratio
-        while self._step_credit >= 1.0:
-            self._step_credit -= 1.0
-            self._token_step()
+    def update_object(self, oid: int, old_key, new_key: float) -> None:
+        """One insertion; the old entry just becomes obsolete."""
+        self.insert_object(oid, new_key)
 
-    def _clean_leaf(self, leaf: BTreeNode) -> int:
-        removed = 0
-        keys: List[float] = []
-        oids: List[int] = []
-        stamps: List[int] = []
-        for key, oid, stamp in zip(leaf.keys, leaf.oids, leaf.stamps):
+    def _split_leaf(self, leaf: BTreeNode) -> BTreeNode:
+        sibling = super()._split_leaf(leaf)
+        # The upper half now sits one ring position further on, possibly
+        # behind a token that has passed the leaf (Race 1 of
+        # docs/PHANTOM_INSPECTION.md): shield what is obsolete in it.
+        for oid, stamp in zip(sibling.oids, sibling.stamps):
             if self.memo.is_obsolete(oid, stamp):
-                self.memo.note_cleaned(oid)
-                removed += 1
-            else:
-                keys.append(key)
-                oids.append(oid)
-                stamps.append(stamp)
-        if removed:
-            leaf.keys = keys
-            leaf.oids = oids
-            leaf.stamps = stamps
+                self.cleaner.protect_from_purge(oid)
+        return sibling
+
+    # -- the cleaner's host -----------------------------------------------------------
+
+    def _sweep(self, leaf: BTreeNode) -> int:
+        """Drop the leaf's obsolete entries; returns how many."""
+        dead = self.memo.sweep_obsolete(leaf.oids, leaf.stamps, len(leaf))
+        if dead:
+            for column in (leaf.keys, leaf.oids, leaf.stamps):
+                for slot in reversed(dead):
+                    del column[slot]
             self.buffer.mark_dirty(leaf)
-        return removed
+        return len(dead)
 
-    def _token_step(self) -> None:
-        if self._token_position is None:
-            self._token_position = next(self.iter_leaves()).page_id
+    def leaf_ring(self) -> List[int]:
+        leaf = next(self.iter_leaves())
+        ring = [leaf.page_id]
+        while leaf.next_leaf != ring[0]:
+            ring.append(leaf.next_leaf)
+            leaf = self.buffer.peek_node(leaf.next_leaf)
+        return ring
+
+    def clean_at(self, position: int) -> Tuple[int, int]:
         with self.buffer.operation():
-            leaf = self.buffer.get_node(self._token_position)
-            self._token_position = (
-                leaf.next_leaf if leaf.next_leaf != NO_PAGE else leaf.page_id
-            )
-            self.leaves_inspected += 1
-            self.entries_removed += self._clean_leaf(leaf)
+            leaf = self.buffer.get_node(position)
+            return leaf.next_leaf, self._sweep(leaf)
 
-    def run_full_cycle(self) -> int:
-        """Clean every leaf once (Property 1 for the B+-tree)."""
-        removed_before = self.entries_removed
-        for _ in range(self.num_leaves() + 2):
-            self._token_step()
-        return self.entries_removed - removed_before
-
-    # -- filtered queries -----------------------------------------------------------
-
-    def range_search(self, low: float, high: float) -> List[Tuple[int, float]]:
-        """Live ``(oid, key)`` pairs in the key range (memo-filtered)."""
-        return [
-            (oid, key)
-            for key, oid, stamp in self._scan(low, high)
-            if self.memo.check_status(oid, stamp) == LATEST
-        ]
-
-    def garbage_count(self) -> int:
-        return sum(
-            1
-            for leaf in self.iter_leaves()
-            for oid, stamp in zip(leaf.oids, leaf.stamps)
-            if self.memo.is_obsolete(oid, stamp)
-        )
+    def _stored_ids(self) -> Iterator[Tuple[int, int]]:
+        for leaf in self.iter_leaves():
+            yield from zip(leaf.oids, leaf.stamps)

@@ -3,13 +3,13 @@
 A uniform grid over the unit square with one page chain per cell — the
 structure behind LUGrid, the follow-up work by the same group.  As with
 the B+-tree extension, the point is that the Update Memo, stamp counter
-and lazy cleaning transplant unchanged:
+and garbage cleaner are the RUM-tree's own, unchanged:
 
 * :class:`GridFile` — classic updates: locate the old entry in its cell's
   page chain, remove it, insert the new entry into the new cell;
-* :class:`MemoGrid` — memo-based updates: stamp + insert only; a cleaning
-  cursor sweeps one cell chain per ``1/ir`` updates; queries filter
-  through CheckStatus.
+* :class:`MemoGrid` — memo-based updates: stamp + insert only; the
+  :class:`~repro.core.cleaner.GarbageCleaner` inspects one cell chain per
+  ``1/ir`` updates; queries filter through CheckStatus.
 
 Pages hold a fixed number of entries derived from the configured page
 size (24 B classic, 32 B stamped); the page chains are charged one read
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-from repro.core.memo import LATEST, UpdateMemo
-from repro.core.stamp import StampCounter
+from repro.core.cleaner import MemoHost
 from repro.storage.iostats import IOStats
 
 CLASSIC_ENTRY_BYTES = 24  # x, y (float64) + oid (int64)
@@ -131,10 +130,18 @@ class GridFile:
         for cell in self._cells_in(xmin, ymin, xmax, ymax):
             self._charge(reads=len(cell.pages))
             for page in cell.pages:
-                for x, y, oid, _stamp in page:
-                    if xmin <= x <= xmax and ymin <= y <= ymax:
+                for x, y, oid, stamp in page:
+                    if (
+                        xmin <= x <= xmax
+                        and ymin <= y <= ymax
+                        and self._visible(oid, stamp)
+                    ):
                         results.append((oid, x, y))
         return results
+
+    def _visible(self, oid: int, stamp: int) -> bool:
+        """Hook: the memo variant hides obsolete entries from queries."""
+        return True
 
     # -- metrics ------------------------------------------------------------------
 
@@ -152,8 +159,13 @@ class GridFile:
         )
 
 
-class MemoGrid(GridFile):
-    """Grid file with memo-based updates and a sweeping cleaner cursor."""
+class MemoGrid(MemoHost, GridFile):
+    """Grid file with memo-based updates.
+
+    A :class:`~repro.core.cleaner.MemoHost` with the trivial ring: the
+    cells in row-major order.  Cells neither split nor dissolve, so the
+    grid has no structural event to report to the cleaner.
+    """
 
     name = "Memo-grid"
 
@@ -166,105 +178,59 @@ class MemoGrid(GridFile):
         memo_buckets: int = 64,
     ):
         super().__init__(side, page_size, stamped=True)
-        if inspection_ratio < 0:
-            raise ValueError("inspection_ratio must be non-negative")
-        self.memo = UpdateMemo(n_buckets=memo_buckets)
-        self.stamps = StampCounter()
-        self.inspection_ratio = inspection_ratio
-        self.clean_upon_touch = clean_upon_touch
-        self._step_credit = 0.0
-        self._cursor = 0
-        self.cells_inspected = 0
-        self.entries_removed = 0
+        self._wire_memo(inspection_ratio, clean_upon_touch, memo_buckets)
 
     # -- memo-based operations ---------------------------------------------------
 
     def insert_object(self, oid: int, x: float, y: float) -> None:
-        self._memo_insert(oid, x, y)
-
-    def update_object(self, oid: int, old_pos, new_pos) -> None:
-        """One insertion — the old entry goes stale wherever it lies."""
-        self._memo_insert(oid, new_pos[0], new_pos[1])
-
-    def delete_object(self, oid: int, old_pos=None) -> None:
-        self.memo.record_update(oid, self.stamps.next())
-        self._after_update()
-
-    def _memo_insert(self, oid: int, x: float, y: float) -> None:
+        """Inserts and updates are the same operation."""
         stamp = self.stamps.next()
         self.memo.record_update(oid, stamp)
         cell = self._cell_of(x, y)
         if self.clean_upon_touch:
             # The chain is being read for the insertion anyway.
-            self.entries_removed += self._clean_cell(cell, charge=False)
+            self.cleaner.entries_removed += self._sweep(cell)[0]
         self._append(cell, (x, y, oid, stamp))
         self._after_update()
 
-    def _after_update(self) -> None:
-        self._step_credit += self.inspection_ratio
-        while self._step_credit >= 1.0:
-            self._step_credit -= 1.0
-            self._cursor_step()
+    def update_object(self, oid: int, old_pos, new_pos) -> None:
+        """One insertion — the old entry goes stale wherever it lies."""
+        self.insert_object(oid, *new_pos)
 
-    def _clean_cell(self, cell: _Cell, charge: bool = True) -> int:
-        removed = 0
-        dirty_pages = 0
+    # -- the cleaner's host -----------------------------------------------------------
+
+    def _sweep(self, cell: _Cell) -> Tuple[int, int]:
+        """Drop the obsolete entries of the cell's chain; returns
+        ``(entries removed, pages they were on)``."""
+        removed = dirty_pages = 0
         for page in cell.pages:
-            kept = [
-                entry
-                for entry in page
-                if not self.memo.is_obsolete(entry[2], entry[3])
-            ]
-            if len(kept) != len(page):
-                for entry in page:
-                    if self.memo.is_obsolete(entry[2], entry[3]):
-                        self.memo.note_cleaned(entry[2])
-                        removed += 1
-                page[:] = kept
+            dead = self.memo.sweep_obsolete(
+                [entry[2] for entry in page],
+                [entry[3] for entry in page],
+                len(page),
+            )
+            if dead:
+                for slot in reversed(dead):
+                    del page[slot]
+                removed += len(dead)
                 dirty_pages += 1
         # Drop emptied overflow pages (keep one page per cell).
         cell.pages = [p for p in cell.pages if p] or [[]]
-        if charge:
-            self._charge(reads=len(cell.pages), writes=dirty_pages)
-        return removed
+        return removed, dirty_pages
 
-    def _cursor_step(self) -> None:
-        row, col = divmod(self._cursor, self.side)
-        self._cursor = (self._cursor + 1) % (self.side * self.side)
-        self.cells_inspected += 1
-        self.entries_removed += self._clean_cell(self._cells[row][col])
+    def leaf_ring(self) -> List[int]:
+        return list(range(self.side * self.side))
 
-    def run_full_sweep(self) -> int:
-        """Clean every cell once (the grid's Property 1)."""
-        removed_before = self.entries_removed
-        for _ in range(self.side * self.side):
-            self._cursor_step()
-        return self.entries_removed - removed_before
+    def clean_at(self, position: int) -> Tuple[int, int]:
+        row, col = divmod(position, self.side)
+        cell = self._cells[row][col]
+        removed, dirty_pages = self._sweep(cell)
+        self._charge(reads=len(cell.pages), writes=dirty_pages)
+        return (position + 1) % (self.side * self.side), removed
 
-    # -- filtered queries -----------------------------------------------------------
-
-    def range_search(
-        self, xmin: float, ymin: float, xmax: float, ymax: float
-    ) -> List[Tuple[int, float, float]]:
-        results = []
-        for cell in self._cells_in(xmin, ymin, xmax, ymax):
-            self._charge(reads=len(cell.pages))
-            for page in cell.pages:
-                for x, y, oid, stamp in page:
-                    if (
-                        xmin <= x <= xmax
-                        and ymin <= y <= ymax
-                        and self.memo.check_status(oid, stamp) == LATEST
-                    ):
-                        results.append((oid, x, y))
-        return results
-
-    def garbage_count(self) -> int:
-        return sum(
-            1
-            for row in self._cells
-            for cell in row
-            for page in cell.pages
-            for entry in page
-            if self.memo.is_obsolete(entry[2], entry[3])
-        )
+    def _stored_ids(self) -> Iterator[Tuple[int, int]]:
+        for row in self._cells:
+            for cell in row:
+                for page in cell.pages:
+                    for _x, _y, oid, stamp in page:
+                        yield oid, stamp

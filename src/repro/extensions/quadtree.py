@@ -11,7 +11,8 @@ as everywhere else in this repository.
   remove the entry, re-insert at the new position;
 * :class:`MemoQuadtree` — memo-based updates: stamp + insert only, with
   the shared :class:`~repro.core.memo.UpdateMemo`, clean-upon-touch, and
-  a cleaning cursor that sweeps the leaves in rotation.
+  the RUM-tree's :class:`~repro.core.cleaner.GarbageCleaner` walking a
+  ring that links the leaf buckets.
 
 Empty sibling quadrants are *not* merged back (lazy deletion), which is
 the common engineering choice and keeps both variants comparable.
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.memo import LATEST, UpdateMemo
-from repro.core.stamp import StampCounter
+from repro.core.cleaner import MemoHost
 from repro.storage.iostats import IOStats
 
 CLASSIC_ENTRY_BYTES = 24  # x, y (float64) + oid (int64)
@@ -40,7 +40,10 @@ Entry = Tuple[float, float, int, int]  # x, y, oid, stamp
 class _QuadNode:
     """One quadtree node covering the square [x0, x0+size) x [y0, y0+size)."""
 
-    __slots__ = ("x0", "y0", "size", "depth", "entries", "children")
+    __slots__ = (
+        "x0", "y0", "size", "depth", "entries", "children",
+        "ring_prev", "ring_next",
+    )
 
     def __init__(self, x0: float, y0: float, size: float, depth: int):
         self.x0 = x0
@@ -49,6 +52,9 @@ class _QuadNode:
         self.depth = depth
         self.entries: Optional[List[Entry]] = []  # None for internal nodes
         self.children: Optional[List["_QuadNode"]] = None
+        #: Neighbours in the memo variant's ring of leaf buckets (the
+        #: classic tree leaves every node linked to itself).
+        self.ring_prev = self.ring_next = self
 
     @property
     def is_leaf(self) -> bool:
@@ -115,8 +121,13 @@ class PRQuadtree:
         # Four fresh buckets written out.
         self._charge(writes=4)
 
+    def _on_bucket_touched(self, leaf: _QuadNode) -> None:
+        """Hook: ``leaf`` is about to be read and written by an insertion
+        (the memo variant cleans it on the way, at no extra I/O)."""
+
     def _insert_entry(self, entry: Entry) -> _QuadNode:
         leaf = self._find_leaf(entry[0], entry[1])
+        self._on_bucket_touched(leaf)
         self._charge(reads=self._pages(leaf), writes=1)
         leaf.entries.append(entry)
         while (
@@ -161,12 +172,20 @@ class PRQuadtree:
                 continue
             if node.is_leaf:
                 self._charge(reads=self._pages(node))
-                for x, y, oid, _stamp in node.entries:
-                    if xmin <= x <= xmax and ymin <= y <= ymax:
+                for x, y, oid, stamp in node.entries:
+                    if (
+                        xmin <= x <= xmax
+                        and ymin <= y <= ymax
+                        and self._visible(oid, stamp)
+                    ):
                         results.append((oid, x, y))
             else:
                 stack.extend(node.children)
         return results
+
+    def _visible(self, oid: int, stamp: int) -> bool:
+        """Hook: the memo variant hides obsolete entries from queries."""
+        return True
 
     # -- introspection ----------------------------------------------------------
 
@@ -191,8 +210,15 @@ class PRQuadtree:
         )
 
 
-class MemoQuadtree(PRQuadtree):
-    """PR quadtree with memo-based updates (the RUM principle)."""
+class MemoQuadtree(MemoHost, PRQuadtree):
+    """PR quadtree with memo-based updates (the RUM principle).
+
+    A :class:`~repro.core.cleaner.MemoHost` whose ring links the leaf
+    buckets in depth-first quadrant order; a ring position is the bucket
+    node itself.  Quadrants are never merged back, so a split is the only
+    structural event: the split bucket leaves the ring and its four
+    children enter in its place.
+    """
 
     name = "Memo-quadtree"
 
@@ -204,117 +230,71 @@ class MemoQuadtree(PRQuadtree):
         memo_buckets: int = 64,
     ):
         super().__init__(page_size, stamped=True)
-        if inspection_ratio < 0:
-            raise ValueError("inspection_ratio must be non-negative")
-        self.memo = UpdateMemo(n_buckets=memo_buckets)
-        self.stamps = StampCounter()
-        self.inspection_ratio = inspection_ratio
-        self.clean_upon_touch = clean_upon_touch
-        self._step_credit = 0.0
-        self._sweep_queue: List[_QuadNode] = []
-        self.leaves_inspected = 0
-        self.entries_removed = 0
+        self._wire_memo(inspection_ratio, clean_upon_touch, memo_buckets)
 
     # -- memo-based operations ---------------------------------------------------
 
     def insert_object(self, oid: int, x: float, y: float) -> None:
-        self._memo_insert(oid, x, y)
+        """Inserts and updates are the same operation."""
+        stamp = self.stamps.next()
+        self.memo.record_update(oid, stamp)
+        self._insert_entry((x, y, oid, stamp))
+        self._after_update()
 
     def update_object(self, oid: int, old_pos, new_pos) -> None:
         """One insertion; the old entry becomes obsolete wherever it is."""
-        self._memo_insert(oid, new_pos[0], new_pos[1])
+        self.insert_object(oid, *new_pos)
 
-    def delete_object(self, oid: int, old_pos=None) -> None:
-        self.memo.record_update(oid, self.stamps.next())
-        self._after_update()
-
-    def _memo_insert(self, oid: int, x: float, y: float) -> None:
-        stamp = self.stamps.next()
-        self.memo.record_update(oid, stamp)
-        leaf = self._find_leaf(x, y)
+    def _on_bucket_touched(self, leaf: _QuadNode) -> None:
         if self.clean_upon_touch:
-            self.entries_removed += self._clean_leaf(leaf, charge=False)
-        self._charge(reads=self._pages(leaf), writes=1)
-        leaf.entries.append((x, y, oid, stamp))
-        while (
-            len(leaf.entries) > self.bucket_cap
-            and leaf.depth < MAX_DEPTH
-        ):
-            self._split(leaf)
-            leaf = leaf.child_for(x, y)
-        self._after_update()
+            self.cleaner.entries_removed += self._sweep(leaf)
 
-    def _after_update(self) -> None:
-        self._step_credit += self.inspection_ratio
-        while self._step_credit >= 1.0:
-            self._step_credit -= 1.0
-            self._cursor_step()
+    def _split(self, leaf: _QuadNode) -> None:
+        super()._split(leaf)
+        kids = leaf.children
+        sole = leaf.ring_next is leaf
+        before = kids[3] if sole else leaf.ring_prev
+        after = kids[0] if sole else leaf.ring_next
+        chain = (before, *kids, after)
+        for node, follower in zip(chain, chain[1:]):
+            node.ring_next, follower.ring_prev = follower, node
+        # To the cleaner this is a dissolution plus four arrivals: a token
+        # due at the split bucket visits all four children instead, and
+        # what is obsolete in them is shielded as after any other split.
+        self.cleaner.on_leaf_dissolved(leaf, kids[0], before)
+        for child in kids:
+            for _x, _y, oid, stamp in child.entries:
+                if self.memo.is_obsolete(oid, stamp):
+                    self.cleaner.protect_from_purge(oid)
 
-    def _clean_leaf(self, leaf: _QuadNode, charge: bool = True) -> int:
-        if charge:
-            self._charge(reads=self._pages(leaf))
-        removed = 0
-        kept: List[Entry] = []
-        for entry in leaf.entries:
-            if self.memo.is_obsolete(entry[2], entry[3]):
-                self.memo.note_cleaned(entry[2])
-                removed += 1
-            else:
-                kept.append(entry)
-        if removed:
-            leaf.entries[:] = kept
-            if charge:
-                self._charge(writes=1)
-        return removed
+    # -- the cleaner's host -----------------------------------------------------------
 
-    def _cursor_step(self) -> None:
-        """Sweep the next leaf in rotation (DFS order, re-snapshot when the
-        queue drains — splits between sweeps are picked up then)."""
-        while True:
-            if not self._sweep_queue:
-                self._sweep_queue = list(self.iter_leaves())
-            leaf = self._sweep_queue.pop()
-            if leaf.is_leaf:  # skip leaves split since the snapshot
-                break
-        self.leaves_inspected += 1
-        self.entries_removed += self._clean_leaf(leaf)
-
-    def run_full_sweep(self) -> int:
-        """Clean every current leaf once (quadtree Property 1)."""
-        removed_before = self.entries_removed
-        self._sweep_queue = []
-        for _ in range(self.num_leaves()):
-            self._cursor_step()
-        return self.entries_removed - removed_before
-
-    # -- filtered queries -----------------------------------------------------------
-
-    def range_search(
-        self, xmin: float, ymin: float, xmax: float, ymax: float
-    ) -> List[Tuple[int, float, float]]:
-        results: List[Tuple[int, float, float]] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.intersects(xmin, ymin, xmax, ymax):
-                continue
-            if node.is_leaf:
-                self._charge(reads=self._pages(node))
-                for x, y, oid, stamp in node.entries:
-                    if (
-                        xmin <= x <= xmax
-                        and ymin <= y <= ymax
-                        and self.memo.check_status(oid, stamp) == LATEST
-                    ):
-                        results.append((oid, x, y))
-            else:
-                stack.extend(node.children)
-        return results
-
-    def garbage_count(self) -> int:
-        return sum(
-            1
-            for leaf in self.iter_leaves()
-            for entry in leaf.entries
-            if self.memo.is_obsolete(entry[2], entry[3])
+    def _sweep(self, leaf: _QuadNode) -> int:
+        """Drop the bucket's obsolete entries; returns how many."""
+        entries = leaf.entries
+        dead = self.memo.sweep_obsolete(
+            [entry[2] for entry in entries],
+            [entry[3] for entry in entries],
+            len(entries),
         )
+        for slot in reversed(dead):
+            del entries[slot]
+        return len(dead)
+
+    def leaf_ring(self) -> List[_QuadNode]:
+        ring = [self._find_leaf(0.0, 0.0)]
+        while ring[-1].ring_next is not ring[0]:
+            ring.append(ring[-1].ring_next)
+        return ring
+
+    def clean_at(self, position: _QuadNode) -> Tuple[_QuadNode, int]:
+        self._charge(reads=self._pages(position))
+        removed = self._sweep(position)
+        if removed:
+            self._charge(writes=1)
+        return position.ring_next, removed
+
+    def _stored_ids(self) -> Iterator[Tuple[int, int]]:
+        for leaf in self.iter_leaves():
+            for _x, _y, oid, stamp in leaf.entries:
+                yield oid, stamp

@@ -122,5 +122,36 @@ def random_walk(
         positions[oid] = new
 
 
+def drive_points(index, n: int, updates: int, seed: int):
+    """Load ``n`` random points into a quadtree or grid (classic or memo)
+    and move them ``updates`` times; returns oid -> (x, y)."""
+    rng = random.Random(seed)
+    pos = {}
+    for oid in range(n):
+        pos[oid] = (rng.random(), rng.random())
+        index.insert_object(oid, *pos[oid])
+    for _ in range(updates):
+        oid = rng.randrange(n)
+        new = (rng.random(), rng.random())
+        index.update_object(oid, pos[oid], new)
+        pos[oid] = new
+    return pos
+
+
+def assert_windows_match(index, pos, seed: int, side: float = 0.3) -> None:
+    """Compare ``range_search`` of a point index against the brute-force
+    oracle on random square windows."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        x0, y0 = rng.random() * (1 - side), rng.random() * (1 - side)
+        x1, y1 = x0 + side, y0 + side
+        got = sorted(hit[0] for hit in index.range_search(x0, y0, x1, y1))
+        assert got == sorted(
+            oid
+            for oid, (x, y) in pos.items()
+            if x0 <= x <= x1 and y0 <= y <= y1
+        )
+
+
 def leaf_entry_count(tree) -> int:
     return sum(len(node.entries) for node in tree.iter_leaf_nodes())

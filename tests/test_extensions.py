@@ -3,15 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import assert_windows_match, drive_points
 from repro.extensions.btree import BPlusTree, BTreeCodec, BTreeNode, MemoBTree
 from repro.extensions.grid import GridFile, MemoGrid
-
-keys_st = st.floats(
-    min_value=0.0, max_value=0.999, allow_nan=False, allow_infinity=False
-)
 
 
 class TestBTreeCodec:
@@ -63,19 +58,21 @@ def _drive_btree(tree, n=200, updates=400, seed=160):
     return keys
 
 
+def _assert_ranges_match(tree, keys, seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        low = rng.random() * 0.8
+        high = low + rng.random() * 0.2
+        assert sorted(tree.range_search(low, high)) == sorted(
+            (oid, k) for oid, k in keys.items() if low <= k <= high
+        )
+
+
 class TestBPlusTree:
     def test_range_search_matches_oracle(self):
         tree = BPlusTree(node_size=512)
         keys = _drive_btree(tree)
-        rng = random.Random(161)
-        for _ in range(30):
-            low = rng.random() * 0.8
-            high = low + rng.random() * 0.2
-            got = sorted(tree.range_search(low, high))
-            want = sorted(
-                (oid, k) for oid, k in keys.items() if low <= k <= high
-            )
-            assert got == want
+        _assert_ranges_match(tree, keys, seed=161)
 
     def test_duplicate_keys(self):
         tree = BPlusTree(node_size=512)
@@ -112,15 +109,7 @@ class TestMemoBTree:
     def test_range_search_filters_obsolete(self):
         tree = MemoBTree(node_size=512, inspection_ratio=0.3)
         keys = _drive_btree(tree)
-        rng = random.Random(162)
-        for _ in range(30):
-            low = rng.random() * 0.8
-            high = low + rng.random() * 0.2
-            got = sorted(tree.range_search(low, high))
-            want = sorted(
-                (oid, k) for oid, k in keys.items() if low <= k <= high
-            )
-            assert got == want
+        _assert_ranges_match(tree, keys, seed=162)
 
     def test_update_does_not_need_old_key(self):
         tree = MemoBTree(node_size=512)
@@ -143,7 +132,7 @@ class TestMemoBTree:
                          clean_upon_touch=False)
         keys = _drive_btree(tree, n=100, updates=150)
         assert tree.garbage_count() > 0
-        tree.run_full_cycle()
+        tree.cleaner.run_full_cycle()
         assert tree.garbage_count() == 0
         assert tree.num_entries() == 100
         got = sorted(tree.range_search(0.0, 1.0))
@@ -158,53 +147,12 @@ class TestMemoBTree:
         memo_io = memo.stats.leaf_reads + memo.stats.leaf_writes
         assert memo_io < classic_io
 
-    @given(st.lists(st.tuples(st.integers(0, 15), keys_st), max_size=60))
-    @settings(max_examples=25, deadline=None)
-    def test_property_matches_shadow(self, ops):
-        tree = MemoBTree(node_size=512, inspection_ratio=0.25)
-        shadow = {}
-        for oid, key in ops:
-            if oid in shadow:
-                tree.update_object(oid, None, key)
-            else:
-                tree.insert_object(oid, key)
-            shadow[oid] = key
-        got = sorted(tree.range_search(0.0, 1.0))
-        assert got == sorted(shadow.items())
-
-
-def _drive_grid(grid, n=150, updates=300, seed=164):
-    rng = random.Random(seed)
-    pos = {}
-    for oid in range(n):
-        pos[oid] = (rng.random(), rng.random())
-        grid.insert_object(oid, *pos[oid])
-    for _ in range(updates):
-        oid = rng.randrange(n)
-        new = (rng.random(), rng.random())
-        grid.update_object(oid, pos[oid], new)
-        pos[oid] = new
-    return pos
-
 
 class TestGridFile:
     def test_range_search_matches_oracle(self):
         grid = GridFile(side=8, page_size=512)
-        pos = _drive_grid(grid)
-        rng = random.Random(165)
-        for _ in range(30):
-            x0, y0 = rng.random() * 0.7, rng.random() * 0.7
-            got = sorted(
-                oid for oid, _x, _y in grid.range_search(
-                    x0, y0, x0 + 0.3, y0 + 0.3
-                )
-            )
-            want = sorted(
-                oid
-                for oid, (x, y) in pos.items()
-                if x0 <= x <= x0 + 0.3 and y0 <= y <= y0 + 0.3
-            )
-            assert got == want
+        pos = drive_points(grid, 150, 300, seed=164)
+        assert_windows_match(grid, pos, seed=165)
 
     def test_update_missing_raises(self):
         grid = GridFile(side=4)
@@ -232,27 +180,14 @@ class TestGridFile:
 class TestMemoGrid:
     def test_range_search_filters_obsolete(self):
         grid = MemoGrid(side=8, page_size=512, inspection_ratio=0.3)
-        pos = _drive_grid(grid)
-        rng = random.Random(166)
-        for _ in range(30):
-            x0, y0 = rng.random() * 0.7, rng.random() * 0.7
-            got = sorted(
-                oid for oid, _x, _y in grid.range_search(
-                    x0, y0, x0 + 0.3, y0 + 0.3
-                )
-            )
-            want = sorted(
-                oid
-                for oid, (x, y) in pos.items()
-                if x0 <= x <= x0 + 0.3 and y0 <= y <= y0 + 0.3
-            )
-            assert got == want
+        pos = drive_points(grid, 150, 300, seed=164)
+        assert_windows_match(grid, pos, seed=166)
 
     def test_full_sweep_drains_garbage(self):
         grid = MemoGrid(side=6, inspection_ratio=0.0, clean_upon_touch=False)
-        _drive_grid(grid, n=100, updates=200)
+        drive_points(grid, 100, 200, seed=164)
         assert grid.garbage_count() > 0
-        grid.run_full_sweep()
+        grid.cleaner.run_full_cycle()
         assert grid.garbage_count() == 0
         assert grid.num_entries() == 100
 
@@ -267,8 +202,8 @@ class TestMemoGrid:
     def test_memo_update_cheaper_than_classic(self):
         classic = GridFile(side=8, page_size=512)
         memo = MemoGrid(side=8, page_size=512, inspection_ratio=0.2)
-        _drive_grid(classic, seed=167)
-        _drive_grid(memo, seed=167)
+        drive_points(classic, 150, 300, seed=167)
+        drive_points(memo, 150, 300, seed=167)
         classic_io = classic.stats.leaf_reads + classic.stats.leaf_writes
         memo_io = memo.stats.leaf_reads + memo.stats.leaf_writes
         assert memo_io < classic_io
@@ -276,6 +211,6 @@ class TestMemoGrid:
     def test_clean_upon_touch_bounds_garbage(self):
         touch = MemoGrid(side=6, inspection_ratio=0.0, clean_upon_touch=True)
         plain = MemoGrid(side=6, inspection_ratio=0.0, clean_upon_touch=False)
-        _drive_grid(touch, seed=168)
-        _drive_grid(plain, seed=168)
+        drive_points(touch, 150, 300, seed=168)
+        drive_points(plain, 150, 300, seed=168)
         assert touch.garbage_count() < plain.garbage_count()

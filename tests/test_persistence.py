@@ -118,6 +118,18 @@ class TestRUMSpecifics:
         loaded.cleaner.run_full_cycle()
         assert_search_matches_oracle(loaded, positions)
 
+    def test_token_count_survives_at_zero_ratio(self, tmp_path):
+        """A ratio of 0 gates the per-update credit only: it used to be
+        saved as a cleaner of 0 tokens, whose forced cycles clean nothing."""
+        tree = build_rum_tree(
+            node_size=SMALL_NODE, inspection_ratio=0.0, n_tokens=3
+        )
+        populate(tree, 40, seed=225)
+        save_tree(tree, tmp_path)
+        loaded = load_tree(tmp_path)
+        assert loaded.cleaner.n_tokens == 3
+        assert loaded.cleaner.inspection_ratio == 0.0
+
     def test_deleted_objects_stay_deleted(self, tmp_path):
         tree = build_rum_tree(node_size=SMALL_NODE)
         tree.insert_object(1, Rect.from_point(0.5, 0.5))

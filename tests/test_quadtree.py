@@ -1,48 +1,20 @@
 """Tests for the PR-quadtree extension (classic and memo-based)."""
 
-import random
-
 import pytest
 
+from conftest import assert_windows_match, drive_points
 from repro.extensions.quadtree import MAX_DEPTH, MemoQuadtree, PRQuadtree
 
 
 def _drive(tree, n=200, updates=400, seed=210):
-    rng = random.Random(seed)
-    pos = {}
-    for oid in range(n):
-        pos[oid] = (rng.random(), rng.random())
-        tree.insert_object(oid, *pos[oid])
-    for _ in range(updates):
-        oid = rng.randrange(n)
-        new = (rng.random(), rng.random())
-        tree.update_object(oid, pos[oid], new)
-        pos[oid] = new
-    return pos
-
-
-def _oracle(pos, x0, y0, x1, y1):
-    return sorted(
-        oid
-        for oid, (x, y) in pos.items()
-        if x0 <= x <= x1 and y0 <= y <= y1
-    )
+    return drive_points(tree, n, updates, seed)
 
 
 class TestPRQuadtree:
     def test_range_search_matches_oracle(self):
         tree = PRQuadtree(page_size=512)
         pos = _drive(tree)
-        rng = random.Random(211)
-        for _ in range(40):
-            x0, y0 = rng.random() * 0.7, rng.random() * 0.7
-            got = sorted(
-                oid
-                for oid, _x, _y in tree.range_search(
-                    x0, y0, x0 + 0.3, y0 + 0.3
-                )
-            )
-            assert got == _oracle(pos, x0, y0, x0 + 0.3, y0 + 0.3)
+        assert_windows_match(tree, pos, seed=211)
 
     def test_exactly_one_entry_per_object(self):
         tree = PRQuadtree(page_size=512)
@@ -83,16 +55,7 @@ class TestMemoQuadtree:
     def test_range_search_filters_obsolete(self):
         tree = MemoQuadtree(page_size=512, inspection_ratio=0.3)
         pos = _drive(tree, seed=212)
-        rng = random.Random(213)
-        for _ in range(40):
-            x0, y0 = rng.random() * 0.7, rng.random() * 0.7
-            got = sorted(
-                oid
-                for oid, _x, _y in tree.range_search(
-                    x0, y0, x0 + 0.3, y0 + 0.3
-                )
-            )
-            assert got == _oracle(pos, x0, y0, x0 + 0.3, y0 + 0.3)
+        assert_windows_match(tree, pos, seed=213)
 
     def test_full_sweep_drains_garbage(self):
         tree = MemoQuadtree(
@@ -100,7 +63,7 @@ class TestMemoQuadtree:
         )
         _drive(tree, n=120, updates=240, seed=214)
         assert tree.garbage_count() > 0
-        tree.run_full_sweep()
+        tree.cleaner.run_full_cycle()
         assert tree.garbage_count() == 0
         assert tree.num_entries() == 120
 
@@ -133,13 +96,35 @@ class TestMemoQuadtree:
             page_size=256, inspection_ratio=0.5, clean_upon_touch=False
         )
         pos = _drive(tree, n=150, updates=600, seed=216)
-        rng = random.Random(217)
-        for _ in range(30):
-            x0, y0 = rng.random() * 0.6, rng.random() * 0.6
-            got = sorted(
-                oid
-                for oid, _x, _y in tree.range_search(
-                    x0, y0, x0 + 0.35, y0 + 0.35
-                )
-            )
-            assert got == _oracle(pos, x0, y0, x0 + 0.35, y0 + 0.35)
+        assert_windows_match(tree, pos, seed=217, side=0.35)
+
+    def test_cycle_in_flight_visits_the_children_of_a_split(self):
+        """A split is "one leaf leaves the ring, four enter in its place":
+        the cycle that was under way cleans all four before it completes
+        (a snapshot of the leaves taken at cycle start would skip them)."""
+        tree = MemoQuadtree(
+            page_size=256, inspection_ratio=1.0, clean_upon_touch=False
+        )
+        _drive(tree, n=150, updates=0, seed=218)
+        cleaner = tree.cleaner
+        cycles = cleaner.cycles_completed
+        while cleaner.cycles_completed == cycles:
+            cleaner.on_batch(1)
+        assert tree.garbage_count() == 0
+        # In the half of the ring this cycle reaches last, refresh the
+        # fullest bucket's objects in place until the obsolete copies
+        # overflow it.
+        ring = tree.leaf_ring()
+        ahead = ring.index(cleaner.tokens[0].position) + len(ring) // 2
+        target = max(
+            (ring[i % len(ring)] for i in range(ahead, ahead + len(ring) // 2)),
+            key=lambda leaf: len(leaf.entries),
+        )
+        residents = list(target.entries)
+        while target.is_leaf:
+            for x, y, oid, _stamp in residents:
+                tree.update_object(oid, None, (x, y))
+        assert tree.garbage_count() > 0
+        while cleaner.cycles_completed == cycles + 1:
+            cleaner.on_batch(1)
+        assert tree.garbage_count() == 0
