@@ -2,8 +2,11 @@
 """Tracked micro-benchmarks for the simulator's hot paths.
 
 Unlike the ``bench_fig*`` experiment replays, these measure the raw
-throughput of the layers every experiment sits on: the page codec, the
-buffer pool, the update memo, and one small end-to-end update/query run.
+throughput of single layers every experiment sits on — the page codec,
+the columnar kernels, the buffer pool, the update memo — plus the paired
+A/B *ratios* of the observability levels and the race detector.  Every
+end-to-end number (ops/s, latency, counted I/O of a whole stack) comes
+from ``benchmarks/stack/bench_stack.py``, which verifies its answers.
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_micro.py [output.json]
@@ -18,8 +21,12 @@ root (or to the path given as the first argument) with the schema::
       "metrics": {
         "<name>": {"ops_per_sec": <float>, "iterations": <int>},
         ...
-      }
+      },
+      "<leg>_overhead_pct": {"update": <float>, "query": <float>}
     }
+
+with one ``*_overhead_pct`` block per A/B leg (``obs_disabled``,
+``obs_metrics``, ``racecheck_disabled``, ``racecheck_on``).
 
 Metric names are stable identifiers; ``scripts/bench_compare.py`` diffs
 two such files and flags regressions.  Iteration counts scale with
@@ -35,7 +42,7 @@ import random
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
@@ -49,9 +56,6 @@ from repro.experiments.harness import (
     bench_scale,
     load_tree,
     make_tree,
-    measure_batched_updates,
-    measure_queries,
-    measure_updates,
     scaled,
 )
 from repro.rtree.base import MIRROR_QUERY_STREAK
@@ -67,12 +71,6 @@ from repro.workload.queries import RangeQueryGenerator
 SCHEMA = "bench_micro/v1"
 NODE_SIZE = 8192
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_micro.json"
-
-#: Batch sizes swept by the batched-ingestion end-to-end metric; the
-#: headline ``end_to_end.update_batch`` is the HEADLINE_BATCH_SIZE run
-#: (the others get a size-suffixed metric name).
-BATCH_SIZES = (16, 64, 256)
-HEADLINE_BATCH_SIZE = 64
 
 
 def _timed(fn: Callable[[], None], iterations: int) -> float:
@@ -115,27 +113,32 @@ def bench_codec(metrics: Dict, iters: int) -> None:
     ):
         codec = NodeCodec(NODE_SIZE, rum_leaves=rum_leaves)
         node = maker(codec, rng)
-        page = codec.encode(node)
 
         def encode() -> None:
             node.cached_bytes = None  # defeat the clean-page cache
             codec.encode(node)
 
-        def decode() -> None:
-            codec.decode(1, page, lazy=False)
-
         metrics[f"codec.encode_{label}"] = {
             "ops_per_sec": _timed(encode, iters), "iterations": iters,
         }
+        if node.is_leaf:
+            continue  # a leaf decode is header-only: measured once, below
+        page = codec.encode(node)
+
+        def decode() -> None:  # internal pages decode eagerly
+            codec.decode(2, page)
+
         metrics[f"codec.decode_{label}"] = {
             "ops_per_sec": _timed(decode, iters), "iterations": iters,
         }
+    # A leaf decode is header-only whatever the entry layout; what a
+    # query then reads is the bulk column block of the same page.
     codec = NodeCodec(NODE_SIZE, rum_leaves=True)
     page = codec.encode(_full_leaf(codec, rng))
     lazy_iters = iters * 10
 
     def decode_lazy() -> None:
-        codec.decode(1, page, lazy=True)
+        codec.decode(1, page)
 
     metrics["codec.decode_lazy_header"] = {
         "ops_per_sec": _timed(decode_lazy, lazy_iters),
@@ -281,42 +284,6 @@ def bench_memo(metrics: Dict, iters: int) -> None:
         spilled.close()
 
 
-def bench_end_to_end(metrics: Dict, suffix: str = "", obs=None) -> None:
-    n = scaled(2000)
-    workload = default_network_workload(n, moving_distance=0.01, seed=11)
-    tree = make_tree("rum_touch", node_size=2048, obs=obs)
-    load_tree(tree, workload.initial())
-    updates = measure_updates(tree, workload, n)
-    metrics[f"end_to_end.update{suffix}"] = {
-        "ops_per_sec": (
-            updates.updates / updates.cpu_seconds
-            if updates.cpu_seconds > 0 else float("inf")
-        ),
-        "iterations": updates.updates,
-    }
-    # Unmeasured warm-up on a *different* query seed: a sustained query
-    # phase amortises away its one-time costs — per-entry-count struct
-    # kernels compiled on first decode, and the query mirror built after
-    # MIRROR_QUERY_STREAK mutation-free searches — so the measured stream
-    # reports the steady-state per-query cost rather than charging those
-    # setup costs to whichever few queries happen to run first.
-    for window in RangeQueryGenerator(seed=7).queries(
-        MIRROR_QUERY_STREAK + 8
-    ):
-        tree.search(window)
-    n_queries = scaled(2000)
-    queries = measure_queries(
-        tree, RangeQueryGenerator(seed=2), n_queries
-    )
-    metrics[f"end_to_end.query{suffix}"] = {
-        "ops_per_sec": (
-            queries.queries / queries.cpu_seconds
-            if queries.cpu_seconds > 0 else float("inf")
-        ),
-        "iterations": queries.queries,
-    }
-
-
 #: Updates/queries per timed slice of the interleaved obs A/B.
 AB_CHUNK = 100
 
@@ -324,12 +291,12 @@ AB_CHUNK = 100
 #: across passes, which discards passes hit by host-steal episodes.
 AB_PASSES = 3
 
-#: The observability A/B legs: metric-name suffix -> Observability
-#: factory for the tree under that leg.
+#: The observability A/B legs — plain baseline, level ``off``, level
+#: ``metrics`` — as the Observability factory for that leg's tree.
 AB_LEGS = (
-    ("", lambda: None),
-    ("_obs_off", Observability.disabled),
-    ("_obs_metrics", lambda: Observability(level="metrics")),
+    lambda: None,
+    Observability.disabled,
+    lambda: Observability(level="metrics"),
 )
 
 
@@ -388,8 +355,11 @@ def _ab_pass(
             done += take
             rnd += 1
 
-        # Same unmeasured warm-up rationale as bench_end_to_end; it also
-        # lets the metrics leg's adaptive query sampling reach its steady
+        # Unmeasured warm-up on a *different* query seed: a sustained
+        # query phase amortises away its one-time costs — per-entry-count
+        # struct kernels compiled on first decode, and the query mirror
+        # built after MIRROR_QUERY_STREAK mutation-free searches — and the
+        # metrics leg's adaptive query sampling reaches its steady
         # stride, so the measured slices reflect sampled steady state.
         for tree in trees:
             for window in RangeQueryGenerator(seed=7).queries(
@@ -422,8 +392,16 @@ def _ab_pass(
             gc.enable()
 
 
-def bench_obs_ab(metrics: Dict) -> None:
-    """Paired end-to-end A/B of the observability levels.
+def bench_obs_ab() -> List[Dict[str, float]]:
+    """Paired end-to-end A/B of the observability levels: the relative
+    slowdown of level ``off`` and of level ``metrics`` vs the plain leg.
+
+    Both legs execute the exact same workload; the only difference is
+    the :class:`Observability` attached to the tree.  Level ``off``
+    isolates the disabled instrumentation path — one attribute load +
+    ``None`` check per guarded site, bar ~0%.  Level ``metrics``
+    additionally pays the bound counters, histograms, the
+    flight-recorder capture, and the drift EWMA feed, bar <2%.
 
     Single-leg repeats on this workload disperse by ±5-10% (allocator
     growth, interpreter warm-up, host jitter), which drowns the <2%
@@ -446,21 +424,19 @@ def bench_obs_ab(metrics: Dict) -> None:
       discards those passes, cancels the build-position bias, and
       converges on the undisturbed cost.
     """
-    factories = [
+    return _ab_run([
         (lambda make=make_obs: make_tree("rum_touch", node_size=2048, obs=make()))
-        for _, make_obs in AB_LEGS
-    ]
-    _ab_run([suffix for suffix, _ in AB_LEGS], factories, metrics)
+        for make_obs in AB_LEGS
+    ])
 
 
 def _ab_run(
-    suffixes: Sequence[str],
     factories: Sequence[Callable[[], object]],
-    metrics: Dict,
-) -> None:
-    """Min-of-passes paired A/B over ``factories``; records each leg's
-    update/query throughput under ``end_to_end.update{suffix}`` /
-    ``end_to_end.query{suffix}``."""
+) -> List[Dict[str, float]]:
+    """Min-of-passes paired A/B over ``factories``: for each leg after
+    the first (the plain baseline), its relative slowdown per op class
+    in percent.  Ratios from one interleaved run are all a 2 000-object
+    CPU-time loop can support, so no absolute rate is published."""
     n = scaled(2000)
     n_queries = scaled(2000)
     n_legs = len(factories)
@@ -471,16 +447,13 @@ def _ab_run(
         for i in range(n_legs):
             best_u[i] = min(best_u[i], utimes[i])
             best_q[i] = min(best_q[i], qtimes[i])
-    for suffix, t in zip(suffixes, best_u):
-        metrics[f"end_to_end.update{suffix}"] = {
-            "ops_per_sec": n / t if t > 0 else float("inf"),
-            "iterations": n,
+    return [
+        {
+            op: (best[i] / best[0] - 1.0) * 100.0 if best[0] > 0 else 0.0
+            for op, best in (("update", best_u), ("query", best_q))
         }
-    for suffix, t in zip(suffixes, best_q):
-        metrics[f"end_to_end.query{suffix}"] = {
-            "ops_per_sec": n_queries / t if t > 0 else float("inf"),
-            "iterations": n_queries,
-        }
+        for i in range(1, n_legs)
+    ]
 
 
 def _racecheck_attach_detach(tree) -> None:
@@ -497,17 +470,17 @@ def _racecheck_attach_detach(tree) -> None:
     tree.attach_racecheck(None)
 
 
-def bench_racecheck_ab(metrics: Dict) -> None:
+def bench_racecheck_ab() -> List[Dict[str, float]]:
     """Paired end-to-end A/B of the Eraser race detector.
 
     Same chunk-interleaved, min-of-passes machinery as
     :func:`bench_obs_ab`, with three legs:
 
-    * ``""`` — plain tree, never attached (the shipped default);
-    * ``"_racecheck_off"`` — attached then detached (must match the
-      plain leg, see :func:`_racecheck_attach_detach`);
-    * ``"_racecheck"`` — a live :class:`RaceChecker` cascaded across
-      the tree, buffer pool, memo and stamp counter.
+    * plain tree, never attached (the shipped default, the baseline);
+    * attached then detached (must match the plain leg, see
+      :func:`_racecheck_attach_detach`);
+    * a live :class:`RaceChecker` cascaded across the tree, buffer
+      pool, memo and stamp counter.
 
     The run is single-threaded, so the active leg measures the per-probe
     bookkeeping cost (lockset/epoch updates under the checker's mutex),
@@ -529,61 +502,7 @@ def bench_racecheck_ab(metrics: Dict) -> None:
         tree.attach_racecheck(RaceChecker())
         return tree
 
-    _ab_run(
-        ("", "_racecheck_off", "_racecheck"),
-        (plain, attach_detach, active),
-        metrics,
-    )
-
-
-def bench_batch(metrics: Dict, obs=None) -> None:
-    """Batched ingestion: the ``end_to_end.update`` stream, but applied
-    through ``RUMTree.apply_batch`` in fixed-size groups.
-
-    Same workload, seed, tree variant and node size as
-    :func:`bench_end_to_end`, so ``end_to_end.update_batch`` divided by
-    ``end_to_end.update`` is exactly the speedup of the batched pipeline
-    (dedup + Z-order + batch scope + amortised cleaning) over per-call
-    application.
-    """
-    n = scaled(2000)
-    for size in BATCH_SIZES:
-        workload = default_network_workload(n, moving_distance=0.01, seed=11)
-        tree = make_tree("rum_touch", node_size=2048, obs=obs)
-        load_tree(tree, workload.initial())
-        m = measure_batched_updates(tree, workload, n, batch_size=size)
-        name = (
-            "end_to_end.update_batch"
-            if size == HEADLINE_BATCH_SIZE
-            else f"end_to_end.update_batch{size}"
-        )
-        metrics[name] = {
-            "ops_per_sec": (
-                m.updates / m.cpu_seconds
-                if m.cpu_seconds > 0 else float("inf")
-            ),
-            "iterations": m.updates,
-        }
-
-
-def obs_overhead_pct(metrics: Dict, suffix: str = "_obs_off") -> Dict[str, float]:
-    """Relative slowdown of an obs-attached leg vs the plain leg, per op.
-
-    Both legs execute the exact same workload, chunk-interleaved in the
-    same process (see :func:`bench_obs_ab`); the only difference is the
-    :class:`Observability` attached to the tree.  ``_obs_off`` (level
-    ``off``) isolates the disabled instrumentation path — one attribute
-    load + ``None`` check per guarded site, bar ~0%.  ``_obs_metrics``
-    (level ``metrics``) additionally pays the bound counters,
-    histograms, the flight-recorder capture, and the drift EWMA feed,
-    bar <2%.
-    """
-    overhead = {}
-    for op in ("update", "query"):
-        base = metrics[f"end_to_end.{op}"]["ops_per_sec"]
-        on = metrics[f"end_to_end.{op}{suffix}"]["ops_per_sec"]
-        overhead[op] = (base / on - 1.0) * 100.0 if on > 0 else 0.0
-    return overhead
+    return _ab_run((plain, attach_detach, active))
 
 
 def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
@@ -594,35 +513,10 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     bench_kernels(metrics, iters)
     bench_buffer(metrics, max(10, iters // 10))
     bench_memo(metrics, iters)
-    # End-to-end update/query plus the three-way observability A/B, all
-    # from one chunk-interleaved paired run (see bench_obs_ab).
-    e2e: Dict = {}
-    bench_obs_ab(e2e)
-    # Batched ingestion keeps a best-of-two scheme (plain obs only: the
-    # obs A/B is owned by bench_obs_ab above).
-    for _ in range(2):
-        fresh: Dict = {}
-        bench_batch(fresh)
-        for name, m in fresh.items():
-            if (
-                name not in e2e
-                or m["ops_per_sec"] > e2e[name]["ops_per_sec"]
-            ):
-                e2e[name] = m
-    metrics.update(e2e)
-    overhead_off = obs_overhead_pct(e2e, "_obs_off")
-    overhead_metrics = obs_overhead_pct(e2e, "_obs_metrics")
-    # Race-detector A/B: its own paired run with its own plain leg as
-    # the baseline (the overheads must come from the same interleaved
-    # process run), but only the suffixed legs are published — the
-    # headline end_to_end.update/query stay owned by bench_obs_ab.
-    rc: Dict = {}
-    bench_racecheck_ab(rc)
-    racecheck_off = obs_overhead_pct(rc, "_racecheck_off")
-    racecheck_on = obs_overhead_pct(rc, "_racecheck")
-    for name, m in rc.items():
-        if name not in ("end_to_end.update", "end_to_end.query"):
-            metrics[name] = m
+    # Each A/B is its own paired run with its own plain leg as the
+    # baseline: an overhead must come from one interleaved process run.
+    overhead_off, overhead_metrics = bench_obs_ab()
+    racecheck_off, racecheck_on = bench_racecheck_ab()
     report = {
         "schema": SCHEMA,
         "scale": scale,

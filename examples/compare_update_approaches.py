@@ -61,8 +61,8 @@ def main() -> None:
         )
         print(
             f"{label:<18}"
-            f"{update_cost.io_per_update:>11.2f}"
-            f"{query_cost.io_per_query:>11.2f}"
+            f"{update_cost.io_per_operation:>11.2f}"
+            f"{query_cost.io_per_operation:>11.2f}"
             f"{auxiliary_size_bytes(tree):>11,}"
             f"{garbage:>9}"
         )

@@ -1,10 +1,5 @@
 #!/usr/bin/env python
-"""Compare two benchmark reports and flag regressions.
-
-Accepts ``bench_micro/v1`` and ``bench_serve/v1`` reports (both carry
-the same ``metrics`` block of ops/sec entries; the serve report encodes
-its latency percentiles as inverse latency, ``1000 / p_ms``, so "higher
-is better" holds uniformly).  Baseline and current must share a schema.
+"""Compare two ``bench_micro/v1`` reports and flag regressions.
 
 Usage::
 
@@ -24,7 +19,7 @@ suite); they are merged per metric by keeping the *best* ops/sec.
 Throughput noise on a shared machine is one-sided — a run can only be
 slowed down, never sped up — so best-of-N estimates the machine's true
 capability and stops transient load from tripping the CI gate.  All
-merged reports must share schema and scale.
+merged reports must share a scale.
 
 ``--json PATH`` additionally writes a machine-readable report::
 
@@ -58,7 +53,7 @@ import json
 import pathlib
 import sys
 
-SCHEMAS = ("bench_micro/v1", "bench_serve/v1")
+SCHEMA = "bench_micro/v1"
 COMPARE_SCHEMA = "bench_compare/v1"
 
 
@@ -72,10 +67,9 @@ def load_report(path: pathlib.Path) -> dict:
     if not isinstance(report, dict):
         raise SystemExit(f"{path}: expected a JSON object at top level")
     schema = report.get("schema")
-    if schema not in SCHEMAS:
+    if schema != SCHEMA:
         raise SystemExit(
-            f"{path}: unsupported schema {schema!r} "
-            f"(expected one of {SCHEMAS!r})"
+            f"{path}: unsupported schema {schema!r} (expected {SCHEMA!r})"
         )
     metrics = report.get("metrics")
     if not isinstance(metrics, dict):
@@ -90,11 +84,6 @@ def merge_best(reports: list) -> dict:
     merged = reports[0]
     if len(reports) == 1:
         return merged
-    schemas = {r.get("schema") for r in reports}
-    if len(schemas) > 1:
-        raise SystemExit(
-            f"cannot merge runs of different suites: {sorted(schemas)}"
-        )
     scales = {r.get("scale") for r in reports}
     if len(scales) > 1:
         raise SystemExit(
@@ -145,11 +134,6 @@ def compare(baseline: dict, current: dict, threshold: float) -> dict:
     """Per-metric comparison; returns the ``bench_compare/v1`` report."""
     base_metrics = baseline["metrics"]
     cur_metrics = current["metrics"]
-    if baseline.get("schema") != current.get("schema"):
-        raise SystemExit(
-            f"cannot compare different suites: "
-            f"{baseline.get('schema')!r} vs {current.get('schema')!r}"
-        )
     if baseline.get("scale") != current.get("scale"):
         print(
             f"note: comparing different scales "

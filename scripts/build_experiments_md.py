@@ -137,9 +137,11 @@ a memo-based update locks a single insertion path while a top-down
 update exclusively locks its multi-path search neighbourhood.
 
 **Measured:** on a query-only workload the two trees sit in the same
-band (threading variance between runs is high at this small scale); as
-the update share rises the RUM-tree's relative advantage grows
-monotonically, reaching roughly 2-3x the R*-tree's throughput on an
+band (each cell is ~60 ms of work, so the sweep runs one unmeasured
+warm-up cell first and keeps the cyclic GC off the clock; six
+consecutive runs read 12.2-14.7 k vs 8.8-13.7 k ops/s there); as the
+update share rises the RUM-tree's relative advantage grows
+monotonically, reaching roughly 3-4x the R*-tree's throughput on an
 update-only workload — the paper's Figure-16 shape.
 """),
 "ablation_cost_model": ("Section 4 — cost-model validation (ablation)", """

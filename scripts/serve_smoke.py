@@ -3,8 +3,8 @@
 
 Boots a :class:`~repro.serving.ShardServer` in-process with the race
 detector active, drives a short Figure-16 mixed workload through real
-TCP connections with the multi-client open-loop harness, and then
-asserts:
+TCP connections with the multi-client load driver (open loop, every
+arrival due at once: a saturation probe), and then asserts:
 
 * zero races reported by the detector (the server's fork/join edges
   and the router's stripe/latch discipline hold under live traffic);
@@ -29,7 +29,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from repro.concurrency import racecheck
 from repro.concurrency.racecheck import RaceChecker
-from repro.concurrency.throughput import OpenLoopHarness
+from repro.concurrency.throughput import LoadDriver
 from repro.rtree.geometry import Rect
 from repro.serving import ServingClient, ShardRouter, ShardServer
 from repro.workload.objects import default_network_workload
@@ -74,8 +74,8 @@ def main(argv: List[str] | None = None) -> int:
 
             return execute
 
-        harness = OpenLoopHarness(factory, n_clients=args.clients)
-        result = harness.run(trace, rate=float("inf"))
+        driver = LoadDriver(factory, n_clients=args.clients)
+        result = driver.run(trace, rate=float("inf"))
         with ServingClient(host, port) as probe:
             live = probe.count()
             answered = len(probe.query(Rect(0.0, 0.0, 1.0, 1.0)))

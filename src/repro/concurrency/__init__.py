@@ -1,10 +1,10 @@
 """Concurrency control substrate (Section 3.5) and the Figure-16 harness.
 
-The harness (:class:`ConcurrentHarness`, :class:`MixedStressHarness`,
-:class:`ThroughputResult`) is imported lazily: ``throughput`` pulls in
-the whole tree stack (``repro.core.rum``), while the tree stack itself
-needs this package's locks (``RTreeBase`` owns a structure latch) — an
-eager import here would be circular.
+The harness (the :class:`GranuleLockedTree` lock policy, the
+:class:`LoadDriver` and its :class:`LoadResult`) is imported lazily:
+``throughput`` pulls in the whole tree stack (``repro.core.rum``), while
+the tree stack itself needs this package's locks (``RTreeBase`` owns a
+structure latch) — an eager import here would be circular.
 """
 
 from typing import Any
@@ -23,12 +23,12 @@ __all__ = [
     "make_rlock",
     "make_condition",
     "racecheck",
-    "ConcurrentHarness",
-    "MixedStressHarness",
-    "ThroughputResult",
+    "GranuleLockedTree",
+    "LoadDriver",
+    "LoadResult",
 ]
 
-_LAZY = ("ConcurrentHarness", "MixedStressHarness", "ThroughputResult")
+_LAZY = ("GranuleLockedTree", "LoadDriver", "LoadResult")
 
 
 def __getattr__(name: str) -> Any:

@@ -7,7 +7,11 @@ updates dominate because *"an update requires fewer locks than a query in
 the RUM-tree, while it is not the case for the R*-tree"*.
 
 This module reproduces that lock-granularity asymmetry with a discrete
-simulation over real threads:
+simulation over real threads, in two parts: one lock policy
+(:class:`GranuleLockedTree`) and one multi-client driver
+(:class:`LoadDriver`).
+
+**The lock policy.**
 
 * the unit square is partitioned into spatial **cell granules** managed by
   a :class:`GranularLockManager` (standing in for DGL's node granules);
@@ -18,24 +22,32 @@ simulation over real threads:
   approach touches one insertion path;
 * an **R*-tree update** write-locks the whole neighbourhood of cells its
   top-down deletion search may visit (multiple paths!) plus the insertion
-  cell, and holds them across its disk I/O.
+  cell, and holds them across its disk I/O;
+* a **batch** write-locks every cell its updates land in, and a
+  **cleaning cycle** takes no spatial granule at all (the cleaner walks
+  the whole leaf ring under the structure latch) — the two extra
+  mutation paths the race detector's stress mix
+  (:func:`build_mixed_ops`) puts beside updates and queries.
 
 Each operation executes against the real tree under the tree's own
-structure latch — **write** mode for updates, **read** mode for
-queries, so read-only operations genuinely overlap (the harness
-switches the tree's buffer pool into shared-access mode, which
-serialises the pool's internal cache mutations behind its own guard;
-``ReadWriteLock`` has been read-reentrant since the race-detector PR).
-The operation then *holds its granule locks* while sleeping for its
-simulated I/O time — the number of leaf accesses it actually incurred
-times ``io_latency``.  Python's GIL is released during sleeps, so lock
-contention, not compute, determines throughput, exactly the effect
-Figure 16 measures.  (Per-operation leaf I/O is read from the calling
-thread's own tally — :meth:`~repro.storage.iostats.IOStats.thread_leaf_io`
-— so the attribution stays exact even when read-mode queries overlap.)
+structure latch — **write** mode for mutations, **read** mode for
+queries, so read-only operations genuinely overlap (the policy switches
+the tree's buffer pool into shared-access mode, which serialises the
+pool's internal cache mutations behind its own guard; ``ReadWriteLock``
+has been read-reentrant since the race-detector PR).  The operation then
+*holds its granule locks* while sleeping for its simulated I/O time —
+the number of leaf accesses it actually incurred times ``io_latency``.
+Python's GIL is released during sleeps, so lock contention, not compute,
+determines throughput, exactly the effect Figure 16 measures.
+(Per-operation leaf I/O is read from the calling thread's own tally —
+:meth:`~repro.storage.iostats.IOStats.thread_leaf_io` — so the
+attribution stays exact even when read-mode queries overlap.)
 
-:class:`OpenLoopHarness` is the serving-layer complement: a
-multi-client **open-loop** load generator.  Arrivals are scheduled on a
+**The driver.**  :meth:`LoadDriver.run` replays a workload from N client
+threads.  With ``rate=None`` it is the **closed loop** Figure 16 needs:
+a client takes the next unclaimed operation when its previous one
+completes, and a latency sample is a service time.  With a rate it is
+the serving layer's **open loop**: arrivals are scheduled on a
 fixed-rate clock that never waits for completions — exactly how
 external client traffic behaves — and each operation's latency is
 measured from its *scheduled* arrival, so queueing delay shows up in
@@ -43,12 +55,10 @@ the percentiles instead of being silently absorbed, avoiding classic
 coordinated omission.
 
 **Race detection.**  With ``REPRO_RACECHECK=1`` (or an explicitly
-activated :mod:`~repro.concurrency.racecheck` checker) the harness
+activated :mod:`~repro.concurrency.racecheck` checker) the lock policy
 attaches the Eraser-style detector to the tree's ``attach_racecheck``
-cascade and brackets every worker thread with fork/join
-happens-before edges; :class:`MixedStressHarness` adds batch applies
-and cleaning cycles to the thread mix so the detector sees every
-mutation path the tree offers.
+cascade and the driver brackets every client thread with fork/join
+happens-before edges.
 """
 
 from __future__ import annotations
@@ -58,11 +68,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.rum import RUMTree
 from repro.rtree.geometry import Rect
-from repro.workload.trace import Operation, QueryOp, UpdateOp
+from repro.workload.trace import QueryOp, UpdateOp
 
 from . import racecheck
 from .locks import READ, WRITE, GranularLockManager, ReadWriteLock
@@ -83,25 +95,18 @@ def _cells_for(
     ]
 
 
-@dataclass
-class ThroughputResult:
-    """Outcome of one concurrent run."""
+#: Granule lock requests, as :meth:`GranularLockManager.locked` takes them.
+Requests = List[Tuple[Hashable, str]]
 
-    tree_name: str
-    update_fraction: float
-    n_threads: int
-    operations: int
-    elapsed_seconds: float
-
-    @property
-    def ops_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return float("inf")
-        return self.operations / self.elapsed_seconds
+#: What the lock policy performs: an ``UpdateOp``, a ``QueryOp``, or one
+#: of the tagged tuples :func:`build_mixed_ops` adds for the race
+#: detector — ``("batch", [(oid, rect), ...])`` (one ``tree.apply_batch``
+#: of updates) and ``("clean", n)`` (``n`` full cleaning cycles).
+StressOp = Any
 
 
-class ConcurrentHarness:
-    """Runs a mixed workload against one tree under granular locking."""
+class GranuleLockedTree:
+    """One tree behind the Figure-16 granule locks (the lock policy)."""
 
     def __init__(
         self,
@@ -118,7 +123,7 @@ class ConcurrentHarness:
         self.locks = GranularLockManager()
         # Structure serialisation: the tree's own latch when it has one
         # (every RTreeBase does), a private lock otherwise — so two
-        # harnesses over one tree still exclude each other.
+        # policies over one tree still exclude each other.
         latch = getattr(tree, "latch", None)
         self.tree_latch: ReadWriteLock = (
             latch if isinstance(latch, ReadWriteLock) else ReadWriteLock()
@@ -131,219 +136,103 @@ class ConcurrentHarness:
             buffer.enable_shared_access()
         # Race detection: opt-in via REPRO_RACECHECK=1 or an activated
         # checker; the attach cascade mirrors attach_obs.
-        self.racecheck = racecheck.from_env()
-        if self.racecheck is not None:
-            attach = getattr(tree, "attach_racecheck", None)
-            if attach is not None:
-                attach(self.racecheck)
+        checker = racecheck.from_env()
+        attach = getattr(tree, "attach_racecheck", None)
+        if checker is not None and attach is not None:
+            attach(checker)
 
     # -- lock footprints -----------------------------------------------------
 
-    def _update_brief_requests(
-        self, op: UpdateOp
-    ) -> Sequence[Tuple[Hashable, str]]:
+    def _brief_requests(self, oids: Iterable[int]) -> Requests:
         """Latch-like locks held only for an instant (Section 3.5): the
-        stamp counter and the memo bucket are in-memory structures — a
+        stamp counter and the memo buckets are in-memory structures — a
         RUM-tree update locks them for the increment and the memo write,
-        not for the duration of its disk I/O."""
+        not for the duration of its disk I/O.  The R*-tree has none."""
         if not self._is_rum:
             return []
-        return [
-            ("stamp_counter", WRITE),
-            (("memo_bucket", op.oid % self.tree.memo.n_buckets), WRITE),
-        ]
+        n_buckets = self.tree.memo.n_buckets
+        brief: Requests = [("stamp_counter", WRITE)]
+        brief.extend((("memo_bucket", oid % n_buckets), WRITE) for oid in oids)
+        return brief
 
-    def _update_lock_requests(
-        self, op: UpdateOp
-    ) -> Sequence[Tuple[Hashable, str]]:
-        requests: List[Tuple[Hashable, str]] = []
-        if self._is_rum:
-            # Memo-based update: a single insertion path — one spatial
-            # granule held while its page I/O completes.
-            requests.extend(
-                (cell, WRITE) for cell in _cells_for(op.new_rect, self.grid)
+    def footprint(self, op: StressOp) -> Tuple[Requests, Requests]:
+        """``(brief, held)`` granule requests of one operation: the
+        in-memory latches released before any disk time, and the spatial
+        granules kept across it."""
+        grid = self.grid
+        if isinstance(op, QueryOp):
+            return [], [(cell, READ) for cell in _cells_for(op.window, grid)]
+        if isinstance(op, UpdateOp):
+            # The insertion cell.  For a memo-based update that is all:
+            # a single insertion path, one spatial granule held while
+            # its page I/O completes.
+            cells = _cells_for(op.new_rect, grid)
+            if not self._is_rum:
+                # Top-down update: the deletion search follows multiple
+                # paths, write-locking the old position's whole
+                # neighbourhood.
+                cells += _cells_for(op.old_rect, grid, pad=self.search_lock_pad)
+            return (
+                self._brief_requests([op.oid]),
+                [(cell, WRITE) for cell in cells],
             )
-        else:
-            # Top-down update: the deletion search follows multiple paths,
-            # write-locking the old position's whole neighbourhood.
-            requests.extend(
-                (cell, WRITE)
-                for cell in _cells_for(
-                    op.old_rect, self.grid, pad=self.search_lock_pad
-                )
+        kind, payload = op
+        if kind == "batch":
+            return (
+                self._brief_requests(oid for oid, _rect in payload),
+                [
+                    (cell, WRITE)
+                    for _oid, rect in payload
+                    for cell in _cells_for(rect, grid)
+                ],
             )
-            requests.extend(
-                (cell, WRITE) for cell in _cells_for(op.new_rect, self.grid)
-            )
-        return requests
-
-    def _query_lock_requests(
-        self, op: QueryOp
-    ) -> Sequence[Tuple[Hashable, str]]:
-        return [
-            (cell, READ) for cell in _cells_for(op.window, self.grid)
-        ]
+        if kind == "clean":
+            return [], []
+        raise ValueError(f"unknown stress op kind {kind!r}")
 
     # -- execution ---------------------------------------------------------------
 
-    def _execute(self, op: Operation) -> int:  # holds: tree_latch
+    def _execute(self, op: StressOp) -> int:  # holds: tree_latch
         """Run the operation on the real tree, returning its leaf I/O.
 
-        The caller holds ``tree_latch`` — write mode for updates, read
+        The caller holds ``tree_latch`` — write mode for mutations, read
         mode for queries (the lock-order discipline is *granule locks,
         then structure latch* — see docs/CONCURRENCY.md).  The leaf I/O
         is the *calling thread's* tally, so the attribution stays exact
         even when read-mode queries overlap on the shared counters.
         """
-        stats = self.tree.stats
-        before = stats.thread_leaf_io()
+        tree = self.tree
+        before = tree.stats.thread_leaf_io()
         if isinstance(op, UpdateOp):
-            self.tree.update_object(op.oid, op.old_rect, op.new_rect)
-        else:
-            self.tree.search(op.window)
-        return stats.thread_leaf_io() - before
+            tree.update_object(op.oid, op.old_rect, op.new_rect)
+        elif isinstance(op, QueryOp):
+            tree.search(op.window)
+        elif op[0] == "batch":
+            tree.apply_batch([("update", oid, rect) for oid, rect in op[1]])
+        else:  # "clean": footprint() has rejected every other kind
+            for _ in range(op[1]):
+                tree.cleaner.run_full_cycle()
+        return tree.stats.thread_leaf_io() - before
 
-    def perform(self, op: Operation) -> None:
+    def perform(self, op: StressOp) -> None:
         """Lock, execute, and hold the locks for the simulated I/O time."""
-        if isinstance(op, UpdateOp):
-            # Brief in-memory latches first (stamp counter, memo bucket):
-            # acquired and released before any simulated disk time.
-            brief = self._update_brief_requests(op)
-            if brief:
-                with self.locks.locked(brief):
-                    pass
-            requests = self._update_lock_requests(op)
-            with self.locks.locked(requests):
+        brief, held = self.footprint(op)
+        if brief:
+            # Acquired and released before any simulated disk time.
+            with self.locks.locked(brief):
+                pass
+        with self.locks.locked(held):
+            if isinstance(op, QueryOp):
+                # Read-only queries share the structure latch: the
+                # buffer pool is in shared-access mode (see __init__),
+                # so concurrent searches only exclude writers.
+                with self.tree_latch.read():
+                    leaf_io = self._execute(op)
+            else:
                 with self.tree_latch.write():
                     leaf_io = self._execute(op)
-                if self.io_latency > 0:
-                    time.sleep(leaf_io * self.io_latency)
-            return
-        # Read-only queries share the structure latch: the buffer pool
-        # is in shared-access mode (see __init__), so concurrent
-        # searches only exclude writers, not each other.
-        requests = self._query_lock_requests(op)
-        with self.locks.locked(requests):
-            with self.tree_latch.read():
-                leaf_io = self._execute(op)
             if self.io_latency > 0:
                 time.sleep(leaf_io * self.io_latency)
-
-    def run(
-        self, operations: Sequence[Any], n_threads: int = 16
-    ) -> ThroughputResult:
-        """Drain ``operations`` with ``n_threads`` workers; returns ops/s."""
-        if n_threads <= 0:
-            raise ValueError("n_threads must be positive")
-        cursor = {"next": 0}
-        cursor_lock = threading.Lock()
-        errors: List[BaseException] = []
-        checker = self.racecheck
-
-        def worker() -> None:
-            while True:
-                with cursor_lock:
-                    i = cursor["next"]
-                    if i >= len(operations):
-                        return
-                    cursor["next"] = i + 1
-                try:
-                    self.perform(operations[i])
-                # Worker threads must capture every failure (including
-                # SimulatedCrash) so the coordinator can re-raise the
-                # first one after joining; nothing is swallowed.
-                # lint: disable=REP001
-                except BaseException as exc:  # surfaced after the join
-                    errors.append(exc)
-                    return
-
-        threads = [
-            threading.Thread(target=worker, name=f"harness-{k}")
-            for k in range(n_threads)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            # Fork edge: the workload built so far happens-before the
-            # worker, so the detector never flags the build phase.
-            if checker is not None:
-                checker.note_fork(thread)
-            thread.start()
-        for thread in threads:
-            thread.join()
-            if checker is not None:
-                checker.note_join(thread)
-        elapsed = time.perf_counter() - started
-        if errors:
-            raise errors[0]
-        update_ops = sum(1 for op in operations if isinstance(op, UpdateOp))
-        return ThroughputResult(
-            tree_name=getattr(self.tree, "name", type(self.tree).__name__),
-            update_fraction=update_ops / len(operations) if operations else 0.0,
-            n_threads=n_threads,
-            operations=len(operations),
-            elapsed_seconds=elapsed,
-        )
-
-
-#: Tagged operations understood by :class:`MixedStressHarness`.
-StressOp = Tuple[str, Any]
-
-
-class MixedStressHarness(ConcurrentHarness):
-    """Adds batch applies and cleaning cycles to the thread mix.
-
-    The race detector's beat cop: updates, queries, ``apply_batch``
-    and full cleaner cycles all run concurrently from worker threads,
-    so every mutation path the RUM-tree offers — memo insert, WAL
-    append, buffer writeback, cleaner drain, batch plan — executes
-    under contention while the checker watches the annotated fields.
-
-    Operations are ``(kind, payload)`` tuples built by
-    :func:`build_mixed_ops`:
-
-    * ``("update", UpdateOp)`` / ``("query", QueryOp)`` — as in the
-      base harness;
-    * ``("batch", [(oid, rect), ...])`` — one ``tree.apply_batch`` of
-      update ops, write-locking every target cell (plus the brief
-      stamp/memo latches) for the duration;
-    * ``("clean", n)`` — ``n`` full cleaning cycles under the
-      structure latch (no spatial granules: the cleaner walks the
-      whole leaf ring).
-    """
-
-    def perform(self, op: Any) -> None:
-        kind, payload = op
-        if kind in ("update", "query"):
-            super().perform(payload)
-            return
-        if kind == "batch":
-            pairs: List[Tuple[int, Rect]] = payload
-            brief: List[Tuple[Hashable, str]] = [("stamp_counter", WRITE)]
-            if self._is_rum:
-                brief.extend(
-                    (("memo_bucket", oid % self.tree.memo.n_buckets), WRITE)
-                    for oid, _rect in pairs
-                )
-                with self.locks.locked(brief):
-                    pass
-            requests: List[Tuple[Hashable, str]] = []
-            for _oid, rect in pairs:
-                requests.extend(
-                    (cell, WRITE) for cell in _cells_for(rect, self.grid)
-                )
-            with self.locks.locked(requests):
-                with self.tree_latch.write():
-                    self.tree.apply_batch(
-                        [("update", oid, rect) for oid, rect in pairs]
-                    )
-            return
-        if kind == "clean":
-            cycles: int = payload
-            with self.tree_latch.write():
-                for _ in range(cycles):
-                    self.tree.cleaner.run_full_cycle()
-            return
-        raise ValueError(f"unknown stress op kind {kind!r}")
 
 
 def build_mixed_ops(
@@ -356,11 +245,14 @@ def build_mixed_ops(
     clean_every: int = 40,
     seed: int = 7,
 ) -> Tuple[List[Tuple[int, Rect]], List[StressOp]]:
-    """A seeded mixed workload for :class:`MixedStressHarness`.
+    """A seeded mixed workload for the race detector's beat cop.
 
     Returns ``(initial, ops)``: ``initial`` is the ``(oid, rect)`` load
     to insert before starting threads; ``ops`` interleaves updates,
-    range queries, batches and cleaning at the requested cadence.
+    range queries, batches and cleaning at the requested cadence, so
+    every mutation path the RUM-tree offers — memo insert, WAL append,
+    buffer writeback, cleaner drain, batch plan — executes under
+    contention while the checker watches the annotated fields.
     """
     rng = random.Random(seed)
 
@@ -390,16 +282,16 @@ def build_mixed_ops(
         if rng.random() < update_fraction:
             oid = rng.randrange(n_objects)
             new = rect_at(rng.random(), rng.random())
-            ops.append(("update", UpdateOp(oid, positions[oid], new)))
+            ops.append(UpdateOp(oid, positions[oid], new))
             positions[oid] = new
         else:
             x, y = rng.random() * 0.9, rng.random() * 0.9
-            ops.append(("query", QueryOp(Rect(x, y, x + 0.1, y + 0.1))))
+            ops.append(QueryOp(Rect(x, y, x + 0.1, y + 0.1)))
     return initial, ops
 
 
 # ---------------------------------------------------------------------------
-# Open-loop latency benchmark (the serving layer's load generator)
+# The load driver (Figure 16's closed loop, the serving layer's open loop)
 # ---------------------------------------------------------------------------
 
 
@@ -418,20 +310,21 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 @dataclass
-class OpenLoopResult:
-    """Outcome of one open-loop run.
+class LoadResult:
+    """Outcome of one driven run.
 
-    ``latencies_ms`` is sorted ascending; each sample measures
-    completion minus *scheduled* arrival, so time an operation spent
-    queued behind a saturated server counts against it (no coordinated
-    omission).
+    ``latencies_ms`` is sorted ascending.  In an open-loop run each
+    sample measures completion minus *scheduled* arrival, so time an
+    operation spent queued behind a saturated server counts against it
+    (no coordinated omission); in a closed-loop run it is the service
+    time of the operation alone.
     """
 
     n_clients: int
     operations: int
     #: Scheduled arrival rate (ops/s); ``inf`` = every arrival due
-    #: immediately (the saturation probe).
-    offered_rate: float
+    #: immediately (the saturation probe); ``None`` = closed loop.
+    offered_rate: Optional[float]
     elapsed_seconds: float
     latencies_ms: List[float] = field(default_factory=list)
 
@@ -446,7 +339,7 @@ class OpenLoopResult:
         return percentile(self.latencies_ms, q)
 
     def report(self) -> Dict[str, float]:
-        """The latency percentiles the serve benchmark publishes."""
+        """The latency percentiles a serving run publishes."""
         return {
             "p50_ms": self.percentile_ms(0.50),
             "p95_ms": self.percentile_ms(0.95),
@@ -459,19 +352,26 @@ class OpenLoopResult:
 ExecuteFn = Callable[[Any], None]
 
 
-class OpenLoopHarness:
-    """Multi-client open-loop load generator.
+class LoadDriver:
+    """Multi-client load generator, closed or open loop.
 
     ``client_factory(k)`` is called once inside each of the
     ``n_clients`` worker threads and returns that client's execute
     function — the place to open a per-client socket connection (or to
-    close over a shared in-process router).  Operation ``i`` of the
-    workload is scheduled at ``start + i / rate`` and handed to client
-    ``i % n_clients``; a client that falls behind its schedule executes
-    late arrivals immediately, and the lateness is charged to their
-    latency.  With ``rate=float("inf")`` every arrival is due at the
-    start, which turns the run into a saturation probe: the achieved
-    rate is the system's capacity at this concurrency.
+    close over a shared in-process tree: ``lambda k: locked.perform``).
+
+    **Closed loop** (``rate=None``): the clients share one cursor over
+    the workload, each taking the next unclaimed operation when its
+    previous one completes, so the trace executes in (nearly) trace
+    order however unevenly the operations cost.
+
+    **Open loop** (a rate): operation ``i`` is scheduled at
+    ``start + i / rate`` and handed to client ``i % n_clients``; a
+    client that falls behind its schedule executes late arrivals
+    immediately, and the lateness is charged to their latency.  With
+    ``rate=float("inf")`` every arrival is due at the start, which turns
+    the run into a saturation probe: the achieved rate is the system's
+    capacity at this concurrency.
     """
 
     def __init__(
@@ -487,74 +387,84 @@ class OpenLoopHarness:
         self.racecheck = racecheck.from_env()
 
     def run(
-        self, operations: Sequence[Any], rate: float
-    ) -> OpenLoopResult:
-        """Drive ``operations`` at ``rate`` ops/s; returns latencies."""
-        if rate <= 0:
-            raise ValueError("rate must be positive (use inf to saturate)")
-        interval = 0.0 if math.isinf(rate) else 1.0 / rate
+        self, operations: Sequence[Any], rate: Optional[float] = None
+    ) -> LoadResult:
+        """Replay ``operations`` (at ``rate`` ops/s when given)."""
+        interval: Optional[float] = None  # closed loop: no schedule
+        if rate is not None:
+            if rate <= 0:
+                raise ValueError("rate must be positive (use inf to saturate)")
+            interval = 0.0 if math.isinf(rate) else 1.0 / rate
         n = len(operations)
         per_client: List[List[float]] = [[] for _ in range(self.n_clients)]
         errors: List[BaseException] = []
         checker = self.racecheck
-        start_barrier = threading.Barrier(self.n_clients + 1)
+        cursor = iter(range(n))
+        cursor_lock = threading.Lock()
+        started: List[float] = []
 
-        def client(k: int, start_holder: List[float]) -> None:
+        def claim() -> Optional[int]:
+            with cursor_lock:
+                return next(cursor, None)
+
+        # The clock starts when the last client has built its connection
+        # (the barrier's action runs once, before anyone is released),
+        # so connection setup never counts as scheduling lateness.
+        ready = threading.Barrier(
+            self.n_clients, action=lambda: started.append(time.perf_counter())
+        )
+
+        def client(k: int) -> None:
             try:
                 execute = self.client_factory(k)
                 latencies = per_client[k]
-                start_barrier.wait()  # ready: connection built
-                start_barrier.wait()  # go: start stamp published
-                start = start_holder[0]
-                for i in range(k, n, self.n_clients):
-                    due = start + i * interval
-                    now = time.perf_counter()
-                    if now < due:
-                        time.sleep(due - now)
+                ready.wait()
+                turns: Iterable[int] = (
+                    iter(claim, None) if interval is None
+                    else range(k, n, self.n_clients)
+                )
+                for i in turns:
+                    if errors:
+                        return  # another client failed: stop at this op
+                    begin = time.perf_counter()
+                    if interval is not None:
+                        due = started[0] + i * interval
+                        if begin < due:
+                            time.sleep(due - begin)
+                        begin = due
                     execute(operations[i])
-                    latencies.append(
-                        (time.perf_counter() - due) * 1000.0
-                    )
+                    latencies.append((time.perf_counter() - begin) * 1000.0)
+            except threading.BrokenBarrierError:
+                return  # another client's factory failed before the start
             # Client threads must capture every failure (including
             # SimulatedCrash) so the coordinator can re-raise the first
             # one after joining; nothing is swallowed.
             # lint: disable=REP001
             except BaseException as exc:  # surfaced after the join
                 errors.append(exc)
+                ready.abort()  # release clients still waiting to start
 
-        start_holder: List[float] = [0.0]
         threads = [
-            threading.Thread(
-                target=client,
-                args=(k, start_holder),
-                name=f"openloop-{k}",
-            )
+            threading.Thread(target=client, args=(k,), name=f"load-{k}")
             for k in range(self.n_clients)
         ]
         for thread in threads:
-            # Fork edge: workload construction happens-before the client.
+            # Fork edge: the workload built so far happens-before the
+            # client, so the detector never flags the build phase.
             if checker is not None:
                 checker.note_fork(thread)
             thread.start()
-        # The clock starts after every client has built its connection,
-        # so connection setup never counts as scheduling lateness.  Two
-        # barrier phases: the first proves every client is ready, the
-        # stamp lands between them, the second publishes it.
-        start_barrier.wait()
-        started = time.perf_counter()
-        start_holder[0] = started
-        start_barrier.wait()
         for thread in threads:
             thread.join()
             if checker is not None:
                 checker.note_join(thread)
-        elapsed = time.perf_counter() - started
         if errors:
             raise errors[0]
+        elapsed = time.perf_counter() - started[0]
         merged = sorted(
             sample for samples in per_client for sample in samples
         )
-        return OpenLoopResult(
+        return LoadResult(
             n_clients=self.n_clients,
             operations=n,
             offered_rate=rate,

@@ -65,7 +65,7 @@ def run_buffer_ablation(
                 {
                     "cache_pages": cache_pages,
                     "tree": TREE_LABELS[kind],
-                    "update_io": cost.io_per_update,
+                    "update_io": cost.io_per_operation,
                     "leaves": tree.num_leaf_nodes(),
                 }
             )

@@ -60,7 +60,7 @@ def run_token_ablation(
             {
                 "tokens": n_tokens,
                 "interval": tree.cleaner.inspection_interval,
-                "update_io": cost.io_per_update,
+                "update_io": cost.io_per_operation,
                 "garbage_ratio": tree.garbage_ratio(n),
                 "leaves_inspected": tree.cleaner.leaves_inspected,
                 "entries_removed": tree.cleaner.entries_removed,
@@ -107,8 +107,8 @@ def run_structure_ablation(
         result.rows.append(
             {
                 "config": label,
-                "update_io": update_cost.io_per_update,
-                "search_io": query_cost.io_per_query,
+                "update_io": update_cost.io_per_operation,
+                "search_io": query_cost.io_per_operation,
                 "leaves": tree.num_leaf_nodes(),
                 "height": tree.height,
             }
@@ -153,8 +153,8 @@ def run_fur_extension_ablation(
         result.rows.append(
             {
                 "extension": extension,
-                "update_io": update_cost.io_per_update,
-                "search_io": query_cost.io_per_query,
+                "update_io": update_cost.io_per_operation,
+                "search_io": query_cost.io_per_operation,
                 "in_place_pct": 100.0 * in_place / max(1, in_place + sibling + top_down),
             }
         )

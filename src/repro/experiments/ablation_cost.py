@@ -61,7 +61,7 @@ def run_cost_validation(
     result.rows.append(
         {
             "approach": "top-down (R*)",
-            "measured_io": measured.leaf_io_per_update,
+            "measured_io": measured.leaf_io_per_operation,
             "predicted_io": predicted,
         }
     )
@@ -82,7 +82,7 @@ def run_cost_validation(
     result.rows.append(
         {
             "approach": "bottom-up (FUR)",
-            "measured_io": measured.io_per_update,
+            "measured_io": measured.io_per_operation,
             "predicted_io": predicted,
             "case_mix": f"{in_place}/{sibling}/{top_down}",
         }
@@ -102,7 +102,7 @@ def run_cost_validation(
     result.rows.append(
         {
             "approach": f"memo-based (RUM, ir={inspection_ratio})",
-            "measured_io": measured.leaf_io_per_update,
+            "measured_io": measured.leaf_io_per_operation,
             "predicted_io": predicted,
             "garbage_ratio": rum.garbage_ratio(n),
             "garbage_bound": garbage_ratio_upper_bound(

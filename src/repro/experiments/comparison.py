@@ -75,9 +75,9 @@ def sweep_comparison(
                     sweep_key: value,
                     "tree": TREE_LABELS[kind],
                     "num_objects": num_objects,
-                    "update_io": update_cost.io_per_update,
-                    "update_cpu_ms": update_cost.cpu_ms_per_update,
-                    "search_io": query_cost.io_per_query,
+                    "update_io": update_cost.io_per_operation,
+                    "update_cpu_ms": update_cost.cpu_ms_per_operation,
+                    "search_io": query_cost.io_per_operation,
                     "aux_bytes": auxiliary_size_bytes(tree),
                     "leaves": tree.num_leaf_nodes(),
                 }

@@ -53,7 +53,7 @@ def run_fig10(
                 {
                     "inspection_ratio": ir,
                     "tree": TREE_LABELS[kind],
-                    "update_io": cost.io_per_update,
+                    "update_io": cost.io_per_operation,
                     "garbage_ratio": tree.garbage_ratio(n),
                     "memo_entries": len(tree.memo),
                     "memo_kb": tree.memo_size_bytes() / 1024.0,

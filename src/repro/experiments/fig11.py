@@ -55,8 +55,8 @@ def run_fig11(
                 {
                     "node_size": node_size,
                     "tree": TREE_LABELS[kind],
-                    "update_io": cost.io_per_update,
-                    "update_cpu_ms": cost.cpu_ms_per_update,
+                    "update_io": cost.io_per_operation,
+                    "update_cpu_ms": cost.cpu_ms_per_operation,
                     "garbage_ratio": tree.garbage_ratio(n),
                     "leaves": tree.num_leaf_nodes(),
                 }

@@ -55,8 +55,8 @@ def run_fig15(
         result.rows.append(
             {
                 "option": option,
-                "update_io": cost.io_per_update,
-                "leaf_io": cost.leaf_io_per_update,
+                "update_io": cost.io_per_operation,
+                "leaf_io": cost.leaf_io_per_operation,
                 "log_io": cost.io.log_total / cost.updates,
                 "checkpoint_interval": checkpoint_interval,
             }

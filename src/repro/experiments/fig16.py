@@ -13,9 +13,10 @@ FUR-tree").
 
 from __future__ import annotations
 
+import gc
 from typing import Sequence
 
-from repro.concurrency.throughput import ConcurrentHarness
+from repro.concurrency.throughput import GranuleLockedTree, LoadDriver
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
 from repro.workload.trace import mixed_trace
@@ -49,27 +50,46 @@ def run_fig16(
     )
     n = scaled(num_objects)
     ops = scaled(total_ops)
+
+    def cell(fraction: float, kind: str):
+        """One closed-loop replay on a fresh tree."""
+        workload = default_network_workload(
+            n, moving_distance=moving_distance, seed=seed
+        )
+        tree = make_tree(kind, node_size=node_size)
+        load_tree(tree, workload.initial())
+        trace = mixed_trace(
+            workload,
+            RangeQueryGenerator(side=query_side, seed=53),
+            ops,
+            fraction,
+            seed=59,
+        )
+        locked = GranuleLockedTree(tree, io_latency=io_latency)
+        driver = LoadDriver(lambda k: locked.perform, n_clients=n_threads)
+        # A cyclic-GC pass stops every thread, and one over the dead
+        # trees of earlier cells takes 20-100 ms against a ~60 ms cell:
+        # collect before the clock starts, not at random inside it.
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            return driver.run(trace)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    # Whichever cell runs first in the process also pays one-time costs
+    # (an 80-160 ms stall, in either tree order): warm up unmeasured.
+    cell(0.5, "rum_touch")
     for fraction in update_fractions:
         for kind in ("rum_touch", "rstar"):
-            workload = default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
-            )
-            tree = make_tree(kind, node_size=node_size)
-            load_tree(tree, workload.initial())
-            trace = mixed_trace(
-                workload,
-                RangeQueryGenerator(side=query_side, seed=53),
-                ops,
-                fraction,
-                seed=59,
-            )
-            harness = ConcurrentHarness(tree, io_latency=io_latency)
-            outcome = harness.run(trace, n_threads=n_threads)
+            outcome = cell(fraction, kind)
             result.rows.append(
                 {
                     "update_pct": round(100 * fraction),
                     "tree": TREE_LABELS[kind],
-                    "ops_per_s": outcome.ops_per_second,
+                    "ops_per_s": outcome.achieved_rate,
                     "elapsed_s": outcome.elapsed_seconds,
                     "threads": n_threads,
                     "operations": ops,

@@ -22,8 +22,9 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.rum import RUMTree
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
@@ -127,160 +128,85 @@ def load_tree(tree, initial: Iterable) -> int:
 
 
 @dataclass
-class UpdateMeasurement:
-    """Averaged update-cost metrics over one measured stream."""
+class Measurement:
+    """What one measured replay cost: the counted I/O and CPU time of
+    the ``updates`` + ``queries`` operations it ran, averaged per
+    operation (a pure stream's per-operation cost is its per-update or
+    per-query cost)."""
 
-    updates: int
     io: IOSnapshot
-    cpu_seconds: float
-
-    @property
-    def io_per_update(self) -> float:
-        return self.io.counted_total / self.updates if self.updates else 0.0
-
-    @property
-    def leaf_io_per_update(self) -> float:
-        return self.io.leaf_total / self.updates if self.updates else 0.0
-
-    @property
-    def cpu_ms_per_update(self) -> float:
-        return 1000.0 * self.cpu_seconds / self.updates if self.updates else 0.0
-
-
-def measure_updates(tree, objects, count: int) -> UpdateMeasurement:
-    """Replay ``count`` updates and average their cost."""
-    before = tree.stats.snapshot()
-    started = time.process_time()
-    for oid, old_rect, new_rect in objects.updates(count):
-        tree.update_object(oid, old_rect, new_rect)
-    cpu = time.process_time() - started
-    measurement = UpdateMeasurement(
-        updates=count, io=tree.stats.snapshot() - before, cpu_seconds=cpu
-    )
-    obs = getattr(tree, "obs", None)
-    if obs is not None:
-        obs.event(
-            "measure.updates",
-            tree=tree.name,
-            updates=count,
-            cpu_seconds=cpu,
-            io=measurement.io.as_dict(),
-        )
-    return measurement
-
-
-def measure_batched_updates(
-    tree, objects, count: int, batch_size: int
-) -> UpdateMeasurement:
-    """Replay ``count`` updates through ``apply_batch`` in fixed groups.
-
-    The same update stream as :func:`measure_updates`, chunked into
-    batches of ``batch_size`` operations; the final partial batch is
-    applied too, so exactly ``count`` updates reach the tree either way.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    before = tree.stats.snapshot()
-    started = time.process_time()
-    batch: List = []
-    for oid, old_rect, new_rect in objects.updates(count):
-        batch.append(("update", oid, new_rect, old_rect))
-        if len(batch) >= batch_size:
-            tree.apply_batch(batch)
-            batch = []
-    if batch:
-        tree.apply_batch(batch)
-    cpu = time.process_time() - started
-    measurement = UpdateMeasurement(
-        updates=count, io=tree.stats.snapshot() - before, cpu_seconds=cpu
-    )
-    obs = getattr(tree, "obs", None)
-    if obs is not None:
-        obs.event(
-            "measure.batched_updates",
-            tree=tree.name,
-            updates=count,
-            batch_size=batch_size,
-            cpu_seconds=cpu,
-            io=measurement.io.as_dict(),
-        )
-    return measurement
-
-
-@dataclass
-class QueryMeasurement:
-    """Averaged query-cost metrics over one measured stream."""
-
-    queries: int
-    io: IOSnapshot
-    cpu_seconds: float
+    cpu_seconds: float = 0.0
+    updates: int = 0
+    queries: int = 0
+    #: Objects returned over all queries.
     results: int = 0
 
     @property
-    def io_per_query(self) -> float:
-        return self.io.counted_total / self.queries if self.queries else 0.0
+    def operations(self) -> int:
+        return self.updates + self.queries
+
+    def _per_operation(self, total: float) -> float:
+        return total / self.operations if self.operations else 0.0
+
+    @property
+    def io_per_operation(self) -> float:
+        return self._per_operation(self.io.counted_total)
+
+    @property
+    def leaf_io_per_operation(self) -> float:
+        return self._per_operation(self.io.leaf_total)
+
+    @property
+    def cpu_ms_per_operation(self) -> float:
+        return self._per_operation(1000.0 * self.cpu_seconds)
+
+
+@contextmanager
+def _measuring(tree) -> Iterator[Measurement]:
+    """The one measured body: I/O snapshot and CPU clock around the
+    block, which replays its operations against ``tree`` and tallies
+    them on the measurement it is handed."""
+    measurement = Measurement(io=tree.stats.snapshot())
+    started = time.process_time()
+    yield measurement
+    measurement.cpu_seconds = time.process_time() - started
+    measurement.io = tree.stats.snapshot() - measurement.io
+    obs = getattr(tree, "obs", None)
+    if obs is not None:
+        obs.event("measure", tree=tree.name, **asdict(measurement))
+
+
+def measure_updates(tree, objects, count: int) -> Measurement:
+    """Replay ``count`` updates and average their cost."""
+    with _measuring(tree) as cost:
+        for oid, old_rect, new_rect in objects.updates(count):
+            tree.update_object(oid, old_rect, new_rect)
+        cost.updates = count
+    return cost
 
 
 def measure_queries(
     tree, queries: RangeQueryGenerator, count: int
-) -> QueryMeasurement:
+) -> Measurement:
     """Evaluate ``count`` range queries and average their cost."""
-    before = tree.stats.snapshot()
-    started = time.process_time()
-    results = 0
-    for window in queries.queries(count):
-        results += len(tree.search(window))
-    cpu = time.process_time() - started
-    measurement = QueryMeasurement(
-        queries=count,
-        io=tree.stats.snapshot() - before,
-        cpu_seconds=cpu,
-        results=results,
-    )
-    obs = getattr(tree, "obs", None)
-    if obs is not None:
-        obs.event(
-            "measure.queries",
-            tree=tree.name,
-            queries=count,
-            cpu_seconds=cpu,
-            results=results,
-            io=measurement.io.as_dict(),
-        )
-    return measurement
+    with _measuring(tree) as cost:
+        for window in queries.queries(count):
+            cost.results += len(tree.search(window))
+        cost.queries = count
+    return cost
 
 
-@dataclass
-class TraceMeasurement:
-    """Cost of replaying a mixed trace."""
-
-    operations: int
-    updates: int
-    queries: int
-    io: IOSnapshot
-
-    @property
-    def io_per_operation(self) -> float:
-        return self.io.counted_total / self.operations if self.operations else 0.0
-
-
-def run_trace(tree, trace: Sequence[Operation]) -> TraceMeasurement:
+def run_trace(tree, trace: Sequence[Operation]) -> Measurement:
     """Replay a prepared mixed trace against one tree."""
-    before = tree.stats.snapshot()
-    updates = queries = 0
-    for op in trace:
-        if isinstance(op, UpdateOp):
-            tree.update_object(op.oid, op.old_rect, op.new_rect)
-            updates += 1
-        else:
-            tree.search(op.window)
-            queries += 1
-    return TraceMeasurement(
-        operations=len(trace),
-        updates=updates,
-        queries=queries,
-        io=tree.stats.snapshot() - before,
-    )
+    with _measuring(tree) as cost:
+        for op in trace:
+            if isinstance(op, UpdateOp):
+                tree.update_object(op.oid, op.old_rect, op.new_rect)
+                cost.updates += 1
+            else:
+                tree.search(op.window)
+                cost.queries += 1
+    return cost
 
 
 def auxiliary_size_bytes(tree) -> int:

@@ -406,7 +406,7 @@ class BufferPool:
                     self._dirty_leaves.add(page_id)
             return node
         data = self.disk.read_page(page_id)
-        node = self.codec.decode(page_id, data, lazy=True)
+        node = self.codec.decode(page_id, data)
         self.stats.record_read(is_leaf=node.is_leaf)
         self.miss_count += 1
         if node.is_leaf:
@@ -457,7 +457,7 @@ class BufferPool:
             if self.leaf_cache_pages:
                 self._lru_insert(
                     page_id,
-                    self.codec.decode(page_id, data, lazy=True),
+                    self.codec.decode(page_id, data),
                     dirty=False,
                 )
             elif verify:
@@ -499,9 +499,7 @@ class BufferPool:
         node = self._lru.get(page_id)
         if node is not None:
             return node
-        return self.codec.decode(
-            page_id, self.disk.peek(page_id), lazy=True
-        )
+        return self.codec.decode(page_id, self.disk.peek(page_id))
 
     def residency(self, page_id: int) -> str:  # holds: latch
         """Which buffer layer currently holds ``page_id``.

@@ -45,7 +45,7 @@ format-string construction and per-entry Python-call overhead:
   ``__new__`` + direct slot stores (skipping the ``__init__`` frames —
   page images round-trip values that were validated when the rectangle
   was first constructed);
-* the **lazy leaf path** (``decode(..., lazy=True)``) parses only the
+* the **lazy leaf path** (``decode`` of a leaf page) parses only the
   32-byte header and returns a :class:`~repro.rtree.node.LazyNode` that
   thaws its entries on first access, so header-only consumers (entry
   counts, ring walks, recovery traversals) never materialise entries;
@@ -302,20 +302,14 @@ class NodeCodec:
 
     # -- decoding ----------------------------------------------------------
 
-    def decode(self, page_id: int, data: bytes, lazy: bool = False) -> Node:
+    def decode(self, page_id: int, data: bytes) -> Node:
         """Reconstruct the node stored in ``data`` (a full page).
 
-        With ``lazy=True`` a *leaf* page is parsed header-only and comes
-        back as a :class:`~repro.rtree.node.LazyNode` whose entries thaw on
-        first access; internal pages always decode eagerly (they live in
-        the pinned directory cache and are read constantly).
-
-        With ``lazy=False`` a leaf comes back *column-eager*: still a
-        ``LazyNode`` (so untouched entries never become Python objects),
-        but with its coordinate column block decoded up front in one bulk
-        kernel call.  That block is the representation the query hot
-        paths actually consume — ``entries`` remains available and thaws
-        to exactly what the old eager decode produced.
+        A *leaf* page is parsed header-only and comes back as a
+        :class:`~repro.rtree.node.LazyNode` whose coordinate columns
+        (:meth:`decode_block`) and entries thaw on first access;
+        internal pages always decode eagerly (they live in the pinned
+        directory cache and are read constantly).
         """
         if len(data) != self.node_size:
             raise ValueError(
@@ -329,14 +323,9 @@ class NodeCodec:
         )
         is_leaf = bool(is_leaf_flag)
         if is_leaf:
-            node: Node = LazyNode(
+            return LazyNode(
                 page_id, is_leaf, count, prev_leaf, next_leaf, self, data
             )
-            if not lazy:
-                node.columns = kernels.block_from_buffer(
-                    data, NODE_HEADER_BYTES, count, self.leaf_entry_bytes
-                )
-            return node
         node = Node(
             page_id,
             is_leaf,

@@ -1,5 +1,5 @@
-"""Tests for the read/write locks, granular lock manager, and the
-concurrent-throughput harness."""
+"""Tests for the read/write locks, granular lock manager, the Figure-16
+lock policy and the load driver."""
 
 import threading
 import time
@@ -12,12 +12,24 @@ from repro.concurrency.locks import (
     GranularLockManager,
     ReadWriteLock,
 )
-from repro.concurrency.throughput import ConcurrentHarness, _cells_for
+from repro.concurrency.throughput import (
+    GranuleLockedTree,
+    LoadDriver,
+    _cells_for,
+)
 from repro.factory import build_rstar_tree, build_rum_tree
 from repro.rtree.geometry import Rect
 from repro.workload.objects import UniformMovingObjects
 from repro.workload.queries import RangeQueryGenerator
-from repro.workload.trace import mixed_trace
+from repro.workload.trace import UpdateOp, mixed_trace
+
+
+def _drive(tree, operations, n_clients, **policy):
+    """Figure 16's setup: a closed-loop replay through the granule-lock
+    policy.  Returns ``(driver, result)``."""
+    locked = GranuleLockedTree(tree, **policy)
+    driver = LoadDriver(lambda k: locked.perform, n_clients=n_clients)
+    return driver, driver.run(operations)
 
 
 class TestReadWriteLock:
@@ -171,18 +183,17 @@ class TestConcurrentHarness:
     def test_rum_tree_runs_mixed_workload(self):
         tree = build_rum_tree(node_size=512)
         trace = self._workload(tree)
-        harness = ConcurrentHarness(tree, io_latency=0.0)
-        outcome = harness.run(trace, n_threads=8)
-        assert outcome.operations == len(trace)
-        assert outcome.update_fraction == pytest.approx(0.5, abs=0.05)
+        _, outcome = _drive(tree, trace, 8, io_latency=0.0)
+        assert outcome.operations == len(outcome.latencies_ms) == len(trace)
+        updates = sum(isinstance(op, UpdateOp) for op in trace)
+        assert updates / len(trace) == pytest.approx(0.5, abs=0.05)
         tree.check_invariants()
 
     def test_rstar_tree_runs_mixed_workload(self):
         tree = build_rstar_tree(node_size=512)
         trace = self._workload(tree)
-        harness = ConcurrentHarness(tree, io_latency=0.0)
-        outcome = harness.run(trace, n_threads=8)
-        assert outcome.operations == len(trace)
+        _, outcome = _drive(tree, trace, 8, io_latency=0.0)
+        assert outcome.operations == len(outcome.latencies_ms) == len(trace)
         tree.check_invariants()
 
     def test_worker_errors_surface(self):
@@ -192,15 +203,13 @@ class TestConcurrentHarness:
         trace = mixed_trace(
             objects, RangeQueryGenerator(seed=124), 10, 1.0, seed=125
         )
-        harness = ConcurrentHarness(tree, io_latency=0.0)
         with pytest.raises(Exception):
-            harness.run(trace, n_threads=4)
+            _drive(tree, trace, 4, io_latency=0.0)
 
     def test_invalid_thread_count(self):
         tree = build_rum_tree(node_size=512)
-        harness = ConcurrentHarness(tree)
         with pytest.raises(ValueError):
-            harness.run([], n_threads=0)
+            _drive(tree, [], 0)
 
     def test_results_identical_to_sequential(self):
         """Concurrency must not change query answers: replay the same
@@ -214,9 +223,7 @@ class TestConcurrentHarness:
             else:
                 self._workload(tree, update_fraction=1.0)
             if mode == "concurrent":
-                ConcurrentHarness(tree, io_latency=0.0).run(
-                    trace, n_threads=8
-                )
+                _drive(tree, trace, 8, io_latency=0.0)
             else:
                 for op in trace:
                     tree.update_object(op.oid, op.old_rect, op.new_rect)
@@ -239,38 +246,38 @@ class TestLockFootprints:
 
     def test_rum_update_locks_one_cell(self):
         tree = build_rum_tree(node_size=512)
-        harness = ConcurrentHarness(tree)
+        _brief, held = GranuleLockedTree(tree).footprint(self._op())
         cells = [
             granule
-            for granule, _mode in harness._update_lock_requests(self._op())
+            for granule, _mode in held
             if isinstance(granule, tuple) and granule[0] == "cell"
         ]
         assert len(cells) == 1
 
     def test_rstar_update_locks_a_neighbourhood(self):
-        rum = ConcurrentHarness(build_rum_tree(node_size=512))
-        rstar = ConcurrentHarness(build_rstar_tree(node_size=512))
+        rum = GranuleLockedTree(build_rum_tree(node_size=512))
+        rstar = GranuleLockedTree(build_rstar_tree(node_size=512))
         op = self._op()
         rum_cells = [
-            g for g, _m in rum._update_lock_requests(op)
+            g for g, _m in rum.footprint(op)[1]
             if isinstance(g, tuple) and g[0] == "cell"
         ]
         rstar_cells = [
-            g for g, _m in rstar._update_lock_requests(op)
+            g for g, _m in rstar.footprint(op)[1]
             if isinstance(g, tuple) and g[0] == "cell"
         ]
         assert len(rstar_cells) > len(rum_cells)
 
     def test_rum_brief_latches_exist_and_are_brief(self):
         tree = build_rum_tree(node_size=512)
-        harness = ConcurrentHarness(tree)
-        brief = harness._update_brief_requests(self._op())
+        brief, held = GranuleLockedTree(tree).footprint(self._op())
         names = {g if not isinstance(g, tuple) else g[0] for g, _m in brief}
         assert "stamp_counter" in names
         assert "memo_bucket" in names
+        assert not names & {g[0] for g, _m in held}  # never held across I/O
         # The R*-tree has no in-memory latches to take.
-        rstar = ConcurrentHarness(build_rstar_tree(node_size=512))
-        assert rstar._update_brief_requests(self._op()) == []
+        rstar = GranuleLockedTree(build_rstar_tree(node_size=512))
+        assert rstar.footprint(self._op())[0] == []
 
 
 class TestReadReentrancy:
@@ -554,10 +561,9 @@ class TestReadLatchedQueries:
             return original(window)
 
         tree.search = synced_search
-        harness = ConcurrentHarness(tree, io_latency=0.0)
         ops = [QueryOp(Rect(0, 0, 1, 1)), QueryOp(Rect(0, 0, 1, 1))]
-        outcome = harness.run(ops, n_threads=2)
-        assert outcome.operations == 2
+        _, outcome = _drive(tree, ops, 2, io_latency=0.0)
+        assert len(outcome.latencies_ms) == 2
 
     def test_query_heavy_run_is_race_free(self):
         """The whole point of the read latch: with the detector on, a
@@ -571,9 +577,9 @@ class TestReadLatchedQueries:
         try:
             tree = build_rum_tree(node_size=512)
             trace = self._query_workload(tree)
-            harness = ConcurrentHarness(tree, io_latency=0.0)
-            assert harness.racecheck is checker
-            harness.run(trace, n_threads=8)
+            driver, _ = _drive(tree, trace, 8, io_latency=0.0)
+            assert driver.racecheck is checker
+            assert tree._rc is checker  # the policy ran the attach cascade
             checker.assert_no_races()
         finally:
             racecheck.deactivate()
@@ -598,6 +604,9 @@ class TestPercentile:
 
 
 class TestOpenLoopHarness:
+    """The load driver: the six open-loop cases, their closed-loop
+    mirror images, and the two failure paths."""
+
     def _factory(self, sink, lock):
         def make(k):
             def execute(op):
@@ -609,11 +618,9 @@ class TestOpenLoopHarness:
         return make
 
     def test_fixed_rate_run(self):
-        from repro.concurrency.throughput import OpenLoopHarness
-
         sink = []
         lock = threading.Lock()
-        harness = OpenLoopHarness(self._factory(sink, lock), n_clients=4)
+        harness = LoadDriver(self._factory(sink, lock), n_clients=4)
         ops = list(range(120))
         result = harness.run(ops, rate=3000.0)
         assert result.operations == 120
@@ -630,11 +637,9 @@ class TestOpenLoopHarness:
         assert 0.03 < result.elapsed_seconds < 5.0
 
     def test_saturation_run(self):
-        from repro.concurrency.throughput import OpenLoopHarness
-
         sink = []
         lock = threading.Lock()
-        harness = OpenLoopHarness(self._factory(sink, lock), n_clients=2)
+        harness = LoadDriver(self._factory(sink, lock), n_clients=2)
         result = harness.run(list(range(50)), rate=float("inf"))
         assert result.offered_rate == float("inf")
         assert result.achieved_rate > 0
@@ -645,8 +650,6 @@ class TestOpenLoopHarness:
         its capacity shows *growing* latency (queueing from the
         scheduled arrival), not the flat service time a closed loop
         would report."""
-        from repro.concurrency.throughput import OpenLoopHarness
-
         service = 0.005
 
         def factory(k):
@@ -655,15 +658,13 @@ class TestOpenLoopHarness:
 
             return execute
 
-        harness = OpenLoopHarness(factory, n_clients=1)
+        harness = LoadDriver(factory, n_clients=1)
         # Offered 1000/s against a 200/s server: op i queues ~i*4ms.
         result = harness.run(list(range(30)), rate=1000.0)
         assert result.percentile_ms(0.99) > 4 * service * 1000
         assert result.percentile_ms(0.99) > 3 * result.percentile_ms(0.05)
 
     def test_errors_surface(self):
-        from repro.concurrency.throughput import OpenLoopHarness
-
         def factory(k):
             def execute(op):
                 if op == 7:
@@ -671,24 +672,20 @@ class TestOpenLoopHarness:
 
             return execute
 
-        harness = OpenLoopHarness(factory, n_clients=2)
+        harness = LoadDriver(factory, n_clients=2)
         with pytest.raises(RuntimeError, match="injected"):
             harness.run(list(range(20)), rate=float("inf"))
 
     def test_invalid_arguments(self):
-        from repro.concurrency.throughput import OpenLoopHarness
-
         with pytest.raises(ValueError):
-            OpenLoopHarness(lambda k: (lambda op: None), n_clients=0)
-        harness = OpenLoopHarness(lambda k: (lambda op: None), n_clients=1)
+            LoadDriver(lambda k: (lambda op: None), n_clients=0)
+        harness = LoadDriver(lambda k: (lambda op: None), n_clients=1)
         with pytest.raises(ValueError):
             harness.run([1], rate=0.0)
 
     def test_racecheck_brackets_clients(self):
         from repro.concurrency import racecheck
         from repro.concurrency.racecheck import RaceChecker
-        from repro.concurrency.throughput import OpenLoopHarness
-
         checker = racecheck.activate(RaceChecker())
         try:
             counts = [0, 0]
@@ -699,10 +696,79 @@ class TestOpenLoopHarness:
 
                 return execute
 
-            harness = OpenLoopHarness(factory, n_clients=2)
+            harness = LoadDriver(factory, n_clients=2)
             assert harness.racecheck is checker
             harness.run(list(range(20)), rate=float("inf"))
             checker.assert_no_races()
         finally:
             racecheck.deactivate()
         assert sum(counts) == 20
+
+    def test_closed_loop_runs_every_op_once(self):
+        sink = []
+        lock = threading.Lock()
+        harness = LoadDriver(self._factory(sink, lock), n_clients=4)
+        ops = list(range(120))
+        result = harness.run(ops)
+        assert result.offered_rate is None
+        assert result.operations == len(result.latencies_ms) == 120
+        assert sorted(op for _, op in sink) == ops
+        assert result.latencies_ms == sorted(result.latencies_ms)
+        assert result.achieved_rate > 0
+
+    def test_closed_loop_latency_is_service_time(self):
+        """Mirror image of ``test_queueing_charged_to_latency``: the
+        same slow server driven closed-loop reads its flat service time
+        — no queueing growth from the first op to the last."""
+        service = 0.005
+
+        def factory(k):
+            def execute(op):
+                time.sleep(service)
+
+            return execute
+
+        result = LoadDriver(factory, n_clients=1).run(list(range(30)))
+        assert result.percentile_ms(0.50) >= service * 1000
+        assert result.percentile_ms(0.99) < 4 * service * 1000
+        assert result.percentile_ms(0.99) < 3 * result.percentile_ms(0.05)
+
+    def test_factory_failure_surfaces_instead_of_hanging(self):
+        """A client whose factory raises never reaches the start
+        barrier; the run must re-raise, not wait on it forever."""
+
+        def factory(k):
+            if k == 1:
+                raise ConnectionRefusedError("injected")
+            return lambda op: None
+
+        outcome = []
+
+        def run():
+            try:
+                LoadDriver(factory, n_clients=2).run(list(range(10)))
+            except ConnectionRefusedError as exc:
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert len(outcome) == 1
+
+    @pytest.mark.parametrize("rate", [None, float("inf")])
+    def test_first_failure_stops_the_other_clients(self, rate):
+        executed = []
+
+        def factory(k):
+            def execute(op):
+                if op == 0:
+                    raise RuntimeError("injected")
+                time.sleep(0.002)
+                executed.append(op)
+
+            return execute
+
+        with pytest.raises(RuntimeError, match="injected"):
+            LoadDriver(factory, n_clients=2).run(list(range(400)), rate)
+        assert len(executed) < 50  # not the ~200-400 of a drained trace

@@ -3,65 +3,61 @@
 import pytest
 
 from repro.experiments.comparison import relative_to
-from repro.experiments.harness import (
-    ExperimentResult,
-    QueryMeasurement,
-    TraceMeasurement,
-    UpdateMeasurement,
-)
+from repro.experiments.harness import ExperimentResult, Measurement
 from repro.storage.iostats import IOSnapshot
 
 
 class TestUpdateMeasurement:
     def test_per_update_averages(self):
-        m = UpdateMeasurement(
+        m = Measurement(
             updates=100,
             io=IOSnapshot(leaf_reads=110, leaf_writes=120, log_writes=50),
             cpu_seconds=0.25,
         )
-        assert m.io_per_update == pytest.approx(2.8)  # includes the log
-        assert m.leaf_io_per_update == pytest.approx(2.3)
-        assert m.cpu_ms_per_update == pytest.approx(2.5)
+        assert m.io_per_operation == pytest.approx(2.8)  # includes the log
+        assert m.leaf_io_per_operation == pytest.approx(2.3)
+        assert m.cpu_ms_per_operation == pytest.approx(2.5)
 
     def test_zero_updates(self):
-        m = UpdateMeasurement(updates=0, io=IOSnapshot(), cpu_seconds=0.0)
-        assert m.io_per_update == 0.0
-        assert m.leaf_io_per_update == 0.0
-        assert m.cpu_ms_per_update == 0.0
+        m = Measurement(updates=0, io=IOSnapshot(), cpu_seconds=0.0)
+        assert m.io_per_operation == 0.0
+        assert m.leaf_io_per_operation == 0.0
+        assert m.cpu_ms_per_operation == 0.0
 
     def test_index_io_counted(self):
-        m = UpdateMeasurement(
+        m = Measurement(
             updates=10,
             io=IOSnapshot(leaf_reads=10, leaf_writes=10, index_reads=10,
                           index_writes=5),
             cpu_seconds=0.0,
         )
         # The FUR-tree's secondary-index traffic is part of its update cost.
-        assert m.io_per_update == pytest.approx(3.5)
+        assert m.io_per_operation == pytest.approx(3.5)
 
 
 class TestQueryAndTraceMeasurement:
     def test_query_average(self):
-        m = QueryMeasurement(
+        m = Measurement(
             queries=50, io=IOSnapshot(leaf_reads=150), cpu_seconds=0.0
         )
-        assert m.io_per_query == pytest.approx(3.0)
+        assert m.io_per_operation == pytest.approx(3.0)
 
     def test_zero_queries(self):
-        m = QueryMeasurement(queries=0, io=IOSnapshot(), cpu_seconds=0.0)
-        assert m.io_per_query == 0.0
+        m = Measurement(queries=0, io=IOSnapshot(), cpu_seconds=0.0)
+        assert m.io_per_operation == 0.0
 
     def test_trace_average(self):
-        m = TraceMeasurement(
-            operations=20,
+        m = Measurement(
             updates=15,
             queries=5,
             io=IOSnapshot(leaf_reads=30, leaf_writes=10),
         )
+        assert m.operations == 20
         assert m.io_per_operation == pytest.approx(2.0)
 
     def test_zero_trace(self):
-        m = TraceMeasurement(0, 0, 0, IOSnapshot())
+        m = Measurement(IOSnapshot())
+        assert m.operations == 0
         assert m.io_per_operation == 0.0
 
 

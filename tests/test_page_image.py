@@ -72,7 +72,7 @@ def _bits(rect):
 def test_page_image_edits_match_object_model(checksums, initial, steps):
     codec = NodeCodec(512, rum_leaves=True, checksums=checksums)  # 8 slots
     model = Node(7, True, list(initial), prev_leaf=3, next_leaf=4)
-    leaf = codec.decode(7, codec.encode(model), lazy=True)
+    leaf = codec.decode(7, codec.encode(model))
     thawed = False
     for kind, arg in steps:
         if kind == "add":
@@ -103,7 +103,7 @@ def test_page_image_edits_match_object_model(checksums, initial, steps):
             assert _bits(leaf.mbr()) == _bits(model.mbr())
         assert codec.encode(leaf) == codec.encode(model)
     # A thaw after any prefix of edits yields the model's entries.
-    again = codec.decode(7, codec.encode(leaf), lazy=True)
+    again = codec.decode(7, codec.encode(leaf))
     assert again.entries == model.entries
     assert leaf.entries == model.entries
 
@@ -111,7 +111,7 @@ def test_page_image_edits_match_object_model(checksums, initial, steps):
 def test_add_entry_to_a_full_page_thaws():
     codec = NodeCodec(512, rum_leaves=True)
     entries = [LeafEntry(Rect(0.1, 0.1, 0.2, 0.2), i, i) for i in range(8)]
-    leaf = codec.decode(1, codec.encode(Node(1, True, entries)), lazy=True)
+    leaf = codec.decode(1, codec.encode(Node(1, True, entries)))
     extra = LeafEntry(Rect(0.3, 0.3, 0.4, 0.4), 99, 99)
     leaf.add_entry(extra)
     assert leaf.materialized
@@ -122,7 +122,7 @@ def test_classic_leaf_page_image_edits():
     codec = NodeCodec(512)
     entries = [LeafEntry(Rect(0.1 * i, 0.1, 0.1 * i + 0.05, 0.2), i) for i in range(5)]
     model = Node(1, True, list(entries))
-    leaf = codec.decode(1, codec.encode(model), lazy=True)
+    leaf = codec.decode(1, codec.encode(model))
     extra = LeafEntry(Rect(0.0, 0.0, 0.9, 0.9), 42)
     for node in (model, leaf):
         node.add_entry(extra)

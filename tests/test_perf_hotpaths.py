@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from repro import kernels
 from repro.experiments import harness
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LazyNode, LeafEntry, Node
@@ -74,37 +75,43 @@ class TestCodecKernels:
 
 
 class TestLazyDecode:
-    """decode(lazy=True) must be behaviour-transparent."""
+    """A header-only leaf decode must be behaviour-transparent: every
+    view of the lazy node equals the encoded ``Node`` model's."""
 
     @pytest.mark.parametrize("rum_leaves", [False, True])
-    def test_lazy_equals_eager(self, rum_leaves):
+    def test_lazy_equals_model(self, rum_leaves):
         codec = NodeCodec(1024, rum_leaves=rum_leaves)
         entries = _leaf_entries(codec.leaf_cap, stamped=rum_leaves)
-        page = codec.encode(Node(5, True, entries, prev_leaf=3, next_leaf=7))
-        eager = codec.decode(5, page, lazy=False)
-        lazy = codec.decode(5, page, lazy=True)
+        model = Node(5, True, entries, prev_leaf=3, next_leaf=7)
+        lazy = codec.decode(5, codec.encode(model))
         assert isinstance(lazy, LazyNode)
         assert not lazy.materialized
-        assert len(lazy) == len(eager) == len(entries)
-        assert not lazy.materialized  # len() reads the header count
-        assert lazy.entries == eager.entries == entries
+        assert len(lazy) == len(model) == len(entries)
+        assert lazy.mbr() == model.mbr()
+        lazy_rows, model_rows = (
+            [tuple(row) for row in kernels.block_rows(node.coord_block())]
+            for node in (lazy, model)
+        )
+        assert lazy_rows == model_rows
+        assert not lazy.materialized  # header and page-image reads only
+        assert lazy.entries == model.entries == entries
         assert lazy.materialized
 
     def test_lazy_reencodes_byte_identical(self):
         codec = NodeCodec(1024, rum_leaves=True)
-        page = codec.encode(Node(5, True, _leaf_entries(10)))
-        lazy = codec.decode(5, page, lazy=True)
+        model = Node(5, True, _leaf_entries(10))
+        page = codec.encode(model)
+        lazy = codec.decode(5, page)
         assert lazy.cached_bytes == page  # clean page: image reusable
         lazy.cached_bytes = None
         assert codec.encode(lazy) == page
-        eager = codec.decode(5, page, lazy=False)
-        eager.cached_bytes = None
-        assert codec.encode(eager) == page
+        model.cached_bytes = None
+        assert codec.encode(model) == page
 
     def test_internal_pages_decode_eagerly(self):
         codec = NodeCodec(512)
         page = codec.encode(Node(2, False, _index_entries(4)))
-        node = codec.decode(2, page, lazy=True)
+        node = codec.decode(2, page)
         assert not isinstance(node, LazyNode)
         assert node.entries == _index_entries(4)
 
@@ -114,7 +121,7 @@ class TestLazyDecode:
         codec = NodeCodec(1024, rum_leaves=True)
         entries = _leaf_entries(6)
         page = codec.encode(Node(5, True, entries, prev_leaf=3, next_leaf=7))
-        lazy = codec.decode(5, page, lazy=True)
+        lazy = codec.decode(5, page)
         lazy.next_leaf = 42
         lazy.cached_bytes = None  # what mark_dirty does
         assert lazy.entries == entries
@@ -125,7 +132,7 @@ class TestLazyDecode:
     def test_entry_replacement_detaches_page_image(self):
         codec = NodeCodec(1024, rum_leaves=True)
         page = codec.encode(Node(5, True, _leaf_entries(6)))
-        lazy = codec.decode(5, page, lazy=True)
+        lazy = codec.decode(5, page)
         lazy.entries = _leaf_entries(2)
         assert lazy.materialized
         assert len(lazy) == 2
@@ -339,6 +346,12 @@ class TestBenchCompare:
         # Report-only by default; --fail-on-regress turns on the gate.
         assert mod.main([str(base), str(cur)]) == 0
         assert mod.main([str(base), str(cur), "--fail-on-regress"]) == 1
+        # One schema: a report of any other suite is refused at load.
+        cur.write_text(
+            json.dumps({**self._report(a=999.0), "schema": "bench_batch/v1"})
+        )
+        with pytest.raises(SystemExit, match="unsupported schema"):
+            mod.main([str(base), str(cur)])
 
 
 class TestBenchScaleParsing:
@@ -362,120 +375,3 @@ class TestBenchScaleParsing:
         monkeypatch.setattr(harness, "_warned_bench_scales", set())
         with pytest.warns(RuntimeWarning):
             assert harness.scaled(1000) == 1000
-
-
-class TestBenchCompareServeSchema:
-    """The serve report (bench_serve/v1) rides the same compare path."""
-
-    def _load_script(self):
-        import importlib.util
-        import pathlib
-
-        path = (
-            pathlib.Path(__file__).parent.parent
-            / "scripts"
-            / "bench_compare.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_compare", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def _serve_report(self, tmp_path, name, **ops):
-        import json
-
-        path = tmp_path / name
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "bench_serve/v1",
-                    "scale": 1.0,
-                    "metrics": {
-                        metric: {"ops_per_sec": v, "iterations": 1}
-                        for metric, v in ops.items()
-                    },
-                }
-            )
-        )
-        return path
-
-    def test_serve_schema_accepted_and_gated(self, tmp_path, capsys):
-        mod = self._load_script()
-        base = self._serve_report(
-            tmp_path, "base.json",
-            **{"serve.4shards.saturation": 1500.0,
-               "serve.4shards.inv_p99": 120.0},
-        )
-        # p99 latency doubles -> inverse halves -> regression flagged.
-        cur = self._serve_report(
-            tmp_path, "cur.json",
-            **{"serve.4shards.saturation": 1480.0,
-               "serve.4shards.inv_p99": 60.0},
-        )
-        assert mod.main([str(base), str(cur), "--fail-on-regress"]) == 1
-        out = capsys.readouterr().out
-        assert "inv_p99" in out and "REGRESSED" in out
-
-    def test_mixed_schemas_rejected(self, tmp_path):
-        import json
-
-        mod = self._load_script()
-        serve = self._serve_report(
-            tmp_path, "serve.json", **{"serve.1shards.saturation": 100.0}
-        )
-        micro = tmp_path / "micro.json"
-        micro.write_text(
-            json.dumps(
-                {
-                    "schema": "bench_micro/v1",
-                    "scale": 1.0,
-                    "metrics": {"a": {"ops_per_sec": 1.0, "iterations": 1}},
-                }
-            )
-        )
-        with pytest.raises(SystemExit):
-            mod.main([str(micro), str(serve)])
-        with pytest.raises(SystemExit):
-            mod.main([str(serve), str(serve), str(micro)])
-
-    def test_real_serve_report_shape_compares_clean(self, tmp_path):
-        """The actual bench_serve.py output must satisfy the compare
-        contract: build a tiny report via its to_metrics and self-diff."""
-        import importlib.util
-        import json
-        import pathlib
-
-        bench_path = (
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks"
-            / "bench_serve.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "bench_serve", bench_path
-        )
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-        shards = {
-            "1": {
-                "saturation_ops_per_sec": 450.0,
-                "open_loop": {"p50_ms": 2.0, "p95_ms": 4.0, "p99_ms": 8.0},
-            },
-            "4": {
-                "saturation_ops_per_sec": 1500.0,
-                "open_loop": {"p50_ms": 2.5, "p95_ms": 5.0, "p99_ms": 9.0},
-            },
-        }
-        metrics = bench.to_metrics(shards)
-        assert metrics["serve.4shards.saturation"]["ops_per_sec"] == 1500.0
-        assert metrics["serve.1shards.inv_p99"]["ops_per_sec"] == (
-            pytest.approx(125.0)
-        )
-        report = {
-            "schema": "bench_serve/v1",
-            "scale": 1.0,
-            "metrics": metrics,
-        }
-        path = tmp_path / "serve.json"
-        path.write_text(json.dumps(report))
-        mod = self._load_script()
-        assert mod.main([str(path), str(path), "--fail-on-regress"]) == 0

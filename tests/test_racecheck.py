@@ -26,8 +26,8 @@ from repro.concurrency import racecheck
 from repro.concurrency.locks import ReadWriteLock
 from repro.concurrency.racecheck import RaceChecker, TrackedLock
 from repro.concurrency.throughput import (
-    ConcurrentHarness,
-    MixedStressHarness,
+    GranuleLockedTree,
+    LoadDriver,
     build_mixed_ops,
 )
 from repro.core.memo import UpdateMemo
@@ -392,9 +392,11 @@ class TestCleanRealTreeRuns:
         initial, ops = self._workload()
         for oid, rect in initial:
             tree.insert(rect, oid)
-        harness = ConcurrentHarness(tree, io_latency=0.0)
+        locked = GranuleLockedTree(tree, io_latency=0.0)
+        harness = LoadDriver(lambda k: locked.perform, n_clients=4)
         assert harness.racecheck is checker
-        harness.run(ops, n_threads=4)
+        assert tree._rc is checker  # the policy ran the attach cascade
+        harness.run(ops)
         assert checker.report() == "racecheck: no data races detected"
         checker.assert_no_races()
 
@@ -405,8 +407,8 @@ class TestCleanRealTreeRuns:
         )
         for oid, rect in initial:
             tree.insert(rect, oid)
-        harness = MixedStressHarness(tree, io_latency=0.0)
-        harness.run(ops, n_threads=4)
+        locked = GranuleLockedTree(tree, io_latency=0.0)
+        LoadDriver(lambda k: locked.perform, n_clients=4).run(ops)
         checker.assert_no_races()
         # Invariant oracle: whatever interleaving ran, the tree must
         # serve exactly one latest entry per object.
