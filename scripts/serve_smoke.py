@@ -9,7 +9,13 @@ arrival due at once: a saturation probe), and then asserts:
 * zero races reported by the detector (the server's fork/join edges
   and the router's stripe/latch discipline hold under live traffic);
 * a non-empty latency report (every percentile present and positive);
-* the routing directory's live count matches a full-square query.
+* a truncated frame, an unknown-tag frame and a non-finite ``update``, each
+  on a throw-away connection, are dropped or answered ``ok: false``;
+* after them, the routing directory's live count still matches a
+  full-square query.
+
+It also prints the frame sizes of one update and one query, so the log
+carries the real bytes per op.
 
 Exit status is non-zero on any violation, so the CI ``serve`` job can
 gate on it directly.  Usage::
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import socket
 import sys
 from typing import Any, List
 
@@ -32,9 +39,40 @@ from repro.concurrency.racecheck import RaceChecker
 from repro.concurrency.throughput import LoadDriver
 from repro.rtree.geometry import Rect
 from repro.serving import ServingClient, ShardRouter, ShardServer
+from repro.serving.protocol import (
+    encode_frame,
+    rect_to_wire,
+    recv_frame,
+    results_to_wire,
+)
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
 from repro.workload.trace import UpdateOp, mixed_trace
+
+
+def hostile_frames(host: str, port: int) -> List[str]:
+    """Three frames a server must refuse, each on its own connection;
+    returns what went wrong (nothing, on a server that fails closed)."""
+    update = {"op": "update", "oid": 10**9, "rect": [0.5] * 4}
+    nan_update = {**update, "rect": [float("nan")] * 4}
+    failures = []
+    for name, data, answered in (
+        ("truncated frame", encode_frame(update)[:20], False),
+        ("unknown-tag frame", b"\x00\x00\x00\x03\x00hi", False),
+        ("non-finite update", encode_frame(nan_update), True),
+    ):
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            try:
+                answer = recv_frame(sock)
+            except ConnectionError:
+                answer = None  # dropped with a reset
+        # Told ``ok: false`` or, where no answer is owed, dropped.
+        refused = answer is not None and answer.get("ok") is False
+        if not (refused or (answer is None and not answered)):
+            failures.append(f"{name} was answered {answer!r}")
+    return failures
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -76,14 +114,18 @@ def main(argv: List[str] | None = None) -> int:
 
         driver = LoadDriver(factory, n_clients=args.clients)
         result = driver.run(trace, rate=float("inf"))
+        failures = hostile_frames(host, port)
         with ServingClient(host, port) as probe:
             live = probe.count()
             answered = len(probe.query(Rect(0.0, 0.0, 1.0, 1.0)))
             stats = probe.stats()
+            window = next(
+                op.window for op in trace if not isinstance(op, UpdateOp)
+            )
+            rows = probe.query(window)
         for client in clients:
             client.close()
 
-    failures = []
     if checker.race_count != 0:
         failures.append(
             f"race detector reported {checker.race_count} race(s):\n"
@@ -114,6 +156,19 @@ def main(argv: List[str] | None = None) -> int:
     print(
         f"  {live} live objects, {stats['tallies']['migrations']} "
         f"migration(s), 0 races required"
+    )
+    sizes = [
+        len(encode_frame(message))
+        for message in (
+            {"op": "update", "oid": 0, "rect": rect_to_wire(window)},
+            {"ok": True, "result": {"shard": 0, "migrated": False}},
+            {"op": "query", "window": rect_to_wire(window)},
+            {"ok": True, "result": results_to_wire(rows)},
+        )
+    ]
+    print(
+        "  frame bytes: update {} out / {} back, query {} out / {} back "
+        "({} rows)".format(*sizes, len(rows))
     )
     racecheck.deactivate()
     if failures:

@@ -16,7 +16,7 @@ touches no tree page), ordered under one shared stamp counter so the
 merge can always tell the latest version (docs/SHARDING.md).
 
 :mod:`~repro.serving.server` fronts a router with a thread-pool socket
-server speaking the length-prefixed JSON protocol of
+server speaking the length-prefixed packed-frame protocol of
 :mod:`~repro.serving.protocol`; :mod:`~repro.serving.client` is the
 matching blocking client.
 """

@@ -1,4 +1,4 @@
-"""Blocking client for the shard server's JSON protocol.
+"""Blocking client for the shard server's wire protocol.
 
 One socket, one in-flight request at a time (the protocol is strictly
 request/response per connection); open several clients for concurrent
@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.rtree.geometry import Rect
 
-from .protocol import recv_frame, rect_from_wire, rect_to_wire, send_frame
+from .protocol import recv_frame, rect_to_wire, results_from_wire, send_frame
 
 
 class ServingClient:
@@ -59,16 +59,16 @@ class ServingClient:
         return bool(self.request({"op": "delete", "oid": oid})["existed"])
 
     def query(self, window: Rect) -> List[Tuple[int, Rect]]:
-        wire = self.request(
-            {"op": "query", "window": rect_to_wire(window)}
+        return results_from_wire(
+            self.request({"op": "query", "window": rect_to_wire(window)})
         )
-        return [(int(oid), rect_from_wire(coords)) for oid, coords in wire]
 
     def nearest_neighbors(
         self, x: float, y: float, k: int
     ) -> List[Tuple[int, Rect]]:
-        wire = self.request({"op": "knn", "x": x, "y": y, "k": k})
-        return [(int(oid), rect_from_wire(coords)) for oid, coords in wire]
+        return results_from_wire(
+            self.request({"op": "knn", "x": x, "y": y, "k": k})
+        )
 
     def count(self) -> int:
         return int(self.request({"op": "count"}))

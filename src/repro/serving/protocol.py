@@ -1,24 +1,37 @@
-"""Length-prefixed JSON wire protocol for the shard server.
+"""Length-prefixed wire protocol for the shard server: packed data frames.
 
-Framing: every message is a 4-byte **big-endian unsigned length**
-followed by that many bytes of UTF-8 JSON (one object per frame).
-Oversized frames are rejected before allocation (:data:`MAX_FRAME`),
-so a corrupt length prefix cannot balloon memory.
+Every message is a 4-byte **big-endian unsigned length**, then that many
+bytes: one tag byte and the tag's body (``frame := len:u32be tag:u8
+body``).  A length of 0 or above :data:`MAX_FRAME` is rejected before
+allocation, in both directions, so a corrupt prefix cannot balloon
+memory.  The data path's frames are struct-packed, little-endian like
+every format :mod:`repro.storage.codec` owns; whatever has no fixed shape
+rides as UTF-8 JSON under one more tag:
 
-Requests are JSON objects with an ``op`` field::
+=====  =========================  ==========================  ==========
+tag    message                    body                        frame size
+=====  =========================  ==========================  ==========
+``I``  ``insert`` request         ``oid:i64 rect:4×f64``      45 B
+``U``  ``update`` request         ``oid:i64 rect:4×f64``      45 B
+``Q``  ``query`` request          ``window:4×f64``            37 B
+``A``  answer to insert / update  ``shard:u32 migrated:u8``   10 B
+``R``  answer to query / knn      ``n:u32 n×i64 4n×f64``      9 + 40n B
+``J``  everything else            one UTF-8 JSON object       5 + len B
+=====  =========================  ==========================  ==========
 
-    {"op": "ping"}
-    {"op": "insert",  "oid": 7, "rect": [x1, y1, x2, y2]}
-    {"op": "update",  "oid": 7, "rect": [x1, y1, x2, y2]}
-    {"op": "delete",  "oid": 7}
-    {"op": "query",   "window": [x1, y1, x2, y2]}
-    {"op": "knn",     "x": 0.5, "y": 0.5, "k": 8}
-    {"op": "count"}
-    {"op": "stats"}
+A rows frame is two columns — the oids, then the coordinates flattened
+``x1 y1 x2 y2`` per row — and holds at most ``(MAX_FRAME - 5) // 40`` =
+26 214 rows.  Every message has exactly **one** encoding: the tag follows
+from the shape of its dict form (:func:`_kind`), and a data verb arriving
+under ``J`` is a protocol error.
 
-Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false,
-"error": "<message>"}``.  Query and kNN results are lists of
-``[oid, [x1, y1, x2, y2]]`` pairs.  The connection is persistent:
+In dict form (what :func:`send_frame` takes and :func:`recv_frame`
+returns) a request carries an ``op``: ``ping``, ``count``, ``stats``,
+``delete`` (``oid``), ``insert`` / ``update`` (``oid``, ``rect: [x1, y1,
+x2, y2]``), ``query`` (``window``) or ``knn`` (``x``, ``y``, ``k``).
+Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false, "error":
+"<message>"}``; query and kNN results are the column pair ``[oids,
+flat_coords]`` of :func:`results_to_wire`.  The connection is persistent:
 frames are processed in order until the client closes its end.
 """
 
@@ -27,15 +40,65 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from functools import lru_cache
+from math import isfinite
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.rtree.geometry import Rect
 
-#: Hard cap on one frame's payload (1 MiB of JSON is far beyond any
+#: Hard cap on one frame's payload (26 214 answer rows: far beyond any
 #: legitimate request or response at the supported scales).
 MAX_FRAME = 1 << 20
+#: Bytes one answer row costs on the wire: an i64 oid and four f64.
+ROW_BYTES = 40
 
 _LEN = struct.Struct(">I")
+_COUNT = struct.Struct("<I")
+_MOVE = struct.Struct("<q4d")
+#: The fixed-shape kinds, one row each: tag, body layout, message ->
+#: values to pack, unpacked values -> message.  The variable-length kinds
+#: ("rows" under ``R``, "json" under ``J``) are branches of the codec.
+_FIXED: Dict[str, Tuple[bytes, struct.Struct, Any, Any]] = {
+    "insert": (b"I", _MOVE, lambda m: (m["oid"], *m["rect"]),
+               lambda v: {"op": "insert", "oid": v[0], "rect": list(v[1:])}),
+    "update": (b"U", _MOVE, lambda m: (m["oid"], *m["rect"]),
+               lambda v: {"op": "update", "oid": v[0], "rect": list(v[1:])}),
+    "query": (b"Q", struct.Struct("<4d"), lambda m: m["window"],
+              lambda v: {"op": "query", "window": list(v)}),
+    "ack": (b"A", struct.Struct("<I?"),
+            lambda m: (m["result"]["shard"], m["result"]["migrated"]),
+            lambda v: {"ok": True,
+                       "result": {"shard": v[0], "migrated": v[1]}}),
+}
+_BY_TAG = {row[0]: row for row in _FIXED.values()}
+
+
+@lru_cache(maxsize=1024)
+def _rows_struct(n: int) -> struct.Struct:
+    """The precompiled layout of an ``n``-row answer."""
+    return struct.Struct(f"<I{n}q{4 * n}d")
+
+
+def _kind(message: Dict[str, Any]) -> str:
+    """Which frame ``message`` travels as — decided by its shape alone."""
+    op = message.get("op")
+    if op in ("insert", "update", "query"):  # a tuple: op may be unhashable
+        return op
+    result = message.get("result") if message.get("ok") is True else None
+    if type(result) is dict and result.keys() == {"shard", "migrated"}:
+        return "ack"
+    if type(result) is list and [type(col) for col in result] == [list, list]:
+        return "rows"
+    return "json"
+
+
+def float_from_wire(value: Any) -> float:
+    """One coordinate, coerced; a packed f64 carries NaN / inf as well as
+    JSON does, and neither may reach a shard or the query pad."""
+    number = float(value)
+    if not isfinite(number):
+        raise ValueError(f"non-finite coordinate {number!r}")
+    return number
 
 
 def rect_to_wire(rect: Rect) -> List[float]:
@@ -45,24 +108,53 @@ def rect_to_wire(rect: Rect) -> List[float]:
 def rect_from_wire(coords: Sequence[float]) -> Rect:
     if len(coords) != 4:
         raise ValueError(f"rect needs 4 coordinates, got {len(coords)}")
-    return Rect(
-        float(coords[0]), float(coords[1]),
-        float(coords[2]), float(coords[3]),
-    )
+    return Rect(*map(float_from_wire, coords))
 
 
-def results_to_wire(
-    results: Sequence[Tuple[int, Rect]]
-) -> List[List[Any]]:
-    return [[oid, rect_to_wire(rect)] for oid, rect in results]
+def results_to_wire(results: Sequence[Tuple[int, Rect]]) -> List[List[Any]]:
+    """Rows of ``(oid, rect)`` as the two columns ``[oids, flat_coords]``."""
+    coords: List[float] = []
+    for _oid, rect in results:
+        coords += (rect.xmin, rect.ymin, rect.xmax, rect.ymax)
+    return [[oid for oid, _rect in results], coords]
+
+
+def results_from_wire(wire: Sequence[Sequence[Any]]) -> List[Tuple[int, Rect]]:
+    """Inverse of :func:`results_to_wire`; ``Rect`` validates each row."""
+    oids, coords = wire
+    if len(coords) != 4 * len(oids):
+        raise ValueError(f"{len(oids)} oids with {len(coords)} coordinates")
+    it = iter(coords)
+    return [(oid, Rect(*quad)) for oid, quad in zip(oids, zip(it, it, it, it))]
+
+
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    """``message`` as one frame; ``ValueError`` when it cannot be one (a
+    field missing or outside its packed range, or more than MAX_FRAME)."""
+    kind = _kind(message)
+    try:
+        if kind == "json":
+            tag = b"J"
+            body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        elif kind == "rows":
+            tag, (oids, coords) = b"R", message["result"]
+            # Refused before packing, not after building a megabyte.
+            if 1 + _COUNT.size + ROW_BYTES * len(oids) > MAX_FRAME:
+                raise ValueError(f"{len(oids)} rows exceed MAX_FRAME")
+            body = _rows_struct(len(oids)).pack(len(oids), *oids, *coords)
+        else:
+            tag, layout, to_values, _to_message = _FIXED[kind]
+            body = layout.pack(*to_values(message))
+    except (struct.error, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot encode {kind} frame: {exc!r}") from exc
+    if len(body) >= MAX_FRAME:
+        raise ValueError(f"frame of {len(body) + 1} bytes exceeds MAX_FRAME")
+    return _LEN.pack(len(body) + 1) + tag + body
 
 
 def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Serialise ``message`` and write one length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME:
-        raise ValueError(f"frame of {len(payload)} bytes exceeds MAX_FRAME")
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+    sock.sendall(encode_frame(message))
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -82,18 +174,44 @@ def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
+def _decode(payload: bytes) -> Dict[str, Any]:
+    tag = payload[:1]
+    if tag == b"J":
+        message = json.loads(payload[1:].decode("utf-8"))
+        if not isinstance(message, dict) or _kind(message) != "json":
+            raise ValueError("a JSON frame holds an object with no packed form")
+        return message
+    if tag == b"R":
+        (n,) = _COUNT.unpack_from(payload, 1)
+        # Before any allocation: n must be what the length already paid for.
+        if len(payload) != 1 + _COUNT.size + ROW_BYTES * n:
+            raise ValueError(f"{len(payload)}-byte rows frame claims {n} rows")
+        values = _rows_struct(n).unpack_from(payload, 1)
+        return {"ok": True,
+                "result": [list(values[1:n + 1]), list(values[n + 1:])]}
+    if tag not in _BY_TAG:
+        raise ValueError(f"unknown frame tag {tag!r}")
+    _tag, layout, _to_values, to_message = _BY_TAG[tag]
+    return to_message(layout.unpack(payload[1:]))
+
+
 def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` when the peer closed the connection."""
+    """Read one frame; ``None`` when the peer closed the connection.
+    Raises ``ValueError`` on a malformed frame, ``ConnectionError`` on one
+    cut short — and nothing else, whatever bytes arrive."""
     header = _recv_exactly(sock, _LEN.size)
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ValueError(f"frame length {length} exceeds MAX_FRAME")
+    if not 0 < length <= MAX_FRAME:
+        raise ValueError(f"frame length {length} outside 1..MAX_FRAME")
     payload = _recv_exactly(sock, length)
     if payload is None:
         raise ConnectionError("connection closed before frame payload")
-    message = json.loads(payload.decode("utf-8"))
-    if not isinstance(message, dict):
-        raise ValueError("frame payload must be a JSON object")
-    return message
+    try:
+        return _decode(payload)
+    # struct.error (a mis-sized body) is no ValueError, and a frame of
+    # nested brackets ends json.loads in a RecursionError: both are
+    # malformed input.
+    except (struct.error, RecursionError) as exc:
+        raise ValueError(f"malformed frame: {exc!r}") from exc

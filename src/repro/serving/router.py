@@ -340,13 +340,14 @@ class ShardRouter:
         return [f.result() for f in futures]
 
     def _query_shard(
-        self, shard: Shard, window: Rect
-    ) -> List[Tuple[int, Rect, int]]:
-        """The shard tree's own search, keeping stamps."""
+        self, shard: Shard, window: Rect, stamped: bool = True
+    ) -> List[tuple]:
+        """The shard tree's own search — keeping stamps when the answer
+        goes into a merge."""
         tree = shard.tree
         with tree.latch.read():
             before = self._leaf_io(tree)
-            results = tree.search(window, stamped=True)
+            results = tree.search(window, stamped=stamped)
             leaf_io = self._leaf_io(tree) - before
         self._simulate_io(shard, leaf_io)
         return results
@@ -360,7 +361,9 @@ class ShardRouter:
         each shard still evaluates the *original* window.  The merge
         dedups per oid by maximum stamp — during a migration the object
         may transiently exist on two shards, and the higher stamp is by
-        construction the newer rectangle.
+        construction the newer rectangle.  One shard's memo-filtered
+        answer already holds exactly one latest entry per object, so a
+        window that names a single shard skips the merge.
         """
         pad = self._query_pad()
         grown = Rect(
@@ -370,22 +373,26 @@ class ShardRouter:
             window.ymax + pad,
         )
         targets = shards_for_window(grown, self._bits)
-        parts = self._fan_out(
-            targets, lambda shard: self._query_shard(shard, window)
-        )
-        best: Dict[int, Tuple[int, Rect]] = {}
-        for part in parts:
-            for oid, rect, stamp in part:
-                seen = best.get(oid)
-                if seen is None or stamp > seen[0]:
-                    best[oid] = (stamp, rect)
+        if len(targets) == 1:
+            rows = self._query_shard(
+                self.shards[targets[0]], window, stamped=False
+            )
+        else:
+            best: Dict[int, Tuple[int, Rect]] = {}
+            for part in self._fan_out(
+                targets, lambda shard: self._query_shard(shard, window)
+            ):
+                for oid, rect, stamp in part:
+                    seen = best.get(oid)
+                    if seen is None or stamp > seen[0]:
+                        best[oid] = (stamp, rect)
+            rows = [(oid, rect) for oid, (_stamp, rect) in best.items()]
+            if self._obs_fanout is not None:
+                self._obs_fanout.inc()
         with self._stats_lock:
             self._n_queries += 1
-        if self._obs_fanout is not None and len(targets) > 1:
-            self._obs_fanout.inc()
-        return sorted(
-            (oid, rect) for oid, (_stamp, rect) in best.items()
-        )
+        rows.sort()  # oids are unique: the rectangles are never compared
+        return rows
 
     def _knn_shard(
         self, shard: Shard, x: float, y: float, k: int

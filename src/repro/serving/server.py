@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.concurrency import racecheck
 from repro.concurrency.primitives import make_lock
 
 from .protocol import (
+    encode_frame,
+    float_from_wire,
     rect_from_wire,
     recv_frame,
     results_to_wire,
-    send_frame,
 )
 from .router import ShardRouter
 
@@ -44,8 +45,9 @@ class ShardServer:
         self._port = port
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._conn_socks: Dict[int, socket.socket] = {}
+        #: Connection thread -> its socket, under ``_conn_lock``; an
+        #: entry leaves when its thread has ended and been joined.
+        self._conns: Dict[threading.Thread, socket.socket] = {}
         self._conn_lock = make_lock()
         self._running = False
         self._rc = racecheck.from_env()
@@ -96,10 +98,7 @@ class ShardServer:
         if listener is not None:
             listener.close()
         with self._conn_lock:
-            conns = list(self._conn_threads)
-            self._conn_threads.clear()
-            socks = list(self._conn_socks.values())
-            self._conn_socks.clear()
+            socks = list(self._conns.values())
         for sock in socks:
             # Unblock any connection thread parked in recv(): shutdown
             # delivers EOF to the reader even from another thread.
@@ -107,10 +106,7 @@ class ShardServer:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # already closed by the connection thread
-        for thread in conns:
-            thread.join()
-            if self._rc is not None:
-                self._rc.note_join(thread)
+        self._reap(wait=True)
         self._listener = None
         self.router.close()
 
@@ -128,6 +124,7 @@ class ShardServer:
         if listener is None:  # start() assigns it before spawning us
             raise RuntimeError("accept loop started without a listener")
         while self._running:
+            self._reap()
             try:
                 conn, _addr = listener.accept()
             except socket.timeout:
@@ -142,42 +139,54 @@ class ShardServer:
                 daemon=True,
             )
             with self._conn_lock:
-                self._conn_threads.append(thread)
-                self._conn_socks[conn.fileno()] = conn
+                self._conns[thread] = conn
             if self._rc is not None:
                 self._rc.note_fork(thread)
             thread.start()
 
+    def _reap(self, wait: bool = False) -> None:
+        """Join the connection threads that have ended (all of them when
+        ``wait``).  Runs on the accept thread or after it was joined, so
+        every listed thread has been started."""
+        with self._conn_lock:
+            for thread in list(self._conns):
+                if wait or not thread.is_alive():
+                    thread.join()
+                    if self._rc is not None:
+                        self._rc.note_join(thread)
+                    del self._conns[thread]
+
     def _serve_connection(self, conn: socket.socket) -> None:
-        fd = conn.fileno()
         try:
             while True:
                 request = recv_frame(conn)
                 if request is None:
                     return
-                send_frame(conn, self._handle(request))
+                conn.sendall(self._handle(request))
         except (ConnectionError, OSError, ValueError):
             return  # peer vanished or sent garbage: drop the connection
         finally:
-            with self._conn_lock:
-                self._conn_socks.pop(fd, None)
             conn.close()
 
-    def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Dispatch one request; protocol errors become error responses.
+    def _handle(self, request: Dict[str, Any]) -> bytes:
+        """Dispatch one request and encode its answer frame; protocol
+        errors become error responses.
 
         Only ``Exception`` is caught — a ``SimulatedCrash`` or a
         ``KeyboardInterrupt`` must still tear the server down.
         """
         try:
-            return {"ok": True, "result": self._dispatch(request)}
+            answer = {"ok": True, "result": self._dispatch(request)}
+            return encode_frame(answer)
         # One request must never kill the connection: any dispatch failure
-        # (bad op, malformed rect, shard-level error) becomes an error
-        # response.  SimulatedCrash/KeyboardInterrupt derive from
-        # BaseException and still propagate.
+        # (bad op, malformed rect, shard-level error, an answer with more
+        # rows than a frame holds) becomes an error response.
+        # SimulatedCrash/KeyboardInterrupt derive from BaseException and
+        # still propagate.
         # lint: disable=REP001
         except Exception as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            error = f"{type(exc).__name__}: {exc}"
+            return encode_frame({"ok": False, "error": error})
 
     def _dispatch(self, request: Dict[str, Any]) -> Any:
         op = request.get("op")
@@ -197,8 +206,8 @@ class ShardServer:
         if op == "knn":
             return results_to_wire(
                 router.nearest_neighbors(
-                    float(request["x"]),
-                    float(request["y"]),
+                    float_from_wire(request["x"]),
+                    float_from_wire(request["y"]),
                     int(request["k"]),
                 )
             )

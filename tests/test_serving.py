@@ -18,6 +18,7 @@ from repro.serving.protocol import (
     recv_frame,
     rect_from_wire,
     rect_to_wire,
+    results_from_wire,
     results_to_wire,
     send_frame,
 )
@@ -269,7 +270,9 @@ class TestProtocol:
         assert rect_from_wire(rect_to_wire(rect)) == rect
         with pytest.raises(ValueError):
             rect_from_wire([1.0, 2.0])
-        assert results_to_wire([(7, rect)]) == [[7, [0.1, 0.2, 0.3, 0.4]]]
+        wire = results_to_wire([(7, rect), (9, rect)])
+        assert wire == [[7, 9], [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3, 0.4]]
+        assert results_from_wire(wire) == [(7, rect), (9, rect)]
 
 
 class TestServer:
