@@ -7,10 +7,10 @@ LSM-based R-tree Index", PAPERS.md) does: when the memo's table crosses
 a configurable byte budget the memo hands it over as an immutable *run*
 — a file of records sorted by oid — and its probes that RAM cannot
 answer walk the runs from newest to oldest.  Size-tiered compaction
-keeps the run count logarithmic, and a per-run Bloom filter plus page
-fence pointers keep the hot ``check_status``/``is_obsolete`` probes at
-~O(1) page reads ("Dynamic Indexability", Yi — PAPERS.md, formalises
-exactly this lookup/ingest dial).
+keeps the run count logarithmic; one RAM-only presence screen over all
+runs answers "no run holds this oid" before the walk, and a per-run
+Bloom filter plus page fence pointers keep the rest at ~O(1) page reads
+("Dynamic Indexability", Yi — PAPERS.md: this lookup/ingest dial).
 
 The store is a store, not a memo: what a record *means* is
 :mod:`repro.core.memo`'s business (its module docstring defines the
@@ -53,7 +53,7 @@ import json
 import os
 import struct
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -79,6 +79,19 @@ _RECORDS_PER_PAGE = PAGE_BYTES // _RECORD.size
 #: Bloom sizing: ~1% false-positive rate at 10 bits/key with 7 hashes.
 BLOOM_BITS_PER_KEY = 10
 BLOOM_K = 7
+
+#: Presence screen: ``2**k`` bits, doubled until it has this many per record
+#: of the live runs.  An oid's bit is the top ``k`` bits of its 64-bit
+#: golden-ratio product (:func:`_screen_slot`: multiply-shift in plain ints,
+#: exact for any oid, the same in every process), so a doubling gives every
+#: slot two children: ``_SPREAD`` maps a byte to its bits doubled.
+SCREEN_BITS_PER_RECORD = 16
+_SCREEN_MIN_SHIFT = 64 - 9  # 2**9 bits = 2**(61 - 55) bytes
+_SCREEN_MULT = 0x9E3779B97F4A7C15
+_SPREAD = [
+    int("".join(2 * bit for bit in format(byte, "08b")), 2).to_bytes(2, "little")
+    for byte in range(256)
+]
 
 MANIFEST_FILE = "memo.manifest"
 MANIFEST_TMP_FILE = "memo.manifest.tmp"
@@ -127,6 +140,16 @@ def _bloom_build(oids: List[int], m_bits: int, k: int) -> bytearray:
     return bloom
 
 
+def _oid_column(records: bytes) -> memoryview:
+    """The oids (first of three 8-byte words) of packed ``records``, in place."""
+    return memoryview(records).cast("q")[::3]
+
+
+def _screen_slot(oid: int, shift: int) -> int:
+    """The presence-screen bit of ``oid`` in a table of ``2**(64 - shift)``."""
+    return (oid * _SCREEN_MULT & _MASK64) >> shift
+
+
 class _Run:
     """One immutable sorted run: RAM-resident Bloom + fence pointers,
     disk-resident records probed one page at a time."""
@@ -148,11 +171,12 @@ class _Run:
         )
         self._records_off = _HEADER.size + self.m_bits // 8
         self.bloom = data[_HEADER.size:self._records_off]
-        self.fences = [
-            _RECORD.unpack_from(data, self._records_off + i * _RECORD.size)[0]
-            for i in range(0, self.count, _RECORDS_PER_PAGE)
-        ]
+        self.fences = self.oids_in(data)[::_RECORDS_PER_PAGE].tolist()
         self._fh: Optional[object] = None
+
+    def oids_in(self, data: bytes) -> memoryview:
+        """The oid column of this run's image ``data``."""
+        return _oid_column(memoryview(data)[self._records_off:-_FOOTER.size])
 
     # -- construction ------------------------------------------------------
 
@@ -208,11 +232,6 @@ class _Run:
             )
         return data
 
-    @classmethod
-    def load(cls, path: Path) -> "_Run":
-        """Open an existing run, validating its whole image."""
-        return cls(path, cls.validated_image(path))
-
     # -- probing -----------------------------------------------------------
 
     def maybe_contains(self, oid: int, h1: int, h2: int) -> bool:
@@ -233,7 +252,7 @@ class _Run:
         return self._fh
 
     def probe_page(self, oid: int) -> Optional[Record]:
-        """Read the one fence-selected page and binary-search it.
+        """Read the one fence-selected page and bisect its oid column.
 
         Caller has already passed :meth:`maybe_contains`; this is the
         1-page-read step (the Bloom false-positive case returns ``None``
@@ -247,16 +266,10 @@ class _Run:
         fh = self._file()
         fh.seek(self._records_off + start * _RECORD.size)
         buf = fh.read(n * _RECORD.size)
-        lo, hi = 0, n - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            rec = _RECORD.unpack_from(buf, mid * _RECORD.size)
-            if rec[0] == oid:
-                return rec
-            if rec[0] < oid:
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        oids = _oid_column(buf)
+        i = bisect_left(oids, oid)
+        if i < len(oids) and oids[i] == oid:
+            return _RECORD.unpack_from(buf, i * _RECORD.size)
         return None
 
     def iter_records(self) -> Iterator[Record]:
@@ -331,6 +344,12 @@ class RunStore:
         #: many of those were Bloom false positives.
         self.run_probe_count = 0
         self.bloom_fp_count = 0
+        #: The presence screen (``_screen``, ``_screen_shift``): the bit of
+        #: every oid a live run holds is set — never a false negative — so
+        #: a clear bit answers a probe before any Bloom filter is asked.
+        #: RAM only, never written: rebuilt from the run images at open.
+        self._screen_note((), fresh=True)
+        self.screen_reject_count = 0
         self._obs_spills = None
         self._obs_compactions = None
         self._obs_run_probes = None
@@ -340,8 +359,9 @@ class RunStore:
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind the tier's telemetry: ``memo.spills``/``memo.compactions``
         counters, ``memo.run_probes``/``memo.bloom_fp`` probe counters
-        (mirroring the plain tallies, values since attach), and the
-        ``memo.runs`` gauge (``memo.ram_bytes`` is the memo's)."""
+        (mirroring the plain tallies, values since attach), and the gauges
+        ``memo.runs``, ``memo.screen_rejects`` (the plain tally) and
+        ``memo.tier_ram_bytes`` (``memo.ram_bytes`` is the memo's)."""
         if obs is None or not obs.metrics_on:
             self._obs_spills = self._obs_compactions = None
             self._obs_run_probes = self._obs_bloom_fp = None
@@ -352,6 +372,10 @@ class RunStore:
         self._obs_run_probes = reg.counter("memo.run_probes")
         self._obs_bloom_fp = reg.counter("memo.bloom_fp")
         reg.gauge("memo.runs").set_function(lambda: float(len(self.runs)))
+        reg.gauge("memo.screen_rejects").set_function(
+            lambda: float(self.screen_reject_count)
+        )
+        reg.gauge("memo.tier_ram_bytes").set_function(self.resident_bytes)
 
     # ------------------------------------------------------------------
     # I/O charging (4 KiB page granularity)
@@ -367,13 +391,19 @@ class RunStore:
 
     def probe(self, oid: int, deep: bool = False) -> Optional[Record]:  # holds: latch
         """The record of ``oid`` in the runs, walked newest→oldest, or
-        ``None``.  Charges one page read per Bloom-passed run.
+        ``None``: no walk at all when the presence screen says no run
+        holds ``oid``, else one charged page read per Bloom-passed run.
 
         The newest record found already carries ``S_latest``, so the
         walk stops there — unless ``deep``, which folds on down to an
         ``ABSOLUTE``/``TOMBSTONE`` base (or the oldest run) for the
         aggregate ``N_old``.
         """
+        # _screen_slot, inlined: nine probes in ten end here.
+        slot = (oid * _SCREEN_MULT & _MASK64) >> self._screen_shift
+        if not self._screen[slot >> 3] >> (slot & 7) & 1:
+            self.screen_reject_count += 1
+            return None
         found: Optional[Record] = None
         h1, h2 = _bloom_hashes(oid)
         for run in reversed(self.runs):
@@ -410,6 +440,41 @@ class RunStore:
                 agg[rec[0]] = fold(agg.get(rec[0]), rec)
         return agg
 
+    # holds: latch
+    def _screen_note(self, oids: Iterable[int], fresh: bool = False) -> None:
+        """Set the screen bits of ``oids`` — a run's, just joined to
+        ``self.runs`` — the table first doubled to ``SCREEN_BITS_PER_RECORD``
+        bits per record of the live runs.  ``fresh`` empties it before:
+        ``oids`` are all there is (none after :meth:`reset`; the output of a
+        compaction of every run).  Other compactions need no call — the
+        output holds only oids its inputs held — and a bit no run needs any
+        more, or a doubling's twin, costs a Bloom walk, never an answer."""
+        if fresh:
+            self._screen = bytearray(1 << 61 - _SCREEN_MIN_SHIFT)  # guarded-by: latch
+            self._screen_shift = _SCREEN_MIN_SHIFT
+        want = SCREEN_BITS_PER_RECORD * sum(run.count for run in self.runs)
+        while len(self._screen) * 8 < want:
+            self._screen = bytearray().join(map(_SPREAD.__getitem__, self._screen))
+            self._screen_shift -= 1
+        screen, shift = self._screen, self._screen_shift
+        for oid in oids:
+            slot = _screen_slot(oid, shift)
+            screen[slot >> 3] |= 1 << (slot & 7)
+
+    def screen_misses(self) -> List[int]:  # holds: latch
+        """Self-check (uncharged scan): run oids the screen rejects — none."""
+        bits = int.from_bytes(self._screen, "little")
+        return [
+            rec[0] for run in self.runs for rec in run.iter_records()
+            if not bits >> _screen_slot(rec[0], self._screen_shift) & 1
+        ]
+
+    def resident_bytes(self) -> int:  # holds: latch
+        """RAM the tier holds beside the memo's table (``ram_size_bytes``):
+        the screen, and each live run's Bloom filter and 8-byte fences."""
+        runs = sum(len(run.bloom) + 8 * len(run.fences) for run in self.runs)
+        return len(self._screen) + runs
+
     # ------------------------------------------------------------------
     # Writing: flush, manifest, reset
     # ------------------------------------------------------------------
@@ -422,6 +487,7 @@ class RunStore:
         run = self._write_run(records, "memo.run_flush")
         self._write_manifest([r.path.name for r in self.runs] + [run.path.name])
         self.runs.append(run)
+        self._screen_note(rec[0] for rec in records)
         if self._obs_spills is not None:
             self._obs_spills.inc()
 
@@ -432,6 +498,7 @@ class RunStore:
         missing files."""
         old_runs = self.runs[:]
         del self.runs[:]
+        self._screen_note((), fresh=True)
         self._write_manifest([])
         for run in old_runs:
             run.close()
@@ -550,6 +617,8 @@ class RunStore:
             run.close()
             run.path.unlink(missing_ok=True)
         self.runs[i:j + 1] = new_runs
+        if len(self.runs) == len(new_runs):  # all there is: exact again
+            self._screen_note((rec[0] for rec in merged), fresh=True)
         if self._obs_compactions is not None:
             self._obs_compactions.inc()
 
@@ -587,9 +656,11 @@ class RunStore:
             self._next_seq = int(meta["seq"])
             self._charge_read_pages(1)
         for name in names:
-            run = _Run.load(self.directory / name)
+            data = _Run.validated_image(self.directory / name)
+            run = _Run(self.directory / name, data)
             self._charge_read_pages(run.pages)
             self.runs.append(run)
+            self._screen_note(run.oids_in(data))
         live = set(names)
         for path in self.directory.glob(f"*{RUN_SUFFIX}"):
             if path.name not in live:

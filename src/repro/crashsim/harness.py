@@ -614,6 +614,11 @@ def _recover_and_verify(
             f"({sorted(on_disk - live_names)})",
             checks, "memo tier on durable manifest, orphans swept",
         )
+        _check(
+            not memo2.tier.screen_misses(),
+            f"{scenario.name}: reopened presence screen misses run oids",
+            checks, "presence screen rebuilt over every live run",
+        )
 
     tree2 = RUMTree(
         buffer2,

@@ -139,11 +139,15 @@ _register(
                 "memo_bytes",
                 "peak_ram_bytes",
                 "spill_budget",
+                "tier_ram_bytes",
                 "runs",
                 "spilled_pages",
                 "flush_writes",
                 "probe_pages_per_lookup",
                 "bloom_fp",
+                "miss_pages_per_lookup",
+                "miss_bloom_fp",
+                "miss_screened",
             ]
         ),
     ),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from itertools import chain
 from typing import Sequence, Tuple
 
 from repro.core.memo_lsm import SpillingUpdateMemo
@@ -106,10 +107,14 @@ def run_fig14_memo(
     one update plus ``update_factor`` random re-updates, while RAM is
     pinned at ``spill_budget`` bytes and overflow spills to sorted runs.
     Reported per population: the logical memo size (still linear, as the
-    paper predicts), the *peak* RAM footprint (must stay under budget —
-    the run raises if it ever does not), the run-tier shape, and the
-    probe cost of ``latest_stamp`` over the spilled tier (pages per
-    probe, Bloom false-positive rate).
+    paper predicts), the *peak* table footprint (the run raises if it ever
+    exceeds the budget) beside what the tier keeps resident
+    (``tier_ram_bytes``: presence screen, Bloom filters, fences), the
+    run-tier shape, and the cost of ``latest_stamp`` over the spilled tier:
+    pages per probe and Bloom false positives for keys the memo holds and,
+    in their own columns, for absent keys.  Objects get the even oids and
+    misses are odd, so every miss lies *inside* the runs' key range
+    (``miss_in_range``): only the screen or a Bloom filter spares it a page.
     """
     rows = []
     for population in populations:
@@ -123,36 +128,33 @@ def run_fig14_memo(
                 compact_threshold=compact_threshold,
                 stats=stats,
             )
-            stamp = 0
             peak_ram = 0
-            for oid in range(n):
-                stamp += 1
+            updates = chain(
+                range(0, 2 * n, 2),
+                (2 * rng.randrange(n) for _ in range(int(n * update_factor))),
+            )
+            for stamp, oid in enumerate(updates, start=1):
                 memo.record_update(oid, stamp)
-                ram = memo.ram_size_bytes()
-                if ram > peak_ram:
-                    peak_ram = ram
-            for _ in range(int(n * update_factor)):
-                stamp += 1
-                memo.record_update(rng.randrange(n), stamp)
-                ram = memo.ram_size_bytes()
-                if ram > peak_ram:
-                    peak_ram = ram
+                peak_ram = max(peak_ram, memo.ram_size_bytes())
             if peak_ram > spill_budget:
                 raise RuntimeError(
                     f"fig14memo: peak memo RAM {peak_ram} exceeded the "
                     f"{spill_budget}-byte budget at {n} objects"
                 )
-            probes_before = memo.run_probe_count
-            reads_before = stats.memo_reads
-            hits = 0
-            for _ in range(probe_sample):
-                if memo.latest_stamp(rng.randrange(n)) is not None:
-                    hits += 1
-            # Misses exercise the Bloom filters: absent oids should be
-            # rejected by the in-RAM summaries, not by run page reads.
-            for miss in range(n, n + probe_sample):
-                memo.latest_stamp(miss)
-            probed_pages = memo.run_probe_count - probes_before
+            pages0, fp0 = memo.run_probe_count, memo.bloom_fp_count
+            hits = sum(
+                memo.latest_stamp(2 * rng.randrange(n)) is not None
+                for _ in range(probe_sample)
+            )
+            pages1, fp1 = memo.run_probe_count, memo.bloom_fp_count
+            screened0 = memo.tier.screen_reject_count
+            misses = [2 * rng.randrange(n) + 1 for _ in range(probe_sample)]
+            for oid in misses:
+                memo.latest_stamp(oid)
+            in_range = sum(
+                any(r.min_oid <= oid <= r.max_oid for r in memo.runs)
+                for oid in misses
+            )
             rows.append(
                 {
                     "num_objects": n,
@@ -160,14 +162,22 @@ def run_fig14_memo(
                     "memo_bytes": memo.size_bytes(),
                     "peak_ram_bytes": peak_ram,
                     "spill_budget": spill_budget,
+                    "tier_ram_bytes": memo.tier.resident_bytes(),
                     "runs": len(memo.runs),
                     "spilled_pages": sum(r.pages for r in memo.runs),
                     "flush_writes": stats.memo_writes,
-                    "probe_pages_per_lookup": round(
-                        probed_pages / max(1, 2 * probe_sample), 3
-                    ),
-                    "bloom_fp": memo.bloom_fp_count,
+                    "probe_pages_per_lookup": (pages1 - pages0) / probe_sample,
+                    "bloom_fp": fp1 - fp0,
                     "probe_hits": hits,
+                    "miss_pages_per_lookup": (
+                        (memo.run_probe_count - pages1) / probe_sample
+                    ),
+                    "miss_bloom_fp": memo.bloom_fp_count - fp1,
+                    "miss_screened": (
+                        (memo.tier.screen_reject_count - screened0)
+                        / probe_sample
+                    ),
+                    "miss_in_range": in_range / probe_sample,
                 }
             )
             memo.close()

@@ -730,8 +730,11 @@ class TestOpenLoopHarness:
 
         result = LoadDriver(factory, n_clients=1).run(list(range(30)))
         assert result.percentile_ms(0.50) >= service * 1000
-        assert result.percentile_ms(0.99) < 4 * service * 1000
-        assert result.percentile_ms(0.99) < 3 * result.percentile_ms(0.05)
+        # Queueing would make op i wait ~i x 4 ms (p75 near 20 x service in
+        # the open-loop test above).  Asserted on a percentile that one
+        # scheduler hiccup among the 30 sleeps cannot move: the p99 of 30
+        # samples is the single slowest one, and a busy host stretches it.
+        assert result.percentile_ms(0.75) < 2 * result.percentile_ms(0.05)
 
     def test_factory_failure_surfaces_instead_of_hanging(self):
         """A client whose factory raises never reaches the start

@@ -220,6 +220,9 @@ def test_crash_matrix(scenario, tmp_path):
     memo_fault = (scenario.point or "").startswith("memo.")
     if scenario.mode == "crash" and scenario.point is not None:
         assert outcome.crashed and outcome.kind == "recovered"
+    if memo_fault and outcome.kind == "recovered":
+        # The screen is RAM only: the reopen rebuilt it from the runs.
+        assert "presence screen rebuilt over every live run" in outcome.checks
     if scenario.mode == "torn":
         if memo_fault:
             # A torn memo-run is an unnamed orphan: recovery sweeps it

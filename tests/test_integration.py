@@ -184,6 +184,28 @@ class TestExperimentDriversSmoke:
         assert len(result.rows) == 6
         assert result.rows[0]["num_objects"] >= 16
 
+    def test_fig14memo_misses_lie_inside_the_runs(self):
+        """The absent keys of the memo leg must be ones only the presence
+        screen, a Bloom filter or a page read can answer: keys past every
+        run's ``max_oid`` (what this leg used to probe) fall to the
+        key-range test and report 0 pages, 0 false positives by
+        construction."""
+        from repro.experiments import run_fig14_memo
+
+        (row,) = run_fig14_memo(
+            populations=(150_000,), spill_budget=4096, probe_sample=400
+        ).rows
+        assert row["runs"] >= 2 and row["peak_ram_bytes"] <= 4096
+        assert row["miss_in_range"] == 1.0
+        # A miss that read a page is a Bloom false positive, and nothing else.
+        assert row["miss_pages_per_lookup"] * 400 == row["miss_bloom_fp"]
+        assert 0.5 < row["miss_screened"] <= 1.0
+        # Keys the memo holds read their page (plus the odd false positive).
+        assert row["probe_hits"] == 400
+        assert row["probe_pages_per_lookup"] * 400 >= 400 - 171  # RAM holds <= 171
+        # Screen + Bloom filters + fences: the table's budget is not all the RAM.
+        assert row["tier_ram_bytes"] > 2 * row["spilled_pages"]
+
     def test_fig15(self):
         from repro.experiments import run_fig15
 

@@ -4,9 +4,11 @@ Covers the run file format (CRC, fences, Bloom filters), the spill /
 probe / compact lifecycle, manifest crash safety under fault injection,
 and — the core contract — that a memo on a tier behaves as the Section
 3.1 table (a dict model) under arbitrary operation interleavings,
-including across a close/reopen cycle.  ``tests/test_memo.py`` runs the
-paper's per-operation behaviours on both sides of a spill; this file
-holds what only exists with runs on disk.
+including across a close/reopen cycle — and that the tier's RAM-only
+presence screen never misses an oid a live run holds, whatever fed, grew,
+cleared or rebuilt it.  ``tests/test_memo.py`` runs the paper's
+per-operation behaviours on both sides of a spill; this file holds what
+only exists with runs on disk.
 """
 
 import hashlib
@@ -18,20 +20,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import memo_lsm
 from repro.core.memo import LATEST, OBSOLETE, UpdateMemo
 from repro.core.memo_lsm import (
     MANIFEST_FILE,
     MANIFEST_TMP_FILE,
     RUN_SUFFIX,
+    SCREEN_BITS_PER_RECORD,
     MemoCorruptionError,
     SpillingUpdateMemo,
     _Run,
 )
+from repro.obs import Observability
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.iostats import IOStats
 from repro.storage.wal import UM_ENTRY_BYTES
 
 PARENT_RUNS = Path(__file__).parent / "fixtures" / "memo_runs_parent"
+
+
+def load_run(path):
+    """Open an existing run as the store does: image validated, then
+    described."""
+    return _Run(path, _Run.validated_image(path))
 
 
 def tiny_memo(tmp_path, budget_entries=4, threshold=2, **kwargs):
@@ -133,7 +144,7 @@ class TestRunFormat:
         records = [(oid, oid * 7 + 1, 1, 0) for oid in range(500)]
         path = tmp_path / f"run-x{RUN_SUFFIX}"
         path.write_bytes(_Run.encode(records))
-        run = _Run.load(path)
+        run = load_run(path)
         assert run.count == 500
         assert list(run.iter_records()) == records
         for oid in (0, 170, 171, 499):
@@ -150,7 +161,7 @@ class TestRunFormat:
         path = tmp_path / f"run-y{RUN_SUFFIX}"
         path.write_bytes(bytes(data))
         with pytest.raises(MemoCorruptionError):
-            _Run.load(path)
+            load_run(path)
 
 
 class TestCompaction:
@@ -497,7 +508,7 @@ def test_flushed_run_described_as_its_file_loads(tmp_path):
         memo.record_update(oid * 3, oid + 1)
     memo.flush_ram()
     for run in memo.runs:
-        loaded = _Run.load(run.path)
+        loaded = load_run(run.path)
         for field in ("count", "min_oid", "max_oid", "m_bits", "k", "bloom", "fences"):
             assert getattr(run, field) == getattr(loaded, field), field
         loaded.close()
@@ -562,7 +573,10 @@ def scripted_ops(memo):
 #: sha256 of every file ``scripted_ops`` + ``flush_ram`` leaves behind, and
 #: the tallies it ends with, recorded on the commit before the two memo
 #: classes became one (``memo_reads`` excluded: that commit's purge forgot
-#: to charge its scan).
+#: to charge its scan).  ``found_pages`` is ``run_probes - bloom_fp``, the
+#: page reads that found a record; that commit made 7 more that found none
+#: (Bloom false positives), and a counted read may disappear since only by
+#: being one of those — the presence screen answers it first.
 SCRIPT_DIGESTS = {
     "memo.manifest": "f2dc98f1eca05145a427a7184cd26f4da202d68897a317e29f1c53def935fdac",
     "run-00000281.run": "f7fb0c3500181372a29e1f7b8ee916bbb886f1d10485996fa936d36c21b86735",
@@ -576,32 +590,44 @@ SCRIPT_DIGESTS = {
     "run-00000303.run": "bf047fb479105b865ad8f9bf8e92cbaf18b940424d5875dc76103871b84d5412",
 }
 SCRIPT_TALLIES = {
-    "memo_writes": 616, "lookups": 412, "hits": 346,
-    "run_probes": 879, "bloom_fp": 7,
+    "memo_writes": 616, "lookups": 412, "hits": 346, "found_pages": 872,
 }
+SCRIPT_BLOOM_FP_CEILING = 7
 
 
 def script_memo(directory, **kwargs):
     return tiny_memo(directory, budget_entries=3, n_buckets=4, **kwargs)
 
 
-def test_fixed_script_writes_the_recorded_bytes(tmp_path):
+def run_script(directory):
+    """``scripted_ops`` + ``flush_ram`` on a fresh memo: its tallies, the
+    I/O it was charged, the digests of what it left on disk and how many
+    probes the screen answered."""
     stats = IOStats()
-    memo = script_memo(tmp_path, stats=stats)
-    model = scripted_ops(memo)
-    agrees_with_model(memo, model, ())
+    memo = script_memo(directory, stats=stats)
+    agrees_with_model(memo, scripted_ops(memo), ())
     memo.flush_ram()
     memo.close()
     tallies = {
-        "memo_writes": stats.memo_writes, "lookups": memo.lookup_count,
-        "hits": memo.hit_count, "run_probes": memo.run_probe_count,
-        "bloom_fp": memo.bloom_fp_count,
+        name: getattr(memo, name)
+        for name in ("lookup_count", "hit_count", "run_probe_count", "bloom_fp_count")
     }
-    assert tallies == SCRIPT_TALLIES
-    assert {
+    digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.iterdir()
-    } == SCRIPT_DIGESTS
+        for path in directory.iterdir()
+    }
+    return tallies, stats.snapshot(), digests, memo.tier.screen_reject_count
+
+
+def test_fixed_script_writes_the_recorded_bytes(tmp_path):
+    tallies, io, digests, _ = run_script(tmp_path)
+    assert {
+        "memo_writes": io.memo_writes, "lookups": tallies["lookup_count"],
+        "hits": tallies["hit_count"],
+        "found_pages": tallies["run_probe_count"] - tallies["bloom_fp_count"],
+    } == SCRIPT_TALLIES
+    assert tallies["bloom_fp_count"] <= SCRIPT_BLOOM_FP_CEILING
+    assert digests == SCRIPT_DIGESTS
 
 
 def test_directory_written_before_the_merge_opens(tmp_path):
@@ -610,7 +636,218 @@ def test_directory_written_before_the_merge_opens(tmp_path):
     shutil.copytree(PARENT_RUNS, tmp_path / "memo")
     memo = script_memo(tmp_path / "memo")
     assert len(memo.runs) == len(SCRIPT_DIGESTS) - 1
+    assert memo.tier.screen_misses() == []  # rebuilt from the parent's bytes
     scratch = script_memo(tmp_path / "scratch")
     agrees_with_model(memo, scripted_ops(scratch), range(60))
     memo.close()
     scratch.close()
+
+
+# ---------------------------------------------------------------------------
+# The presence screen (RAM only) and the in-page search
+# ---------------------------------------------------------------------------
+
+
+def test_screen_removes_bloom_false_positives_and_nothing_else(tmp_path, monkeypatch):
+    """The same script with and without a working screen: every file, every
+    memo tally and every page read that found a record are identical; the
+    only counted reads the screen may remove are Bloom false positives."""
+    seen, seen_io, seen_files, rejects = run_script(tmp_path / "screened")
+    with monkeypatch.context() as patch:
+        # Every oid in one slot: once a run exists the screen rejects
+        # nothing, which is the probe walk of the commit before it.
+        patch.setattr(memo_lsm, "_SCREEN_MULT", 0)
+        blind, blind_io, blind_files, no_rejects = run_script(tmp_path / "blind")
+    assert (blind["run_probe_count"], blind["bloom_fp_count"]) == (879, 7)
+    assert no_rejects == 0 < rejects
+    assert seen_files == blind_files == SCRIPT_DIGESTS
+    assert seen_io.memo_writes == blind_io.memo_writes
+    for tally in ("lookup_count", "hit_count"):
+        assert seen[tally] == blind[tally]
+    spared = blind["bloom_fp_count"] - seen["bloom_fp_count"]
+    assert spared >= 0
+    assert blind["run_probe_count"] - seen["run_probe_count"] == spared
+    assert blind_io.memo_reads - seen_io.memo_reads == spared
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_screen_sound_under_seeded_interleavings(tmp_path, seed):
+    """Whatever feeds, grows, clears or rebuilds the screen — spills
+    (budget, ``defer_spills`` exit, ``flush_ram``), compactions, phantom
+    purges, ``restore``, close-and-reopen — after every step each oid of
+    each live run passes it, and the memo answers as the dict model."""
+    rng = random.Random(seed)
+    memo = script_memo(tmp_path)
+    model = ModelMemo()
+    stamp = 0
+    seen_runs = rejected = 0
+
+    def update(oid):
+        nonlocal stamp
+        stamp += 1
+        memo.record_update(oid, stamp)
+        model.record_update(oid, stamp)
+
+    for step in range(500):
+        roll = rng.random()
+        oid = rng.randrange(60)
+        if roll < 0.50:
+            update(oid)
+        elif roll < 0.72:
+            if oid in model.table:
+                memo.note_cleaned(oid)
+                model.note_cleaned(oid)
+        elif roll < 0.80:
+            oids = [rng.randrange(60) for _ in range(12)]
+            stamps = [
+                model.table[o][0] - rng.randrange(2) if o in model.table else 0
+                for o in oids
+            ]
+            for slot in memo.sweep_obsolete(oids, stamps, 5):
+                model.note_cleaned(oids[slot])
+        elif roll < 0.86:
+            with memo.defer_spills():
+                for other in range(oid, oid + 9):
+                    update(other)
+        elif roll < 0.90:
+            memo.flush_ram()
+        elif roll < 0.93:
+            memo.purge_phantoms(stamp - 80, exclude={3, 5})
+            model.purge_phantoms(stamp - 80, exclude={3, 5})
+        elif roll < 0.96:
+            kept = [e for e in model.snapshot() if rng.random() < 0.7]
+            memo.restore(kept)
+            model.table = {o: [s, n] for o, s, n in kept}
+        else:
+            memo.flush_ram()  # the table dies with the process
+            rejected += memo.tier.screen_reject_count
+            memo.close()
+            memo = script_memo(tmp_path)
+        assert memo.tier.screen_misses() == [], step
+        seen_runs = max(seen_runs, len(memo.runs))
+        if step % 25 == 0:
+            agrees_with_model(memo, model, range(70))
+    agrees_with_model(memo, model, range(70))
+    assert seen_runs >= 3 and rejected + memo.tier.screen_reject_count > 0
+    memo.close()
+
+
+def test_screen_doubling_keeps_every_earlier_oid(tmp_path):
+    memo = tiny_memo(tmp_path, budget_entries=32, threshold=99)
+    tier = memo.tier
+    sizes = [len(tier._screen)]
+    for oid in range(0, 6000, 3):
+        memo.record_update(oid, oid + 1)
+        if len(tier._screen) != sizes[-1]:
+            sizes.append(len(tier._screen))
+            assert tier.screen_misses() == []
+    assert len(memo.runs) == 60  # no compaction: every run was noted once
+    assert len(sizes) >= 6
+    assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+    # Sized by the records of the live runs, to the power of two above.
+    want = SCREEN_BITS_PER_RECORD * sum(run.count for run in memo.runs)
+    assert want <= len(tier._screen) * 8 < 2 * want
+    for oid in range(0, 6000, 3):
+        assert memo.latest_stamp(oid) == oid + 1
+        assert memo.latest_stamp(oid + 1) is None  # in range, in no run
+    # A doubling gives every set bit a twin, so six of them cost some
+    # sharpness — still four absent oids in five never reach a Bloom filter.
+    assert 1600 <= tier.screen_reject_count < 2000
+    memo.close()
+
+
+def test_compaction_of_every_run_rebuilds_an_exact_screen(tmp_path):
+    memo = tiny_memo(tmp_path, budget_entries=32, threshold=99)
+    tier = memo.tier
+    for oid in range(0, 3000, 3):
+        memo.record_update(oid, oid + 1)
+    memo.flush_ram()
+    for oid in range(0, 3000, 6):
+        memo.note_cleaned(oid)  # tombstones: dropped by the merge below
+    memo.flush_ram()
+    blurred = sum(bin(byte).count("1") for byte in tier._screen)
+    tier._compact(1, len(memo.runs) - 1)  # not every run: screen untouched
+    assert sum(bin(byte).count("1") for byte in tier._screen) == blurred
+    tier._compact(0, len(memo.runs) - 1)
+    (run,) = memo.runs
+    assert run.count == 500 and tier.screen_misses() == []
+    # Exactly the bits of the surviving oids, on a table sized for them.
+    slots = {memo_lsm._screen_slot(oid, tier._screen_shift) for oid in range(3, 3000, 6)}
+    assert sum(bin(byte).count("1") for byte in tier._screen) == len(slots) < blurred
+    assert len(tier._screen) * 8 == 8192 >= SCREEN_BITS_PER_RECORD * run.count
+    probes, rejects = memo.run_probe_count, tier.screen_reject_count
+    for oid in range(0, 3000, 6):
+        assert memo.latest_stamp(oid) is None  # a dropped oid: no stale bit
+    assert memo.run_probe_count == probes
+    assert tier.screen_reject_count == rejects + 500
+    memo.close()
+
+
+def test_screen_exact_at_extreme_oids(tmp_path):
+    extremes = [0, -1, 2**63 - 1, -(2**63 - 1)]
+    memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+    for stamp, oid in enumerate(extremes, start=1):
+        memo.record_update(oid, stamp)
+    memo.flush_ram()
+    memo.close()
+    memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+    assert memo.tier.screen_misses() == []
+    for stamp, oid in enumerate(extremes, start=1):
+        assert memo.latest_stamp(oid) == stamp
+    for oid in (1, -2, 2**63 - 2, -(2**63 - 2), 2**62):
+        assert memo.latest_stamp(oid) is None
+    memo.close()
+
+
+@pytest.mark.parametrize("clear", ["restore", "purge"])
+def test_reset_empties_the_screen(tmp_path, clear):
+    memo = tiny_memo(tmp_path, budget_entries=4, threshold=99)
+    tier = memo.tier
+    floor = tier.resident_bytes()
+    assert floor == len(tier._screen) and not any(tier._screen)
+    for oid in range(300):
+        memo.record_update(oid, oid + 1)
+    assert any(tier._screen)
+    # Screen + Bloom filters + fences: well past the 1.25 B per record of
+    # the Bloom filters alone.
+    assert tier.resident_bytes() > floor + 2 * sum(r.count for r in memo.runs)
+    if clear == "restore":
+        memo.restore([])
+    else:
+        assert memo.purge_phantoms(10**9) == 300
+    assert memo.runs == () and not any(tier._screen)
+    assert tier.resident_bytes() == floor
+    assert memo.latest_stamp(7) is None
+    memo.close()
+
+
+def test_tier_gauges_report_screen_and_resident_ram(tmp_path):
+    obs = Observability(level="metrics")
+    memo = tiny_memo(tmp_path, budget_entries=4, threshold=99)
+    memo.attach_obs(obs)
+    for oid in range(0, 200, 2):
+        memo.record_update(oid, oid + 1)
+    memo.flush_ram()
+    for oid in range(1, 200, 2):
+        assert memo.latest_stamp(oid) is None
+    gauges = obs.registry.snapshot().gauges
+    assert gauges["memo.screen_rejects"] == memo.tier.screen_reject_count > 80
+    assert gauges["memo.tier_ram_bytes"] == memo.tier.resident_bytes()
+    memo.close()
+
+
+def test_probe_page_finds_every_oid_and_no_gap(tmp_path):
+    """The C search over the page's oid column against the records
+    themselves: every stored oid (so the first and last record of every
+    page), every gap between two stored oids, below the first fence and
+    past the last record — on a multi-page run and on a 1-record run."""
+    for count in (1, 170, 171, 400):
+        records = [(7 + oid * 3, oid + 1, 1 + oid % 5, oid % 3) for oid in range(count)]
+        path = tmp_path / f"run-{count}{RUN_SUFFIX}"
+        path.write_bytes(_Run.encode(records))
+        run = load_run(path)
+        assert run.pages == -(-count // 170) == len(run.fences)
+        by_oid = {rec[0]: rec for rec in records}
+        for oid in range(records[0][0] - 3, records[-1][0] + 4):
+            assert run.probe_page(oid) == by_oid.get(oid), (count, oid)
+        run.close()
