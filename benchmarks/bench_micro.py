@@ -58,7 +58,7 @@ from repro.experiments.harness import (
     make_tree,
     scaled,
 )
-from repro.rtree.base import MIRROR_QUERY_STREAK
+from repro.rtree.base import MIRROR_QUERY_STREAK, RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
 from repro.storage.buffer import BufferPool
@@ -162,7 +162,9 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
     buffer-born block (the zero-copy representation queries consume);
     ``split.margin_scan`` runs the R* axis-choice scan — a stable argsort
     plus running-bounds tables per coordinate column — over an entry-born
-    block of a full leaf, the exact shape the split path feeds it.
+    block of a full leaf, the exact shape the split path feeds it;
+    ``geometry.choose_subtree_*`` run the insertion's ChooseSubtree
+    decision over a full directory node, on its short and its long path.
     """
     rng = random.Random(13)
     codec = NodeCodec(NODE_SIZE, rum_leaves=True)
@@ -198,6 +200,24 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
         "ops_per_sec": _timed(margin_scan, rounds) * 4,
         "iterations": rounds * 4,
     }
+
+    # ChooseSubtree at the leaf parents, on a full directory node: a
+    # rectangle one child covers costs the least-enlargement pass alone;
+    # one beside every child (all must grow, into each other) ranks the
+    # whole candidate list.
+    index_codec = NodeCodec(NODE_SIZE)
+    directory = _full_index(index_codec, rng)
+    tree = RTreeBase(BufferPool(DiskManager(NODE_SIZE), index_codec, IOStats()))
+    for label, rect in (
+        ("covered", Rect.from_point(*directory.entries[0].rect.center())),
+        ("ranked", Rect(1.5, 1.5, 1.6, 1.6)),
+    ):
+        def choose_subtree() -> None:
+            tree._choose_child_index(directory, rect, True)
+
+        metrics[f"geometry.choose_subtree_{label}"] = {
+            "ops_per_sec": _timed(choose_subtree, iters), "iterations": iters,
+        }
 
 
 def bench_buffer(metrics: Dict, iters: int) -> None:

@@ -431,13 +431,17 @@ class RUMTree(RTreeBase, MemoHost):
     # Cleaning integration (the MemoHost side of the tree)
     # ------------------------------------------------------------------
 
-    def clean_leaf(self, leaf: Node, keep_at_least: int = 0) -> int:
+    def clean_leaf(
+        self, leaf: Node, keep_at_least: int = 0,
+        left: Optional[List[LeafEntry]] = None,
+    ) -> int:
         """Remove obsolete entries from ``leaf`` (Figure 8, step 1).
 
         ``keep_at_least`` stops the sweep early so opportunistic cleaning
         (clean-upon-touch, clean-on-split) never underflows a node in the
         middle of another structural operation.  Returns the number of
-        entries removed; the caller owns MBR adjustment / condensation.
+        entries removed, and appends them to ``left`` if given; the caller
+        owns MBR adjustment / condensation and needs to know what left.
         """
         budget = len(leaf) - keep_at_least
         if budget <= 0:
@@ -447,20 +451,21 @@ class RUMTree(RTreeBase, MemoHost):
         oids, stamps = leaf.id_columns()
         slots = self.memo.sweep_obsolete(oids, stamps, budget)
         if slots:
+            if left is not None:
+                left.extend(leaf.take(slots))
             leaf.drop_slots(slots)
             self.buffer.mark_dirty(leaf)
         return len(slots)
 
-    def _on_entry_placed(self, node: Node, entry: LeafEntry) -> None:
-        if not self.clean_upon_touch:
-            return
+    def _on_entry_placed(self, node: Node, entry: LeafEntry) -> List[LeafEntry]:
+        left: List[LeafEntry] = []
         # Clean-upon-touch (Section 3.3.3): the leaf is already being read
         # and written by this insertion, so sweeping it costs no extra I/O.
         # Leave at least min_leaf entries so the insertion path never has
         # to handle an underflow it did not cause.
-        removed = self.clean_leaf(node, keep_at_least=self.min_leaf)
-        if removed:
-            self.cleaner.entries_removed += removed
+        if self.clean_upon_touch and self.clean_leaf(node, self.min_leaf, left):
+            self.cleaner.entries_removed += len(left)
+        return left
 
     def _on_leaf_split(self, node: Node, sibling: Node) -> None:
         # A split inserts the new sibling right after the original in the
@@ -509,7 +514,8 @@ class RUMTree(RTreeBase, MemoHost):
             # Named before the tree is mutated: if the cleaning dissolves
             # the successor leaf too, the dissolution hook moves it on.
             self._ring_successor = leaf.next_leaf
-            removed = self.clean_leaf(leaf)
+            left: List[LeafEntry] = []
+            removed = self.clean_leaf(leaf, left=left)
             if removed:
                 if len(leaf) < self.min_leaf and position != self.root_id:
                     # Underflow: dissolve the leaf and reinsert the
@@ -517,7 +523,7 @@ class RUMTree(RTreeBase, MemoHost):
                     # re-homes any token parked on this page.
                     self._condense(leaf)
                 else:
-                    self._adjust_upward(leaf)
+                    self._adjust_upward(leaf, left=left)
         return self._ring_successor, removed
 
     def _stored_ids(self) -> Iterator[Tuple[int, int]]:

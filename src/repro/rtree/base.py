@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.explain import ExplainReport, TraversalObserver
 
 from .geometry import Rect
-from .node import IndexEntry, LeafEntry, Node
+from .node import Entry, IndexEntry, LeafEntry, Node
 from .split import choose_reinsert_entries, quadratic_split, rstar_split
 
 #: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
@@ -563,23 +563,26 @@ class RTreeBase:
 
     def _insert(self, entry, level: int, reinserted: Set[int]) -> Node:
         """Insert ``entry`` into some node at ``level``; returns that node."""
-        node = self._choose_node(entry.rect, level)
+        node, path = self._choose_node(entry.rect, level)
         node.add_entry(entry)
         if not node.is_leaf:
             self.parent[entry.child_id] = node.page_id
         self.buffer.mark_dirty(node)
+        left: Sequence[LeafEntry] = ()
         if node.is_leaf:
-            self._on_entry_placed(node, entry)
-        self._adjust_upward(node)
+            left = self._on_entry_placed(node, entry) or ()
+        self._adjust_upward(node, path, entry.rect, left)
         self._handle_overflow(node, level, reinserted)
         return node
 
-    def _on_entry_placed(self, node: Node, entry: LeafEntry) -> None:
+    def _on_entry_placed(self, node: Node, entry: LeafEntry) -> Optional[list]:
         """Hook: ``entry`` was just placed into leaf ``node``.
 
         Called *before* overflow handling, so a subclass tracking entry
         locations (the FUR-tree's secondary index) sees relocations caused
         by splits/reinserts afterwards and ends up with the final leaf.
+        A hook that removes entries from the leaf (clean-upon-touch)
+        returns them: MBR adjustment needs to know what left.
         """
 
     # ------------------------------------------------------------------
@@ -639,24 +642,28 @@ class RTreeBase:
             pages_written=scope.pages_written,
         )
 
-    def _choose_node(self, rect: Rect, level: int) -> Node:
-        """Descend from the root to a node at ``level`` (leaves = level 0)."""
+    def _choose_node(self, rect: Rect, level: int) -> Tuple[Node, list]:
+        """Descend from the root to a node at ``level`` (leaves = level 0);
+        returns it and the path there: the ``(directory node, child
+        index)`` pair taken at each level, root first."""
         if level >= self.height:
             raise ValueError(
                 f"target level {level} but tree height is {self.height}"
             )
         watch = self._watch
         node = self.buffer.get_node(self.root_id)
+        path: List[Tuple[Node, int]] = []
         current = self.height - 1
         while current > level:
             idx = self._choose_child_index(node, rect, current == 1)
             if watch is not None:
                 watch.visit(node, len(node), 1)
+            path.append((node, idx))
             node = self.buffer.get_node(node.entries[idx].child_id)
             current -= 1
         if watch is not None:
             watch.visit(node, len(node), 0)
-        return node
+        return node, path
 
     def _choose_child_index(
         self, node: Node, rect: Rect, leaf_children: bool
@@ -680,12 +687,18 @@ class RTreeBase:
             # cannot increase any overlap, so (overlap-delta, enlargement,
             # area) is already minimal for the least-area such child.
             return least[2]
-        enls, node_areas = kernels.enlargements(block, rx1, ry1, rx2, ry2)
-        ranked = sorted(zip(enls, node_areas, range(n)))
-        candidates = ranked[: self.choose_subtree_candidates]
-        best_idx = candidates[0][2]
+
+        def candidates() -> Iterator[Tuple[float, float, int]]:
+            # Ascending (enlargement, area, index): ``least`` is the head,
+            # and the rest is ranked only once the head adds overlap.
+            yield least
+            enls, node_areas = kernels.enlargements(block, rx1, ry1, rx2, ry2)
+            ranked = sorted(zip(enls, node_areas, range(n)))
+            yield from ranked[1 : self.choose_subtree_candidates]
+
+        best_idx = least[2]
         best_key: Optional[Tuple[float, float, float]] = None
-        for enlargement, area, i in candidates:
+        for enlargement, area, i in candidates():
             ex1, ey1, ex2, ey2 = kernels.block_get(block, i)
             nx1 = ex1 if ex1 < rx1 else rx1
             ny1 = ey1 if ey1 < ry1 else ry1
@@ -698,6 +711,10 @@ class RTreeBase:
             if best_key is None or key < best_key:
                 best_key = key
                 best_idx = i
+            if overlap_delta == 0.0:
+                # An overlap delta is never negative (docs/KERNELS.md), so
+                # no later candidate's key can be strictly smaller.
+                break
         return best_idx
 
     def _handle_overflow(
@@ -770,20 +787,49 @@ class RTreeBase:
     # Bottom-up MBR adjustment
     # ------------------------------------------------------------------
 
-    def _adjust_upward(self, node: Node) -> None:
+    def _adjust_upward(
+        self, node: Node, path: Sequence[Tuple[Node, int]] = (),
+        grown: Optional[Rect] = None, left: Optional[Sequence[Entry]] = None,
+    ) -> None:
         """Propagate ``node``'s exact MBR into its ancestors' entries.
 
         Internal nodes are memory-cached, so this walk is free in the
         paper's leaf-I/O metric, matching Section 3.3's "the MBRs of its
         ancestor nodes are adjusted".
+
+        ``path`` is the descent that reached ``node`` (:meth:`_choose_node`);
+        without one the pairs are resolved from the parent directory.  A
+        caller that knows how ``node`` changed since its parent entry was
+        exact — it lost the entries ``left``, gained at most one of
+        rectangle ``grown`` — spares the scan: the new MBR is the held one
+        united with ``grown`` unless an entry that left touched its edge.
         """
         current = node
+        depth = len(path)
         while current.page_id != self.root_id:
-            parent = self.buffer.get_node(self.parent[current.page_id])
-            idx = parent.find_child_index(current.page_id)
-            new_mbr = current.mbr()
-            if parent.entries[idx].rect == new_mbr:
-                return
+            if depth:
+                depth -= 1
+                parent, idx = path[depth]
+            else:
+                parent = self.buffer.get_node(self.parent[current.page_id])
+                idx = parent.find_child_index(current.page_id)
+            held = parent.entries[idx].rect
+            if left and not all(
+                held.xmin < e.rect.xmin and held.ymin < e.rect.ymin
+                and e.rect.xmax < held.xmax and e.rect.ymax < held.ymax
+                for e in left
+            ):
+                left = None
+            if left is None:
+                new_mbr = current.mbr()
+                if new_mbr == held:
+                    return
+            else:
+                new_mbr = held if grown is None else held.union(grown)
+                if new_mbr is held:  # what ``union`` answers on cover
+                    return
+                # One level up the child lost nothing and only grew.
+                grown, left = new_mbr, ()
             parent.entries[idx] = IndexEntry(new_mbr, current.page_id)
             self.buffer.mark_dirty(parent)
             current = parent
@@ -1124,9 +1170,8 @@ class RTreeBase:
     def leaf_mbr_sides(self) -> List[Tuple[float, float]]:
         """Width/height of every leaf MBR (input to the Lemma-2 estimator)."""
         return [
-            (node.mbr().width, node.mbr().height)
-            for node in self.iter_leaf_nodes()
-            if node.entries
+            (mbr.width, mbr.height)
+            for mbr in (n.mbr() for n in self.iter_leaf_nodes() if n.entries)
         ]
 
     # ------------------------------------------------------------------

@@ -150,13 +150,19 @@ class Rect:
     # -- combinations --------------------------------------------------------
 
     def union(self, other: "Rect") -> "Rect":
-        """The MBR of the two rectangles."""
-        return Rect(
-            self.xmin if self.xmin < other.xmin else other.xmin,
-            self.ymin if self.ymin < other.ymin else other.ymin,
-            self.xmax if self.xmax > other.xmax else other.xmax,
-            self.ymax if self.ymax > other.ymax else other.ymax,
-        )
+        """The MBR of the two rectangles, as :meth:`union_all` folds it:
+        the first of equal coordinates stays (``0.0`` against ``-0.0``).
+        Returns ``self`` when it already covers ``other``."""
+        x1, y1, x2, y2 = self.xmin, self.ymin, self.xmax, self.ymax
+        ox1, oy1, ox2, oy2 = other.xmin, other.ymin, other.xmax, other.ymax
+        if ox1 < x1 or oy1 < y1 or ox2 > x2 or oy2 > y2:
+            return Rect(
+                ox1 if ox1 < x1 else x1,
+                oy1 if oy1 < y1 else y1,
+                ox2 if ox2 > x2 else x2,
+                oy2 if oy2 > y2 else y2,
+            )
+        return self
 
     def enlargement(self, other: "Rect") -> float:
         """Area increase needed for this rectangle to also cover ``other``.

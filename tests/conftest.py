@@ -155,3 +155,60 @@ def assert_windows_match(index, pos, seed: int, side: float = 0.3) -> None:
 
 def leaf_entry_count(tree) -> int:
     return sum(len(node.entries) for node in tree.iter_leaf_nodes())
+
+
+#: The low cluster of :func:`two_cluster_tree`, oid -> point.  Its leaf's
+#: MBR is [0.1, 0.3] x [0.1, 0.3]: oid 0 lies on the xmin edge beside
+#: oid 1, oid 2 alone defines xmax, oid 3 alone ymin, and oids 4 and 5
+#: are strictly inside.
+LOW_CLUSTER = {
+    0: (0.1, 0.2), 1: (0.1, 0.3), 2: (0.3, 0.2), 3: (0.2, 0.1),
+    4: (0.2, 0.2), 5: (0.25, 0.15),
+}
+
+
+def two_cluster_tree(reflect: bool = False, **kwargs):
+    """A RUM-tree of height 2 over two far-apart leaves with no token
+    steps; returns it, the page id of the leaf holding
+    :data:`LOW_CLUSTER` and that cluster as oid -> rectangle.  With
+    ``reflect`` the cluster is mirrored through its centre (0.2, 0.2),
+    which swaps the roles of the opposite edges."""
+    tree = build_rum_tree(node_size=SMALL_NODE, inspection_ratio=0.0, **kwargs)
+    cluster = {
+        oid: Rect.from_point(0.4 - x, 0.4 - y) if reflect
+        else Rect.from_point(x, y)
+        for oid, (x, y) in LOW_CLUSTER.items()
+    }
+    far = [(0.7, 0.7), (0.9, 0.7), (0.7, 0.9), (0.9, 0.9), (0.8, 0.8)]
+    for oid, rect in cluster.items():
+        tree.insert_object(oid, rect)
+    for oid, (x, y) in enumerate(far, start=len(cluster)):
+        tree.insert_object(oid, Rect.from_point(x, y))
+    low, _high = sorted(
+        tree.iter_leaf_nodes(), key=lambda leaf: leaf.entries[0].oid
+    )
+    assert tree.height == 2
+    assert sorted(e.oid for e in low.entries) == sorted(cluster)
+    assert held_rect(tree, low.page_id) == Rect.union_all(cluster.values())
+    return tree, low.page_id, cluster
+
+
+def held_rect(tree, page_id: int) -> Rect:
+    """The rectangle the parent entry of ``page_id`` holds (uncounted)."""
+    parent = tree.buffer.peek_node(tree.parent[page_id])
+    return parent.entries[parent.find_child_index(page_id)].rect
+
+
+@pytest.fixture
+def mbr_calls(monkeypatch) -> List[int]:
+    """Page ids of every ``mbr()`` scan made while the fixture is live."""
+    from repro.rtree.node import LazyNode, Node
+
+    calls: List[int] = []
+    for cls in (Node, LazyNode):
+        def counted(self, _mbr=cls.mbr):
+            calls.append(self.page_id)
+            return _mbr(self)
+
+        monkeypatch.setattr(cls, "mbr", counted)
+    return calls

@@ -112,6 +112,28 @@ class TestCombinations:
         b = Rect(0.2, 0.2, 0.8, 0.6)
         assert a.union(b) == Rect(0.0, 0.0, 0.8, 0.6)
 
+    def test_union_keeps_its_own_coordinate_on_ties(self):
+        # ``union`` is the incremental step of ``union_all``: the first of
+        # equals stays, which only the sign of a zero can show.
+        own = Rect(-0.0, 0.0, 0.0, -0.0)
+        other = Rect(0.0, -0.0, 1.0, 0.0)
+        signs = [math.copysign(1.0, c) for c in own.union(other)]
+        assert signs == [-1.0, 1.0, 1.0, -1.0]
+        folded = Rect.union_all([own, other])
+        assert signs == [math.copysign(1.0, c) for c in folded]
+        assert [math.copysign(1.0, c) for c in other.union(own)] == [
+            math.copysign(1.0, c) for c in Rect.union_all([other, own])
+        ]
+
+    def test_union_is_identity_on_cover(self):
+        outer = Rect(0.0, 0.0, 1.0, 1.0)
+        assert outer.union(Rect(0.2, 0.2, 0.4, 0.4)) is outer
+        assert outer.union(Rect(0.0, 0.5, 1.0, 1.0)) is outer  # on the edge
+        assert outer.union(Rect(-0.0, 0.0, 1.0, 1.0)) is outer
+        assert outer.union(outer) is outer
+        grown = outer.union(Rect(0.5, 0.5, 1.5, 0.6))
+        assert grown is not outer and grown == Rect(0.0, 0.0, 1.5, 1.0)
+
     def test_enlargement_zero_when_contained(self):
         outer = Rect(0.0, 0.0, 1.0, 1.0)
         inner = Rect(0.2, 0.2, 0.4, 0.4)
@@ -162,6 +184,11 @@ class TestProperties:
     @given(rects(), rects())
     def test_union_commutative(self, a, b):
         assert a.union(b) == b.union(a)
+
+    @given(rects(), rects())
+    def test_union_is_union_all_of_the_pair(self, a, b):
+        assert a.union(b) == Rect.union_all([a, b])
+        assert (a.union(b) is a) == a.contains(b)
 
     @given(rects(), rects())
     def test_enlargement_non_negative(self, a, b):

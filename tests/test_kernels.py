@@ -21,16 +21,20 @@ counted leaf I/O on randomised update/query workloads.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels
 import repro.kernels._python as pyk
+from repro.factory import build_rstar_tree
 from repro.rtree.geometry import Rect
-from repro.rtree.node import LeafEntry
+from repro.rtree.node import IndexEntry, LeafEntry, Node
 
 try:
     import repro.kernels._numpy as npk
@@ -50,15 +54,14 @@ _COORD = st.one_of(
     ),
 )
 
+
+def _ordered(t):
+    """Four drawn coordinates as a valid (xmin, ymin, xmax, ymax)."""
+    return (min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3]))
+
+
 #: (xmin, ymin, xmax, ymax); degenerate (point/segment) rects included.
-_RECT = st.tuples(_COORD, _COORD, _COORD, _COORD).map(
-    lambda t: (
-        min(t[0], t[2]),
-        min(t[1], t[3]),
-        max(t[0], t[2]),
-        max(t[1], t[3]),
-    )
-)
+_RECT = st.tuples(_COORD, _COORD, _COORD, _COORD).map(_ordered)
 
 # Sizes straddle the numpy backend's vectorisation cutoffs (64 for the
 # linear split scans, 16 for the quadratic seed search).
@@ -247,6 +250,155 @@ def test_bounds_keeps_the_first_zero_and_rejects_an_empty_block():
     for impl, block in _blocks([]):
         with pytest.raises(ValueError):
             impl.bounds(block)
+
+
+# ---------------------------------------------------------------------------
+# ChooseSubtree at the leaf parents: the early return is exact
+# ---------------------------------------------------------------------------
+
+_CHOOSE_KERNELS = (
+    "least_enlargement", "enlargements", "overlap_delta", "block_get",
+)
+
+# Coordinates off a coarse grid only: abutting, nested, identical,
+# zero-area and collinear children, and exact ties on every key.
+_GRID_COORD = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+_GRID_RECT = st.tuples(
+    _GRID_COORD, _GRID_COORD, _GRID_COORD, _GRID_COORD
+).map(_ordered)
+_CHILDREN = st.one_of(
+    st.lists(_GRID_RECT, min_size=2, max_size=50),
+    st.lists(_RECT, min_size=2, max_size=50),
+)
+# Points beside the grid: every child has to grow, most into a sibling,
+# so the ranking is decided deep in the candidate list.
+_BESIDE = st.sampled_from([-1.5, 0.125, 0.625, 1.25, 1.5])
+_NEW = st.one_of(
+    _GRID_RECT, _RECT,
+    st.tuples(_BESIDE, _BESIDE).map(lambda p: (p[0], p[1], p[0], p[1])),
+)
+
+
+def _grown(impl, block, i, new):
+    """Child ``i`` grown to cover ``new`` — what ChooseSubtree hands to
+    ``overlap_delta``."""
+    ex1, ey1, ex2, ey2 = impl.block_get(block, i)
+    rx1, ry1, rx2, ry2 = new
+    return (
+        ex1 if ex1 < rx1 else rx1,
+        ey1 if ey1 < ry1 else ry1,
+        ex2 if ex2 > rx2 else rx2,
+        ey2 if ey2 > ry2 else ry2,
+    )
+
+
+def _exhaustive_choice(impl, block, n, new, n_candidates=8):
+    """The reference: ChooseSubtree at the leaf parents as it ran before
+    the early return — every one of the least-enlargement candidates is
+    ranked by (overlap delta, enlargement, area)."""
+    least = impl.least_enlargement(block, *new)
+    if least[0] == 0.0:
+        return least[2]
+    enls, node_areas = impl.enlargements(block, *new)
+    ranked = sorted(zip(enls, node_areas, range(n)))
+    candidates = ranked[:n_candidates]
+    best_idx = candidates[0][2]
+    best_key = None
+    for enlargement, area, i in candidates:
+        overlap_delta = impl.overlap_delta(
+            block, i, *_grown(impl, block, i, new)
+        )
+        key = (overlap_delta, enlargement, area)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_idx = i
+    return best_idx
+
+
+def _choose(impl, block, rects, new, calls=None):
+    """``RTreeBase._choose_child_index`` over ``block`` on backend
+    ``impl``; ``calls`` counts the kernel calls it made."""
+    tree = build_rstar_tree(node_size=512)
+    node = Node(
+        7, False,
+        [IndexEntry(Rect(*r), 100 + i) for i, r in enumerate(rects)],
+    )
+    node.columns = block
+
+    def counted(name):
+        kernel = getattr(impl, name)
+        if calls is None:
+            return kernel
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+
+        return wrapper
+
+    with mock.patch.multiple(
+        repro.kernels, **{name: counted(name) for name in _CHOOSE_KERNELS}
+    ):
+        return tree._choose_child_index(node, Rect(*new), True)
+
+
+@given(rects=_CHILDREN, new=_NEW, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_choose_subtree_early_return_is_the_exhaustive_ranking(
+    rects, new, data
+):
+    covered_by = data.draw(st.integers(min_value=-1, max_value=len(rects) - 1))
+    if covered_by >= 0:
+        # A corner of one child: at least that child needs no enlargement.
+        x, y = rects[covered_by][:2]
+        new = (x, y, x, y)
+    for impl, block in _blocks(rects):
+        want = _exhaustive_choice(impl, block, len(rects), new)
+        calls = {}
+        assert _choose(impl, block, rects, new, calls) == want
+        if calls.get("overlap_delta", 0) > 1:
+            assert calls["enlargements"] == 1
+        else:
+            assert "enlargements" not in calls
+        # The contract the early return rests on: growing a rectangle
+        # never yields a negative overlap delta, nor a negative zero.
+        for i in range(len(rects)):
+            delta = impl.overlap_delta(block, i, *_grown(impl, block, i, new))
+            assert delta >= 0.0 and math.copysign(1.0, delta) > 0
+
+
+def test_choose_subtree_ranks_until_the_first_zero_overlap_candidate():
+    # Rising enlargement for the point (0, 0): A (2), B (3), C (4), then
+    # X and Y (25.05 each) and D (120).  Growing A swallows a strip of X
+    # and growing B a strip of Y; growing C only abuts A and B.
+    a, b, c = (1.0, -1.0, 2.0, 1.0), (-2.0, -1.5, -1.0, 1.5), (-1.0, 2.0, 1.0, 4.0)
+    x, y = (0.5, -50.0, 0.625, -0.5), (-0.625, -50.0, -0.5, -0.5)
+    d = (10.0, 10.0, 11.0, 11.0)
+    rects = [d, x, c, y, a, b]
+    new = (0.0, 0.0, 0.0, 0.0)
+    for impl, block in _blocks(rects):
+        ranked = sorted(zip(*impl.enlargements(block, *new), range(6)))
+        assert [i for _enl, _area, i in ranked] == [4, 5, 2, 1, 3, 0]
+        deltas = [
+            impl.overlap_delta(block, i, *_grown(impl, block, i, new))
+            for i in (4, 5, 2)
+        ]
+        assert deltas[0] > 0.0 and deltas[1] > 0.0 and deltas[2] == 0.0
+        calls = {}
+        assert _choose(impl, block, rects, new, calls) == 2
+        assert _exhaustive_choice(impl, block, 6, new) == 2
+        # It ranked (the head added overlap) and stopped at the third.
+        assert calls["enlargements"] == 1
+        assert calls["overlap_delta"] == 3
+
+    # The head of the order reads 0.0: nothing is ranked at all.
+    rects = [d, c]
+    for impl, block in _blocks(rects):
+        calls = {}
+        assert _choose(impl, block, rects, new, calls) == 1
+        assert calls == {
+            "least_enlargement": 1, "block_get": 1, "overlap_delta": 1,
+        }
 
 
 @needs_numpy

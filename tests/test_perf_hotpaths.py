@@ -10,8 +10,15 @@ import warnings
 
 import pytest
 
+from conftest import (
+    SMALL_NODE,
+    held_rect,
+    populate,
+    two_cluster_tree,
+)
 from repro import kernels
 from repro.experiments import harness
+from repro.factory import build_rum_tree
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LazyNode, LeafEntry, Node
 from repro.storage.buffer import BufferPool
@@ -238,6 +245,70 @@ class TestResidentLRUCorners:
         buffer.flush()
         assert stats.leaf_writes == 0
         assert not buffer.disk.is_allocated(node.page_id)
+
+
+class TestInsertionKeepsItsDescent:
+    """Call-count pins of the insertion path: the way up re-derives
+    nothing the way down had in hand, and ChooseSubtree stops at its
+    answer."""
+
+    def test_covered_update_walks_up_on_what_the_descent_held(
+        self, monkeypatch, mbr_calls
+    ):
+        tree = build_rum_tree(node_size=SMALL_NODE, inspection_ratio=0.0)
+        positions = populate(tree, 300, seed=11)
+        tree.cleaner.run_full_cycle()
+        tree.cleaner.run_full_cycle()  # no garbage left to sweep
+        assert tree.height == 3
+        # An object strictly inside its leaf's MBR, put back where it is:
+        # whichever covering leaf takes it has nothing to grow, and the
+        # old entry, if swept, leaves no edge behind.
+        oid, rect = next(
+            (e.oid, e.rect)
+            for leaf in tree.iter_leaf_nodes()
+            for held in [held_rect(tree, leaf.page_id)]
+            for e in leaf.entries
+            if held.xmin < e.rect.xmin and e.rect.xmax < held.xmax
+            and held.ymin < e.rect.ymin and e.rect.ymax < held.ymax
+        )
+        assert positions[oid] == rect
+        lookups = []
+        find_child_index = Node.find_child_index
+        monkeypatch.setattr(
+            Node, "find_child_index",
+            lambda node, child: lookups.append(child)
+            or find_child_index(node, child),
+        )
+        fetched = []
+        get_node = tree.buffer.get_node
+        monkeypatch.setattr(
+            tree.buffer, "get_node",
+            lambda page: fetched.append(get_node(page)) or fetched[-1],
+        )
+        del mbr_calls[:]
+        tree.update_object(oid, rect, rect)
+        assert lookups == [] and mbr_calls == []
+        # The descent, root to leaf, and not one directory page after it.
+        assert [node.is_leaf for node in fetched] == [False, False, True]
+        assert fetched[0].page_id == tree.root_id
+        tree.check_invariants()
+
+    def test_one_overlap_delta_when_the_first_candidate_adds_none(
+        self, monkeypatch
+    ):
+        tree, low, _cluster = two_cluster_tree()
+        calls = []
+        for name in ("least_enlargement", "enlargements", "overlap_delta"):
+            def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+                calls.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        # Beside the low leaf, far from the other: no leaf covers it and
+        # growing the nearer one meets nothing.
+        tree.update_object(4, None, Rect.from_point(0.32, 0.2))
+        assert calls == ["least_enlargement", "overlap_delta"]
+        assert held_rect(tree, low) == Rect(0.1, 0.1, 0.32, 0.3)
 
 
 class TestBenchCompare:

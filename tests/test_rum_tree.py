@@ -4,13 +4,17 @@ searches, deletes, clean-upon-touch, and the garbage metrics."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SMALL_NODE,
     assert_search_matches_oracle,
+    held_rect,
     leaf_entry_count,
     populate,
     random_walk,
+    two_cluster_tree,
 )
 from repro.factory import build_rum_tree, build_storage
 from repro.core.rum import RUMTree
@@ -216,3 +220,148 @@ class TestEntryCountConservation:
         garbage = tree.garbage_count()
         assert leaf_entry_count(tree) == 100 + garbage
         assert tree.memo.total_n_old() >= garbage
+
+
+# Steps of one eighth on a grid of eighths: a moved object mostly stays in
+# its leaf (so the touch sweeps its old entry) and keeps landing on other
+# objects' coordinates, so swept entries on a leaf's edge — alone or side
+# by side — are the common case rather than the rare one.
+_STEP = st.sampled_from([-0.125, 0.0, 0.125])
+_EXTENT = st.sampled_from([0.0, 0.0, 0.125])
+_MOVES = st.lists(
+    st.tuples(st.integers(0, 29), _STEP, _STEP, _EXTENT, _EXTENT),
+    min_size=10,
+    max_size=80,
+)
+
+
+class TestMBRShortcut:
+    """An insertion adjusts MBRs from what it holds — the rectangle the
+    parent entry carries, the entry placed, the entries swept — and scans
+    the node again only when a swept entry touched the boundary."""
+
+    @given(moves=_MOVES, touch=st.booleans())
+    @settings(max_examples=120)
+    def test_directory_mbrs_stay_exact_after_every_operation(
+        self, moves, touch
+    ):
+        tree = build_rum_tree(
+            node_size=SMALL_NODE, inspection_ratio=0.3, clean_upon_touch=touch
+        )
+        positions = {
+            oid: Rect.from_point((oid % 6) / 8, (oid // 6) / 8)
+            for oid in range(30)
+        }
+        for oid, rect in positions.items():
+            tree.insert_object(oid, rect)
+            tree.check_invariants()
+        for oid, dx, dy, w, h in moves:
+            old = positions[oid]
+            x = min(max(old.xmin + dx, 0.0), 1.0)
+            y = min(max(old.ymin + dy, 0.0), 1.0)
+            positions[oid] = Rect(x, y, min(x + w, 1.0), min(y + h, 1.0))
+            tree.update_object(oid, None, positions[oid])
+            tree.check_invariants()
+        for oid, rect in positions.items():
+            assert (oid, rect) in tree.search(rect)
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("oid", [2, 3])
+    def test_swept_entry_that_defined_an_edge_shrinks_the_mbr(
+        self, mbr_calls, reflect, oid
+    ):
+        # oids 2 and 3 each define one edge alone (xmax and ymin; xmin
+        # and ymax when reflected).  The new place is inside the same
+        # leaf, so the touch sweeps the old entry and the edge goes.
+        tree, low, cluster = two_cluster_tree(reflect)
+        held = held_rect(tree, low)
+        del mbr_calls[:]
+        cluster[oid] = Rect.from_point(0.2, 0.25)
+        tree.update_object(oid, None, cluster[oid])
+        assert set(mbr_calls) == {low}
+        assert held_rect(tree, low) == Rect.union_all(cluster.values())
+        assert held_rect(tree, low) != held
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_swept_entry_beside_another_on_the_edge_keeps_the_mbr(
+        self, mbr_calls, reflect
+    ):
+        # oid 0 lies on xmin (xmax when reflected), and so does oid 1:
+        # the scan cannot be skipped, and it finds the same rectangle.
+        tree, low, _cluster = two_cluster_tree(reflect)
+        held = held_rect(tree, low)
+        del mbr_calls[:]
+        tree.update_object(0, None, Rect.from_point(0.2, 0.25))
+        assert set(mbr_calls) == {low}
+        assert held_rect(tree, low) is held
+        tree.check_invariants()
+
+    def test_swept_interior_entry_is_not_scanned_for(self, mbr_calls):
+        tree, low, _cluster = two_cluster_tree()
+        held = held_rect(tree, low)
+        removed = tree.cleaner.entries_removed
+        del mbr_calls[:]
+        tree.update_object(4, None, Rect.from_point(0.22, 0.22))
+        assert tree.cleaner.entries_removed == removed + 1
+        assert mbr_calls == []
+        assert held_rect(tree, low) is held
+        # ... nor when the new entry grows the leaf: growth is a union.
+        tree.update_object(5, None, Rect.from_point(0.35, 0.15))
+        assert tree.cleaner.entries_removed == removed + 2
+        assert mbr_calls == []
+        assert held_rect(tree, low) == Rect(0.1, 0.1, 0.35, 0.3)
+        tree.check_invariants()
+
+    def test_token_step_scans_only_for_a_boundary_entry(self, mbr_calls):
+        tree, low, cluster = two_cluster_tree(clean_upon_touch=False)
+        held = held_rect(tree, low)
+        # Both old entries become garbage in the low leaf; the new ones
+        # go to the far cluster.
+        tree.update_object(4, None, Rect.from_point(0.8, 0.75))
+        del mbr_calls[:]
+        assert tree.clean_at(low)[1] == 1
+        assert mbr_calls == [] and held_rect(tree, low) is held
+        tree.update_object(2, None, Rect.from_point(0.75, 0.8))
+        del mbr_calls[:]
+        assert tree.clean_at(low)[1] == 1
+        assert set(mbr_calls) == {low}
+        del cluster[4], cluster[2]
+        assert held_rect(tree, low) == Rect.union_all(cluster.values())
+        tree.check_invariants()
+
+    def test_every_insertion_adjusts_through_the_one_function(self):
+        """A root that is a leaf (empty path), a tree without
+        clean-upon-touch and index entries reinserted above the leaves
+        all take ``_adjust_upward`` with the descent's path."""
+        for touch in (True, False):
+            tree = build_rum_tree(
+                node_size=SMALL_NODE, inspection_ratio=0.3,
+                clean_upon_touch=touch,
+            )
+            calls = []
+            adjust = tree._adjust_upward
+
+            def logged(node, path=(), grown=None, left=None):
+                calls.append((node.is_leaf, len(path), grown, left))
+                adjust(node, path, grown, left)
+
+            tree._adjust_upward = logged
+            tree.insert_object(0, Rect.from_point(0.5, 0.5))
+            assert calls == [(True, 0, Rect.from_point(0.5, 0.5), ())]
+            positions = populate(tree, 300, seed=3)
+            random_walk(tree, positions, steps=300, seed=4, distance=0.2)
+            tree.check_invariants()
+            assert tree.height == 3
+            # Descents: leaf insertions carry the whole path, index
+            # entries reinserted at level 1 the part above them.
+            assert {(True, 2), (False, 1)} <= {
+                (is_leaf, depth)
+                for is_leaf, depth, grown, left in calls
+                if grown is not None
+            }
+            # Only clean-upon-touch sweeps entries during an insertion.
+            assert touch == any(
+                left for _leaf, _depth, grown, left in calls
+                if grown is not None
+            )
