@@ -1,9 +1,10 @@
 """Figure 11 — effect of the node size (update I/O, update CPU, garbage).
 
 Regenerates the three panels over node sizes 1024–8192 bytes and asserts
-the paper's qualitative findings: larger nodes mildly reduce update I/O,
-increase per-update CPU (more entries inspected per cleaning), and sharply
-reduce the garbage ratio.
+the paper's qualitative findings on the two counted ones: larger nodes
+mildly reduce update I/O (a) and sharply reduce the garbage ratio (c).
+Panel (b), per-update CPU, is archived but not asserted: the paper's rise
+with the node size does not reproduce (EXPERIMENTS.md says why).
 """
 
 from conftest import archive, by_tree, run_experiment

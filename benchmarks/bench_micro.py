@@ -159,7 +159,7 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
     """Columnar kernel hot loops in isolation (see docs/KERNELS.md).
 
     ``geometry.bulk_intersect`` runs the range-search predicate over a
-    buffer-born block (the zero-copy representation queries consume);
+    buffer-born block (the one queries consume, lifted off a page image);
     ``split.margin_scan`` runs the R* axis-choice scan — a stable argsort
     plus running-bounds tables per coordinate column — over an entry-born
     block of a full leaf, the exact shape the split path feeds it;

@@ -1,43 +1,46 @@
-"""Scalar fallback backend: memoryview/list columns, no dependencies.
+"""Columnar batch kernels for MBR predicates, split scans, and page decode.
 
-This is the reference implementation of the kernel API — the numpy backend
-must reproduce its results bit-for-bit (see the package docstring).  Every
-float expression here is written in the exact shape the numpy backend
-vectorises: the same min/max selections, the same multiplication and
-subtraction order, and strictly sequential accumulation.  When editing one
-backend, edit the other in lockstep and run ``tests/test_kernels.py``.
+The per-entry interpreter overhead of ``Rect`` method calls is the cost
+ceiling of the simulator's hot paths (one Python call per entry per node
+visited).  This module replaces those inner loops with *batch* kernels that
+operate on a node's coordinates as four parallel columns — a **coordinate
+column block** — so one call tests, measures, or scans a whole node.
 
-A column block is ``(n, xs1, ys1, xs2, ys2)`` where the four coordinate
-columns are plain Python sequences of floats.  Blocks decoded straight from
-a page image are produced with one contiguous ``memoryview.cast('d')`` plus
-four strided ``tolist()`` slices — no per-entry ``struct`` calls, which is
-what keeps the fallback within a few percent of the pre-kernel scalar code
-even without numpy.
+A column block is ``(n, xs1, ys1, xs2, ys2)``: four plain lists of floats.
+It is an opaque value — construct it with :func:`block_from_entries` (from
+live entries) or :func:`block_from_buffer` (straight off a page image: one
+contiguous ``memoryview.cast('d')`` plus four strided ``tolist()`` slices,
+no per-entry ``struct`` calls) and pass it back to the kernels.  The two
+births of the same rectangles are the same value, so no kernel can tell
+them apart.  Blocks are immutable snapshots — see ``docs/KERNELS.md`` for
+the invalidation rules (`Node.coord_block` caches one per node; any entry
+mutation must go through ``BufferPool.mark_dirty``, which drops it).
+
+Every kernel evaluates the IEEE-754 expressions of the ``Rect`` method it
+batches, in the same order (sequential sums, stable sorts, first-occurrence
+maxima): split decisions, ChooseSubtree decisions and kNN orderings feed
+back into tree *shape*, so an ulp of divergence would move the counted I/O.
+``tests/test_kernels.py`` holds each kernel to the ``Rect`` definitions
+property-wise across random and degenerate geometry.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple
 
+#: The one implementation (plain Python loops); observability reports and
+#: the benchmark record it.
 BACKEND = "python"
 
 #: (n, xs1, ys1, xs2, ys2) — four parallel coordinate columns.
-Block = Tuple[int, Sequence[float], Sequence[float], Sequence[float],
-              Sequence[float]]
-
-_EMPTY: Block = (0, (), (), (), ())
+Block = Tuple[int, List[float], List[float], List[float], List[float]]
 
 
 # -- construction -----------------------------------------------------------
 
 
 def block_from_entries(entries: Sequence[Any]) -> Block:
-    """Column block of the MBRs of ``entries`` (anything with ``.rect``).
-
-    Both backends build entry-born blocks as plain list columns: they come
-    from freshly mutated nodes (ChooseSubtree, splits), where list columns
-    are cheaper to build than arrays and the consuming scans are small.
-    """
+    """Column block of the MBRs of ``entries`` (anything with ``.rect``)."""
     rects = [e.rect for e in entries]
     return (
         len(rects),
@@ -58,8 +61,6 @@ def block_from_buffer(
     layout of :mod:`repro.storage.codec`).  The id/stamp words between
     coordinates are skipped by the strided slices and never decoded.
     """
-    if not count:
-        return _EMPTY
     step = stride // 8
     view = memoryview(data)[offset:offset + count * stride].cast("d")
     return (
@@ -130,8 +131,7 @@ def min_dist_sq(block: Block, x: float, y: float) -> List[float]:
     """Squared MINDIST from the point to every rectangle.
 
     Squared distances order identically to Euclidean ones and avoid the
-    per-entry ``hypot`` call, whose internal rounding the numpy backend
-    could not reproduce exactly.
+    per-entry ``hypot`` call.
     """
     out: List[float] = []
     append = out.append
@@ -210,8 +210,7 @@ def overlap_delta(
     Sums, over all other rectangles, the overlap with the enlarged
     rectangle minus the overlap with the original — the quantity the R*
     ChooseSubtree minimises at the leaf-parent level.  The accumulation is
-    strictly interleaved (+new, −old per sibling, in index order); the
-    numpy backend reproduces the same addition sequence.
+    strictly interleaved (+new, −old per sibling, in index order).
     """
     ex1 = block[1][i]
     ey1 = block[2][i]
@@ -251,7 +250,7 @@ def split_tables(
     """R* margin sum plus prefix/suffix running bounds along ``order``.
 
     Returns ``(margin_sum, prefix, suffix)``; the bounds tables are opaque
-    backend values to be passed to :func:`distribution_scan`.
+    values to be passed to :func:`distribution_scan`.
     """
     n = block[0]
     xs1, ys1, xs2, ys2 = block[1], block[2], block[3], block[4]
@@ -344,8 +343,7 @@ def quadratic_seeds(block: Block) -> Tuple[int, int]:
 
     First-occurrence semantics in row-major ``(i, j)`` scan order with the
     original ``waste > -1.0`` threshold (an all-ties degenerate input keeps
-    the historical ``(0, 0)`` answer); the numpy backend's masked argmax
-    reproduces both.
+    the historical ``(0, 0)`` answer).
     """
     n = block[0]
     xs1, ys1, xs2, ys2 = block[1], block[2], block[3], block[4]
@@ -369,35 +367,22 @@ def quadratic_seeds(block: Block) -> Tuple[int, int]:
     return seed_a, seed_b
 
 
-_MORTON_MAX = 0xFFFF  # (1 << 16) - 1, matching repro.rtree.zorder
-
-
-def _spread1by1(v: int) -> int:
-    v &= 0xFFFF
-    v = (v | (v << 8)) & 0x00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F
-    v = (v | (v << 2)) & 0x33333333
-    v = (v | (v << 1)) & 0x55555555
-    return v
-
-
-def morton_keys(
-    cxs: Sequence[float], cys: Sequence[float]
-) -> List[int]:
-    """Bulk 32-bit Morton codes of unit-square points (clamped).
-
-    Per element: quantise each coordinate to 16 bits (truncating, like
-    ``int()``), spread the bits, interleave with y in the odd positions.
-    The numpy backend reproduces this bit for bit.
-    """
-    keys: List[int] = []
-    append = keys.append
-    for cx, cy in zip(cxs, cys):
-        if cx != cx:  # NaN routes to the origin cell
-            cx = 0.0
-        if cy != cy:
-            cy = 0.0
-        qx = int(min(max(cx, 0.0), 1.0) * _MORTON_MAX)
-        qy = int(min(max(cy, 0.0), 1.0) * _MORTON_MAX)
-        append(_spread1by1(qx) | (_spread1by1(qy) << 1))
-    return keys
+__all__ = [
+    "BACKEND",
+    "block_from_entries",
+    "block_from_buffer",
+    "block_get",
+    "block_rows",
+    "areas",
+    "bounds",
+    "intersect_indices",
+    "contain_indices",
+    "min_dist_sq",
+    "enlargements",
+    "least_enlargement",
+    "overlap_delta",
+    "argsort",
+    "split_tables",
+    "distribution_scan",
+    "quadratic_seeds",
+]

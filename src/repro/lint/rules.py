@@ -497,13 +497,13 @@ class HotPathKernelRule(LintRule):
     ``rtree/`` or ``storage/``) are on the measured query/update path;
     their bulk geometry work is expected to go through
     :mod:`repro.kernels` (``intersect_indices``, ``enlargements``,
-    ``split_tables``, ...), which the numpy backend vectorises.  A
-    scalar :class:`~repro.rtree.geometry.Rect` predicate call inside a
-    loop or comprehension on such a module is almost always a regression
-    back to the per-entry path the kernels replaced — one method
-    dispatch and one Rect temporary per entry, invisible to both
-    backends.  Genuine single-shot uses inside a loop (e.g. one
-    containment probe per *node* rather than per entry) stay allowed via
+    ``split_tables``, ...), one call per node over its coordinate
+    columns.  A scalar :class:`~repro.rtree.geometry.Rect` predicate call
+    inside a loop or comprehension on such a module is almost always a
+    regression back to the per-entry path the kernels replaced — one
+    method dispatch and one Rect temporary per entry.  Genuine
+    single-shot uses inside a loop (e.g. one containment probe per
+    *node* rather than per entry) stay allowed via
     ``# lint: disable=REP009`` with a justification.  Modules without
     the marker are untouched: the marker is the module author's opt-in
     statement that this file is hot.

@@ -14,9 +14,8 @@ one-off geometry (query construction, invariant checks, cost model).  The
 hot paths — range/kNN search, ChooseSubtree, splits, page decode — apply
 the same predicates to whole nodes at a time through the batch kernels in
 :mod:`repro.kernels`, which evaluate the identical IEEE-754 expressions
-over coordinate columns.  Changing a formula here without updating both
-kernel backends (and vice versa) breaks that equivalence; see
-``docs/KERNELS.md``.
+over coordinate columns.  Changing a formula here without updating its
+kernel (and vice versa) breaks that equivalence; see ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations

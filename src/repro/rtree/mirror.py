@@ -16,7 +16,7 @@ plain-float comparisons — no tree descent, no per-node kernel dispatch.
 Contract with the rest of the system:
 
 * **Same answers.**  The mirror's candidate checks are the exact closed-
-  interval float comparisons of the kernel backends; the grid only
+  interval float comparisons of :mod:`repro.kernels`; the grid only
   pre-filters (rows are bucketed into every cell their rectangle
   overlaps, windows gather every cell they overlap), so the reported row
   set is identical to a tree walk's.

@@ -16,9 +16,7 @@ scans run as batch kernels over a coordinate column block of the entries
 running-bound tables with their margin sums, the distribution overlap/area
 scan, and the quadratic seed search are each one kernel call.  Only the
 O(candidates) selection loops and Guttman's inherently sequential greedy
-assignment remain scalar.  Both kernel backends return bit-identical
-numbers, so the chosen split — and therefore the tree shape — never
-depends on whether numpy is installed.
+assignment stay in this module.
 """
 
 from __future__ import annotations

@@ -18,22 +18,18 @@ make the code load-bearing well beyond batch ordering:
 
 Keys are total over arbitrary coordinates: anything outside ``[0, 1]``
 clamps to the border cell.  The scalar functions are the single source
-of truth; :func:`zorder_keys` bulk-encodes through
-:mod:`repro.kernels` (vectorised under numpy, bit-identical scalar
-fallback otherwise).
+of truth; :func:`zorder_keys` loops them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro import kernels
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .geometry import Rect
 
-#: Hot-path marker for lint rule REP009: bulk encoding in this module
-#: must go through :mod:`repro.kernels` (see docs/LINT.md).
+#: Hot-path marker for lint rule REP009 (see docs/LINT.md): batch
+#: planning and shard routing encode a key per operation through here.
 HOT_PATH = True
 
 #: Quantisation resolution of the Z-order key (bits per dimension).
@@ -82,16 +78,8 @@ def zorder_key(rect: "Rect") -> int:
 
 
 def zorder_keys(rects: Sequence["Rect"]) -> List[int]:
-    """Bulk :func:`zorder_key` over many rectangles.
-
-    Routed through the kernels backend (one vectorised pass under
-    numpy); the result is bit-identical to the scalar loop by the
-    kernels contract, so callers may mix the two freely.
-    """
-    return kernels.morton_keys(
-        [(r.xmin + r.xmax) * 0.5 for r in rects],
-        [(r.ymin + r.ymax) * 0.5 for r in rects],
-    )
+    """:func:`zorder_key` of every rectangle, in order."""
+    return [zorder_key(r) for r in rects]
 
 
 # ---------------------------------------------------------------------------

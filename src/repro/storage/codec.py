@@ -151,7 +151,8 @@ def _page_struct(
 
 
 class PageOverflowError(RuntimeError):
-    """Raised when a node holds more entries than its page can store."""
+    """Raised when a node holds, or a page header claims, more entries
+    than a page can store."""
 
 
 class PageChecksumError(RuntimeError):
@@ -322,6 +323,14 @@ class NodeCodec:
             data
         )
         is_leaf = bool(is_leaf_flag)
+        cap = self.leaf_cap if is_leaf else self.index_cap
+        if count > cap:
+            # The entry region is sliced by this count from here on; a
+            # header that overstates it would read as a short column.
+            raise PageOverflowError(
+                f"page {page_id}: header claims {count} entries, "
+                f"capacity {cap}"
+            )
         if is_leaf:
             return LazyNode(
                 page_id, is_leaf, count, prev_leaf, next_leaf, self, data

@@ -1,6 +1,9 @@
 """Factory wiring and assorted edge-case tests across modules."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -159,3 +162,28 @@ class TestDegenerateWorkloads:
             tree.insert_object(oid, Rect.from_point(x, y))
         assert len(tree.search(Rect(0, 0, 1, 1))) == 4
         assert len(tree.search(Rect(0, 0, 0, 0))) == 1
+
+
+def test_nothing_under_repro_imports_numpy():
+    # numpy is a dev extra (the gated benchmark's percentiles): a fresh
+    # interpreter that imports every module and runs each operation
+    # class must not have loaded it.
+    script = """
+import importlib, pkgutil, sys, repro
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(module.name)
+from repro.factory import build_rum_tree
+from repro.rtree.geometry import Rect
+tree = build_rum_tree(node_size=1024)
+for oid in range(200):
+    tree.insert_object(oid, Rect.from_point(oid / 200, oid * 7 % 200 / 200))
+tree.update_object(3, None, Rect.from_point(0.5, 0.5))
+assert (3, Rect.from_point(0.5, 0.5)) in tree.search(Rect(0.4, 0.4, 0.6, 0.6))
+assert len(tree.nearest_neighbors(0.5, 0.5, 3)) == 3
+assert "numpy" not in sys.modules
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run(
+        [sys.executable, "-c", script], check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )

@@ -1,18 +1,17 @@
-"""Property tests pinning the kernel backends' bit-identical contract.
+"""Property tests holding every kernel to the scalar ``Rect`` definitions.
 
-The numpy backend must reproduce the scalar reference exactly — same
-indices, same floats to the last bit — across random geometry and the
-degenerate shapes R-trees actually produce (points, zero-width and
-zero-height segments, rectangles sharing edges).  Both input
-representations are exercised: *entry-born* list-column blocks and
-*buffer-born* blocks decoded from a packed page image, including sizes on
-both sides of the numpy backend's vectorisation cutoffs (below them the
-numpy backend delegates to the scalar code; above them it must vectorise
-to the identical answer).
+Each kernel of :mod:`repro.kernels` is compared with what the ``Rect``
+methods (or a brute-force loop over them) say about the same rectangles —
+same indices, same floats to the last bit — across random geometry and
+the degenerate shapes R-trees actually produce (points, zero-width and
+zero-height segments, rectangles sharing edges).  Both block births are
+exercised: *entry-born* blocks and *buffer-born* blocks decoded from a
+packed page image, which must be the same value.
 
 Floats are compared by their IEEE-754 bit patterns (``struct.pack``), not
 ``==``: the contract is bit-identity, and ``==`` would let ``-0.0`` pass
-for ``0.0``.
+for ``0.0``.  ``min_dist_sq`` alone is held to ``Rect.min_dist`` within
+the rounding of the ``hypot`` the latter takes.
 
 The final test pins the query mirror (:mod:`repro.rtree.mirror`) to the
 tree traversal it replaces: identical result multisets *and* identical
@@ -24,26 +23,17 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.kernels
-import repro.kernels._python as pyk
+from repro import kernels
 from repro.factory import build_rstar_tree
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
-
-try:
-    import repro.kernels._numpy as npk
-except ImportError:  # numpy not installed: only the mirror tests run
-    npk = None
-
-needs_numpy = pytest.mark.skipif(
-    npk is None, reason="numpy backend not importable"
-)
 
 # Shared coordinate pool so touching edges, shared corners, and exact
 # duplicates occur constantly, mixed with arbitrary finite floats.
@@ -63,42 +53,36 @@ def _ordered(t):
 #: (xmin, ymin, xmax, ymax); degenerate (point/segment) rects included.
 _RECT = st.tuples(_COORD, _COORD, _COORD, _COORD).map(_ordered)
 
-# Sizes straddle the numpy backend's vectorisation cutoffs (64 for the
-# linear split scans, 16 for the quadratic seed search).
 _RECTS = st.lists(_RECT, min_size=1, max_size=80)
 
 _HEADER = 32
 _STRIDE = 56  # RUM leaf layout: 4 float64 coords + id/stamp words
 
 
+def _rects(rects):
+    return [Rect(*r) for r in rects]
+
+
 def _entries(rects):
-    return [
-        LeafEntry(Rect(x1, y1, x2, y2), oid=i, stamp=i)
-        for i, (x1, y1, x2, y2) in enumerate(rects)
-    ]
+    return [LeafEntry(r, oid=i, stamp=i) for i, r in enumerate(_rects(rects))]
 
 
 def _page_image(rects) -> bytes:
     """A packed entry region shaped like a real RUM leaf page."""
-    parts = [b"\x00" * _HEADER]
-    pad = b"\x00" * (_STRIDE - 32)
-    for x1, y1, x2, y2 in rects:
-        parts.append(struct.pack("<4d", x1, y1, x2, y2) + pad)
-    return b"".join(parts)
+    pad = bytes(_STRIDE - 32)
+    return bytes(_HEADER) + b"".join(
+        struct.pack("<4d", *r) + pad for r in rects
+    )
 
 
 def _blocks(rects):
-    """Every (backend, block) pair that must agree on ``rects``."""
-    page = _page_image(rects)
-    n = len(rects)
-    pairs = [
-        (pyk, pyk.block_from_entries(_entries(rects))),
-        (pyk, pyk.block_from_buffer(page, _HEADER, n, _STRIDE)),
+    """Both births of the block of ``rects``: entry-born, buffer-born."""
+    return [
+        kernels.block_from_entries(_entries(rects)),
+        kernels.block_from_buffer(
+            _page_image(rects), _HEADER, len(rects), _STRIDE
+        ),
     ]
-    if npk is not None:
-        pairs.append((npk, npk.block_from_entries(_entries(rects))))
-        pairs.append((npk, npk.block_from_buffer(page, _HEADER, n, _STRIDE)))
-    return pairs
 
 
 def _bits(values):
@@ -106,99 +90,87 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def _assert_all_equal(results, label):
-    reference = results[0]
-    for other in results[1:]:
-        assert other == reference, label
-
-
-@needs_numpy
 @given(rects=_RECTS)
 @settings(max_examples=60, deadline=None)
 def test_block_rows_and_areas_identical(rects):
-    rows = [
-        [tuple(r) for r in impl.block_rows(block)]
-        for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(rows, "block_rows")
-    gets = [
-        [impl.block_get(block, i) for i in range(len(rects))]
-        for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(gets, "block_get")
-    area_bits = [
-        _bits(impl.areas(block)) for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(area_bits, "areas")
+    want_rows = [_bits(r) for r in rects]
+    want_area = _bits([r.area() for r in _rects(rects)])
+    for block in _blocks(rects):
+        assert [_bits(r) for r in kernels.block_rows(block)] == want_rows
+        gets = [kernels.block_get(block, i) for i in range(len(rects))]
+        assert [_bits(r) for r in gets] == want_rows
+        assert _bits(kernels.areas(block)) == want_area
 
 
-@needs_numpy
 @given(rects=_RECTS, window=_RECT)
 @settings(max_examples=60, deadline=None)
 def test_predicate_masks_identical(rects, window):
-    wx1, wy1, wx2, wy2 = window
-    inter = [
-        impl.intersect_indices(block, wx1, wy1, wx2, wy2)
-        for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(inter, "intersect_indices")
-    contain = [
-        impl.contain_indices(block, wx1, wy1, wx2, wy2)
-        for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(contain, "contain_indices")
+    w = Rect(*window)
+    rs = _rects(rects)
+    inter = [i for i, r in enumerate(rs) if r.intersects(w)]
+    contain = [i for i, r in enumerate(rs) if r.contains(w)]
+    for block in _blocks(rects):
+        assert kernels.intersect_indices(block, *window) == inter
+        assert kernels.contain_indices(block, *window) == contain
 
 
-@needs_numpy
+#: Below this distance the square is subnormal and loses digits.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
 @given(rects=_RECTS, point=st.tuples(_COORD, _COORD))
 @settings(max_examples=60, deadline=None)
 def test_min_dist_sq_identical(rects, point):
-    x, y = point
-    dists = [
-        _bits(impl.min_dist_sq(block, x, y))
-        for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(dists, "min_dist_sq")
+    want = [r.min_dist(*point) for r in _rects(rects)]
+    for block in _blocks(rects):
+        got = kernels.min_dist_sq(block, *point)
+        assert all(math.copysign(1.0, d) > 0 for d in got)
+        for d_sq, d in zip(got, want):
+            assert math.isclose(
+                math.sqrt(d_sq), d,
+                rel_tol=4 * sys.float_info.epsilon, abs_tol=_SQRT_TINY,
+            )
 
 
-@needs_numpy
 @given(rects=_RECTS, new=_RECT, data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_enlargements_and_overlap_delta_identical(rects, new, data):
-    rx1, ry1, rx2, ry2 = new
-    enl = []
-    for impl, block in _blocks(rects):
-        e, a = impl.enlargements(block, rx1, ry1, rx2, ry2)
-        enl.append((_bits(e), _bits(a)))
-    _assert_all_equal(enl, "enlargements")
+    rs = _rects(rects)
+    want_enl = _bits([r.enlargement(Rect(*new)) for r in rs])
+    want_area = _bits([r.area() for r in rs])
     i = data.draw(st.integers(min_value=0, max_value=len(rects) - 1))
-    ex1, ey1, ex2, ey2 = rects[i]
-    nx1, ny1 = min(ex1, rx1), min(ey1, ry1)
-    nx2, ny2 = max(ex2, rx2), max(ey2, ry2)
-    deltas = [
-        _bits([impl.overlap_delta(block, i, nx1, ny1, nx2, ny2)])
-        for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(deltas, "overlap_delta")
+    grown = rs[i].union(Rect(*new))
+    # Strictly interleaved, in index order: + overlap with the grown
+    # rectangle, - overlap with the original, per sibling.
+    want_delta = 0.0
+    for j, other in enumerate(rs):
+        if j != i:
+            want_delta += grown.overlap_area(other)
+            want_delta -= rs[i].overlap_area(other)
+    for block in _blocks(rects):
+        enl, area = kernels.enlargements(block, *new)
+        assert (_bits(enl), _bits(area)) == (want_enl, want_area)
+        delta = kernels.overlap_delta(block, i, *grown)
+        assert _bits([delta]) == _bits([want_delta])
 
 
-def _least_bits(result):
-    enl, area, index = result
-    return (_bits([enl, area]), index)
+def _least_index(rects, new):
+    """The single pass must pick what ChooseSubtree picked before it
+    existed — min over (enlargement, area, index) — on both block births,
+    sign of zero included."""
+    for block in _blocks(rects):
+        enl, area = kernels.enlargements(block, *new)
+        want = min(zip(enl, area, range(len(rects))))
+        got = kernels.least_enlargement(block, *new)
+        assert (_bits(got[:2]), got[2]) == (_bits(want[:2]), want[2])
+        assert type(got[2]) is int
+    return got[2]
 
 
 @given(rects=_RECTS, new=_RECT)
 @settings(max_examples=100, deadline=None)
 def test_least_enlargement_is_min_of_enlargements(rects, new):
-    # The single pass must pick what ChooseSubtree picked before it
-    # existed — min over (enlargement, area, index) — on every backend
-    # and both block births, sign of zero included.
-    for impl, block in _blocks(rects):
-        enl, area = impl.enlargements(block, *new)
-        want = min(zip(enl, area, range(len(rects))))
-        got = impl.least_enlargement(block, *new)
-        assert _least_bits(got) == _least_bits(want)
-        assert type(got[2]) is int
+    _least_index(rects, new)
 
 
 @pytest.mark.parametrize(
@@ -218,26 +190,21 @@ def test_least_enlargement_is_min_of_enlargements(rects, new):
     ],
 )
 def test_least_enlargement_degenerate_cases(rects, new, want_index):
-    for impl, block in _blocks(rects):
-        enl, area = impl.enlargements(block, *new)
-        want = min(zip(enl, area, range(len(rects))))
-        got = impl.least_enlargement(block, *new)
-        assert _least_bits(got) == _least_bits(want)
-        assert got[2] == want_index
+    assert _least_index(rects, new) == want_index
 
 
 def test_least_enlargement_rejects_an_empty_block():
-    for impl, block in _blocks([]):
+    for block in _blocks([]):
         with pytest.raises(ValueError):
-            impl.least_enlargement(block, 0.0, 0.0, 1.0, 1.0)
+            kernels.least_enlargement(block, 0.0, 0.0, 1.0, 1.0)
 
 
 @given(rects=_RECTS)
 @settings(max_examples=100, deadline=None)
 def test_bounds_is_union_all(rects):
-    want = Rect.union_all(e.rect for e in _entries(rects))
-    for impl, block in _blocks(rects):
-        got = impl.bounds(block)
+    want = Rect.union_all(_rects(rects))
+    for block in _blocks(rects):
+        got = kernels.bounds(block)
         assert all(type(v) is float for v in got)
         assert _bits(got) == _bits(want.as_tuple())
 
@@ -245,11 +212,11 @@ def test_bounds_is_union_all(rects):
 def test_bounds_keeps_the_first_zero_and_rejects_an_empty_block():
     # -0.0 == 0.0: like Rect.union_all, the first of equal values stays.
     rects = [(-0.0, 0.0, 0.0, -0.0), (0.0, -0.0, -0.0, 0.0)]
-    for impl, block in _blocks(rects):
-        assert _bits(impl.bounds(block)) == _bits(rects[0])
-    for impl, block in _blocks([]):
+    for block in _blocks(rects):
+        assert _bits(kernels.bounds(block)) == _bits(rects[0])
+    for block in _blocks([]):
         with pytest.raises(ValueError):
-            impl.bounds(block)
+            kernels.bounds(block)
 
 
 # ---------------------------------------------------------------------------
@@ -279,45 +246,33 @@ _NEW = st.one_of(
 )
 
 
-def _grown(impl, block, i, new):
+def _grown(block, i, new):
     """Child ``i`` grown to cover ``new`` — what ChooseSubtree hands to
     ``overlap_delta``."""
-    ex1, ey1, ex2, ey2 = impl.block_get(block, i)
-    rx1, ry1, rx2, ry2 = new
-    return (
-        ex1 if ex1 < rx1 else rx1,
-        ey1 if ey1 < ry1 else ry1,
-        ex2 if ex2 > rx2 else rx2,
-        ey2 if ey2 > ry2 else ry2,
-    )
+    return Rect(*kernels.block_get(block, i)).union(Rect(*new))
 
 
-def _exhaustive_choice(impl, block, n, new, n_candidates=8):
+def _exhaustive_choice(block, n, new, n_candidates=8):
     """The reference: ChooseSubtree at the leaf parents as it ran before
     the early return — every one of the least-enlargement candidates is
     ranked by (overlap delta, enlargement, area)."""
-    least = impl.least_enlargement(block, *new)
+    least = kernels.least_enlargement(block, *new)
     if least[0] == 0.0:
         return least[2]
-    enls, node_areas = impl.enlargements(block, *new)
+    enls, node_areas = kernels.enlargements(block, *new)
     ranked = sorted(zip(enls, node_areas, range(n)))
-    candidates = ranked[:n_candidates]
-    best_idx = candidates[0][2]
-    best_key = None
-    for enlargement, area, i in candidates:
-        overlap_delta = impl.overlap_delta(
-            block, i, *_grown(impl, block, i, new)
-        )
-        key = (overlap_delta, enlargement, area)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = i
-    return best_idx
+
+    def key(candidate):
+        enlargement, area, i = candidate
+        delta = kernels.overlap_delta(block, i, *_grown(block, i, new))
+        return (delta, enlargement, area)
+
+    return min(ranked[:n_candidates], key=key)[2]  # the first of equals
 
 
-def _choose(impl, block, rects, new, calls=None):
-    """``RTreeBase._choose_child_index`` over ``block`` on backend
-    ``impl``; ``calls`` counts the kernel calls it made."""
+def _choose(block, rects, new, calls):
+    """``RTreeBase._choose_child_index`` over ``block``; ``calls`` counts
+    the kernel calls it made."""
     tree = build_rstar_tree(node_size=512)
     node = Node(
         7, False,
@@ -326,9 +281,7 @@ def _choose(impl, block, rects, new, calls=None):
     node.columns = block
 
     def counted(name):
-        kernel = getattr(impl, name)
-        if calls is None:
-            return kernel
+        kernel = getattr(kernels, name)
 
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
@@ -337,7 +290,7 @@ def _choose(impl, block, rects, new, calls=None):
         return wrapper
 
     with mock.patch.multiple(
-        repro.kernels, **{name: counted(name) for name in _CHOOSE_KERNELS}
+        kernels, **{name: counted(name) for name in _CHOOSE_KERNELS}
     ):
         return tree._choose_child_index(node, Rect(*new), True)
 
@@ -352,10 +305,10 @@ def test_choose_subtree_early_return_is_the_exhaustive_ranking(
         # A corner of one child: at least that child needs no enlargement.
         x, y = rects[covered_by][:2]
         new = (x, y, x, y)
-    for impl, block in _blocks(rects):
-        want = _exhaustive_choice(impl, block, len(rects), new)
+    for block in _blocks(rects):
+        want = _exhaustive_choice(block, len(rects), new)
         calls = {}
-        assert _choose(impl, block, rects, new, calls) == want
+        assert _choose(block, rects, new, calls) == want
         if calls.get("overlap_delta", 0) > 1:
             assert calls["enlargements"] == 1
         else:
@@ -363,7 +316,7 @@ def test_choose_subtree_early_return_is_the_exhaustive_ranking(
         # The contract the early return rests on: growing a rectangle
         # never yields a negative overlap delta, nor a negative zero.
         for i in range(len(rects)):
-            delta = impl.overlap_delta(block, i, *_grown(impl, block, i, new))
+            delta = kernels.overlap_delta(block, i, *_grown(block, i, new))
             assert delta >= 0.0 and math.copysign(1.0, delta) > 0
 
 
@@ -376,77 +329,83 @@ def test_choose_subtree_ranks_until_the_first_zero_overlap_candidate():
     d = (10.0, 10.0, 11.0, 11.0)
     rects = [d, x, c, y, a, b]
     new = (0.0, 0.0, 0.0, 0.0)
-    for impl, block in _blocks(rects):
-        ranked = sorted(zip(*impl.enlargements(block, *new), range(6)))
+    for block in _blocks(rects):
+        ranked = sorted(zip(*kernels.enlargements(block, *new), range(6)))
         assert [i for _enl, _area, i in ranked] == [4, 5, 2, 1, 3, 0]
         deltas = [
-            impl.overlap_delta(block, i, *_grown(impl, block, i, new))
+            kernels.overlap_delta(block, i, *_grown(block, i, new))
             for i in (4, 5, 2)
         ]
         assert deltas[0] > 0.0 and deltas[1] > 0.0 and deltas[2] == 0.0
         calls = {}
-        assert _choose(impl, block, rects, new, calls) == 2
-        assert _exhaustive_choice(impl, block, 6, new) == 2
+        assert _choose(block, rects, new, calls) == 2
+        assert _exhaustive_choice(block, 6, new) == 2
         # It ranked (the head added overlap) and stopped at the third.
         assert calls["enlargements"] == 1
         assert calls["overlap_delta"] == 3
 
     # The head of the order reads 0.0: nothing is ranked at all.
     rects = [d, c]
-    for impl, block in _blocks(rects):
+    for block in _blocks(rects):
         calls = {}
-        assert _choose(impl, block, rects, new, calls) == 1
+        assert _choose(block, rects, new, calls) == 1
         assert calls == {
             "least_enlargement": 1, "block_get": 1, "overlap_delta": 1,
         }
 
 
-@needs_numpy
 @given(rects=st.lists(_RECT, min_size=2, max_size=80), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_split_scans_identical(rects, data):
     n = len(rects)
     min_entries = data.draw(st.integers(min_value=1, max_value=n // 2))
     dim = data.draw(st.integers(min_value=0, max_value=3))
-    orders = [
-        impl.argsort(block, dim) for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(orders, "argsort")
-    order = orders[0]
-    outcomes = []
-    for impl, block in _blocks(rects):
-        margin, prefix, suffix = impl.split_tables(
+    rs = _rects(rects)
+    order = sorted(range(n), key=lambda i: rects[i][dim])
+    # Every legal distribution, by brute force.  The suffix table folds
+    # from the far end (the last of equal zeros stays), and the margin
+    # adds the right group's two sides one at a time.
+    margin = 0.0
+    overlaps, combined = [], []
+    for k in range(min_entries, n - min_entries + 1):
+        left = Rect.union_all(rs[i] for i in order[:k])
+        right = Rect.union_all(rs[i] for i in reversed(order[k:]))
+        margin += left.margin() + right.width + right.height
+        overlaps.append(left.overlap_area(right))
+        combined.append(left.area() + right.area())
+    want = (_bits([margin]), _bits(overlaps), _bits(combined))
+    for block in _blocks(rects):
+        assert kernels.argsort(block, dim) == order
+        got_margin, prefix, suffix = kernels.split_tables(
             block, order, min_entries
         )
-        overlaps, combined = impl.distribution_scan(
-            prefix, suffix, min_entries
-        )
-        outcomes.append(
-            (_bits([margin]), _bits(overlaps), _bits(combined))
-        )
-    _assert_all_equal(outcomes, "split_tables/distribution_scan")
+        got = kernels.distribution_scan(prefix, suffix, min_entries)
+        assert (_bits([got_margin]), _bits(got[0]), _bits(got[1])) == want
 
 
-@needs_numpy
 @given(rects=st.lists(_RECT, min_size=2, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_quadratic_seeds_identical(rects):
-    seeds = [
-        impl.quadratic_seeds(block) for impl, block in _blocks(rects)
-    ]
-    _assert_all_equal(seeds, "quadratic_seeds")
+    # Guttman's PickSeeds as written: the first pair, in (i, j) scan
+    # order, wasting the most area.
+    rs = _rects(rects)
+    worst, want = -1.0, (0, 0)
+    for i, a in enumerate(rs):
+        for j in range(i + 1, len(rs)):
+            waste = a.union(rs[j]).area() - a.area() - rs[j].area()
+            if waste > worst:
+                worst, want = waste, (i, j)
+    for block in _blocks(rects):
+        assert kernels.quadratic_seeds(block) == want
 
 
-@needs_numpy
 def test_all_ties_degenerate_keeps_historical_seeds():
     # Identical rectangles everywhere: every pairing wastes the same
-    # (negative) area, the scalar threshold never fires, and both
-    # backends must answer (0, 0) — on both representations, above and
-    # below the vectorisation cutoff.
+    # (negative) area, the ``> -1.0`` threshold never fires, and the
+    # answer stays (0, 0).
     for n in (3, 32):
-        rects = [(0.0, 0.0, 1.0, 1.0)] * n
-        for impl, block in _blocks(rects):
-            assert impl.quadratic_seeds(block) == (0, 0)
+        for block in _blocks([(0.0, 0.0, 1.0, 1.0)] * n):
+            assert kernels.quadratic_seeds(block) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.rtree.node import (
     index_capacity,
     leaf_capacity,
 )
-from repro.storage.codec import NodeCodec, PageOverflowError
+from repro.storage.codec import CHECKSUM_OFFSET, NodeCodec, PageOverflowError
 
 coords = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -160,6 +160,29 @@ class TestCodecRoundtrip:
         codec = NodeCodec(512)
         with pytest.raises(ValueError):
             codec.decode(0, b"\x00" * 100)
+
+    @pytest.mark.parametrize("checksums", [False, True])
+    @pytest.mark.parametrize("is_leaf", [True, False])
+    def test_decode_rejects_an_overstated_count(self, is_leaf, checksums):
+        # The header count is a u16 no checksum need cover (they are off
+        # by default, and a stored crc of 0 passes as legacy when on).
+        codec = NodeCodec(512, rum_leaves=True, checksums=checksums)
+        cap = codec.leaf_cap if is_leaf else codec.index_cap
+        rect = Rect.from_point(0.5, 0.5)
+        entries = [
+            LeafEntry(rect, i, i) if is_leaf else IndexEntry(rect, i)
+            for i in range(cap)
+        ]
+        page = codec.encode(Node(3, is_leaf, entries))
+        assert len(codec.decode(3, page)) == cap
+        for claimed in (cap + 1, 60000):
+            forged = (
+                page[:2] + claimed.to_bytes(2, "little")
+                + page[4:CHECKSUM_OFFSET] + bytes(4)
+                + page[CHECKSUM_OFFSET + 4:]
+            )
+            with pytest.raises(PageOverflowError, match="page 3"):
+                codec.decode(3, forged)
 
     def test_disk_and_codec_size_must_match(self):
         from repro.storage.buffer import BufferPool

@@ -12,8 +12,6 @@ import random
 
 import pytest
 
-from repro import kernels
-from repro.kernels import _python as kernels_py
 from repro.rtree.geometry import Rect
 from repro.rtree.zorder import (
     KEY_BITS,
@@ -103,34 +101,30 @@ class TestBulkEncoder:
         assert bulk == [zorder_key(r) for r in rects]
 
     def test_bulk_matches_pure_python_kernel(self):
-        # Whatever backend is active must agree with the reference.
+        # Element by element, the bulk form is the one point encoder.
         rng = random.Random(13)
         rects = self._random_rects(300, rng)
-        cxs = [(r.xmin + r.xmax) * 0.5 for r in rects]
-        cys = [(r.ymin + r.ymax) * 0.5 for r in rects]
-        assert kernels.morton_keys(cxs, cys) == kernels_py.morton_keys(
-            cxs, cys
-        )
+        assert zorder_keys(rects) == [
+            morton_key((r.xmin + r.xmax) * 0.5, (r.ymin + r.ymax) * 0.5)
+            for r in rects
+        ]
 
     def test_edge_values_in_bulk(self):
-        cxs = [0.0, 1.0, 5e-324, -1.0, 2.0]
-        cys = [0.0, 1.0, 5e-324, -1.0, 2.0]
-        keys = kernels.morton_keys(cxs, cys)
+        edge = [0.0, 1.0, 5e-324, -1.0, 2.0]
+        keys = zorder_keys([Rect(v, v, v, v) for v in edge])
         full = (1 << KEY_BITS) - 1
         assert keys == [0, full, 0, 0, full]
 
     def test_edge_values_in_large_bulk(self):
-        # Over 32 elements the numpy backend leaves its scalar
-        # fallback; the edge values must survive the vector path too.
+        # NaN and out-of-range centres in a long (> 32) input.
         edge = [0.0, 1.0, 5e-324, -1.0, 2.0, float("nan")]
         cxs = edge * 8
         cys = list(reversed(edge)) * 8
-        assert kernels.morton_keys(cxs, cys) == kernels_py.morton_keys(
-            cxs, cys
-        )
+        assert zorder_keys(
+            [Rect(cx, cy, cx, cy) for cx, cy in zip(cxs, cys)]
+        ) == [morton_key(cx, cy) for cx, cy in zip(cxs, cys)]
 
     def test_empty_input(self):
-        assert kernels.morton_keys([], []) == []
         assert zorder_keys([]) == []
 
 
