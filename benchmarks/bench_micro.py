@@ -278,6 +278,27 @@ def bench_memo(metrics: Dict, iters: int) -> None:
         "iterations": rounds * n_oids,
     }
 
+    # The query's CheckStatus: one filter_latest per 30-slot id column
+    # (a leaf's hits), every other oid known to the memo — in RAM here,
+    # in the runs of the spilled memo below.  Ops are entries filtered.
+    for oid in range(0, 2 * n_oids, 2):
+        memo.record_update(oid, oid)
+        memo.record_update(oid, oid + 1)
+    columns = [
+        (list(range(lo, lo + 30)), [oid + oid % 3 for oid in range(lo, lo + 30)])
+        for lo in range(0, 2 * n_oids - 30, 30)
+    ]
+    n_slots = 30 * len(columns)
+
+    def filter_columns(target: UpdateMemo) -> None:
+        for oids, stamps in columns:
+            target.filter_latest(oids, stamps)
+
+    metrics["memo.filter_column"] = {
+        "ops_per_sec": _timed(lambda: filter_columns(memo), rounds) * n_slots,
+        "iterations": rounds * n_slots,
+    }
+
     # latest_stamp against the LSM-tiered memo with the RAM tier pinned
     # far below the population, so nearly every probe walks the Bloom
     # filters and sorted runs — the CheckStatus cost a spilled memo
@@ -304,13 +325,15 @@ def bench_memo(metrics: Dict, iters: int) -> None:
             for oid in range(1, 2 * n_oids, 2):
                 spilled.latest_stamp(oid)
 
-        for name, probe in (
-            ("memo.probe_spilled", probe_spilled),
-            ("memo.probe_absent", probe_absent),
+        for name, probe, ops in (
+            ("memo.probe_spilled", probe_spilled, n_oids),
+            ("memo.probe_absent", probe_absent, n_oids),
+            ("memo.filter_column_spilled",
+             lambda: filter_columns(spilled), n_slots),
         ):
             metrics[name] = {
-                "ops_per_sec": _timed(probe, rounds) * n_oids,
-                "iterations": rounds * n_oids,
+                "ops_per_sec": _timed(probe, rounds) * ops,
+                "iterations": rounds * ops,
             }
         spilled.close()
 

@@ -47,13 +47,14 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 from repro.storage.iostats import IO_FIELDS, IOStats, io_counters
 
-from .memo import LATEST, UpdateMemo
+from .memo import UpdateMemo
 from .stamp import StampCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -494,19 +495,37 @@ class MemoHost:
     def _after_update(self) -> None:
         self.cleaner.on_update()
 
-    def _visible(self, oid: int, stamp: int) -> bool:
-        """CheckStatus (Figure 3b): queries report latest entries only."""
-        return self.memo.check_status(oid, stamp) == LATEST
+    # -- the Figure-3b filter, over the id columns a host holds --------
+
+    def _latest(self, rows: List[tuple]) -> List[tuple]:
+        """Queries report latest entries only: those of ``rows`` (stored
+        entries, each ending ``oid, stamp``) that pass CheckStatus."""
+        kept = self.memo.filter_latest(
+            [row[-2] for row in rows], [row[-1] for row in rows]
+        )
+        return [rows[pos] for pos in kept]
+
+    def _shield_obsolete(
+        self, oids: Sequence[int], stamps: Sequence[int]
+    ) -> None:
+        """A split moved these entries to another ring position, possibly
+        behind a token that has passed (Race 1 of
+        docs/PHANTOM_INSPECTION.md): shield what is obsolete among them
+        from the next phantom purge."""
+        latest = set(self.memo.filter_latest(oids, stamps))
+        for pos, oid in enumerate(oids):
+            if pos not in latest:
+                self.cleaner.protect_from_purge(oid)
 
     # -- metrics (garbage ratio, memo size) ----------------------------
 
     def garbage_count(self) -> int:
         """Exact number of obsolete entries currently stored."""
-        return sum(
-            1
-            for oid, stamp in self._stored_ids()
-            if self.memo.is_obsolete(oid, stamp)
+        ids = list(self._stored_ids())
+        latest = self.memo.filter_latest(
+            [oid for oid, _stamp in ids], [stamp for _oid, stamp in ids]
         )
+        return len(ids) - len(latest)
 
     def garbage_ratio(self, num_objects: int) -> float:
         """Obsolete entries over indexed objects (Section 3.3.1)."""

@@ -404,6 +404,57 @@ class UpdateMemo:
         return slots
 
     # holds: bucket_lock
+    def filter_latest(
+        self,
+        oids: Sequence[int],
+        stamps: Sequence[int],
+        at: Optional[Sequence[int]] = None,
+    ) -> List[int]:
+        """CheckStatus (Figure 3b) over id columns: the positions, in
+        probe order, of the entries that are LATEST — every position, or
+        only those listed in ``at`` (a query's hits in a leaf).
+
+        The read-only twin of :meth:`sweep_obsolete`: nothing is written,
+        and the tallies end up exactly as after one :meth:`latest_stamp`
+        per probed entry.
+        """
+        if at is None:
+            at = range(len(oids))
+        buckets = self._buckets
+        n_buckets = self.n_buckets
+        runs = self._runs
+        tier = self.tier
+        kept: List[int] = []
+        keep = kept.append
+        hits = 0
+        for pos in at:
+            oid = oids[pos]
+            entry = buckets[oid % n_buckets].get(oid)
+            if entry is None:
+                # One pass: screening the whole column ahead of the Bloom
+                # walks was measured and lost (docs/MEMO.md).
+                rec = tier.probe(oid) if runs else None
+                if rec is None or rec[3] == TOMBSTONE:
+                    keep(pos)
+                    continue
+                s_latest = rec[1]
+            elif entry.tag == TOMBSTONE:
+                keep(pos)
+                continue
+            else:
+                s_latest = entry.s_latest
+            hits += 1
+            if s_latest == stamps[pos]:
+                keep(pos)
+        self.lookup_count += len(at)
+        self.hit_count += hits
+        if self._rc is not None:
+            # The same per-bucket accesses the per-entry methods report.
+            for pos in at:
+                self._rc_bucket(oids[pos], False)
+        return kept
+
+    # holds: bucket_lock
     def _folded(self, oid: int, entry: Optional[UMEntry]) -> Optional[Record]:
         """The record of ``oid`` aggregated over RAM (``entry``) and, where
         RAM does not settle it, the runs — a full-depth probe."""

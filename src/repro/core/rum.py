@@ -26,6 +26,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -329,20 +330,20 @@ class RUMTree(RTreeBase, MemoHost):
 
     def _memo_filtered_search(self, window: Rect, stamped: bool) -> List[tuple]:
         """All live objects whose latest MBR intersects ``window``."""
-        # CheckStatus per raw entry via memo.latest_stamp — the first-hit
-        # probe every memo tier answers in ~O(1) (the disk-tiered memo
-        # stops at the newest record instead of aggregating N_old), with
-        # the probe tallies maintained inside the memo.  Classification
-        # is identical to check_status's.
-        raw = self.range_search(window)
-        latest = self.memo.latest_stamp
-        results: List[tuple] = []
-        append = results.append
-        for e in raw:
-            s_latest = latest(e.oid)
-            if s_latest is None or e.stamp == s_latest:
-                append((e.oid, e.rect, e.stamp) if stamped else (e.oid, e.rect))
-        return results
+        filter_latest = self.memo.filter_latest
+
+        def collect(leaf: Node, hits: Sequence[int]) -> List[tuple]:
+            # A raw hit stays two id words and four floats until the memo
+            # has kept it: one CheckStatus pass per leaf, then a row per
+            # survivor — no entry object for anything.
+            oids, stamps = leaf.id_columns()
+            kept = filter_latest(oids, stamps, hits)
+            rects = leaf.rects_at(kept)
+            if stamped:
+                return [(oids[i], r, stamps[i]) for i, r in zip(kept, rects)]
+            return [(oids[i], r) for i, r in zip(kept, rects)]
+
+        return self.range_search(window, collect)
 
     _search_body = _memo_filtered_search
 
@@ -484,10 +485,7 @@ class RUMTree(RTreeBase, MemoHost):
             removed += self.clean_leaf(sibling, keep_at_least=self.min_leaf)
             if removed:
                 self.cleaner.entries_removed += removed
-        memo = self.memo
-        for entry in sibling.entries:
-            if memo.is_obsolete(entry.oid, entry.stamp):
-                self.cleaner.protect_from_purge(entry.oid)
+        self._shield_obsolete(*sibling.id_columns())
 
     def _on_leaf_dissolved(self, node: Node) -> None:
         if node.page_id == self._ring_successor:

@@ -333,15 +333,12 @@ class BPlusTree:
 
     def range_search(self, low: float, high: float) -> List[Tuple[int, float]]:
         """All ``(oid, key)`` with ``low <= key <= high``."""
-        return [
-            (oid, key)
-            for key, oid, stamp in self._scan(low, high)
-            if self._visible(oid, stamp)
-        ]
+        rows = self._latest(list(self._scan(low, high)))
+        return [(oid, key) for key, oid, _stamp in rows]
 
-    def _visible(self, oid: int, stamp: int) -> bool:
+    def _latest(self, rows: List[tuple]) -> List[tuple]:
         """Hook: the memo variant hides obsolete entries from queries."""
-        return True
+        return rows
 
     def _scan(
         self, low: float, high: float
@@ -436,11 +433,8 @@ class MemoBTree(MemoHost, BPlusTree):
     def _split_leaf(self, leaf: BTreeNode) -> BTreeNode:
         sibling = super()._split_leaf(leaf)
         # The upper half now sits one ring position further on, possibly
-        # behind a token that has passed the leaf (Race 1 of
-        # docs/PHANTOM_INSPECTION.md): shield what is obsolete in it.
-        for oid, stamp in zip(sibling.oids, sibling.stamps):
-            if self.memo.is_obsolete(oid, stamp):
-                self.cleaner.protect_from_purge(oid)
+        # behind a token that has passed the leaf.
+        self._shield_obsolete(sibling.oids, sibling.stamps)
         return sibling
 
     # -- the cleaner's host -----------------------------------------------------------

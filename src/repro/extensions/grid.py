@@ -126,22 +126,19 @@ class GridFile:
         self, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> List[Tuple[int, float, float]]:
         """All ``(oid, x, y)`` whose point lies in the closed window."""
-        results = []
+        rows: List[tuple] = []
         for cell in self._cells_in(xmin, ymin, xmax, ymax):
             self._charge(reads=len(cell.pages))
             for page in cell.pages:
-                for x, y, oid, stamp in page:
-                    if (
-                        xmin <= x <= xmax
-                        and ymin <= y <= ymax
-                        and self._visible(oid, stamp)
-                    ):
-                        results.append((oid, x, y))
-        return results
+                rows.extend(
+                    entry for entry in page
+                    if xmin <= entry[0] <= xmax and ymin <= entry[1] <= ymax
+                )
+        return [(oid, x, y) for x, y, oid, _stamp in self._latest(rows)]
 
-    def _visible(self, oid: int, stamp: int) -> bool:
+    def _latest(self, rows: List[tuple]) -> List[tuple]:
         """Hook: the memo variant hides obsolete entries from queries."""
-        return True
+        return rows
 
     # -- metrics ------------------------------------------------------------------
 

@@ -164,7 +164,7 @@ class PRQuadtree:
         self, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> List[Tuple[int, float, float]]:
         """All ``(oid, x, y)`` inside the closed query window."""
-        results: List[Tuple[int, float, float]] = []
+        rows: List[tuple] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -172,20 +172,17 @@ class PRQuadtree:
                 continue
             if node.is_leaf:
                 self._charge(reads=self._pages(node))
-                for x, y, oid, stamp in node.entries:
-                    if (
-                        xmin <= x <= xmax
-                        and ymin <= y <= ymax
-                        and self._visible(oid, stamp)
-                    ):
-                        results.append((oid, x, y))
+                rows.extend(
+                    entry for entry in node.entries
+                    if xmin <= entry[0] <= xmax and ymin <= entry[1] <= ymax
+                )
             else:
                 stack.extend(node.children)
-        return results
+        return [(oid, x, y) for x, y, oid, _stamp in self._latest(rows)]
 
-    def _visible(self, oid: int, stamp: int) -> bool:
+    def _latest(self, rows: List[tuple]) -> List[tuple]:
         """Hook: the memo variant hides obsolete entries from queries."""
-        return True
+        return rows
 
     # -- introspection ----------------------------------------------------------
 
@@ -262,10 +259,10 @@ class MemoQuadtree(MemoHost, PRQuadtree):
         # due at the split bucket visits all four children instead, and
         # what is obsolete in them is shielded as after any other split.
         self.cleaner.on_leaf_dissolved(leaf, kids[0], before)
-        for child in kids:
-            for _x, _y, oid, stamp in child.entries:
-                if self.memo.is_obsolete(oid, stamp):
-                    self.cleaner.protect_from_purge(oid)
+        moved = [entry for child in kids for entry in child.entries]
+        self._shield_obsolete(
+            [entry[2] for entry in moved], [entry[3] for entry in moved]
+        )
 
     # -- the cleaner's host -----------------------------------------------------------
 

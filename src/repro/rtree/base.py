@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.explain import ExplainReport, TraversalObserver
 
 from .geometry import Rect
-from .node import Entry, IndexEntry, LeafEntry, Node
+from .node import NO_PAGE, Entry, IndexEntry, LeafEntry, Node
 from .split import choose_reinsert_entries, quadratic_split, rstar_split
 
 #: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
@@ -494,11 +494,11 @@ class RTreeBase:
             return self._search_body(window, stamped)
         sampler = self._obs_qsample
         if sampler.tick > 0:
-            # Unsampled query: microseconds at mirror steady state, so
-            # it pays for nothing but this countdown and the next sampled
-            # query counts it.  (Served queries share the read latch, so
-            # the countdown can race below zero: that only brings the
-            # next capture forward.)
+            # Unsampled query: tens of microseconds whichever path
+            # serves it, so it pays for nothing but this countdown and
+            # the next sampled query counts it.  (Served queries share
+            # the read latch, so the countdown can race below zero: that
+            # only brings the next capture forward.)
             sampler.tick -= 1
             return self._search_body(window, stamped)
         # ``tree.queries`` is thus exact at every sample boundary (and at
@@ -868,26 +868,35 @@ class RTreeBase:
     # Search
     # ------------------------------------------------------------------
 
-    def range_search(self, window: Rect) -> List[LeafEntry]:
+    def range_search(
+        self,
+        window: Rect,
+        collect: Optional[Callable[[Node, Sequence[int]], list]] = None,
+    ) -> list:
         """All leaf entries whose MBR intersects ``window``.
 
-        For the RUM-tree this is the *raw* answer set that the Update Memo
-        then filters (Section 3.2.3); for the other trees it is the final
-        answer.
+        For the baselines that is the final answer.  The RUM-tree passes
+        ``collect``: called as ``collect(leaf, hits)`` with each visited
+        leaf and the slots of it that intersect the window, it returns
+        that leaf's share of the answer (by default ``leaf.take(hits)``,
+        the entries themselves) — which is how the Update Memo filters
+        the raw answer set (Section 3.2.3) before anything is built for
+        it.
 
         Each visited node is tested with one bulk kernel call over its
-        coordinate column block; matching leaf entries are materialised
-        selectively, so a leaf with no hits never builds a single Python
-        object.
+        coordinate column block, so a leaf with no hits never builds a
+        single Python object; what is built for a leaf with hits is up to
+        ``collect``.
 
         After :data:`MIRROR_QUERY_STREAK` consecutive mutation-free range
         searches the tree builds a :class:`~repro.rtree.mirror.QueryMirror`
-        and answers from it instead of descending — same entries, and the
-        same buffered leaf reads are still charged (one per leaf whose
-        directory entry intersects the window), so every I/O metric is
-        unchanged.  Any mutation invalidates the mirror via the buffer
-        version counter.  Entry *order* may differ between the two paths;
-        both are deterministic, neither is part of the API.
+        and answers from it instead of descending — same entries, handed
+        to ``collect`` as one leaf that is all hits, and the same buffered
+        leaf reads are still charged (one per leaf whose directory entry
+        intersects the window), so every I/O metric is unchanged.  Any
+        mutation invalidates the mirror via the buffer version counter.
+        Entry *order* may differ between the two paths; both are
+        deterministic, neither is part of the API.
         """
         buffer = self.buffer
         wx1, wy1 = window.xmin, window.ymin
@@ -927,8 +936,12 @@ class RTreeBase:
                     get_node(page_id)
             else:
                 buffer.charge_leaf_reads(leaf_ids)
-            return results
-        results: List[LeafEntry] = []
+            if collect is None:
+                return results
+            return collect(
+                Node(NO_PAGE, True, results), range(len(results))
+            )
+        results = []
         watch = self._watch
         with buffer.operation():
             stack = [self.root_id]
@@ -941,11 +954,13 @@ class RTreeBase:
                     watch.visit(node, len(node), len(hits))
                 if not hits:
                     continue
-                if node.is_leaf:
-                    results.extend(node.take(hits))
-                else:
+                if not node.is_leaf:
                     entries = node.entries
                     stack.extend(entries[i].child_id for i in hits)
+                elif collect is None:
+                    results.extend(node.take(hits))
+                else:
+                    results.extend(collect(node, hits))
         return results
 
     def iter_nearest(

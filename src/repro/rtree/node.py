@@ -169,6 +169,11 @@ class Node:
         entries = self.entries
         return [entries[i] for i in indices]
 
+    def rects_at(self, slots: Sequence[int]) -> List[Rect]:
+        """The MBRs of the entries at ``slots``, in that order."""
+        entries = self.entries
+        return [entries[i].rect for i in slots]
+
     def add_entry(self, entry: Entry) -> None:
         """Append ``entry`` after the last slot (then ``mark_dirty``, as
         after any edit)."""
@@ -227,9 +232,12 @@ class LazyNode(Node):
 
     While the node is unmaterialised, :meth:`coord_block` decodes the
     coordinate columns straight off the raw page bytes (one bulk kernel
-    call, no entry objects) and :meth:`take` materialises only the
-    requested entries — together they let a range query test a whole leaf
-    and build objects for just the matches.
+    call, no entry objects), so a range query tests a whole leaf before
+    anything is built.  What is built for the matches depends on who
+    asks: the baselines :meth:`take` them, which materialises only the
+    requested entries; the RUM-tree reads :meth:`id_columns`, lets the
+    memo filter them, and lifts the survivors' rectangles out of the same
+    block with :meth:`rects_at` — no entry is materialised at all.
 
     The update path edits the same image: ``add_entry``, ``id_columns``,
     ``drop_slots`` and ``mbr`` work on ``_page_bytes``/``_entry_count``,
@@ -299,13 +307,32 @@ class LazyNode(Node):
         """The entries at ``indices``, materialising only those.
 
         On an unmaterialised leaf this decodes just the requested slots
-        from the page image — the query hot path's selective
-        materialisation; a thawed leaf answers from the entry list.
+        from the page image — the baselines' query path and the kNN
+        stream; a thawed leaf answers from the entry list.
         """
         entries = self._entries
         if entries is None:
             return self._codec.decode_entries_at(self._page_bytes, indices)
         return [entries[i] for i in indices]
+
+    def rects_at(self, slots: Sequence[int]) -> List[Rect]:
+        """The MBRs at ``slots`` — on an unmaterialised leaf lifted out of
+        the coordinate block the window test just read, built as the codec
+        builds them, with no entry around them."""
+        if self._entries is not None:
+            return super().rects_at(slots)
+        _n, xs1, ys1, xs2, ys2 = self.coord_block()
+        out: List[Rect] = []
+        append = out.append
+        new_rect = Rect.__new__
+        for i in slots:
+            r = new_rect(Rect)
+            r.xmin = xs1[i]
+            r.ymin = ys1[i]
+            r.xmax = xs2[i]
+            r.ymax = ys2[i]
+            append(r)
+        return out
 
     @property
     def materialized(self) -> bool:

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.memo import LATEST, OBSOLETE, UpdateMemo
+from repro.core.memo import DELTA, LATEST, OBSOLETE, TOMBSTONE, UpdateMemo
 from repro.core.memo_lsm import RunStore
 from repro.core.stamp import StampCounter
 from repro.obs import Observability
+from repro.storage.iostats import IOStats
 from repro.storage.wal import UM_ENTRY_BYTES
 
 
@@ -344,6 +345,137 @@ class TestMemoProperties(MemoCases):
                 assert entry is None
 
 
+class TestFilterLatest(MemoCases):
+    """``filter_latest`` against the loop it replaced — one
+    ``latest_stamp`` per entry: the same positions kept, and every tally
+    where that loop would have left it."""
+
+    def new_memo(self, n_buckets=64):
+        memo = super().new_memo(n_buckets)
+        if memo.tier is not None:
+            memo.tier.stats = IOStats()
+        return memo
+
+    @staticmethod
+    def tallies(memo):
+        counts = [memo.lookup_count, memo.hit_count]
+        tier = memo.tier
+        if tier is not None:
+            counts += [
+                tier.run_probe_count, tier.screen_reject_count,
+                tier.bloom_fp_count, tier.stats.memo_reads,
+            ]
+        return counts
+
+    @staticmethod
+    def per_entry(memo, oids, stamps, at=None):
+        kept = []
+        for pos in range(len(oids)) if at is None else at:
+            s_latest = memo.latest_stamp(oids[pos])
+            if s_latest is None or s_latest == stamps[pos]:
+                kept.append(pos)
+        return kept
+
+    def agree(self, memo, oids, stamps, at=None):
+        """Both filters read only, so one memo serves both passes."""
+        state = sorted(e.as_tuple() for e in memo)
+        start = self.tallies(memo)
+        want = self.per_entry(memo, oids, stamps, at)
+        middle = self.tallies(memo)
+        got = memo.filter_latest(oids, stamps, at)
+        end = self.tallies(memo)
+        assert got == want
+        assert [b - a for a, b in zip(middle, end)] == [
+            b - a for a, b in zip(start, middle)
+        ]
+        assert sorted(e.as_tuple() for e in memo) == state
+        return got
+
+    def churned(self):
+        """A memo holding every kind of record the filter can meet; above
+        a tier: records in runs, a ``DELTA`` over one, a tombstone in RAM
+        and one already spilled."""
+        memo = self.new_memo(n_buckets=4)
+        stamp = iter(range(1, 10_000))
+        latest = {}
+        for _ in range(2):
+            for oid in range(0, 40, 2):
+                latest[oid] = next(stamp)
+                memo.record_update(oid, latest[oid])
+        for oid in (4, 8):          # drained: absent, or a tombstone
+            memo.note_cleaned(oid)
+            memo.note_cleaned(oid)
+            del latest[oid]
+        for oid in (12, 16, 20):    # pushes the first tombstones down
+            latest[oid] = next(stamp)
+            memo.record_update(oid, latest[oid])
+        memo.note_cleaned(24)
+        memo.note_cleaned(24)       # a tombstone still in RAM
+        del latest[24]
+        latest[6] = next(stamp)
+        memo.record_update(6, latest[6])  # a DELTA over a run record
+        return memo, latest
+
+    def test_kept_positions_and_tallies_equal_the_per_entry_loop(self):
+        memo, latest = self.churned()
+        if self.TIERED:
+            tags = {e.oid: e.tag for b in memo._buckets for e in b.values()}
+            assert memo.runs and tags[24] == TOMBSTONE and tags[6] == DELTA
+            assert all(oid not in tags for oid in (4, 8))
+        oids, stamps = [], []
+        for oid in range(-3, 45):   # odd and out-of-range oids are absent
+            if oid in latest:
+                # The obsolete and the latest entry of one oid, together.
+                oids += [oid, oid]
+                stamps += [latest[oid] - 1, latest[oid]]
+            else:
+                oids.append(oid)
+                stamps.append(7)
+        kept = self.agree(memo, oids, stamps)
+        assert [
+            pos for pos, oid in enumerate(oids)
+            if oid not in latest or stamps[pos] == latest[oid]
+        ] == kept
+        assert 0 < len(kept) < len(oids)
+
+    def test_only_the_listed_positions_are_probed(self):
+        memo, latest = self.churned()
+        oids = sorted(latest) + [4, 8, 24, 1, 99]
+        stamps = [latest.get(oid, 5) for oid in oids]
+        stamps[0] -= 1
+        at = list(range(0, len(oids), 3))
+        before = memo.lookup_count
+        kept = self.agree(memo, oids, stamps, at)
+        assert set(kept) <= set(at) and 0 not in kept
+        assert memo.lookup_count - before == 2 * len(at)
+        assert self.agree(memo, oids, stamps, range(len(oids))) == (
+            memo.filter_latest(oids, stamps)
+        )
+
+    def test_empty_column(self):
+        memo, _latest = self.churned()
+        assert self.agree(memo, [], []) == []
+        assert self.agree(memo, [2, 6], [0, 0], at=[]) == []
+
+    def test_racecheck_sees_the_same_bucket_reads(self):
+        memo, latest = self.churned()
+        seen = []
+
+        class Checker:
+            def access(self, obj, field, write):
+                seen.append((obj is memo, field, write))
+
+        memo.attach_racecheck(Checker())
+        oids = [6, 7, 24, 6, 38]
+        stamps = [latest[6], 1, 1, 1, latest[38]]
+        want = self.per_entry(memo, oids, stamps)
+        per_entry, seen[:] = list(seen), []
+        assert memo.filter_latest(oids, stamps) == want
+        assert seen == per_entry == [
+            (True, f"bucket[{oid % 4}]", False) for oid in oids
+        ]
+
+
 # ---------------------------------------------------------------------------
 # The same behaviours above a run tier
 # ---------------------------------------------------------------------------
@@ -374,6 +506,10 @@ class TestSizeMetricsTiered(TestSizeMetrics):
         """A spill touches every bucket, which per-bucket locks cannot
         cover: a memo on a tier builds none."""
         assert self.new_memo(n_buckets=8).bucket_locks == []
+
+
+class TestFilterLatestTiered(TestFilterLatest):
+    TIERED = True
 
 
 class TestMemoPropertiesTiered(TestMemoProperties):

@@ -3,10 +3,14 @@
 Covers the precompiled codec kernels (round-trips at exact capacity and at
 count 0 for all three entry layouts), the lazy leaf decode path, the
 clean-page byte cache of the buffer pool, the resident-LRU corner cases,
-and the ``REPRO_BENCH_SCALE`` parsing warning.
+the call-count pins of the insertion and query paths (and that the gated
+benchmark's patch points still resolve), and the ``REPRO_BENCH_SCALE``
+parsing warning.
 """
 
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ from repro.storage.buffer import BufferPool
 from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
 from repro.storage.iostats import IOStats
+
+
+BENCH_STACK = Path(__file__).resolve().parent.parent / "benchmarks" / "stack"
 
 
 def _leaf_entries(count, stamped=True):
@@ -305,6 +312,94 @@ class TestInsertionKeepsItsDescent:
         tree.update_object(4, None, Rect.from_point(0.32, 0.2))
         assert calls == ["least_enlargement", "overlap_delta"]
         assert held_rect(tree, low) == Rect(0.1, 0.1, 0.32, 0.3)
+
+
+class TestQueryBuildsRowsOnlyForSurvivors:
+    """Call-count pins of the RUM range query: a raw hit is never an
+    object, and the memo is asked once per leaf, not once per entry."""
+
+    def test_no_entry_decoded_and_one_memo_call_per_leaf_with_hits(
+        self, monkeypatch
+    ):
+        tree = build_rum_tree(
+            node_size=SMALL_NODE, clean_upon_touch=False, inspection_ratio=0.0
+        )
+        positions = populate(tree, 200, seed=21)
+        for oid in range(0, 200, 3):
+            tree.update_object(oid, None, positions[oid])  # garbage in place
+        window = Rect(0.2, 0.2, 0.7, 0.7)
+        visits = tree.explain_query(window).visits
+        leaves_hit = sum(v.is_leaf and v.entries_matched > 0 for v in visits)
+        raw_hits = sum(v.entries_matched for v in visits if v.is_leaf)
+        assert leaves_hit > 3
+
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        codec, memo = tree.buffer.codec, tree.memo
+        for name in ("decode_entries_at", "decode_entries"):
+            count(codec, name)
+        for name in ("filter_latest", "latest_stamp", "check_status",
+                     "is_obsolete"):
+            count(memo, name)
+        # The benchmark's tracer wraps range_search on the instance, and
+        # its span is "one query on one tree": the body must enter the
+        # walk through the attribute.
+        count(tree, "range_search")
+        lookups = memo.lookup_count
+        rows = tree.search(window)
+        assert calls == {"filter_latest": leaves_hit, "range_search": 1}
+        assert memo.lookup_count - lookups == raw_hits > len(rows)
+        assert sorted(oid for oid, _rect in rows) == sorted(
+            oid for oid, rect in positions.items() if rect.intersects(window)
+        )
+
+
+class TestBenchmarkPatchPointsResolve:
+    """``benchmarks/stack/layers.py`` wraps boundary calls by ``getattr``
+    and may not change in a PR that claims a gain: a rename under it
+    must fail here, not in the benchmark's traced pass."""
+
+    @pytest.mark.parametrize(
+        "workload", ["tree_query_churn", "durable_batch", "serve_mix"]
+    )
+    def test_every_patched_attribute_is_there(
+        self, workload, monkeypatch, tmp_path
+    ):
+        pytest.importorskip("numpy")
+        monkeypatch.syspath_prepend(str(BENCH_STACK))
+        import layers
+        import workloads
+
+        patched = []
+
+        class Resolver:
+            def patch(self, owner, attr, name, tally=None):
+                assert callable(getattr(owner, attr)), name
+                patched.append(name)
+
+        spec = workloads.SPEC_BY_NAME[workload]
+        trace = workloads.Trace(spec, 3, workloads.SMOKE_OBJECTS)
+        stack = workloads.build_stack(spec, trace.initial, tmp_path / "work")
+        try:
+            layers.instrument(Resolver(), stack, Counter())
+        finally:
+            stack.close()
+        assert {
+            "rtree.base.range_search", "rtree.mirror.search",
+            "storage.codec.decode_entries_at", "kernels.intersect_indices",
+        } <= set(patched)
+        memo_layer = "core.memo_lsm" if spec.batch else "core.memo"
+        assert f"{memo_layer}.latest_stamp" in patched
+        assert ("serving.router.query" in patched) == spec.served
 
 
 class TestBenchCompare:

@@ -14,10 +14,12 @@ from conftest import (
     leaf_entry_count,
     populate,
     random_walk,
+    random_window,
     two_cluster_tree,
 )
 from repro.factory import build_rum_tree, build_storage
 from repro.core.rum import RUMTree
+from repro.rtree.base import MIRROR_QUERY_STREAK
 from repro.rtree.geometry import Rect
 
 
@@ -146,6 +148,115 @@ class TestSearchFiltering:
         random_walk(tree, positions, steps=900, seed=66, distance=0.2)
         assert_search_matches_oracle(tree, positions)
         tree.check_invariants()
+
+
+class TestSearchEqualsThePerEntryFilter:
+    """``search`` is the walk plus one ``filter_latest`` per leaf; the
+    reference is what it replaced — every raw hit decoded into a
+    ``LeafEntry`` and asked about one ``latest_stamp`` at a time."""
+
+    @staticmethod
+    def per_entry_body(tree):
+        def body(window, stamped):
+            rows = []
+            for e in tree.range_search(window):
+                s_latest = tree.memo.latest_stamp(e.oid)
+                if s_latest is None or e.stamp == s_latest:
+                    rows.append(
+                        (e.oid, e.rect, e.stamp) if stamped
+                        else (e.oid, e.rect)
+                    )
+            return rows
+
+        return body
+
+    @staticmethod
+    def counted(tree, call):
+        """``(answer, sorted; leaf reads; memo lookups; memo hits)``."""
+        stats, memo = tree.stats, tree.memo
+        before = (stats.leaf_reads, memo.lookup_count, memo.hit_count)
+        answer = sorted(call(), key=lambda row: (row[0], row[-1], tuple(row[1])))
+        after = (stats.leaf_reads, memo.lookup_count, memo.hit_count)
+        return (answer, *(b - a for a, b in zip(before, after)))
+
+    @pytest.fixture
+    def tree(self):
+        tree = build_rum_tree(
+            node_size=SMALL_NODE, clean_upon_touch=False, inspection_ratio=0.05
+        )
+        positions = populate(tree, 250, seed=31)
+        random_walk(tree, positions, steps=500, seed=32, distance=0.15)
+        assert tree.garbage_count() > 100
+        return tree
+
+    @pytest.fixture
+    def windows(self):
+        rng = random.Random(33)
+        return [random_window(rng, side=0.3) for _ in range(12)]
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    def test_on_freshly_read_and_on_thawed_leaves(self, tree, windows, stamped):
+        reference = self.per_entry_body(tree)
+        seen = []
+
+        def spy(leaf, hits):
+            seen.append(leaf.materialized)
+            return []
+
+        tree._mirror_wait = 10**9  # no streak is long enough for a mirror
+        for window in windows:
+            want = self.counted(tree, lambda: reference(window, stamped))
+            assert self.counted(
+                tree, lambda: tree.search(window, stamped)
+            ) == want
+            assert want[0] and want[2] > len(want[0])  # garbage was met
+            with tree.buffer.operation():
+                # The search's own operation nests in this one and finds
+                # the leaves as it left them: thawed.
+                for leaf in list(tree.iter_leaf_nodes()):
+                    assert tree.buffer.get_node(leaf.page_id).entries
+                thawed = self.counted(
+                    tree, lambda: tree.search(window, stamped)
+                )
+                tree.range_search(window, spy)
+            assert thawed[0] == want[0] and thawed[2:] == want[2:]
+        assert seen and all(seen)
+        tree.range_search(windows[0], spy)
+        assert not seen[-1]
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    def test_mirror_served(self, tree, windows, stamped):
+        reference = self.per_entry_body(tree)
+        for _ in range(MIRROR_QUERY_STREAK):
+            tree.search(windows[0])
+        for window in windows:
+            want = self.counted(tree, lambda: reference(window, stamped))
+            assert tree._served_by_mirror
+            assert self.counted(
+                tree, lambda: tree.search(window, stamped)
+            ) == want
+            assert tree._served_by_mirror
+
+    def test_under_explain_query(self, tree, windows):
+        def facts(report):
+            return (
+                [
+                    (v.page_id, v.entries_tested, v.entries_matched, v.io)
+                    for v in report.visits
+                ],
+                report.io_delta, report.results, report.memo,
+            )
+
+        for window in windows:
+            tree._search_body = self.per_entry_body(tree)
+            want = facts(tree.explain_query(window))
+            del tree._search_body
+            report = tree.explain_query(window)
+            assert facts(report) == want and report.reconciles()
+            assert report.memo["inspections"] == sum(
+                v.entries_matched for v in report.visits if v.is_leaf
+            )
+            assert report.memo["obsolete"] > 0
 
 
 class TestCleanUponTouch:
