@@ -3,8 +3,10 @@
 
 Unlike the ``bench_fig*`` experiment replays, these measure the raw
 throughput of single layers every experiment sits on — the page codec,
-the columnar kernels, the buffer pool, the update memo — plus the paired
-A/B *ratios* of the observability levels and the race detector.  Every
+the columnar kernels, the buffer pool, the update memo, the serving
+layers around a router that does nothing and the router around shards
+that do nothing — plus the paired A/B *ratios* of the observability
+levels and the race detector.  Every
 end-to-end number (ops/s, latency, counted I/O of a whole stack) comes
 from ``benchmarks/stack/bench_stack.py``, which verifies its answers.
 Run it directly::
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import pathlib
 import random
 import sys
@@ -48,6 +51,7 @@ if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from repro import kernels
+from repro.concurrency.locks import ReadWriteLock
 from repro.core.memo import UpdateMemo
 from repro.core.memo_lsm import SpillingUpdateMemo
 from repro.concurrency.racecheck import RaceChecker
@@ -61,6 +65,7 @@ from repro.experiments.harness import (
 from repro.rtree.base import MIRROR_QUERY_STREAK, RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
+from repro.serving import ServingClient, ShardRouter, ShardServer
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
@@ -338,6 +343,100 @@ def bench_memo(metrics: Dict, iters: int) -> None:
         spilled.close()
 
 
+class _NullRouter:
+    """Answers a constant: what is left of a round trip is the serving
+    layers' own — two frames each way, dispatch, two thread wake-ups."""
+
+    ACK = {"shard": 1, "migrated": False}
+    ROWS = [(oid, Rect(0.1, 0.1, 0.2, 0.2)) for oid in range(47)]
+
+    def upsert(self, oid: int, rect: Rect) -> Dict:
+        return self.ACK
+
+    def query(self, window: Rect) -> List:
+        return self.ROWS
+
+    def close(self) -> None:
+        pass
+
+
+class _StubTree:
+    """A shard tree that does nothing behind a real latch: what is left of
+    ``ShardRouter.upsert`` / ``query`` is routing, directory, latch and
+    tallies (``serving.router.self`` in bench_stack's ledger).  It has no
+    ``stats``: nothing reads a shard's I/O tally while ``io_latency`` is 0."""
+
+    def __init__(self) -> None:
+        self.latch = ReadWriteLock()
+
+    def update_object(self, oid: int, old: None, rect: Rect) -> None:
+        pass
+
+    def insert_object(self, oid: int, rect: Rect) -> None:
+        pass
+
+    def delete_object(self, oid: int) -> None:
+        pass
+
+    def search(self, window: Rect, stamped: bool = False) -> List:
+        return []
+
+
+def bench_serving(metrics: Dict, iters: int) -> None:
+    """The serving layers by themselves, as bench_stack's ``serve_mix``
+    runs them: TCP loopback, client and connection thread on one CPU.
+
+    ``serving.round_trip_update`` / ``_query47`` are a 45 B / 10 B and a
+    37 B / 1 889 B exchange with a router that answers a constant (a bare
+    echo of those sizes between two threads is 8-9 us on the reference
+    host; the 47-row codec alone is ~27 us of the query).
+    ``router.route_self`` alternates ``upsert`` and ``query`` on a
+    four-shard router whose shard trees do nothing.
+    """
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        affinity = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(affinity)})
+    try:
+        rect = Rect(0.3, 0.3, 0.31, 0.31)
+        with ShardServer(_NullRouter()) as server:  # type: ignore[arg-type]
+            with ServingClient(*server.address) as client:
+                for name, call, n in (
+                    ("update", lambda: client.upsert(7, rect), iters * 5),
+                    ("query47", lambda: client.query(rect), iters * 2),
+                ):
+                    call()  # the connection thread is up
+                    metrics[f"serving.round_trip_{name}"] = {
+                        "ops_per_sec": _timed(call, n), "iterations": n,
+                    }
+        rng = random.Random(5)
+        rects = [
+            Rect(x, y, x + 0.01, y + 0.01)
+            for x, y in (
+                (rng.random() * 0.98, rng.random() * 0.98) for _ in range(256)
+            )
+        ]
+        with ShardRouter(4) as router:
+            for shard in router.shards:
+                shard.tree = _StubTree()  # type: ignore[assignment]
+            for oid, r in enumerate(rects):
+                router.upsert(oid, r)
+
+            def route() -> None:
+                for oid, r in enumerate(rects):
+                    router.upsert(oid, r)
+                    router.query(r)
+
+            rounds = max(2, iters // 50)
+            metrics["router.route_self"] = {
+                "ops_per_sec": _timed(route, rounds) * 2 * len(rects),
+                "iterations": rounds * 2 * len(rects),
+            }
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, affinity)
+
+
 #: Updates/queries per timed slice of the interleaved obs A/B.
 AB_CHUNK = 100
 
@@ -567,6 +666,7 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     bench_kernels(metrics, iters)
     bench_buffer(metrics, max(10, iters // 10))
     bench_memo(metrics, iters)
+    bench_serving(metrics, iters)
     # Each A/B is its own paired run with its own plain leg as the
     # baseline: an overhead must come from one interleaved process run.
     overhead_off, overhead_metrics = bench_obs_ab()

@@ -44,11 +44,17 @@ class ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._condition = threading.Condition()
+        # ``_mutex`` guards the state; the condition shares it and is only
+        # touched to park or wake (entering it costs a Python frame).
+        self._mutex = threading.Lock()
+        self._condition = threading.Condition(self._mutex)
         self._readers = 0
         self._writer = False
         self._writer_tid: int | None = None
+        # Threads parked in ``wait()``, by kind: a release notifies only
+        # when one of them can move.
         self._writers_waiting = 0
+        self._readers_waiting = 0
         # Per-thread read hold count (each lock instance carries its own
         # thread-local namespace, so counts never mix across locks).
         self._local = threading.local()
@@ -63,18 +69,20 @@ class ReadWriteLock:
             # Reentrant read: exclusion already holds for this thread,
             # and waiting on the writer-preference gate here would
             # deadlock against any queued writer.
-            with self._condition:
+            with self._mutex:
                 self._readers += 1
             self._local.read_holds = held + 1
         else:
-            with self._condition:
+            with self._mutex:
                 if self._writer_tid == threading.get_ident():
                     raise RuntimeError(
                         "acquire_read while holding the write lock "
                         "would self-deadlock (no downgrade support)"
                     )
+                self._readers_waiting += 1  # a leak only over-notifies
                 while self._writer or self._writers_waiting:
                     self._condition.wait()
+                self._readers_waiting -= 1
                 self._readers += 1
             self._local.read_holds = 1
         checker = _racecheck.ACTIVE
@@ -82,11 +90,12 @@ class ReadWriteLock:
             checker.note_acquire(self, _racecheck.READ_MODE)
 
     def release_read(self) -> None:
-        with self._condition:
+        with self._mutex:
             if self._readers <= 0:
                 raise RuntimeError("release_read without a matching acquire")
             self._readers -= 1
-            if self._readers == 0:
+            # Only a writer waits on the reader count, and only for zero.
+            if self._readers == 0 and self._writers_waiting:
                 self._condition.notify_all()
         held = self._read_holds()
         if held:
@@ -97,7 +106,7 @@ class ReadWriteLock:
 
     def acquire_write(self) -> None:
         me = threading.get_ident()
-        with self._condition:
+        with self._mutex:
             if self._writer_tid == me:
                 raise RuntimeError(
                     "the write lock is not reentrant (second "
@@ -121,12 +130,13 @@ class ReadWriteLock:
             checker.note_acquire(self, _racecheck.WRITE_MODE)
 
     def release_write(self) -> None:
-        with self._condition:
+        with self._mutex:
             if not self._writer:
                 raise RuntimeError("release_write without a matching acquire")
             self._writer = False
             self._writer_tid = None
-            self._condition.notify_all()
+            if self._writers_waiting or self._readers_waiting:
+                self._condition.notify_all()
         checker = _racecheck.ACTIVE
         if checker is not None:
             checker.note_release(self)

@@ -114,8 +114,17 @@ def shard_for_key(key: int, bits: int) -> int:
 
 
 def shard_for_point(cx: float, cy: float, bits: int) -> int:
-    """Shard index of the point ``(cx, cy)`` under a ``2**bits`` split."""
-    return shard_for_key(morton_key(cx, cy), bits)
+    """Shard index of the point ``(cx, cy)`` under a ``2**bits`` split:
+    ``shard_for_key(morton_key(cx, cy), bits)`` — same clamp, NaN to the
+    origin cell — from the top ``ceil(bits / 2)`` bits of each quantised
+    coordinate alone, in one frame (the router calls it per update)."""
+    qx = int(cx * _ZMAX) if 0.0 < cx < 1.0 else _ZMAX if cx >= 1.0 else 0
+    qy = int(cy * _ZMAX) if 0.0 < cy < 1.0 else _ZMAX if cy >= 1.0 else 0
+    index = 0
+    for level in range(ZORDER_BITS - 1, ZORDER_BITS - 1 - (bits + 1) // 2, -1):
+        index = index << 2 | (qy >> level & 1) << 1 | qx >> level & 1
+    # An odd prefix ends on a y bit: the last x bit taken is not in it.
+    return index >> 1 if bits & 1 else index
 
 
 def shard_region(index: int, bits: int) -> Tuple[float, float, float, float]:

@@ -2,7 +2,9 @@
 
 One socket, one in-flight request at a time (the protocol is strictly
 request/response per connection); open several clients for concurrent
-load — the open-loop benchmark gives each client thread its own.
+load — the open-loop benchmark gives each client thread its own.  A
+transport failure inside a request (timeout, reset, malformed answer)
+closes the socket: the late answer would be read as the next reply.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.rtree.geometry import Rect
 
-from .protocol import recv_frame, rect_to_wire, results_from_wire, send_frame
+from .protocol import FrameReader, encode_frame
+from .protocol import rect_to_wire, results_from_wire
 
 
 class ServingClient:
@@ -22,6 +25,7 @@ class ServingClient:
         self, host: str, port: int, timeout: Optional[float] = 30.0
     ) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._reader = FrameReader(self._sock)
 
     def close(self) -> None:
         self._sock.close()
@@ -34,10 +38,15 @@ class ServingClient:
 
     def request(self, message: Dict[str, Any]) -> Any:
         """One round trip; raises on transport or server-side errors."""
-        send_frame(self._sock, message)
-        response = recv_frame(self._sock)
-        if response is None:
-            raise ConnectionError("server closed the connection")
+        frame = encode_frame(message)  # a ValueError here has sent nothing
+        try:
+            self._sock.sendall(frame)
+            response = self._reader.read()
+            if response is None:
+                raise ConnectionError("server closed the connection")
+        except (OSError, ValueError):
+            self.close()
+            raise
         if not response.get("ok"):
             raise RuntimeError(
                 f"server error: {response.get('error', 'unknown')}"

@@ -32,7 +32,11 @@ x2, y2]``), ``query`` (``window``) or ``knn`` (``x``, ``y``, ``k``).
 Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false, "error":
 "<message>"}``; query and kNN results are the column pair ``[oids,
 flat_coords]`` of :func:`results_to_wire`.  The connection is persistent:
-frames are processed in order until the client closes its end.
+frames are processed in order until the client closes its end.  Each end
+reads through a :class:`FrameReader`: one ``recv`` per frame, over-read
+bytes kept for the next, so a client may pipeline requests.  A client whose
+round trip failed in transport (timeout, reset, malformed answer) is
+closed, not reused: the late answer would be read as the next reply.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import socket
 import struct
 from functools import lru_cache
 from math import isfinite
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.rtree.geometry import Rect
 
@@ -93,12 +97,19 @@ def _kind(message: Dict[str, Any]) -> str:
 
 
 def float_from_wire(value: Any) -> float:
-    """One coordinate, coerced; a packed f64 carries NaN / inf as well as
-    JSON does, and neither may reach a shard or the query pad."""
+    """One kNN coordinate, coerced; JSON carries NaN / inf as well as a
+    packed f64 does, and neither may reach a shard."""
     number = float(value)
     if not isfinite(number):
         raise ValueError(f"non-finite coordinate {number!r}")
     return number
+
+
+def int_from_wire(value: Any) -> int:
+    """An oid or ``k``, checked: ``int()`` would coerce 1.9, "2", True."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def rect_to_wire(rect: Rect) -> List[float]:
@@ -108,7 +119,7 @@ def rect_to_wire(rect: Rect) -> List[float]:
 def rect_from_wire(coords: Sequence[float]) -> Rect:
     if len(coords) != 4:
         raise ValueError(f"rect needs 4 coordinates, got {len(coords)}")
-    return Rect(*map(float_from_wire, coords))
+    return Rect(*coords)  # finite or not is the router's check, once
 
 
 def results_to_wire(results: Sequence[Tuple[int, Rect]]) -> List[List[Any]]:
@@ -157,23 +168,6 @@ def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
     sock.sendall(encode_frame(message))
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly ``n`` bytes; None on a clean EOF at a frame edge."""
-    chunks: List[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if remaining == n:
-                return None  # clean close between frames
-            raise ConnectionError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def _decode(payload: bytes) -> Dict[str, Any]:
     tag = payload[:1]
     if tag == b"J":
@@ -195,23 +189,73 @@ def _decode(payload: bytes) -> Dict[str, Any]:
     return to_message(layout.unpack(payload[1:]))
 
 
-def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` when the peer closed the connection.
+#: What a read asks for beyond the frame it wants: a 47-row answer is
+#: 1 889 B, so the usual frame, header and all, is one ``recv``.
+READ_AHEAD = 4096
+_Recv = Callable[[int], bytes]
+
+
+def _fill(recv: _Recv, have: bytes, need: int, ahead: int) -> bytes:
+    """``have`` (part of a frame) extended to at least ``need`` bytes."""
+    chunks = [have]
+    size = len(have)
+    while size < need:
+        chunk = recv(need - size + ahead)
+        if not chunk:
+            raise ConnectionError(
+                f"connection closed mid-frame ({size}/{need} bytes)"
+            )
+        chunks.append(chunk)
+        size += len(chunk)
+    return b"".join(chunks)
+
+
+def _read_frame(
+    recv: _Recv, pending: bytes, ahead: int
+) -> Tuple[Optional[Dict[str, Any]], bytes]:
+    """The next frame of ``pending`` + what ``recv`` yields, and the bytes
+    read beyond it (none with ``ahead=0``); ``(None, b"")`` on a clean EOF.
     Raises ``ValueError`` on a malformed frame, ``ConnectionError`` on one
     cut short — and nothing else, whatever bytes arrive."""
-    header = _recv_exactly(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
+    data = pending or recv(_LEN.size + ahead)
+    if not data:
+        return None, b""
+    if len(data) < _LEN.size:
+        data = _fill(recv, data, _LEN.size, ahead)
+    (length,) = _LEN.unpack_from(data)
+    # Before a byte of the body is asked for.
     if not 0 < length <= MAX_FRAME:
         raise ValueError(f"frame length {length} outside 1..MAX_FRAME")
-    payload = _recv_exactly(sock, length)
-    if payload is None:
-        raise ConnectionError("connection closed before frame payload")
+    end = _LEN.size + length
+    if len(data) < end:
+        data = _fill(recv, data, end, ahead)
     try:
-        return _decode(payload)
+        return _decode(data[_LEN.size:end]), data[end:]
     # struct.error (a mis-sized body) is no ValueError, and a frame of
     # nested brackets ends json.loads in a RecursionError: both are
     # malformed input.
     except (struct.error, RecursionError) as exc:
         raise ValueError(f"malformed frame: {exc!r}") from exc
+
+
+def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
+    """Read one frame and nothing beyond it (header, then body); ``None``
+    when the peer closed the connection.  Errors as :func:`_read_frame`."""
+    return _read_frame(sock.recv, b"", 0)[0]
+
+
+class FrameReader:
+    """One connection's receiving end: ``read()`` is :func:`recv_frame`
+    with :data:`READ_AHEAD` — one ``recv`` a frame when the peer writes one
+    frame per ``sendall``, a number linear in its size for a large one, and
+    what arrives beyond a frame is kept for the next ``read()``."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._recv = sock.recv
+        self._pending = b""
+
+    def read(self) -> Optional[Dict[str, Any]]:
+        message, self._pending = _read_frame(
+            self._recv, self._pending, READ_AHEAD
+        )
+        return message

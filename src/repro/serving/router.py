@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from math import isfinite
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -62,10 +63,10 @@ from repro.core.stamp import StampCounter
 from repro.factory import build_rum_tree
 from repro.rtree.geometry import Rect
 from repro.rtree.zorder import (
+    QUANT_SLACK,
     shard_bits,
     shard_for_point,
     shard_region,
-    shards_for_window,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,6 +78,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default shard-tree node size: the serving layer favours small nodes
 #: (shard trees are small; short descents beat page capacity).
 DEFAULT_SHARD_NODE_SIZE = 2048
+
+
+def _require_finite(rect: Rect) -> None:
+    """A NaN rectangle is an object no window finds and no cell owns, an
+    infinite one an infinite query pad: neither gets past the router."""
+    if not (isfinite(rect.xmin) and isfinite(rect.ymin)
+            and isfinite(rect.xmax) and isfinite(rect.ymax)):
+        raise ValueError(f"non-finite coordinate in {rect!r}")
 
 
 class Shard:
@@ -159,9 +168,17 @@ class ShardRouter:
             make_lock() for _ in range(stripes)
         ]
         self._directory: List[Dict[int, int]] = [{} for _ in range(stripes)]
-        # Largest half-extent of any rectangle ever routed (protected by
-        # its own lock): queries grow their window by it so an object
-        # whose rect spills past its centre's cell is still found.
+        # The fan-out test's cells (_targets): every region grown by the
+        # quantisation slack, once.
+        self._cells = [
+            (s.region.xmin - QUANT_SLACK, s.region.ymin - QUANT_SLACK,
+             s.region.xmax + QUANT_SLACK, s.region.ymax + QUANT_SLACK, s.index)
+            for s in self.shards
+        ]
+        # Largest half-extent of any rectangle ever routed: queries grow
+        # their window by it so an object whose rect spills past its
+        # centre's cell is still found.  Monotone, so read without a lock
+        # and written under one after a re-check (docs/SHARDING.md).
         self._extent_lock: LockLike = make_lock()
         self._max_half_extent = 0.0
         # Router tallies (protected by _stats_lock); attach_obs mirrors
@@ -226,25 +243,39 @@ class ShardRouter:
 
     def _note_extent(self, rect: Rect) -> None:
         half = max(rect.xmax - rect.xmin, rect.ymax - rect.ymin) * 0.5
-        with self._extent_lock:
-            if half > self._max_half_extent:
-                self._max_half_extent = half
+        if half > self._max_half_extent:
+            with self._extent_lock:
+                if half > self._max_half_extent:
+                    self._max_half_extent = half
 
     def _query_pad(self) -> float:
-        with self._extent_lock:
-            return self._max_half_extent
+        return self._max_half_extent
+
+    def _targets(self, window: Rect) -> List[int]:
+        """The shards a query of ``window`` visits: the comparisons of
+        ``zorder.shards_for_window`` on the pad-grown window, over cells
+        held since ``__init__``."""
+        pad = self._max_half_extent
+        wx1, wy1 = window.xmin - pad, window.ymin - pad
+        wx2, wy2 = window.xmax + pad, window.ymax + pad
+        wx1 = 0.0 if wx1 < 0.0 else 1.0 if wx1 > 1.0 else wx1
+        wy1 = 0.0 if wy1 < 0.0 else 1.0 if wy1 > 1.0 else wy1
+        wx2 = 0.0 if wx2 < 0.0 else 1.0 if wx2 > 1.0 else wx2
+        wy2 = 0.0 if wy2 < 0.0 else 1.0 if wy2 > 1.0 else wy2
+        return [
+            index
+            for xmin, ymin, xmax, ymax, index in self._cells
+            if wx1 <= xmax and xmin <= wx2 and wy1 <= ymax and ymin <= wy2
+        ]
 
     def _simulate_io(self, shard: Shard, leaf_io: int) -> None:
-        """One disk channel per shard: sleeps on different shards overlap."""
-        if self.io_latency > 0.0 and leaf_io > 0:
+        """One disk channel per shard: sleeps on different shards overlap.
+        ``leaf_io`` is the difference of the caller's own two
+        ``thread_leaf_io`` readings (per thread: exact under overlap),
+        which it takes only when ``io_latency > 0``."""
+        if leaf_io > 0:
             with shard.io_lock:
                 time.sleep(leaf_io * self.io_latency)
-
-    @staticmethod
-    def _leaf_io(tree: "RUMTree") -> int:
-        # Per-thread tally: exact even when other operations overlap on
-        # the same shard (the shared counters would cross-charge them).
-        return tree.stats.thread_leaf_io()
 
     # -- update path -------------------------------------------------------
 
@@ -256,36 +287,39 @@ class ShardRouter:
         the old one, both under the oid's stripe lock (see the module
         docstring for why this order is the safe one).
         """
+        _require_finite(rect)
         target = self.shard_for_rect(rect)
         self._note_extent(rect)
         stripe = oid % self._stripes
-        migrated = False
+        simulate = self.io_latency > 0.0
         with self._stripe_locks[stripe]:
             if self._rc is not None:
                 self._rc.access(self, f"directory[{stripe}]", write=True)
-            old = self._directory[stripe].get(oid)
-            self._directory[stripe][oid] = target
-            new_shard = self.shards[target]
-            if old is None or old == target:
-                with new_shard.tree.latch.write():
-                    before = self._leaf_io(new_shard.tree)
-                    new_shard.tree.update_object(oid, None, rect)
-                    leaf_io = self._leaf_io(new_shard.tree) - before
-                self._simulate_io(new_shard, leaf_io)
-            else:
-                migrated = True
-                old_shard = self.shards[old]
-                # Step 1: insert on the new shard (stamp s1).
-                with new_shard.tree.latch.write():
-                    before = self._leaf_io(new_shard.tree)
-                    new_shard.tree.insert_object(oid, rect)
-                    leaf_io = self._leaf_io(new_shard.tree) - before
-                self._simulate_io(new_shard, leaf_io)
+            directory = self._directory[stripe]
+            old = directory.get(oid)
+            migrated = old is not None and old != target
+            shard = self.shards[target]
+            tree = shard.tree
+            before = tree.stats.thread_leaf_io() if simulate else 0
+            tree.latch.acquire_write()
+            try:
+                if migrated:
+                    # Step 1: insert on the new shard (stamp s1).
+                    tree.insert_object(oid, rect)
+                else:
+                    tree.update_object(oid, None, rect)
+            finally:
+                tree.latch.release_write()
+            directory[oid] = target  # only once the shard has taken it
+            if simulate:
+                self._simulate_io(shard, tree.stats.thread_leaf_io() - before)
+            if migrated:
                 # Step 2: memo-only delete on the old shard (stamp
                 # s2 > s1): no tree page is touched, the old entries
                 # become garbage for the old shard's cleaner.
-                with old_shard.tree.latch.write():
-                    old_shard.tree.delete_object(oid)
+                old_tree = self.shards[old].tree
+                with old_tree.latch.write():
+                    old_tree.delete_object(oid)
         with self._stats_lock:
             self._n_updates += 1
             if migrated:
@@ -339,17 +373,22 @@ class ShardRouter:
         ]
         return [f.result() for f in futures]
 
-    def _query_shard(
-        self, shard: Shard, window: Rect, stamped: bool = True
+    def _read_shard(
+        self, shard: Shard, call: str, *args: Any, stamped: bool = True
     ) -> List[tuple]:
-        """The shard tree's own search — keeping stamps when the answer
-        goes into a merge."""
+        """``shard.tree.<call>(*args, stamped=)`` — the tree's own search
+        or kNN, stamps kept when the answer goes into a merge — under the
+        read latch, then its leaf I/O on the shard's disk channel."""
         tree = shard.tree
-        with tree.latch.read():
-            before = self._leaf_io(tree)
-            results = tree.search(window, stamped=stamped)
-            leaf_io = self._leaf_io(tree) - before
-        self._simulate_io(shard, leaf_io)
+        simulate = self.io_latency > 0.0
+        before = tree.stats.thread_leaf_io() if simulate else 0
+        tree.latch.acquire_read()
+        try:
+            results: List[tuple] = getattr(tree, call)(*args, stamped=stamped)
+        finally:
+            tree.latch.release_read()
+        if simulate:
+            self._simulate_io(shard, tree.stats.thread_leaf_io() - before)
         return results
 
     def query(self, window: Rect) -> List[Tuple[int, Rect]]:
@@ -365,22 +404,17 @@ class ShardRouter:
         answer already holds exactly one latest entry per object, so a
         window that names a single shard skips the merge.
         """
-        pad = self._query_pad()
-        grown = Rect(
-            window.xmin - pad,
-            window.ymin - pad,
-            window.xmax + pad,
-            window.ymax + pad,
-        )
-        targets = shards_for_window(grown, self._bits)
+        _require_finite(window)
+        targets = self._targets(window)
         if len(targets) == 1:
-            rows = self._query_shard(
-                self.shards[targets[0]], window, stamped=False
+            rows = self._read_shard(
+                self.shards[targets[0]], "search", window, stamped=False
             )
         else:
             best: Dict[int, Tuple[int, Rect]] = {}
+            read = self._read_shard
             for part in self._fan_out(
-                targets, lambda shard: self._query_shard(shard, window)
+                targets, lambda shard: read(shard, "search", window)
             ):
                 for oid, rect, stamp in part:
                     seen = best.get(oid)
@@ -393,19 +427,6 @@ class ShardRouter:
             self._n_queries += 1
         rows.sort()  # oids are unique: the rectangles are never compared
         return rows
-
-    def _knn_shard(
-        self, shard: Shard, x: float, y: float, k: int
-    ) -> List[Tuple[float, int, int, Rect]]:
-        """The shard's ``k`` nearest live objects — the shard-local
-        answer of the tree's own kNN, keeping distances and stamps."""
-        tree = shard.tree
-        with tree.latch.read():
-            before = self._leaf_io(tree)
-            candidates = tree.nearest_neighbors(x, y, k, stamped=True)
-            leaf_io = self._leaf_io(tree) - before
-        self._simulate_io(shard, leaf_io)
-        return candidates
 
     def nearest_neighbors(
         self, x: float, y: float, k: int
@@ -421,8 +442,9 @@ class ShardRouter:
         if k <= 0:
             return []
         targets = list(range(self.n_shards))
+        read = self._read_shard
         parts = self._fan_out(
-            targets, lambda shard: self._knn_shard(shard, x, y, k)
+            targets, lambda shard: read(shard, "nearest_neighbors", x, y, k)
         )
         best: Dict[int, Tuple[int, float, Rect]] = {}
         for part in parts:

@@ -22,10 +22,11 @@ from repro.concurrency import racecheck
 from repro.concurrency.primitives import make_lock
 
 from .protocol import (
+    FrameReader,
     encode_frame,
     float_from_wire,
+    int_from_wire,
     rect_from_wire,
-    recv_frame,
     results_to_wire,
 )
 from .router import ShardRouter
@@ -157,9 +158,10 @@ class ShardServer:
                     del self._conns[thread]
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        reader = FrameReader(conn)
         try:
             while True:
-                request = recv_frame(conn)
+                request = reader.read()
                 if request is None:
                     return
                 conn.sendall(self._handle(request))
@@ -195,10 +197,10 @@ class ShardServer:
             return "pong"
         if op in ("insert", "update"):
             return router.upsert(
-                int(request["oid"]), rect_from_wire(request["rect"])
+                int_from_wire(request["oid"]), rect_from_wire(request["rect"])
             )
         if op == "delete":
-            return {"existed": router.delete(int(request["oid"]))}
+            return {"existed": router.delete(int_from_wire(request["oid"]))}
         if op == "query":
             return results_to_wire(
                 router.query(rect_from_wire(request["window"]))
@@ -208,7 +210,7 @@ class ShardServer:
                 router.nearest_neighbors(
                     float_from_wire(request["x"]),
                     float_from_wire(request["y"]),
-                    int(request["k"]),
+                    int_from_wire(request["k"]),
                 )
             )
         if op == "count":

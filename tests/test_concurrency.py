@@ -423,6 +423,150 @@ class TestWriterPreferenceLiveness:
         assert counter["value"] == 4 * per_thread
 
 
+class TestNotifyOnlyWhenSomeoneWaits:
+    """A release wakes the condition only for a thread that can move; an
+    uncontended acquire / release pair (every served op) notifies nobody."""
+
+    @staticmethod
+    def _counted(lock):
+        calls = []
+        notify_all = lock._condition.notify_all
+        lock._condition.notify_all = lambda: calls.append(1) or notify_all()
+        return calls
+
+    @staticmethod
+    def _parked(lock, attr, n):
+        """Wait until ``n`` threads are counted as waiting."""
+        deadline = time.monotonic() + 5
+        while getattr(lock, attr) != n and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert getattr(lock, attr) == n
+
+    def test_idle_releases_skip_the_notify(self):
+        lock = ReadWriteLock()
+        calls = self._counted(lock)
+        for _ in range(3):
+            lock.acquire_write()
+            lock.release_write()
+            lock.acquire_read()
+            lock.acquire_read()  # reentrant
+            lock.release_read()
+            lock.release_read()
+            with lock.write():
+                pass
+            with lock.read():
+                pass
+        assert calls == []
+        assert lock._writers_waiting == lock._readers_waiting == 0
+
+    def test_writer_queued_behind_readers_wakes_on_the_last_release(self):
+        lock = ReadWriteLock()
+        calls = self._counted(lock)
+        lock.acquire_read()
+        gate = threading.Event()
+        entered = threading.Event()
+        held = []
+
+        def second_reader():
+            lock.acquire_read()
+            held.append("reader")
+            entered.set()
+            gate.wait(timeout=5)
+            lock.release_read()
+
+        def writer():
+            lock.acquire_write()
+            held.append("writer")
+            lock.release_write()
+
+        r = threading.Thread(target=second_reader)
+        r.start()
+        assert entered.wait(timeout=5)
+        w = threading.Thread(target=writer)
+        w.start()
+        self._parked(lock, "_writers_waiting", 1)
+        lock.release_read()  # one reader left: nobody can move yet
+        assert calls == [] and held == ["reader"]
+        gate.set()  # the last reader leaves and wakes the writer
+        w.join(timeout=5)
+        r.join(timeout=5)
+        assert not w.is_alive() and not r.is_alive()
+        assert held == ["reader", "writer"]
+        assert calls == [1]  # the writer's own release found nobody waiting
+
+    def test_readers_queued_behind_a_writer_all_wake(self):
+        lock = ReadWriteLock()
+        calls = self._counted(lock)
+        lock.acquire_write()
+        inside = []
+
+        def reader(k):
+            lock.acquire_read()
+            inside.append(k)
+            lock.release_read()
+
+        readers = [threading.Thread(target=reader, args=(k,)) for k in range(3)]
+        for t in readers:
+            t.start()
+        self._parked(lock, "_readers_waiting", 3)
+        assert inside == []
+        lock.release_write()
+        for t in readers:
+            t.join(timeout=5)
+            assert not t.is_alive(), "reader never woken"
+        assert sorted(inside) == [0, 1, 2]
+        assert calls == [1]
+        assert lock._readers_waiting == 0
+
+    def test_exclusion_and_wake_ups_hold_under_a_short_switch_interval(self):
+        # More threads than cores, pre-empted every few bytecodes: a
+        # skipped notify that was needed hangs a thread (join timeout), a
+        # broken exclusion shows as a reader beside a writer.
+        import sys
+
+        lock = ReadWriteLock()
+        state = {"writers": 0, "readers": 0, "writes": 0}
+        violations = []
+        per_thread = 150
+
+        def writer():
+            for _ in range(per_thread):
+                lock.acquire_write()
+                try:
+                    state["writers"] += 1
+                    if state["writers"] != 1 or state["readers"]:
+                        violations.append(dict(state))
+                    state["writes"] += 1
+                    state["writers"] -= 1
+                finally:
+                    lock.release_write()
+
+        def reader():
+            for _ in range(per_thread):
+                lock.acquire_read()
+                try:
+                    if state["writers"]:
+                        violations.append(dict(state))
+                finally:
+                    lock.release_read()
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        threads += [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive(), "thread hung: lost wakeup"
+        finally:
+            sys.setswitchinterval(interval)
+        assert violations == []
+        assert state["writes"] == 4 * per_thread
+        assert lock._writers_waiting == lock._readers_waiting == 0
+
+
 class TestLockOrderTotalOrder:
     class _EvilRepr:
         """Adversarial granule: every repr() call differs."""

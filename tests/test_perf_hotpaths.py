@@ -3,11 +3,13 @@
 Covers the precompiled codec kernels (round-trips at exact capacity and at
 count 0 for all three entry layouts), the lazy leaf decode path, the
 clean-page byte cache of the buffer pool, the resident-LRU corner cases,
-the call-count pins of the insertion and query paths (and that the gated
-benchmark's patch points still resolve), and the ``REPRO_BENCH_SCALE``
-parsing warning.
+the call-count pins of the insertion, query and served paths (and that
+the gated benchmark's patch points still resolve and still lie on the
+path), and the ``REPRO_BENCH_SCALE`` parsing warning.
 """
 
+import socket
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -21,10 +23,13 @@ from conftest import (
     two_cluster_tree,
 )
 from repro import kernels
+from repro.concurrency.locks import ReadWriteLock
 from repro.experiments import harness
 from repro.factory import build_rum_tree
 from repro.rtree.geometry import Rect
+from repro.rtree import zorder
 from repro.rtree.node import IndexEntry, LazyNode, LeafEntry, Node
+from repro.serving import ServingClient, ShardRouter, ShardServer
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
@@ -363,6 +368,72 @@ class TestQueryBuildsRowsOnlyForSurvivors:
         )
 
 
+class TestServedOpPaysForNoBookkeeping:
+    """What a served update and a served query no longer call, as counts
+    (they repeat exactly): one ``recv`` per frame on each side, no
+    ``shard_region``, no ``@contextmanager`` latch, no ``thread_leaf_io``
+    reading while ``io_latency`` is 0."""
+
+    def test_call_counts_of_one_served_update_and_query(self, monkeypatch):
+        counts = Counter()
+        recv = socket.socket.recv
+
+        def counted_recv(self, *args):
+            data = recv(self, *args)
+            # Tallied on return: the server is back in its next recv()
+            # before the client has looked at this round trip's counts.
+            counts["recv", threading.current_thread().name] += 1
+            return data
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(socket.socket, "recv", counted_recv)
+        monkeypatch.setattr(
+            zorder, "shard_region",
+            counting("shard_region", zorder.shard_region),
+        )
+        for mode in ("read", "write"):
+            monkeypatch.setattr(
+                ReadWriteLock, mode,
+                counting("contextmanager", getattr(ReadWriteLock, mode)),
+            )
+        monkeypatch.setattr(
+            IOStats, "thread_leaf_io",
+            counting("thread_leaf_io", IOStats.thread_leaf_io),
+        )
+        router = ShardRouter(4)
+        rects = {
+            oid: Rect(0.05 + 0.009 * oid, 0.1, 0.06 + 0.009 * oid, 0.11)
+            for oid in range(100)
+        }
+        for oid, rect in rects.items():
+            router.upsert(oid, rect)
+        me = threading.current_thread().name
+        with ShardServer(router) as server:
+            with ServingClient(*server.address) as client:
+                assert client.ping()  # the connection thread is up
+                for oid in range(40):
+                    counts.clear()
+                    client.upsert(oid, rects[oid + 1])
+                    # Client and server: one frame read, one recv, each.
+                    assert sorted(counts.values()) == [1, 1], counts
+                    assert counts["recv", me] == 1
+                    counts.clear()
+                    # 47 rows of one shard, then a four-shard fan-out.
+                    for window in (Rect(0.05, 0.0, 0.47, 0.2),
+                                   Rect(0.4, 0.4, 0.6, 0.6)):
+                        rows = client.query(window)
+                        assert sorted(counts.values()) == [1, 1], counts
+                        assert counts["recv", me] == 1
+                        counts.clear()
+                assert len(rows) == 0 and router._targets(window) == [0, 1, 2, 3]
+                assert len(client.query(Rect(0.05, 0.0, 0.47, 0.2))) == 47
+
+
 class TestBenchmarkPatchPointsResolve:
     """``benchmarks/stack/layers.py`` wraps boundary calls by ``getattr``
     and may not change in a PR that claims a gain: a rename under it
@@ -380,17 +451,39 @@ class TestBenchmarkPatchPointsResolve:
         import workloads
 
         patched = []
+        passed = []  # serving spans a call went through, in order
 
         class Resolver:
             def patch(self, owner, attr, name, tally=None):
-                assert callable(getattr(owner, attr)), name
+                original = getattr(owner, attr)
+                assert callable(original), name
                 patched.append(name)
+                if name.startswith("serving."):
+                    # As the traced pass does it: on the instance.
+                    def through(*args, **kwargs):
+                        passed.append(name)
+                        return original(*args, **kwargs)
+
+                    setattr(owner, attr, through)
 
         spec = workloads.SPEC_BY_NAME[workload]
         trace = workloads.Trace(spec, 3, workloads.SMOKE_OBJECTS)
         stack = workloads.build_stack(spec, trace.initial, tmp_path / "work")
         try:
             layers.instrument(Resolver(), stack, Counter())
+            if spec.served:
+                # The spans only mean something while the calls still lie
+                # on the path of an op made the way the benchmark makes it.
+                update, query = stack.ops()
+                update(trace.initial[0])
+                assert passed == [
+                    "serving.server.request", "serving.router.upsert"
+                ]
+                del passed[:]
+                query(Rect(0.2, 0.2, 0.3, 0.3))
+                assert passed == [
+                    "serving.server.request", "serving.router.query"
+                ]
         finally:
             stack.close()
         assert {

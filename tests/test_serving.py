@@ -5,6 +5,7 @@ protocol's framing edge cases, and a live server/client round trip over
 a real socket.
 """
 
+import random
 import socket
 import threading
 
@@ -12,7 +13,9 @@ import pytest
 
 from repro.obs import Observability
 from repro.rtree.geometry import Rect
+from repro.rtree.zorder import morton_key, shard_for_key, shards_for_window
 from repro.serving import ServingClient, ShardRouter, ShardServer
+from repro.serving import router as router_module
 from repro.serving.protocol import (
     MAX_FRAME,
     recv_frame,
@@ -195,6 +198,198 @@ class TestFanOut:
             import json
 
             json.dumps(stats)  # must be JSON-serialisable as promised
+
+
+class ReferenceRouter(ShardRouter):
+    """The router with the reference formulae where it keeps fast forms:
+    the full Morton key's prefix, and ``shards_for_window`` over a grown
+    ``Rect`` with every cell re-derived."""
+
+    def shard_for_rect(self, rect):
+        return shard_for_key(
+            morton_key(
+                (rect.xmin + rect.xmax) * 0.5, (rect.ymin + rect.ymax) * 0.5
+            ),
+            self._bits,
+        )
+
+    def _targets(self, window):
+        pad = self._query_pad()
+        grown = Rect(
+            window.xmin - pad, window.ymin - pad,
+            window.xmax + pad, window.ymax + pad,
+        )
+        return shards_for_window(grown, self._bits)
+
+
+class TestRoutingFastForms:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8, 16, 32, 64])
+    def test_fan_out_equals_shards_for_window(self, n_shards):
+        rng = random.Random(n_shards)
+        with ShardRouter(n_shards) as router:
+            reference = ReferenceRouter._targets
+            for pad in (0.0, 0.004, 0.13, 2.0):
+                router._max_half_extent = pad
+                for _ in range(400):
+                    # Random windows, a third of them hanging over (or
+                    # wholly past) a border, plus the cell edges.
+                    x = rng.uniform(-0.4, 1.2)
+                    y = rng.uniform(-0.4, 1.2)
+                    if rng.random() < 0.2:
+                        x = rng.randrange(9) / 8.0
+                    side = rng.choice((0.0, 1e-9, rng.uniform(0.0, 0.5)))
+                    window = Rect(x, y, x + side, y + side)
+                    assert router._targets(window) == reference(
+                        router, window
+                    ), (window, pad)
+            router._max_half_extent = 0.0
+            assert router._targets(Rect(0, 0, 1, 1)) == list(range(n_shards))
+            assert router._targets(Rect(7.0, 7.0, 8.0, 8.0)) == [n_shards - 1]
+
+    def test_differential_replay_against_the_reference_formulae(self):
+        """The same seeded operations through the fast forms and through
+        the reference ones: every answer, tally and placement equal."""
+        rng = random.Random(23)
+        ops = []
+        for _ in range(1500):
+            roll = rng.random()
+            oid = rng.randrange(120)
+            if roll < 0.55:
+                # Half of the moves cross a cell; some hang off the square.
+                x, y = rng.uniform(-0.05, 1.05), rng.uniform(-0.05, 1.05)
+                ops.append(("upsert", oid, _square(x, y, rng.uniform(0, 0.03))))
+            elif roll < 0.6:
+                ops.append(("delete", oid))
+            else:
+                x, y = rng.uniform(-0.1, 1.0), rng.uniform(-0.1, 1.0)
+                side = rng.uniform(0.0, 0.4)
+                ops.append(("query", Rect(x, y, x + side, y + side)))
+        with ShardRouter(4) as fast, ReferenceRouter(4) as reference:
+            for op, *args in ops:
+                assert getattr(fast, op)(*args) == getattr(reference, op)(
+                    *args
+                ), (op, args)
+            got, want = fast.stats(), reference.stats()
+            assert got["tallies"] == want["tallies"]
+            assert got["tallies"]["migrations"] > 100
+            assert got["objects_per_shard"] == want["objects_per_shard"]
+            assert got["shards"] == want["shards"]  # leaf I/O per shard
+            assert fast._query_pad() == reference._query_pad()
+
+
+class _CountingStats:
+    """A shard's ``IOStats`` behind a tally of ``thread_leaf_io`` reads."""
+
+    def __init__(self, stats):
+        self._stats = stats
+        self.reads = 0
+
+    def thread_leaf_io(self):
+        self.reads += 1
+        return self._stats.thread_leaf_io()
+
+    def __getattr__(self, name):
+        return getattr(self._stats, name)
+
+
+class TestSimulatedIO:
+    def _router(self, monkeypatch, io_latency):
+        """One shard, every ``thread_leaf_io`` read and ``sleep`` tallied."""
+        router = ShardRouter(1, io_latency=io_latency)
+        tree = router.shards[0].tree
+        counting = _CountingStats(tree.stats)
+        monkeypatch.setattr(tree, "stats", counting)
+        slept = []
+        monkeypatch.setattr(router_module.time, "sleep", slept.append)
+        return router, counting, slept
+
+    def test_positive_latency_sleeps_each_operations_own_leaf_io(
+        self, monkeypatch
+    ):
+        router, counting, slept = self._router(monkeypatch, 0.25)
+        tree = router.shards[0].tree
+        with router:
+            for i in range(60):
+                before = tree.stats.leaf_reads + tree.stats.leaf_writes
+                reads, naps = counting.reads, len(slept)
+                if i % 3 == 2:
+                    router.query(_square(0.5, 0.5, 0.2))
+                elif i % 3 == 1:
+                    router.nearest_neighbors(0.5, 0.5, 3)
+                else:
+                    router.upsert(i, _square(0.3 + i / 200.0, 0.5))
+                leaf_io = tree.stats.leaf_reads + tree.stats.leaf_writes - before
+                # The exact bracket: two readings, one sleep of its size.
+                assert counting.reads - reads == 2
+                assert slept[naps:] == ([leaf_io * 0.25] if leaf_io else [])
+            assert len(slept) > 40
+
+    def test_zero_latency_reads_no_tally_and_never_sleeps(self, monkeypatch):
+        router, counting, slept = self._router(monkeypatch, 0.0)
+        with router:
+            for i in range(30):
+                router.upsert(i, _square(0.3 + i / 100.0, 0.5))
+                router.query(_square(0.5, 0.5, 0.2))
+                router.nearest_neighbors(0.5, 0.5, 3)
+            router.delete(3)
+        assert counting.reads == 0 and slept == []
+
+
+class TestRouterRefusesWhatItCannotPlace:
+    def test_non_finite_rectangles_touch_nothing(self):
+        """HEAD accepted the NaN rect (``count_objects()`` 201, a
+        full-square query 200 rows); the inf one made the pad infinite."""
+        nan, inf = float("nan"), float("inf")
+        full = Rect(0.0, 0.0, 1.0, 1.0)
+        with ShardRouter(4) as router:
+            for oid in range(200):
+                router.upsert(oid, _square((oid % 20) / 20 + 0.02,
+                                           (oid // 20) / 10 + 0.02))
+            pad, stamp = router._query_pad(), router.stamps.current
+            tallies = router.stats()["tallies"]
+            for rect in (
+                Rect(nan, nan, nan, nan),
+                Rect(0.1, 0.1, inf, inf),
+                Rect(-inf, 0.1, 0.2, 0.2),
+                Rect(0.1, 0.1, 0.2, nan),
+            ):
+                for oid in (999, 3):  # a new object and a known one
+                    with pytest.raises(ValueError, match="non-finite"):
+                        router.upsert(oid, rect)
+                with pytest.raises(ValueError, match="non-finite"):
+                    router.query(rect)
+            assert router._query_pad() == pad
+            assert router.stamps.current == stamp
+            assert router.stats()["tallies"] == tallies
+            assert router.count_objects() == len(router.query(full)) == 200
+            assert router._targets(_square(0.1, 0.1)) == [0]
+
+    def test_directory_is_written_once_the_shard_took_the_update(self):
+        """HEAD wrote the entry first: a raising ``update_object`` left
+        ``count_objects()`` at 1 and ``delete`` answering True."""
+        with ShardRouter(4) as router:
+            boom = RuntimeError("disk full")
+
+            def refuse(*_args, **_kwargs):
+                raise boom
+
+            for shard in router.shards:
+                shard.tree.update_object = refuse
+                shard.tree.insert_object = refuse
+            with pytest.raises(RuntimeError, match="disk full"):
+                router.upsert(1, _square(0.2, 0.2))
+            assert router.count_objects() == 0
+            assert router.delete(1) is False
+            for shard in router.shards:
+                del shard.tree.update_object
+            router.upsert(1, _square(0.2, 0.2))
+            # A migration whose insert is refused leaves the object where
+            # it was, and the latch free for the next caller.
+            with pytest.raises(RuntimeError, match="disk full"):
+                router.upsert(1, _square(0.8, 0.8))
+            assert router.shard_object_counts() == [1, 0, 0, 0]
+            assert router.query(Rect(0, 0, 1, 1)) == [(1, _square(0.2, 0.2))]
+            assert router.delete(1) is True
 
 
 class TestProtocol:

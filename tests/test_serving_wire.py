@@ -1,14 +1,18 @@
 """The packed wire format: exact, and closed against hostile bytes.
 
-Three groups.  *Fails closed*: one seeded table of raw byte strings, each
-played on a ``socketpair`` (``recv_frame`` raises ``ValueError`` or
-``ConnectionError``, nothing else) and against a live ``ShardServer``
-(answered ``ok: false`` or that one connection dropped, the index
-untouched).  *Exactness*: every packed kind round-trips bit for bit, and
-an answer read over the socket equals the router's own.  *Regressions*:
-the three serving bugs fixed with the format (non-finite coordinates
-acknowledged, an oversized answer killing the connection, dead
-connection threads kept until ``stop()``).
+Four groups.  *Fails closed*: one seeded table of raw byte strings, each
+played on a ``socketpair`` (``recv_frame`` and ``FrameReader.read`` raise
+``ValueError`` or ``ConnectionError``, nothing else) and against a live
+``ShardServer`` (answered ``ok: false`` or that one connection dropped,
+the index untouched).  *The reader*: one ``recv`` a frame, over-read bytes
+kept, a frame split anywhere still read, EOF told apart at and inside a
+frame.  *Exactness*: every packed kind round-trips bit for bit, and an
+answer read over the socket equals the router's own.  *Regressions*: the
+serving bugs fixed with the format and with the reader (non-finite
+coordinates acknowledged, an oversized answer killing the connection,
+dead connection threads kept until ``stop()``, a timed-out client
+answering the next request with the previous reply, ``int()`` coercing an
+oid).
 
 Every socket here has a timeout, so a hang is a failure, not a stall.
 """
@@ -30,6 +34,8 @@ from repro.serving import ServingClient, ShardRouter, ShardServer
 from repro.serving import protocol
 from repro.serving.protocol import (
     MAX_FRAME,
+    READ_AHEAD,
+    FrameReader,
     encode_frame,
     recv_frame,
     results_from_wire,
@@ -179,6 +185,16 @@ def _rejected_frames():
     cases.append(("unknown op", encode_frame({"op": "drop-all"})))
     cases.append(("unhashable op", encode_frame({"op": [1, 2]})))
     cases.append(("delete without oid", encode_frame({"op": "delete"})))
+    # ``int()`` would have made these object 1, object 2, object 1, k = 1.
+    for oid in (1.9, "2", True, None, [1]):
+        cases.append((
+            f"delete: oid {oid!r}", encode_frame({"op": "delete", "oid": oid})
+        ))
+    for k in (1.9, "3", True, None):
+        cases.append((
+            f"knn: k {k!r}",
+            encode_frame({"op": "knn", "x": 0.5, "y": 0.5, "k": k}),
+        ))
     cases.append(
         ("knn without k", encode_frame({"op": "knn", "x": 0.5, "y": 0.5}))
     )
@@ -189,17 +205,23 @@ MALFORMED = _malformed_frames()
 REJECTED = _rejected_frames()
 
 
-def _play_on_socketpair(data: bytes):
+def _play_on_socketpair(data: bytes, read=recv_frame):
+    """What ``read`` (``recv_frame``, or a ``FrameReader``'s ``read``)
+    makes of ``data`` followed by EOF."""
     a, b = socket.socketpair()
     a.settimeout(TIMEOUT)
     b.settimeout(TIMEOUT)
     try:
         a.sendall(data)
         a.close()
-        return recv_frame(b)
+        return read(b)
     finally:
         a.close()
         b.close()
+
+
+def _reader_read(sock):
+    return FrameReader(sock).read()
 
 
 def _play_on_server(address, data: bytes):
@@ -230,20 +252,26 @@ class TestFailsClosed:
             protocol, "_rows_struct",
             lambda n: layouts.append(n) or rows_struct(n),
         )
-        for name, data in MALFORMED:
-            try:
-                got = _play_on_socketpair(data)
-            except (ValueError, ConnectionError):
-                continue
-            # Anything else (struct.error, IndexError, MemoryError,
-            # RecursionError ...) propagates and fails the test by itself.
-            pytest.fail(f"{name}: recv_frame returned {got!r}")
+        assert len(MALFORMED) == 426
+        for read in (recv_frame, _reader_read):
+            for name, data in MALFORMED:
+                try:
+                    got = _play_on_socketpair(data, read)
+                except (ValueError, ConnectionError):
+                    continue
+                # Anything else (struct.error, IndexError, MemoryError,
+                # RecursionError ...) propagates and fails the test by
+                # itself.
+                pytest.fail(f"{name}: {read.__name__} returned {got!r}")
         assert layouts == []  # a lying count is refused unallocated
 
     def test_rejected_frames_decode(self):
         # The table's second half is hostile in *content*, not in form.
         for name, data in REJECTED:
             assert isinstance(_play_on_socketpair(data), dict), name
+            assert repr(_play_on_socketpair(data, _reader_read)) == repr(
+                _play_on_socketpair(data)
+            ), name  # by repr: NaN != NaN
 
     def test_live_server_survives_the_whole_table(self):
         objects = _seeded_objects(150, seed=18)
@@ -298,6 +326,130 @@ class TestFailsClosed:
     def test_unpackable_message_is_a_value_error(self, message):
         with pytest.raises(ValueError):
             encode_frame(message)
+
+
+# ---------------------------------------------------------------------------
+# The per-connection reader
+# ---------------------------------------------------------------------------
+
+
+class _ScriptedSocket:
+    """``recv`` hands out the scripted segments one call each (never more
+    than asked for), then EOF; every call's size is kept."""
+
+    def __init__(self, segments):
+        self._segments = [bytes(s) for s in segments if s]
+        self.asked = []
+
+    def recv(self, size):
+        self.asked.append(size)
+        if not self._segments:
+            return b""
+        head = self._segments[0]
+        if len(head) <= size:
+            return self._segments.pop(0)
+        self._segments[0] = head[size:]
+        return head[:size]
+
+
+class TestFrameReader:
+    MESSAGES = [PACKED["update"], PACKED["ack"], {"op": "ping"},
+                PACKED["rows"], PACKED["query"], {"op": "count"}]
+
+    def test_several_frames_in_one_segment_cost_one_recv(self):
+        frames = b"".join(encode_frame(m) for m in self.MESSAGES)
+        sock = _ScriptedSocket([frames])
+        reader = FrameReader(sock)
+        assert [reader.read() for _ in self.MESSAGES] == self.MESSAGES
+        assert len(sock.asked) == 1  # the rest came out of what was kept
+        assert reader.read() is None  # clean EOF at a frame edge
+        assert len(sock.asked) == 2
+
+    def test_one_frame_per_segment_costs_one_recv_each(self):
+        sock = _ScriptedSocket([encode_frame(m) for m in self.MESSAGES])
+        reader = FrameReader(sock)
+        for count, message in enumerate(self.MESSAGES, start=1):
+            assert reader.read() == message
+            assert len(sock.asked) == count
+
+    @pytest.mark.parametrize("kind", sorted(PACKED))
+    def test_a_frame_split_at_every_offset_is_read(self, kind):
+        frame = encode_frame(PACKED[kind])
+        follower = encode_frame({"op": "ping"})
+        for cut in range(1, len(frame)):
+            sock = _ScriptedSocket([frame[:cut], frame[cut:] + follower])
+            reader = FrameReader(sock)
+            assert reader.read() == PACKED[kind], cut
+            assert reader.read() == {"op": "ping"}, cut
+            assert reader.read() is None
+
+    def test_a_frame_arriving_byte_by_byte_is_read(self):
+        frame = encode_frame(PACKED["rows"])
+        reader = FrameReader(_ScriptedSocket([bytes([b]) for b in frame]))
+        assert reader.read() == PACKED["rows"]
+        assert reader.read() is None
+
+    def test_eof_inside_a_frame_is_a_connection_error(self):
+        frame = encode_frame(PACKED["update"])
+        for cut in range(1, len(frame)):
+            # ... also when whole frames came first, in the same segment.
+            for lead in (b"", encode_frame(PACKED["ack"])):
+                reader = FrameReader(_ScriptedSocket([lead + frame[:cut]]))
+                if lead:
+                    assert reader.read() == PACKED["ack"]
+                with pytest.raises(ConnectionError):
+                    reader.read()
+
+    def test_length_is_checked_before_the_body_is_asked_for(self):
+        for header in (struct.pack(">I", MAX_FRAME + 1), struct.pack(">I", 0)):
+            sock = _ScriptedSocket([header, bytes(64)])
+            with pytest.raises(ValueError, match="outside 1..MAX_FRAME"):
+                FrameReader(sock).read()
+            assert len(sock.asked) == 1
+
+    def test_the_largest_answer_is_read_in_linear_recvs(self):
+        n = 26_214
+        message = {"ok": True, "result": [list(range(n)), [0.5] * (4 * n)]}
+        frame = encode_frame(message)
+        assert len(frame) > MAX_FRAME - 40
+        segment = 16_384  # what loopback hands over at a time
+        sock = _ScriptedSocket(
+            [frame[i:i + segment] for i in range(0, len(frame), segment)]
+        )
+        reader = FrameReader(sock)
+        assert reader.read() == message
+        # One a segment, and one for the first segment's tail (the first
+        # call only knows of a header).
+        assert len(sock.asked) == -(-len(frame) // segment) + 1
+        # ... and no call asks for more than the frame lacks, plus the
+        # look-ahead: nothing is buffered that the length has not paid for.
+        assert max(sock.asked) <= len(frame) + READ_AHEAD
+        assert reader.read() is None
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        objects = _seeded_objects(60, seed=21)
+        router = ShardRouter(4)
+        for oid, rect in objects.items():
+            router.upsert(oid, rect)
+        window = Rect(0.1, 0.1, 0.7, 0.7)
+        requests = [
+            {"op": "count"},
+            {"op": "update", "oid": 7, "rect": [0.8, 0.8, 0.81, 0.81]},
+            {"op": "query", "window": [0.1, 0.1, 0.7, 0.7]},
+            {"op": "ping"},
+        ]
+        with ShardServer(router) as server:
+            answers = _play_on_server(
+                server.address, b"".join(map(encode_frame, requests))
+            )
+        objects[7] = Rect(0.8, 0.8, 0.81, 0.81)
+        assert [a["ok"] for a in answers] == [True] * 4
+        assert answers[0]["result"] == 60
+        assert answers[1]["result"]["shard"] == 3
+        assert results_from_wire(answers[2]["result"]) == _brute_force(
+            objects, window
+        )
+        assert answers[3]["result"] == "pong"
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +702,107 @@ class TestServingBugs:
         finally:
             idle.close()
             mid.close()
+
+
+    def test_a_client_that_timed_out_is_closed_not_desynchronised(self):
+        """On HEAD the ``count()`` after the timeout read the stale ack
+        (``TypeError: int() argument ... not 'dict'``) and a following
+        ``upsert`` would have *returned* it."""
+
+        class SlowRouter:
+            def upsert(self, oid, rect):
+                time.sleep(0.5)
+                return {"shard": 0, "migrated": False}
+
+            def count_objects(self):
+                return 5
+
+            def close(self):
+                pass
+
+        with ShardServer(SlowRouter()) as server:
+            client = ServingClient(*server.address, timeout=0.2)
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.upsert(1, _square(0.5, 0.5))
+            assert 0.15 < time.monotonic() - started < 0.45
+            for call in (client.count, client.ping,
+                         lambda: client.upsert(2, _square(0.5, 0.5))):
+                with pytest.raises(OSError):
+                    call()
+            with ServingClient(*server.address, timeout=TIMEOUT) as fresh:
+                assert fresh.count() == 5
+
+    def test_any_transport_failure_closes_the_client(self):
+        """A malformed answer and a vanished server poison it too; a
+        server-side error and an unsendable message do not."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        replies = [_framed(b"\x00garbage"), b""]  # unknown tag; then hang up
+
+        def serve():
+            for reply in replies:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(TIMEOUT)
+                    assert recv_frame(conn) == {"op": "ping"}
+                    conn.sendall(reply)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            for expected in (ValueError, ConnectionError):
+                client = ServingClient(
+                    *listener.getsockname()[:2], timeout=TIMEOUT
+                )
+                with pytest.raises(expected):
+                    client.ping()
+                with pytest.raises(OSError):
+                    client.ping()
+        finally:
+            thread.join(TIMEOUT)
+            listener.close()
+        assert not thread.is_alive()
+        with ShardServer(ShardRouter(1)) as server:
+            with ServingClient(*server.address, timeout=TIMEOUT) as client:
+                with pytest.raises(RuntimeError, match="unknown op"):
+                    client.request({"op": "drop-all"})
+                with pytest.raises(ValueError):
+                    client.upsert(2**63, _square(0.5, 0.5))
+                assert client.ping()
+
+    def test_dispatch_checks_integers_instead_of_coercing(self):
+        """On HEAD ``"oid": 1.9`` deleted object 1, ``"oid": "2"`` object
+        2, and ``"k": 1.9`` was answered as ``k = 1``."""
+        objects = _seeded_objects(10, seed=4)
+        router = ShardRouter(4)
+        for oid, rect in objects.items():
+            router.upsert(oid, rect)
+        with ShardServer(router) as server:
+            with ServingClient(*server.address, timeout=TIMEOUT) as client:
+                for message in (
+                    {"op": "delete", "oid": 1.9},
+                    {"op": "delete", "oid": "2"},
+                    {"op": "delete", "oid": True},
+                    {"op": "knn", "x": 0.5, "y": 0.5, "k": 1.9},
+                    {"op": "knn", "x": 0.5, "y": 0.5, "k": "3"},
+                ):
+                    with pytest.raises(RuntimeError, match="expected an int"):
+                        client.request(message)
+                assert client.count() == 10  # and the connection lives
+                assert client.delete(1) is True
+                assert len(client.nearest_neighbors(0.5, 0.5, 3)) == 3
+
+    def test_a_raising_shard_is_an_error_answer_and_no_directory_entry(self):
+        router = ShardRouter(4)
+
+        def refuse(*_args, **_kwargs):
+            raise RuntimeError("disk full")
+
+        for shard in router.shards:
+            shard.tree.update_object = refuse
+        with ShardServer(router) as server:
+            with ServingClient(*server.address, timeout=TIMEOUT) as client:
+                with pytest.raises(RuntimeError, match="disk full"):
+                    client.upsert(1, _square(0.2, 0.2))
+                assert client.count() == 0
+                assert client.delete(1) is False

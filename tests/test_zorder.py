@@ -170,6 +170,30 @@ class TestShardRegions:
             cx, cy = (x1 + x2) * 0.5, (y1 + y2) * 0.5
             assert shard_for_point(cx, cy, bits) == i
 
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 4, 5, 6, 31, KEY_BITS])
+    def test_shard_for_point_is_the_prefix_of_the_full_key(self, bits):
+        # ``shard_for_point`` interleaves only the bits it needs; the full
+        # key is the reference, at every place the two could disagree: the
+        # quantised cell edges k / 65535 and their float neighbours, the
+        # clamp, NaN, the infinities and the signed zeros.
+        rng = random.Random(bits)
+        edges = [k / 65535 for k in range(0, 65536, 1 << max(4, 10 - bits))]
+        values = [
+            math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -0.5, 1.5,
+            5e-324, 1e308, -1e308, 0.5,
+        ]
+        for edge in edges:
+            values += [
+                edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)
+            ]
+        values += [rng.uniform(-0.2, 1.2) for _ in range(500)]
+        for x in values:
+            y = rng.choice(values)
+            for cx, cy in ((x, y), (y, x)):
+                assert shard_for_point(cx, cy, bits) == shard_for_key(
+                    morton_key(cx, cy), bits
+                ), (cx, cy, bits)
+
     def test_shard_for_key_takes_top_bits(self):
         key = 0b1011 << (KEY_BITS - 4)
         assert shard_for_key(key, 2) == 0b10
