@@ -340,6 +340,37 @@ def bench_memo(metrics: Dict, iters: int) -> None:
                 "ops_per_sec": _timed(probe, rounds) * ops,
                 "iterations": rounds * ops,
             }
+
+        # A clean above the tier (last: it writes).  Untimed, every even
+        # oid is updated twice and spilled as one run of DELTAs; timed, each
+        # 30-slot column is swept with both stale entries of every oid in
+        # it.  An oid's first removal misses RAM: CheckStatus reads its
+        # newest run record and the fold for N_old goes on from there, down
+        # to the ABSOLUTE the round before left; the second counts down in
+        # place.  Spills are held back, so the time is the removals' own.
+        clean_stamp = 4 * n_oids
+        clean_columns = [
+            [oid for oid in range(lo, lo + 60, 2) for _ in (0, 1)]
+            for lo in range(0, 2 * n_oids - 60, 60)
+        ]
+        n_removals = 60 * len(clean_columns)
+        stale = [0] * 60
+        elapsed = 0.0
+        for _ in range(rounds):
+            with spilled.defer_spills():
+                for oids in clean_columns:
+                    for oid in oids:
+                        clean_stamp += 1
+                        spilled.record_update(oid, clean_stamp)
+            with spilled.defer_spills():
+                t0 = time.perf_counter()
+                for oids in clean_columns:
+                    spilled.sweep_obsolete(oids, stale, 60)
+                elapsed += time.perf_counter() - t0
+        metrics["memo.clean_spilled"] = {
+            "ops_per_sec": rounds * n_removals / elapsed,
+            "iterations": rounds * n_removals,
+        }
         spilled.close()
 
 

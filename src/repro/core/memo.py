@@ -28,15 +28,21 @@ tiers below it cannot be edited, every entry — in RAM or in a run — is a
 *tagged record* that aggregates, newest to oldest, to the logical entry:
 
 * ``DELTA(stamp, d)`` — ``d >= 1`` updates happened; adds ``d`` to
-  ``N_old``.  What ``record_update`` writes on a RAM miss above a tier:
-  no older tier is read, which keeps an update at the paper's O(1), no-I/O
-  cost.
+  ``N_old``.  What ``record_update`` writes on a RAM miss while a run may
+  hold the oid: no older tier is read, which keeps an update at the
+  paper's O(1), no-I/O cost.
 * ``ABSOLUTE(stamp, n)`` — ``N_old`` is exactly ``n >= 1`` as of this
   record; older records of the oid are superseded.  Written by a clean
-  (which has to know the total anyway) and by restore / phantom purge.
+  (which has to know the total anyway), by restore / phantom purge, and by
+  ``record_update`` on a RAM miss when the tier's presence screen says no
+  run holds the oid — there is nothing to add to.
 * ``TOMBSTONE(stamp)`` — the entry does not exist (``n`` is 0); masks older
-  records.  Written when a clean drains ``N_old`` to zero while runs may
-  still hold records of the oid.
+  records.  Written when a clean drains ``N_old`` to zero and the screen
+  cannot rule out a run holding the oid; where it can, the entry is
+  deleted, as without a tier.
+
+A record is kept only where something below it needs masking or adding
+to: the memo stays small by *absence* (Section 3.1) in its runs too.
 
 :func:`fold` is that aggregation rule, written once: the memo's deep probe,
 the store's scans and its compaction all apply it, and only the memo
@@ -244,10 +250,12 @@ class UpdateMemo:
 
         If no entry exists a new ``(oid, stamp, 1)`` entry is inserted;
         otherwise ``S_latest`` becomes ``stamp`` and ``N_old`` grows by one
-        (the former latest entry just became obsolete).  Never reads the
-        tier: above one, a RAM miss writes a ``DELTA`` that adds to
+        (the former latest entry just became obsolete).  Never reads a
+        run: above a tier, a RAM miss writes a ``DELTA`` that adds to
         whatever the runs hold (so "insert vs obsoleted" is unknowable
-        there at O(1), and a RAM miss is reported as an insert).
+        there at O(1), and a RAM miss is reported as an insert) — or,
+        when the presence screen says no run holds the oid, the
+        ``ABSOLUTE`` its clean can count down in place.
         """
         if self._rc is not None:
             self._rc_bucket(oid, True)
@@ -267,7 +275,9 @@ class UpdateMemo:
         if tier is None:
             bucket[oid] = UMEntry(oid, stamp, 1)
         else:
-            bucket[oid] = UMEntry(oid, stamp, 1, DELTA)
+            bucket[oid] = UMEntry(
+                oid, stamp, 1, DELTA if tier.may_hold(oid) else ABSOLUTE
+            )
             self._maybe_spill(tier)
 
     def latest_stamp(self, oid: int) -> Optional[int]:  # holds: bucket_lock
@@ -387,10 +397,12 @@ class UpdateMemo:
                 s_latest = entry.s_latest
             hits += 1
             if s_latest != stamps[slot]:
+                # Counted once it has happened, as `note_cleaned` does:
+                # `_clean_one` raises for a slot with no entry anywhere.
+                self._clean_one(bucket, oid, entry)
                 slots.append(slot)
                 if cleaned is not None:
                     cleaned.inc()
-                self._clean_one(bucket, oid, entry)
                 if len(slots) == budget:
                     break
         self.lookup_count += slot + 1
@@ -474,8 +486,8 @@ class UpdateMemo:
         say ``N_old`` alone, so the total is learnt from the tier first
         and written back as an ``ABSOLUTE`` that supersedes every older
         record of the oid.  At zero, "no obsolete entries" is *absence* —
-        unless runs may still hold older records, which a tombstone has
-        to mask.
+        unless a run may still hold older records (the tier's presence
+        screen cannot rule it out), which a tombstone has to mask.
         """
         tier = self.tier
         if entry is None or entry.tag != ABSOLUTE:
@@ -491,7 +503,7 @@ class UpdateMemo:
                 entry.tag = ABSOLUTE
         entry.n_old -= 1
         if entry.n_old <= 0:
-            if self._runs:
+            if tier is not None and tier.may_hold(oid):
                 entry.n_old = 0
                 entry.tag = TOMBSTONE
             else:

@@ -17,8 +17,9 @@ The store is a store, not a memo: what a record *means* is
 ``DELTA``/``ABSOLUTE``/``TOMBSTONE`` tags).  Where the store has to
 combine records of one oid — a full-depth probe, a scan, a compaction —
 it applies the memo's :func:`~repro.core.memo.fold`; it never chooses a
-tag itself, except that a compaction reaching the oldest run drops what
-has nothing left below to mask or add to.
+tag itself, except that a compaction drops a tombstone, and makes a delta
+an absolute, where no older run can hold the oid: nothing is left below to
+mask or add to.
 
 On-disk format
 --------------
@@ -56,7 +57,9 @@ import zlib
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro.storage.faults import SimulatedCrash, corrupt_page
 
@@ -143,6 +146,15 @@ def _bloom_build(oids: List[int], m_bits: int, k: int) -> bytearray:
 def _oid_column(records: bytes) -> memoryview:
     """The oids (first of three 8-byte words) of packed ``records``, in place."""
     return memoryview(records).cast("q")[::3]
+
+
+def _admitted(runs: List["_Run"], oid: int) -> bool:
+    """Whether the key range + Bloom filter of any of ``runs`` lets ``oid``
+    through: ``False`` means none holds it (no false negatives, no I/O)."""
+    if not runs:
+        return False
+    h1, h2 = _bloom_hashes(oid)
+    return any(run.maybe_contains(oid, h1, h2) for run in runs)
 
 
 def _screen_slot(oid: int, shift: int) -> int:
@@ -350,6 +362,10 @@ class RunStore:
         #: RAM only, never written: rebuilt from the run images at open.
         self._screen_note((), fresh=True)
         self.screen_reject_count = 0
+        #: ``(oid, run, record)`` of the last shallow probe that found one:
+        #: where a deep probe of the same oid takes the walk up.  True of
+        #: immutable runs until the run set changes, which clears it.
+        self._resume: Optional[Tuple[int, _Run, Record]] = None  # guarded-by: latch
         self._obs_spills = None
         self._obs_compactions = None
         self._obs_run_probes = None
@@ -360,8 +376,10 @@ class RunStore:
         """Bind the tier's telemetry: ``memo.spills``/``memo.compactions``
         counters, ``memo.run_probes``/``memo.bloom_fp`` probe counters
         (mirroring the plain tallies, values since attach), and the gauges
-        ``memo.runs``, ``memo.screen_rejects`` (the plain tally) and
-        ``memo.tier_ram_bytes`` (``memo.ram_bytes`` is the memo's)."""
+        ``memo.runs``, ``memo.run_records`` (over ``memo.entries``: the
+        tier's own space amplification), ``memo.screen_rejects`` (the plain
+        tally) and ``memo.tier_ram_bytes`` (``memo.ram_bytes`` is the
+        memo's)."""
         if obs is None or not obs.metrics_on:
             self._obs_spills = self._obs_compactions = None
             self._obs_run_probes = self._obs_bloom_fp = None
@@ -372,6 +390,7 @@ class RunStore:
         self._obs_run_probes = reg.counter("memo.run_probes")
         self._obs_bloom_fp = reg.counter("memo.bloom_fp")
         reg.gauge("memo.runs").set_function(lambda: float(len(self.runs)))
+        reg.gauge("memo.run_records").set_function(self.run_records)
         reg.gauge("memo.screen_rejects").set_function(
             lambda: float(self.screen_reject_count)
         )
@@ -397,16 +416,25 @@ class RunStore:
         The newest record found already carries ``S_latest``, so the
         walk stops there — unless ``deep``, which folds on down to an
         ``ABSOLUTE``/``TOMBSTONE`` base (or the oldest run) for the
-        aggregate ``N_old``.
+        aggregate ``N_old``.  A deep probe of the oid the last shallow
+        one found (a clean, after its sweep's CheckStatus) starts below
+        that record: one walk, not two.
         """
-        # _screen_slot, inlined: nine probes in ten end here.
-        slot = (oid * _SCREEN_MULT & _MASK64) >> self._screen_shift
-        if not self._screen[slot >> 3] >> (slot & 7) & 1:
-            self.screen_reject_count += 1
-            return None
-        found: Optional[Record] = None
+        if deep and (resume := self._resume) is not None and resume[0] == oid:
+            found: Optional[Record] = resume[2]
+            if found[3] != DELTA:
+                return found
+            runs = self.runs[:self.runs.index(resume[1])]
+        else:
+            # may_hold, inlined: nine probes in ten end here.
+            slot = (oid * _SCREEN_MULT & _MASK64) >> self._screen_shift
+            if not self._screen[slot >> 3] >> (slot & 7) & 1:
+                self.screen_reject_count += 1
+                return None
+            found = None
+            runs = self.runs
         h1, h2 = _bloom_hashes(oid)
-        for run in reversed(self.runs):
+        for run in reversed(runs):
             if not run.maybe_contains(oid, h1, h2):
                 continue
             self._charge_read_pages(1)
@@ -419,10 +447,20 @@ class RunStore:
                 if self._obs_bloom_fp is not None:
                     self._obs_bloom_fp.inc()
                 continue
+            if not deep:
+                self._resume = (oid, run, rec)
+                return rec
             found = rec if found is None else fold(rec, found)
-            if not deep or rec[3] != DELTA:
+            if rec[3] != DELTA:
                 break
         return found
+
+    def may_hold(self, oid: int) -> bool:  # holds: latch
+        """The presence screen's answer alone.  ``False`` is exact — no run
+        holds ``oid`` — so the memo above need write nothing that only
+        masks or adds to a run's record."""
+        slot = _screen_slot(oid, self._screen_shift)
+        return bool(self._screen[slot >> 3] >> (slot & 7) & 1)
 
     # holds: latch
     def fold_runs(
@@ -452,7 +490,7 @@ class RunStore:
         if fresh:
             self._screen = bytearray(1 << 61 - _SCREEN_MIN_SHIFT)  # guarded-by: latch
             self._screen_shift = _SCREEN_MIN_SHIFT
-        want = SCREEN_BITS_PER_RECORD * sum(run.count for run in self.runs)
+        want = SCREEN_BITS_PER_RECORD * self.run_records()
         while len(self._screen) * 8 < want:
             self._screen = bytearray().join(map(_SPREAD.__getitem__, self._screen))
             self._screen_shift -= 1
@@ -468,6 +506,28 @@ class RunStore:
             rec[0] for run in self.runs for rec in run.iter_records()
             if not bits >> _screen_slot(rec[0], self._screen_shift) & 1
         ]
+
+    def idle_tombstones(self) -> List[Tuple[int, int]]:  # holds: latch
+        """Self-check (uncharged scan): ``(run position, oid)`` of every
+        ``TOMBSTONE`` / ``DELTA`` with no record of its oid in an older run
+        — it masks or adds to nothing.  A compaction leaves none in the run
+        it writes but what an older Bloom filter admits falsely; a flush may
+        carry some (a stale screen bit) and a merge below may strand some.
+        They cost space and page reads, never an answer."""
+        below: Set[int] = set()
+        idle: List[Tuple[int, int]] = []
+        for position, run in enumerate(self.runs):
+            records = list(run.iter_records())
+            idle.extend(
+                (position, rec[0]) for rec in records
+                if rec[3] != ABSOLUTE and rec[0] not in below
+            )
+            below.update(rec[0] for rec in records)
+        return idle
+
+    def run_records(self) -> int:  # holds: latch
+        """Records in the live runs — O(runs), from their headers."""
+        return sum(run.count for run in self.runs)
 
     def resident_bytes(self) -> int:  # holds: latch
         """RAM the tier holds beside the memo's table (``ram_size_bytes``):
@@ -487,6 +547,7 @@ class RunStore:
         run = self._write_run(records, "memo.run_flush")
         self._write_manifest([r.path.name for r in self.runs] + [run.path.name])
         self.runs.append(run)
+        self._resume = None
         self._screen_note(rec[0] for rec in records)
         if self._obs_spills is not None:
             self._obs_spills.inc()
@@ -498,6 +559,7 @@ class RunStore:
         missing files."""
         old_runs = self.runs[:]
         del self.runs[:]
+        self._resume = None
         self._screen_note((), fresh=True)
         self._write_manifest([])
         for run in old_runs:
@@ -592,18 +654,21 @@ class RunStore:
         """Merge runs ``i..j`` (age order, inclusive) into one run, their
         images re-validated and their pages charged.
 
-        When the group includes the oldest run of the memo there is
-        nothing below to mask or add to, so tombstones drop out and
-        surviving deltas normalise to absolutes.
+        Where no older run can hold an oid — its key range and Bloom
+        filter, which has no false negatives, say so in RAM; always, when
+        the group includes the oldest run — there is nothing below to
+        mask or add to: a folded tombstone drops out and a folded delta
+        becomes an absolute.
         """
         group = self.runs[i:j + 1]
-        merged = self.fold_runs(group, charged=True, validated=True).values()
-        if i == 0:
-            merged = [
-                (oid, stamp, n, ABSOLUTE)
-                for oid, stamp, n, tag in merged
-                if tag != TOMBSTONE and n > 0
-            ]
+        older = self.runs[:i]
+        merged: List[Record] = []
+        for rec in self.fold_runs(group, charged=True, validated=True).values():
+            if rec[3] != ABSOLUTE and not _admitted(older, rec[0]):
+                if rec[3] == TOMBSTONE:
+                    continue
+                rec = (rec[0], rec[1], rec[2], ABSOLUTE)
+            merged.append(rec)
         names = [r.path.name for r in self.runs]
         new_runs = (
             [self._write_run(sorted(merged), "memo.compact")] if merged else []
@@ -617,6 +682,7 @@ class RunStore:
             run.close()
             run.path.unlink(missing_ok=True)
         self.runs[i:j + 1] = new_runs
+        self._resume = None
         if len(self.runs) == len(new_runs):  # all there is: exact again
             self._screen_note((rec[0] for rec in merged), fresh=True)
         if self._obs_compactions is not None:

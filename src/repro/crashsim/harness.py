@@ -685,6 +685,17 @@ def _recover_and_verify(
             f"{scenario.name}: recovered memo holds a drained entry",
             checks, "every recovered memo entry counts >= 1 obsolete",
         )
+        # Recovery restores absolutes onto an emptied tier and replays
+        # updates, never a clean: whatever spilled first, or was merged
+        # down to it, has nothing below to mask or add to.  (The reopened
+        # tier above admits no such statement: a flush may carry a
+        # tombstone a stale screen bit asked for.)
+        _check(
+            not any(at == 0 for at, _oid in memo2.tier.idle_tombstones()),
+            f"{scenario.name}: the recovered memo's oldest run holds a "
+            "tombstone or delta with nothing below it",
+            checks, "oldest recovered memo run holds absolutes only",
+        )
 
     live = _verify_recovered_state(
         scenario, tree2, oracle, ckpt_deleted, pending, checks

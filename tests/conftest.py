@@ -7,13 +7,16 @@ cycles, and root collapses all occur within a few hundred operations.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro import factory
 from repro.core.rum import RUMTree
+from repro.crashsim.harness import _env_spill_budget
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
 from repro.rtree.geometry import Rect
 
@@ -50,6 +53,23 @@ def rum_token_tree() -> RUMTree:
     return build_rum_tree(
         node_size=SMALL_NODE, clean_upon_touch=False, inspection_ratio=0.5
     )
+
+
+def memo_on_a_run_tier(module, tmp_path, monkeypatch) -> None:
+    """Under ``REPRO_MEMO_SPILL_BUDGET`` (CI's memo spill-tier leg) make
+    ``module.build_rum_tree`` stand every memo on a run tier with that RAM
+    budget; a no-op without the variable.  For an autouse fixture."""
+    budget = _env_spill_budget()
+    if budget is None:
+        return
+    dirs = (tmp_path / f"memo-{i}" for i in itertools.count())
+
+    def build(**kwargs):
+        return factory.build_rum_tree(
+            memo_dir=str(next(dirs)), memo_spill_budget=budget, **kwargs
+        )
+
+    monkeypatch.setattr(module, "build_rum_tree", build)
 
 
 def random_point_rect(rng: random.Random) -> Rect:

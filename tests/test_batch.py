@@ -6,16 +6,21 @@ commit (including its crash semantics), and ``apply_batch`` on both the
 RUM-tree (memo-native path) and the top-down baselines (generic path).
 The centrepiece is the equivalence property: applying a batch must be
 observably identical to applying the same operations sequentially.
+
+Under ``REPRO_MEMO_SPILL_BUDGET`` (CI's memo spill-tier leg) every RUM
+tree of this file stands its memo on a run tier with that RAM budget, so
+``apply_batch`` x ``defer_spills`` x the tier's elision rules run together.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SMALL_NODE, populate, random_window
+from conftest import SMALL_NODE, memo_on_a_run_tier, populate, random_window
 from repro.core.batch import plan_batch, zorder_key
 from repro.factory import build_rstar_tree, build_rum_tree
 from repro.lint.invariants import check_tree
@@ -23,6 +28,11 @@ from repro.rtree.geometry import Rect
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.iostats import IOStats
 from repro.storage.wal import WriteAheadLog
+
+
+@pytest.fixture(autouse=True)
+def _memo_on_a_run_tier(tmp_path, monkeypatch):
+    memo_on_a_run_tier(sys.modules[__name__], tmp_path, monkeypatch)
 
 
 def _rect(x: float, y: float) -> Rect:

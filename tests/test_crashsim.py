@@ -223,6 +223,8 @@ def test_crash_matrix(scenario, tmp_path):
     if memo_fault and outcome.kind == "recovered":
         # The screen is RAM only: the reopen rebuilt it from the runs.
         assert "presence screen rebuilt over every live run" in outcome.checks
+        # ... and what recovery spilled keeps nothing that nothing needs.
+        assert "oldest recovered memo run holds absolutes only" in outcome.checks
     if scenario.mode == "torn":
         if memo_fault:
             # A torn memo-run is an unnamed orphan: recovery sweeps it

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.memo import DELTA, LATEST, OBSOLETE, TOMBSTONE, UpdateMemo
+from repro.core.memo import DELTA, LATEST, OBSOLETE, TOMBSTONE, UMEntry, UpdateMemo
 from repro.core.memo_lsm import RunStore
 from repro.core.stamp import StampCounter
 from repro.obs import Observability
@@ -173,6 +173,21 @@ class TestUpdateMemoBasics(MemoCases):
         memo.note_cleaned(1)
         with pytest.raises(KeyError):
             memo.note_cleaned(99)  # no entry: must not count
+        snap = obs.registry.snapshot()
+        assert snap.counters["memo.cleaned"] == 1
+
+    def test_sweep_counter_not_bumped_on_rejected_clean(self):
+        """Regression: ``sweep_obsolete`` counted ``memo.cleaned`` before
+        accounting the removal, so a clean rejected with ``KeyError`` (an
+        obsolete slot whose entry has no count left anywhere) still moved
+        the counter — what ``note_cleaned`` was fixed for."""
+        obs = Observability(level="metrics")
+        memo = self.new_memo()
+        memo.attach_obs(obs)
+        memo.record_update(1, 10)
+        memo._bucket(99)[99] = UMEntry(99, 50, 0, DELTA)  # adds nothing
+        with pytest.raises(KeyError):
+            memo.sweep_obsolete([1, 99], [9, 49], 5)
         snap = obs.registry.snapshot()
         assert snap.counters["memo.cleaned"] == 1
 

@@ -5,7 +5,6 @@ tree of this file stands its memo on a run tier with that RAM budget, so
 each recovery option rebuilds through runs on disk.
 """
 
-import itertools
 import sys
 
 import pytest
@@ -13,33 +12,22 @@ import pytest
 from conftest import (
     SMALL_NODE,
     assert_search_matches_oracle,
+    memo_on_a_run_tier,
     populate,
     random_walk,
 )
-from repro import factory
 from repro.core.recovery import (
     recover_option_i,
     recover_option_ii,
     recover_option_iii,
 )
-from repro.crashsim.harness import _env_spill_budget
 from repro.factory import build_rum_tree
 from repro.rtree.geometry import Rect
 
 
 @pytest.fixture(autouse=True)
 def _memo_on_a_run_tier(tmp_path, monkeypatch):
-    budget = _env_spill_budget()
-    if budget is None:
-        return
-    dirs = (tmp_path / f"memo-{i}" for i in itertools.count())
-
-    def build(**kwargs):
-        return factory.build_rum_tree(
-            memo_dir=str(next(dirs)), memo_spill_budget=budget, **kwargs
-        )
-
-    monkeypatch.setattr(sys.modules[__name__], "build_rum_tree", build)
+    memo_on_a_run_tier(sys.modules[__name__], tmp_path, monkeypatch)
 
 
 def _loaded_tree(option, checkpoint_interval=150, seed=110, n=80, steps=300):
