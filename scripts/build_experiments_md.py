@@ -1,10 +1,14 @@
-"""Assemble EXPERIMENTS.md from the archived benchmark outputs.
+"""Assemble EXPERIMENTS.md from the archived tables, in registry order.
 
-Run after `pytest benchmarks/ --benchmark-only`:
+Run from the repository root after the claims module has rewritten the
+archives:
 
-    python scripts/build_experiments_md.py
+    PYTHONPATH=src python -m pytest benchmarks/test_paper_claims.py
+    PYTHONPATH=src python scripts/build_experiments_md.py
 """
 import pathlib
+
+from repro.experiments.registry import ARCHIVED
 
 RESULTS = pathlib.Path("benchmarks/results")
 
@@ -40,7 +44,19 @@ leaf built and tested one entry object per slot.  Since the cleaner
 sweeps the oid and stamp columns of the page image (`sweep_obsolete`
 over `id_columns`) it no longer pays per entry, and what is left of an
 update — the descent, one leaf read, one write-back — does not grow
-with the fanout.  The wrapper asserts panels (a) and (c) only.
+with the fanout.  The claim asserts panels (a) and (c) only.
+
+**Panel (a) at 1024 B moved once, on a tie.** It reads 2.70471 (token) /
+2.353458 (touch); the seed of this repository read 2.70379 / 2.353375
+(22 and 2 more counted I/Os over 24,000 updates); 2048–8192 B never
+moved.  The commit after the seed ranks R* forced-reinsertion candidates
+by squared centre distance instead of `math.hypot`.  In 15 of 5,504
+reinsertions at 1024 B that swaps the first two candidates — two point
+objects on opposite corners of the node MBR, exactly equidistant from
+its centre: `hypot` rounds both to one double and the stable sort keeps
+node order, while the squared sums differ in the last bit.  Which entries
+are reinserted never changes and R* leaves the tie open, so nothing
+departs from the split; the archive keeps today's numbers.
 """),
 "fig12_moving_distance": ("Figure 12(a,b,d) — varying the moving distance", """
 **Paper:** R*-tree worst and roughly flat on updates; FUR-tree degrades
@@ -138,7 +154,7 @@ Option I is dominated by the spill of its per-object intermediate table
 plus the checkpoint, Option III reads only the checkpoint and log tail
 and touches zero leaf pages. Options II/III recover a safe superset of
 the pre-crash memo; a cleaning cycle then removes the phantoms (verified
-by the bench).
+by its claim).
 """),
 "fig16_throughput": ("Figure 16 — throughput under concurrent accesses", """
 **Paper:** similar throughput at 0% updates; as the update share rises
@@ -204,32 +220,26 @@ insert-is-an-update load leaves one memo entry each for (Section 4.1).
 """),
 }
 
-ORDER = [
-    "fig10_inspection_ratio", "fig11_node_size",
-    "fig12_moving_distance", "fig12_overall_ratio",
-    "fig13_object_extent", "fig13_overall_ratio",
-    "fig14_scalability", "fig14_overall_ratio",
-    "fig15_logging", "table2_recovery", "fig16_throughput",
-    "ablation_cost_model", "ablation_tokens", "ablation_structure",
-    "ablation_fur_extension", "ablation_buffer", "ablation_extensions",
-]
-
 HEADER = '''# EXPERIMENTS — paper vs. measured
 
 Reproduction record for every table and figure of the evaluation section
 of *"R-trees with Update Memos"* (Xiong & Aref, ICDE 2006), regenerated by
 
 ```bash
-pytest benchmarks/ --benchmark-only
+PYTHONPATH=src python -m pytest benchmarks/test_paper_claims.py
+PYTHONPATH=src python scripts/build_experiments_md.py
 ```
 
 at the default workload scale (`REPRO_BENCH_SCALE=1`: thousands of objects
 instead of the paper's millions — see the substitution table in DESIGN.md;
 all reported metrics are *per-operation disk accesses*, which are intensive
-quantities that survive the down-scaling). Each benchmark prints the table
-below, archives it under `benchmarks/results/`, and **asserts the paper's
-qualitative shape** (ordering of the trees, monotonicity, crossovers,
-bounds), so the reproduction claims are executable.
+quantities that survive the down-scaling). Each table below is declared
+once, in `repro.experiments.registry` (`python -m repro.experiments <name>`
+prints it); the claims module archives it under `benchmarks/results/`,
+**asserts the paper's qualitative shape** (ordering of the trees,
+monotonicity, crossovers, bounds) and fails when a column without
+wall-clock timing differs from the committed archive — the reproduction
+claims are executable and the counted numbers gated.
 
 Absolute numbers are *not* expected to match the 2006 testbed: the paper
 measured a specific disk/buffer configuration at 2–20M objects. What must
@@ -239,15 +249,17 @@ roughly what factor — noted per experiment below.
 '''
 
 def main():
+    order = [table.archive for table in ARCHIVED]
+    assert sorted(COMMENTARY) == sorted(order), "one commentary per archive"
     parts = [HEADER]
-    for name in ORDER:
+    for name in order:
         title, commentary = COMMENTARY[name]
         path = RESULTS / f"{name}.txt"
         body = path.read_text().rstrip() if path.exists() else "(not yet generated)"
         parts.append(f"## {title}\n{commentary}\n```text\n{body}\n```\n")
     pathlib.Path("EXPERIMENTS.md").write_text("\n".join(parts))
     print("EXPERIMENTS.md written,",
-          sum(1 for n in ORDER if (RESULTS / f"{n}.txt").exists()), "of", len(ORDER), "tables present")
+          sum(1 for n in order if (RESULTS / f"{n}.txt").exists()), "of", len(order), "tables present")
 
 if __name__ == "__main__":
     main()

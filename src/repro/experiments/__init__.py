@@ -2,9 +2,8 @@
 
 Each ``run_*`` function builds fresh trees, replays a deterministic
 workload, and returns an :class:`~repro.experiments.harness.ExperimentResult`
-whose rows mirror the series the paper plots.  The pytest-benchmark
-wrappers in ``benchmarks/`` call these and print the tables recorded in
-EXPERIMENTS.md.
+whose rows mirror the series the paper plots; :mod:`.registry` declares
+how each result prints and which tables ``benchmarks/results/`` archives.
 """
 
 from .ablation_buffer import run_buffer_ablation
@@ -15,7 +14,7 @@ from .ablation_cleaning import (
 )
 from .ablation_extensions import run_extension_ablation
 from .ablation_cost import run_cost_validation
-from .comparison import overall_comparison, relative_to, sweep_comparison
+from .comparison import overall_comparison, sweep_comparison
 from .crashmatrix import run_crash_matrix
 from .drift import run_drift
 from .fig10 import run_fig10
@@ -38,7 +37,7 @@ from .harness import (
     run_trace,
     scaled,
 )
-from .report import format_table, print_result, series_table
+from .report import format_table, series_table
 from .table2 import run_table2
 
 __all__ = [
@@ -75,8 +74,6 @@ __all__ = [
     "bench_scale",
     "sweep_comparison",
     "overall_comparison",
-    "relative_to",
     "format_table",
-    "print_result",
     "series_table",
 ]

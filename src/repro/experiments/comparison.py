@@ -10,7 +10,7 @@ here implement that structure once; the figure modules supply the sweep.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from repro.workload.queries import RangeQueryGenerator
 from repro.workload.trace import mixed_trace, ratio_to_fraction
@@ -137,18 +137,3 @@ def overall_comparison(
                 }
             )
     return result
-
-
-def relative_to(
-    rows: List[Dict], value_key: str, baseline_tree: str
-) -> Dict[str, float]:
-    """Average of ``value_key`` per tree, normalised to one baseline tree
-    (used in EXPERIMENTS.md to state "RUM is x% of R*" like the paper)."""
-    sums: Dict[str, List[float]] = {}
-    for row in rows:
-        sums.setdefault(row["tree"], []).append(row[value_key])
-    averages = {tree: sum(v) / len(v) for tree, v in sums.items()}
-    base = averages.get(baseline_tree)
-    if not base:
-        return {}
-    return {tree: avg / base for tree, avg in averages.items()}

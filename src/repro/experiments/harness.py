@@ -226,7 +226,7 @@ class ExperimentResult:
     """Uniform container every figure driver returns.
 
     ``rows`` is a list of dicts (one per measured configuration); the
-    bench wrappers print them and EXPERIMENTS.md records them.
+    registry's tables render them and EXPERIMENTS.md records them.
     """
 
     experiment: str

@@ -1,14 +1,15 @@
 """Plain-text reporting of experiment results.
 
-The benchmark harness prints, for every figure and table of the paper, the
-same rows/series the paper plots — formatted as fixed-width text tables so
-that ``pytest benchmarks/ --benchmark-only`` output doubles as the
-reproduction record (EXPERIMENTS.md quotes these tables).
+The two renderers every table of :mod:`repro.experiments.registry` is
+built from: the rows with chosen columns (:func:`format_table`) and one
+metric pivoted into the series the paper plots (:func:`series_table`),
+both as fixed-width text — the archives under ``benchmarks/results/``
+that EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from .harness import ExperimentResult
 
@@ -42,23 +43,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out.extend(line(r) for r in cells)
     return "\n".join(out)
-
-
-def print_result(result: ExperimentResult, columns: Sequence[str]) -> None:
-    """Print one experiment's rows with the chosen columns."""
-    print()
-    print(f"=== {result.experiment}: {result.description} ===")
-    rows = [[row.get(c, "") for c in columns] for row in result.rows]
-    print(format_table(columns, rows))
-    print()
-
-
-def rows_by(result: ExperimentResult, key: str) -> Dict:
-    """Group rows by one column (e.g. per-tree series)."""
-    grouped: Dict = {}
-    for row in result.rows:
-        grouped.setdefault(row[key], []).append(row)
-    return grouped
 
 
 def series_table(

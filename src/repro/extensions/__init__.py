@@ -16,7 +16,7 @@ and what cleaning one ring position means:
 * :class:`~repro.extensions.grid.MemoGrid` vs the classic
   :class:`~repro.extensions.grid.GridFile` (the LUGrid direction).
 
-The ``bench_ablation_extensions`` benchmark compares the update costs.
+``python -m repro.experiments extensions`` compares the update costs.
 """
 
 from .btree import BPlusTree, BTreeCodec, BTreeNode, MemoBTree

@@ -193,8 +193,10 @@ def choose_reinsert_entries(
     ncy = (node_mbr.ymin + node_mbr.ymax) * 0.5
 
     def center_dist_sq(e: E) -> float:
-        # Squared distance orders identically to math.hypot and skips the
-        # per-entry sqrt/function-call overhead.
+        # Squared distance skips the per-entry sqrt/function-call overhead
+        # and orders like math.hypot except on exact ties, which it breaks
+        # by last-bit rounding where hypot keeps node order (EXPERIMENTS.md,
+        # Figure 11).
         r = e.rect
         dx = (r.xmin + r.xmax) * 0.5 - ncx
         dy = (r.ymin + r.ymax) * 0.5 - ncy

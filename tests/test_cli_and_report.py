@@ -1,15 +1,15 @@
-"""Tests for the experiment CLI and the plain-text reporting helpers."""
+"""Tests for the experiment CLI, its registry and the plain-text reporting
+helpers."""
+
+import pathlib
 
 import pytest
 
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.report import (
-    format_table,
-    format_value,
-    print_result,
-    rows_by,
-    series_table,
-)
+from repro.experiments.registry import ARCHIVED, EXPERIMENTS
+from repro.experiments.report import format_table, format_value, series_table
+
+RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestFormatValue:
@@ -66,18 +66,8 @@ class TestSeriesTable:
         text = series_table(result, "x", "tree", "io")
         assert "2.500" in text
 
-    def test_rows_by(self):
-        grouped = rows_by(_result(), "tree")
-        assert set(grouped) == {"A", "B"}
-        assert len(grouped["A"]) == 2
-
     def test_column_accessor(self):
         assert _result().column("io") == [2.0, 3.0, 2.5, 3.5]
-
-    def test_print_result(self, capsys):
-        print_result(_result(), ["x", "tree", "io"])
-        out = capsys.readouterr().out
-        assert "Exp" in out and "demo" in out and "tree" in out
 
 
 class TestCLI:
@@ -101,6 +91,8 @@ class TestCLI:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.02")
         assert main(["fig15"]) == 0
         out = capsys.readouterr().out
+        title = (RESULTS / "fig15_logging.txt").read_text().splitlines()[0]
+        assert f"\n{title}\n" in out
         assert "option" in out
         assert "III" in out
         assert "finished" in out
@@ -113,3 +105,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "measured_io" in out
         assert "memo-based" in out
+
+
+class TestRegistry:
+    def test_one_table_per_archive_file(self):
+        files = sorted(p.stem for p in RESULTS.glob("*.txt"))
+        assert sorted(table.archive for table in ARCHIVED) == files
+
+    def test_archives_carry_the_registry_titles(self):
+        for table in ARCHIVED:
+            text = (RESULTS / f"{table.archive}.txt").read_text()
+            titles = text.rstrip("\n").split("\n\n")[0::2]
+            assert titles == [s.title for s in table.sections]
+
+    def test_names_unique(self):
+        names = [e.name for e in EXPERIMENTS]
+        assert len(names) == len(set(names)) == 17

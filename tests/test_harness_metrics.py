@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.comparison import relative_to
 from repro.experiments.harness import ExperimentResult, Measurement
 from repro.storage.iostats import IOSnapshot
 
@@ -59,22 +58,6 @@ class TestQueryAndTraceMeasurement:
         m = Measurement(IOSnapshot())
         assert m.operations == 0
         assert m.io_per_operation == 0.0
-
-
-class TestRelativeTo:
-    def test_normalisation(self):
-        rows = [
-            {"tree": "A", "io": 4.0},
-            {"tree": "A", "io": 6.0},
-            {"tree": "B", "io": 2.0},
-            {"tree": "B", "io": 3.0},
-        ]
-        rel = relative_to(rows, "io", "A")
-        assert rel["A"] == pytest.approx(1.0)
-        assert rel["B"] == pytest.approx(0.5)
-
-    def test_missing_baseline(self):
-        assert relative_to([{"tree": "A", "io": 1.0}], "io", "Z") == {}
 
 
 class TestExperimentResult:

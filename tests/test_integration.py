@@ -248,8 +248,7 @@ class TestExperimentDriversSmoke:
         assert len(structure.rows) == 4
 
     def test_report_formatting(self):
-        from repro.experiments import format_table, print_result, run_fig15
-        from repro.experiments.report import rows_by, series_table
+        from repro.experiments import format_table, run_fig15, series_table
 
         result = run_fig15(node_size=512, updates_per_object=1.0)
         text = format_table(
@@ -259,9 +258,6 @@ class TestExperimentDriversSmoke:
         assert "option" in text and "III" in text
         table = series_table(result, "option", "checkpoint_interval", "update_io")
         assert "option" in table
-        groups = rows_by(result, "option")
-        assert set(groups) == {"I", "II", "III"}
-        print_result(result, ["option", "update_io"])
 
 
 def test_env_scale_restored():
