@@ -304,6 +304,29 @@ def bench_memo(metrics: Dict, iters: int) -> None:
         "iterations": rounds * n_slots,
     }
 
+    # The clean-upon-touch sweep's shape: 28-slot leaf columns, one or two
+    # oids of each known to the memo, at their latest stamp so nothing is
+    # removed and every round sweeps the same memo.  Ops are slots swept.
+    sweep_columns = []
+    for k in range(len(columns)):
+        base = 4 * n_oids + 28 * k  # beyond every oid the memo holds
+        oids = list(range(base, base + 28))
+        stamps = [0] * 28
+        known = [2 * k] if k % 2 == 0 else [2 * k, 2 * k + 2]
+        for j, oid in enumerate(known):
+            slot = (k + 14 * j) % 28
+            oids[slot], stamps[slot] = oid, oid + 1
+        sweep_columns.append((oids, stamps))
+
+    def sweep_columns_once() -> None:
+        for oids, stamps in sweep_columns:
+            memo.sweep_obsolete(oids, stamps, 28)
+
+    metrics["memo.sweep_column"] = {
+        "ops_per_sec": _timed(sweep_columns_once, rounds) * 28 * len(columns),
+        "iterations": rounds * 28 * len(columns),
+    }
+
     # latest_stamp against the LSM-tiered memo with the RAM tier pinned
     # far below the population, so nearly every probe walks the Bloom
     # filters and sorted runs — the CheckStatus cost a spilled memo

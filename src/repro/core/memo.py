@@ -14,8 +14,10 @@ Objects guaranteed to have no obsolete entries own no UM entry at all —
 that is what keeps the UM small (its size is bounded by the number of leaf
 nodes over the inspection ratio, Section 4.1, not by the number of objects).
 
-The memo is bucketised so that the concurrency experiment (Section 3.5) can
-lock individual hash buckets.
+The memo is one dict.  The concurrency experiment (Section 3.5) locks
+individual hash buckets: ``bucket_locks`` are stripes over the table by
+``oid % n_buckets``, and every memo mutation also runs under the owning
+tree's structure latch in write mode (docs/CONCURRENCY.md).
 
 Below a run tier
 ----------------
@@ -57,6 +59,7 @@ miss means "absent": the tier is consulted only where a RAM miss or a
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -145,10 +148,8 @@ class UpdateMemo:
         self.n_buckets = n_buckets
         # Callers serialise per bucket: hold the bucket's lock (or an
         # equivalent exclusive section, e.g. the tree's structure
-        # latch) around every probe and mutation of a bucket.
-        self._buckets: List[Dict[int, UMEntry]] = [  # guarded-by: bucket_lock
-            {} for _ in range(n_buckets)
-        ]
+        # latch) around every probe and mutation of an oid's entry.
+        self._table: Dict[int, UMEntry] = {}  # guarded-by: bucket_lock
         self.tier = tier
         #: The tier's age-ordered run list, which the tier edits in place
         #: (empty for good without one): a RAM miss means "absent" exactly
@@ -215,11 +216,11 @@ class UpdateMemo:
     def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
         """Bind (or unbind) the Eraser race detector.
 
-        Probe granularity is the hash bucket — the unit the paper locks
-        (Section 3.5).  Whole-table operations (snapshot, restore,
-        purge, size metrics) touch every bucket, so a lockless snapshot
-        concurrent with a locked per-bucket write is still a race on
-        that bucket's field.
+        Probe granularity is the hash bucket — the lock stripe, the unit
+        the paper locks (Section 3.5).  Whole-table operations (snapshot,
+        restore, purge, size metrics) touch every bucket, so a lockless
+        snapshot concurrent with a locked per-bucket write is still a race
+        on that bucket's field.
         """
         self._rc = checker
 
@@ -233,9 +234,6 @@ class UpdateMemo:
         if checker is not None:
             for index in range(self.n_buckets):
                 checker.access(self, f"bucket[{index}]", write)
-
-    def _bucket(self, oid: int) -> Dict[int, UMEntry]:  # holds: bucket_lock
-        return self._buckets[oid % self.n_buckets]
 
     def bucket_lock(self, oid: int) -> LockLike:
         return self.bucket_locks[oid % self.n_buckets]
@@ -259,8 +257,7 @@ class UpdateMemo:
         """
         if self._rc is not None:
             self._rc_bucket(oid, True)
-        bucket = self._buckets[oid % self.n_buckets]
-        entry = bucket.get(oid)
+        entry = self._table.get(oid)
         if entry is not None:
             entry.s_latest = stamp
             entry.n_old += 1
@@ -273,9 +270,9 @@ class UpdateMemo:
             self._obs_inserts.inc()
         tier = self.tier
         if tier is None:
-            bucket[oid] = UMEntry(oid, stamp, 1)
+            self._table[oid] = UMEntry(oid, stamp, 1)
         else:
-            bucket[oid] = UMEntry(
+            self._table[oid] = UMEntry(
                 oid, stamp, 1, DELTA if tier.may_hold(oid) else ABSOLUTE
             )
             self._maybe_spill(tier)
@@ -291,7 +288,7 @@ class UpdateMemo:
         """
         if self._rc is not None:
             self._rc_bucket(oid, False)
-        entry = self._buckets[oid % self.n_buckets].get(oid)
+        entry = self._table.get(oid)
         self.lookup_count += 1
         if entry is None:
             if not self._runs:
@@ -306,44 +303,21 @@ class UpdateMemo:
         self.hit_count += 1
         return entry.s_latest
 
+    # The two predicates probe through the class's own function, so a
+    # caller timing ``latest_stamp`` on the instance does not time their
+    # probes a second time.
+    _latest = latest_stamp
+
     def check_status(self, oid: int, stamp: int) -> str:  # holds: bucket_lock
         """CheckStatus (Figure 6): classify a leaf entry as LATEST or
         OBSOLETE by comparing its stamp against ``S_latest``."""
-        if self._rc is not None:
-            self._rc_bucket(oid, False)
-        entry = self._buckets[oid % self.n_buckets].get(oid)
-        self.lookup_count += 1
-        if entry is None:
-            if not self._runs:
-                return LATEST
-            rec = self.tier.probe(oid)
-            if rec is None or rec[3] == TOMBSTONE:
-                return LATEST
-            self.hit_count += 1
-            return LATEST if stamp == rec[1] else OBSOLETE
-        if entry.tag == TOMBSTONE:
-            return LATEST
-        self.hit_count += 1
-        return LATEST if stamp == entry.s_latest else OBSOLETE
+        s_latest = self._latest(oid)
+        return LATEST if s_latest is None or stamp == s_latest else OBSOLETE
 
     def is_obsolete(self, oid: int, stamp: int) -> bool:  # holds: bucket_lock
         """Convenience predicate used by query filtering and the cleaner."""
-        if self._rc is not None:
-            self._rc_bucket(oid, False)
-        entry = self._buckets[oid % self.n_buckets].get(oid)
-        self.lookup_count += 1
-        if entry is None:
-            if not self._runs:
-                return False
-            rec = self.tier.probe(oid)
-            if rec is None or rec[3] == TOMBSTONE:
-                return False
-            self.hit_count += 1
-            return stamp != rec[1]
-        if entry.tag == TOMBSTONE:
-            return False
-        self.hit_count += 1
-        return stamp != entry.s_latest
+        s_latest = self._latest(oid)
+        return s_latest is not None and stamp != s_latest
 
     def note_cleaned(self, oid: int) -> None:  # holds: bucket_lock
         """An obsolete entry of ``oid`` was physically removed: decrement
@@ -351,8 +325,7 @@ class UpdateMemo:
         step 1b)."""
         if self._rc is not None:
             self._rc_bucket(oid, True)
-        bucket = self._buckets[oid % self.n_buckets]
-        self._clean_one(bucket, oid, bucket.get(oid))
+        self._clean_one(oid, self._table.get(oid))
         # Count only cleans that actually drained an N_old — the KeyError
         # of an absent entry means nothing was cleaned, so `memo.cleaned`
         # must not move (it reconciles against the cleaner's removal count).
@@ -371,19 +344,27 @@ class UpdateMemo:
         end up exactly as after one :meth:`latest_stamp` per probed entry
         and one :meth:`note_cleaned` per removal — which above a tier may
         spill mid-sweep.
+
+        Without a tier a miss is "absent" and skipped unprobed, so one
+        C-level pass over the oid column picks the slots the table holds
+        (lazily: a removal that drains an entry also screens out a later
+        slot of its oid).  Above a tier every slot is probed, because a
+        spill in the middle of the sweep changes what a miss means.
         """
         if budget <= 0:
             return []
-        buckets = self._buckets
-        n_buckets = self.n_buckets
+        table = self._table
         runs = self._runs
         cleaned = self._obs_cleaned
+        probe: Iterable[int] = range(len(oids))
+        if self.tier is None:
+            probe = compress(probe, map(table.__contains__, oids))
         slots: List[int] = []
         hits = 0
-        slot = -1
-        for slot, oid in enumerate(oids):
-            bucket = buckets[oid % n_buckets]
-            entry = bucket.get(oid)
+        last = len(oids) - 1
+        for slot in probe:
+            oid = oids[slot]
+            entry = table.get(oid)
             if entry is None:
                 if not runs:
                     continue
@@ -399,17 +380,18 @@ class UpdateMemo:
             if s_latest != stamps[slot]:
                 # Counted once it has happened, as `note_cleaned` does:
                 # `_clean_one` raises for a slot with no entry anywhere.
-                self._clean_one(bucket, oid, entry)
+                self._clean_one(oid, entry)
                 slots.append(slot)
                 if cleaned is not None:
                     cleaned.inc()
                 if len(slots) == budget:
+                    last = slot
                     break
-        self.lookup_count += slot + 1
+        self.lookup_count += last + 1
         self.hit_count += hits
         if self._rc is not None:
             # The same per-bucket accesses the per-entry methods report.
-            for oid in oids[: slot + 1]:
+            for oid in oids[: last + 1]:
                 self._rc_bucket(oid, False)
             for removed in slots:
                 self._rc_bucket(oids[removed], True)
@@ -432,8 +414,7 @@ class UpdateMemo:
         """
         if at is None:
             at = range(len(oids))
-        buckets = self._buckets
-        n_buckets = self.n_buckets
+        table = self._table
         runs = self._runs
         tier = self.tier
         kept: List[int] = []
@@ -441,7 +422,7 @@ class UpdateMemo:
         hits = 0
         for pos in at:
             oid = oids[pos]
-            entry = buckets[oid % n_buckets].get(oid)
+            entry = table.get(oid)
             if entry is None:
                 # One pass: screening the whole column ahead of the Bloom
                 # walks was measured and lost (docs/MEMO.md).
@@ -476,9 +457,7 @@ class UpdateMemo:
         return below if entry is None else fold(below, entry.as_record())
 
     # holds: bucket_lock
-    def _clean_one(
-        self, bucket: Dict[int, UMEntry], oid: int, entry: Optional[UMEntry]
-    ) -> None:
+    def _clean_one(self, oid: int, entry: Optional[UMEntry]) -> None:
         """Account one removed obsolete entry of ``oid`` against its RAM
         entry (``None`` on a miss).
 
@@ -497,7 +476,7 @@ class UpdateMemo:
                     f"cleaned an obsolete entry for oid {oid} with no UM entry"
                 )
             if entry is None:
-                entry = bucket[oid] = UMEntry(oid, rec[1], rec[2])
+                entry = self._table[oid] = UMEntry(oid, rec[1], rec[2])
             else:
                 entry.n_old = rec[2]
                 entry.tag = ABSOLUTE
@@ -507,7 +486,7 @@ class UpdateMemo:
                 entry.n_old = 0
                 entry.tag = TOMBSTONE
             else:
-                del bucket[oid]
+                del self._table[oid]
         if tier is not None:
             self._maybe_spill(tier)
 
@@ -535,17 +514,16 @@ class UpdateMemo:
         tier = self.tier
         if tier is not None:
             self._load([e.as_tuple() for e in self._entries(charged=True)])
-        purged = 0
-        for bucket in self._buckets:
-            victims = [
-                oid
-                for oid, entry in bucket.items()
-                if entry.s_latest < stamp_threshold
-                and (exclude is None or oid not in exclude)
-            ]
-            for oid in victims:
-                del bucket[oid]
-            purged += len(victims)
+        table = self._table
+        victims = [
+            oid
+            for oid, entry in table.items()
+            if entry.s_latest < stamp_threshold
+            and (exclude is None or oid not in exclude)
+        ]
+        for oid in victims:
+            del table[oid]
+        purged = len(victims)
         if tier is not None:
             self._maybe_spill(tier)
         if self._obs_purge_runs is not None:
@@ -561,7 +539,7 @@ class UpdateMemo:
         """The aggregate entry of ``oid`` (a full-depth probe where RAM
         does not hold it whole), or ``None``."""
         self._rc_bucket(oid, False)
-        entry = self._bucket(oid).get(oid)
+        entry = self._table.get(oid)
         if entry is not None and entry.tag == ABSOLUTE:
             return entry
         rec = self._folded(oid, entry)
@@ -595,15 +573,13 @@ class UpdateMemo:
     def _load(self, entries: Iterable[Tuple[int, int, int]]) -> None:
         """Make ``entries`` the whole memo: absolutes in RAM, over a tier
         restarted empty."""
-        for bucket in self._buckets:
-            bucket.clear()
+        table = self._table
+        table.clear()
         if self.tier is not None:
             self.tier.reset()
         for oid, s_latest, n_old in entries:
             if n_old > 0:
-                self._buckets[oid % self.n_buckets][oid] = UMEntry(
-                    oid, s_latest, n_old
-                )
+                table[oid] = UMEntry(oid, s_latest, n_old)
 
     # holds: bucket_lock
     def _entries(self, charged: bool) -> Iterator[UMEntry]:
@@ -612,15 +588,12 @@ class UpdateMemo:
         sample sizes at snapshot time, and charging those reads would
         pollute per-op I/O deltas."""
         below = self.tier.fold_runs(self._runs, charged) if self._runs else {}
-        for bucket in self._buckets:
-            for entry in bucket.values():
-                older = below.pop(entry.oid, None)
-                if older is not None and entry.tag == DELTA:
-                    yield UMEntry(
-                        entry.oid, entry.s_latest, entry.n_old + older[2]
-                    )
-                elif entry.tag != TOMBSTONE:
-                    yield entry
+        for entry in self._table.values():
+            older = below.pop(entry.oid, None)
+            if older is not None and entry.tag == DELTA:
+                yield UMEntry(entry.oid, entry.s_latest, entry.n_old + older[2])
+            elif entry.tag != TOMBSTONE:
+                yield entry
         for oid, stamp, n, _tag in below.values():
             if n > 0:
                 yield UMEntry(oid, stamp, n)
@@ -649,8 +622,6 @@ class UpdateMemo:
                 self._maybe_spill(tier)
 
     def _maybe_spill(self, tier: "RunStore") -> None:  # holds: bucket_lock
-        # The table is counted bucket by bucket when the question is
-        # asked, so no memo carries a cross-bucket entry count.
         if not tier.deferred and self.ram_size_bytes() > tier.spill_budget:
             self.flush_ram()
 
@@ -658,17 +629,10 @@ class UpdateMemo:
         """Spill the whole table as one new run (the newest in the age
         order), empty it, and let the tier compact."""
         tier = self.tier
-        if tier is None or not any(self._buckets):
+        if tier is None or not self._table:
             return
-        tier.flush(
-            sorted(
-                entry.as_record()
-                for bucket in self._buckets
-                for entry in bucket.values()
-            )
-        )
-        for bucket in self._buckets:
-            bucket.clear()
+        tier.flush(sorted(entry.as_record() for entry in self._table.values()))
+        self._table.clear()
         tier.compact()
 
     def close(self) -> None:
@@ -699,8 +663,8 @@ class UpdateMemo:
     def __len__(self) -> int:  # holds: bucket_lock
         if not self._runs:
             # Tombstones exist only to mask runs: with none, every RAM
-            # entry is live — O(buckets), no merge.
-            return sum(map(len, self._buckets))
+            # entry is live — no merge.
+            return len(self._table)
         return sum(1 for _ in self)
 
     def size_bytes(self) -> int:
@@ -712,7 +676,7 @@ class UpdateMemo:
         """Bytes of table held in RAM — the whole memo without a tier,
         bounded by the tier's ``spill_budget`` outside a
         :meth:`defer_spills` scope with one."""
-        return sum(map(len, self._buckets)) * UM_ENTRY_BYTES
+        return len(self._table) * UM_ENTRY_BYTES
 
     def total_n_old(self) -> int:
         """Sum of ``N_old`` — an upper bound on obsolete entries in the tree."""

@@ -26,6 +26,7 @@ property-wise across random and degenerate geometry.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, List, Sequence, Tuple
 
 #: The one implementation (plain Python loops); observability reports and
@@ -171,32 +172,48 @@ def enlargements(
     return enl, area_out
 
 
+#: One rectangle of a block as :func:`area_rows` lists it:
+#: ``(area, index, xmin, ymin, xmax, ymax)``.
+AreaRow = Tuple[float, int, float, float, float, float]
+
+
+def area_rows(block: Block) -> List[AreaRow]:
+    """The block's rectangles as rows in ascending ``(area, index)`` order
+    (a stable sort on area) — what :func:`least_enlargement` scans."""
+    rows: List[AreaRow] = []
+    append = rows.append
+    i = 0
+    for x1, y1, x2, y2 in zip(block[1], block[2], block[3], block[4]):
+        append(((x2 - x1) * (y2 - y1), i, x1, y1, x2, y2))
+        i += 1
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
 def least_enlargement(
-    block: Block, rx1: float, ry1: float, rx2: float, ry2: float
+    rows: Sequence[AreaRow], rx1: float, ry1: float, rx2: float, ry2: float
 ) -> Tuple[float, float, int]:
     """``(enlargement, area, index)`` of the child ChooseSubtree picks.
 
-    One pass, no intermediate lists; bit-identical to
-    ``min(zip(*enlargements(block, ...), range(n)))`` — least enlargement,
-    ties by least area, then by lowest index.
+    Bit-identical to ``min(zip(*enlargements(block, ...), range(n)))`` —
+    least enlargement, ties by least area, then by lowest index — over
+    the :func:`area_rows` of ``block``.  An enlargement is never negative
+    (docs/KERNELS.md), so in ascending ``(area, index)`` order the first
+    that reads ``0.0`` is the minimum and ends the scan; otherwise the
+    first strict minimum of the enlargement alone is.
     """
     best_enl = best_area = 0.0
     best = -1
-    i = 0
-    for ex1, ey1, ex2, ey2 in zip(block[1], block[2], block[3], block[4]):
-        area = (ex2 - ex1) * (ey2 - ey1)
+    for area, i, ex1, ey1, ex2, ey2 in rows:
         enl = (
             ((ex2 if ex2 > rx2 else rx2) - (ex1 if ex1 < rx1 else rx1))
             * ((ey2 if ey2 > ry2 else ry2) - (ey1 if ey1 < ry1 else ry1))
             - area
         )
-        if (
-            best < 0
-            or enl < best_enl
-            or (enl == best_enl and area < best_area)
-        ):
+        if enl == 0.0:
+            return enl, area, i
+        if best < 0 or enl < best_enl:
             best_enl, best_area, best = enl, area, i
-        i += 1
     if best < 0:
         raise ValueError("least_enlargement() of an empty block")
     return best_enl, best_area, best
@@ -379,6 +396,7 @@ __all__ = [
     "contain_indices",
     "min_dist_sq",
     "enlargements",
+    "area_rows",
     "least_enlargement",
     "overlap_delta",
     "argsort",

@@ -153,6 +153,8 @@ class RTreeBase:
         self.forced_reinsert = forced_reinsert
         self.maintain_leaf_ring = maintain_leaf_ring
         self.choose_subtree_candidates = choose_subtree_candidates
+        #: directory page id -> (coordinate block, its ``kernels.area_rows``)
+        self._area_rows: Dict[int, Tuple[object, list]] = {}
 
         codec = buffer.codec
         self.leaf_cap = codec.leaf_cap
@@ -680,7 +682,15 @@ class RTreeBase:
             return 0
         rx1, ry1, rx2, ry2 = rect.xmin, rect.ymin, rect.xmax, rect.ymax
         block = node.coord_block()
-        least = kernels.least_enlargement(block, rx1, ry1, rx2, ry2)
+        # The area-ordered rows live exactly as long as the block they were
+        # built from: ``mark_dirty`` drops the block, and the identity test
+        # sees it.
+        held = self._area_rows.get(node.page_id)
+        if held is None or held[0] is not block:
+            held = self._area_rows[node.page_id] = (
+                block, kernels.area_rows(block)
+            )
+        least = kernels.least_enlargement(held[1], rx1, ry1, rx2, ry2)
         if not leaf_children or least[0] == 0.0:
             # Above the leaf parents least enlargement decides.  At the
             # leaf parents a child the new rect fits without growing

@@ -154,23 +154,46 @@ def test_enlargements_and_overlap_delta_identical(rects, new, data):
         assert _bits([delta]) == _bits([want_delta])
 
 
+def _least_by_index(block, rx1, ry1, rx2, ry2):
+    """The reference: ``least_enlargement`` as it scanned before the area
+    order — every child in index order, keeping the minimum of
+    (enlargement, area, index)."""
+    best_enl = best_area = 0.0
+    best = -1
+    i = 0
+    for ex1, ey1, ex2, ey2 in zip(block[1], block[2], block[3], block[4]):
+        area = (ex2 - ex1) * (ey2 - ey1)
+        enl = (
+            ((ex2 if ex2 > rx2 else rx2) - (ex1 if ex1 < rx1 else rx1))
+            * ((ey2 if ey2 > ry2 else ry2) - (ey1 if ey1 < ry1 else ry1))
+            - area
+        )
+        if (
+            best < 0
+            or enl < best_enl
+            or (enl == best_enl and area < best_area)
+        ):
+            best_enl, best_area, best = enl, area, i
+        i += 1
+    return best_enl, best_area, best
+
+
 def _least_index(rects, new):
-    """The single pass must pick what ChooseSubtree picked before it
-    existed — min over (enlargement, area, index) — on both block births,
-    sign of zero included."""
+    """The area-ordered scan must pick what the index-order loop picked —
+    min over (enlargement, area, index) — on both block births, sign of
+    zero included."""
     for block in _blocks(rects):
         enl, area = kernels.enlargements(block, *new)
         want = min(zip(enl, area, range(len(rects))))
-        got = kernels.least_enlargement(block, *new)
+        assert _least_by_index(block, *new) == want
+        rows = kernels.area_rows(block)
+        assert [row[:2] for row in rows] == sorted(zip(area, range(len(rects))))
+        got = kernels.least_enlargement(rows, *new)
         assert (_bits(got[:2]), got[2]) == (_bits(want[:2]), want[2])
         assert type(got[2]) is int
+        # What the early return rests on: no enlargement is negative.
+        assert min(enl) >= 0.0
     return got[2]
-
-
-@given(rects=_RECTS, new=_RECT)
-@settings(max_examples=100, deadline=None)
-def test_least_enlargement_is_min_of_enlargements(rects, new):
-    _least_index(rects, new)
 
 
 @pytest.mark.parametrize(
@@ -187,6 +210,13 @@ def test_least_enlargement_is_min_of_enlargements(rects, new):
         ([(0.0, 0.0, 1.0, 1.0)] * 3, (0.5, 0.5, 0.5, 0.5), 0),
         # -0.0 == 0.0: the pair ties on enlargement and falls to area.
         ([(-0.0, -0.0, 1.0, 2.0), (0.0, 0.0, 1.0, 1.0)], (0.0, -0.0, 0.5, 0.5), 1),
+        # Covered by three children, the two smallest tied on area.
+        ([(0.0, 0.0, 1.0, 1.0), (0.25, 0.25, 0.75, 0.75), (0.0, 0.0, 0.5, 0.5)],
+         (0.3, 0.3, 0.3, 0.3), 1),
+        # Nothing covers it: the least enlargement is the last child, the
+        # largest area — the scan runs to the end of the order.
+        ([(0.0, 0.0, 0.1, 0.1), (0.5, 0.5, 0.6, 0.6), (0.0, 0.8, 1.0, 1.0)],
+         (0.9, 0.79, 0.9, 0.79), 2),
     ],
 )
 def test_least_enlargement_degenerate_cases(rects, new, want_index):
@@ -196,7 +226,9 @@ def test_least_enlargement_degenerate_cases(rects, new, want_index):
 def test_least_enlargement_rejects_an_empty_block():
     for block in _blocks([]):
         with pytest.raises(ValueError):
-            kernels.least_enlargement(block, 0.0, 0.0, 1.0, 1.0)
+            kernels.least_enlargement(
+                kernels.area_rows(block), 0.0, 0.0, 1.0, 1.0
+            )
 
 
 @given(rects=_RECTS)
@@ -224,7 +256,8 @@ def test_bounds_keeps_the_first_zero_and_rejects_an_empty_block():
 # ---------------------------------------------------------------------------
 
 _CHOOSE_KERNELS = (
-    "least_enlargement", "enlargements", "overlap_delta", "block_get",
+    "area_rows", "least_enlargement", "enlargements", "overlap_delta",
+    "block_get",
 )
 
 # Coordinates off a coarse grid only: abutting, nested, identical,
@@ -256,7 +289,7 @@ def _exhaustive_choice(block, n, new, n_candidates=8):
     """The reference: ChooseSubtree at the leaf parents as it ran before
     the early return — every one of the least-enlargement candidates is
     ranked by (overlap delta, enlargement, area)."""
-    least = kernels.least_enlargement(block, *new)
+    least = _least_by_index(block, *new)
     if least[0] == 0.0:
         return least[2]
     enls, node_areas = kernels.enlargements(block, *new)
@@ -340,7 +373,9 @@ def test_choose_subtree_ranks_until_the_first_zero_overlap_candidate():
         calls = {}
         assert _choose(block, rects, new, calls) == 2
         assert _exhaustive_choice(block, 6, new) == 2
-        # It ranked (the head added overlap) and stopped at the third.
+        # One area order built and scanned once; it ranked (the head
+        # added overlap) and stopped at the third.
+        assert calls["area_rows"] == calls["least_enlargement"] == 1
         assert calls["enlargements"] == 1
         assert calls["overlap_delta"] == 3
 
@@ -350,8 +385,75 @@ def test_choose_subtree_ranks_until_the_first_zero_overlap_candidate():
         calls = {}
         assert _choose(block, rects, new, calls) == 1
         assert calls == {
-            "least_enlargement": 1, "block_get": 1, "overlap_delta": 1,
+            "area_rows": 1, "least_enlargement": 1, "block_get": 1,
+            "overlap_delta": 1,
         }
+
+
+# Zero-area segments on one road (y = 0.5), and points on it: the union of
+# two collinear segments is a segment, so every enlargement reads 0.0.
+_ROAD_X = st.tuples(_GRID_COORD, _GRID_COORD).map(sorted)
+_ROAD = st.lists(
+    _ROAD_X.map(lambda x: (x[0], 0.5, x[1], 0.5)), min_size=1, max_size=50
+)
+
+
+@given(
+    rects=st.one_of(
+        _RECTS,
+        st.lists(_GRID_RECT, min_size=1, max_size=50),
+        st.lists(_RECT, min_size=1, max_size=50),
+        _ROAD,
+    ),
+    new=st.one_of(_NEW, _GRID_COORD.map(lambda x: (x, 0.5, x, 0.5))),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_least_enlargement_is_min_of_enlargements(rects, new, data):
+    # Repeat a prefix: identical children, exact ties on every key.
+    twins = data.draw(st.integers(0, max(0, min(len(rects), 50 - len(rects)))))
+    rects = rects + rects[:twins]
+    covered_by = data.draw(st.integers(min_value=-1, max_value=len(rects) - 1))
+    if covered_by >= 0:
+        # A corner of one child: covered by it, often by several.
+        x, y = rects[covered_by][:2]
+        new = (x, y, x, y)
+    _least_index(rects, new)
+
+
+def test_choose_subtree_decides_a_dirtied_node_from_fresh_rows():
+    """The area order is cached per directory node and keyed on the
+    identity of its coordinate block, so a node ``mark_dirty`` has
+    touched is decided from its new entries — whatever its page id."""
+    tree = build_rstar_tree(node_size=512)
+    buffer = tree.buffer
+    with buffer.operation():
+        node = buffer.new_node(is_leaf=False)
+    low, high = Rect(0.0, 0.0, 1.0, 1.0), Rect(2.0, 2.0, 3.0, 4.0)
+    point = Rect.from_point(2.5, 2.5)  # inside ``high`` only
+    built = []
+    area_rows = kernels.area_rows
+
+    def counted(block):
+        built.append(block)
+        return area_rows(block)
+
+    with mock.patch.object(kernels, "area_rows", counted):
+        for entries, want, n_built in (
+            ([low, high], 1, 1),
+            ([low, high], 1, 1),    # same block: the rows are reused
+            ([high, low], 0, 2),    # same page, new block: fresh rows
+        ):
+            if [e.rect for e in node.entries] != entries:
+                node.entries = [
+                    IndexEntry(r, 100 + i) for i, r in enumerate(entries)
+                ]
+                buffer.mark_dirty(node)
+            for leaf_children in (False, True):
+                assert tree._choose_child_index(
+                    node, point, leaf_children
+                ) == want
+            assert len(built) == n_built
 
 
 @given(rects=st.lists(_RECT, min_size=2, max_size=80), data=st.data())

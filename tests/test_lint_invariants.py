@@ -124,7 +124,7 @@ class TestMemoCorruption:
     def test_multiple_latest_caught(self, dirty_rum):
         # Dropping the memo entry reclassifies both physical entries of
         # oid 1 as LATEST — queries would return duplicates.
-        dirty_rum.memo._bucket(1).pop(1)
+        dirty_rum.memo._table.pop(1)
         with pytest.raises(InvariantViolation, match="LATEST"):
             check_tree(dirty_rum)
 

@@ -12,7 +12,7 @@ import tempfile
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.memo import DELTA, LATEST, OBSOLETE, TOMBSTONE, UMEntry, UpdateMemo
@@ -185,7 +185,7 @@ class TestUpdateMemoBasics(MemoCases):
         memo = self.new_memo()
         memo.attach_obs(obs)
         memo.record_update(1, 10)
-        memo._bucket(99)[99] = UMEntry(99, 50, 0, DELTA)  # adds nothing
+        memo._table[99] = UMEntry(99, 50, 0, DELTA)  # adds nothing
         with pytest.raises(KeyError):
             memo.sweep_obsolete([1, 99], [9, 49], 5)
         snap = obs.registry.snapshot()
@@ -434,7 +434,7 @@ class TestFilterLatest(MemoCases):
     def test_kept_positions_and_tallies_equal_the_per_entry_loop(self):
         memo, latest = self.churned()
         if self.TIERED:
-            tags = {e.oid: e.tag for b in memo._buckets for e in b.values()}
+            tags = {oid: e.tag for oid, e in memo._table.items()}
             assert memo.runs and tags[24] == TOMBSTONE and tags[6] == DELTA
             assert all(oid not in tags for oid in (4, 8))
         oids, stamps = [], []
@@ -489,6 +489,84 @@ class TestFilterLatest(MemoCases):
         assert seen == per_entry == [
             (True, f"bucket[{oid % 4}]", False) for oid in oids
         ]
+
+
+def _per_slot_sweep(memo, oids, stamps, budget):
+    """The reference: the tier-less sweep as it was before the screen —
+    every slot probed in order, one removal accounted per obsolete entry,
+    probing stopped with the ``budget``-th removal."""
+    slots = []
+    if budget <= 0:
+        return slots
+    for slot, oid in enumerate(oids):
+        s_latest = memo.latest_stamp(oid)
+        if s_latest is not None and s_latest != stamps[slot]:
+            memo.note_cleaned(oid)
+            slots.append(slot)
+            if len(slots) == budget:
+                break
+    return slots
+
+
+def _sweep_state(memo):
+    return (
+        memo.lookup_count,
+        memo.hit_count,
+        sorted((oid, e.s_latest, e.n_old, e.tag) for oid, e in memo._table.items()),
+    )
+
+
+class TestScreenedSweep:
+    """Without a tier ``sweep_obsolete`` screens the oid column against
+    the table and probes only the slots it holds; the answer, the tallies
+    and the memo must be the per-slot loop's."""
+
+    @staticmethod
+    def agree(history, oids, stamps, budget):
+        memos = [UpdateMemo(n_buckets=4), UpdateMemo(n_buckets=4)]
+        for memo in memos:
+            for stamp, oid in enumerate(history, start=1):
+                memo.record_update(oid, stamp)
+        screened, reference = memos
+        got = screened.sweep_obsolete(oids, stamps, budget)
+        assert got == _per_slot_sweep(reference, oids, stamps, budget)
+        assert _sweep_state(screened) == _sweep_state(reference)
+        return got, screened
+
+    @given(
+        history=st.lists(st.integers(0, 40), max_size=30),
+        leaf=st.lists(
+            st.tuples(st.integers(0, 50), st.integers(0, 30)),
+            max_size=30,
+        ),
+        budget=st.integers(-1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_slot_loop(self, history, leaf, budget):
+        # Stamps up to 40 hit the latest stamp of a few oids, miss others.
+        self.agree(history, [o for o, _ in leaf], [s for _, s in leaf], budget)
+
+    def test_two_entries_of_one_oid_the_first_removal_drains(self):
+        # 28 slots, two of them the old and the new entry of oid 5, whose
+        # memo entry counts one obsolete entry: the removal drains it, so
+        # the later slot is a miss, not a hit.
+        oids = list(range(100, 128))
+        oids[9], oids[20] = 5, 5
+        stamps = [0] * 28
+        stamps[20] = 1
+        got, memo = self.agree([5], oids, stamps, 28)
+        assert got == [9]
+        assert (memo.lookup_count, memo.hit_count) == (28, 1)
+        assert memo.get(5) is None
+
+    def test_budget_stop_in_the_middle_of_the_column(self):
+        history = [3, 7, 3, 7, 11, 11]
+        oids = [50, 3, 51, 7, 52, 11, 53]
+        got, memo = self.agree(history, oids, [0] * 7, 2)
+        assert got == [1, 3]
+        # Probing stopped with slot 3: oid 11 was never looked at.
+        assert (memo.lookup_count, memo.hit_count) == (4, 2)
+        assert memo.get(11).n_old == 2
 
 
 # ---------------------------------------------------------------------------

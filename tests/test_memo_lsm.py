@@ -127,12 +127,12 @@ class TestSpillAndProbe:
         assert not memo.tier.may_hold(500) and memo.tier.may_hold(1)
         memo.record_update(500, 10)
         memo.record_update(1, 11)
-        tags = {e.oid: e.tag for b in memo._buckets for e in b.values()}
+        tags = {oid: e.tag for oid, e in memo._table.items()}
         assert tags == {500: ABSOLUTE, 1: DELTA}
         memo.note_cleaned(500)
         memo.note_cleaned(1)
         memo.note_cleaned(1)
-        tags = {e.oid: e.tag for b in memo._buckets for e in b.values()}
+        tags = {oid: e.tag for oid, e in memo._table.items()}
         assert tags == {1: TOMBSTONE}
         assert memo.get(500) is None and memo.get(1) is None
         with pytest.raises(KeyError):

@@ -306,7 +306,9 @@ class TestInsertionKeepsItsDescent:
     ):
         tree, low, _cluster = two_cluster_tree()
         calls = []
-        for name in ("least_enlargement", "enlargements", "overlap_delta"):
+        for name in (
+            "area_rows", "least_enlargement", "enlargements", "overlap_delta",
+        ):
             def counted(*args, _name=name, _kernel=getattr(kernels, name)):
                 calls.append(_name)
                 return _kernel(*args)
@@ -315,8 +317,35 @@ class TestInsertionKeepsItsDescent:
         # Beside the low leaf, far from the other: no leaf covers it and
         # growing the nearer one meets nothing.
         tree.update_object(4, None, Rect.from_point(0.32, 0.2))
+        # The last insert fell inside its leaf's MBR, so the root kept the
+        # block, and with it the area order, that insert's descent built.
         assert calls == ["least_enlargement", "overlap_delta"]
         assert held_rect(tree, low) == Rect(0.1, 0.1, 0.32, 0.3)
+
+
+class TestTracingStaysHonest:
+    """``benchmarks/stack/layers.py`` times the ``kernels`` layer by
+    wrapping every callable in ``kernels.__all__``: a kernel the tree
+    calls but ``__all__`` does not list would be billed to its caller."""
+
+    def test_every_kernel_a_module_calls_is_listed(self):
+        import ast
+
+        src = Path(kernels.__file__).resolve().parent
+        called = {}
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "kernels"
+                ):
+                    called.setdefault(node.attr, path.name)
+        assert {"area_rows", "least_enlargement"} <= set(called)
+        assert {
+            name: module for name, module in called.items()
+            if name not in kernels.__all__
+        } == {}
 
 
 class TestQueryBuildsRowsOnlyForSurvivors:
