@@ -38,6 +38,7 @@ two such files and flags regressions.  Iteration counts scale with
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import os
 import pathlib
@@ -169,7 +170,9 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
     plus running-bounds tables per coordinate column — over an entry-born
     block of a full leaf, the exact shape the split path feeds it;
     ``geometry.choose_subtree_*`` run the insertion's ChooseSubtree
-    decision over a full directory node, on its short and its long path.
+    decision over a full directory node, on its short and its long path,
+    and ``geometry.choose_subtree_grown`` grows one child of a leaf parent
+    before deciding on it (the patched block and rows, ``_set_child``).
     """
     rng = random.Random(13)
     codec = NodeCodec(NODE_SIZE, rum_leaves=True)
@@ -223,6 +226,33 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
         metrics[f"geometry.choose_subtree_{label}"] = {
             "ops_per_sec": _timed(choose_subtree, iters), "iterations": iters,
         }
+
+    # A leaf parent (38 children, as at 2 048 B) sees one child grow, the
+    # edit ``_adjust_upward`` makes after an insertion, then decides the
+    # next insertion's ChooseSubtree: children on a 0.1 grid, each in turn
+    # widened by 0.005 and back, a probe point inside child 17.
+    cells = [
+        Rect(0.1 * (i % 7), 0.1 * (i // 7), 0.1 * (i % 7) + 0.11,
+             0.1 * (i // 7) + 0.11)
+        for i in range(38)
+    ]
+    leaf_parent = Node(3, False, [
+        IndexEntry(r, child_id=1000 + i) for i, r in enumerate(cells)
+    ])
+    edits = itertools.cycle([
+        (i, IndexEntry(Rect(r.xmin, r.ymin, r.xmax + grow, r.ymax), 1000 + i))
+        for grow in (0.005, 0.0) for i, r in enumerate(cells)
+    ])
+    probe = Rect.from_point(*cells[17].center())
+
+    def grow_and_choose() -> None:
+        i, entry = next(edits)
+        tree._set_child(leaf_parent, i, entry)
+        tree._choose_child_index(leaf_parent, probe, True)
+
+    metrics["geometry.choose_subtree_grown"] = {
+        "ops_per_sec": _timed(grow_and_choose, iters), "iterations": iters,
+    }
 
 
 def bench_buffer(metrics: Dict, iters: int) -> None:

@@ -12,9 +12,9 @@ live entries) or :func:`block_from_buffer` (straight off a page image: one
 contiguous ``memoryview.cast('d')`` plus four strided ``tolist()`` slices,
 no per-entry ``struct`` calls) and pass it back to the kernels.  The two
 births of the same rectangles are the same value, so no kernel can tell
-them apart.  Blocks are immutable snapshots — see ``docs/KERNELS.md`` for
-the invalidation rules (`Node.coord_block` caches one per node; any entry
-mutation must go through ``BufferPool.mark_dirty``, which drops it).
+them apart.  No kernel edits a block — see ``docs/KERNELS.md`` for the
+invalidation rules (`Node.coord_block` caches one per node; ``mark_dirty``
+drops it after any edit but one child entry's, which ``_set_child`` patches).
 
 Every kernel evaluates the IEEE-754 expressions of the ``Rect`` method it
 batches, in the same order (sequential sums, stable sorts, first-occurrence

@@ -23,7 +23,7 @@ free (cached).
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from operator import sub
 from typing import (
     TYPE_CHECKING,
@@ -781,10 +781,10 @@ class RTreeBase:
         else:
             parent = self.buffer.get_node(self.parent[node.page_id])
             idx = parent.find_child_index(node.page_id)
-            parent.entries[idx] = IndexEntry(node.mbr(), node.page_id)
-            parent.entries.append(IndexEntry(sibling.mbr(), sibling.page_id))
+            self._set_child(parent, idx, IndexEntry(node.mbr(), node.page_id))
+            new = IndexEntry(sibling.mbr(), sibling.page_id)
+            self._set_child(parent, len(parent.entries), new)
             self.parent[sibling.page_id] = parent.page_id
-            self.buffer.mark_dirty(parent)
             self._adjust_upward(parent)
             self._handle_overflow(parent, level + 1, reinserted)
         return sibling
@@ -840,9 +840,32 @@ class RTreeBase:
                     return
                 # One level up the child lost nothing and only grew.
                 grown, left = new_mbr, ()
-            parent.entries[idx] = IndexEntry(new_mbr, current.page_id)
-            self.buffer.mark_dirty(parent)
+            self._set_child(parent, idx, IndexEntry(new_mbr, current.page_id))
             current = parent
+
+    def _set_child(self, parent: Node, idx: int, entry: IndexEntry) -> None:
+        """Put ``entry`` in ``parent``'s slot ``idx`` (append at its length)
+        and ``mark_dirty`` it, patching rather than dropping its cached
+        block and area rows: a row keyed ``(area, index)`` sits where the
+        stable sort of ``kernels.area_rows`` puts it."""
+        block = parent.columns
+        parent.entries[idx:idx + 1] = [entry]  # replace, or append at n
+        self.buffer.mark_dirty(parent)
+        if block is None:
+            return
+        n, xs1, ys1, xs2, ys2 = block
+        held = self._area_rows.get(parent.page_id)
+        rows = held[1] if held is not None and held[0] is block else None
+        if rows is not None and idx < n:
+            old = (xs2[idx] - xs1[idx]) * (ys2[idx] - ys1[idx])
+            del rows[bisect_left(rows, (old, idx))]
+        x1, y1, x2, y2 = entry.rect.as_tuple()
+        xs1[idx:idx + 1], ys1[idx:idx + 1] = [x1], [y1]
+        xs2[idx:idx + 1], ys2[idx:idx + 1] = [x2], [y2]
+        parent.columns = block = (len(xs1), xs1, ys1, xs2, ys2)
+        if rows is not None:
+            insort(rows, ((x2 - x1) * (y2 - y1), idx, x1, y1, x2, y2))
+            self._area_rows[parent.page_id] = (block, rows)
 
     # ------------------------------------------------------------------
     # Leaf ring (Section 3.3.1)
@@ -1093,11 +1116,10 @@ class RTreeBase:
                 self.parent.pop(node.page_id, None)
                 self.buffer.free_node(node)
             else:
-                new_idx = parent.find_child_index(node.page_id)
-                parent.entries[new_idx] = IndexEntry(
-                    node.mbr(), node.page_id
+                self._set_child(
+                    parent, parent.find_child_index(node.page_id),
+                    IndexEntry(node.mbr(), node.page_id),
                 )
-                self.buffer.mark_dirty(parent)
             node = parent
             level += 1
         self._shrink_root()

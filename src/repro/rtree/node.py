@@ -117,12 +117,12 @@ class Node:
     a re-encode of never-dirtied pages.
 
     ``columns`` caches the node's coordinate column block (see
-    :mod:`repro.kernels`): an immutable columnar snapshot of every entry
-    MBR that the batch kernels consume.  It shares ``cached_bytes``'s
-    invalidation contract exactly — ``mark_dirty`` clears both — so a
-    non-``None`` block always reflects the current entry list.  Internal
-    nodes amortise one block across many searches (they are pinned and
-    rarely mutate); leaf blocks live for the duration of one operation.
+    :mod:`repro.kernels`): a columnar snapshot of every entry MBR that
+    the batch kernels consume.  ``mark_dirty`` clears it with
+    ``cached_bytes`` (``RTreeBase._set_child`` then puts back a block it
+    patched), so a non-``None`` block always reflects the entry list.
+    Internal nodes amortise one block across many searches (they are
+    pinned); leaf blocks live for the duration of one operation.
     """
 
     __slots__ = (

@@ -456,6 +456,79 @@ def test_choose_subtree_decides_a_dirtied_node_from_fresh_rows():
             assert len(built) == n_built
 
 
+# One edit of a directory node: replace a child's rectangle, append a
+# child, or copy another child's rectangle over one (identical children).
+_EDIT = st.tuples(
+    st.sampled_from(["replace", "append", "copy"]),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.one_of(_GRID_RECT, _RECT, _ROAD_X.map(lambda x: (x[0], 0.5, x[1], 0.5))),
+)
+
+
+def _row_bits(rows):
+    return [(_bits([r[0]]), r[1], _bits(r[2:])) for r in rows]
+
+
+@given(
+    rects=st.one_of(
+        st.lists(_GRID_RECT, min_size=1, max_size=40),
+        st.lists(_RECT, min_size=1, max_size=40),
+        _ROAD,
+    ),
+    edits=st.lists(_EDIT, min_size=1, max_size=12),
+    probes=st.lists(
+        st.one_of(_NEW, _GRID_COORD.map(lambda x: (x, 0.5, x, 0.5))),
+        min_size=1, max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_set_child_patches_block_and_rows_to_what_a_rebuild_gives(
+    rects, edits, probes
+):
+    """``RTreeBase._set_child`` edits a directory node's cached block and
+    area rows in place; after every edit both are what a rebuild from the
+    entries gives, bit for bit, and ChooseSubtree at either level picks
+    what it picks over a freshly built node."""
+    tree = build_rstar_tree(node_size=512)
+    with tree.buffer.operation():
+        node = tree.buffer.new_node(is_leaf=False)
+    node.entries = [IndexEntry(Rect(*r), 100 + i) for i, r in enumerate(rects)]
+    tree.buffer.mark_dirty(node)
+    for kind, at, source, rect in edits:
+        n = len(node.entries)
+        # Decide once so the node holds a block and its rows to patch.
+        tree._choose_child_index(node, Rect(*probes[0]), False)
+        held = tree._area_rows.get(node.page_id)
+        if kind == "append":
+            idx = n
+        else:
+            idx = at % n
+            if kind == "copy":
+                rect = node.entries[source % n].rect.as_tuple()
+        tree._set_child(node, idx, IndexEntry(Rect(*rect), 100 + idx))
+        block = node.columns
+        fresh = kernels.block_from_entries(node.entries)
+        if held is not None:
+            assert block is not None and _bits(
+                [v for col in block[1:] for v in col]
+            ) == _bits([v for col in fresh[1:] for v in col])
+            assert block[0] == len(node.entries)
+            assert tree._area_rows[node.page_id][0] is block
+            assert _row_bits(tree._area_rows[node.page_id][1]) == _row_bits(
+                kernels.area_rows(fresh)
+            )
+        reference = build_rstar_tree(node_size=512)
+        rebuilt = Node(node.page_id, False, list(node.entries))
+        for probe in probes:
+            for leaf_children in (False, True):
+                assert tree._choose_child_index(
+                    node, Rect(*probe), leaf_children
+                ) == reference._choose_child_index(
+                    rebuilt, Rect(*probe), leaf_children
+                )
+
+
 @given(rects=st.lists(_RECT, min_size=2, max_size=80), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_split_scans_identical(rects, data):

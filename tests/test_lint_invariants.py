@@ -138,3 +138,38 @@ class TestMemoCorruption:
         dirty_rum.stamps.restore(1)
         with pytest.raises(InvariantViolation, match="next stamp"):
             check_tree(dirty_rum)
+
+
+STALE_CACHE = "cached block or rows are stale"
+
+
+class TestCachedBlockCorruption:
+    """A directory node's cached block and the area rows the tree holds
+    for it are edited in place (``RTreeBase._set_child``): a patch that
+    goes astray must fail the check."""
+
+    @staticmethod
+    def decided_root(tree):
+        root = tree.buffer.peek_node(tree.root_id)
+        tree._choose_child_index(root, Rect.from_point(0.5, 0.5), False)
+        block, rows = tree._area_rows[root.page_id]
+        assert block is root.columns and len(rows) > 1
+        return root, block, rows
+
+    def test_stale_block_caught(self, deep_rstar):
+        _root, block, _rows = self.decided_root(deep_rstar)
+        block[3][0] += 1.0
+        with pytest.raises(InvariantViolation, match=STALE_CACHE):
+            check_tree(deep_rstar)
+
+    def test_stale_rows_caught(self, deep_rstar):
+        _root, _block, rows = self.decided_root(deep_rstar)
+        rows.reverse()
+        with pytest.raises(InvariantViolation, match=STALE_CACHE):
+            check_tree(deep_rstar)
+
+    def test_rows_keyed_to_a_superseded_block_caught(self, deep_rstar):
+        root, block, rows = self.decided_root(deep_rstar)
+        deep_rstar._area_rows[root.page_id] = ((block[0], *block[1:]), rows)
+        with pytest.raises(InvariantViolation, match=STALE_CACHE):
+            check_tree(deep_rstar)
