@@ -43,6 +43,7 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -53,6 +54,7 @@ if __name__ == "__main__":  # allow running without an installed package
 
 from repro import kernels
 from repro.concurrency.locks import ReadWriteLock
+from repro.core.batch import plan_batch
 from repro.core.memo import UpdateMemo
 from repro.core.memo_lsm import SpillingUpdateMemo
 from repro.concurrency.racecheck import RaceChecker
@@ -173,6 +175,11 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
     decision over a full directory node, on its short and its long path,
     and ``geometry.choose_subtree_grown`` grows one child of a leaf parent
     before deciding on it (the patched block and rows, ``_set_child``).
+    ``geometry.leaf_filter_rect_vs_kernel`` answers one window over a
+    full 2 048-byte RUM leaf (36 entries) with a ``Rect.intersects``
+    comprehension (its rate, ``rect_us``) and with
+    ``kernels.intersect_indices`` over the leaf's block, cached
+    (``kernel_cached_us``) and rebuilt first (``kernel_rebuilt_us``).
     """
     rng = random.Random(13)
     codec = NodeCodec(NODE_SIZE, rum_leaves=True)
@@ -207,6 +214,34 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
     metrics["split.margin_scan"] = {
         "ops_per_sec": _timed(margin_scan, rounds) * 4,
         "iterations": rounds * 4,
+    }
+
+    small_codec = NodeCodec(2048, rum_leaves=True)
+    small_leaf = _full_leaf(small_codec, random.Random(19))
+    small_entries = small_leaf.entries
+    small_block = kernels.block_from_entries(small_entries)
+    window = Rect(*windows[0])
+    wx1, wy1, wx2, wy2 = windows[0]
+    leaf_iters = iters * 10
+
+    def rect_filter() -> None:
+        [e for e in small_entries if e.rect.intersects(window)]
+
+    def kernel_cached() -> None:
+        kernels.intersect_indices(small_block, wx1, wy1, wx2, wy2)
+
+    def kernel_rebuilt() -> None:
+        kernels.intersect_indices(
+            kernels.block_from_entries(small_entries), wx1, wy1, wx2, wy2
+        )
+
+    rect_rate = _timed(rect_filter, leaf_iters)
+    metrics["geometry.leaf_filter_rect_vs_kernel"] = {
+        "ops_per_sec": rect_rate,
+        "iterations": leaf_iters,
+        "rect_us": 1e6 / rect_rate,
+        "kernel_cached_us": 1e6 / _timed(kernel_cached, leaf_iters),
+        "kernel_rebuilt_us": 1e6 / _timed(kernel_rebuilt, leaf_iters),
     }
 
     # ChooseSubtree at the leaf parents, on a full directory node: a
@@ -253,6 +288,88 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
     metrics["geometry.choose_subtree_grown"] = {
         "ops_per_sec": _timed(grow_and_choose, iters), "iterations": iters,
     }
+
+
+def bench_batch(metrics: Dict, iters: int) -> None:
+    """A one-op ``apply_batch`` against ``update_object`` on one tree in
+    ``bench_stack``'s ``tree_update`` shape (network objects, 2 048-byte
+    nodes, ir 0.2, touch cleaning).
+
+    Five legs take turns update by update (the first leg rotates), so all
+    see the same tree and host: ``update_object`` alone, a one-op
+    ``apply_batch``, and ``update_object`` behind each piece of bookkeeping
+    only the batch pays — ``plan_batch`` of its op (fold and Z-order),
+    inside ``batch_scope`` (an ``operation()`` plus its tally), inside
+    ``defer_spills`` (the memo's spill hold, a no-op context here).
+    ``ops_per_sec`` is the batch of one's rate; ``update_us`` and
+    ``batch_of_one_us`` are medians, ``gap_us`` their difference, each
+    ``*_us`` part its leg's median minus ``update_us`` — the piece's cost
+    where it runs, between insertions that evict it from the CPU caches —
+    and ``other_us`` the rest of the gap (calls, the group-commit
+    placeholder, the ``BatchResult``).
+    """
+    workload = default_network_workload(
+        scaled(20_000), moving_distance=0.02, seed=11
+    )
+    tree = make_tree("rum_touch", node_size=2048, inspection_ratio=0.2)
+    load_tree(tree, workload.initial())
+    update_object, apply_batch = tree.update_object, tree.apply_batch
+    buffer, memo = tree.buffer, tree.memo
+
+    def update(oid: int, rect: Rect) -> None:
+        update_object(oid, None, rect)
+
+    def batch_of_one(oid: int, rect: Rect) -> None:
+        apply_batch([("update", oid, rect)])
+
+    def plan_batch_part(oid: int, rect: Rect) -> None:
+        plan_batch([("update", oid, rect)])
+        update_object(oid, None, rect)
+
+    def batch_scope_part(oid: int, rect: Rect) -> None:
+        with buffer.batch_scope():
+            update_object(oid, None, rect)
+
+    def defer_spills_part(oid: int, rect: Rect) -> None:
+        with memo.defer_spills():
+            update_object(oid, None, rect)
+
+    legs = {
+        "update": update,
+        "batch_of_one": batch_of_one,
+        "plan_batch": plan_batch_part,
+        "batch_scope": batch_scope_part,
+        "defer_spills": defer_spills_part,
+    }
+    order = list(legs.items())
+    times: Dict[str, List[float]] = {name: [] for name in legs}
+    moves = iter(workload.updates(len(order) * iters))
+    clock = time.perf_counter
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(iters):
+            for j in range(len(order)):
+                name, leg = order[(k + j) % len(order)]
+                oid, _old, new = next(moves)
+                t0 = clock()
+                leg(oid, new)
+                times[name].append(clock() - t0)
+    finally:
+        gc.enable()
+    us = {name: statistics.median(t) * 1e6 for name, t in times.items()}
+    row = {
+        "ops_per_sec": 1e6 / us["batch_of_one"],
+        "iterations": iters,
+        "update_us": us["update"],
+        "batch_of_one_us": us["batch_of_one"],
+        "gap_us": us["batch_of_one"] - us["update"],
+    }
+    parts = ("plan_batch", "batch_scope", "defer_spills")
+    for name in parts:
+        row[f"{name}_us"] = us[name] - us["update"]
+    row["other_us"] = row["gap_us"] - sum(row[f"{n}_us"] for n in parts)
+    metrics["batch.update_vs_batch_of_one"] = row
 
 
 def bench_buffer(metrics: Dict, iters: int) -> None:
@@ -750,6 +867,7 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     bench_kernels(metrics, iters)
     bench_buffer(metrics, max(10, iters // 10))
     bench_memo(metrics, iters)
+    bench_batch(metrics, iters)
     bench_serving(metrics, iters)
     # Each A/B is its own paired run with its own plain leg as the
     # baseline: an overhead must come from one interleaved process run.
@@ -768,6 +886,11 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for name in sorted(metrics):
         print(f"{name:32s} {metrics[name]['ops_per_sec']:12.1f} ops/s")
+    gap = metrics["batch.update_vs_batch_of_one"]
+    print(
+        "batch of one vs update_object: "
+        + ", ".join(f"{k} {v:.2f}" for k, v in gap.items() if k.endswith("_us"))
+    )
     for op, pct in sorted(overhead_off.items()):
         print(f"obs disabled overhead ({op}): {pct:+.2f}%")
     for op, pct in sorted(overhead_metrics.items()):

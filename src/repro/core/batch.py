@@ -3,30 +3,26 @@
 Update-intensive spatial workloads amortise per-update overhead by
 buffering updates and applying them in groups (cf. the LSM-based R-tree
 line of work in PAPERS.md).  The memo-based update of Section 3 makes
-this particularly clean for the RUM-tree: an update never needs the old
-entry, so a buffered batch can be *deduplicated per object* — only the
-last operation of each object has any effect on the final visible state
-— and the surviving insertions can be *reordered freely* without
-changing semantics.  This module implements the workload-independent
+this particularly clean: an update never needs the old entry, so a
+buffered batch can be *deduplicated per object* — only the last
+operation of each object has any effect on the final visible state —
+and the surviving insertions can be *reordered freely* without changing
+semantics.  This module implements the workload-independent
 half of that pipeline:
 
 * **Operation normalisation** — batches are sequences of plain tuples,
   ``("insert", oid, rect)``, ``("update", oid, new_rect[, old_rect])``
-  and ``("delete", oid[, old_rect])``.  The optional ``old_rect`` is
-  ignored by the RUM-tree (Section 3.2.1) but threaded through for the
-  top-down baselines, which need the currently-stored MBR to locate the
-  entry they must remove.
+  and ``("delete", oid[, old_rect])``.  A trailing ``old_rect`` is
+  accepted and ignored, as the memo-based update ignores it (Section
+  3.2.1).
 * **Last-write-wins dedup** (:func:`plan_batch`) — per oid, operations
-  fold left-to-right into at most one surviving operation.  For the
-  RUM-tree this is *exactly* equivalent to sequential application as
-  far as queries are concerned: sequentially, every superseded
-  insertion produces an entry that is obsolete the moment the next
-  stamp for the same oid is recorded, and the memo filter hides it from
-  every query.  Skipping it merely skips creating garbage (see
-  ``docs/BATCHING.md`` for the full argument).  For the baselines the
-  fold chains ``old_rect`` of the first folded operation onto the last
-  one, so the single surviving top-down update still finds the stored
-  entry.
+  fold left-to-right into at most one surviving operation.  This is
+  *exactly* equivalent to sequential application as far as queries are
+  concerned: sequentially, every superseded insertion produces an entry
+  that is obsolete the moment the next stamp for the same oid is
+  recorded, and the memo filter hides it from every query.  Skipping it
+  merely skips creating garbage (see ``docs/BATCHING.md`` for the full
+  argument).
 * **Z-order locality key** (:func:`repro.rtree.zorder.zorder_key`) —
   surviving insertions are sorted by the Morton code of their
   rectangle's centre, so consecutive choose-subtree descents land on
@@ -67,10 +63,6 @@ class BatchUpsert:
 
     oid: int
     rect: Rect
-    #: Stored MBR the top-down baselines must delete first; ``None`` for
-    #: a fresh insert (or when the producer knows the consumer is a
-    #: RUM-tree, which never needs it).
-    old_rect: Optional[Rect] = None
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,6 @@ class BatchDelete:
     """One surviving deletion of a batch plan."""
 
     oid: int
-    old_rect: Optional[Rect] = None
 
 
 @dataclass
@@ -127,48 +118,25 @@ class BatchResult:
         return max(0, self.write_marks - self.pages_written)
 
 
-# Per-oid fold state: (kind, new_rect, old_rect).  ``kind`` is one of
-# "insert" / "update" / "delete" / "noop" ("noop" = insert followed by
-# delete inside the same batch: the object never existed outside it).
-_FoldState = Tuple[str, Optional[Rect], Optional[Rect]]
+# Per-oid fold state: (kind, new_rect).  ``kind`` is one of "insert" /
+# "update" / "delete" / "noop" ("noop" = insert followed by delete inside
+# the same batch: the object never existed outside it).
+_FoldState = Tuple[str, Optional[Rect]]
 
 
 def _fold(state: Optional[_FoldState], op: Tuple) -> _FoldState:
-    """Fold the next operation of one oid onto its current state.
-
-    Left-to-right, last write wins; the ``old_rect`` of the *first*
-    folded operation is preserved so a top-down consumer still finds the
-    entry that is physically in its tree.
-    """
+    """Fold the next operation of one oid onto its current state
+    (left-to-right, last write wins)."""
     kind = op[0]
     new_rect = op[2] if kind in ("insert", "update") else None
-    op_old: Optional[Rect] = None
-    if kind == "update" and len(op) > 3:
-        op_old = op[3]
-    elif kind == "delete" and len(op) > 2:
-        op_old = op[2]
-
     if state is None:
-        return (kind, new_rect, op_old)
-    prev_kind, _prev_rect, prev_old = state
-    if prev_kind == "insert":
-        if kind == "delete":
-            return ("noop", None, None)
-        return ("insert", new_rect, None)
-    if prev_kind == "noop":
-        # The object does not exist at this point of the batch: any
-        # further write re-creates it from scratch.
-        if kind == "delete":
-            return ("noop", None, None)
-        return ("insert", new_rect, None)
-    # prev_kind is "update" or "delete": the object pre-exists the batch
-    # and prev_old (possibly None) locates its stored entry.
-    if kind == "delete":
-        return ("delete", None, prev_old)
-    if prev_kind == "delete":
-        # delete then re-insert: net effect is moving the stored entry.
-        return ("update", new_rect, prev_old)
-    return ("update", new_rect, prev_old)
+        return (kind, new_rect)
+    if state[0] in ("insert", "noop"):
+        # The object did not exist before the batch: a delete leaves
+        # nothing, any other write (re-)creates it from scratch.
+        return ("noop", None) if kind == "delete" else ("insert", new_rect)
+    # The object pre-exists the batch ("update" or "delete" so far).
+    return ("delete", None) if kind == "delete" else ("update", new_rect)
 
 
 def normalize_op(op: Sequence) -> Tuple:
@@ -214,15 +182,15 @@ def plan_batch(ops: Iterable[Sequence]) -> BatchPlan:
         states[oid] = _fold(states.get(oid), op)
 
     plan = BatchPlan(total_ops=total)
-    for oid, (kind, new_rect, old_rect) in states.items():
+    for oid, (kind, new_rect) in states.items():
         if kind == "noop":
             continue
         if kind == "delete":
-            plan.deletes.append(BatchDelete(oid, old_rect))
+            plan.deletes.append(BatchDelete(oid))
         elif new_rect is None:  # fold invariant: upserts carry a rect
             raise RuntimeError(f"batch fold lost the rect of oid {oid}")
         else:
-            plan.upserts.append(BatchUpsert(oid, new_rect, old_rect))
+            plan.upserts.append(BatchUpsert(oid, new_rect))
     if plan.upserts:
         # One bulk encode, then a keyed sort: same order as sorting by
         # (zorder_key(u.rect), u.oid) per element.

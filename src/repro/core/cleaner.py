@@ -33,8 +33,6 @@ token has taken at least as many steps as the ring had leaves when the
 cycle started; and a cycle whose start page was dissolved mid-cycle is
 *tainted* — its completion restarts the marker pipeline instead of
 purging, because the re-homed boundary leaf may not have been visited.
-``phantom_lag_cycles`` can hold each sample for extra cycles as
-additional safety margin.
 """
 
 from __future__ import annotations
@@ -67,6 +65,10 @@ Position = Hashable
 
 #: A zero I/O delta in flight-recorder field order.
 _NO_IO = (0,) * len(IO_FIELDS)
+
+#: Completed cycles a stamp sample ages before the purge uses it (the
+#: paper's rule: one).
+PHANTOM_LAG_CYCLES = 1
 
 
 class CleaningToken:
@@ -128,9 +130,6 @@ class GarbageCleaner:
         still cleans.
     phantom_inspection:
         Enable periodic purging of phantom memo entries.
-    phantom_lag_cycles:
-        How many completed cycles a stamp sample must age before the purge
-        uses it (1 = the paper's rule; see module docstring).
     """
 
     def __init__(
@@ -139,19 +138,15 @@ class GarbageCleaner:
         n_tokens: int = 1,
         inspection_ratio: float = 0.2,
         phantom_inspection: bool = True,
-        phantom_lag_cycles: int = 1,
     ):
         if n_tokens < 0:
             raise ValueError("n_tokens must be non-negative")
         if inspection_ratio < 0:
             raise ValueError("inspection_ratio must be non-negative")
-        if phantom_lag_cycles < 1:
-            raise ValueError("phantom_lag_cycles must be at least 1")
         self.host = host
         self.n_tokens = n_tokens
         self.inspection_ratio = inspection_ratio if n_tokens > 0 else 0.0
         self.phantom_inspection = phantom_inspection
-        self.phantom_lag_cycles = phantom_lag_cycles
         self.tokens: List[CleaningToken] = []
         self._step_credit = 0.0
         self._next_token = 0
@@ -327,7 +322,7 @@ class GarbageCleaner:
             token.pending_markers = [self.host.stamps.current]
             return
         token.pending_markers.append(self.host.stamps.current)
-        if len(token.pending_markers) > self.phantom_lag_cycles:
+        if len(token.pending_markers) > PHANTOM_LAG_CYCLES:
             marker = token.pending_markers.pop(0)
             shielded = self._purge_shield_current | self._purge_shield_previous
             purged = self.host.memo.purge_phantoms(marker, exclude=shielded)

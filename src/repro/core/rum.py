@@ -23,6 +23,7 @@ from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     ContextManager,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -36,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
     from repro.obs.explain import ExplainReport
 
-    from .batch import BatchPlan, BatchResult
-
 from repro.storage.buffer import BufferPool
 from repro.storage.wal import WriteAheadLog
 
@@ -45,6 +44,8 @@ from repro.rtree.base import RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import LeafEntry, Node
 
+from . import batch
+from .batch import BatchPlan, BatchResult
 from .cleaner import MemoHost
 from .memo import UpdateMemo
 from .stamp import StampCounter
@@ -105,7 +106,6 @@ class RUMTree(RTreeBase, MemoHost):
         checkpoint_interval: int = 10_000,
         wal: Optional[WriteAheadLog] = None,
         phantom_inspection: bool = True,
-        phantom_lag_cycles: int = 1,
         **kwargs,
     ):
         if not buffer.codec.rum_leaves:
@@ -133,7 +133,6 @@ class RUMTree(RTreeBase, MemoHost):
             stamp_counter=stamp_counter,
             n_tokens=n_tokens,
             phantom_inspection=phantom_inspection,
-            phantom_lag_cycles=phantom_lag_cycles,
         )
         self.recovery_option = recovery_option
         self.checkpoint_interval = checkpoint_interval
@@ -141,6 +140,8 @@ class RUMTree(RTreeBase, MemoHost):
         # Mutated by every update path; serialised by the structure
         # latch like the rest of the tree's volatile state.
         self._updates_since_checkpoint = 0  # guarded-by: latch
+        #: The batch counters and size histogram ``attach_obs`` binds.
+        self._obs_batch: Optional[tuple] = None
         #: The ring successor of the leaf a cleaning step is working on
         #: (see :meth:`clean_at`).
         self._ring_successor: Optional[int] = None
@@ -159,9 +160,19 @@ class RUMTree(RTreeBase, MemoHost):
             self.wal.attach_obs(attached)
         # The flight recorder's per-op memo columns ride the memo's
         # unconditional probe tallies (the baselines leave the base
-        # class's None in place and report zeros).
+        # class's None in place and report zeros).  Only the RUM-tree
+        # batches, so the batch row and its counters are bound here.
         if attached is not None and attached.metrics_on:
             self._obs_rec_memo = self.memo
+            reg = attached.registry
+            self._obs_kinds["batch"] = ("update_batch", None, None, None, None)
+            self._obs_batch = (
+                reg.counter("tree.batches"),
+                reg.counter("tree.batch_ops"),
+                reg.counter("tree.batch_deduped"),
+                reg.counter("tree.batch_coalesced_writes"),
+                reg.histogram("tree.batch_size", self._BATCH_BUCKETS),
+            )
 
     def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
         """Extend the base cascade to the memo and the stamp counter."""
@@ -177,15 +188,18 @@ class RUMTree(RTreeBase, MemoHost):
         return expected_memo_update_io(self.cleaner.inspection_ratio)
 
     # ------------------------------------------------------------------
-    # Memo-based insert / update / delete (Figures 4 and 5)
+    # The write path: one memo write per operation (Figures 4 and 5)
     # ------------------------------------------------------------------
 
     #: "Inserts and updates are the same operation": both feed the
     #: update drift model.
     _INSERT_IS_UPDATE = True
 
-    def _memo_based_insert(self, oid: int, rect: Rect) -> None:
-        """MemoBasedInsert (Figure 4) — the body of inserts and updates."""
+    def _memo_write(self, oid: int, rect: Optional[Rect]) -> None:  # holds: latch
+        """The body every RUM-tree write runs: bump the stamp, record it in
+        the memo, log it under Option III and, for an upsert, insert the
+        new entry.  A deletion (``rect`` None) never touches the tree: the
+        bump alone makes every entry of ``oid`` obsolete (Figure 5)."""
         stamp = self.stamps.next()
         # Update the memo first so that clean-upon-touch already sees the
         # previous entry of this object as obsolete while the target leaf
@@ -193,9 +207,30 @@ class RUMTree(RTreeBase, MemoHost):
         self.memo.record_update(oid, stamp)
         if self.recovery_option == RECOVERY_FULL_LOG:
             self.wal.append_memo_change(oid, stamp)
-        with self.buffer.operation():
-            self._insert(LeafEntry(rect, oid, stamp), 0, set())
-        self._after_update()
+        if rect is not None:
+            with self.buffer.operation():
+                self._insert(LeafEntry(rect, oid, stamp), 0, set())
+
+    def _accrue(self, n: int) -> None:  # holds: latch
+        """Count ``n`` applied writes toward the next UM checkpoint
+        (Options II and III) and write it when they reach the interval."""
+        if not n or self.recovery_option not in (
+            RECOVERY_CHECKPOINT, RECOVERY_FULL_LOG
+        ):
+            return
+        if self._rc is not None:
+            self._rc.access(self, "_updates_since_checkpoint", write=True)
+        self._updates_since_checkpoint += n
+        if self._updates_since_checkpoint >= self.checkpoint_interval:
+            self.write_checkpoint()
+
+    def _memo_based_insert(self, oid: int, rect: Optional[Rect]) -> None:
+        """One single write — MemoBasedInsert (Figure 4), or with no
+        ``rect`` MemoBasedDelete (Figure 5) — with its cleaner credit and
+        checkpoint accrual."""
+        self._memo_write(oid, rect)
+        self.cleaner.on_update()
+        self._accrue(1)
 
     _insert_body = _memo_based_insert
 
@@ -206,28 +241,8 @@ class RUMTree(RTreeBase, MemoHost):
         the object being updated is not required"* (Section 3.2.1)."""
         self._memo_based_insert(oid, new_rect)
 
-    def _memo_based_delete(
-        self, oid: int, old_rect: Optional[Rect] = None
-    ) -> None:
-        """MemoBasedDelete (Figure 5): a deletion never touches the tree —
-        it only bumps the memo so every tree entry of ``oid`` becomes
-        obsolete and is garbage-collected later."""
-        stamp = self.stamps.next()
-        self.memo.record_update(oid, stamp)
-        if self.recovery_option == RECOVERY_FULL_LOG:
-            self.wal.append_memo_change(oid, stamp)
-        self._after_update()
-
-    _delete_body = _memo_based_delete
-
-    def _after_update(self) -> None:  # holds: latch
-        self.cleaner.on_update()
-        if self.recovery_option in (RECOVERY_CHECKPOINT, RECOVERY_FULL_LOG):
-            if self._rc is not None:
-                self._rc.access(self, "_updates_since_checkpoint", write=True)
-            self._updates_since_checkpoint += 1
-            if self._updates_since_checkpoint >= self.checkpoint_interval:
-                self.write_checkpoint()
+    def _delete_body(self, oid: int, old_rect: Optional[Rect]) -> None:
+        self._memo_based_insert(oid, None)
 
     def write_checkpoint(self) -> None:  # holds: latch
         """Log the UM and the stamp counter (recovery options II/III)."""
@@ -242,14 +257,35 @@ class RUMTree(RTreeBase, MemoHost):
     # Batched ingestion (see repro.core.batch and docs/BATCHING.md)
     # ------------------------------------------------------------------
 
-    def _apply_batch_plan(self, plan: "BatchPlan") -> "BatchResult":  # holds: latch
-        """Memo-native batch application.
+    #: Histogram bounds for ingestion batch sizes (powers of four).
+    _BATCH_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
 
-        Replaces the generic per-operation loop of
-        :meth:`RTreeBase._apply_batch_plan` with the RUM-tree fast path:
-        every surviving operation is a stamp bump plus a memo record (and,
-        for upserts, one insertion) — no per-op spans, no per-op cleaner
-        or checkpoint bookkeeping.  The whole batch runs inside
+    def apply_batch(self, ops: Iterable[Sequence]) -> BatchResult:
+        """Apply a batch of ``("insert"|"update"|"delete", oid, ...)`` ops.
+
+        The batch is deduplicated per oid (last write wins) and its
+        surviving insertions are Z-ordered for locality; see
+        :mod:`repro.core.batch` for the op format and
+        :class:`~repro.core.batch.BatchResult` for the return value.
+        """
+        # Looked up on the module, so a tracer that wraps it is seen.
+        plan = batch.plan_batch(ops)
+        if self.obs is None:
+            return self._apply_batch_plan(plan)
+        result = self._observed(
+            "batch", self._apply_batch_plan, plan,
+            ops=plan.total_ops, deduped=plan.deduped,
+        )
+        batches, batch_ops, deduped, coalesced, sizes = self._obs_batch
+        batches.inc()
+        batch_ops.inc(result.total_ops)
+        deduped.inc(result.deduped)
+        coalesced.inc(result.coalesced_writes)
+        sizes.observe(float(result.total_ops))
+        return result
+
+    def _apply_batch_plan(self, plan: BatchPlan) -> BatchResult:  # holds: latch
+        """Run :meth:`_memo_write` for every surviving operation inside
 
         * one :meth:`BufferPool.batch_scope` — repeat leaf visits hit the
           pinned op cache and writeback coalesces into a single ordered
@@ -263,28 +299,21 @@ class RUMTree(RTreeBase, MemoHost):
           append_stamp_lease` and ``docs/BATCHING.md`` for the weakened
           mid-batch durability contract).
 
-        Cleaner stepping is amortised with
-        :meth:`GarbageCleaner.on_batch`: the same token steps run as for
-        sequential application, but back to back inside the batch scope
-        where their page writes coalesce with the batch's own writeback.
-        Checkpoint accounting advances once per batch, so at most one UM
-        checkpoint is written per batch (at its end, after the group
-        commit has made the batch's memo records durable).
+        The cleaner is credited once with :meth:`GarbageCleaner.on_batch`
+        inside the scopes, where its steps' page writes coalesce with the
+        batch's own writeback, and the batch accrues toward the checkpoint
+        after the group commit has made its memo records durable — so at
+        most one UM checkpoint is written per batch, at its end.
         """
-        from .batch import BatchResult
-
-        full_log = (
-            self.recovery_option == RECOVERY_FULL_LOG and self.wal is not None
-        )
-        if full_log and plan.surviving:
+        n = plan.surviving
+        full_log = self.recovery_option == RECOVERY_FULL_LOG
+        if full_log and n:
             # Reserve the batch's stamp range up front (forced
             # immediately, outside the group scope): the batch inserts
             # durable tree entries before its memo records are forced,
             # and recovery must never reissue a stamp that may sit on
             # such an entry orphaned by a crashed group commit.
-            self.wal.append_stamp_lease(
-                self.stamps.current + plan.surviving
-            )
+            self.wal.append_stamp_lease(self.stamps.current + n)
         wal_scope: ContextManager[None] = (
             self.wal.group_commit() if full_log else nullcontext()
         )
@@ -294,29 +323,14 @@ class RUMTree(RTreeBase, MemoHost):
         with self.buffer.batch_scope() as scope, wal_scope, \
                 self.memo.defer_spills():
             for d in plan.deletes:
-                stamp = self.stamps.next()
-                self.memo.record_update(d.oid, stamp)
-                if full_log:
-                    self.wal.append_memo_change(d.oid, stamp)
+                self._memo_write(d.oid, None)
             for u in plan.upserts:
-                stamp = self.stamps.next()
-                self.memo.record_update(u.oid, stamp)
-                if full_log:
-                    self.wal.append_memo_change(u.oid, stamp)
-                self._insert(LeafEntry(u.rect, u.oid, stamp), 0, set())
-            self.cleaner.on_batch(plan.surviving)
-        if (
-            self.recovery_option in (RECOVERY_CHECKPOINT, RECOVERY_FULL_LOG)
-            and plan.surviving
-        ):
-            if self._rc is not None:
-                self._rc.access(self, "_updates_since_checkpoint", write=True)
-            self._updates_since_checkpoint += plan.surviving
-            if self._updates_since_checkpoint >= self.checkpoint_interval:
-                self.write_checkpoint()
+                self._memo_write(u.oid, u.rect)
+            self.cleaner.on_batch(n)
+        self._accrue(n)
         return BatchResult(
             total_ops=plan.total_ops,
-            applied=plan.surviving,
+            applied=n,
             deduped=plan.deduped,
             inserts=len(plan.upserts),
             deletes=len(plan.deletes),

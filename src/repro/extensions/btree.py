@@ -70,6 +70,7 @@ class BTreeNode:
         "next_leaf",
         "cached_bytes",
         "columns",
+        "area_rows",
     )
 
     def __init__(self, page_id: int, is_leaf: bool):
@@ -83,11 +84,11 @@ class BTreeNode:
         self.next_leaf = NO_PAGE
         # Page image matching the current state (see repro.rtree.node.Node);
         # the buffer pool clears it on mark_dirty and reuses it on writes.
-        # ``columns`` is part of the same buffer-pool node contract (the
-        # pool invalidates it on mark_dirty); a B+-tree has no coordinate
-        # columns, so it simply stays None.
+        # ``columns`` and ``area_rows`` are part of the same buffer-pool
+        # node contract (the pool invalidates them on mark_dirty); a
+        # B+-tree has no coordinate columns, so they simply stay None.
         self.cached_bytes = None
-        self.columns = None
+        self.columns = self.area_rows = None
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -78,15 +78,14 @@ def _check_structure(tree: "RTreeBase") -> List[int]:
                     f"outside [{minimum}, {cap}]"
                 )
         if not node.is_leaf:
-            # ``RTreeBase._set_child`` patches a cached block and the area
-            # rows held over its columns in place: both must match a rebuild.
-            block, held = node.columns, tree._area_rows.get(node.page_id)
-            if block is not None and (
+            # ``RTreeBase._set_child`` patches a cached block and its area
+            # rows in place: both must match a rebuild, and rows never
+            # outlive their block.
+            block, rows = node.columns, node.area_rows
+            if rows is not None and (
+                block is None or rows != kernels.area_rows(block)
+            ) or block is not None and (
                 block != kernels.block_from_entries(node.entries)
-                or held is not None and held[0][1] is block[1] and (
-                    held[0] is not block
-                    or held[1] != kernels.area_rows(block)
-                )
             ):
                 _fail(f"node {node.page_id}: cached block or rows are stale")
             for entry in node.entries:

@@ -1,4 +1,4 @@
-"""The project-specific lint rules (REP001–REP009).
+"""The project-specific lint rules (REP001–REP010).
 
 Each rule enforces one convention that an earlier PR introduced and that
 nothing else checks mechanically.  Scoping is by path *segment* (e.g.
@@ -487,94 +487,6 @@ class NoAssertRule(LintRule):
                     "assert used for runtime validation; it disappears "
                     "under python -O — raise an exception instead",
                 )
-
-
-@register
-class HotPathKernelRule(LintRule):
-    """Hot-path modules must batch MBR predicates through the kernels.
-
-    Modules that declare ``HOT_PATH = True`` at module level (under
-    ``rtree/`` or ``storage/``) are on the measured query/update path;
-    their bulk geometry work is expected to go through
-    :mod:`repro.kernels` (``intersect_indices``, ``enlargements``,
-    ``split_tables``, ...), one call per node over its coordinate
-    columns.  A scalar :class:`~repro.rtree.geometry.Rect` predicate call
-    inside a loop or comprehension on such a module is almost always a
-    regression back to the per-entry path the kernels replaced — one
-    method dispatch and one Rect temporary per entry.  Genuine
-    single-shot uses inside a loop (e.g. one containment probe per
-    *node* rather than per entry) stay allowed via
-    ``# lint: disable=REP009`` with a justification.  Modules without
-    the marker are untouched: the marker is the module author's opt-in
-    statement that this file is hot.
-    """
-
-    rule_id = "REP009"
-    summary = (
-        "modules marked HOT_PATH = True (rtree/, storage/) must not "
-        "call scalar Rect predicates inside loops; use repro.kernels"
-    )
-
-    #: Rect predicate/metric methods with a bulk kernel equivalent.
-    _PREDICATES = {
-        "intersects",
-        "contains",
-        "contains_point",
-        "overlap_area",
-        "enlargement",
-        "min_dist",
-    }
-
-    _LOOPS = (
-        ast.For,
-        ast.AsyncFor,
-        ast.While,
-        ast.ListComp,
-        ast.SetComp,
-        ast.DictComp,
-        ast.GeneratorExp,
-    )
-
-    def _is_hot(self, tree: ast.Module) -> bool:
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "HOT_PATH"
-                ):
-                    return (
-                        isinstance(node.value, ast.Constant)
-                        and node.value.value is True
-                    )
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_segment("rtree", "storage"):
-            return
-        if not self._is_hot(ctx.tree):
-            return
-        seen: Set[int] = set()
-        for loop in ast.walk(ctx.tree):
-            if not isinstance(loop, self._LOOPS):
-                continue
-            for node in ast.walk(loop):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self._PREDICATES
-                    and id(node) not in seen
-                ):
-                    seen.add(id(node))
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"scalar Rect predicate '.{node.func.attr}()' in "
-                        "a loop on a HOT_PATH module; batch it through a "
-                        "repro.kernels bulk kernel (or justify with "
-                        "'# lint: disable=REP009')",
-                    )
 
 
 @register

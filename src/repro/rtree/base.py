@@ -29,7 +29,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -47,7 +46,6 @@ from repro.storage.iostats import io_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.concurrency.racecheck import RaceChecker
-    from repro.core.batch import BatchPlan, BatchResult
     from repro.obs import Observability
     from repro.obs.explain import ExplainReport, TraversalObserver
 
@@ -55,11 +53,11 @@ from .geometry import Rect
 from .node import NO_PAGE, Entry, IndexEntry, LeafEntry, Node
 from .split import choose_reinsert_entries, quadratic_split, rstar_split
 
-#: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
-#: must go through :mod:`repro.kernels` (see docs/LINT.md).
-HOT_PATH = True
-
 SplitFunction = Callable[[Sequence, int], Tuple[list, list]]
+
+#: Size of the candidate list for the R* overlap-minimising ChooseSubtree
+#: at the leaf-parent level.
+CHOOSE_SUBTREE_CANDIDATES = 8
 
 #: Consecutive mutation-free range searches before a query mirror is built.
 #: Hysteresis: mixed update/query phases never pay the build walk, while a
@@ -122,9 +120,6 @@ class RTreeBase:
         Keep the circular doubly-linked leaf list up to date.  The RUM-tree
         needs it for cleaning tokens; the baselines leave it off to avoid
         charging them the ring-maintenance writes.
-    choose_subtree_candidates:
-        Size of the candidate list for the R* overlap-minimising
-        ChooseSubtree at the leaf-parent level.
     attach:
         Adopt an existing on-disk tree instead of creating a fresh root:
         a dict with ``root_id``, ``height``, and ``parent`` (the parent
@@ -140,7 +135,6 @@ class RTreeBase:
         forced_reinsert: bool = True,
         min_fill: float = 0.4,
         maintain_leaf_ring: bool = False,
-        choose_subtree_candidates: int = 8,
         attach: Optional[Dict] = None,
     ):
         if split not in _SPLIT_FUNCTIONS:
@@ -152,9 +146,6 @@ class RTreeBase:
         self.split_fn: SplitFunction = _SPLIT_FUNCTIONS[split]
         self.forced_reinsert = forced_reinsert
         self.maintain_leaf_ring = maintain_leaf_ring
-        self.choose_subtree_candidates = choose_subtree_candidates
-        #: directory page id -> (coordinate block, its ``kernels.area_rows``)
-        self._area_rows: Dict[int, Tuple[object, list]] = {}
 
         codec = buffer.codec
         self.leaf_cap = codec.leaf_cap
@@ -220,9 +211,6 @@ class RTreeBase:
     #: handful of page accesses; the tail catches pathological queries).
     _IO_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 128.0)
 
-    #: Histogram bounds for ingestion batch sizes (powers of four).
-    _BATCH_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
-
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Attach observability to this tree and its whole storage stack.
 
@@ -251,13 +239,6 @@ class RTreeBase:
             )
             query_io = reg.histogram("tree.query_leaf_io", self._IO_BUCKETS)
             reg.gauge("tree.height").set_function(lambda: self.height)
-            self._obs_batch = (
-                reg.counter("tree.batches"),
-                reg.counter("tree.batch_ops"),
-                reg.counter("tree.batch_deduped"),
-                reg.counter("tree.batch_coalesced_writes"),
-                reg.histogram("tree.batch_size", self._BATCH_BUCKETS),
-            )
             # Flight recorder + drift monitor (always on at metrics and
             # above; the hot path reaches them only through these bound
             # references — lint rule REP010).
@@ -289,7 +270,6 @@ class RTreeBase:
                     "knn", reg.counter("tree.knn_queries"), query_io,
                     None, None,
                 ),
-                "batch": ("update_batch", None, None, None, None),
             }
 
     def _obs_unbind(self) -> None:
@@ -299,7 +279,6 @@ class RTreeBase:
         self._obs_kinds: Dict[str, tuple] = {}
         self._obs_c_updates = self._obs_c_queries = None
         self._obs_h_update_io = None
-        self._obs_batch = None
         #: Flight recorder and drift monitor.  The memo reference is
         #: populated by the RUM subclass (the baselines have no memo) so
         #: per-op memo lookup/hit deltas — read off the memo's
@@ -587,63 +566,6 @@ class RTreeBase:
         returns them: MBR adjustment needs to know what left.
         """
 
-    # ------------------------------------------------------------------
-    # Batched ingestion (generic fallback)
-    # ------------------------------------------------------------------
-
-    def apply_batch(self, ops: Iterable[Sequence]) -> "BatchResult":
-        """Apply a batch of ``("insert"|"update"|"delete", oid, ...)`` ops.
-
-        Generic fallback shared by the baselines for like-for-like
-        comparison with the RUM-tree's memo-native override: the batch is
-        deduplicated per oid (last write wins), the surviving insertions
-        are Z-ordered for locality, and everything runs inside one
-        buffer batch scope so repeat leaf touches coalesce into a single
-        ordered writeback.  The per-operation *structural* work — a
-        top-down delete per update, here — is unchanged; only the
-        plumbing is amortised.  See :mod:`repro.core.batch` for the op
-        format and :class:`~repro.core.batch.BatchResult` for the return
-        value.
-        """
-        from repro.core.batch import plan_batch
-
-        plan = plan_batch(ops)
-        if self.obs is None:
-            return self._apply_batch_plan(plan)
-        result = self._observed(
-            "batch", self._apply_batch_plan, plan,
-            ops=plan.total_ops, deduped=plan.deduped,
-        )
-        batches, batch_ops, deduped, coalesced, sizes = self._obs_batch
-        batches.inc()
-        batch_ops.inc(result.total_ops)
-        deduped.inc(result.deduped)
-        coalesced.inc(result.coalesced_writes)
-        sizes.observe(float(result.total_ops))
-        return result
-
-    def _apply_batch_plan(self, plan: "BatchPlan") -> "BatchResult":
-        """Sequentially replay a batch plan inside one batch scope."""
-        from repro.core.batch import BatchResult
-
-        with self.buffer.batch_scope() as scope:
-            for d in plan.deletes:
-                self.delete_object(d.oid, d.old_rect)
-            for u in plan.upserts:
-                if u.old_rect is None:
-                    self.insert_object(u.oid, u.rect)
-                else:
-                    self.update_object(u.oid, u.old_rect, u.rect)
-        return BatchResult(
-            total_ops=plan.total_ops,
-            applied=plan.surviving,
-            deduped=plan.deduped,
-            inserts=len(plan.upserts),
-            deletes=len(plan.deletes),
-            write_marks=scope.write_marks,
-            pages_written=scope.pages_written,
-        )
-
     def _choose_node(self, rect: Rect, level: int) -> Tuple[Node, list]:
         """Descend from the root to a node at ``level`` (leaves = level 0);
         returns it and the path there: the ``(directory node, child
@@ -682,15 +604,12 @@ class RTreeBase:
             return 0
         rx1, ry1, rx2, ry2 = rect.xmin, rect.ymin, rect.xmax, rect.ymax
         block = node.coord_block()
-        # The area-ordered rows live exactly as long as the block they were
-        # built from: ``mark_dirty`` drops the block, and the identity test
-        # sees it.
-        held = self._area_rows.get(node.page_id)
-        if held is None or held[0] is not block:
-            held = self._area_rows[node.page_id] = (
-                block, kernels.area_rows(block)
-            )
-        least = kernels.least_enlargement(held[1], rx1, ry1, rx2, ry2)
+        # The area-ordered rows sit on the node beside the block they were
+        # built from, and ``mark_dirty`` drops both in one statement.
+        rows = node.area_rows
+        if rows is None:
+            rows = node.area_rows = kernels.area_rows(block)
+        least = kernels.least_enlargement(rows, rx1, ry1, rx2, ry2)
         if not leaf_children or least[0] == 0.0:
             # Above the leaf parents least enlargement decides.  At the
             # leaf parents a child the new rect fits without growing
@@ -704,7 +623,7 @@ class RTreeBase:
             yield least
             enls, node_areas = kernels.enlargements(block, rx1, ry1, rx2, ry2)
             ranked = sorted(zip(enls, node_areas, range(n)))
-            yield from ranked[1 : self.choose_subtree_candidates]
+            yield from ranked[1:CHOOSE_SUBTREE_CANDIDATES]
 
         best_idx = least[2]
         best_key: Optional[Tuple[float, float, float]] = None
@@ -848,24 +767,22 @@ class RTreeBase:
         and ``mark_dirty`` it, patching rather than dropping its cached
         block and area rows: a row keyed ``(area, index)`` sits where the
         stable sort of ``kernels.area_rows`` puts it."""
-        block = parent.columns
+        block, rows = parent.columns, parent.area_rows
         parent.entries[idx:idx + 1] = [entry]  # replace, or append at n
         self.buffer.mark_dirty(parent)
         if block is None:
             return
         n, xs1, ys1, xs2, ys2 = block
-        held = self._area_rows.get(parent.page_id)
-        rows = held[1] if held is not None and held[0] is block else None
         if rows is not None and idx < n:
             old = (xs2[idx] - xs1[idx]) * (ys2[idx] - ys1[idx])
             del rows[bisect_left(rows, (old, idx))]
         x1, y1, x2, y2 = entry.rect.as_tuple()
         xs1[idx:idx + 1], ys1[idx:idx + 1] = [x1], [y1]
         xs2[idx:idx + 1], ys2[idx:idx + 1] = [x2], [y2]
-        parent.columns = block = (len(xs1), xs1, ys1, xs2, ys2)
+        parent.columns = (len(xs1), xs1, ys1, xs2, ys2)
         if rows is not None:
             insort(rows, ((x2 - x1) * (y2 - y1), idx, x1, y1, x2, y2))
-            self._area_rows[parent.page_id] = (block, rows)
+            parent.area_rows = rows
 
     # ------------------------------------------------------------------
     # Leaf ring (Section 3.3.1)

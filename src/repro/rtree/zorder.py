@@ -28,10 +28,6 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .geometry import Rect
 
-#: Hot-path marker for lint rule REP009 (see docs/LINT.md): batch
-#: planning and shard routing encode a key per operation through here.
-HOT_PATH = True
-
 #: Quantisation resolution of the Z-order key (bits per dimension).
 ZORDER_BITS = 16
 

@@ -79,6 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (shard trees are small; short descents beat page capacity).
 DEFAULT_SHARD_NODE_SIZE = 2048
 
+#: Oid stripes of the routing directory; each stripe has its own lock, so
+#: updates of different objects rarely contend.
+STRIPES = 64
+
 
 def _require_finite(rect: Rect) -> None:
     """A NaN rectangle is an object no window finds and no cell owns, an
@@ -116,12 +120,8 @@ class ShardRouter:
     io_latency:
         Seconds of simulated disk time per leaf access, served by one
         I/O channel per shard (0 disables the simulation).
-    fanout_workers:
-        Worker-pool size for multi-shard queries (default:
-        ``n_shards``).
-    stripes:
-        Number of oid stripes in the routing directory; each stripe has
-        its own lock, so updates of different objects rarely contend.
+
+    Multi-shard queries fan out over a pool of ``n_shards`` workers.
     """
 
     def __init__(
@@ -132,8 +132,6 @@ class ShardRouter:
         recovery_option: Optional[str] = None,
         memo_dir: Optional[str] = None,
         io_latency: float = 0.0,
-        fanout_workers: Optional[int] = None,
-        stripes: int = 64,
         obs: Optional["Observability"] = None,
         **tree_kwargs: Any,
     ) -> None:
@@ -161,13 +159,10 @@ class ShardRouter:
             self.shards.append(Shard(i, tree, Rect(*shard_region(i, self._bits))))
         # Routing directory: oid -> shard index, striped by oid.  Every
         # access happens under the oid's stripe lock.
-        if stripes < 1:
-            raise ValueError("stripes must be positive")
-        self._stripes = stripes
         self._stripe_locks: List[LockLike] = [
-            make_lock() for _ in range(stripes)
+            make_lock() for _ in range(STRIPES)
         ]
-        self._directory: List[Dict[int, int]] = [{} for _ in range(stripes)]
+        self._directory: List[Dict[int, int]] = [{} for _ in range(STRIPES)]
         # The fan-out test's cells (_targets): every region grown by the
         # quantisation slack, once.
         self._cells = [
@@ -189,9 +184,6 @@ class ShardRouter:
         self._n_queries = 0
         self._n_knn = 0
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._fanout_workers = (
-            fanout_workers if fanout_workers is not None else n_shards
-        )
         self._rc: Optional["RaceChecker"] = racecheck.from_env()
         self._obs_migrations: Optional["Counter"] = None
         self._obs_fanout: Optional["Counter"] = None
@@ -290,7 +282,7 @@ class ShardRouter:
         _require_finite(rect)
         target = self.shard_for_rect(rect)
         self._note_extent(rect)
-        stripe = oid % self._stripes
+        stripe = oid % STRIPES
         simulate = self.io_latency > 0.0
         with self._stripe_locks[stripe]:
             if self._rc is not None:
@@ -335,7 +327,7 @@ class ShardRouter:
 
     def delete(self, oid: int) -> bool:
         """Remove ``oid``; returns whether it existed."""
-        stripe = oid % self._stripes
+        stripe = oid % STRIPES
         with self._stripe_locks[stripe]:
             if self._rc is not None:
                 self._rc.access(self, f"directory[{stripe}]", write=True)
@@ -355,7 +347,7 @@ class ShardRouter:
         pool = self._pool
         if pool is None:
             pool = ThreadPoolExecutor(
-                max_workers=self._fanout_workers,
+                max_workers=self.n_shards,
                 thread_name_prefix="shard-fanout",
             )
             self._pool = pool
@@ -465,7 +457,7 @@ class ShardRouter:
     def count_objects(self) -> int:
         """Live objects according to the routing directory."""
         total = 0
-        for stripe in range(self._stripes):
+        for stripe in range(STRIPES):
             with self._stripe_locks[stripe]:
                 if self._rc is not None:
                     self._rc.access(
@@ -477,7 +469,7 @@ class ShardRouter:
     def shard_object_counts(self) -> List[int]:
         """Directory objects per shard (the routing balance)."""
         counts = [0] * self.n_shards
-        for stripe in range(self._stripes):
+        for stripe in range(STRIPES):
             with self._stripe_locks[stripe]:
                 if self._rc is not None:
                     self._rc.access(

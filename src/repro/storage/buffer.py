@@ -53,27 +53,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .codec import NodeCodec
 
 
-#: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
-#: must go through :mod:`repro.kernels` (see docs/LINT.md).
-HOT_PATH = True
-
-
 @dataclass
 class BatchScopeStats:
     """What one :meth:`BufferPool.batch_scope` saw and saved.
 
     ``write_marks`` counts every leaf ``mark_dirty`` inside the scope;
     ``pages_written`` the distinct dirty pages actually written at exit.
-    Their difference — :attr:`coalesced_writes` — is the number of leaf
-    writes the batch amortised away versus per-operation writeback.
+    Their difference (``BatchResult.coalesced_writes``) is the number of
+    leaf writes the batch amortised away versus per-operation writeback.
     """
 
     write_marks: int = 0
     pages_written: int = 0
-
-    @property
-    def coalesced_writes(self) -> int:
-        return max(0, self.write_marks - self.pages_written)
 
 
 class _OperationScope:
@@ -175,8 +166,6 @@ class BufferPool:
         self.write_back_count = 0
         # Telemetry counters bound by attach_obs(); None = disabled.
         self._obs_evictions: Optional[Counter] = None
-        self._obs_batch_scopes: Optional[Counter] = None
-        self._obs_batch_coalesced: Optional[Counter] = None
         self._rc: Optional["RaceChecker"] = None
         # Shared-access guard (None = single-writer discipline; see
         # enable_shared_access).  When set, every cache-touching entry
@@ -227,14 +216,9 @@ class BufferPool:
         """
         if obs is None or not obs.metrics_on:
             self._obs_evictions = None
-            self._obs_batch_scopes = self._obs_batch_coalesced = None
         else:
             reg = obs.registry
             self._obs_evictions = reg.counter("buffer.evictions")
-            self._obs_batch_scopes = reg.counter("buffer.batch_scopes")
-            self._obs_batch_coalesced = reg.counter(
-                "buffer.batch_coalesced_writes"
-            )
             reg.gauge("buffer.hits").set_function(
                 lambda: float(self.hit_count)
             )
@@ -278,31 +262,22 @@ class BufferPool:
 
     @contextmanager
     def batch_scope(self) -> Iterator[BatchScopeStats]:
-        """Pin pages across many operations; one ordered flush at exit.
+        """An :meth:`operation` plus a tally of what it coalesced.
 
-        Behaves like an :meth:`operation` that outlives every operation
-        opened inside it (those flatten into the scope), so a leaf page
+        Every operation opened inside it flattens into it, so a leaf page
         touched by several updates of one batch is read once and written
         once.  Yields a :class:`BatchScopeStats` that, after exit, reports
-        how many leaf writes the coalescing saved.  Nested batch scopes
-        flatten into the outermost one (the inner scope's stats then only
-        see its own dirty-marks; pages are written by the outer exit).
+        how many leaf writes the coalescing saved.  Nested scopes flatten
+        into the outermost one (an inner tally then only sees its own
+        dirty-marks; pages are written, and counted, by the outer exit).
         """
         stats = BatchScopeStats()
-        previous = self._batch
-        self._batch = stats
-        self._op_depth += 1
+        previous, self._batch = self._batch, stats
         try:
-            yield stats
+            with self._op_scope:
+                yield stats
         finally:
-            self._op_depth -= 1
             self._batch = previous
-            if self._op_depth == 0:
-                written = self._flush_op_cache()
-                stats.pages_written = written
-                if self._obs_batch_scopes is not None:
-                    self._obs_batch_scopes.inc()
-                    self._obs_batch_coalesced.inc(stats.coalesced_writes)
 
     @property
     def in_operation(self) -> bool:
@@ -329,6 +304,8 @@ class BufferPool:
                 self.stats.record_write(is_leaf=True)
                 written += 1
             self.write_back_count += written
+        if self._batch is not None:
+            self._batch.pages_written = written
         self._dirty_leaves.clear()
         self._op_leaf_cache.clear()
         return written
@@ -538,7 +515,7 @@ class BufferPool:
             self._rc.access(self, "caches", write=True)
         self.version += 1
         node.cached_bytes = None
-        node.columns = None
+        node.columns = node.area_rows = None
         if node.is_leaf:
             batch = self._batch
             if batch is not None:

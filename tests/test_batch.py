@@ -2,9 +2,9 @@
 
 Covers the four layers the pipeline spans: the pure batch planner
 (``repro.core.batch``), the buffer pool's batch scope, the WAL's group
-commit (including its crash semantics), and ``apply_batch`` on both the
-RUM-tree (memo-native path) and the top-down baselines (generic path).
-The centrepiece is the equivalence property: applying a batch must be
+commit (including its crash semantics), and the RUM-tree's
+``apply_batch``, which runs the same per-op memo write as a single
+update inside its scopes.  The centrepiece is the equivalence property: applying a batch must be
 observably identical to applying the same operations sequentially.
 
 Under ``REPRO_MEMO_SPILL_BUDGET`` (CI's memo spill-tier leg) every RUM
@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 from conftest import SMALL_NODE, memo_on_a_run_tier, populate, random_window
 from repro.core.batch import plan_batch, zorder_key
-from repro.factory import build_rstar_tree, build_rum_tree
+from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
 from repro.lint.invariants import check_tree
 from repro.rtree.geometry import Rect
 from repro.storage.faults import FaultInjector, SimulatedCrash
@@ -59,22 +59,19 @@ class TestPlanBatch:
         assert len(plan.upserts) == 5
         assert plan.deduped == 0
 
-    def test_update_chain_keeps_last_rect_and_first_old_rect(self):
-        first_old = _rect(0.1, 0.1)
+    def test_update_chain_keeps_last_rect(self):
+        # A trailing old_rect is accepted and ignored (Section 3.2.1).
         plan = plan_batch(
             [
-                ("update", 7, _rect(0.2, 0.2), first_old),
+                ("update", 7, _rect(0.2, 0.2), _rect(0.1, 0.1)),
                 ("update", 7, _rect(0.3, 0.3), _rect(0.2, 0.2)),
-                ("update", 7, _rect(0.4, 0.4), _rect(0.3, 0.3)),
+                ("update", 7, _rect(0.4, 0.4)),
             ]
         )
         assert plan.total_ops == 3
         assert plan.deduped == 2
         (up,) = plan.upserts
-        assert up.rect == _rect(0.4, 0.4)
-        # A top-down consumer must delete the entry that is physically
-        # stored, which is the old_rect of the FIRST folded operation.
-        assert up.old_rect == first_old
+        assert (up.oid, up.rect) == (7, _rect(0.4, 0.4))
 
     def test_insert_then_delete_is_noop(self):
         plan = plan_batch(
@@ -101,7 +98,6 @@ class TestPlanBatch:
         assert not plan.deletes
         (up,) = plan.upserts
         assert up.rect == _rect(0.8, 0.8)
-        assert up.old_rect == stored
 
     def test_noop_then_insert_is_fresh_insert(self):
         plan = plan_batch(
@@ -113,20 +109,17 @@ class TestPlanBatch:
         )
         (up,) = plan.upserts
         assert up.rect == _rect(0.9, 0.9)
-        assert up.old_rect is None
 
-    def test_update_then_delete_keeps_first_old_rect(self):
-        stored = _rect(0.3, 0.3)
+    def test_update_then_delete_is_a_delete(self):
         plan = plan_batch(
             [
-                ("update", 5, _rect(0.4, 0.4), stored),
+                ("update", 5, _rect(0.4, 0.4), _rect(0.3, 0.3)),
                 ("delete", 5),
             ]
         )
         assert not plan.upserts
         (dl,) = plan.deletes
         assert dl.oid == 5
-        assert dl.old_rect == stored
 
     def test_upserts_sorted_by_zorder(self):
         rng = random.Random(42)
@@ -302,26 +295,11 @@ class TestBatchSequentialEquivalence:
         # versions are never physically inserted.
         assert batch_tree.garbage_count() <= seq_tree.garbage_count()
 
-    def test_batch_on_rstar_baseline_matches_sequential(self):
-        seq_tree = build_rstar_tree(node_size=SMALL_NODE)
-        batch_tree = build_rstar_tree(node_size=SMALL_NODE)
-        positions = populate(seq_tree, 40, seed=21)
-        populate(batch_tree, 40, seed=21)
-        rng = random.Random(5)
-        ops, alive = _make_ops(rng, positions, 120)
-
-        _apply_sequentially(seq_tree, ops)
-        result = batch_tree.apply_batch(ops)
-        assert result.applied == result.inserts + result.deletes
-
-        wrng = random.Random(6)
-        for _ in range(20):
-            window = random_window(wrng)
-            assert sorted(batch_tree.search(window)) == sorted(
-                seq_tree.search(window)
-            )
-        check_tree(seq_tree)
-        check_tree(batch_tree)
+    def test_baselines_do_not_batch(self):
+        # Batching is the memo's: a top-down or bottom-up update needs the
+        # stored entry, which a deduplicated batch does not carry.
+        for build in (build_rstar_tree, build_fur_tree):
+            assert not hasattr(build(node_size=SMALL_NODE), "apply_batch")
 
     def test_batch_coalesces_writes(self):
         tree = build_rum_tree(node_size=SMALL_NODE)
@@ -449,6 +427,66 @@ class TestBatchAmortisation:
         )
         assert tree.wal.checkpoint_count() == checkpoints_before + 1
         assert tree._updates_since_checkpoint == 0
+
+    @pytest.mark.parametrize("option", ["II", "III"])
+    def test_single_writes_and_batches_share_one_counter(self, option):
+        """Single writes and batches accrue toward one checkpoint counter
+        and credit one cleaner: the crossing batch writes exactly one
+        checkpoint, after its closing force."""
+        tree = build_rum_tree(
+            node_size=SMALL_NODE,
+            inspection_ratio=0.3,
+            recovery_option=option,
+            checkpoint_interval=10,
+        )
+        populate(tree, 30, seed=73)
+        tree.write_checkpoint()
+        wal, cleaner = tree.wal, tree.cleaner
+        checkpoints = wal.checkpoint_count()
+        seen = cleaner.updates_seen
+        at_checkpoint = []
+        append_checkpoint = wal.append_checkpoint
+
+        def recording_checkpoint(*args):
+            at_checkpoint.append(
+                (wal.in_group_commit, wal.durable_records(), len(wal))
+            )
+            return append_checkpoint(*args)
+
+        wal.append_checkpoint = recording_checkpoint
+        rng = random.Random(74)
+
+        def moved(oid):
+            return ("update", oid, _rect(rng.random(), rng.random()))
+
+        for oid in range(4):
+            tree.update_object(oid, None, moved(oid)[2])
+        tree.delete_object(4)
+        tree.insert_object(30, _rect(0.5, 0.5))
+        tree.apply_batch([moved(5), moved(6), ("delete", 7)])
+        # 4 updates + 1 delete + 1 insert + a batch of 3: 9 of 10.
+        assert wal.checkpoint_count() == checkpoints
+        assert tree._updates_since_checkpoint == 9
+        assert cleaner.updates_seen == seen + 9
+
+        # Two surviving ops (the third folds away) cross the interval.
+        tree.apply_batch([moved(8), moved(9), moved(9)])
+        assert wal.checkpoint_count() == checkpoints + 1
+        assert tree._updates_since_checkpoint == 0
+        assert cleaner.updates_seen == seen + 11
+        # The checkpoint was appended outside the group commit with every
+        # earlier record durable: after the batch's closing force.
+        ((in_group, durable, logged),) = at_checkpoint
+        assert not in_group and durable == logged
+        if option == "III":
+            *batch, last = wal.read_from(0)[-3:]
+            assert sorted(r.payload[0] for r in batch) == [8, 9]
+            assert last.kind == "checkpoint"
+
+        tree.update_object(0, None, _rect(0.1, 0.1))
+        assert tree._updates_since_checkpoint == 1
+        assert wal.checkpoint_count() == checkpoints + 1
+        assert cleaner.updates_seen == seen + 12
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ class TestConfiguration:
             GarbageCleaner(tree, n_tokens=-1)
         with pytest.raises(ValueError):
             GarbageCleaner(tree, inspection_ratio=-0.5)
-        with pytest.raises(ValueError):
-            GarbageCleaner(tree, phantom_lag_cycles=0)
 
     def test_fractional_ratio_realised_exactly(self):
         tree = _token_tree(ir=0.3)
@@ -135,7 +133,7 @@ class TestPropertyOne:
 
 class TestPhantomInspection:
     def test_phantoms_eventually_purged(self):
-        tree = _token_tree(ir=0.5, phantom_lag_cycles=1)
+        tree = _token_tree(ir=0.5)
         positions = populate(tree, 60, seed=95)
         # Operations on objects that never existed create phantoms.
         for oid in (900, 901, 902):
@@ -148,7 +146,7 @@ class TestPhantomInspection:
         assert_search_matches_oracle(tree, positions)
 
     def test_purge_counts_reported(self):
-        tree = _token_tree(ir=0.5, phantom_lag_cycles=1)
+        tree = _token_tree(ir=0.5)
         populate(tree, 40, seed=96)
         for oid in range(500, 510):
             tree.delete_object(oid)
@@ -158,7 +156,7 @@ class TestPhantomInspection:
 
     def test_correctness_with_aggressive_phantom_inspection(self):
         """Even with the paper's single-cycle rule, queries stay correct."""
-        tree = _token_tree(ir=0.6, phantom_lag_cycles=1)
+        tree = _token_tree(ir=0.6)
         positions = populate(tree, 100, seed=97)
         random_walk(tree, positions, steps=700, seed=98, distance=0.15)
         assert_search_matches_oracle(tree, positions)

@@ -422,9 +422,9 @@ def test_least_enlargement_is_min_of_enlargements(rects, new, data):
 
 
 def test_choose_subtree_decides_a_dirtied_node_from_fresh_rows():
-    """The area order is cached per directory node and keyed on the
-    identity of its coordinate block, so a node ``mark_dirty`` has
-    touched is decided from its new entries — whatever its page id."""
+    """The area order is cached on the directory node beside its
+    coordinate block and dropped with it, so a node ``mark_dirty`` has
+    touched is decided from its new entries."""
     tree = build_rstar_tree(node_size=512)
     buffer = tree.buffer
     with buffer.operation():
@@ -499,7 +499,7 @@ def test_set_child_patches_block_and_rows_to_what_a_rebuild_gives(
         n = len(node.entries)
         # Decide once so the node holds a block and its rows to patch.
         tree._choose_child_index(node, Rect(*probes[0]), False)
-        held = tree._area_rows.get(node.page_id)
+        held = node.area_rows
         if kind == "append":
             idx = n
         else:
@@ -514,10 +514,8 @@ def test_set_child_patches_block_and_rows_to_what_a_rebuild_gives(
                 [v for col in block[1:] for v in col]
             ) == _bits([v for col in fresh[1:] for v in col])
             assert block[0] == len(node.entries)
-            assert tree._area_rows[node.page_id][0] is block
-            assert _row_bits(tree._area_rows[node.page_id][1]) == _row_bits(
-                kernels.area_rows(fresh)
-            )
+            assert node.area_rows is held
+            assert _row_bits(held) == _row_bits(kernels.area_rows(fresh))
         reference = build_rstar_tree(node_size=512)
         rebuilt = Node(node.page_id, False, list(node.entries))
         for probe in probes:

@@ -29,7 +29,6 @@ ALL_RULE_IDS = (
     "REP006",
     "REP007",
     "REP008",
-    "REP009",
     "REP010",
     "REP011",
     "REP012",
@@ -365,93 +364,6 @@ class TestNoAssert:
             """,
         )
         assert lint(tmp_path, "REP008") == []
-
-
-class TestHotPathKernel:
-    HOT_BAD = """
-        HOT_PATH = True
-
-        def search(entries, window):
-            return [e for e in entries if e.rect.intersects(window)]
-
-        def choose(entries, rect):
-            best = None
-            for entry in entries:
-                delta = entry.rect.enlargement(rect)
-                if best is None or delta < best:
-                    best = delta
-            return best
-    """
-
-    def test_flags_predicates_in_loops_on_hot_modules(self, tmp_path):
-        write(tmp_path, "rtree/x.py", self.HOT_BAD)
-        diags = lint(tmp_path, "REP009")
-        assert len(diags) == 2
-        assert {"intersects", "enlargement"} == {
-            d.message.split("'")[1].strip(".()")
-            for d in diags
-        }
-
-    def test_storage_scope_and_while_loops(self, tmp_path):
-        write(
-            tmp_path,
-            "storage/x.py",
-            """
-            HOT_PATH = True
-
-            def drain(queue, window):
-                while queue:
-                    if queue.pop().contains(window):
-                        break
-            """,
-        )
-        assert len(lint(tmp_path, "REP009")) == 1
-
-    def test_unmarked_module_not_flagged(self, tmp_path):
-        write(
-            tmp_path,
-            "rtree/cold.py",
-            """
-            def search(entries, window):
-                return [e for e in entries if e.rect.intersects(window)]
-            """,
-        )
-        assert lint(tmp_path, "REP009") == []
-
-    def test_outside_scope_not_flagged(self, tmp_path):
-        write(tmp_path, "experiments/x.py", self.HOT_BAD)
-        assert lint(tmp_path, "REP009") == []
-
-    def test_call_outside_loop_allowed(self, tmp_path):
-        write(
-            tmp_path,
-            "rtree/x.py",
-            """
-            HOT_PATH = True
-
-            def probe(rect, window):
-                return rect.intersects(window)
-            """,
-        )
-        assert lint(tmp_path, "REP009") == []
-
-    def test_suppression(self, tmp_path):
-        write(
-            tmp_path,
-            "rtree/x.py",
-            """
-            HOT_PATH = True
-
-            def one_probe_per_node(nodes, window):
-                out = []
-                for node in nodes:
-                    # One containment probe per *node*, not per entry.
-                    if node.mbr.contains(window):  # lint: disable=REP009
-                        out.append(node)
-                return out
-            """,
-        )
-        assert lint(tmp_path, "REP009") == []
 
 
 class TestEngine:

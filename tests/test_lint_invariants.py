@@ -13,6 +13,7 @@ from conftest import SMALL_NODE, populate
 from repro.factory import build_rstar_tree, build_rum_tree
 from repro.lint.invariants import InvariantViolation, check_tree
 from repro.rtree.geometry import Rect
+from repro.rtree.node import IndexEntry
 
 
 def corrupt_leaf(tree, mutate):
@@ -144,16 +145,16 @@ STALE_CACHE = "cached block or rows are stale"
 
 
 class TestCachedBlockCorruption:
-    """A directory node's cached block and the area rows the tree holds
-    for it are edited in place (``RTreeBase._set_child``): a patch that
-    goes astray must fail the check."""
+    """A directory node's cached block and its area rows are edited in
+    place (``RTreeBase._set_child``): a patch that goes astray must fail
+    the check."""
 
     @staticmethod
     def decided_root(tree):
         root = tree.buffer.peek_node(tree.root_id)
         tree._choose_child_index(root, Rect.from_point(0.5, 0.5), False)
-        block, rows = tree._area_rows[root.page_id]
-        assert block is root.columns and len(rows) > 1
+        block, rows = root.columns, root.area_rows
+        assert block is not None and len(rows) > 1
         return root, block, rows
 
     def test_stale_block_caught(self, deep_rstar):
@@ -169,7 +170,20 @@ class TestCachedBlockCorruption:
             check_tree(deep_rstar)
 
     def test_rows_keyed_to_a_superseded_block_caught(self, deep_rstar):
-        root, block, rows = self.decided_root(deep_rstar)
-        deep_rstar._area_rows[root.page_id] = ((block[0], *block[1:]), rows)
+        root, _block, rows = self.decided_root(deep_rstar)
+        superseded = list(rows)
+        # A valid edit, then the rows of the block before it put back.
+        entry = root.entries[0]
+        deep_rstar._set_child(
+            root, 0, IndexEntry(entry.rect.union(Rect(0, 0, 2, 2)),
+                                entry.child_id),
+        )
+        root.area_rows = superseded
+        with pytest.raises(InvariantViolation, match=STALE_CACHE):
+            check_tree(deep_rstar)
+
+    def test_rows_without_a_block_caught(self, deep_rstar):
+        root, _block, _rows = self.decided_root(deep_rstar)
+        root.columns = None
         with pytest.raises(InvariantViolation, match=STALE_CACHE):
             check_tree(deep_rstar)

@@ -53,7 +53,6 @@ def test_no_duplicate_latest_under_churn(seed, ir):
         node_size=SMALL_NODE,
         clean_upon_touch=False,
         inspection_ratio=ir,
-        phantom_lag_cycles=1,
     )
     rng = random.Random(seed)
     positions = {}
@@ -94,7 +93,6 @@ def test_shrinking_population_heavy_condense():
         node_size=SMALL_NODE,
         clean_upon_touch=False,
         inspection_ratio=1.0,
-        phantom_lag_cycles=1,
     )
     rng = random.Random(42)
     positions = {}
