@@ -30,18 +30,17 @@ simulation over real threads, in two parts: one lock policy
   (:func:`build_mixed_ops`) puts beside updates and queries.
 
 Each operation executes against the real tree under the tree's own
-structure latch — **write** mode for mutations, **read** mode for
-queries, so read-only operations genuinely overlap (the policy switches
-the tree's buffer pool into shared-access mode, which serialises the
-pool's internal cache mutations behind its own guard; ``ReadWriteLock``
-has been read-reentrant since the race-detector PR).  The operation then
+structure latch, held **exclusively** by queries and mutations alike: a
+search fills the buffer pool's caches and, over a spilled memo, moves
+run-file positions, so it writes what the latch guards (one latch mode,
+docs/CONCURRENCY.md).  Granule locks keep their read mode — that is
+where the paper's query/update asymmetry lives.  The operation then
 *holds its granule locks* while sleeping for its simulated I/O time —
-the number of leaf accesses it actually incurred times ``io_latency``.
-Python's GIL is released during sleeps, so lock contention, not compute,
-determines throughput, exactly the effect Figure 16 measures.
-(Per-operation leaf I/O is read from the calling thread's own tally —
-:meth:`~repro.storage.iostats.IOStats.thread_leaf_io` — so the
-attribution stays exact even when read-mode queries overlap.)
+the number of leaf accesses it actually incurred times ``io_latency``,
+read inside the latch, where that delta of the shared counters is
+exactly its own.  Python's GIL is released during sleeps, so lock
+contention, not compute, determines throughput, exactly the effect
+Figure 16 measures.
 
 **The driver.**  :meth:`LoadDriver.run` replays a workload from N client
 threads.  With ``rate=None`` it is the **closed loop** Figure 16 needs:
@@ -74,6 +73,7 @@ from typing import (
 
 from repro.core.rum import RUMTree
 from repro.rtree.geometry import Rect
+from repro.storage.iostats import IOStats
 from repro.workload.trace import QueryOp, UpdateOp
 
 from . import racecheck
@@ -129,11 +129,6 @@ class GranuleLockedTree:
             latch if isinstance(latch, ReadWriteLock) else ReadWriteLock()
         )
         self._is_rum = isinstance(tree, RUMTree)
-        # Queries run under the latch in read mode, so the buffer pool
-        # must serialise its own cache mutations across them.
-        buffer = getattr(tree, "buffer", None)
-        if buffer is not None:
-            buffer.enable_shared_access()
         # Race detection: opt-in via REPRO_RACECHECK=1 or an activated
         # checker; the attach cascade mirrors attach_obs.
         checker = racecheck.from_env()
@@ -195,14 +190,14 @@ class GranuleLockedTree:
     def _execute(self, op: StressOp) -> int:  # holds: tree_latch
         """Run the operation on the real tree, returning its leaf I/O.
 
-        The caller holds ``tree_latch`` — write mode for mutations, read
-        mode for queries (the lock-order discipline is *granule locks,
-        then structure latch* — see docs/CONCURRENCY.md).  The leaf I/O
-        is the *calling thread's* tally, so the attribution stays exact
-        even when read-mode queries overlap on the shared counters.
+        The caller holds ``tree_latch`` in write mode, queries included
+        (the lock-order discipline is *granule locks, then structure
+        latch* — see docs/CONCURRENCY.md), so no other operation moves
+        the shared counters between the two readings.
         """
         tree = self.tree
-        before = tree.stats.thread_leaf_io()
+        stats: IOStats = tree.stats
+        before = stats.leaf_reads + stats.leaf_writes
         if isinstance(op, UpdateOp):
             tree.update_object(op.oid, op.old_rect, op.new_rect)
         elif isinstance(op, QueryOp):
@@ -212,7 +207,7 @@ class GranuleLockedTree:
         else:  # "clean": footprint() has rejected every other kind
             for _ in range(op[1]):
                 tree.cleaner.run_full_cycle()
-        return tree.stats.thread_leaf_io() - before
+        return stats.leaf_reads + stats.leaf_writes - before
 
     def perform(self, op: StressOp) -> None:
         """Lock, execute, and hold the locks for the simulated I/O time."""
@@ -222,15 +217,8 @@ class GranuleLockedTree:
             with self.locks.locked(brief):
                 pass
         with self.locks.locked(held):
-            if isinstance(op, QueryOp):
-                # Read-only queries share the structure latch: the
-                # buffer pool is in shared-access mode (see __init__),
-                # so concurrent searches only exclude writers.
-                with self.tree_latch.read():
-                    leaf_io = self._execute(op)
-            else:
-                with self.tree_latch.write():
-                    leaf_io = self._execute(op)
+            with self.tree_latch.write():
+                leaf_io = self._execute(op)
             if self.io_latency > 0:
                 time.sleep(leaf_io * self.io_latency)
 

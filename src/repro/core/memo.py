@@ -220,9 +220,11 @@ class UpdateMemo:
         the paper locks (Section 3.5).  Whole-table operations (snapshot,
         restore, purge, size metrics) touch every bucket, so a lockless
         snapshot concurrent with a locked per-bucket write is still a race
-        on that bucket's field.
+        on that bucket's field.  The attach cascades to the run tier.
         """
         self._rc = checker
+        if self.tier is not None:
+            self.tier.attach_racecheck(checker)
 
     def _rc_bucket(self, oid: int, write: bool) -> None:
         checker = self._rc

@@ -66,6 +66,7 @@ from repro.storage.faults import SimulatedCrash, corrupt_page
 from .memo import ABSOLUTE, DELTA, TOMBSTONE, Record, UpdateMemo, fold
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
     from repro.storage.faults import FaultInjector
     from repro.storage.iostats import IOStats
@@ -370,6 +371,7 @@ class RunStore:
         self._obs_compactions = None
         self._obs_run_probes = None
         self._obs_bloom_fp = None
+        self._rc: Optional["RaceChecker"] = None
         self._recover()
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
@@ -395,6 +397,14 @@ class RunStore:
             lambda: float(self.screen_reject_count)
         )
         reg.gauge("memo.tier_ram_bytes").set_function(self.resident_bytes)
+
+    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
+        """Bind (or unbind) the Eraser race detector.  A probe past the
+        presence screen reports one write of ``runs``: it moves a run
+        file's position and rewrites ``_resume``, so two probes need one
+        exclusive hold — the tree latch, which every tree operation takes
+        in write mode.  A screen rejection touches neither: unreported."""
+        self._rc = checker
 
     # ------------------------------------------------------------------
     # I/O charging (4 KiB page granularity)
@@ -433,6 +443,8 @@ class RunStore:
                 return None
             found = None
             runs = self.runs
+        if self._rc is not None:
+            self._rc.access(self, "runs", write=True)
         h1, h2 = _bloom_hashes(oid)
         for run in reversed(runs):
             if not run.maybe_contains(oid, h1, h2):

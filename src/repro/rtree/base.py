@@ -158,11 +158,11 @@ class RTreeBase:
         #: child page id -> parent page id (root has no entry).
         self.parent: Dict[int, int] = {}
 
-        #: Structure latch: writers (update / batch / clean) take it in
-        #: write mode, range queries in read mode.  The concurrency
-        #: harness (Section 3.5) serialises structural mutation behind
-        #: it *after* acquiring granule locks — granule locks order
-        #: strictly before the latch (see docs/CONCURRENCY.md).
+        #: Structure latch: every tree operation (update / batch / clean /
+        #: query) takes it in write mode, since a query fills buffer
+        #: caches too.  The concurrency harness (Section 3.5) takes it
+        #: *after* acquiring granule locks — granule locks order strictly
+        #: before the latch (see docs/CONCURRENCY.md).
         self.latch = ReadWriteLock()
 
         #: Eraser race detector handle (None = disabled, the default).
@@ -477,9 +477,7 @@ class RTreeBase:
         if sampler.tick > 0:
             # Unsampled query: tens of microseconds whichever path
             # serves it, so it pays for nothing but this countdown and
-            # the next sampled query counts it.  (Served queries share
-            # the read latch, so the countdown can race below zero: that
-            # only brings the next capture forward.)
+            # the next sampled query counts it.
             sampler.tick -= 1
             return self._search_body(window, stamped)
         # ``tree.queries`` is thus exact at every sample boundary (and at

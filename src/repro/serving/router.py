@@ -32,12 +32,13 @@ full argument.
 
 Concurrency
 -----------
-Queries hold the target shard's latch in **read** mode (the shard's
-buffer pool is switched into shared-access mode at construction);
-updates hold it in write mode.  The optional ``io_latency`` models one
-disk channel per shard: after releasing the structure latch, the
-operation sleeps its measured leaf I/O times ``io_latency`` while
-holding the shard's I/O-channel lock — sleeps on different shards
+Every operation holds the target shard's latch exclusively, a query
+too: a search fills the shard's buffer caches and moves a spilled memo's
+run-file positions, so two searches on one shard are two writers.
+Shards still serve in parallel with each other.  The optional
+``io_latency`` models one disk channel per shard: after releasing the
+structure latch, the operation sleeps its leaf I/O times ``io_latency``
+while holding the shard's I/O-channel lock — sleeps on different shards
 overlap (the GIL is released), which is exactly the parallelism
 sharding buys on real hardware.
 """
@@ -153,9 +154,6 @@ class ShardRouter:
                 stamp_counter=self.stamps,
                 **tree_kwargs,
             )
-            # Queries run under the shard latch in *read* mode; the pool
-            # must serialise its own cache mutations across them.
-            tree.buffer.enable_shared_access()
             self.shards.append(Shard(i, tree, Rect(*shard_region(i, self._bits))))
         # Routing directory: oid -> shard index, striped by oid.  Every
         # access happens under the oid's stripe lock.
@@ -260,14 +258,33 @@ class ShardRouter:
             if wx1 <= xmax and xmin <= wx2 and wy1 <= ymax and ymin <= wy2
         ]
 
-    def _simulate_io(self, shard: Shard, leaf_io: int) -> None:
-        """One disk channel per shard: sleeps on different shards overlap.
-        ``leaf_io`` is the difference of the caller's own two
-        ``thread_leaf_io`` readings (per thread: exact under overlap),
-        which it takes only when ``io_latency > 0``."""
+    def _on_shard(
+        self, shard: Shard, call: Callable[..., Any], *args: Any
+    ) -> Any:
+        """``call(*args)`` under ``shard``'s latch, held exclusively like
+        every tree operation's, then its leaf I/O on the shard's disk
+        channel.  Only when ``io_latency > 0``: the leaf I/O is the change
+        of the shard's ``leaf_reads + leaf_writes`` across the call, read
+        inside the latch, where no other operation moves them."""
+        latch = shard.tree.latch
+        if self.io_latency <= 0.0:
+            latch.acquire_write()
+            try:
+                return call(*args)
+            finally:
+                latch.release_write()
+        stats = shard.tree.stats
+        latch.acquire_write()
+        try:
+            before = stats.leaf_reads + stats.leaf_writes
+            result = call(*args)
+            leaf_io = stats.leaf_reads + stats.leaf_writes - before
+        finally:
+            latch.release_write()
         if leaf_io > 0:
             with shard.io_lock:
                 time.sleep(leaf_io * self.io_latency)
+        return result
 
     # -- update path -------------------------------------------------------
 
@@ -283,7 +300,6 @@ class ShardRouter:
         target = self.shard_for_rect(rect)
         self._note_extent(rect)
         stripe = oid % STRIPES
-        simulate = self.io_latency > 0.0
         with self._stripe_locks[stripe]:
             if self._rc is not None:
                 self._rc.access(self, f"directory[{stripe}]", write=True)
@@ -292,19 +308,12 @@ class ShardRouter:
             migrated = old is not None and old != target
             shard = self.shards[target]
             tree = shard.tree
-            before = tree.stats.thread_leaf_io() if simulate else 0
-            tree.latch.acquire_write()
-            try:
-                if migrated:
-                    # Step 1: insert on the new shard (stamp s1).
-                    tree.insert_object(oid, rect)
-                else:
-                    tree.update_object(oid, None, rect)
-            finally:
-                tree.latch.release_write()
+            if migrated:
+                # Step 1: insert on the new shard (stamp s1).
+                self._on_shard(shard, tree.insert_object, oid, rect)
+            else:
+                self._on_shard(shard, tree.update_object, oid, None, rect)
             directory[oid] = target  # only once the shard has taken it
-            if simulate:
-                self._simulate_io(shard, tree.stats.thread_leaf_io() - before)
             if migrated:
                 # Step 2: memo-only delete on the old shard (stamp
                 # s2 > s1): no tree page is touched, the old entries
@@ -365,24 +374,6 @@ class ShardRouter:
         ]
         return [f.result() for f in futures]
 
-    def _read_shard(
-        self, shard: Shard, call: str, *args: Any, stamped: bool = True
-    ) -> List[tuple]:
-        """``shard.tree.<call>(*args, stamped=)`` — the tree's own search
-        or kNN, stamps kept when the answer goes into a merge — under the
-        read latch, then its leaf I/O on the shard's disk channel."""
-        tree = shard.tree
-        simulate = self.io_latency > 0.0
-        before = tree.stats.thread_leaf_io() if simulate else 0
-        tree.latch.acquire_read()
-        try:
-            results: List[tuple] = getattr(tree, call)(*args, stamped=stamped)
-        finally:
-            tree.latch.release_read()
-        if simulate:
-            self._simulate_io(shard, tree.stats.thread_leaf_io() - before)
-        return results
-
     def query(self, window: Rect) -> List[Tuple[int, Rect]]:
         """All live objects intersecting ``window``, merged over shards.
 
@@ -399,14 +390,14 @@ class ShardRouter:
         _require_finite(window)
         targets = self._targets(window)
         if len(targets) == 1:
-            rows = self._read_shard(
-                self.shards[targets[0]], "search", window, stamped=False
-            )
+            shard = self.shards[targets[0]]
+            rows = self._on_shard(shard, shard.tree.search, window, False)
         else:
             best: Dict[int, Tuple[int, Rect]] = {}
-            read = self._read_shard
+            on_shard = self._on_shard
             for part in self._fan_out(
-                targets, lambda shard: read(shard, "search", window)
+                targets,
+                lambda shard: on_shard(shard, shard.tree.search, window, True),
             ):
                 for oid, rect, stamp in part:
                     seen = best.get(oid)
@@ -434,9 +425,12 @@ class ShardRouter:
         if k <= 0:
             return []
         targets = list(range(self.n_shards))
-        read = self._read_shard
+        on_shard = self._on_shard
         parts = self._fan_out(
-            targets, lambda shard: read(shard, "nearest_neighbors", x, y, k)
+            targets,
+            lambda shard: on_shard(
+                shard, shard.tree.nearest_neighbors, x, y, k, True
+            ),
         )
         best: Dict[int, Tuple[int, float, Rect]] = {}
         for part in parts:

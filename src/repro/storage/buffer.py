@@ -32,6 +32,11 @@ is read at most once and written back at most once — at scope exit, in
 ascending page-id order so the disk sees one sequential sweep.  The scope
 reports how many dirty-marks it coalesced away, which is the batching
 pipeline's headline I/O saving.
+
+The pool has one concurrency contract: a single writer.  Every entry
+point, a query's ``get_node`` included, fills or reorders a cache, so
+callers serialise behind the owning tree's structure latch, which every
+tree operation holds exclusively (docs/CONCURRENCY.md).
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .disk import PageStore
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.concurrency.primitives import LockLike
     from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
     from repro.obs.metrics import Counter
@@ -82,26 +86,13 @@ class _OperationScope:
         self._pool = pool
 
     def __enter__(self) -> None:
-        pool = self._pool
-        guard = pool._guard
-        if guard is None:
-            pool._op_depth += 1
-        else:
-            with guard:
-                pool._op_depth += 1
+        self._pool._op_depth += 1
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         pool = self._pool
-        guard = pool._guard
-        if guard is None:
-            pool._op_depth -= 1
-            if pool._op_depth == 0:
-                pool._flush_op_cache()
-            return
-        with guard:
-            pool._op_depth -= 1
-            if pool._op_depth == 0:
-                pool._flush_op_cache()
+        pool._op_depth -= 1
+        if pool._op_depth == 0:
+            pool._flush_op_cache()
 
 
 class BufferPool:
@@ -146,7 +137,7 @@ class BufferPool:
         self._dirty_internal: Set[int] = set()
         # The operation caches are the pool's shared mutable core;
         # concurrent tree operations serialise behind the owning tree's
-        # structure latch (RTreeBase.latch, write mode).
+        # structure latch (RTreeBase.latch, write mode, queries too).
         self._op_leaf_cache: Dict[int, "Node"] = {}  # guarded-by: latch
         self._dirty_leaves: Set[int] = set()  # guarded-by: latch
         # LRU of resident leaf pages (insertion order = recency) and the
@@ -167,39 +158,6 @@ class BufferPool:
         # Telemetry counters bound by attach_obs(); None = disabled.
         self._obs_evictions: Optional[Counter] = None
         self._rc: Optional["RaceChecker"] = None
-        # Shared-access guard (None = single-writer discipline; see
-        # enable_shared_access).  When set, every cache-touching entry
-        # point serialises behind it.
-        self._guard: Optional["LockLike"] = None
-
-    def enable_shared_access(self) -> "BufferPool":
-        """Allow concurrent *read-latched* tree operations on this pool.
-
-        The pool's default contract is the single-writer discipline of
-        ``RTreeBase.latch`` held in **write** mode: every entry point
-        assumes it is the only one running.  Read-only tree operations,
-        however, still mutate the pool — ``get_node`` fills the
-        operation cache, reorders the LRU and bumps the hit tallies —
-        so two queries sharing the latch in read mode would race on the
-        cache structures.  Calling this once installs an internal mutex
-        (built via :func:`repro.concurrency.primitives.make_lock`, so
-        the race detector tracks it) that every cache-touching entry
-        point then takes, writers included: the Eraser lockset argument
-        needs the guard in *every* access's lock set, not only the
-        readers'.
-
-        The guard serialises only the short in-memory cache sections,
-        not disk time, and the ``_guard is None`` fast path keeps the
-        default single-writer mode at zero overhead.  Returns ``self``
-        for chaining.  Note that per-operation I/O *attribution* becomes
-        approximate under read concurrency: two overlapping queries may
-        each observe the other's cache fills.
-        """
-        if self._guard is None:
-            from repro.concurrency.primitives import make_lock
-
-            self._guard = make_lock()
-        return self
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind telemetry: cache hits/misses, evictions, write-backs.
@@ -354,13 +312,6 @@ class BufferPool:
 
     def get_node(self, page_id: int) -> "Node":  # holds: latch
         """Fetch a node, charging I/O according to the accounting model."""
-        guard = self._guard
-        if guard is None:
-            return self._get_node_inner(page_id)
-        with guard:
-            return self._get_node_inner(page_id)
-
-    def _get_node_inner(self, page_id: int) -> "Node":  # holds: latch
         if self._rc is not None:
             self._rc.access(self, "caches", write=True)
         node = self._internal_cache.get(page_id)
@@ -409,14 +360,6 @@ class BufferPool:
         an open operation (an operation's cache would have deduplicated
         repeat reads; this path has no cache to do so).
         """
-        guard = self._guard
-        if guard is None:
-            self._charge_leaf_reads_inner(page_ids)
-        else:
-            with guard:
-                self._charge_leaf_reads_inner(page_ids)
-
-    def _charge_leaf_reads_inner(self, page_ids: Iterable[int]) -> None:
         lru = self._lru
         record_read = self.stats.record_read
         read_page = self.disk.read_page
@@ -458,13 +401,6 @@ class BufferPool:
         operation's data path: pages read here bypass the once-per-
         operation accounting contract entirely.
         """
-        guard = self._guard
-        if guard is None:
-            return self._peek_node_inner(page_id)
-        with guard:
-            return self._peek_node_inner(page_id)
-
-    def _peek_node_inner(self, page_id: int) -> "Node":  # holds: latch
         if self._rc is not None:
             self._rc.access(self, "caches", write=False)
         node = self._internal_cache.get(page_id)
@@ -503,14 +439,6 @@ class BufferPool:
         was decoded from (or last encoded to), so the next write must
         re-encode and the next kernel call must rebuild its columns.
         """
-        guard = self._guard
-        if guard is None:
-            self._mark_dirty_inner(node)
-        else:
-            with guard:
-                self._mark_dirty_inner(node)
-
-    def _mark_dirty_inner(self, node: "Node") -> None:  # holds: latch
         if self._rc is not None:
             self._rc.access(self, "caches", write=True)
         self.version += 1
@@ -552,14 +480,6 @@ class BufferPool:
 
     def free_node(self, node: "Node") -> None:  # holds: latch
         """Release a node's page (leaf condense / root collapse)."""
-        guard = self._guard
-        if guard is None:
-            self._free_node_inner(node)
-        else:
-            with guard:
-                self._free_node_inner(node)
-
-    def _free_node_inner(self, node: "Node") -> None:  # holds: latch
         if self._rc is not None:
             self._rc.access(self, "caches", write=True)
         self.version += 1
@@ -581,14 +501,6 @@ class BufferPool:
         headline leaf metric is unaffected, matching the paper's model where
         directory maintenance happens in the background.
         """
-        guard = self._guard
-        if guard is None:
-            self._flush_inner()
-        else:
-            with guard:
-                self._flush_inner()
-
-    def _flush_inner(self) -> None:
         if self._rc is not None:
             self._rc.access(self, "caches", write=True)
         if self.in_operation:
@@ -628,14 +540,6 @@ class BufferPool:
         Section 3.4: ``flush(); drop_volatile()`` leaves the on-disk tree
         intact while discarding every in-memory structure.
         """
-        guard = self._guard
-        if guard is None:
-            self._drop_volatile_inner()
-        else:
-            with guard:
-                self._drop_volatile_inner()
-
-    def _drop_volatile_inner(self) -> None:  # holds: latch
         if self._rc is not None:
             self._rc.access(self, "caches", write=True)
         self.version += 1

@@ -17,7 +17,6 @@ that a harness can measure the exact cost of a single logical operation::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, Tuple
@@ -143,7 +142,6 @@ class IOStats:
         "log_reads",
         "memo_reads",
         "memo_writes",
-        "_tls",
     )
 
     leaf_reads: int
@@ -158,13 +156,6 @@ class IOStats:
     memo_writes: int
 
     def __init__(self) -> None:
-        # Per-thread leaf-access tally: under read concurrency the
-        # shared counters cannot attribute I/O to one operation (two
-        # overlapping queries each see the other's accesses), so hot
-        # paths that must charge *their own* work — the serving
-        # router's simulated disk channel, the throughput harness —
-        # diff :meth:`thread_leaf_io` instead.
-        self._tls = threading.local()
         self.reset()
 
     def reset(self) -> None:
@@ -201,8 +192,6 @@ class IOStats:
         """Charge one page read to the leaf or internal counter."""
         if is_leaf:
             self.leaf_reads += 1
-            tls = self._tls
-            tls.leaf_io = getattr(tls, "leaf_io", 0) + 1
         else:
             self.internal_reads += 1
 
@@ -210,21 +199,8 @@ class IOStats:
         """Charge one page write to the leaf or internal counter."""
         if is_leaf:
             self.leaf_writes += 1
-            tls = self._tls
-            tls.leaf_io = getattr(tls, "leaf_io", 0) + 1
         else:
             self.internal_writes += 1
-
-    def thread_leaf_io(self) -> int:
-        """Leaf accesses recorded *by the calling thread* (monotone).
-
-        Unlike the shared counters this is exact under concurrency:
-        diff two readings around an operation to get the leaf I/O that
-        operation itself performed, regardless of what other threads
-        did in between.
-        """
-        count: int = getattr(self._tls, "leaf_io", 0)
-        return count
 
     def __repr__(self) -> str:
         fields_repr = ", ".join(

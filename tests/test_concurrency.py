@@ -1,17 +1,25 @@
 """Tests for the read/write locks, granular lock manager, the Figure-16
-lock policy and the load driver."""
+lock policy and the load driver.  Under ``REPRO_MEMO_SPILL_BUDGET`` every
+RUM-tree built through ``build_rum_tree`` here stands its memo on a run
+tier."""
 
+import random
+import sys
 import threading
 import time
 
 import pytest
 
+from conftest import memo_on_a_run_tier
+from repro import factory
+from repro.concurrency import racecheck
 from repro.concurrency.locks import (
     READ,
     WRITE,
     GranularLockManager,
     ReadWriteLock,
 )
+from repro.concurrency.racecheck import RaceChecker
 from repro.concurrency.throughput import (
     GranuleLockedTree,
     LoadDriver,
@@ -19,9 +27,15 @@ from repro.concurrency.throughput import (
 )
 from repro.factory import build_rstar_tree, build_rum_tree
 from repro.rtree.geometry import Rect
+from repro.serving import ShardRouter
 from repro.workload.objects import UniformMovingObjects
 from repro.workload.queries import RangeQueryGenerator
-from repro.workload.trace import UpdateOp, mixed_trace
+from repro.workload.trace import QueryOp, UpdateOp, mixed_trace
+
+
+@pytest.fixture(autouse=True)
+def _memo_on_a_run_tier(tmp_path, monkeypatch):
+    memo_on_a_run_tier(sys.modules[__name__], tmp_path, monkeypatch)
 
 
 def _drive(tree, operations, n_clients, **policy):
@@ -669,10 +683,57 @@ class TestTwoPhaseLockingHammer:
         assert sum(balances.values()) == 100 * n_accounts
 
 
-class TestReadLatchedQueries:
-    """Regression tests for the serving-layer fix: queries hold the
-    structure latch in *read* mode, so they genuinely overlap — and the
-    race detector agrees that doing so is safe."""
+#: A memo on a run tier with a 256-byte RAM budget and no cleaning: after
+#: ``_spilled_load`` most query probes read a run page.
+SPILLED = dict(
+    node_size=512,
+    memo_spill_budget=256,
+    inspection_ratio=0,
+    clean_upon_touch=False,
+)
+
+
+def _spilled_load(upsert, updates=3000, seed=290):
+    """400 objects inserted, then ``updates`` moves, through
+    ``upsert(oid, rect)``; returns 200 seeded query windows."""
+    rng = random.Random(seed)
+
+    def square(side):
+        x, y = rng.random() * (1 - side), rng.random() * (1 - side)
+        return Rect(x, y, x + side, y + side)
+
+    for oid in range(400):
+        upsert(oid, square(0.01))
+    for _ in range(updates):
+        upsert(rng.randrange(400), square(0.01))
+    return [square(0.2) for _ in range(200)]
+
+
+def _spilled_tree(tmp_path, updates=3000):
+    """A RUM-tree over a spilled memo after ``_spilled_load``."""
+    tree = factory.build_rum_tree(memo_dir=str(tmp_path / "memo"), **SPILLED)
+    windows = _spilled_load(
+        lambda oid, rect: tree.update_object(oid, None, rect), updates
+    )
+    assert len(tree.memo.tier.runs) > 1
+    return tree, windows
+
+
+def _four_callers(execute, ops):
+    """Replay ``ops`` from 4 closed-loop callers with the GIL switching
+    every microsecond; the first caller error is re-raised."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        LoadDriver(lambda k: execute, n_clients=4).run(ops)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestExclusiveLatchedQueries:
+    """Queries hold the structure latch exclusively, like every tree
+    operation: shared, they raced on a spilled memo's run files and
+    bought no throughput under one GIL (docs/CONCURRENCY.md)."""
 
     def _query_workload(self, tree, ops=40):
         objects = UniformMovingObjects(120, moving_distance=0.05, seed=220)
@@ -682,41 +743,37 @@ class TestReadLatchedQueries:
             objects,
             RangeQueryGenerator(side=0.15, seed=221),
             ops,
-            0.25,  # query-heavy: the overlap path dominates
+            0.25,  # query-heavy
             seed=222,
         )
 
-    def test_two_queries_overlap_inside_search(self):
-        """Both workers must be inside ``tree.search`` at the same
-        time; under the old write-latched queries the barrier would
-        time out (queries serialised) and the run would fail."""
-        from repro.workload.trace import QueryOp
-
+    def test_one_query_at_a_time_inside_search(self):
+        """At most one thread is ever inside one tree's ``search``: the
+        policy holds the latch exclusively for queries too."""
         tree = build_rum_tree(node_size=512)
         for oid in range(50):
             tree.insert_object(
                 oid, Rect(oid / 50, 0.4, oid / 50 + 0.01, 0.41)
             )
-        barrier = threading.Barrier(2, timeout=10)
+        inside, peak = [0], [0]
         original = tree.search
 
-        def synced_search(window):
-            barrier.wait()  # releases only if both queries are inside
+        def counted_search(window):
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+            time.sleep(0.002)  # a caller sharing the latch gets in here
+            inside[0] -= 1
             return original(window)
 
-        tree.search = synced_search
-        ops = [QueryOp(Rect(0, 0, 1, 1)), QueryOp(Rect(0, 0, 1, 1))]
-        _, outcome = _drive(tree, ops, 2, io_latency=0.0)
-        assert len(outcome.latencies_ms) == 2
+        tree.search = counted_search
+        ops = [QueryOp(Rect(0, 0, 1, 1))] * 16
+        _, outcome = _drive(tree, ops, 4, io_latency=0.0)
+        assert len(outcome.latencies_ms) == 16
+        assert peak[0] == 1
 
     def test_query_heavy_run_is_race_free(self):
-        """The whole point of the read latch: with the detector on, a
-        query-heavy mixed run over one tree reports zero races (the
-        shared-access buffer pool serialises its own cache behind its
-        guard)."""
-        from repro.concurrency import racecheck
-        from repro.concurrency.racecheck import RaceChecker
-
+        """With the detector on, a query-heavy mixed run over one tree
+        reports zero races."""
         checker = racecheck.activate(RaceChecker())
         try:
             tree = build_rum_tree(node_size=512)
@@ -728,6 +785,81 @@ class TestReadLatchedQueries:
         finally:
             racecheck.deactivate()
         tree.check_invariants()
+
+    def test_served_queries_on_a_spilled_memo_answer_as_one_caller(
+        self, tmp_path
+    ):
+        """4 callers on one shard over a spilled memo: every answer is
+        the single caller's and none raises (read-latched, 627 of 800
+        raised and 28 answered wrong)."""
+        with ShardRouter(1, memo_dir=str(tmp_path), **SPILLED) as router:
+            windows = _spilled_load(router.upsert)
+            assert len(router.shards[0].tree.memo.tier.runs) > 1
+            want = {window: router.query(window) for window in windows}
+            wrong = []
+
+            def ask(window):
+                if router.query(window) != want[window]:
+                    wrong.append(window)
+
+            _four_callers(ask, windows * 4)
+        assert wrong == []
+
+    def test_policy_queries_on_a_spilled_memo_answer_as_one_caller(
+        self, tmp_path
+    ):
+        """The same through the Figure-16 policy, queries only."""
+        tree, windows = _spilled_tree(tmp_path)
+        want = {window: sorted(tree.search(window)) for window in windows}
+        wrong = []
+        search = tree.search
+
+        def checked_search(window):
+            rows = search(window)
+            if sorted(rows) != want[window]:
+                wrong.append(window)
+            return rows
+
+        tree.search = checked_search
+        locked = GranuleLockedTree(tree, io_latency=0.0)
+        _four_callers(locked.perform, [QueryOp(w) for w in windows] * 4)
+        assert wrong == []
+
+    def test_detector_sees_read_latched_run_probes(self, tmp_path):
+        """The run tier reports its probes: two read-latched searches of
+        a spilled memo are an RC001 on ``RunStore.runs`` (one after the
+        other: Eraser needs no overlap to see it)."""
+        tree, windows = _spilled_tree(tmp_path, updates=1000)
+        checker = racecheck.activate(RaceChecker())
+        try:
+            tree.attach_racecheck(checker)
+
+            def read_latched_searches():
+                with tree.latch.read():
+                    for window in windows[:20]:
+                        tree.search(window)
+
+            for _ in range(2):
+                thread = threading.Thread(target=read_latched_searches)
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            racecheck.deactivate()
+        races = {(race.class_name, race.field) for race in checker.races}
+        assert ("RunStore", "runs") in races
+
+    def test_policy_over_a_spilled_memo_is_race_free(self, tmp_path):
+        """The exclusive latch covers the run tier: no race reported."""
+        checker = racecheck.activate(RaceChecker())
+        try:
+            tree, windows = _spilled_tree(tmp_path, updates=1000)
+            ops = [QueryOp(window) for window in windows[:40]] * 2
+            _drive(tree, ops, 4, io_latency=0.0)
+            assert tree.memo.tier._rc is checker
+            checker.assert_no_races()
+        finally:
+            racecheck.deactivate()
 
 
 class TestPercentile:

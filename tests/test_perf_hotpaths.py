@@ -400,8 +400,7 @@ class TestQueryBuildsRowsOnlyForSurvivors:
 class TestServedOpPaysForNoBookkeeping:
     """What a served update and a served query no longer call, as counts
     (they repeat exactly): one ``recv`` per frame on each side, no
-    ``shard_region``, no ``@contextmanager`` latch, no ``thread_leaf_io``
-    reading while ``io_latency`` is 0."""
+    ``shard_region`` and no ``@contextmanager`` latch."""
 
     def test_call_counts_of_one_served_update_and_query(self, monkeypatch):
         counts = Counter()
@@ -430,10 +429,6 @@ class TestServedOpPaysForNoBookkeeping:
                 ReadWriteLock, mode,
                 counting("contextmanager", getattr(ReadWriteLock, mode)),
             )
-        monkeypatch.setattr(
-            IOStats, "thread_leaf_io",
-            counting("thread_leaf_io", IOStats.thread_leaf_io),
-        )
         router = ShardRouter(4)
         rects = {
             oid: Rect(0.05 + 0.009 * oid, 0.1, 0.06 + 0.009 * oid, 0.11)

@@ -7,6 +7,7 @@ a real socket.
 
 import random
 import socket
+import sys
 import threading
 
 import pytest
@@ -278,23 +279,23 @@ class TestRoutingFastForms:
 
 
 class _CountingStats:
-    """A shard's ``IOStats`` behind a tally of ``thread_leaf_io`` reads."""
+    """A shard's ``IOStats`` behind a tally of leaf-I/O readings: the
+    router reads ``leaf_reads + leaf_writes``, one ``leaf_reads`` load
+    a reading."""
 
     def __init__(self, stats):
         self._stats = stats
         self.reads = 0
 
-    def thread_leaf_io(self):
-        self.reads += 1
-        return self._stats.thread_leaf_io()
-
     def __getattr__(self, name):
+        if name == "leaf_reads":
+            self.reads += 1
         return getattr(self._stats, name)
 
 
 class TestSimulatedIO:
     def _router(self, monkeypatch, io_latency):
-        """One shard, every ``thread_leaf_io`` read and ``sleep`` tallied."""
+        """One shard, every leaf-I/O reading and ``sleep`` tallied."""
         router = ShardRouter(1, io_latency=io_latency)
         tree = router.shards[0].tree
         counting = _CountingStats(tree.stats)
@@ -307,10 +308,10 @@ class TestSimulatedIO:
         self, monkeypatch
     ):
         router, counting, slept = self._router(monkeypatch, 0.25)
-        tree = router.shards[0].tree
+        stats = counting._stats  # this test's own readings go untallied
         with router:
             for i in range(60):
-                before = tree.stats.leaf_reads + tree.stats.leaf_writes
+                before = stats.leaf_reads + stats.leaf_writes
                 reads, naps = counting.reads, len(slept)
                 if i % 3 == 2:
                     router.query(_square(0.5, 0.5, 0.2))
@@ -318,7 +319,7 @@ class TestSimulatedIO:
                     router.nearest_neighbors(0.5, 0.5, 3)
                 else:
                     router.upsert(i, _square(0.3 + i / 200.0, 0.5))
-                leaf_io = tree.stats.leaf_reads + tree.stats.leaf_writes - before
+                leaf_io = stats.leaf_reads + stats.leaf_writes - before
                 # The exact bracket: two readings, one sleep of its size.
                 assert counting.reads - reads == 2
                 assert slept[naps:] == ([leaf_io * 0.25] if leaf_io else [])
@@ -333,6 +334,52 @@ class TestSimulatedIO:
                 router.nearest_neighbors(0.5, 0.5, 3)
             router.delete(3)
         assert counting.reads == 0 and slept == []
+
+    def test_four_callers_sleep_exactly_their_leaf_io(self, monkeypatch):
+        """Each bracket is read inside the exclusive latch, so over 4
+        callers on one shard the total slept is ``io_latency`` × the
+        run's leaf I/O; a bracket taken outside the latch would also
+        count a neighbour's I/O."""
+        router, counting, slept = self._router(monkeypatch, 0.25)
+        stats = counting._stats
+        errors = []
+
+        def caller(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(150):
+                    roll = rng.random()
+                    if roll < 0.5:
+                        x, y = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+                        router.upsert(rng.randrange(100), _square(x, y))
+                    elif roll < 0.8:
+                        router.query(_square(rng.random(), rng.random(), 0.1))
+                    else:
+                        router.nearest_neighbors(rng.random(), rng.random(), 3)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        with router:
+            for oid in range(100):
+                router.upsert(oid, _square(0.05 + oid / 120.0, 0.5))
+            before = stats.leaf_reads + stats.leaf_writes
+            del slept[:]
+            threads = [
+                threading.Thread(target=caller, args=(k,)) for k in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            leaf_io = stats.leaf_reads + stats.leaf_writes - before
+        assert errors == []
+        assert leaf_io > 0 and sum(slept) == leaf_io * 0.25
 
 
 class TestRouterRefusesWhatItCannotPlace:
