@@ -565,10 +565,12 @@ class _StubTree:
     """A shard tree that does nothing behind a real latch: what is left of
     ``ShardRouter.upsert`` / ``query`` is routing, directory, latch and
     tallies (``serving.router.self`` in bench_stack's ledger).  It has no
-    ``stats``: nothing reads a shard's I/O tally while ``io_latency`` is 0."""
+    ``stats``: nothing reads a shard's I/O tally while ``io_latency`` is 0.
+    Its memo is an empty RAM one, for ``ShardRouter.close`` to close."""
 
     def __init__(self) -> None:
         self.latch = ReadWriteLock()
+        self.memo = UpdateMemo()
 
     def update_object(self, oid: int, old: None, rect: Rect) -> None:
         pass

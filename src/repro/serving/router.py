@@ -34,19 +34,21 @@ Concurrency
 -----------
 Every operation holds the target shard's latch exclusively, a query
 too: a search fills the shard's buffer caches and moves a spilled memo's
-run-file positions, so two searches on one shard are two writers.
-Shards still serve in parallel with each other.  The optional
-``io_latency`` models one disk channel per shard: after releasing the
-structure latch, the operation sleeps its leaf I/O times ``io_latency``
-while holding the shard's I/O-channel lock — sleeps on different shards
-overlap (the GIL is released), which is exactly the parallelism
-sharding buys on real hardware.
+run-file positions, so two searches on one shard are two writers.  A
+query that names several shards visits them in turn on the caller's
+thread, one latch at a time; shards serve in parallel only across
+callers.  The optional ``io_latency`` models one disk channel per
+shard: after releasing the structure latch, the operation sleeps its
+leaf I/O times ``io_latency`` while holding the shard's I/O-channel
+lock, so a multi-shard query sleeps on each shard's channel in turn.
+Sleeps of different callers on different shards overlap (the GIL is
+released), which is exactly the parallelism sharding buys on real
+hardware.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import isfinite
 from typing import (
     TYPE_CHECKING,
@@ -122,7 +124,7 @@ class ShardRouter:
         Seconds of simulated disk time per leaf access, served by one
         I/O channel per shard (0 disables the simulation).
 
-    Multi-shard queries fan out over a pool of ``n_shards`` workers.
+    A multi-shard query visits its shards in turn on the caller's thread.
     """
 
     def __init__(
@@ -181,7 +183,6 @@ class ShardRouter:
         self._n_migrations = 0
         self._n_queries = 0
         self._n_knn = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._rc: Optional["RaceChecker"] = racecheck.from_env()
         self._obs_migrations: Optional["Counter"] = None
         self._obs_fanout: Optional["Counter"] = None
@@ -352,28 +353,6 @@ class ShardRouter:
 
     # -- query fan-out -----------------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        pool = self._pool
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=self.n_shards,
-                thread_name_prefix="shard-fanout",
-            )
-            self._pool = pool
-        return pool
-
-    def _fan_out(
-        self, targets: List[int], job: Callable[[Shard], Any]
-    ) -> List[Any]:
-        """Run ``job`` on every target shard, pooled when >1 target."""
-        if len(targets) == 1:
-            return [job(self.shards[targets[0]])]
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(job, self.shards[index]) for index in targets
-        ]
-        return [f.result() for f in futures]
-
     def query(self, window: Rect) -> List[Tuple[int, Rect]]:
         """All live objects intersecting ``window``, merged over shards.
 
@@ -394,11 +373,9 @@ class ShardRouter:
             rows = self._on_shard(shard, shard.tree.search, window, False)
         else:
             best: Dict[int, Tuple[int, Rect]] = {}
-            on_shard = self._on_shard
-            for part in self._fan_out(
-                targets,
-                lambda shard: on_shard(shard, shard.tree.search, window, True),
-            ):
+            for index in targets:
+                shard = self.shards[index]
+                part = self._on_shard(shard, shard.tree.search, window, True)
                 for oid, rect, stamp in part:
                     seen = best.get(oid)
                     if seen is None or stamp > seen[0]:
@@ -424,16 +401,11 @@ class ShardRouter:
         """
         if k <= 0:
             return []
-        targets = list(range(self.n_shards))
-        on_shard = self._on_shard
-        parts = self._fan_out(
-            targets,
-            lambda shard: on_shard(
-                shard, shard.tree.nearest_neighbors, x, y, k, True
-            ),
-        )
         best: Dict[int, Tuple[int, float, Rect]] = {}
-        for part in parts:
+        for shard in self.shards:
+            part = self._on_shard(
+                shard, shard.tree.nearest_neighbors, x, y, k, True
+            )
             for dist, oid, stamp, rect in part:
                 seen = best.get(oid)
                 if seen is None or stamp > seen[0]:
@@ -508,11 +480,11 @@ class ShardRouter:
         }
 
     def close(self) -> None:
-        """Shut the fan-out pool down (idempotent)."""
-        pool = self._pool
-        if pool is not None:
-            self._pool = None
-            pool.shutdown(wait=True)
+        """Release every shard's spilled-memo run files (idempotent; a
+        later probe reopens the file it reads)."""
+        for shard in self.shards:
+            with shard.tree.latch.write():
+                shard.tree.memo.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

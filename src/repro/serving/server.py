@@ -85,7 +85,7 @@ class ShardServer:
         return self.address
 
     def stop(self) -> None:
-        """Stop accepting, join every connection thread, close the pool."""
+        """Stop accepting, join every connection thread, close the router."""
         if not self._running:
             return
         self._running = False

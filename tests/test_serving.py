@@ -188,6 +188,30 @@ class TestFanOut:
             assert oid == 9
             assert rect.xmin == pytest.approx(0.89)
 
+    def test_fan_out_starts_no_thread(self):
+        """A multi-shard query visits its shards on the caller's thread:
+        a spanning window and a kNN leave the thread set as it was, and
+        both answer what a brute force over the inserted objects does."""
+        rng = random.Random(30)
+        objects = {}
+        with ShardRouter(4) as router:
+            for oid in range(200):
+                rect = _square(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+                objects[oid] = rect
+                router.upsert(oid, rect)
+            threads = set(threading.enumerate())
+            window = Rect(0.3, 0.3, 0.7, 0.7)
+            assert len(router._targets(window)) == 4
+            hits = router.query(window)
+            knn = router.nearest_neighbors(0.5, 0.5, 12)
+            assert set(threading.enumerate()) == threads
+        assert hits == sorted(
+            (oid, rect) for oid, rect in objects.items()
+            if rect.intersects(window)
+        )
+        nearest = sorted(objects, key=lambda oid: objects[oid].min_dist(0.5, 0.5))
+        assert [oid for oid, _ in knn] == nearest[:12]
+
     def test_stats_shape(self):
         with ShardRouter(2) as router:
             router.upsert(1, _square(0.3, 0.3))
@@ -325,6 +349,39 @@ class TestSimulatedIO:
                 assert slept[naps:] == ([leaf_io * 0.25] if leaf_io else [])
             assert len(slept) > 40
 
+    def test_spanning_query_sleeps_once_per_shard_it_visits(
+        self, monkeypatch
+    ):
+        """Over 4 shards a spanning window visits each shard in turn and
+        sleeps on each one's channel, each sleep sized to that shard's
+        own leaf I/O."""
+        router = ShardRouter(4, io_latency=0.25)
+        counters = []
+        for shard in router.shards:
+            counting = _CountingStats(shard.tree.stats)
+            monkeypatch.setattr(shard.tree, "stats", counting)
+            counters.append(counting)
+        slept = []
+        monkeypatch.setattr(router_module.time, "sleep", slept.append)
+        with router:
+            for oid in range(120):
+                router.upsert(oid, _square(0.05 + oid % 12 / 12.5,
+                                           0.05 + oid // 12 / 11.0))
+            window = Rect(0.2, 0.2, 0.8, 0.8)
+            assert router._targets(window) == [0, 1, 2, 3]
+            before = [c._stats.leaf_reads + c._stats.leaf_writes
+                      for c in counters]
+            reads = [c.reads for c in counters]
+            del slept[:]
+            assert router.query(window)
+            leaf_io = [
+                c._stats.leaf_reads + c._stats.leaf_writes - b
+                for c, b in zip(counters, before)
+            ]
+        assert [c.reads - r for c, r in zip(counters, reads)] == [2] * 4
+        assert all(io > 0 for io in leaf_io)
+        assert slept == [io * 0.25 for io in leaf_io]
+
     def test_zero_latency_reads_no_tally_and_never_sleeps(self, monkeypatch):
         router, counting, slept = self._router(monkeypatch, 0.0)
         with router:
@@ -380,6 +437,37 @@ class TestSimulatedIO:
             leaf_io = stats.leaf_reads + stats.leaf_writes - before
         assert errors == []
         assert leaf_io > 0 and sum(slept) == leaf_io * 0.25
+
+
+class TestClose:
+    def test_close_releases_every_spilled_run_file(self, tmp_path):
+        """``close`` closes every shard's memo: no run keeps its file
+        handle, and a second ``close`` is harmless."""
+        rng = random.Random(31)
+        router = ShardRouter(4, memo_dir=str(tmp_path), memo_spill_budget=256)
+        for step in range(1200):
+            oid = step % 150
+            router.upsert(oid, _square(rng.uniform(0.02, 0.98),
+                                       rng.uniform(0.02, 0.98)))
+        for _ in range(40):
+            router.query(_square(rng.random(), rng.random(), 0.2))
+        runs = [run for shard in router.shards for run in shard.tree.memo.runs]
+        assert any(run._fh is not None for run in runs)
+        router.close()
+        assert all(run._fh is None for run in runs)
+        router.close()
+
+    def test_server_stop_closes_the_router(self, tmp_path):
+        rng = random.Random(32)
+        router = ShardRouter(2, memo_dir=str(tmp_path), memo_spill_budget=256)
+        with ShardServer(router) as server:
+            with ServingClient(*server.address) as client:
+                for step in range(800):
+                    client.upsert(step % 150, _square(rng.uniform(0.02, 0.98),
+                                                      rng.uniform(0.02, 0.98)))
+                client.query(Rect(0.0, 0.0, 1.0, 1.0))
+        runs = [run for shard in router.shards for run in shard.tree.memo.runs]
+        assert runs and all(run._fh is None for run in runs)
 
 
 class TestRouterRefusesWhatItCannotPlace:
