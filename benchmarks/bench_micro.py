@@ -28,7 +28,7 @@ root (or to the path given as the first argument) with the schema::
     }
 
 with one ``*_overhead_pct`` block per A/B leg (``obs_disabled``,
-``obs_metrics``, ``racecheck_disabled``, ``racecheck_on``).
+``obs_metrics``, ``racecheck_on``).
 
 Metric names are stable identifiers; ``scripts/bench_compare.py`` diffs
 two such files and flags regressions.  Iteration counts scale with
@@ -53,7 +53,8 @@ if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from repro import kernels
-from repro.concurrency.locks import ReadWriteLock
+from repro.concurrency import racecheck
+from repro.concurrency.primitives import make_lock
 from repro.core.batch import plan_batch
 from repro.core.memo import UpdateMemo
 from repro.core.memo_lsm import SpillingUpdateMemo
@@ -569,7 +570,7 @@ class _StubTree:
     Its memo is an empty RAM one, for ``ShardRouter.close`` to close."""
 
     def __init__(self) -> None:
-        self.latch = ReadWriteLock()
+        self.latch = make_lock()
         self.memo = UpdateMemo()
 
     def update_object(self, oid: int, old: None, rect: Rect) -> None:
@@ -812,53 +813,46 @@ def _ab_run(
     ]
 
 
-def _racecheck_attach_detach(tree) -> None:
-    """Attach the race detector, then detach it again.
-
-    The resulting tree is *supposed* to be indistinguishable from one
-    that never saw a checker — every probe is an attribute load plus a
-    ``None`` check.  Benchmarking this leg against the plain one pins
-    that contract: if a future change makes detach leave a stub object
-    behind (turning the probes into real dispatches), the measured
-    "detector off" overhead stops reading ~0% and the A/B exposes it.
-    """
-    tree.attach_racecheck(RaceChecker())
-    tree.attach_racecheck(None)
-
-
-def bench_racecheck_ab() -> List[Dict[str, float]]:
-    """Paired end-to-end A/B of the Eraser race detector.
+def bench_racecheck_ab() -> Dict[str, float]:
+    """Paired end-to-end A/B of the Eraser race detector: the relative
+    slowdown of a tree the detector watches vs the plain leg.
 
     Same chunk-interleaved, min-of-passes machinery as
-    :func:`bench_obs_ab`, with three legs:
-
-    * plain tree, never attached (the shipped default, the baseline);
-    * attached then detached (must match the plain leg, see
-      :func:`_racecheck_attach_detach`);
-    * a live :class:`RaceChecker` cascaded across the tree, buffer
-      pool, memo and stamp counter.
+    :func:`bench_obs_ab`.  The detector has one switch,
+    ``racecheck.ACTIVE``, which every probe in the process reads, so the
+    active leg's tree is built while it is on (its locks are tracked)
+    and its timed calls set it for their own duration only: the plain
+    leg's tree, sharing the process, stays unprobed.  The plain leg
+    pays each dormant probe's ``None`` check, as every shipped tree
+    does.
 
     The run is single-threaded, so the active leg measures the per-probe
     bookkeeping cost (lockset/epoch updates under the checker's mutex),
     not contention; the threaded suites exercise the detection side.
-    The checker is attached directly rather than via global activation
-    so the other legs' trees keep plain (untracked) locks.
     """
 
     def plain():
         return make_tree("rum_touch", node_size=2048)
 
-    def attach_detach():
-        tree = make_tree("rum_touch", node_size=2048)
-        _racecheck_attach_detach(tree)
-        return tree
-
     def active():
-        tree = make_tree("rum_touch", node_size=2048)
-        tree.attach_racecheck(RaceChecker())
+        checker = racecheck.activate(RaceChecker())
+        try:
+            tree = make_tree("rum_touch", node_size=2048)
+        finally:
+            racecheck.deactivate()
+        for name in ("update_object", "search"):
+
+            def switched(*args, _call=getattr(tree, name)):
+                racecheck.activate(checker)
+                try:
+                    return _call(*args)
+                finally:
+                    racecheck.deactivate()
+
+            setattr(tree, name, switched)
         return tree
 
-    return _ab_run((plain, attach_detach, active))
+    return _ab_run((plain, active))[0]
 
 
 def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
@@ -874,7 +868,7 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     # Each A/B is its own paired run with its own plain leg as the
     # baseline: an overhead must come from one interleaved process run.
     overhead_off, overhead_metrics = bench_obs_ab()
-    racecheck_off, racecheck_on = bench_racecheck_ab()
+    racecheck_on = bench_racecheck_ab()
     report = {
         "schema": SCHEMA,
         "scale": scale,
@@ -882,7 +876,6 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
         "metrics": metrics,
         "obs_disabled_overhead_pct": overhead_off,
         "obs_metrics_overhead_pct": overhead_metrics,
-        "racecheck_disabled_overhead_pct": racecheck_off,
         "racecheck_on_overhead_pct": racecheck_on,
     }
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -897,8 +890,6 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
         print(f"obs disabled overhead ({op}): {pct:+.2f}%")
     for op, pct in sorted(overhead_metrics.items()):
         print(f"obs metrics overhead ({op}): {pct:+.2f}%")
-    for op, pct in sorted(racecheck_off.items()):
-        print(f"racecheck detached overhead ({op}): {pct:+.2f}%")
     for op, pct in sorted(racecheck_on.items()):
         print(f"racecheck active overhead ({op}): {pct:+.2f}%")
     print(f"wrote {output}")

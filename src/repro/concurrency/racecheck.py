@@ -26,11 +26,17 @@ This module closes that gap with the classic Eraser algorithm
   exclude each other's writes.
 
 Activation is explicit and global: ``REPRO_RACECHECK=1`` in the
-environment (checked by :func:`from_env`, which the concurrency harness
-calls) or a direct :func:`activate`.  When no checker is active every
-instrumented site pays a single attribute load and ``None`` check —
-the same dormant-path contract as ``attach_obs`` (see
-``benchmarks/bench_micro.py``'s racecheck A/B leg).
+environment (checked by :func:`from_env`, which the router, the lock
+policy and the load driver call) or a direct :func:`activate`.
+:data:`ACTIVE` is the one switch: every probe (field access, lock event,
+fork, join) reads it at the call, so a stack built before activation
+reports from the moment of activation, and when no checker is active a
+site pays one module-attribute load and ``None`` check (see
+``benchmarks/bench_micro.py``'s racecheck A/B leg).  Only lock
+*construction* looks earlier: :func:`~repro.concurrency.primitives.make_lock`
+returns a :class:`TrackedLock` only while detection is on, so activate
+before you build — locks built while it was off stay invisible, and
+every access they guard looks unlocked.
 
 Races are *collected*, not raised: each one becomes a
 :class:`RaceReport` carrying both access sites' stack traces, rendered

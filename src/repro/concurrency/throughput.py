@@ -30,12 +30,12 @@ simulation over real threads, in two parts: one lock policy
   (:func:`build_mixed_ops`) puts beside updates and queries.
 
 Each operation executes against the real tree under the tree's own
-structure latch, held **exclusively** by queries and mutations alike: a
-search fills the buffer pool's caches and, over a spilled memo, moves
-run-file positions, so it writes what the latch guards (one latch mode,
-docs/CONCURRENCY.md).  Granule locks keep their read mode — that is
-where the paper's query/update asymmetry lives.  The operation then
-*holds its granule locks* while sleeping for its simulated I/O time —
+structure latch, a mutex that queries and mutations alike hold: a search
+fills the buffer pool's caches and, over a spilled memo, moves run-file
+positions, so it writes what the latch guards (docs/CONCURRENCY.md).
+Granule locks keep their read mode — that is where the paper's
+query/update asymmetry lives.  The operation then *holds its granule
+locks* while sleeping for its simulated I/O time —
 the number of leaf accesses it actually incurred times ``io_latency``,
 read inside the latch, where that delta of the shared counters is
 exactly its own.  Python's GIL is released during sleeps, so lock
@@ -54,10 +54,9 @@ the percentiles instead of being silently absorbed, avoiding classic
 coordinated omission.
 
 **Race detection.**  With ``REPRO_RACECHECK=1`` (or an explicitly
-activated :mod:`~repro.concurrency.racecheck` checker) the lock policy
-attaches the Eraser-style detector to the tree's ``attach_racecheck``
-cascade and the driver brackets every client thread with fork/join
-happens-before edges.
+activated :mod:`~repro.concurrency.racecheck` checker) every probe in the
+tree reports to the detector, and the driver brackets every client
+thread with fork/join happens-before edges.
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ from repro.storage.iostats import IOStats
 from repro.workload.trace import QueryOp, UpdateOp
 
 from . import racecheck
-from .locks import READ, WRITE, GranularLockManager, ReadWriteLock
+from .locks import READ, WRITE, GranularLockManager
+from .primitives import LockLike
 
 
 def _cells_for(
@@ -121,20 +121,11 @@ class GranuleLockedTree:
         self.io_latency = io_latency
         self.search_lock_pad = search_lock_pad
         self.locks = GranularLockManager()
-        # Structure serialisation: the tree's own latch when it has one
-        # (every RTreeBase does), a private lock otherwise — so two
-        # policies over one tree still exclude each other.
-        latch = getattr(tree, "latch", None)
-        self.tree_latch: ReadWriteLock = (
-            latch if isinstance(latch, ReadWriteLock) else ReadWriteLock()
-        )
+        # Structure serialisation: the tree's own latch, so two policies
+        # (or a policy and a router) over one tree exclude each other.
+        self.tree_latch: LockLike = tree.latch
         self._is_rum = isinstance(tree, RUMTree)
-        # Race detection: opt-in via REPRO_RACECHECK=1 or an activated
-        # checker; the attach cascade mirrors attach_obs.
-        checker = racecheck.from_env()
-        attach = getattr(tree, "attach_racecheck", None)
-        if checker is not None and attach is not None:
-            attach(checker)
+        racecheck.from_env()
 
     # -- lock footprints -----------------------------------------------------
 
@@ -190,7 +181,7 @@ class GranuleLockedTree:
     def _execute(self, op: StressOp) -> int:  # holds: tree_latch
         """Run the operation on the real tree, returning its leaf I/O.
 
-        The caller holds ``tree_latch`` in write mode, queries included
+        The caller holds ``tree_latch``, queries included
         (the lock-order discipline is *granule locks, then structure
         latch* — see docs/CONCURRENCY.md), so no other operation moves
         the shared counters between the two readings.
@@ -217,7 +208,7 @@ class GranuleLockedTree:
             with self.locks.locked(brief):
                 pass
         with self.locks.locked(held):
-            with self.tree_latch.write():
+            with self.tree_latch:
                 leaf_io = self._execute(op)
             if self.io_latency > 0:
                 time.sleep(leaf_io * self.io_latency)
@@ -372,7 +363,7 @@ class LoadDriver:
             raise ValueError("n_clients must be positive")
         self.client_factory = client_factory
         self.n_clients = n_clients
-        self.racecheck = racecheck.from_env()
+        racecheck.from_env()
 
     def run(
         self, operations: Sequence[Any], rate: Optional[float] = None
@@ -386,7 +377,6 @@ class LoadDriver:
         n = len(operations)
         per_client: List[List[float]] = [[] for _ in range(self.n_clients)]
         errors: List[BaseException] = []
-        checker = self.racecheck
         cursor = iter(range(n))
         cursor_lock = threading.Lock()
         started: List[float] = []
@@ -439,12 +429,12 @@ class LoadDriver:
         for thread in threads:
             # Fork edge: the workload built so far happens-before the
             # client, so the detector never flags the build phase.
-            if checker is not None:
+            if (checker := racecheck.ACTIVE) is not None:
                 checker.note_fork(thread)
             thread.start()
         for thread in threads:
             thread.join()
-            if checker is not None:
+            if (checker := racecheck.ACTIVE) is not None:
                 checker.note_join(thread)
         if errors:
             raise errors[0]

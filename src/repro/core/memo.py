@@ -14,10 +14,10 @@ Objects guaranteed to have no obsolete entries own no UM entry at all —
 that is what keeps the UM small (its size is bounded by the number of leaf
 nodes over the inspection ratio, Section 4.1, not by the number of objects).
 
-The memo is one dict.  The concurrency experiment (Section 3.5) locks
-individual hash buckets: ``bucket_locks`` are stripes over the table by
-``oid % n_buckets``, and every memo mutation also runs under the owning
-tree's structure latch in write mode (docs/CONCURRENCY.md).
+The memo is one dict, and every memo probe and mutation runs under the
+owning tree's structure latch (docs/CONCURRENCY.md).  The concurrency
+experiment (Section 3.5) models per-bucket locks as granules of its own
+over ``oid % n_buckets``.
 
 Below a run tier
 ----------------
@@ -72,11 +72,10 @@ from typing import (
     Tuple,
 )
 
-from repro.concurrency.primitives import LockLike, make_lock
+from repro.concurrency import racecheck
 from repro.storage.wal import UM_ENTRY_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
 
     from .memo_lsm import RunStore, _Run
@@ -137,29 +136,18 @@ class UpdateMemo:
     """Hash table on oid holding ``(oid, S_latest, N_old)`` entries.
 
     ``tier`` puts a run store below the table (see the module docstring).
-    A memo on a tier is not for the lock-striped concurrency experiment —
-    a spill touches every bucket, which per-bucket locks cannot cover — so
-    it builds none: serialise it behind the owning tree's structure latch.
     """
 
     def __init__(self, n_buckets: int = 64, tier: Optional["RunStore"] = None):
         if n_buckets <= 0:
             raise ValueError("n_buckets must be positive")
         self.n_buckets = n_buckets
-        # Callers serialise per bucket: hold the bucket's lock (or an
-        # equivalent exclusive section, e.g. the tree's structure
-        # latch) around every probe and mutation of an oid's entry.
-        self._table: Dict[int, UMEntry] = {}  # guarded-by: bucket_lock
+        self._table: Dict[int, UMEntry] = {}  # guarded-by: latch
         self.tier = tier
         #: The tier's age-ordered run list, which the tier edits in place
         #: (empty for good without one): a RAM miss means "absent" exactly
         #: while this is empty.
         self._runs: Sequence["_Run"] = () if tier is None else tier.runs
-        #: Per-bucket locks for the concurrency experiment (Section 3.5).
-        self.bucket_locks: List[LockLike] = (
-            [make_lock() for _ in range(n_buckets)] if tier is None else []
-        )
-        self._rc: Optional["RaceChecker"] = None
         #: Lifetime probe tallies, plain ints kept *unconditionally*:
         #: memo probes run up to once per leaf entry scanned, so even a
         #: ``None``-checked counter increment is measurable against the
@@ -213,38 +201,26 @@ class UpdateMemo:
         if self.tier is not None:
             reg.gauge("memo.ram_bytes").set_function(self.ram_size_bytes)
 
-    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
-        """Bind (or unbind) the Eraser race detector.
-
-        Probe granularity is the hash bucket — the lock stripe, the unit
-        the paper locks (Section 3.5).  Whole-table operations (snapshot,
-        restore, purge, size metrics) touch every bucket, so a lockless
-        snapshot concurrent with a locked per-bucket write is still a race
-        on that bucket's field.  The attach cascades to the run tier.
-        """
-        self._rc = checker
-        if self.tier is not None:
-            self.tier.attach_racecheck(checker)
-
     def _rc_bucket(self, oid: int, write: bool) -> None:
-        checker = self._rc
-        if checker is not None:
+        """Report one access of ``oid``'s hash bucket to the race detector.
+
+        Probe granularity is the bucket, the unit the paper locks
+        (Section 3.5).  Whole-table operations (snapshot, restore, purge)
+        touch every bucket, so a lockless snapshot beside a locked
+        per-bucket write is still a race on that bucket's location."""
+        if (checker := racecheck.ACTIVE) is not None:
             checker.access(self, f"bucket[{oid % self.n_buckets}]", write)
 
     def _rc_all(self, write: bool) -> None:
-        checker = self._rc
-        if checker is not None:
+        if (checker := racecheck.ACTIVE) is not None:
             for index in range(self.n_buckets):
                 checker.access(self, f"bucket[{index}]", write)
-
-    def bucket_lock(self, oid: int) -> LockLike:
-        return self.bucket_locks[oid % self.n_buckets]
 
     # ------------------------------------------------------------------
     # The paper's memo operations
     # ------------------------------------------------------------------
 
-    def record_update(self, oid: int, stamp: int) -> None:  # holds: bucket_lock
+    def record_update(self, oid: int, stamp: int) -> None:  # holds: latch
         """Step 5 of MemoBasedInsert (Figure 4) — also used verbatim by
         MemoBasedDelete (Figure 5).
 
@@ -257,7 +233,7 @@ class UpdateMemo:
         when the presence screen says no run holds the oid, the
         ``ABSOLUTE`` its clean can count down in place.
         """
-        if self._rc is not None:
+        if racecheck.ACTIVE is not None:
             self._rc_bucket(oid, True)
         entry = self._table.get(oid)
         if entry is not None:
@@ -279,7 +255,7 @@ class UpdateMemo:
             )
             self._maybe_spill(tier)
 
-    def latest_stamp(self, oid: int) -> Optional[int]:  # holds: bucket_lock
+    def latest_stamp(self, oid: int) -> Optional[int]:  # holds: latch
         """``S_latest`` for ``oid``, or ``None`` when no entry exists.
 
         A *first-hit* probe: the newest record of ``oid`` — in RAM, else
@@ -288,7 +264,7 @@ class UpdateMemo:
         Hot callers (search filtering, the cleaner's CheckStatus) should
         prefer this over :meth:`get`.
         """
-        if self._rc is not None:
+        if racecheck.ACTIVE is not None:
             self._rc_bucket(oid, False)
         entry = self._table.get(oid)
         self.lookup_count += 1
@@ -310,22 +286,22 @@ class UpdateMemo:
     # probes a second time.
     _latest = latest_stamp
 
-    def check_status(self, oid: int, stamp: int) -> str:  # holds: bucket_lock
+    def check_status(self, oid: int, stamp: int) -> str:  # holds: latch
         """CheckStatus (Figure 6): classify a leaf entry as LATEST or
         OBSOLETE by comparing its stamp against ``S_latest``."""
         s_latest = self._latest(oid)
         return LATEST if s_latest is None or stamp == s_latest else OBSOLETE
 
-    def is_obsolete(self, oid: int, stamp: int) -> bool:  # holds: bucket_lock
+    def is_obsolete(self, oid: int, stamp: int) -> bool:  # holds: latch
         """Convenience predicate used by query filtering and the cleaner."""
         s_latest = self._latest(oid)
         return s_latest is not None and stamp != s_latest
 
-    def note_cleaned(self, oid: int) -> None:  # holds: bucket_lock
+    def note_cleaned(self, oid: int) -> None:  # holds: latch
         """An obsolete entry of ``oid`` was physically removed: decrement
         ``N_old`` and drop the memo entry when it reaches zero (Figure 8,
         step 1b)."""
-        if self._rc is not None:
+        if racecheck.ACTIVE is not None:
             self._rc_bucket(oid, True)
         self._clean_one(oid, self._table.get(oid))
         # Count only cleans that actually drained an N_old — the KeyError
@@ -334,7 +310,7 @@ class UpdateMemo:
         if self._obs_cleaned is not None:
             self._obs_cleaned.inc()
 
-    # holds: bucket_lock
+    # holds: latch
     def sweep_obsolete(
         self, oids: Sequence[int], stamps: Sequence[int], budget: int
     ) -> List[int]:
@@ -391,7 +367,7 @@ class UpdateMemo:
                     break
         self.lookup_count += last + 1
         self.hit_count += hits
-        if self._rc is not None:
+        if racecheck.ACTIVE is not None:
             # The same per-bucket accesses the per-entry methods report.
             for oid in oids[: last + 1]:
                 self._rc_bucket(oid, False)
@@ -399,7 +375,7 @@ class UpdateMemo:
                 self._rc_bucket(oids[removed], True)
         return slots
 
-    # holds: bucket_lock
+    # holds: latch
     def filter_latest(
         self,
         oids: Sequence[int],
@@ -443,13 +419,13 @@ class UpdateMemo:
                 keep(pos)
         self.lookup_count += len(at)
         self.hit_count += hits
-        if self._rc is not None:
+        if racecheck.ACTIVE is not None:
             # The same per-bucket accesses the per-entry methods report.
             for pos in at:
                 self._rc_bucket(oids[pos], False)
         return kept
 
-    # holds: bucket_lock
+    # holds: latch
     def _folded(self, oid: int, entry: Optional[UMEntry]) -> Optional[Record]:
         """The record of ``oid`` aggregated over RAM (``entry``) and, where
         RAM does not settle it, the runs — a full-depth probe."""
@@ -458,7 +434,7 @@ class UpdateMemo:
         below = self.tier.probe(oid, deep=True) if self._runs else None
         return below if entry is None else fold(below, entry.as_record())
 
-    # holds: bucket_lock
+    # holds: latch
     def _clean_one(self, oid: int, entry: Optional[UMEntry]) -> None:
         """Account one removed obsolete entry of ``oid`` against its RAM
         entry (``None`` on a miss).
@@ -492,7 +468,7 @@ class UpdateMemo:
         if tier is not None:
             self._maybe_spill(tier)
 
-    # holds: bucket_lock
+    # holds: latch
     def purge_phantoms(
         self, stamp_threshold: int, exclude: Optional[Set[int]] = None
     ) -> int:
@@ -537,7 +513,7 @@ class UpdateMemo:
     # Lookup / snapshot / restore
     # ------------------------------------------------------------------
 
-    def get(self, oid: int) -> Optional[UMEntry]:  # holds: bucket_lock
+    def get(self, oid: int) -> Optional[UMEntry]:  # holds: latch
         """The aggregate entry of ``oid`` (a full-depth probe where RAM
         does not hold it whole), or ``None``."""
         self._rc_bucket(oid, False)
@@ -549,13 +525,13 @@ class UpdateMemo:
             return None
         return UMEntry(oid, rec[1], rec[2])
 
-    def snapshot(self) -> List[Tuple[int, int, int]]:  # holds: bucket_lock
+    def snapshot(self) -> List[Tuple[int, int, int]]:  # holds: latch
         """A stable copy of all entries (checkpointing, Section 3.4);
         above a tier, a charged scan of every run."""
         self._rc_all(False)
         return [entry.as_tuple() for entry in self._entries(charged=True)]
 
-    # holds: bucket_lock
+    # holds: latch
     def restore(self, entries: Iterable[Tuple[int, int, int]]) -> None:
         """Replace the whole memo content (crash recovery).
 
@@ -571,7 +547,7 @@ class UpdateMemo:
         if self.tier is not None:
             self._maybe_spill(self.tier)
 
-    # holds: bucket_lock
+    # holds: latch
     def _load(self, entries: Iterable[Tuple[int, int, int]]) -> None:
         """Make ``entries`` the whole memo: absolutes in RAM, over a tier
         restarted empty."""
@@ -583,7 +559,7 @@ class UpdateMemo:
             if n_old > 0:
                 table[oid] = UMEntry(oid, s_latest, n_old)
 
-    # holds: bucket_lock
+    # holds: latch
     def _entries(self, charged: bool) -> Iterator[UMEntry]:
         """Every live entry, RAM folded over the runs below it.  Only
         operation-path callers charge the run scan: gauge callbacks
@@ -600,7 +576,7 @@ class UpdateMemo:
             if n > 0:
                 yield UMEntry(oid, stamp, n)
 
-    def __iter__(self) -> Iterator[UMEntry]:  # holds: bucket_lock
+    def __iter__(self) -> Iterator[UMEntry]:  # holds: latch
         return self._entries(charged=False)
 
     # ------------------------------------------------------------------
@@ -623,11 +599,11 @@ class UpdateMemo:
                 tier.deferred -= 1
                 self._maybe_spill(tier)
 
-    def _maybe_spill(self, tier: "RunStore") -> None:  # holds: bucket_lock
+    def _maybe_spill(self, tier: "RunStore") -> None:  # holds: latch
         if not tier.deferred and self.ram_size_bytes() > tier.spill_budget:
             self.flush_ram()
 
-    def flush_ram(self) -> None:  # holds: bucket_lock
+    def flush_ram(self) -> None:  # holds: latch
         """Spill the whole table as one new run (the newest in the age
         order), empty it, and let the tier compact."""
         tier = self.tier
@@ -662,7 +638,7 @@ class UpdateMemo:
     # Size metrics (Figures 12d/13d/14d)
     # ------------------------------------------------------------------
 
-    def __len__(self) -> int:  # holds: bucket_lock
+    def __len__(self) -> int:  # holds: latch
         if not self._runs:
             # Tombstones exist only to mask runs: with none, every RAM
             # entry is live — no merge.
@@ -674,7 +650,7 @@ class UpdateMemo:
         (live entries, whatever tier they sit in)."""
         return len(self) * UM_ENTRY_BYTES
 
-    def ram_size_bytes(self) -> int:  # holds: bucket_lock
+    def ram_size_bytes(self) -> int:  # holds: latch
         """Bytes of table held in RAM — the whole memo without a tier,
         bounded by the tier's ``spill_budget`` outside a
         :meth:`defer_spills` scope with one."""

@@ -33,10 +33,10 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
     from repro.obs.explain import ExplainReport
 
+from repro.concurrency import racecheck
 from repro.storage.buffer import BufferPool
 from repro.storage.wal import WriteAheadLog
 
@@ -174,12 +174,6 @@ class RUMTree(RTreeBase, MemoHost):
                 reg.histogram("tree.batch_size", self._BATCH_BUCKETS),
             )
 
-    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
-        """Extend the base cascade to the memo and the stamp counter."""
-        super().attach_racecheck(checker)
-        self.memo.attach_racecheck(checker)
-        self.stamps.attach_racecheck(checker)
-
     def _drift_update_predicted(self, tracker) -> float:
         """``IO_memo = 2(1 + ir)`` (Section 4.2.3) at the live cleaner's
         inspection ratio."""
@@ -218,8 +212,8 @@ class RUMTree(RTreeBase, MemoHost):
             RECOVERY_CHECKPOINT, RECOVERY_FULL_LOG
         ):
             return
-        if self._rc is not None:
-            self._rc.access(self, "_updates_since_checkpoint", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "_updates_since_checkpoint", write=True)
         self._updates_since_checkpoint += n
         if self._updates_since_checkpoint >= self.checkpoint_interval:
             self.write_checkpoint()
@@ -248,8 +242,8 @@ class RUMTree(RTreeBase, MemoHost):
         """Log the UM and the stamp counter (recovery options II/III)."""
         if self.wal is None:
             raise RuntimeError("checkpointing requires a write-ahead log")
-        if self._rc is not None:
-            self._rc.access(self, "_updates_since_checkpoint", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "_updates_since_checkpoint", write=True)
         self.wal.append_checkpoint(self.memo.snapshot(), self.stamps.current)
         self._updates_since_checkpoint = 0
 

@@ -12,12 +12,8 @@ entries (Section 3.4).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
+from repro.concurrency import racecheck
 from repro.concurrency.primitives import make_lock
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.concurrency.racecheck import RaceChecker
 
 
 class StampCounter:
@@ -35,17 +31,12 @@ class StampCounter:
             raise ValueError("stamp counter cannot start negative")
         self._value = start  # guarded-by: _lock
         self._lock = make_lock()
-        self._rc: Optional["RaceChecker"] = None
-
-    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
-        """Bind (or unbind) the Eraser race detector."""
-        self._rc = checker
 
     def next(self) -> int:
         """Return the next stamp and advance the counter."""
         with self._lock:
-            if self._rc is not None:
-                self._rc.access(self, "_value", write=True)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.access(self, "_value", write=True)
             stamp = self._value
             self._value += 1
             return stamp
@@ -54,8 +45,8 @@ class StampCounter:
     def current(self) -> int:
         """The next stamp that would be handed out (not yet consumed)."""
         with self._lock:
-            if self._rc is not None:
-                self._rc.access(self, "_value", write=False)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.access(self, "_value", write=False)
             return self._value
 
     def restore(self, value: int) -> None:
@@ -67,8 +58,8 @@ class StampCounter:
         if value < 0:
             raise ValueError("cannot restore a negative stamp counter")
         with self._lock:
-            if self._rc is not None:
-                self._rc.access(self, "_value", write=True)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.access(self, "_value", write=True)
             self._value = value
 
     def __repr__(self) -> str:

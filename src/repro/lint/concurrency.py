@@ -19,8 +19,8 @@ These rules mechanise the lock discipline documented in
   defining assignment may only be accessed inside a ``with`` block
   holding that lock, or in a method annotated ``# holds: <lock>``
   (a documented caller-holds contract).  Constructors and the
-  ``attach_obs`` / ``attach_racecheck`` cascades are exempt — they run
-  before the object is shared.
+  ``attach_obs`` cascade are exempt — they run before the object is
+  shared.
 * **REP014** — no blocking I/O while holding a stamp-counter lock.  The
   stamp lock is the hottest latch in the system (every update takes
   it); a page read under it would serialise the whole update path.
@@ -67,7 +67,6 @@ _GUARD_EXEMPT_METHODS = {
     "__new__",
     "__del__",
     "attach_obs",
-    "attach_racecheck",
 }
 
 #: Call names that block on I/O (REP014).
@@ -217,7 +216,7 @@ class ReleasePairingRule(LintRule):
 def _lock_node_name(expr: ast.expr, class_name: Optional[str]) -> Optional[str]:
     """Canonical graph-node name for a lock-like with-item, else None.
 
-    ``self.tree_latch.write()`` -> ``Class.tree_latch``;
+    ``self.rw_latch.write()`` -> ``Class.rw_latch``;
     ``self.locks.locked(reqs)`` -> ``Class.locks``; names are syntactic
     (scoped by the enclosing class), which can split one runtime lock
     into several nodes but never merges two distinct locks into one —
@@ -257,9 +256,8 @@ class LockOrderRule(LintRule):
     the true order — which is the safe direction for a deadlock check
     gate (no false cycles from merged nodes, see
     :func:`_lock_node_name`).  Self-edges are skipped: re-acquisition
-    of one lock is the reentrancy contract's problem (enforced at
-    runtime by :class:`~repro.concurrency.locks.ReadWriteLock`), not an
-    ordering problem.
+    of one lock is the reentrancy contract's problem (no lock is
+    re-entered, docs/CONCURRENCY.md), not an ordering problem.
     """
 
     rule_id = "REP012"

@@ -38,14 +38,13 @@ from typing import (
 )
 
 from repro import kernels
-from repro.concurrency.locks import ReadWriteLock
+from repro.concurrency.primitives import LockLike, make_lock
 from repro.obs.drift import DriftMonitor
 from repro.obs.explain import analyze
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import io_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
     from repro.obs.explain import ExplainReport, TraversalObserver
 
@@ -158,15 +157,12 @@ class RTreeBase:
         #: child page id -> parent page id (root has no entry).
         self.parent: Dict[int, int] = {}
 
-        #: Structure latch: every tree operation (update / batch / clean /
-        #: query) takes it in write mode, since a query fills buffer
-        #: caches too.  The concurrency harness (Section 3.5) takes it
-        #: *after* acquiring granule locks — granule locks order strictly
-        #: before the latch (see docs/CONCURRENCY.md).
-        self.latch = ReadWriteLock()
-
-        #: Eraser race detector handle (None = disabled, the default).
-        self._rc: Optional["RaceChecker"] = None
+        #: Structure latch: a mutex every tree operation (update / batch /
+        #: clean / query) holds, since a query fills buffer caches too.
+        #: The concurrency harness (Section 3.5) takes it *after* acquiring
+        #: granule locks — granule locks order strictly before the latch
+        #: (see docs/CONCURRENCY.md).
+        self.latch: LockLike = make_lock()
 
         #: Query mirror state (see :mod:`repro.rtree.mirror`).  The mirror
         #: is valid only while its captured buffer version matches; the
@@ -291,16 +287,6 @@ class RTreeBase:
         #: full recorder/drift capture (see ``_observed``).
         self._obs_usample = _Sampler()
         self._obs_qsample = _Sampler()
-
-    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
-        """Attach the Eraser race detector to the tree and its storage.
-
-        Mirrors :meth:`attach_obs`: cascades to the buffer pool, and
-        subclasses extend the cascade (memo, stamp counter).  Passing
-        ``None`` detaches everywhere, restoring the probe-free path.
-        """
-        self._rc = checker
-        self.buffer.attach_racecheck(checker)
 
     # -- per-operation capture (flight recorder + drift feed) --------------
 

@@ -32,7 +32,7 @@ full argument.
 
 Concurrency
 -----------
-Every operation holds the target shard's latch exclusively, a query
+Every operation holds the target shard's latch (a mutex), a query
 too: a search fills the shard's buffer caches and moves a spilled memo's
 run-file positions, so two searches on one shard are two writers.  A
 query that names several shards visits them in turn on the caller's
@@ -73,7 +73,6 @@ from repro.rtree.zorder import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.concurrency.racecheck import RaceChecker
     from repro.core.rum import RUMTree
     from repro.obs import Observability
     from repro.obs.metrics import Counter
@@ -138,6 +137,7 @@ class ShardRouter:
         obs: Optional["Observability"] = None,
         **tree_kwargs: Any,
     ) -> None:
+        racecheck.from_env()  # REPRO_RACECHECK=1 activates the detector
         self._bits = shard_bits(n_shards)
         self.n_shards = n_shards
         self.io_latency = io_latency
@@ -183,11 +183,8 @@ class ShardRouter:
         self._n_migrations = 0
         self._n_queries = 0
         self._n_knn = 0
-        self._rc: Optional["RaceChecker"] = racecheck.from_env()
         self._obs_migrations: Optional["Counter"] = None
         self._obs_fanout: Optional["Counter"] = None
-        if self._rc is not None:
-            self.attach_racecheck(self._rc)
         if obs is not None:
             self.attach_obs(obs)
 
@@ -215,12 +212,6 @@ class ShardRouter:
             )
         for shard in self.shards:
             shard.tree.attach_obs(obs)
-
-    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
-        """Bind the race detector here and in every shard's stack."""
-        self._rc = checker
-        for shard in self.shards:
-            shard.tree.attach_racecheck(checker)
 
     # -- routing helpers ---------------------------------------------------
 
@@ -262,26 +253,26 @@ class ShardRouter:
     def _on_shard(
         self, shard: Shard, call: Callable[..., Any], *args: Any
     ) -> Any:
-        """``call(*args)`` under ``shard``'s latch, held exclusively like
-        every tree operation's, then its leaf I/O on the shard's disk
-        channel.  Only when ``io_latency > 0``: the leaf I/O is the change
-        of the shard's ``leaf_reads + leaf_writes`` across the call, read
-        inside the latch, where no other operation moves them."""
+        """``call(*args)`` under ``shard``'s latch, like every tree
+        operation, then its leaf I/O on the shard's disk channel.  Only
+        when ``io_latency > 0``: the leaf I/O is the change of the shard's
+        ``leaf_reads + leaf_writes`` across the call, read inside the
+        latch, where no other operation moves them."""
         latch = shard.tree.latch
         if self.io_latency <= 0.0:
-            latch.acquire_write()
+            latch.acquire()
             try:
                 return call(*args)
             finally:
-                latch.release_write()
+                latch.release()
         stats = shard.tree.stats
-        latch.acquire_write()
+        latch.acquire()
         try:
             before = stats.leaf_reads + stats.leaf_writes
             result = call(*args)
             leaf_io = stats.leaf_reads + stats.leaf_writes - before
         finally:
-            latch.release_write()
+            latch.release()
         if leaf_io > 0:
             with shard.io_lock:
                 time.sleep(leaf_io * self.io_latency)
@@ -302,8 +293,8 @@ class ShardRouter:
         self._note_extent(rect)
         stripe = oid % STRIPES
         with self._stripe_locks[stripe]:
-            if self._rc is not None:
-                self._rc.access(self, f"directory[{stripe}]", write=True)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.access(self, f"directory[{stripe}]", write=True)
             directory = self._directory[stripe]
             old = directory.get(oid)
             migrated = old is not None and old != target
@@ -320,7 +311,7 @@ class ShardRouter:
                 # s2 > s1): no tree page is touched, the old entries
                 # become garbage for the old shard's cleaner.
                 old_tree = self.shards[old].tree
-                with old_tree.latch.write():
+                with old_tree.latch:
                     old_tree.delete_object(oid)
         with self._stats_lock:
             self._n_updates += 1
@@ -339,13 +330,13 @@ class ShardRouter:
         """Remove ``oid``; returns whether it existed."""
         stripe = oid % STRIPES
         with self._stripe_locks[stripe]:
-            if self._rc is not None:
-                self._rc.access(self, f"directory[{stripe}]", write=True)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.access(self, f"directory[{stripe}]", write=True)
             old = self._directory[stripe].pop(oid, None)
             if old is None:
                 return False
             shard = self.shards[old]
-            with shard.tree.latch.write():
+            with shard.tree.latch:
                 shard.tree.delete_object(oid)
         with self._stats_lock:
             self._n_updates += 1
@@ -425,8 +416,8 @@ class ShardRouter:
         total = 0
         for stripe in range(STRIPES):
             with self._stripe_locks[stripe]:
-                if self._rc is not None:
-                    self._rc.access(
+                if (checker := racecheck.ACTIVE) is not None:
+                    checker.access(
                         self, f"directory[{stripe}]", write=False
                     )
                 total += len(self._directory[stripe])
@@ -437,8 +428,8 @@ class ShardRouter:
         counts = [0] * self.n_shards
         for stripe in range(STRIPES):
             with self._stripe_locks[stripe]:
-                if self._rc is not None:
-                    self._rc.access(
+                if (checker := racecheck.ACTIVE) is not None:
+                    checker.access(
                         self, f"directory[{stripe}]", write=False
                     )
                 for target in self._directory[stripe].values():
@@ -483,7 +474,7 @@ class ShardRouter:
         """Release every shard's spilled-memo run files (idempotent; a
         later probe reopens the file it reads)."""
         for shard in self.shards:
-            with shard.tree.latch.write():
+            with shard.tree.latch:
                 shard.tree.memo.close()
 
     def __enter__(self) -> "ShardRouter":

@@ -51,7 +51,6 @@ class ShardServer:
         self._conns: Dict[threading.Thread, socket.socket] = {}
         self._conn_lock = make_lock()
         self._running = False
-        self._rc = racecheck.from_env()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -79,8 +78,8 @@ class ShardServer:
             target=self._accept_loop, name="shard-accept", daemon=True
         )
         self._accept_thread = thread
-        if self._rc is not None:
-            self._rc.note_fork(thread)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.note_fork(thread)
         thread.start()
         return self.address
 
@@ -92,8 +91,8 @@ class ShardServer:
         accept_thread = self._accept_thread
         if accept_thread is not None:
             accept_thread.join()
-            if self._rc is not None:
-                self._rc.note_join(accept_thread)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.note_join(accept_thread)
             self._accept_thread = None
         listener = self._listener
         if listener is not None:
@@ -141,8 +140,8 @@ class ShardServer:
             )
             with self._conn_lock:
                 self._conns[thread] = conn
-            if self._rc is not None:
-                self._rc.note_fork(thread)
+            if (checker := racecheck.ACTIVE) is not None:
+                checker.note_fork(thread)
             thread.start()
 
     def _reap(self, wait: bool = False) -> None:
@@ -153,8 +152,8 @@ class ShardServer:
             for thread in list(self._conns):
                 if wait or not thread.is_alive():
                     thread.join()
-                    if self._rc is not None:
-                        self._rc.note_join(thread)
+                    if (checker := racecheck.ACTIVE) is not None:
+                        checker.note_join(thread)
                     del self._conns[thread]
 
     def _serve_connection(self, conn: socket.socket) -> None:

@@ -36,7 +36,10 @@ pipeline's headline I/O saving.
 The pool has one concurrency contract: a single writer.  Every entry
 point, a query's ``get_node`` included, fills or reorders a cache, so
 callers serialise behind the owning tree's structure latch, which every
-tree operation holds exclusively (docs/CONCURRENCY.md).
+tree operation holds exclusively (docs/CONCURRENCY.md).  The race
+detector sees the pool as one coarse location, ``caches``: every page
+access mutates its structures together, so any two unsynchronised
+operations conflict and a finer location would only delay the report.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Set
 
+from repro.concurrency import racecheck
+
 from .disk import PageStore
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.concurrency.racecheck import RaceChecker
     from repro.obs import Observability
     from repro.obs.metrics import Counter
     from repro.rtree.node import Node
@@ -157,7 +161,6 @@ class BufferPool:
         self.write_back_count = 0
         # Telemetry counters bound by attach_obs(); None = disabled.
         self._obs_evictions: Optional[Counter] = None
-        self._rc: Optional["RaceChecker"] = None
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind telemetry: cache hits/misses, evictions, write-backs.
@@ -195,17 +198,6 @@ class BufferPool:
         attach = getattr(self.disk, "attach_obs", None)
         if attach is not None:
             attach(obs)
-
-    def attach_racecheck(self, checker: Optional["RaceChecker"]) -> None:
-        """Bind (or unbind) the Eraser race detector.
-
-        The pool is probed as one coarse location (``caches``): its
-        internal structures (operation cache, LRU, dirty sets, version)
-        are mutated together by every page access, so any two
-        unsynchronised operations conflict — finer granularity would
-        only delay the report.
-        """
-        self._rc = checker
 
     # -- operation scope ---------------------------------------------------
 
@@ -312,8 +304,8 @@ class BufferPool:
 
     def get_node(self, page_id: int) -> "Node":  # holds: latch
         """Fetch a node, charging I/O according to the accounting model."""
-        if self._rc is not None:
-            self._rc.access(self, "caches", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "caches", write=True)
         node = self._internal_cache.get(page_id)
         if node is not None:
             self.hit_count += 1
@@ -401,8 +393,8 @@ class BufferPool:
         operation's data path: pages read here bypass the once-per-
         operation accounting contract entirely.
         """
-        if self._rc is not None:
-            self._rc.access(self, "caches", write=False)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "caches", write=False)
         node = self._internal_cache.get(page_id)
         if node is not None:
             return node
@@ -439,8 +431,8 @@ class BufferPool:
         was decoded from (or last encoded to), so the next write must
         re-encode and the next kernel call must rebuild its columns.
         """
-        if self._rc is not None:
-            self._rc.access(self, "caches", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "caches", write=True)
         self.version += 1
         node.cached_bytes = None
         node.columns = node.area_rows = None
@@ -480,8 +472,8 @@ class BufferPool:
 
     def free_node(self, node: "Node") -> None:  # holds: latch
         """Release a node's page (leaf condense / root collapse)."""
-        if self._rc is not None:
-            self._rc.access(self, "caches", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "caches", write=True)
         self.version += 1
         page_id = node.page_id
         self._internal_cache.pop(page_id, None)
@@ -501,8 +493,8 @@ class BufferPool:
         headline leaf metric is unaffected, matching the paper's model where
         directory maintenance happens in the background.
         """
-        if self._rc is not None:
-            self._rc.access(self, "caches", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "caches", write=True)
         if self.in_operation:
             raise RuntimeError("flush() inside an operation")
         self._flush_op_cache()
@@ -540,8 +532,8 @@ class BufferPool:
         Section 3.4: ``flush(); drop_volatile()`` leaves the on-disk tree
         intact while discarding every in-memory structure.
         """
-        if self._rc is not None:
-            self._rc.access(self, "caches", write=True)
+        if (checker := racecheck.ACTIVE) is not None:
+            checker.access(self, "caches", write=True)
         self.version += 1
         self._internal_cache.clear()
         self._dirty_internal.clear()

@@ -778,9 +778,8 @@ class TestExclusiveLatchedQueries:
         try:
             tree = build_rum_tree(node_size=512)
             trace = self._query_workload(tree)
-            driver, _ = _drive(tree, trace, 8, io_latency=0.0)
-            assert driver.racecheck is checker
-            assert tree._rc is checker  # the policy ran the attach cascade
+            _drive(tree, trace, 8, io_latency=0.0)
+            assert checker._fields  # the tree's probes reached it
             checker.assert_no_races()
         finally:
             racecheck.deactivate()
@@ -826,16 +825,16 @@ class TestExclusiveLatchedQueries:
         assert wrong == []
 
     def test_detector_sees_read_latched_run_probes(self, tmp_path):
-        """The run tier reports its probes: two read-latched searches of
-        a spilled memo are an RC001 on ``RunStore.runs`` (one after the
-        other: Eraser needs no overlap to see it)."""
+        """The run tier reports its probes: two searches of a spilled
+        memo that share the read side of one lock are an RC001 on
+        ``RunStore.runs`` (one after the other: Eraser needs no overlap
+        to see it)."""
         tree, windows = _spilled_tree(tmp_path, updates=1000)
+        shared = ReadWriteLock()
         checker = racecheck.activate(RaceChecker())
         try:
-            tree.attach_racecheck(checker)
-
             def read_latched_searches():
-                with tree.latch.read():
+                with shared.read():
                     for window in windows[:20]:
                         tree.search(window)
 
@@ -856,7 +855,7 @@ class TestExclusiveLatchedQueries:
             tree, windows = _spilled_tree(tmp_path, updates=1000)
             ops = [QueryOp(window) for window in windows[:40]] * 2
             _drive(tree, ops, 4, io_latency=0.0)
-            assert tree.memo.tier._rc is checker
+            assert any(field == "runs" for _obj, field in checker._fields)
             checker.assert_no_races()
         finally:
             racecheck.deactivate()
@@ -968,13 +967,20 @@ class TestOpenLoopHarness:
 
             def factory(k):
                 def execute(op):
+                    checker.access(counts, f"slot[{k}]", write=True)
                     counts[k] += 1  # disjoint slots: no race
 
                 return execute
 
+            # The main thread writes both slots before and reads them
+            # after the run: only the fork and join edges order those
+            # accesses with the clients'.
+            for k in range(2):
+                checker.access(counts, f"slot[{k}]", write=True)
             harness = LoadDriver(factory, n_clients=2)
-            assert harness.racecheck is checker
             harness.run(list(range(20)), rate=float("inf"))
+            for k in range(2):
+                checker.access(counts, f"slot[{k}]", write=False)
             checker.assert_no_races()
         finally:
             racecheck.deactivate()

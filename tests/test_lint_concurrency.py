@@ -411,10 +411,6 @@ class TestGuardedBy:
 
                 def attach_obs(self, obs):
                     obs.gauge("runs").set_function(lambda: len(self._runs))
-
-                def attach_racecheck(self, checker):
-                    self._rc = checker
-                    touch(self._runs)
             """,
         )
         assert lint(tmp_path, "REP013") == []

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.concurrency import racecheck
 from repro.core.memo import DELTA, LATEST, OBSOLETE, TOMBSTONE, UMEntry, UpdateMemo
 from repro.core.memo_lsm import RunStore
 from repro.core.stamp import StampCounter
@@ -323,11 +324,6 @@ class TestSizeMetrics(MemoCases):
         assert memo.size_bytes() == 0
         assert memo.total_n_old() == 0
 
-    def test_bucket_lock_accessible(self):
-        memo = self.new_memo(n_buckets=8)
-        lock = memo.bucket_lock(13)
-        assert lock is memo.bucket_locks[13 % 8]
-
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
             self.new_memo(n_buckets=0)
@@ -480,12 +476,15 @@ class TestFilterLatest(MemoCases):
             def access(self, obj, field, write):
                 seen.append((obj is memo, field, write))
 
-        memo.attach_racecheck(Checker())
         oids = [6, 7, 24, 6, 38]
         stamps = [latest[6], 1, 1, 1, latest[38]]
-        want = self.per_entry(memo, oids, stamps)
-        per_entry, seen[:] = list(seen), []
-        assert memo.filter_latest(oids, stamps) == want
+        racecheck.activate(Checker())
+        try:
+            want = self.per_entry(memo, oids, stamps)
+            per_entry, seen[:] = list(seen), []
+            assert memo.filter_latest(oids, stamps) == want
+        finally:
+            racecheck.deactivate()
         buckets = [event for event in seen if event[0]]
         assert buckets == [event for event in per_entry if event[0]] == [
             (True, f"bucket[{oid % 4}]", False) for oid in oids
@@ -597,11 +596,6 @@ class TestSnapshotRestoreTiered(TestSnapshotRestore):
 
 class TestSizeMetricsTiered(TestSizeMetrics):
     TIERED = True
-
-    def test_bucket_lock_accessible(self):
-        """A spill touches every bucket, which per-bucket locks cannot
-        cover: a memo on a tier builds none."""
-        assert self.new_memo(n_buckets=8).bucket_locks == []
 
 
 class TestFilterLatestTiered(TestFilterLatest):

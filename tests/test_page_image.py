@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrency.racecheck import RaceChecker
+from repro.concurrency.racecheck import RaceChecker, activate, deactivate
 from repro.core.memo import UpdateMemo
 from repro.core.memo_lsm import SpillingUpdateMemo
 from repro.factory import build_rum_tree
@@ -218,8 +218,6 @@ def test_sweep_matches_per_entry_loop(
                 )
             )
         new, ref = reopened
-    if racecheck:
-        new.attach_racecheck(RaceChecker())
     oids, stamps = [], []
     for oid, which in leaf:
         seen = versions.get(oid, [])
@@ -227,7 +225,12 @@ def test_sweep_matches_per_entry_loop(
         oids.append(oid)
         stamps.append(seen[-back] if len(seen) >= back else 0)
     assert _state(new, new_stats) == _state(ref, ref_stats)
-    got = new.sweep_obsolete(oids, stamps, budget)
+    if racecheck:
+        activate(RaceChecker())
+    try:
+        got = new.sweep_obsolete(oids, stamps, budget)
+    finally:
+        deactivate()
     want = _reference_sweep(ref, oids, stamps, budget)
     assert got == want
     assert _state(new, new_stats) == _state(ref, ref_stats)
@@ -264,10 +267,13 @@ def test_sweep_reports_its_bucket_accesses_to_the_race_detector():
         for oid in (1, 2, 3):
             memo.record_update(oid, 10 + oid)
             memo.record_update(oid, 20 + oid)
-        recorder = Recorder()
-        memo.attach_racecheck(recorder)
-        # Budget 2: slot 3 is never probed, so bucket[3] is never touched.
-        assert sweep(memo, [1, 9, 2, 3], [11, 1, 12, 13], 2) == [0, 2]
+        recorder = activate(Recorder())
+        try:
+            # Budget 2: slot 3 is never probed, so bucket[3] is never
+            # touched.
+            assert sweep(memo, [1, 9, 2, 3], [11, 1, 12, 13], 2) == [0, 2]
+        finally:
+            deactivate()
         seen.append(sorted(recorder.seen))
     assert seen[0] == seen[1]
     assert ("bucket[1]", True) in seen[0] and ("bucket[3]", False) not in seen[0]

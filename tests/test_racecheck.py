@@ -24,6 +24,7 @@ import pytest
 
 from repro.concurrency import racecheck
 from repro.concurrency.locks import ReadWriteLock
+from repro.concurrency.primitives import make_lock
 from repro.concurrency.racecheck import RaceChecker, TrackedLock
 from repro.concurrency.throughput import (
     GranuleLockedTree,
@@ -46,6 +47,11 @@ def checker():
         yield chk
     finally:
         racecheck.deactivate()
+
+
+def locations(chk):
+    """``(class name, field)`` of every location ``chk`` has tracked."""
+    return {(chk._class_names[key], key[1]) for key in chk._fields}
 
 
 def run_threads(*targets):
@@ -294,10 +300,9 @@ class TestActivation:
 class TestSeededRacesOnRealStructures:
     def test_unlocked_memo_updates_race(self, checker):
         # The canonical seeded bug: two threads record updates into the
-        # same memo bucket without taking the bucket lock (Section 3.5's
-        # protocol requires it).  The detector must flag the bucket.
+        # same memo bucket without a lock (Section 3.5's protocol
+        # requires one).  The detector must flag the bucket.
         memo = UpdateMemo(n_buckets=4)
-        memo.attach_racecheck(checker)
         stamps = iter(range(1, 10001))
         stamp_lock = threading.Lock()
 
@@ -312,10 +317,10 @@ class TestSeededRacesOnRealStructures:
         assert "bucket[" in checker.races[0].field
 
     def test_locked_memo_updates_clean(self, checker):
-        # Same workload, disciplined: each thread holds the bucket lock
-        # across its record_update.  Zero races.
+        # Same workload, disciplined: each thread holds one lock across
+        # its record_update.  Zero races.
         memo = UpdateMemo(n_buckets=4)
-        memo.attach_racecheck(checker)
+        lock = make_lock()
         stamps = iter(range(1, 10001))
         stamp_lock = threading.Lock()
 
@@ -323,7 +328,7 @@ class TestSeededRacesOnRealStructures:
             for _ in range(50):
                 with stamp_lock:
                     stamp = next(stamps)
-                with memo.bucket_lock(7):
+                with lock:
                     memo.record_update(7, stamp)
 
         run_threads(updater, updater)
@@ -332,7 +337,6 @@ class TestSeededRacesOnRealStructures:
     def test_stamp_counter_is_internally_safe(self, checker):
         # StampCounter locks internally — raw concurrent use is clean.
         stamps = StampCounter()
-        stamps.attach_racecheck(checker)
 
         def worker():
             for _ in range(100):
@@ -347,11 +351,11 @@ class TestSeededRacesOnRealStructures:
         # bucket writer is still a race on that bucket: the snapshot
         # holds nothing, so the candidate lockset drains to empty.
         memo = UpdateMemo(n_buckets=2)
-        memo.attach_racecheck(checker)
+        lock = make_lock()
 
         def writer():
             for stamp in range(1, 51):
-                with memo.bucket_lock(3):
+                with lock:
                     memo.record_update(3, stamp)
 
         memo.snapshot()  # main-thread scan, no locks held
@@ -394,11 +398,13 @@ class TestCleanRealTreeRuns:
             tree.insert(rect, oid)
         locked = GranuleLockedTree(tree, io_latency=0.0)
         harness = LoadDriver(lambda k: locked.perform, n_clients=4)
-        assert harness.racecheck is checker
-        assert tree._rc is checker  # the policy ran the attach cascade
+        assert isinstance(tree.latch, TrackedLock)
         harness.run(ops)
         assert checker.report() == "racecheck: no data races detected"
         checker.assert_no_races()
+        # Silent because disciplined, not because blind.
+        assert ("UpdateMemo", "bucket[0]") in locations(checker)
+        assert ("BufferPool", "caches") in locations(checker)
 
     def test_mixed_stress_zero_races_and_invariants(self, checker):
         tree = build_rum_tree()
@@ -416,18 +422,42 @@ class TestCleanRealTreeRuns:
         oids = [oid for oid, _rect in results]
         assert sorted(oids) == list(range(30))
 
-    def test_detached_tree_pays_nothing(self):
-        # With no checker active the instrumented paths must not touch
-        # racecheck at all (the A/B benchmark quantifies this; here we
-        # just pin the attach/detach contract).
-        assert racecheck.active() is None
+
+class TestPostBuildActivation:
+    """Every probe reads ``racecheck.ACTIVE`` at the call, so a stack
+    built before activation reports from the moment of activation."""
+
+    def test_sees_the_memo_and_buffer_pool(self):
+        racecheck.deactivate()
         tree = build_rum_tree()
-        tree.insert(Rect(0, 0, 0.1, 0.1), 1)
-        assert tree._rc is None
-        assert tree.memo._rc is None
-        assert tree.stamps._rc is None
-        checker = RaceChecker()
-        tree.attach_racecheck(checker)
-        assert tree.memo._rc is checker
-        tree.attach_racecheck(None)
-        assert tree.memo._rc is None
+        for oid in range(20):
+            tree.insert(Rect(oid * 0.04, 0.1, oid * 0.04 + 0.01, 0.11), oid)
+        chk = racecheck.activate(RaceChecker())
+        try:
+            tree.update_object(3, None, Rect(0.5, 0.5, 0.51, 0.51))
+            tree.search(Rect(0.0, 0.0, 1.0, 1.0))
+        finally:
+            racecheck.deactivate()
+        seen = locations(chk)
+        assert ("UpdateMemo", "bucket[3]") in seen
+        assert ("BufferPool", "caches") in seen
+        assert ("StampCounter", "_value") in seen
+
+    def test_unlocked_memo_writers_race(self):
+        tree = build_rum_tree()
+        tree.insert(Rect(0.1, 0.1, 0.2, 0.2), 7)
+        stamps = iter(range(100, 10000))
+        stamp_lock = threading.Lock()
+        chk = racecheck.activate(RaceChecker())
+        try:
+            def updater():
+                for _ in range(50):
+                    with stamp_lock:
+                        stamp = next(stamps)
+                    tree.memo.record_update(7, stamp)
+
+            run_threads(updater, updater)
+        finally:
+            racecheck.deactivate()
+        assert "RC001" in chk.report()
+        assert [race.location for race in chk.races] == ["UpdateMemo.bucket[7]"]
