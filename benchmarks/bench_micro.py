@@ -27,8 +27,8 @@ root (or to the path given as the first argument) with the schema::
       "<leg>_overhead_pct": {"update": <float>, "query": <float>}
     }
 
-with one ``*_overhead_pct`` block per A/B leg (``obs_disabled``,
-``obs_metrics``, ``racecheck_on``).
+with one ``*_overhead_pct`` block per A/B leg (``obs_metrics``,
+``racecheck_on``).
 
 Metric names are stable identifiers; ``scripts/bench_compare.py`` diffs
 two such files and flags regressions.  Iteration counts scale with
@@ -648,11 +648,10 @@ AB_CHUNK = 100
 #: across passes, which discards passes hit by host-steal episodes.
 AB_PASSES = 3
 
-#: The observability A/B legs — plain baseline, level ``off``, level
+#: The observability A/B legs — plain baseline (``obs=None``) and level
 #: ``metrics`` — as the Observability factory for that leg's tree.
 AB_LEGS = (
     lambda: None,
-    Observability.disabled,
     lambda: Observability(level="metrics"),
 )
 
@@ -749,14 +748,14 @@ def _ab_pass(
             gc.enable()
 
 
-def bench_obs_ab() -> List[Dict[str, float]]:
-    """Paired end-to-end A/B of the observability levels: the relative
-    slowdown of level ``off`` and of level ``metrics`` vs the plain leg.
+def bench_obs_ab() -> Dict[str, float]:
+    """Paired end-to-end A/B of observability: the relative slowdown of
+    level ``metrics`` vs the plain leg.
 
     Both legs execute the exact same workload; the only difference is
-    the :class:`Observability` attached to the tree.  Level ``off``
-    isolates the disabled instrumentation path — one attribute load +
-    ``None`` check per guarded site, bar ~0%.  Level ``metrics``
+    the :class:`Observability` attached to the tree.  The plain leg
+    (``obs=None``) pays one attribute load + ``None`` check per guarded
+    site, as every uninstrumented tree does; level ``metrics``
     additionally pays the bound counters, histograms, the
     flight-recorder capture, and the drift EWMA feed, bar <2%.
 
@@ -784,7 +783,7 @@ def bench_obs_ab() -> List[Dict[str, float]]:
     return _ab_run([
         (lambda make=make_obs: make_tree("rum_touch", node_size=2048, obs=make()))
         for make_obs in AB_LEGS
-    ])
+    ])[0]
 
 
 def _ab_run(
@@ -867,14 +866,13 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     bench_serving(metrics, iters)
     # Each A/B is its own paired run with its own plain leg as the
     # baseline: an overhead must come from one interleaved process run.
-    overhead_off, overhead_metrics = bench_obs_ab()
+    overhead_metrics = bench_obs_ab()
     racecheck_on = bench_racecheck_ab()
     report = {
         "schema": SCHEMA,
         "scale": scale,
         "node_size": NODE_SIZE,
         "metrics": metrics,
-        "obs_disabled_overhead_pct": overhead_off,
         "obs_metrics_overhead_pct": overhead_metrics,
         "racecheck_on_overhead_pct": racecheck_on,
     }
@@ -886,8 +884,6 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
         "batch of one vs update_object: "
         + ", ".join(f"{k} {v:.2f}" for k, v in gap.items() if k.endswith("_us"))
     )
-    for op, pct in sorted(overhead_off.items()):
-        print(f"obs disabled overhead ({op}): {pct:+.2f}%")
     for op, pct in sorted(overhead_metrics.items()):
         print(f"obs metrics overhead ({op}): {pct:+.2f}%")
     for op, pct in sorted(racecheck_on.items()):

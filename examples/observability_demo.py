@@ -3,7 +3,8 @@
 Runs a small insert/update/query workload with the ``repro.obs`` layer
 switched on, then dumps the three export formats:
 
-* ``events.jsonl`` — one JSON object per span/event (the full trace);
+* ``events.jsonl`` — one JSON object per event; every operation's flight-
+  recorder record is its ``span`` event (the full trace);
 * ``metrics.prom`` — Prometheus text exposition of every counter,
   gauge, and histogram;
 * a per-interval metrics delta printed to stdout.
@@ -34,8 +35,8 @@ def main(out_dir: pathlib.Path) -> None:
     events_path = out_dir / "events.jsonl"
     events_path.unlink(missing_ok=True)  # fresh trace on every run
 
-    # One Observability object wires a metrics registry, a span tracer,
-    # and the JSONL sink together; attach_obs cascades it through the
+    # One Observability object wires a metrics registry, a flight
+    # recorder, and the JSONL sink together; attach_obs cascades it through the
     # whole storage stack (disk, buffer, memo, cleaner).
     obs = Observability(level="trace", sink=JsonlEventSink(events_path))
     tree = build_rum_tree(node_size=2048, inspection_ratio=0.25, obs=obs)
@@ -80,7 +81,8 @@ def main(out_dir: pathlib.Path) -> None:
     prom_path = write_prometheus(obs.registry, out_dir / "metrics.prom")
     obs.close()
 
-    # The trace is plain JSONL: every span carries its exact I/O delta.
+    # The trace is plain JSONL: every span event is one op record and
+    # carries its exact I/O delta.
     spans = [
         json.loads(line)
         for line in events_path.read_text().splitlines()

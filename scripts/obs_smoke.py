@@ -14,7 +14,10 @@ recorder captured it:
   (seq/op/tree/duration_ms/io/memo_lookups/memo_hits/served_by/
   pages_touched) with a complete 8-field I/O block;
 * every op class the workload exercised is present;
-* the per-record ``OpRecord`` view round-trips through ``as_dict``.
+* the per-record ``OpRecord`` view round-trips through ``as_dict``;
+* the ``span`` events a ``ListEventSink`` received pair one-to-one with
+  the retained records on ``seq`` / op (the event's ``name``) / tree /
+  io — at ``trace`` the op record *is* the trace.
 
 Artifacts (``recorder.json``, ``metrics.prom``) are written to OUT_DIR
 (default ``obs-smoke``) so CI can archive them; any violated check exits
@@ -52,18 +55,22 @@ def main(argv=None) -> int:
     out_dir = pathlib.Path(argv[0] if argv else "obs-smoke")
 
     from repro.factory import build_rum_tree
-    from repro.obs import Observability, write_prometheus
+    from repro.obs import ListEventSink, Observability, write_prometheus
     from repro.obs.recorder import IO_FIELDS, SCHEMA, OpRecord
     from repro.rtree.geometry import Rect
     from repro.workload.objects import default_network_workload
 
-    obs = Observability(level="trace", recorder_capacity=1024)
+    sink = ListEventSink()
+    obs = Observability(level="trace", sink=sink, recorder_capacity=1024)
     tree = build_rum_tree(node_size=2048, obs=obs)
     workload = default_network_workload(120, moving_distance=0.02, seed=5)
     for oid, rect in workload.initial():
         tree.insert_object(oid, rect)
     for oid, old, new in workload.updates(200):
         tree.update_object(oid, old, new)
+    tree.apply_batch(
+        [("update", oid, new) for oid, _old, new in workload.updates(8)]
+    )
     for _ in range(5):
         tree.search(Rect(0.2, 0.2, 0.8, 0.8))
     tree.nearest_neighbors(0.5, 0.5, 4)
@@ -81,10 +88,10 @@ def main(argv=None) -> int:
     ops = dump["ops"]
     if not ops:
         fail("flight recorder ring is empty after the workload")
-    if dump["recorded_total"] < 326:  # 120 + 200 + 5 + 1
+    if dump["recorded_total"] < 327:  # 120 + 200 + 1 + 5 + 1
         fail(
             f"recorded_total {dump['recorded_total']} below the "
-            "326 instrumented ops the workload issued"
+            "327 instrumented ops the workload issued"
         )
     for record in ops + dump["slow_ops"]:
         if set(record) != EXPECTED_RECORD_KEYS:
@@ -96,7 +103,7 @@ def main(argv=None) -> int:
             fail(f"record #{record['seq']} io block missing fields")
         OpRecord.from_dict(record)  # must reconstruct
     seen_ops = {r["op"] for r in ops}
-    for expected in ("insert", "update", "query", "knn"):
+    for expected in ("insert", "update", "update_batch", "query", "knn"):
         if expected not in seen_ops:
             fail(f"op class {expected!r} missing from the ring ({seen_ops})")
     queries = [r for r in ops if r["op"] == "query"]
@@ -105,9 +112,30 @@ def main(argv=None) -> int:
     if not any(r["memo_lookups"] > 0 for r in queries):
         fail("no query record carries memo inspections")
 
+    # -- one record, one span event ------------------------------------------
+    if dump["dropped"]:
+        fail(f"{dump['dropped']} records evicted; raise the capacity")
+    spans = {}
+    for event in sink.of_type("span"):
+        if event["seq"] in spans:
+            fail(f"two span events carry seq {event['seq']}")
+        spans[event["seq"]] = event
+    if sorted(spans) != [r["seq"] for r in ops]:
+        fail(
+            f"{len(spans)} span events do not pair with the "
+            f"{len(ops)} recorder records on seq"
+        )
+    for record in ops:
+        event = spans[record["seq"]]
+        if (event["name"], event["tree"], event["io"]) != (
+            record["op"], record["tree"], record["io"]
+        ):
+            fail(f"span event #{record['seq']} differs from its record")
+
     print(
         f"obs-smoke: OK — {dump['recorded_total']} ops recorded, "
-        f"{len(ops)} retained, {len(seen_ops)} op classes, "
+        f"{len(ops)} retained and paired with their span events, "
+        f"{len(seen_ops)} op classes, "
         f"artifacts in {out_dir}/"
     )
     obs.close()

@@ -211,8 +211,8 @@ class RaceChecker:
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind the ``racecheck.races`` counter (mirrors ``attach_obs``
-        everywhere else: ``None`` or metrics-off detaches)."""
-        if obs is None or not obs.metrics_on:
+        everywhere else: ``None`` detaches)."""
+        if obs is None:
             self._obs_races = None
             return
         self._obs_races = obs.registry.counter("racecheck.races")

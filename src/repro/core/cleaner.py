@@ -108,7 +108,7 @@ class CleaningToken:
         self.cycle_started_at = time.perf_counter()
         #: I/O charged by this token's steps in the current cycle (the
         #: flight recorder's ``IO_FIELDS``), accumulated per step only
-        #: while a flight recorder is attached.  Cycle records thus carry
+        #: while observability is attached.  Cycle records thus carry
         #: the cleaning cost alone, not the interleaved update stream's.
         self.cycle_io = _NO_IO
 
@@ -166,31 +166,34 @@ class GarbageCleaner:
         """Bind telemetry: token steps, entries cleaned, cycle counts and
         wall-clock cycle durations; per-step events at the ``debug``
         level, one ``cleaner.cycle`` event per completed ring pass, and
-        one ``cleaner_cycle`` flight-recorder record carrying the cycle's
-        own accumulated step I/O."""
-        if obs is None or not obs.enabled:
-            self._obs = None
+        one ``cleaner_cycle`` flight-recorder record (at ``trace`` also a
+        ``span`` event) carrying the cycle's own accumulated step I/O."""
+        self._obs = obs
+        if obs is None:
             self._obs_steps = self._obs_removed = None
             self._obs_cycles = self._obs_cycle_ms = None
-            self._obs_recorder = None
             return
-        self._obs = obs
-        self._obs_recorder = obs.recorder
-        if obs.metrics_on:
-            reg = obs.registry
-            self._obs_steps = reg.counter("cleaner.token_steps")
-            self._obs_removed = reg.counter("cleaner.entries_removed")
-            self._obs_cycles = reg.counter("cleaner.cycles")
-            self._obs_cycle_ms = reg.histogram(
-                "cleaner.cycle_ms",
-                (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0),
-            )
-            reg.gauge("cleaner.tokens").set_function(
-                lambda: len(self.tokens)
-            )
-            reg.gauge("cleaner.updates_seen").set_function(
-                lambda: self.updates_seen
-            )
+        reg = obs.registry
+        self._obs_steps = reg.counter("cleaner.token_steps")
+        self._obs_removed = reg.counter("cleaner.entries_removed")
+        self._obs_cycles = reg.counter("cleaner.cycles")
+        self._obs_cycle_ms = reg.histogram(
+            "cleaner.cycle_ms",
+            (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0),
+        )
+        reg.gauge("cleaner.tokens").set_function(lambda: len(self.tokens))
+        reg.gauge("cleaner.updates_seen").set_function(
+            lambda: self.updates_seen
+        )
+
+    def note_removed(self, n: int) -> None:
+        """Count ``n`` obsolete entries removed from the index — by a
+        token step or by clean-upon-touch (Section 3.3.3).  The one
+        counting point of ``entries_removed`` and its metric."""
+        if n:
+            self.entries_removed += n
+            if self._obs_removed is not None:
+                self._obs_removed.inc(n)
 
     # ------------------------------------------------------------------
 
@@ -249,26 +252,23 @@ class GarbageCleaner:
     def _step(self, token: CleaningToken) -> None:
         """Clean the token's current leaf and pass the token on (Figure 8)."""
         host = self.host
-        rec = self._obs_recorder
-        if rec is not None:
+        obs = self._obs
+        if obs is not None:
             io_before = io_counters(host.stats)
         position = token.position
         token.position, removed = host.clean_at(position)
         token.steps_in_cycle += 1
         self.leaves_inspected += 1
-        self.entries_removed += removed
-        if self._obs_steps is not None:
+        self.note_removed(removed)
+        if obs is not None:
             self._obs_steps.inc()
-            if removed:
-                self._obs_removed.inc(removed)
-        if self._obs is not None and self._obs.debug:
-            self._obs.event(
-                "cleaner.step",
-                page=position,
-                removed=removed,
-                step=token.steps_in_cycle,
-            )
-        if rec is not None:
+            if obs.debug:
+                obs.event(
+                    "cleaner.step",
+                    page=position,
+                    removed=removed,
+                    step=token.steps_in_cycle,
+                )
             step_io = map(sub, io_counters(host.stats), io_before)
             token.cycle_io = tuple(map(add, token.cycle_io, step_io))
         self._check_cycle(token)
@@ -289,20 +289,13 @@ class GarbageCleaner:
             now = time.perf_counter()
             cycle_ms = (now - token.cycle_started_at) * 1000.0
             token.cycle_started_at = now
-            if self._obs_cycles is not None:
-                self._obs_cycles.inc()
-                self._obs_cycle_ms.observe(cycle_ms)
-            if self._obs_recorder is not None:
-                self._obs_recorder.record(
-                    "cleaner_cycle",
-                    self.host.name,
-                    cycle_ms / 1000.0,
-                    token.cycle_io,
-                    0,
-                    0,
-                    "-",
-                )
-                token.cycle_io = _NO_IO
+            self._obs_cycles.inc()
+            self._obs_cycle_ms.observe(cycle_ms)
+            self._obs.record(
+                "cleaner_cycle", self.host.name, cycle_ms / 1000.0,
+                token.cycle_io,
+            )
+            token.cycle_io = _NO_IO
             self._obs.event(
                 "cleaner.cycle",
                 token=self.tokens.index(token),

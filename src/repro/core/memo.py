@@ -170,10 +170,9 @@ class UpdateMemo:
         run once per cleaning cycle — get counters.  The per-update
         mutation operations (``record_update``/``note_cleaned``) are
         counted too (the gap PR 2 left open): at ``metrics`` level each
-        costs one ``None`` check plus an integer add, and at ``off`` the
-        bound instruments are ``None`` so the disabled path keeps the
-        single-check no-op guarantee that ``bench_micro``'s A/B run
-        measures.  Lookups and hits fire once per *scanned leaf entry*,
+        costs one ``None`` check plus an integer add, and with ``obs=None``
+        the bound instruments are ``None`` so the path without telemetry
+        pays the single check alone.  Lookups and hits fire once per *scanned leaf entry*,
         far too hot even for that pattern — they ride the unconditional
         plain-int tallies ``lookup_count``/``hit_count`` and surface as
         the lazy gauges ``memo.lookups``/``memo.hits`` (values count
@@ -181,7 +180,7 @@ class UpdateMemo:
         """
         if self.tier is not None:
             self.tier.attach_obs(obs)
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_purge_runs = self._obs_purged = None
             self._obs_inserts = self._obs_obsoleted = self._obs_cleaned = None
             return

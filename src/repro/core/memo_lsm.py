@@ -381,7 +381,7 @@ class RunStore:
         tier's own space amplification), ``memo.screen_rejects`` (the plain
         tally) and ``memo.tier_ram_bytes`` (``memo.ram_bytes`` is the
         memo's)."""
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_spills = self._obs_compactions = None
             self._obs_run_probes = self._obs_bloom_fp = None
             return

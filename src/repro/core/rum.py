@@ -153,19 +153,18 @@ class RUMTree(RTreeBase, MemoHost):
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Extend the base cascade to the memo, the cleaner, and the WAL."""
         super().attach_obs(obs)
-        attached = self.obs  # None when obs is absent or at level "off"
-        self.memo.attach_obs(attached)
-        self.cleaner.attach_obs(attached)
+        self.memo.attach_obs(obs)
+        self.cleaner.attach_obs(obs)
         if self.wal is not None:
-            self.wal.attach_obs(attached)
+            self.wal.attach_obs(obs)
         # The flight recorder's per-op memo columns ride the memo's
         # unconditional probe tallies (the baselines leave the base
         # class's None in place and report zeros).  Only the RUM-tree
         # batches, so the batch row and its counters are bound here.
-        if attached is not None and attached.metrics_on:
+        if obs is not None:
             self._obs_rec_memo = self.memo
-            reg = attached.registry
-            self._obs_kinds["batch"] = ("update_batch", None, None, None, None)
+            reg = obs.registry
+            self._obs_kinds["update_batch"] = (None, None, None, None)
             self._obs_batch = (
                 reg.counter("tree.batches"),
                 reg.counter("tree.batch_ops"),
@@ -267,7 +266,7 @@ class RUMTree(RTreeBase, MemoHost):
         if self.obs is None:
             return self._apply_batch_plan(plan)
         result = self._observed(
-            "batch", self._apply_batch_plan, plan,
+            "update_batch", self._apply_batch_plan, plan,
             ops=plan.total_ops, deduped=plan.deduped,
         )
         batches, batch_ops, deduped, coalesced, sizes = self._obs_batch
@@ -473,7 +472,7 @@ class RUMTree(RTreeBase, MemoHost):
         # Leave at least min_leaf entries so the insertion path never has
         # to handle an underflow it did not cause.
         if self.clean_upon_touch and self.clean_leaf(node, self.min_leaf, left):
-            self.cleaner.entries_removed += len(left)
+            self.cleaner.note_removed(len(left))
         return left
 
     def _on_leaf_split(self, node: Node, sibling: Node) -> None:
@@ -491,8 +490,7 @@ class RUMTree(RTreeBase, MemoHost):
             # free (never below the post-split minimum fill).
             removed = self.clean_leaf(node, keep_at_least=self.min_leaf)
             removed += self.clean_leaf(sibling, keep_at_least=self.min_leaf)
-            if removed:
-                self.cleaner.entries_removed += removed
+            self.cleaner.note_removed(removed)
         self._shield_obsolete(*sibling.id_columns())
 
     def _on_leaf_dissolved(self, node: Node) -> None:
@@ -545,7 +543,7 @@ class RUMTree(RTreeBase, MemoHost):
             and self.memo.is_obsolete(entry.oid, entry.stamp)
         ):
             self.memo.note_cleaned(entry.oid)
-            self.cleaner.entries_removed += 1
+            self.cleaner.note_removed(1)
             return None
         return super()._insert(entry, level, reinserted)
 

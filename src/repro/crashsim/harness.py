@@ -314,8 +314,6 @@ def run_scenario(
     rng = random.Random(config.seed)
 
     injector = FaultInjector()
-    if obs is not None:
-        injector.attach_obs(obs)
     inner = FileDiskManager(config.node_size, directory, faults=injector)
     disk = FaultyDisk(inner, injector)
     codec = NodeCodec(config.node_size, rum_leaves=True, checksums=True)
@@ -363,6 +361,10 @@ def run_scenario(
         checkpoint_interval=10**9,  # checkpoints are scripted explicitly
         memo=memo,
     )
+    # Cascades to the storage stack and its injector; at ``trace`` the
+    # operation a fault interrupts still emits its ``span`` event
+    # (``error: true``).
+    tree.attach_obs(obs)
 
     oracle = _WorkloadOracle()
 

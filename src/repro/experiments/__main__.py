@@ -18,7 +18,8 @@ experiments build and writes a telemetry sidecar next to the tables:
 ``DIR/events.jsonl`` (the span/event trace), ``DIR/metrics.prom``
 (Prometheus text exposition), and ``DIR/metrics.json``.  ``--obs-level``
 selects the verbosity (``metrics`` < ``trace`` < ``debug``; ``debug``
-additionally mirrors every event onto the ``repro.obs`` logging channel).
+additionally mirrors every event onto the ``repro.obs`` logging channel);
+``--obs-level off`` means no telemetry.
 """
 
 from __future__ import annotations
@@ -66,15 +67,14 @@ def _build_obs(args) -> Optional[Observability]:
 def _write_obs_sidecar(obs: Observability, out_dir: pathlib.Path) -> None:
     write_prometheus(obs.registry, out_dir / "metrics.prom")
     (out_dir / "metrics.json").write_text(metrics_json(obs.registry))
+    recorder_path = out_dir / "recorder.json"
+    recorder_path.write_text(json.dumps(obs.recorder.dump(), indent=1))
     parts = [
         out_dir / "events.jsonl",
         out_dir / "metrics.prom",
         out_dir / "metrics.json",
+        recorder_path,
     ]
-    if obs.recorder is not None:
-        recorder_path = out_dir / "recorder.json"
-        recorder_path.write_text(json.dumps(obs.recorder.dump(), indent=1))
-        parts.append(recorder_path)
     print(
         "\ntelemetry sidecar: " + ", ".join(str(p) for p in parts)
     )
@@ -100,10 +100,10 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--obs-level",
-        choices=LEVELS,
+        choices=("off",) + LEVELS,
         default=None,
-        help="observability verbosity (default: trace when --obs-out is "
-        "given, otherwise off)",
+        help="observability verbosity, or off for no telemetry (default: "
+        "trace when --obs-out is given, otherwise off)",
     )
     args = parser.parse_args(argv)
 

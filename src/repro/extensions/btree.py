@@ -423,7 +423,7 @@ class MemoBTree(MemoHost, BPlusTree):
         with self.buffer.operation():
             leaf = self._find_leaf(key)
             if self.clean_upon_touch:
-                self.cleaner.entries_removed += self._sweep(leaf)
+                self.cleaner.note_removed(self._sweep(leaf))
             self._leaf_insert(leaf, key, oid, stamp)
         self._after_update()
 

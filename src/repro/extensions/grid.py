@@ -186,7 +186,7 @@ class MemoGrid(MemoHost, GridFile):
         cell = self._cell_of(x, y)
         if self.clean_upon_touch:
             # The chain is being read for the insertion anyway.
-            self.cleaner.entries_removed += self._sweep(cell)[0]
+            self.cleaner.note_removed(self._sweep(cell)[0])
         self._append(cell, (x, y, oid, stamp))
         self._after_update()
 

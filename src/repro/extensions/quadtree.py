@@ -244,7 +244,7 @@ class MemoQuadtree(MemoHost, PRQuadtree):
 
     def _on_bucket_touched(self, leaf: _QuadNode) -> None:
         if self.clean_upon_touch:
-            self.cleaner.entries_removed += self._sweep(leaf)
+            self.cleaner.note_removed(self._sweep(leaf))
 
     def _split(self, leaf: _QuadNode) -> None:
         super()._split(leaf)

@@ -412,7 +412,7 @@ class ObsPropagationRule(LintRule):
     The observability cascade works because every component that caches
     bound instruments (``self._obs_* = ...``) also implements
     ``attach_obs(obs)`` so attaching — and, crucially, *detaching* with
-    ``None``/level ``off`` — reaches it.  A class that binds instruments
+    ``None`` — reaches it.  A class that binds instruments
     without the method would silently fall out of the cascade and keep
     stale instruments after a detach.
     """
@@ -493,11 +493,11 @@ class NoAssertRule(LintRule):
 class ObsBoundInstrumentRule(LintRule):
     """Hot-path code reaches telemetry only via attach-time instruments.
 
-    The observability stack's overhead contract (<2% at ``metrics``, a
-    true no-op at ``off``) rests on one discipline: tree/core/storage
-    code touches telemetry through instruments bound once in
-    ``attach_obs`` (``self._obs_* = reg.counter(...)``) and thereafter
-    pays a single ``None`` check per op.  A registry lookup
+    The observability stack's overhead contract (<2% at ``metrics``, one
+    ``None`` check per site with ``obs=None``) rests on one discipline:
+    tree/core/storage code touches telemetry through instruments bound
+    once in ``attach_obs`` (``self._obs_* = reg.counter(...)``) and
+    thereafter pays a single ``None`` check per op.  A registry lookup
     (``reg.counter("x")`` — a dict lookup plus instrument construction)
     or a ``get_default_obs()`` call on the hot path re-introduces
     per-operation name hashing that the A/B bench cannot see until it

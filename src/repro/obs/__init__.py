@@ -1,18 +1,20 @@
-"""``repro.obs`` — metrics, spans, and event tracing for the storage/RUM stack.
+"""``repro.obs`` — metrics, op records, and event tracing for the storage/RUM stack.
 
-The package bundles three independent layers behind one façade:
+The package bundles three layers behind one façade:
 
 * a **metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges,
   and fixed-bucket histograms with ``IOSnapshot``-style snapshot/delta;
-* a **span tracer** (:mod:`repro.obs.trace`) — nested wall-clock spans
-  with exact attached I/O deltas, a true no-op when disabled;
+* a **flight recorder** (:mod:`repro.obs.recorder`) — one record per
+  operation with its exact I/O delta; at ``trace`` each record is also
+  the operation's ``span`` event;
 * **event sinks and exporters** (:mod:`repro.obs.events`,
   :mod:`repro.obs.export`) — JSONL event stream, Prometheus text
   exposition, and a structured ``logging`` debug channel.
 
 An :class:`Observability` object selects a level and wires the three
 together; components expose ``attach_obs(obs)`` which caches bound
-instruments so the *disabled* hot path costs one ``None`` check::
+instruments, and ``attach_obs(None)`` — no telemetry — leaves the hot
+path one ``None`` check::
 
     obs = Observability(level="trace", sink=JsonlEventSink("events.jsonl"))
     tree = build_rum_tree(obs=obs)
@@ -21,14 +23,12 @@ instruments so the *disabled* hot path costs one ``None`` check::
 
 Levels
 ------
-``off``
-    Nothing recorded; ``attach_obs`` detaches every cached instrument, so
-    the instrumented code runs the exact same path as an un-instrumented
-    build (the <2% ``bench_micro`` guarantee is measured on this path).
 ``metrics``
-    Counters/gauges/histograms only — no spans, no events.
+    Counters/gauges/histograms and the (sampled) flight recorder — no
+    events.
 ``trace``
-    Metrics plus spans and coarse events (cleaner cycles, checkpoints).
+    Metrics, every operation recorded and emitted as a ``span`` event,
+    plus coarse events (cleaner cycles, checkpoints).
 ``debug``
     Everything, including per-token-step events; intended for the
     ``logging`` channel and small runs.
@@ -37,10 +37,9 @@ Levels
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.iostats import IOStats
+from repro.storage.iostats import IO_FIELDS
 
 from .events import (
     EventSink,
@@ -63,19 +62,17 @@ from .metrics import (
     MetricsSnapshot,
 )
 from .recorder import FlightRecorder, OpRecord
-from .trace import NULL_TRACER, NullSpan, NullTracer, Span, Tracer
 
 #: Recognised observability levels, least to most verbose.
-LEVELS = ("off", "metrics", "trace", "debug")
+LEVELS = ("metrics", "trace", "debug")
 
 
 class Observability:
-    """Facade bundling one registry, one tracer, and one event sink.
+    """Facade bundling one registry, one flight recorder, and one event
+    sink.  No telemetry is ``obs=None``, not an instance.
 
-    ``enabled`` / ``metrics_on`` / ``tracing`` / ``debug`` are plain
-    booleans so instrumentation sites can branch without string
-    comparisons; ``tracer`` is :data:`NULL_TRACER` below the ``trace``
-    level so a stray ``obs.span(...)`` is still a no-op.
+    ``tracing`` / ``debug`` are plain booleans so instrumentation sites
+    can branch without string comparisons.
     """
 
     def __init__(
@@ -92,23 +89,14 @@ class Observability:
                 f"unknown obs level {level!r}; expected one of {LEVELS}"
             )
         self.level = level
-        self.enabled = level != "off"
-        self.metrics_on = level in ("metrics", "trace", "debug")
         self.tracing = level in ("trace", "debug")
         self.debug = level == "debug"
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sink: EventSink = sink if sink is not None else NullEventSink()
-        self.tracer: Union[Tracer, NullTracer] = (
-            Tracer(self.sink) if self.tracing else NULL_TRACER
-        )
-        # The flight recorder rides every level that records metrics; at
-        # ``off`` it is None so the disabled path stays a true no-op.  A
-        # pre-built recorder (shared across Observability instances) wins
-        # over the capacity/threshold knobs.
-        self.recorder: Optional[FlightRecorder]
-        if not self.metrics_on:
-            self.recorder = None
-        elif recorder is not None:
+        # A pre-built recorder (shared across Observability instances)
+        # wins over the capacity/threshold knobs.
+        self.recorder: FlightRecorder
+        if recorder is not None:
             self.recorder = recorder
         else:
             self.recorder = FlightRecorder(
@@ -124,18 +112,48 @@ class Observability:
                 ),
             )
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """An attached-but-off instance (overhead benchmarking)."""
-        return cls(level="off")
-
     # -- convenience pass-throughs ----------------------------------------
 
-    def span(
-        self, name: str, io: Optional["IOStats"] = None, **attrs: Any
-    ) -> Union[Span, NullSpan]:
-        """A tracer span (inert below the ``trace`` level)."""
-        return self.tracer.span(name, io=io, **attrs)
+    def record(
+        self,
+        op: str,
+        tree: str,
+        dur_s: float,
+        io10: Tuple[int, ...],
+        memo_lookups: int = 0,
+        memo_hits: int = 0,
+        served_by: str = "-",
+        error: bool = False,
+        attrs: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Record one operation in the flight recorder and, at ``trace``,
+        emit the same record as the operation's ``span`` event.
+
+        The event carries the record's ``seq``, op (as ``name``), tree,
+        duration, I/O and memo columns, plus the call's ``attrs`` and
+        ``error: true`` when the operation raised.
+        """
+        seq = self.recorder.record(
+            op, tree, dur_s, io10, memo_lookups, memo_hits, served_by
+        )
+        if self.tracing:
+            event: Dict[str, Any] = {
+                "type": "span",
+                "ts": time.time(),
+                "name": op,
+                "tree": tree,
+                "seq": seq,
+                "dur_ms": dur_s * 1000.0,
+                "io": dict(zip(IO_FIELDS, io10)),
+                "memo_lookups": memo_lookups,
+                "memo_hits": memo_hits,
+                "served_by": served_by,
+            }
+            if error:
+                event["error"] = True
+            if attrs:
+                event.update(attrs)
+            self.sink.emit(event)
 
     def event(self, event_type: str, **fields: Any) -> None:
         """Emit one structured event (dropped below ``trace``)."""
@@ -187,12 +205,6 @@ __all__ = [
     "NodeVisit",
     "DriftMonitor",
     "OpDriftTracker",
-    # tracing
-    "Span",
-    "Tracer",
-    "NullSpan",
-    "NullTracer",
-    "NULL_TRACER",
     # events
     "EventSink",
     "JsonlEventSink",

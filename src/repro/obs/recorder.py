@@ -14,9 +14,11 @@ update, batch, cleaner cycle — appends one fixed-size record carrying:
 
 The recorder is a plain data structure: it never emits events and never
 touches the registry, so enabling it costs only the per-op capture (two
-``perf_counter`` calls, one stats read, one ring append).  It is created
-by :class:`~repro.obs.Observability` at every level that records metrics
-and absent (``None``) at ``off`` — the disabled path stays a true no-op.
+``perf_counter`` calls, one stats read, one ring append).  Every
+:class:`~repro.obs.Observability` owns one; at ``trace`` level
+:meth:`Observability.record` turns each record into the operation's
+``span`` event, carrying the ``seq`` :meth:`FlightRecorder.record`
+returns.
 
 Hot-path contract (enforced by lint rule REP010): tree/storage code
 reaches the recorder only through instruments bound in ``attach_obs``,
@@ -171,8 +173,9 @@ class FlightRecorder:
         memo_lookups: int,
         memo_hits: int,
         served_by: str,
-    ) -> None:
-        """Append one operation record (cheap: tuple + ring append)."""
+    ) -> int:
+        """Append one operation record (cheap: tuple + ring append) and
+        return its sequence number."""
         seq = self._seq
         self._seq = seq + 1
         raw: _Raw = (seq, op, tree, dur_s, io10, memo_lookups, memo_hits, served_by)
@@ -183,6 +186,7 @@ class FlightRecorder:
                 heapq.heappush(slow, (dur_s, seq, raw))
             elif dur_s > slow[0][0]:
                 heapq.heapreplace(slow, (dur_s, seq, raw))
+        return seq
 
     # -- introspection -----------------------------------------------------
 

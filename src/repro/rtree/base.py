@@ -212,10 +212,8 @@ class RTreeBase:
 
         Cascades to the buffer pool (and through it, the disk manager);
         subclasses extend the cascade to the memo, the cleaner, the WAL,
-        or the secondary index.  Passing ``None`` — or an instance at
-        level ``off`` — detaches everything.
+        or the secondary index.  Passing ``None`` detaches everything.
         """
-        enabled = obs is not None and obs.enabled
         # Queries skipped since the last sampled one have not been
         # counted yet; settle the balance before the counter is dropped
         # or rebound.  (Updates need no settlement: their counter and
@@ -224,9 +222,9 @@ class RTreeBase:
         if pending > 0 and self._obs_c_queries is not None:
             self._obs_c_queries.inc(pending)
         self._obs_unbind()
-        self.obs = obs if enabled else None
-        self.buffer.attach_obs(obs if enabled else None)
-        if enabled and obs.metrics_on:
+        self.obs = obs
+        self.buffer.attach_obs(obs)
+        if obs is not None:
             reg = obs.registry
             updates = self._obs_c_updates = reg.counter("tree.updates")
             queries = self._obs_c_queries = reg.counter("tree.queries")
@@ -235,10 +233,9 @@ class RTreeBase:
             )
             query_io = reg.histogram("tree.query_leaf_io", self._IO_BUCKETS)
             reg.gauge("tree.height").set_function(lambda: self.height)
-            # Flight recorder + drift monitor (always on at metrics and
-            # above; the hot path reaches them only through these bound
-            # references — lint rule REP010).
-            self._obs_recorder = obs.recorder
+            # Flight recorder + drift monitor (the hot path reaches them
+            # only through these bound references — lint rule REP010).
+            self._obs_record = obs.record
             self._obs_drift = DriftMonitor(reg)
             update_drift = self._obs_drift.track(
                 "update", self._drift_update_predicted
@@ -246,26 +243,19 @@ class RTreeBase:
             query_drift = self._obs_drift.track(
                 "query", self._drift_query_predicted
             )
-            # The one counting rule, for every tree type — kind: (span
-            # name, op counter, leaf-I/O histogram, drift tracker, capture
+            # The one counting rule, for every tree type — op: (op
+            # counter, leaf-I/O histogram, drift tracker, capture
             # sampler).  Every operation through a public entry point
             # lands in exactly one row.
             insert_drift = update_drift if self._INSERT_IS_UPDATE else None
             self._obs_kinds = {
-                "insert": ("insert", updates, update_io, insert_drift, None),
+                "insert": (updates, update_io, insert_drift, None),
                 "update": (
-                    "update", updates, update_io, update_drift,
-                    self._obs_usample,
+                    updates, update_io, update_drift, self._obs_usample
                 ),
-                "delete": ("delete", updates, update_io, None, None),
-                "query": (
-                    "query", queries, query_io, query_drift,
-                    self._obs_qsample,
-                ),
-                "knn": (
-                    "knn", reg.counter("tree.knn_queries"), query_io,
-                    None, None,
-                ),
+                "delete": (updates, update_io, None, None),
+                "query": (queries, query_io, query_drift, self._obs_qsample),
+                "knn": (reg.counter("tree.knn_queries"), query_io, None, None),
             }
 
     def _obs_unbind(self) -> None:
@@ -279,7 +269,7 @@ class RTreeBase:
         #: populated by the RUM subclass (the baselines have no memo) so
         #: per-op memo lookup/hit deltas — read off the memo's
         #: unconditional plain-int tallies — ride every recorder record.
-        self._obs_recorder = None
+        self._obs_record = None
         self._obs_rec_memo = None
         self._obs_drift = None
         #: Capture sampling of the two hot operation classes: every
@@ -294,15 +284,17 @@ class RTreeBase:
         """Run ``body(*args)`` as one fully captured operation of class
         ``kind`` (enabled path only) and return its result.
 
-        The single accounting body: wraps the run in a span at ``trace``
-        level, then feeds the kind's op counter, its per-op leaf-I/O
-        histogram, the flight recorder, and — where the kind has one —
-        the drift monitor's measured EWMA, all from one 10-field I/O
-        delta off the raw counters (raw reads instead of
-        ``stats.snapshot()`` keep the capture to two ``perf_counter``
-        calls plus two counter sweeps).  ``window`` marks a range query:
-        its extents feed the drift model and its serving decision rides
-        the record.
+        The single accounting body: one 10-field I/O delta off the raw
+        counters and one ``perf_counter`` pair (raw reads instead of
+        ``stats.snapshot()`` keep the capture cheap) feed the flight
+        recorder — whose record is, at ``trace`` level, also the
+        operation's ``span`` event, carrying ``attrs`` — then the kind's
+        op counter, its per-op leaf-I/O histogram and, where the kind
+        has one, the drift monitor's measured EWMA.  ``window`` marks a
+        range query: its extents feed the drift model and its serving
+        decision rides the record.  An operation that raises is still
+        recorded (its event says ``error: true``) and re-raised; it
+        feeds nothing else.
 
         For the sampled kinds it then applies the stride rule: a capture
         faster than ``_OBS_FAST_S`` doubles the stride (slow-op detection
@@ -310,35 +302,36 @@ class RTreeBase:
         ``_OBS_STRIDE_MAX``), a slow one resets it, and at ``trace``
         level the stride never widens so every operation is recorded.
         """
-        span, counter, histogram, tracker, sampler = self._obs_kinds[kind]
-        obs = self.obs
+        counter, histogram, tracker, sampler = self._obs_kinds[kind]
         s = self.stats
         m = self._obs_rec_memo
         lookups0 = 0 if m is None else m.lookup_count
         hits0 = 0 if m is None else m.hit_count
         io0 = io_counters(s)
         t0 = time.perf_counter()
-        if obs.tracing:
-            with obs.span(span, io=s, tree=self.name, **attrs):
-                result = body(*args)
-        else:
+        failed = True
+        try:
             result = body(*args)
-        dur_s = time.perf_counter() - t0
-        io10 = tuple(map(sub, io_counters(s), io0))
+            failed = False
+        finally:
+            dur_s = time.perf_counter() - t0
+            io10 = tuple(map(sub, io_counters(s), io0))
+            self._obs_record(
+                kind,
+                self.name,
+                dur_s,
+                io10,
+                0 if m is None else m.lookup_count - lookups0,
+                0 if m is None else m.hit_count - hits0,
+                "-" if window is None
+                else "mirror" if self._served_by_mirror else "traversal",
+                failed,
+                attrs,
+            )
         if counter is not None:
             counter.value += 1
         if histogram is not None:
             histogram.observe(io10[0] + io10[1])
-        self._obs_recorder.record(
-            kind,
-            self.name,
-            dur_s,
-            io10,
-            0 if m is None else m.lookup_count - lookups0,
-            0 if m is None else m.hit_count - hits0,
-            "-" if window is None
-            else "mirror" if self._served_by_mirror else "traversal",
-        )
         if tracker is not None:
             if window is not None:
                 tracker.observe_window(
@@ -347,7 +340,7 @@ class RTreeBase:
             # Counted I/O per the paper's model: leaf + index + log + memo
             # — everything but the (cached) internal nodes.
             tracker.observe(sum(io10) - io10[2] - io10[3])
-        if sampler is not None and not obs.tracing:
+        if sampler is not None and not self.obs.tracing:
             if dur_s >= _OBS_FAST_S:
                 sampler.stride = 1
             elif sampler.stride < _OBS_STRIDE_MAX:

@@ -81,7 +81,7 @@ class FURTree(RTreeBase):
         """Extend the base cascade with the bottom-up case mix and the
         secondary-index footprint."""
         super().attach_obs(obs)
-        if self.obs is not None and obs.metrics_on:
+        if obs is not None:
             reg = obs.registry
             reg.gauge("fur.updates_in_place").set_function(
                 lambda: self.updates_in_place

@@ -197,7 +197,7 @@ class ShardRouter:
         queries, memo activity ...) aggregate across shards; per-tree
         gauges (height, memo size) reflect the last shard attached.
         """
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_migrations = None
             self._obs_fanout = None
         else:

@@ -175,7 +175,7 @@ class BufferPool:
         attach); rarer events keep real counters.  The attach cascades
         to the disk manager so one call wires the whole stack.
         """
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_evictions = None
         else:
             reg = obs.registry

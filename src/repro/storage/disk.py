@@ -97,7 +97,7 @@ class DiskManager:
         self._obs_frees: Optional[Counter] = None
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind (or with ``None``/level ``off``, unbind) telemetry.
+        """Bind (or with ``None``, unbind) telemetry.
 
         Page reads and writes are already tallied unconditionally as the
         plain ints ``self.reads``/``self.writes`` — ``disk.page_reads``
@@ -108,7 +108,7 @@ class DiskManager:
         resident page count and byte footprint are callback gauges
         sampled only at snapshot time.
         """
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_allocs = self._obs_frees = None
             return
         reg = obs.registry

@@ -119,7 +119,7 @@ class FaultInjector:
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind telemetry (``faults.fired`` counter)."""
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_fired = None
             return
         self._obs_fired = obs.registry.counter("faults.fired")

@@ -70,7 +70,7 @@ class FileDiskManager:
         plus ``disk.syncs`` for durability points).  Page reads/writes
         ride the unconditional plain-int tallies as lazy gauges, exactly
         like :class:`~repro.storage.disk.DiskManager`."""
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs_syncs = None
             return
         reg = obs.registry

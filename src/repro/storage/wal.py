@@ -114,7 +114,7 @@ class WriteAheadLog:
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Bind telemetry: append/force counts, page writes, log size."""
-        if obs is None or not obs.metrics_on:
+        if obs is None:
             self._obs = None
             self._obs_appends = self._obs_forced = None
             self._obs_page_writes = None

@@ -104,10 +104,11 @@ class TestTreeIntegration:
             tree.search(q)
 
     def test_drift_report_empty_when_off(self):
-        tree = build_rum_tree(node_size=2048, obs=Observability.disabled())
+        tree = build_rum_tree(node_size=2048, obs=None)
         assert tree.drift_report() == []
-        tree2 = build_rum_tree(node_size=2048)
-        assert tree2.drift_report() == []
+        tree.attach_obs(Observability(level="metrics"))
+        tree.attach_obs(None)
+        assert tree.drift_report() == []
 
     def test_drift_gauges_exported_via_prometheus(self):
         from repro.obs import prometheus_text

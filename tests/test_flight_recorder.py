@@ -206,9 +206,9 @@ class TestTreeIntegration:
         tree.memo.close()
 
     def test_off_level_has_no_recorder(self):
-        obs = Observability.disabled()
-        assert obs.recorder is None
-        tree = build_rum_tree(node_size=2048, obs=obs)
+        tree = build_rum_tree(node_size=2048, obs=None)
+        assert tree._obs_record is None
+        assert tree.cleaner._obs is None
         self._workload(tree, n_updates=20)  # must not raise
 
 

@@ -1,4 +1,4 @@
-"""Tests for the observability core: registry, tracer, sinks, exporters."""
+"""Tests for the observability core: registry, sinks, exporters, facade."""
 
 import io
 import json
@@ -13,18 +13,15 @@ from repro.obs import (
     ListEventSink,
     LoggingEventSink,
     MetricsRegistry,
-    NULL_TRACER,
     NullEventSink,
     Observability,
     TeeEventSink,
-    Tracer,
     get_default_obs,
     metrics_json,
     prometheus_text,
     set_default_obs,
     write_prometheus,
 )
-from repro.storage.iostats import IOStats
 
 
 class TestCounterGauge:
@@ -139,61 +136,6 @@ class TestSnapshots:
         assert reg.names() == ("a", "b", "c")
 
 
-class TestTracer:
-    def test_span_emits_event_with_timing(self):
-        sink = ListEventSink()
-        tracer = Tracer(sink)
-        with tracer.span("update", oid=7):
-            pass
-        (event,) = sink.events
-        assert event["type"] == "span"
-        assert event["name"] == "update"
-        assert event["oid"] == 7
-        assert event["dur_ms"] >= 0.0
-        assert event["depth"] == 0
-        assert "parent" not in event
-
-    def test_nesting_depth_and_parent(self):
-        sink = ListEventSink()
-        tracer = Tracer(sink)
-        with tracer.span("outer") as outer:
-            with tracer.span("inner"):
-                assert tracer.depth == 2
-        inner_ev, outer_ev = sink.events  # inner closes first
-        assert inner_ev["name"] == "inner"
-        assert inner_ev["depth"] == 1
-        assert inner_ev["parent"] == outer.seq
-        assert outer_ev["depth"] == 0
-
-    def test_span_attaches_io_delta(self):
-        stats = IOStats()
-        sink = ListEventSink()
-        tracer = Tracer(sink)
-        with tracer.span("op", io=stats) as span:
-            stats.record_read(is_leaf=True)
-            stats.record_write(is_leaf=True)
-        assert span.io_delta.leaf_reads == 1
-        assert span.io_delta.leaf_writes == 1
-        assert sink.events[0]["io"]["leaf_reads"] == 1
-
-    def test_error_flag_on_exception(self):
-        sink = ListEventSink()
-        tracer = Tracer(sink)
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                raise RuntimeError("x")
-        assert sink.events[0]["error"] is True
-        assert tracer.depth == 0
-
-    def test_null_tracer_is_inert(self):
-        span = NULL_TRACER.span("anything", io=IOStats(), oid=1)
-        with span as s:
-            assert s is span
-        assert span.io_delta is None
-        assert NULL_TRACER.span("x") is span  # one shared instance
-        assert NULL_TRACER.enabled is False
-
-
 class TestSinks:
     def test_jsonl_sink_to_file_object(self):
         buf = io.StringIO()
@@ -283,31 +225,41 @@ class TestPrometheusExport:
 
 class TestObservabilityFacade:
     def test_levels(self):
-        off = Observability(level="off")
-        assert not off.enabled and not off.metrics_on and not off.tracing
         metrics = Observability(level="metrics")
-        assert metrics.enabled and metrics.metrics_on and not metrics.tracing
+        assert not metrics.tracing and metrics.recorder is not None
         trace = Observability(level="trace")
         assert trace.tracing and not trace.debug
         debug = Observability(level="debug")
         assert debug.debug and debug.tracing
-        assert tuple(LEVELS) == ("off", "metrics", "trace", "debug")
+        # No telemetry is obs=None, not a level.
+        assert tuple(LEVELS) == ("metrics", "trace", "debug")
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             Observability(level="verbose")
 
-    def test_disabled_classmethod(self):
-        obs = Observability.disabled()
-        assert obs.level == "off"
-        assert obs.tracer is NULL_TRACER
+    def test_record_is_the_span_event_at_trace(self):
+        sink = ListEventSink()
+        obs = Observability(level="trace", sink=sink)
+        io10 = tuple(range(1, 11))
+        obs.record("update", "t", 0.002, io10, 3, 1, attrs={"oid": 7})
+        obs.record("query", "t", 0.001, io10, served_by="mirror", error=True)
+        first, second = obs.recorder.records()
+        e1, e2 = sink.of_type("span")
+        assert (e1["seq"], e2["seq"]) == (first.seq, second.seq)
+        assert e1["name"] == "update" and e1["tree"] == "t"
+        assert e1["io"] == first.io.as_dict()
+        assert e1["dur_ms"] == pytest.approx(2.0)
+        assert (e1["memo_lookups"], e1["memo_hits"]) == (3, 1)
+        assert e1["oid"] == 7 and "error" not in e1
+        assert e2["served_by"] == "mirror" and e2["error"] is True
+        assert not {"depth", "parent"} & (set(e1) | set(e2))
 
-    def test_span_below_trace_level_is_null(self):
-        obs = Observability(level="metrics", sink=ListEventSink())
-        with obs.span("x") as span:
-            pass
-        assert span.io_delta is None
-        assert obs.sink.events == []
+    def test_record_below_trace_emits_nothing(self):
+        sink = ListEventSink()
+        obs = Observability(level="metrics", sink=sink)
+        obs.record("update", "t", 0.0, (0,) * 10)
+        assert len(obs.recorder) == 1 and sink.events == []
 
     def test_event_only_when_tracing(self):
         sink = ListEventSink()

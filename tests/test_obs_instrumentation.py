@@ -1,19 +1,24 @@
 """End-to-end tests for the instrumented storage/RUM stack.
 
-Covers the ISSUE's acceptance invariant: with tracing enabled, the sum of
-per-update leaf I/O attached to the spans equals the ``IOStats`` delta
-over the same interval — the trace never under- or over-counts.
+The central invariant: with tracing enabled, the sum of per-update leaf
+I/O attached to the spans equals the ``IOStats`` delta over the same
+interval — the trace never under- or over-counts — and every ``span``
+event is exactly one flight-recorder record.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.core.memo import UpdateMemo
+from repro.crashsim import CrashScenario, run_scenario
 from repro.experiments.__main__ import main as cli_main
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
 from repro.obs import ListEventSink, Observability
 from repro.rtree.geometry import Rect
+from repro.serving.router import ShardRouter
 from repro.workload.objects import default_network_workload
 
 
@@ -74,6 +79,105 @@ class TestSpanIOExactness:
         assert (
             sum(s["io"]["leaf_reads"] for s in spans) == delta.leaf_reads
         )
+
+
+def _assert_events_are_records(obs, sink):
+    """Every retained recorder record has exactly one ``span`` event with
+    the same seq, op, tree and I/O — and no event lacks its record."""
+    spans = sink.of_type("span")
+    by_seq = {e["seq"]: e for e in spans}
+    assert len(by_seq) == len(spans)
+    records = obs.recorder.records()
+    assert obs.recorder.dropped == 0
+    assert sorted(by_seq) == [r.seq for r in records]
+    for record in records:
+        event = by_seq[record.seq]
+        assert event["name"] == record.op
+        assert event["tree"] == record.tree
+        assert event["io"] == record.io.as_dict()
+        assert event["dur_ms"] == record.duration_ms
+        assert "parent" not in event and "depth" not in event
+
+
+class TestOpRecordIsTheTrace:
+    def test_event_equals_record(self):
+        sink = ListEventSink()
+        obs = Observability(level="trace", sink=sink, recorder_capacity=4096)
+        tree = build_rum_tree(node_size=2048, inspection_ratio=0.5, obs=obs)
+        _run_workload(tree, n_updates=300)
+        tree.apply_batch([("update", 3, Rect.from_point(0.5, 0.5))])
+        tree.delete_object(4)
+        for _ in range(5):
+            tree.search(Rect(0.2, 0.2, 0.8, 0.8))
+        tree.nearest_neighbors(0.5, 0.5, 4)
+        ops = {r.op for r in obs.recorder.records()}
+        assert ops == {
+            "insert", "update", "update_batch", "delete", "query", "knn",
+            "cleaner_cycle",
+        }
+        _assert_events_are_records(obs, sink)
+
+    def test_concurrent_traced_upserts(self):
+        """Four threads tracing on four shards at once: one shared span
+        stack used to give their events spurious parents and, under
+        frequent thread switches, crash a thread in the tracer after its
+        update had been applied."""
+        sink = ListEventSink()
+        obs = Observability(level="trace", sink=sink, recorder_capacity=4096)
+        errors = []
+        with ShardRouter(4, obs=obs) as router:
+
+            def upserts(k):
+                try:
+                    for i in range(400):
+                        oid = k * 1000 + i
+                        x = (oid * 0.618) % 1.0
+                        router.upsert(oid, Rect.from_point(x, 1.0 - x))
+                except Exception as exc:  # reported to the main thread
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=upserts, args=(k,))
+                    for k in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert router.count_objects() == 1600
+        spans = sink.of_type("span")
+        assert sum(e["name"] == "update" for e in spans) == 1600
+        assert not any("parent" in e for e in spans)
+        _assert_events_are_records(obs, sink)
+
+    def test_raising_operation_emits_error_event(self, tmp_path):
+        sink = ListEventSink()
+        obs = Observability(level="trace", sink=sink)
+        outcome = run_scenario(
+            CrashScenario(option="III", point="wal.force", skip=40),
+            tmp_path,
+            obs=obs,
+        )
+        # The crash propagated out of the tree operation ...
+        assert outcome.pending is not None
+        assert outcome.pending[0] in ("update", "delete")
+        # ... which still emitted its span event, flagged, paired with a
+        # recorder record.
+        (failed,) = [e for e in sink.of_type("span") if e.get("error")]
+        assert failed["name"] == outcome.pending[0]
+        assert failed["oid"] == outcome.pending[1]
+        (record,) = [
+            r for r in obs.recorder.records() if r.seq == failed["seq"]
+        ]
+        assert record.op == failed["name"]
+        assert record.io.as_dict() == failed["io"]
 
 
 class TestMetricsWiring:
@@ -171,6 +275,16 @@ class TestMetricsWiring:
         snap = obs.registry.snapshot()
         assert snap.counters["wal.appends"] > 0
         assert snap.gauges["wal.records"] > 0
+
+    def test_entries_removed_counts_clean_upon_touch(self):
+        """Clean-upon-touch (Section 3.3.3) removes most obsolete entries;
+        the registry counter used to count only the token steps'."""
+        obs = Observability(level="metrics")
+        tree = build_rum_tree(node_size=2048, obs=obs)
+        _run_workload(tree, n_objects=500, n_updates=2000)
+        removed = obs.registry.snapshot().counters["cleaner.entries_removed"]
+        assert tree.cleaner.entries_removed > 0
+        assert removed == tree.cleaner.entries_removed
 
     def test_cleaner_metrics_and_events(self):
         obs, sink = _traced_obs()
@@ -368,9 +482,7 @@ class TestOpSampling:
 
 class TestAttachDetach:
     def test_level_off_runs_uninstrumented_path(self):
-        tree = build_rum_tree(
-            node_size=2048, obs=Observability.disabled()
-        )
+        tree = build_rum_tree(node_size=2048, obs=None)
         assert tree.obs is None
         assert tree._obs_c_updates is None
         assert tree.buffer._obs_evictions is None
