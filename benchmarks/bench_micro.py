@@ -482,11 +482,7 @@ def bench_memo(metrics: Dict, iters: int) -> None:
     from repro.storage.wal import UM_ENTRY_BYTES
 
     with tempfile.TemporaryDirectory(prefix="bench-memo-") as tmp:
-        spilled = SpillingUpdateMemo(
-            tmp,
-            spill_budget=32 * UM_ENTRY_BYTES,
-            compact_threshold=4,
-        )
+        spilled = SpillingUpdateMemo(tmp, spill_budget=32 * UM_ENTRY_BYTES)
         for oid in range(0, 2 * n_oids, 2):
             spilled.record_update(oid, oid + 1)
 

@@ -6,11 +6,14 @@ cap the way the same authors' successor work ("An Update-intensive
 LSM-based R-tree Index", PAPERS.md) does: when the memo's table crosses
 a configurable byte budget the memo hands it over as an immutable *run*
 — a file of records sorted by oid — and its probes that RAM cannot
-answer walk the runs from newest to oldest.  Size-tiered compaction
-keeps the run count logarithmic; one RAM-only presence screen over all
-runs answers "no run holds this oid" before the walk, and a per-run
-Bloom filter plus page fence pointers keep the rest at ~O(1) page reads
-("Dynamic Indexability", Yi — PAPERS.md: this lookup/ingest dial).
+answer walk the runs from newest to oldest.  Leveled compaction (each
+run more than ``LEVEL_RATIO`` times the next newer one) keeps few runs
+and, the live memo being bounded, keeps folding them into the oldest,
+where tombstones drop: the policy for the side that is read ("Dynamic
+Indexability", Yi — PAPERS.md: this lookup/ingest dial).  One RAM-only
+presence screen over all runs answers "no run holds this oid" before
+the walk, and a per-run Bloom filter plus page fence pointers keep the
+rest at ~O(1) page reads.
 
 The store is a store, not a memo: what a record *means* is
 :mod:`repro.core.memo`'s business (its module docstring defines the
@@ -55,7 +58,6 @@ import os
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
-from itertools import groupby
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
@@ -105,8 +107,9 @@ RUN_SUFFIX = ".run"
 #: ``E`` per entry).  1 MiB ~= 43k entries.
 DEFAULT_SPILL_BUDGET = 1 << 20
 
-#: Merge an age-contiguous group once this many runs share a size tier.
-DEFAULT_COMPACT_THRESHOLD = 4
+#: Leveling: the newest run merges into its older neighbour while that
+#: neighbour holds at most this many times its records.
+LEVEL_RATIO = 4
 
 
 class MemoCorruptionError(RuntimeError):
@@ -331,16 +334,12 @@ class RunStore:
         self,
         directory: str,
         spill_budget: int = DEFAULT_SPILL_BUDGET,
-        compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
         stats: Optional["IOStats"] = None,
         faults: Optional["FaultInjector"] = None,
     ):
         if spill_budget <= 0:
             raise ValueError("spill_budget must be positive")
-        if compact_threshold < 2:
-            raise ValueError("compact_threshold must be at least 2")
         self.spill_budget = spill_budget
-        self.compact_threshold = compact_threshold
         self.stats = stats
         self.faults = faults
         self.directory = Path(directory)
@@ -636,25 +635,22 @@ class RunStore:
             )
 
     # ------------------------------------------------------------------
-    # Size-tiered compaction
+    # Leveled compaction
     # ------------------------------------------------------------------
 
-    def compact(self) -> None:
-        """Merge age-contiguous groups of same-tier runs until no group
-        reaches ``compact_threshold``.  Only age-contiguous runs may
-        merge — the manifest order is the authoritative record-age order
-        the newest→oldest probe walk depends on."""
-        while (group := self._find_compactable()) is not None:
-            self._compact(*group)
-
-    def _find_compactable(self) -> Optional[Tuple[int, int]]:  # holds: latch
-        i = 0
-        for _, same in groupby(self.runs, key=lambda run: run.count.bit_length()):
-            n = len(list(same))
-            if n >= self.compact_threshold:
-                return (i, i + n - 1)
-            i += n
-        return None
+    def compact(self) -> None:  # holds: latch
+        """Merge the newest run into its older neighbour while that one
+        holds at most ``LEVEL_RATIO`` times its records, so each run holds
+        more than ``LEVEL_RATIO`` times the next newer one.  The memo is
+        probed dozens of times per update and spilled once per budget-full,
+        so merge writes buy few runs to probe; and the live memo being
+        bounded (paper Section 4.1), the merges keep reaching the oldest
+        run, which drops every tombstone and rebuilds an exact screen.
+        Only age-contiguous runs may merge — the manifest order is the
+        record-age order the probe walk depends on."""
+        runs = self.runs
+        while len(runs) >= 2 and runs[-2].count <= LEVEL_RATIO * runs[-1].count:
+            self._compact(len(runs) - 2, len(runs) - 1)
 
     def _compact(self, i: int, j: int) -> None:  # holds: latch
         """Merge runs ``i..j`` (age order, inclusive) into one run, their
@@ -756,10 +752,9 @@ class SpillingUpdateMemo(UpdateMemo):
         directory: str,
         n_buckets: int = 64,
         spill_budget: int = DEFAULT_SPILL_BUDGET,
-        compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
         stats: Optional["IOStats"] = None,
         faults: Optional["FaultInjector"] = None,
     ):
-        tier = RunStore(directory, spill_budget, compact_threshold, stats, faults)
+        tier = RunStore(directory, spill_budget, stats, faults)
         super().__init__(n_buckets, tier)
         self.directory = tier.directory

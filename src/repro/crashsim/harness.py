@@ -142,7 +142,6 @@ class WorkloadConfig:
     #: where the harness auto-enables the spilling memo with a tiny
     #: default budget so the fault sites actually execute.
     memo_spill_budget: Optional[int] = None
-    memo_compact_threshold: int = 2
 
 
 #: Auto-enabled spill budget for ``memo.*`` scenarios: small enough that
@@ -348,7 +347,6 @@ def run_scenario(
         memo = SpillingUpdateMemo(
             memo_dir,
             spill_budget=memo_budget,
-            compact_threshold=config.memo_compact_threshold,
             stats=stats,
             faults=injector,
         )
@@ -438,7 +436,7 @@ def run_scenario(
             raise CrashSimError(f"{scenario.name}: fault never fired")
         if memo_fault:
             return _verify_memo_corruption_detected(
-                scenario, config, memo_dir, memo_budget, injector,
+                scenario, memo_dir, memo_budget, injector,
                 memo_detected_inflight, obs,
             )
         return _verify_damage_detected(
@@ -500,8 +498,7 @@ def _verify_damage_detected(
 
 
 def _verify_memo_corruption_detected(
-    scenario, config, memo_dir, memo_budget, injector, detected_inflight,
-    obs,
+    scenario, memo_dir, memo_budget, injector, detected_inflight, obs,
 ) -> CrashOutcome:
     """Silent damage to the memo's disk tier cannot be repaired — it
     must be *found*: either a compaction re-validating its inputs raised
@@ -513,11 +510,7 @@ def _verify_memo_corruption_detected(
         checks.append("corrupt run caught in flight by compaction")
     else:
         try:
-            probe = SpillingUpdateMemo(
-                memo_dir,
-                spill_budget=memo_budget,
-                compact_threshold=config.memo_compact_threshold,
-            )
+            probe = SpillingUpdateMemo(memo_dir, spill_budget=memo_budget)
         except MemoCorruptionError:
             checks.append("corrupt memo tier fails CRC at reopen")
         else:
@@ -600,7 +593,6 @@ def _recover_and_verify(
         memo2 = SpillingUpdateMemo(
             memo_dir,
             spill_budget=memo_budget,
-            compact_threshold=config.memo_compact_threshold,
             stats=stats2,
         )
         _check(
@@ -869,9 +861,13 @@ def default_scenarios() -> List[CrashScenario]:
         # recovery rebuilds the memo from a leaf scan, the worst case
         # for stale spilled state); II/III spot-check that checkpoint /
         # log replay also land correctly on a reopened spill tier.
-        # Corrupt-mode skips are 0 by design: the first damaged artifact
-        # must stay the *last* written so no later manifest rewrite
-        # heals it before detection (the workload stops on fire).
+        # A corrupt-mode fault must hit an artifact that stays the *last*
+        # written, so no later manifest rewrite heals it before detection
+        # (the workload stops on fire, but only between operations).  A
+        # damaged run is caught by the next merge's validated read or by
+        # the reopen; a flush's manifest is replaced by the merge that
+        # follows the flush in the same operation, so the manifest fault
+        # skips to that merge's manifest.
         if option == "I":
             scenarios.extend(
                 [
@@ -895,7 +891,7 @@ def default_scenarios() -> List[CrashScenario]:
                     ),
                     CrashScenario(
                         option=option, point="memo.manifest",
-                        mode="corrupt",
+                        mode="corrupt", skip=1,
                     ),
                 ]
             )

@@ -93,7 +93,6 @@ def run_fig14_overall(
 def run_fig14_memo(
     populations: Sequence[int] = MEMO_POPULATIONS,
     spill_budget: int = 64 * 1024,
-    compact_threshold: int = 4,
     update_factor: float = 0.5,
     probe_sample: int = 2000,
     seed: int = 37,
@@ -115,6 +114,9 @@ def run_fig14_memo(
     in their own columns, for absent keys.  Objects get the even oids and
     misses are odd, so every miss lies *inside* the runs' key range
     (``miss_in_range``): only the screen or a Bloom filter spares it a page.
+    The tier merges leveled (:data:`~repro.core.memo_lsm.LEVEL_RATIO`), the
+    policy for a memo that is read far more than it spills; on this pure
+    load, where every record stays live, ``flush_writes`` is its price.
     """
     rows = []
     for population in populations:
@@ -122,12 +124,7 @@ def run_fig14_memo(
         rng = random.Random(seed)
         stats = IOStats()
         with tempfile.TemporaryDirectory(prefix="fig14memo-") as tmp:
-            memo = SpillingUpdateMemo(
-                tmp,
-                spill_budget=spill_budget,
-                compact_threshold=compact_threshold,
-                stats=stats,
-            )
+            memo = SpillingUpdateMemo(tmp, spill_budget=spill_budget, stats=stats)
             peak_ram = 0
             updates = chain(
                 range(0, 2 * n, 2),

@@ -91,7 +91,6 @@ def build_rum_tree(
     obs: Optional["Observability"] = None,
     memo_dir: Optional[str] = None,
     memo_spill_budget: Optional[int] = None,
-    memo_compact_threshold: Optional[int] = None,
     **tree_kwargs,
 ) -> RUMTree:
     """A RUM-tree on a fresh storage stack (RUM leaf layout).
@@ -99,8 +98,8 @@ def build_rum_tree(
     A write-ahead log is attached automatically when ``recovery_option``
     is ``"II"`` or ``"III"``.  Passing ``memo_dir`` stands the Update
     Memo on a run tier (:class:`~repro.core.memo_lsm.RunStore`) rooted
-    at that directory (``memo_spill_budget`` bytes of RAM,
-    ``memo_compact_threshold`` same-tier runs per merge), sharing the
+    at that directory (``memo_spill_budget`` bytes of RAM; leveled
+    merges, :data:`~repro.core.memo_lsm.LEVEL_RATIO`), sharing the
     stack's I/O counters so run traffic lands in
     ``stats.memo_reads``/``memo_writes``.
     """
@@ -111,21 +110,19 @@ def build_rum_tree(
     if recovery_option is not None and recovery_option != RECOVERY_NONE:
         wal = WriteAheadLog(node_size, buffer.stats)
     if memo_dir is not None:
-        from repro.core.memo_lsm import SpillingUpdateMemo
+        from repro.core.memo_lsm import DEFAULT_SPILL_BUDGET, SpillingUpdateMemo
 
-        memo_kwargs = {}
-        if memo_spill_budget is not None:
-            memo_kwargs["spill_budget"] = memo_spill_budget
-        if memo_compact_threshold is not None:
-            memo_kwargs["compact_threshold"] = memo_compact_threshold
         tree_kwargs["memo"] = SpillingUpdateMemo(
             memo_dir,
+            spill_budget=(
+                DEFAULT_SPILL_BUDGET if memo_spill_budget is None
+                else memo_spill_budget
+            ),
             stats=buffer.stats,
-            **memo_kwargs,
         )
-    elif memo_spill_budget is not None or memo_compact_threshold is not None:
+    elif memo_spill_budget is not None:
         raise ValueError(
-            "memo_spill_budget/memo_compact_threshold need memo_dir "
+            "memo_spill_budget needs memo_dir "
             "(the disk-tiered memo must live somewhere)"
         )
     tree = RUMTree(

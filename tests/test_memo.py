@@ -2,9 +2,8 @@
 
 Every Section 3.1 behaviour is checked twice: on the bare table (the
 ``Test*`` classes) and, through the ``Test*Tiered`` subclasses, on the
-same table above a run tier whose budget is three entries and which
-compacts at two runs — so the very same assertions hold on both sides of
-a spill.  (Subclasses rather than ``parametrize`` so the test ids of the
+same table above a run tier whose budget is three entries — so the very
+same assertions hold on both sides of a spill and of the merges after it.  (Subclasses rather than ``parametrize`` so the test ids of the
 bare table stay what they were.)
 """
 
@@ -42,11 +41,7 @@ class MemoCases:
         tier = None
         if self.TIERED:
             self._dirs.append(tempfile.TemporaryDirectory(prefix="memo-tier-"))
-            tier = RunStore(
-                self._dirs[-1].name,
-                spill_budget=3 * UM_ENTRY_BYTES,
-                compact_threshold=2,
-            )
+            tier = RunStore(self._dirs[-1].name, spill_budget=3 * UM_ENTRY_BYTES)
         self._memos.append(UpdateMemo(n_buckets, tier))
         return self._memos[-1]
 

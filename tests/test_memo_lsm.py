@@ -46,22 +46,24 @@ def load_run(path):
     return _Run(path, _Run.validated_image(path))
 
 
-def tiny_memo(tmp_path, budget_entries=4, threshold=2, **kwargs):
+def tiny_memo(tmp_path, budget_entries=4, **kwargs):
     """A spilling memo whose RAM tier holds ``budget_entries`` entries."""
     return SpillingUpdateMemo(
-        tmp_path,
-        spill_budget=budget_entries * UM_ENTRY_BYTES,
-        compact_threshold=threshold,
-        **kwargs,
+        tmp_path, spill_budget=budget_entries * UM_ENTRY_BYTES, **kwargs
     )
+
+
+def spill_unmerged(memo):
+    """``flush_ram`` without the merge after it — :meth:`RunStore.flush`
+    never compacts — to stage run sets the level rule would fold."""
+    memo.tier.flush(sorted(entry.as_record() for entry in memo._table.values()))
+    memo._table.clear()
 
 
 class TestConstruction:
     def test_rejects_bad_budget_and_threshold(self, tmp_path):
         with pytest.raises(ValueError):
             SpillingUpdateMemo(tmp_path, spill_budget=0)
-        with pytest.raises(ValueError):
-            SpillingUpdateMemo(tmp_path, compact_threshold=1)
 
     def test_empty_directory_starts_empty(self, tmp_path):
         memo = tiny_memo(tmp_path)
@@ -94,17 +96,18 @@ class TestSpillAndProbe:
         memo.close()
 
     def test_n_old_aggregates_deltas_across_runs(self, tmp_path):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=32)
         for stamp in range(1, 8):
             memo.record_update(5, stamp)
-            memo.record_update(100 + stamp, stamp)  # filler forcing spills
-        assert len(memo.runs) >= 2
+            memo.record_update(100 + stamp, stamp)
+            spill_unmerged(memo)
+        assert len(memo.runs) == 7
         assert memo.get(5).n_old == 7
         assert memo.get(5).s_latest == 7
         memo.close()
 
     def test_note_cleaned_drains_through_tombstone(self, tmp_path):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         memo.record_update(1, 10)
         memo.flush_ram()
         assert memo.runs  # the record now lives on disk
@@ -120,7 +123,7 @@ class TestSpillAndProbe:
         oid, its first update is an ``ABSOLUTE`` and its last clean deletes
         the entry — where a run does hold the oid, a ``DELTA`` and a
         tombstone, as ever."""
-        memo = tiny_memo(tmp_path, budget_entries=4, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=4)
         for oid in (1, 2, 3):
             memo.record_update(oid, oid)
         memo.flush_ram()
@@ -143,10 +146,10 @@ class TestSpillAndProbe:
         """The sweep's CheckStatus reads the newest record of the oid; the
         deep fold of its clean goes on from there — three runs, three page
         reads, where walking twice made four."""
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         for stamp in (1, 2, 3):
             memo.record_update(5, stamp)
-            memo.flush_ram()
+            spill_unmerged(memo)
         assert [next(run.iter_records())[3] for run in memo.runs] == [
             ABSOLUTE, DELTA, DELTA,
         ]
@@ -165,16 +168,16 @@ class TestSpillAndProbe:
 
     @pytest.mark.parametrize("change", ["flush", "compact", "reset"])
     def test_resume_dies_with_every_change_of_the_run_set(self, tmp_path, change):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         memo.record_update(8, 1)
-        memo.flush_ram()
+        spill_unmerged(memo)
         memo.record_update(9, 2)
-        memo.flush_ram()
+        spill_unmerged(memo)
         assert memo.latest_stamp(8) == 1  # remembered: run 0, ABSOLUTE(1)
         assert memo.tier._resume is not None
         if change == "flush":
             memo.record_update(8, 3)      # a DELTA over it, spilled above
-            memo.flush_ram()
+            spill_unmerged(memo)
             want = (8, 3, 1)
         elif change == "compact":
             memo.tier._compact(0, 1)
@@ -190,7 +193,7 @@ class TestSpillAndProbe:
         memo.close()
 
     def test_purge_phantoms_reaches_spilled_entries(self, tmp_path):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         for oid in range(10):
             memo.record_update(oid, oid + 1)
         memo.flush_ram()
@@ -199,6 +202,22 @@ class TestSpillAndProbe:
         assert memo.get(0) is None
         assert memo.get(2).s_latest == 3
         assert memo.get(7).s_latest == 8
+        memo.close()
+
+    def test_a_drained_oid_costs_no_run_read(self, tmp_path):
+        """The tombstone a clean leaves over a spilled record merges into
+        that record's run at the next spill — the oldest, so both drop and
+        the screen is rebuilt exact: the oid is answered from RAM."""
+        stats = IOStats()
+        memo = SpillingUpdateMemo(tmp_path, stats=stats)
+        memo.record_update(7, 1)
+        memo.flush_ram()
+        memo.note_cleaned(7)
+        assert memo._table[7].tag == TOMBSTONE  # a run holds oid 7
+        memo.flush_ram()
+        before = stats.memo_reads
+        assert memo.latest_stamp(7) is None
+        assert stats.memo_reads == before
         memo.close()
 
     def test_miss_probe_rejected_by_bloom_without_io(self, tmp_path):
@@ -241,22 +260,27 @@ class TestRunFormat:
 
 class TestCompaction:
     def test_compaction_bounds_run_count(self, tmp_path):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=2)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         for stamp in range(1, 200):
             memo.record_update(stamp % 17, stamp)
-        # Size-tiering with threshold 2 keeps at most one run per tier.
-        assert len(memo.runs) <= 8
+            counts = [run.count for run in memo.runs]
+            # Leveling: each run more than LEVEL_RATIO times the next newer.
+            assert all(
+                older > memo_lsm.LEVEL_RATIO * newer
+                for older, newer in zip(counts, counts[1:])
+            )
+        assert len(memo.runs) <= 2
         for oid in range(17):
             assert memo.get(oid) is not None
         memo.close()
 
     def test_oldest_merge_drops_tombstones(self, tmp_path):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         memo.record_update(1, 1)
         memo.record_update(2, 2)
-        memo.flush_ram()
+        spill_unmerged(memo)
         memo.note_cleaned(1)  # tombstone over the spilled record
-        memo.flush_ram()
+        spill_unmerged(memo)
         assert len(memo.runs) == 2
         memo.tier._compact(0, len(memo.runs) - 1)
         assert len(memo.runs) == 1
@@ -273,16 +297,16 @@ class TestCompaction:
         """Four runs, oldest first: ``{1, 2}``, ``{7}``, tombstones of 1 and
         7, ``{9}`` — a merge of the middle two has run 0 below it, which
         holds oid 1 and cannot hold oid 7."""
-        memo = tiny_memo(tmp_path, budget_entries=3, threshold=99, **kwargs)
+        memo = tiny_memo(tmp_path, budget_entries=3, **kwargs)
         for oids in ((1, 2), (7,)):
             for oid in oids:
                 memo.record_update(oid, 10 + oid)
-            memo.flush_ram()
+            spill_unmerged(memo)
         memo.note_cleaned(1)
         memo.note_cleaned(7)
-        memo.flush_ram()
+        spill_unmerged(memo)
         memo.record_update(9, 19)
-        memo.flush_ram()
+        spill_unmerged(memo)
         assert [[r[0] for r in run.iter_records()] for run in memo.runs] == [
             [1, 2], [7], [1, 7], [9],
         ]
@@ -305,7 +329,7 @@ class TestCompaction:
         # The stale bit makes oid 7's next update a DELTA with nothing to
         # add to: idle in the run a flush writes, an absolute after a merge.
         memo.record_update(7, 30)
-        memo.flush_ram()
+        spill_unmerged(memo)
         assert list(memo.runs[3].iter_records()) == [(7, 30, 1, DELTA)]
         assert tier.idle_tombstones() == [(3, 7)]
         tier._compact(2, 3)
@@ -323,7 +347,7 @@ class TestCompaction:
         injector.arm("memo.compact")
         with pytest.raises(SimulatedCrash):
             memo.tier._compact(1, 2)
-        reopened = tiny_memo(tmp_path, budget_entries=3, threshold=99)
+        reopened = tiny_memo(tmp_path, budget_entries=3)
         assert [run.path.name for run in reopened.runs] == names
         assert sorted(reopened.snapshot()) == [(2, 12, 1), (9, 19, 1)]
         for oid in (1, 7):
@@ -369,7 +393,7 @@ class TestReopen:
             tiny_memo(tmp_path, budget_entries=2)
 
     def test_corrupt_named_run_detected(self, tmp_path):
-        memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo = tiny_memo(tmp_path, budget_entries=2)
         for oid in range(10):
             memo.record_update(oid, oid + 1)
         memo.flush_ram()
@@ -379,14 +403,12 @@ class TestReopen:
         data[len(data) // 2] ^= 0xFF
         run_path.write_bytes(bytes(data))
         with pytest.raises(MemoCorruptionError):
-            tiny_memo(tmp_path, budget_entries=2, threshold=99)
+            tiny_memo(tmp_path, budget_entries=2)
 
 
 class TestFaultInjection:
-    def _filled(self, tmp_path, injector, threshold=99):
-        memo = tiny_memo(
-            tmp_path, budget_entries=2, threshold=threshold, faults=injector
-        )
+    def _filled(self, tmp_path, injector):
+        memo = tiny_memo(tmp_path, budget_entries=2, faults=injector)
         for oid in range(8):
             memo.record_update(oid, oid + 1)
         memo.flush_ram()
@@ -400,7 +422,7 @@ class TestFaultInjection:
         memo.record_update(100, 50)
         with pytest.raises(SimulatedCrash):
             memo.flush_ram()
-        memo2 = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo2 = tiny_memo(tmp_path, budget_entries=2)
         assert sorted(memo2.snapshot()) == durable  # oid 100 died in RAM
         memo2.close()
 
@@ -415,7 +437,7 @@ class TestFaultInjection:
             memo.flush_ram()
         # The torn image exists but the manifest never named it.
         assert len(list(tmp_path.glob(f"*{RUN_SUFFIX}"))) == n_runs + 1
-        memo2 = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo2 = tiny_memo(tmp_path, budget_entries=2)
         assert len(memo2.runs) == n_runs
         assert len(list(tmp_path.glob(f"*{RUN_SUFFIX}"))) == n_runs
         assert sorted(memo2.snapshot()) == durable
@@ -430,24 +452,24 @@ class TestFaultInjection:
         with pytest.raises(SimulatedCrash):
             memo.flush_ram()
         assert (tmp_path / MANIFEST_TMP_FILE).exists()
-        memo2 = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo2 = tiny_memo(tmp_path, budget_entries=2)
         assert sorted(memo2.snapshot()) == durable
         memo2.close()
 
     def test_crash_at_compact_keeps_inputs_live(self, tmp_path):
         injector = FaultInjector()
-        memo = self._filled(tmp_path, injector, threshold=2)
+        memo = self._filled(tmp_path, injector)
         durable = sorted(memo.snapshot())
         injector.arm("memo.compact")
         with pytest.raises(SimulatedCrash):
-            # Two same-tier runs exist after this flush: compaction runs
-            # and dies after writing its output, before the manifest swap.
+            # The level rule merges the run this flush writes: compaction
+            # runs and dies after writing its output, before the swap.
             memo.record_update(100, 50)
             memo.record_update(101, 51)
             memo.record_update(102, 52)
             memo.flush_ram()
         assert injector.fired == "memo.compact"
-        memo2 = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+        memo2 = tiny_memo(tmp_path, budget_entries=2)
         merged = {oid: (s, n) for oid, s, n in memo2.snapshot()}
         for oid, s, n in durable:
             assert merged[oid] == (s, n)
@@ -455,16 +477,16 @@ class TestFaultInjection:
 
     def test_corrupt_run_flush_detected_at_reopen(self, tmp_path):
         injector = FaultInjector()
-        memo = tiny_memo(
-            tmp_path, budget_entries=2, threshold=99, faults=injector
-        )
+        memo = tiny_memo(tmp_path, budget_entries=2, faults=injector)
         injector.arm("memo.run_flush", mode="corrupt")
-        for oid in range(8):
-            memo.record_update(oid, oid + 1)
-        memo.flush_ram()
-        memo.close()
+        # Caught in flight, when the next merge re-validates the damaged
+        # run, or else when the reopen validates every named run.
         with pytest.raises(MemoCorruptionError):
-            tiny_memo(tmp_path, budget_entries=2, threshold=99)
+            for oid in range(8):
+                memo.record_update(oid, oid + 1)
+            memo.flush_ram()
+            memo.close()
+            tiny_memo(tmp_path, budget_entries=2)
 
 
 class TestAccounting:
@@ -645,7 +667,7 @@ def test_spilling_memo_is_a_constructor_only():
 def test_flushed_run_described_as_its_file_loads(tmp_path):
     """A flush describes its run from the image it wrote — exactly what
     loading the file back yields."""
-    memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=2)
     for oid in range(400):
         memo.record_update(oid * 3, oid + 1)
     memo.flush_ram()
@@ -661,7 +683,7 @@ def test_purge_charges_its_run_scan(tmp_path):
     """Phantom inspection above a tier folds every run — a full scan,
     charged like the checkpoint snapshot's."""
     stats = IOStats()
-    memo = tiny_memo(tmp_path, budget_entries=4, threshold=99, stats=stats)
+    memo = tiny_memo(tmp_path, budget_entries=4, stats=stats)
     for oid in range(40):
         memo.record_update(oid, oid + 1)
     run_pages = sum(run.pages for run in memo.runs)
@@ -713,30 +735,21 @@ def scripted_ops(memo):
 
 
 #: sha256 of every file ``scripted_ops`` + ``flush_ram`` leaves behind, and
-#: the tallies it ends with.  Re-recorded when the tier stopped keeping what
-#: nothing below needs (a drained entry no run holds is deleted, not
-#: tombstoned; a RAM miss no run holds writes ``ABSOLUTE``; a partial merge
-#: drops a tombstone no older run admits; a clean is one walk): the bytes
-#: are *meant* to change there — six of the nine runs are byte-identical
-#: to the recording before, under names two flushes later — and
-#: ``found_pages`` (``run_probes - bloom_fp``, the page reads that found a
-#: record) fell 872 -> 688 with ``lookups`` / ``hits`` untouched.  Before
-#: that the pins dated from the commit before the two memo classes became
-#: one, which ``fixtures/memo_runs_parent`` still is.
+#: the tallies it ends with; they move with anything that changes what the
+#: tier writes.  Last re-recorded when compaction became leveled: the script
+#: now ends on two runs (56 + 1 records) where size-tiering left nine (115),
+#: ``memo_writes`` rose 620 -> 716 (the merges' rewrites) and ``found_pages``
+#: (``run_probes - bloom_fp``, the page reads that found a record) fell
+#: 688 -> 491, with ``lookups`` / ``hits`` untouched.
+#: ``fixtures/memo_runs_parent`` is what the script wrote on the commit
+#: before the two memo classes became one.
 SCRIPT_DIGESTS = {
-    "memo.manifest": "0abaa448321eff15bd7a1cea21eb985c1125d094e18cc4af31cab30c44364ebc",
-    "run-00000283.run": "f7fb0c3500181372a29e1f7b8ee916bbb886f1d10485996fa936d36c21b86735",
-    "run-00000284.run": "093ff16331255ffddbbaa8313127263b5ec7b54908bf57d5f03674b0ebf23e89",
-    "run-00000289.run": "5290205721b17fce62c6e142fb25b36b24e6a29bf923d08504a3bd160c8621a7",
-    "run-00000296.run": "78068a742e2990dc345e8f1e85dc73535ecd7f6dbc6c98d25766ccc49c201ccb",
-    "run-00000297.run": "b24161ca1f07e921363391d20e50bcb05b0078a5f17adee88d7f2fb5108c3137",
-    "run-00000302.run": "3ffe4b759ed869fb40b2e301589c41cc1f4eea6b9988c7a64666473f8f254a2c",
-    "run-00000303.run": "f86c2827c09dc61ff58ae9880401ae0b872751d0a791c6a276503620bca33b12",
-    "run-00000304.run": "450e0e933f0b1a2f0f731fe48bc8a92eb1f69d76c3e4a79e49d57a74c0141e8b",
-    "run-00000305.run": "bf047fb479105b865ad8f9bf8e92cbaf18b940424d5875dc76103871b84d5412",
+    "memo.manifest": "fdd66e7621fab421c69a0acb507b142e5c653571f7adb32e0e79317e3ac0abfb",
+    "run-00000352.run": "177c30109b16666f89e750bf6188a0198c8009d5acd2ef419e71e683c1d90c06",
+    "run-00000353.run": "bf047fb479105b865ad8f9bf8e92cbaf18b940424d5875dc76103871b84d5412",
 }
 SCRIPT_TALLIES = {
-    "memo_writes": 620, "lookups": 412, "hits": 346, "found_pages": 688,
+    "memo_writes": 716, "lookups": 412, "hits": 346, "found_pages": 491,
 }
 SCRIPT_BLOOM_FP_CEILING = 6
 
@@ -781,7 +794,7 @@ def test_directory_written_before_the_merge_opens(tmp_path):
     on the commit before the merge."""
     shutil.copytree(PARENT_RUNS, tmp_path / "memo")
     memo = script_memo(tmp_path / "memo")
-    assert len(memo.runs) == len(SCRIPT_DIGESTS) - 1
+    assert len(memo.runs) == 9  # the parent's size-tiered shape, as written
     assert memo.tier.screen_misses() == []  # rebuilt from the parent's bytes
     scratch = script_memo(tmp_path / "scratch")
     agrees_with_model(memo, scripted_ops(scratch), range(60))
@@ -825,9 +838,13 @@ def test_screen_sound_under_seeded_interleavings(tmp_path, seed, monkeypatch):
     purges, ``restore``, close-and-reopen — after every step each oid of
     each live run passes it, and the memo answers as the dict model.  And
     every compaction leaves in the run it writes no tombstone or delta that
-    nothing below needs, bar what an older Bloom filter admits falsely."""
+    nothing below needs, bar what an older Bloom filter admits falsely;
+    one that includes the oldest run leaves none anywhere and an exact
+    screen.  After every spill the runs are leveled: each more than
+    ``LEVEL_RATIO`` times the next newer one."""
     merges = []
     real_compact = memo_lsm.RunStore._compact
+    real_flush_ram = UpdateMemo.flush_ram
 
     def checked_compact(tier, i, j):
         n_runs = len(tier.runs)
@@ -836,8 +853,24 @@ def test_screen_sound_under_seeded_interleavings(tmp_path, seed, monkeypatch):
             idle = [oid for at, oid in tier.idle_tombstones() if at == i]
             assert all(memo_lsm._admitted(tier.runs[:i], oid) for oid in idle)
             merges.append(i)
+        if i == 0:
+            assert tier.idle_tombstones() == [] == tier.screen_misses()
+            slots = {
+                memo_lsm._screen_slot(rec[0], tier._screen_shift)
+                for run in tier.runs for rec in run.iter_records()
+            }
+            assert sum(bin(byte).count("1") for byte in tier._screen) == len(slots)
+
+    def checked_flush_ram(memo):
+        real_flush_ram(memo)
+        counts = [run.count for run in memo.runs]
+        assert all(
+            older > memo_lsm.LEVEL_RATIO * newer
+            for older, newer in zip(counts, counts[1:])
+        ), counts
 
     monkeypatch.setattr(memo_lsm.RunStore, "_compact", checked_compact)
+    monkeypatch.setattr(UpdateMemo, "flush_ram", checked_flush_ram)
     rng = random.Random(seed)
     memo = script_memo(tmp_path)
     model = ModelMemo()
@@ -896,11 +929,13 @@ def test_screen_sound_under_seeded_interleavings(tmp_path, seed, monkeypatch):
 
 
 def test_screen_doubling_keeps_every_earlier_oid(tmp_path):
-    memo = tiny_memo(tmp_path, budget_entries=32, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=64)
     tier = memo.tier
     sizes = [len(tier._screen)]
     for oid in range(0, 6000, 3):
         memo.record_update(oid, oid + 1)
+        if len(memo._table) > 32:
+            spill_unmerged(memo)
         if len(tier._screen) != sizes[-1]:
             sizes.append(len(tier._screen))
             assert tier.screen_misses() == []
@@ -920,14 +955,14 @@ def test_screen_doubling_keeps_every_earlier_oid(tmp_path):
 
 
 def test_compaction_of_every_run_rebuilds_an_exact_screen(tmp_path):
-    memo = tiny_memo(tmp_path, budget_entries=32, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=2000)
     tier = memo.tier
     for oid in range(0, 3000, 3):
         memo.record_update(oid, oid + 1)
-    memo.flush_ram()
+    spill_unmerged(memo)
     for oid in range(0, 3000, 6):
         memo.note_cleaned(oid)  # tombstones: dropped by the merge below
-    memo.flush_ram()
+    spill_unmerged(memo)
     blurred = sum(bin(byte).count("1") for byte in tier._screen)
     tier._compact(1, len(memo.runs) - 1)  # not every run: screen untouched
     assert sum(bin(byte).count("1") for byte in tier._screen) == blurred
@@ -948,12 +983,12 @@ def test_compaction_of_every_run_rebuilds_an_exact_screen(tmp_path):
 
 def test_screen_exact_at_extreme_oids(tmp_path):
     extremes = [0, -1, 2**63 - 1, -(2**63 - 1)]
-    memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=2)
     for stamp, oid in enumerate(extremes, start=1):
         memo.record_update(oid, stamp)
     memo.flush_ram()
     memo.close()
-    memo = tiny_memo(tmp_path, budget_entries=2, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=2)
     assert memo.tier.screen_misses() == []
     for stamp, oid in enumerate(extremes, start=1):
         assert memo.latest_stamp(oid) == stamp
@@ -964,7 +999,7 @@ def test_screen_exact_at_extreme_oids(tmp_path):
 
 @pytest.mark.parametrize("clear", ["restore", "purge"])
 def test_reset_empties_the_screen(tmp_path, clear):
-    memo = tiny_memo(tmp_path, budget_entries=4, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=4)
     tier = memo.tier
     floor = tier.resident_bytes()
     assert floor == len(tier._screen) and not any(tier._screen)
@@ -986,7 +1021,7 @@ def test_reset_empties_the_screen(tmp_path, clear):
 
 def test_tier_gauges_report_screen_and_resident_ram(tmp_path):
     obs = Observability(level="metrics")
-    memo = tiny_memo(tmp_path, budget_entries=4, threshold=99)
+    memo = tiny_memo(tmp_path, budget_entries=4)
     memo.attach_obs(obs)
     for oid in range(0, 200, 2):
         memo.record_update(oid, oid + 1)

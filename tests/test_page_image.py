@@ -175,7 +175,6 @@ def _memo_pair(kind, tmp_path_factory):
                 tmp_path_factory.mktemp("memo"),
                 n_buckets=4,
                 spill_budget=3 * UM_ENTRY_BYTES,
-                compact_threshold=2,
                 stats=stats,
             )
         out.append((memo, stats))
@@ -213,8 +212,7 @@ def test_sweep_matches_per_entry_loop(
             reopened.append(
                 SpillingUpdateMemo(
                     memo.directory, n_buckets=4,
-                    spill_budget=3 * UM_ENTRY_BYTES, compact_threshold=2,
-                    stats=stats,
+                    spill_budget=3 * UM_ENTRY_BYTES, stats=stats,
                 )
             )
         new, ref = reopened
