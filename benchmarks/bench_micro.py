@@ -476,9 +476,9 @@ def bench_memo(metrics: Dict, iters: int) -> None:
     }
 
     # latest_stamp against the LSM-tiered memo with the RAM tier pinned
-    # far below the population, so nearly every probe walks the Bloom
-    # filters and sorted runs — the CheckStatus cost a spilled memo
-    # adds to query filtering and cleaning.
+    # far below the population, so nearly every probe walks the sorted
+    # runs and the Bloom filters above the oldest — the CheckStatus cost
+    # a spilled memo adds to query filtering and cleaning.
     from repro.storage.wal import UM_ENTRY_BYTES
 
     with tempfile.TemporaryDirectory(prefix="bench-memo-") as tmp:

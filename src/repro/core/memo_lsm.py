@@ -12,8 +12,11 @@ and, the live memo being bounded, keeps folding them into the oldest,
 where tombstones drop: the policy for the side that is read ("Dynamic
 Indexability", Yi — PAPERS.md: this lookup/ingest dial).  One RAM-only
 presence screen over all runs answers "no run holds this oid" before
-the walk, and a per-run Bloom filter plus page fence pointers keep the
-rest at ~O(1) page reads.
+the walk, and page fence pointers plus a Bloom filter on every run that
+stands above another keep the rest at ~O(1) page reads.  The oldest run
+carries no filter: it is the one run a walk never needs to skip on its
+way down, so a probe that reaches it hashes nothing and a merge into it
+builds nothing.
 
 The store is a store, not a memo: what a record *means* is
 :mod:`repro.core.memo`'s business (its module docstring defines the
@@ -31,7 +34,7 @@ Run file (all little-endian)::
 
     header   <8sQqqII  magic, record count, min oid, max oid,
                         bloom bits (m), bloom hashes (k)
-    bloom    m/8 bytes
+    bloom    m/8 bytes  (none: a run written oldest has m = k = 0)
     records  count x <qqiB3x  (oid, stamp, n, tag) sorted by oid
     footer   <I  CRC-32 of everything above
 
@@ -152,13 +155,28 @@ def _oid_column(records: bytes) -> memoryview:
     return memoryview(records).cast("q")[::3]
 
 
+def _admitting(runs: Iterable["_Run"], oid: int) -> Iterator["_Run"]:
+    """The runs of ``runs``, in the order given, whose key range and Bloom
+    filter let ``oid`` through — RAM only, no false negatives.  A run
+    without a filter admits its whole key range, and ``oid`` is hashed at
+    the first run that has one, so a walk that reaches none hashes
+    nothing."""
+    hashes = None
+    for run in runs:
+        if oid < run.min_oid or oid > run.max_oid:
+            continue
+        if run.k:
+            if hashes is None:
+                hashes = _bloom_hashes(oid)
+            if not run.bloom_admits(*hashes):
+                continue
+        yield run
+
+
 def _admitted(runs: List["_Run"], oid: int) -> bool:
-    """Whether the key range + Bloom filter of any of ``runs`` lets ``oid``
-    through: ``False`` means none holds it (no false negatives, no I/O)."""
-    if not runs:
-        return False
-    h1, h2 = _bloom_hashes(oid)
-    return any(run.maybe_contains(oid, h1, h2) for run in runs)
+    """Whether any of ``runs`` admits ``oid``: ``False`` means none holds
+    it (no I/O)."""
+    return next(_admitting(runs, oid), None) is not None
 
 
 def _screen_slot(oid: int, shift: int) -> int:
@@ -167,8 +185,9 @@ def _screen_slot(oid: int, shift: int) -> int:
 
 
 class _Run:
-    """One immutable sorted run: RAM-resident Bloom + fence pointers,
-    disk-resident records probed one page at a time."""
+    """One immutable sorted run: RAM-resident fence pointers and, unless
+    it was written oldest, Bloom filter; disk-resident records probed one
+    page at a time."""
 
     __slots__ = (
         "path", "count", "min_oid", "max_oid", "m_bits", "k",
@@ -197,16 +216,20 @@ class _Run:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def encode(records: List[Record]) -> bytes:
-        """Serialise sorted records into a complete run image."""
+    def encode(records: List[Record], filtered: bool) -> bytes:
+        """Serialise sorted records into a complete run image, with a
+        Bloom filter if ``filtered`` (else ``m = k = 0`` and no filter
+        bytes: the store writes the oldest run so)."""
         count = len(records)
         oids = [r[0] for r in records]
-        # Rounded up to a whole byte, never below 64 bits.
-        m_bits = max(64, ((count * BLOOM_BITS_PER_KEY + 7) // 8) * 8)
-        parts = [
-            _HEADER.pack(MAGIC, count, oids[0], oids[-1], m_bits, BLOOM_K),
-            bytes(_bloom_build(oids, m_bits, BLOOM_K)),
-        ]
+        if filtered:
+            # Rounded up to a whole byte, never below 64 bits.
+            m_bits = max(64, ((count * BLOOM_BITS_PER_KEY + 7) // 8) * 8)
+            k = BLOOM_K
+            bloom = bytes(_bloom_build(oids, m_bits, k))
+        else:
+            m_bits, k, bloom = 0, 0, b""
+        parts = [_HEADER.pack(MAGIC, count, oids[0], oids[-1], m_bits, k), bloom]
         parts.extend(_RECORD.pack(*r) for r in records)
         payload = b"".join(parts)
         return payload + _FOOTER.pack(zlib.crc32(payload))
@@ -250,11 +273,9 @@ class _Run:
 
     # -- probing -----------------------------------------------------------
 
-    def maybe_contains(self, oid: int, h1: int, h2: int) -> bool:
-        """RAM-only screen: key range, then Bloom filter on
-        ``_bloom_hashes(oid)`` — no I/O."""
-        if oid < self.min_oid or oid > self.max_oid:
-            return False
+    def bloom_admits(self, h1: int, h2: int) -> bool:
+        """The Bloom filter's answer for the oid whose ``_bloom_hashes``
+        are ``h1, h2`` — RAM only; a run with ``k = 0`` has none."""
         bloom, m_bits = self.bloom, self.m_bits
         for i in range(self.k):
             bit = (h1 + i * h2) % m_bits
@@ -270,9 +291,10 @@ class _Run:
     def probe_page(self, oid: int) -> Optional[Record]:
         """Read the one fence-selected page and bisect its oid column.
 
-        Caller has already passed :meth:`maybe_contains`; this is the
-        1-page-read step (the Bloom false-positive case returns ``None``
-        after paying that read).
+        Caller has already seen the run admit ``oid`` (:func:`_admitting`);
+        this is the 1-page-read step, which returns ``None`` after paying
+        that read when the admission was false: a Bloom false positive, or
+        an absent oid inside the key range of a run that has no filter.
         """
         page = bisect_right(self.fences, oid) - 1
         if page < 0:
@@ -353,7 +375,8 @@ class RunStore:
         self.deferred = 0
         #: Lifetime probe tallies (plain ints, same discipline as the
         #: memo's ``lookup_count``): run pages read by probes, and how
-        #: many of those were Bloom false positives.
+        #: many of those found no record (Bloom false positives, and the
+        #: oldest run's reads of absent oids the screen passed).
         self.run_probe_count = 0
         self.bloom_fp_count = 0
         #: The presence screen (``_screen``, ``_screen_shift``): the bit of
@@ -411,7 +434,8 @@ class RunStore:
     def probe(self, oid: int, deep: bool = False) -> Optional[Record]:  # holds: latch
         """The record of ``oid`` in the runs, walked newest→oldest, or
         ``None``: no walk at all when the presence screen says no run
-        holds ``oid``, else one charged page read per Bloom-passed run.
+        holds ``oid``, else one charged page read per run whose key range
+        and Bloom filter (the oldest run has none) let it through.
 
         The newest record found already carries ``S_latest``, so the
         walk stops there — unless ``deep``, which folds on down to an
@@ -438,10 +462,7 @@ class RunStore:
         # two probes need one exclusive hold (the tree latch).
         if (checker := racecheck.ACTIVE) is not None:
             checker.access(self, "runs", write=True)
-        h1, h2 = _bloom_hashes(oid)
-        for run in reversed(runs):
-            if not run.maybe_contains(oid, h1, h2):
-                continue
+        for run in _admitting(reversed(runs), oid):
             self._charge_read_pages(1)
             self.run_probe_count += 1
             if self._obs_run_probes is not None:
@@ -491,7 +512,7 @@ class RunStore:
         ``oids`` are all there is (none after :meth:`reset`; the output of a
         compaction of every run).  Other compactions need no call — the
         output holds only oids its inputs held — and a bit no run needs any
-        more, or a doubling's twin, costs a Bloom walk, never an answer."""
+        more, or a doubling's twin, costs a walk, never an answer."""
         if fresh:
             self._screen = bytearray(1 << 61 - _SCREEN_MIN_SHIFT)  # guarded-by: latch
             self._screen_shift = _SCREEN_MIN_SHIFT
@@ -516,9 +537,11 @@ class RunStore:
         """Self-check (uncharged scan): ``(run position, oid)`` of every
         ``TOMBSTONE`` / ``DELTA`` with no record of its oid in an older run
         — it masks or adds to nothing.  A compaction leaves none in the run
-        it writes but what an older Bloom filter admits falsely; a flush may
-        carry some (a stale screen bit) and a merge below may strand some.
-        They cost space and page reads, never an answer."""
+        it writes but what an older run admits falsely (a Bloom false
+        positive, or an oid inside the key range of an oldest run, which
+        has no filter); a flush may carry some (a stale screen bit) and a
+        merge below may strand some.  They cost space and page reads,
+        never an answer."""
         below: Set[int] = set()
         idle: List[Tuple[int, int]] = []
         for position, run in enumerate(self.runs):
@@ -549,7 +572,7 @@ class RunStore:
         ``memo.run_flush`` while the run image is written (an
         interrupted image is an orphan — the manifest does not name it
         yet), then ``memo.manifest``."""
-        run = self._write_run(records, "memo.run_flush")
+        run = self._write_run(records, "memo.run_flush", filtered=bool(self.runs))
         self._write_manifest([r.path.name for r in self.runs] + [run.path.name])
         self.runs.append(run)
         self._resume = None
@@ -571,12 +594,13 @@ class RunStore:
             run.close()
             run.path.unlink(missing_ok=True)
 
-    def _write_run(self, records: List[Record], point: str) -> _Run:
-        """Write sorted ``records`` as the next run file; the returned
+    def _write_run(self, records: List[Record], point: str, filtered: bool) -> _Run:
+        """Write sorted ``records`` as the next run file, with a Bloom filter
+        if ``filtered`` — if the run will stand above another; the returned
         :class:`_Run` is described from the image that was written."""
         path = self.directory / f"run-{self._next_seq:08d}{RUN_SUFFIX}"
         self._next_seq += 1
-        data = _Run.encode(records)
+        data = _Run.encode(records, filtered)
         self._durable_write(path, data, point)
         return _Run(path, data)
 
@@ -657,7 +681,7 @@ class RunStore:
         images re-validated and their pages charged.
 
         Where no older run can hold an oid — its key range and Bloom
-        filter, which has no false negatives, say so in RAM; always, when
+        filter, if it has one (no false negatives), say so in RAM; always, when
         the group includes the oldest run — there is nothing below to
         mask or add to: a folded tombstone drops out and a folded delta
         becomes an absolute.
@@ -673,7 +697,8 @@ class RunStore:
             merged.append(rec)
         names = [r.path.name for r in self.runs]
         new_runs = (
-            [self._write_run(sorted(merged), "memo.compact")] if merged else []
+            [self._write_run(sorted(merged), "memo.compact", filtered=i > 0)]
+            if merged else []
         )
         # Crash window closes here: the manifest swap makes the merged
         # run live and the inputs orphans, atomically.

@@ -108,12 +108,14 @@ def run_fig14_memo(
     Reported per population: the logical memo size (still linear, as the
     paper predicts), the *peak* table footprint (the run raises if it ever
     exceeds the budget) beside what the tier keeps resident
-    (``tier_ram_bytes``: presence screen, Bloom filters, fences), the
-    run-tier shape, and the cost of ``latest_stamp`` over the spilled tier:
-    pages per probe and Bloom false positives for keys the memo holds and,
-    in their own columns, for absent keys.  Objects get the even oids and
-    misses are odd, so every miss lies *inside* the runs' key range
-    (``miss_in_range``): only the screen or a Bloom filter spares it a page.
+    (``tier_ram_bytes``: presence screen, the Bloom filters of the runs
+    above the oldest, fences), the run-tier shape, and the cost of
+    ``latest_stamp`` over the spilled tier: pages per probe and empty page
+    reads (``bloom_fp``) for keys the memo holds and, in their own columns,
+    for absent keys.  Objects get the even oids and misses are odd, so
+    every miss lies *inside* the runs' key range (``miss_in_range``): only
+    the screen or a Bloom filter spares it a page, and the oldest run,
+    which has no filter, reads one for any miss the screen passes.
     The tier merges leveled (:data:`~repro.core.memo_lsm.LEVEL_RATIO`), the
     policy for a memo that is read far more than it spills; on this pure
     load, where every record stays live, ``flush_writes`` is its price.

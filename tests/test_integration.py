@@ -203,7 +203,11 @@ class TestExperimentDriversSmoke:
         # Keys the memo holds read their page (plus the odd false positive).
         assert row["probe_hits"] == 400
         assert row["probe_pages_per_lookup"] * 400 >= 400 - 171  # RAM holds <= 171
-        # Screen + Bloom filters + fences: the table's budget is not all the RAM.
+        # ... and no more: the filters of the runs above the oldest steer a
+        # walk past every run that does not hold the key.
+        assert row["probe_pages_per_lookup"] <= 1.05
+        # Screen + the filters above the oldest run + fences: the table's
+        # budget is not all the RAM.
         assert row["tier_ram_bytes"] > 2 * row["spilled_pages"]
 
     def test_fig15(self):

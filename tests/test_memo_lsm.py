@@ -236,26 +236,29 @@ class TestSpillAndProbe:
 class TestRunFormat:
     def test_load_roundtrip(self, tmp_path):
         records = [(oid, oid * 7 + 1, 1, 0) for oid in range(500)]
-        path = tmp_path / f"run-x{RUN_SUFFIX}"
-        path.write_bytes(_Run.encode(records))
-        run = load_run(path)
-        assert run.count == 500
-        assert list(run.iter_records()) == records
-        for oid in (0, 170, 171, 499):
-            assert run.probe_page(oid) == (oid, oid * 7 + 1, 1, 0)
-        assert run.probe_page(1_000) is None
-        run.close()
+        for filtered in (True, False):
+            path = tmp_path / f"run-{filtered}{RUN_SUFFIX}"
+            path.write_bytes(_Run.encode(records, filtered))
+            run = load_run(path)
+            assert run.count == 500
+            assert len(run.bloom) == (625 if filtered else 0)
+            assert list(run.iter_records()) == records
+            for oid in (0, 170, 171, 499):
+                assert run.probe_page(oid) == (oid, oid * 7 + 1, 1, 0)
+            assert run.probe_page(1_000) is None
+            run.close()
 
     @pytest.mark.parametrize("offset_frac", [0.0, 0.3, 0.6, 0.999])
     def test_any_bitflip_fails_crc(self, tmp_path, offset_frac):
         records = [(oid, oid + 1, 1, 0) for oid in range(300)]
-        data = bytearray(_Run.encode(records))
-        pos = min(int(len(data) * offset_frac), len(data) - 1)
-        data[pos] ^= 0x01
-        path = tmp_path / f"run-y{RUN_SUFFIX}"
-        path.write_bytes(bytes(data))
-        with pytest.raises(MemoCorruptionError):
-            load_run(path)
+        for filtered in (True, False):
+            data = bytearray(_Run.encode(records, filtered))
+            pos = min(int(len(data) * offset_frac), len(data) - 1)
+            data[pos] ^= 0x01
+            path = tmp_path / f"run-{filtered}{RUN_SUFFIX}"
+            path.write_bytes(bytes(data))
+            with pytest.raises(MemoCorruptionError):
+                load_run(path)
 
 
 class TestCompaction:
@@ -338,6 +341,37 @@ class TestCompaction:
         ]
         assert tier.idle_tombstones() == []
         assert sorted(memo.snapshot()) == [(2, 12, 1), (7, 30, 1), (9, 19, 1)]
+        memo.close()
+
+    def test_only_a_run_above_another_carries_a_filter(self, tmp_path):
+        """A run written with nothing older below it — a flush into an
+        empty tier, a merge that includes the oldest run — has ``m = k = 0``
+        and no filter bytes; a run staged above it, and a partial merge
+        above the oldest, carry a Bloom filter."""
+
+        def filter_of(run):  # (m, k) as the header on disk says
+            return memo_lsm._HEADER.unpack_from(run.path.read_bytes())[4:]
+
+        def filtered(run):
+            m_bits, k = filter_of(run)
+            return m_bits >= 64 and k == memo_lsm.BLOOM_K
+
+        memo = self.partial_merge_case(tmp_path)
+        tier = memo.tier
+        oldest = memo.runs[0]
+        assert filter_of(oldest) == (0, 0) and oldest.bloom == b""
+        assert oldest.path.stat().st_size == (
+            memo_lsm._HEADER.size + oldest.count * memo_lsm._RECORD.size
+            + memo_lsm._FOOTER.size
+        )
+        assert all(filtered(run) for run in memo.runs[1:])
+        tier._compact(1, 2)
+        assert filter_of(memo.runs[0]) == (0, 0)
+        assert all(filtered(run) for run in memo.runs[1:])
+        tier._compact(0, len(memo.runs) - 1)
+        (run,) = memo.runs
+        assert filter_of(run) == (0, 0) and run.bloom == b""
+        assert sorted(memo.snapshot()) == [(2, 12, 1), (9, 19, 1)]
         memo.close()
 
     def test_crash_in_a_partial_merge_leaves_inputs_live(self, tmp_path):
@@ -736,16 +770,20 @@ def scripted_ops(memo):
 
 #: sha256 of every file ``scripted_ops`` + ``flush_ram`` leaves behind, and
 #: the tallies it ends with; they move with anything that changes what the
-#: tier writes.  Last re-recorded when compaction became leveled: the script
+#: tier writes.  Re-recorded when compaction became leveled: the script
 #: now ends on two runs (56 + 1 records) where size-tiering left nine (115),
 #: ``memo_writes`` rose 620 -> 716 (the merges' rewrites) and ``found_pages``
 #: (``run_probes - bloom_fp``, the page reads that found a record) fell
-#: 688 -> 491, with ``lookups`` / ``hits`` untouched.
+#: 688 -> 491, with ``lookups`` / ``hits`` untouched.  Last re-recorded when
+#: the oldest run lost its Bloom filter: only that run's digest
+#: (``run-00000352``, 56 records, now written with ``m = k = 0``) moved; its
+#: image shrank by its 70 filter bytes, within the same 4 KiB page, so the
+#: tallies and the false-positive ceiling stand.
 #: ``fixtures/memo_runs_parent`` is what the script wrote on the commit
 #: before the two memo classes became one.
 SCRIPT_DIGESTS = {
     "memo.manifest": "fdd66e7621fab421c69a0acb507b142e5c653571f7adb32e0e79317e3ac0abfb",
-    "run-00000352.run": "177c30109b16666f89e750bf6188a0198c8009d5acd2ef419e71e683c1d90c06",
+    "run-00000352.run": "2ece99586f1b0b132d8becfe6645491b430f7ba6ae632d6ebb38e3d4f03d23e2",
     "run-00000353.run": "bf047fb479105b865ad8f9bf8e92cbaf18b940424d5875dc76103871b84d5412",
 }
 SCRIPT_TALLIES = {
@@ -828,7 +866,40 @@ def test_screen_decides_bytes_and_reads_never_answers(tmp_path, monkeypatch):
     assert seen_io.memo_writes <= blind_io.memo_writes
     assert seen_io.memo_reads <= blind_io.memo_reads
     assert seen["run_probe_count"] <= blind["run_probe_count"]
-    assert seen["bloom_fp_count"] <= blind["bloom_fp_count"] <= SCRIPT_BLOOM_FP_CEILING
+    # The oldest run has no filter to back a blinded screen up: the screen
+    # spares page reads that no filter would.
+    assert seen["bloom_fp_count"] < blind["bloom_fp_count"]
+
+
+def test_the_oldest_run_is_never_hashed_for(tmp_path, monkeypatch):
+    """On a one-run tier every probe past the screen ends at the oldest
+    run, which has no filter: no probe hashes its oid.  The screen is
+    blinded (every oid in one slot), so absent oids inside the run's key
+    range pass it too — and pay the run a page read instead of a filter
+    test."""
+    monkeypatch.setattr(memo_lsm, "_SCREEN_MULT", 0)
+    memo = SpillingUpdateMemo(tmp_path)
+    for oid in range(0, 400, 2):
+        memo.record_update(oid, oid + 1)
+    memo.flush_ram()
+    assert len(memo.runs) == 1
+    hashed = []
+    real_hashes = memo_lsm._bloom_hashes
+    monkeypatch.setattr(
+        memo_lsm, "_bloom_hashes", lambda oid: hashed.append(oid) or real_hashes(oid)
+    )
+    oids = list(range(1, 399))  # held (even) and absent (odd), in turn
+    latest = [oid + 1 if oid % 2 == 0 else 0 for oid in oids]
+    empty_reads = memo.bloom_fp_count
+    for oid, stamp in zip(oids, latest):
+        assert memo.latest_stamp(oid) == (stamp or None)
+    assert memo.filter_latest(oids, latest) == list(range(len(oids)))
+    stale = [stamp - (oid % 8 == 0) for oid, stamp in zip(oids, latest)]
+    swept = memo.sweep_obsolete(oids, stale, len(oids))
+    assert [oids[slot] for slot in swept] == list(range(8, 399, 8))
+    assert hashed == []
+    assert memo.bloom_fp_count - empty_reads == 3 * 199  # one per absent oid a pass
+    memo.close()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1006,8 +1077,8 @@ def test_reset_empties_the_screen(tmp_path, clear):
     for oid in range(300):
         memo.record_update(oid, oid + 1)
     assert any(tier._screen)
-    # Screen + Bloom filters + fences: well past the 1.25 B per record of
-    # the Bloom filters alone.
+    # Screen + fences + the Bloom filters above the oldest run: well past
+    # the 1.25 B per record a filter on every run would take.
     assert tier.resident_bytes() > floor + 2 * sum(r.count for r in memo.runs)
     if clear == "restore":
         memo.restore([])
@@ -1045,7 +1116,7 @@ def test_probe_page_finds_every_oid_and_no_gap(tmp_path):
     for count in (1, 170, 171, 400):
         records = [(7 + oid * 3, oid + 1, 1 + oid % 5, oid % 3) for oid in range(count)]
         path = tmp_path / f"run-{count}{RUN_SUFFIX}"
-        path.write_bytes(_Run.encode(records))
+        path.write_bytes(_Run.encode(records, filtered=count % 2 == 0))
         run = load_run(path)
         assert run.pages == -(-count // 170) == len(run.fences)
         by_oid = {rec[0]: rec for rec in records}
