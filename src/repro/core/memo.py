@@ -586,8 +586,9 @@ class UpdateMemo:
     def defer_spills(self) -> Iterator[None]:
         """Suspend budget-triggered spills for a batch apply (PR 5):
         every ``record_update`` in the scope stays in RAM, and scope
-        exit flushes at most one run — the batch *becomes* a memo run
-        flush instead of shearing into many mid-batch spills."""
+        exit spills at most once — the batch *becomes* one run write,
+        folded into the newest run or flushed beside it, instead of
+        shearing into many mid-batch spills."""
         tier = self.tier
         if tier is not None:
             tier.deferred += 1
@@ -603,14 +604,14 @@ class UpdateMemo:
             self.flush_ram()
 
     def flush_ram(self) -> None:  # holds: latch
-        """Spill the whole table as one new run (the newest in the age
-        order), empty it, and let the tier compact."""
+        """Spill the whole table to the tier (:meth:`RunStore.spill`:
+        folded into the newest run where the level rule would merge it at
+        once, else flushed as a new newest run) and empty it."""
         tier = self.tier
         if tier is None or not self._table:
             return
-        tier.flush(sorted(entry.as_record() for entry in self._table.values()))
+        tier.spill(sorted(entry.as_record() for entry in self._table.values()))
         self._table.clear()
-        tier.compact()
 
     def close(self) -> None:
         """Release the tier's run file handles (every change of the run

@@ -10,13 +10,16 @@ answer walk the runs from newest to oldest.  Leveled compaction (each
 run more than ``LEVEL_RATIO`` times the next newer one) keeps few runs
 and, the live memo being bounded, keeps folding them into the oldest,
 where tombstones drop: the policy for the side that is read ("Dynamic
-Indexability", Yi — PAPERS.md: this lookup/ingest dial).  One RAM-only
-presence screen over all runs answers "no run holds this oid" before
-the walk, and page fence pointers plus a Bloom filter on every run that
-stands above another keep the rest at ~O(1) page reads.  The oldest run
-carries no filter: it is the one run a walk never needs to skip on its
-way down, so a probe that reaches it hashes nothing and a merge into it
-builds nothing.
+Indexability", Yi — PAPERS.md: this lookup/ingest dial).  A table the
+level rule would merge at once is folded straight into the newest run
+(:meth:`RunStore.spill`), as the LSM R-tree moves its in-memory
+component into the disk component below: no run is written only to be
+merged away.  One RAM-only presence screen over all runs answers "no
+run holds this oid" before the walk, and page fence pointers plus a
+Bloom filter on every run that stands above another keep the rest at
+~O(1) page reads.  The oldest run carries no filter: it is the one run
+a walk never needs to skip on its way down, so a probe that reaches it
+hashes nothing and a merge into it builds nothing.
 
 The store is a store, not a memo: what a record *means* is
 :mod:`repro.core.memo`'s business (its module docstring defines the
@@ -63,7 +66,8 @@ import zlib
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.concurrency import racecheck
@@ -505,18 +509,22 @@ class RunStore:
         return agg
 
     # holds: latch
-    def _screen_note(self, oids: Iterable[int], fresh: bool = False) -> None:
+    def _screen_note(
+        self, oids: Iterable[int], fresh: bool = False, pending: int = 0,
+    ) -> None:
         """Set the screen bits of ``oids`` — a run's, just joined to
-        ``self.runs`` — the table first doubled to ``SCREEN_BITS_PER_RECORD``
-        bits per record of the live runs.  ``fresh`` empties it before:
-        ``oids`` are all there is (none after :meth:`reset`; the output of a
-        compaction of every run).  Other compactions need no call — the
-        output holds only oids its inputs held — and a bit no run needs any
-        more, or a doubling's twin, costs a walk, never an answer."""
+        ``self.runs``, or the ``pending`` records a spill is about to fold
+        into one — the table first doubled to ``SCREEN_BITS_PER_RECORD``
+        bits per record of the live runs and the ``pending`` ones.
+        ``fresh`` empties it before: ``oids`` are all there is (none after
+        :meth:`reset`; the output of a compaction of every run).  Other
+        compactions of runs need no call — the output holds only oids its
+        inputs held — and a bit no run needs any more, or a doubling's
+        twin, costs a walk, never an answer."""
         if fresh:
             self._screen = bytearray(1 << 61 - _SCREEN_MIN_SHIFT)  # guarded-by: latch
             self._screen_shift = _SCREEN_MIN_SHIFT
-        want = SCREEN_BITS_PER_RECORD * self.run_records()
+        want = SCREEN_BITS_PER_RECORD * (self.run_records() + pending)
         while len(self._screen) * 8 < want:
             self._screen = bytearray().join(map(_SPREAD.__getitem__, self._screen))
             self._screen_shift -= 1
@@ -536,12 +544,12 @@ class RunStore:
     def idle_tombstones(self) -> List[Tuple[int, int]]:  # holds: latch
         """Self-check (uncharged scan): ``(run position, oid)`` of every
         ``TOMBSTONE`` / ``DELTA`` with no record of its oid in an older run
-        — it masks or adds to nothing.  A compaction leaves none in the run
-        it writes but what an older run admits falsely (a Bloom false
-        positive, or an oid inside the key range of an oldest run, which
-        has no filter); a flush may carry some (a stale screen bit) and a
-        merge below may strand some.  They cost space and page reads,
-        never an answer."""
+        — it masks or adds to nothing.  A compaction, a spill's fold
+        included, leaves none in the run it writes but what an older run
+        admits falsely (a Bloom false positive, or an oid inside the key
+        range of an oldest run, which has no filter); a flush may carry
+        some (a stale screen bit) and a merge below may strand some.  They
+        cost space and page reads, never an answer."""
         below: Set[int] = set()
         idle: List[Tuple[int, int]] = []
         for position, run in enumerate(self.runs):
@@ -568,15 +576,33 @@ class RunStore:
     # ------------------------------------------------------------------
 
     def flush(self, records: List[Record]) -> None:  # holds: latch
-        """Make sorted ``records`` the newest run.  Crash windows:
-        ``memo.run_flush`` while the run image is written (an
-        interrupted image is an orphan — the manifest does not name it
-        yet), then ``memo.manifest``."""
-        run = self._write_run(records, "memo.run_flush", filtered=bool(self.runs))
+        """Make sorted ``records`` the newest run; never merges (a test
+        stages run sets with it).  Crash windows: ``memo.run_flush`` while
+        the run image is written (an interrupted image is an orphan — the
+        manifest does not name it yet), then ``memo.manifest``."""
+        run = self._write_run(records, ("memo.run_flush",), filtered=bool(self.runs))
         self._write_manifest([r.path.name for r in self.runs] + [run.path.name])
         self.runs.append(run)
         self._resume = None
         self._screen_note(rec[0] for rec in records)
+        if self._obs_spills is not None:
+            self._obs_spills.inc()
+
+    def spill(self, records: List[Record]) -> None:  # holds: latch
+        """Move the memo's table — sorted ``records`` — into the tier.
+        Where the level rule would merge a run of them into the newest run
+        at once (:meth:`compact`'s test), fold them straight over that run
+        and let the cascade go on: the bytes a flush and the merge after it
+        write, less the run in between — one run write, one manifest swap.
+        Else :meth:`flush` them as the newest run."""
+        runs = self.runs
+        if not runs or runs[-1].count > LEVEL_RATIO * len(records):
+            self.flush(records)
+            return
+        if len(runs) > 1:  # older runs stay: the screen learns the table
+            self._screen_note((rec[0] for rec in records), pending=len(records))
+        self._compact(len(runs) - 1, len(runs) - 1, records)
+        self.compact()
         if self._obs_spills is not None:
             self._obs_spills.inc()
 
@@ -594,14 +620,17 @@ class RunStore:
             run.close()
             run.path.unlink(missing_ok=True)
 
-    def _write_run(self, records: List[Record], point: str, filtered: bool) -> _Run:
-        """Write sorted ``records`` as the next run file, with a Bloom filter
-        if ``filtered`` — if the run will stand above another; the returned
-        :class:`_Run` is described from the image that was written."""
+    def _write_run(
+        self, records: List[Record], points: Tuple[str, ...], filtered: bool,
+    ) -> _Run:
+        """Write sorted ``records`` as the next run file, inside the crash
+        windows ``points``, with a Bloom filter if ``filtered`` — if the run
+        will stand above another; the returned :class:`_Run` is described
+        from the image that was written."""
         path = self.directory / f"run-{self._next_seq:08d}{RUN_SUFFIX}"
         self._next_seq += 1
         data = _Run.encode(records, filtered)
-        self._durable_write(path, data, point)
+        self._durable_write(path, data, points)
         return _Run(path, data)
 
     def _write_manifest(self, names: List[str]) -> None:
@@ -615,42 +644,41 @@ class RunStore:
             body + "\n" + format(zlib.crc32(body.encode("utf-8")), "08x") + "\n"
         ).encode("utf-8")
         self._durable_write(
-            self.directory / MANIFEST_TMP_FILE, content, "memo.manifest",
+            self.directory / MANIFEST_TMP_FILE, content, ("memo.manifest",),
             replaces=self.directory / MANIFEST_FILE,
         )
 
     def _durable_write(
-        self, path: Path, data: bytes, point: str,
+        self, path: Path, data: bytes, points: Tuple[str, ...],
         replaces: Optional[Path] = None,
     ) -> None:
         """Write + fsync ``data`` at ``path`` — then, for a temp file,
-        rename it over ``replaces`` — honouring the fault point:
+        rename it over ``replaces`` — honouring the fault points, each of
+        which counts this write (a spill's fold is a flush and a merge):
         ``corrupt`` writes a silently damaged image, ``torn`` persists a
         prefix then dies, and ``crash`` dies before any byte of a run
         lands, or with a temp file complete but not yet live (the
         previous manifest must still name the previous runs)."""
         faults = self.faults
         mode: Optional[str] = None
-        if (
-            faults is not None
-            and faults.point == point
-            and faults.should_trigger(point)
-        ):
-            mode = faults.mode
-            faults._mark_fired(point)
+        if faults is not None:
+            for point in points:
+                if faults.should_trigger(point):
+                    mode = faults.mode
+                    faults._mark_fired(point)
         if mode == "corrupt":
             data = corrupt_page(data, faults.corrupt_bytes)
         elif mode == "torn":
             k = faults.torn_bytes if faults.torn_bytes > 0 else len(data) // 2
             data = data[:max(1, min(k, len(data) - 1))]
         elif mode == "crash" and replaces is None:
-            raise SimulatedCrash(point)
+            raise SimulatedCrash(faults.fired)
         with open(path, "wb") as f:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
         if mode in ("torn", "crash"):
-            raise SimulatedCrash(point)
+            raise SimulatedCrash(faults.fired)
         if replaces is not None:
             os.replace(path, replaces)
         if self.stats is not None:
@@ -671,14 +699,20 @@ class RunStore:
         bounded (paper Section 4.1), the merges keep reaching the oldest
         run, which drops every tombstone and rebuilds an exact screen.
         Only age-contiguous runs may merge — the manifest order is the
-        record-age order the probe walk depends on."""
+        record-age order the probe walk depends on.  :meth:`spill` makes
+        the first merge of a spill's cascade itself and calls this for
+        the rest."""
         runs = self.runs
         while len(runs) >= 2 and runs[-2].count <= LEVEL_RATIO * runs[-1].count:
             self._compact(len(runs) - 2, len(runs) - 1)
 
-    def _compact(self, i: int, j: int) -> None:  # holds: latch
+    # holds: latch
+    def _compact(self, i: int, j: int, table: Sequence[Record] = ()) -> None:
         """Merge runs ``i..j`` (age order, inclusive) into one run, their
-        images re-validated and their pages charged.
+        images re-validated and their pages charged — with ``table``, the
+        sorted records of a spill (:meth:`spill`), folded in as the newest.
+        The output's write is then a flush's crash window as well as a
+        merge's.
 
         Where no older run can hold an oid — its key range and Bloom
         filter, if it has one (no false negatives), say so in RAM; always, when
@@ -688,8 +722,11 @@ class RunStore:
         """
         group = self.runs[i:j + 1]
         older = self.runs[:i]
+        agg = self.fold_runs(group, charged=True, validated=True)
+        for rec in table:
+            agg[rec[0]] = fold(agg.get(rec[0]), rec)
         merged: List[Record] = []
-        for rec in self.fold_runs(group, charged=True, validated=True).values():
+        for rec in agg.values():
             if rec[3] != ABSOLUTE and not _admitted(older, rec[0]):
                 if rec[3] == TOMBSTONE:
                     continue
@@ -697,7 +734,11 @@ class RunStore:
             merged.append(rec)
         names = [r.path.name for r in self.runs]
         new_runs = (
-            [self._write_run(sorted(merged), "memo.compact", filtered=i > 0)]
+            [self._write_run(
+                sorted(merged),
+                ("memo.compact", "memo.run_flush") if table else ("memo.compact",),
+                filtered=i > 0,
+            )]
             if merged else []
         )
         # Crash window closes here: the manifest swap makes the merged
@@ -770,7 +811,7 @@ class SpillingUpdateMemo(UpdateMemo):
     """An :class:`UpdateMemo` on a :class:`RunStore` rooted at
     ``directory`` — a constructor and nothing else; every operation is
     the memo's.  The table stays under ``spill_budget`` bytes: crossing
-    it flushes the table as a sorted run and empties it."""
+    it spills the table to the runs and empties it."""
 
     def __init__(
         self,

@@ -145,7 +145,7 @@ class WorkloadConfig:
 
 
 #: Auto-enabled spill budget for ``memo.*`` scenarios: small enough that
-#: the 90-op crash workload flushes and compacts several times.
+#: the 90-op crash workload spills several times.
 _MEMO_FAULT_BUDGET = 256
 
 
@@ -417,6 +417,11 @@ def run_scenario(
             # damage — corruption is verified exactly as injected.
             break
     crashed = pending is not None
+    if obs is not None:
+        # The process model ends here.  Its callback gauges read its memo's
+        # runs, which the reopen below may unlink: keep what they read now.
+        for name, value in obs.registry.snapshot().gauges.items():
+            obs.registry.gauge(name).set(value)
     if obs is not None and crashed:
         obs.event(
             "crashsim.crash", point=scenario.point, option=option,
@@ -863,11 +868,15 @@ def default_scenarios() -> List[CrashScenario]:
         # log replay also land correctly on a reopened spill tier.
         # A corrupt-mode fault must hit an artifact that stays the *last*
         # written, so no later manifest rewrite heals it before detection
-        # (the workload stops on fire, but only between operations).  A
-        # damaged run is caught by the next merge's validated read or by
-        # the reopen; a flush's manifest is replaced by the merge that
-        # follows the flush in the same operation, so the manifest fault
-        # skips to that merge's manifest.
+        # (the workload stops on fire, but only between operations).  At
+        # _MEMO_FAULT_BUDGET the load phase leaves one run, so every spill
+        # of the mutate phase folds its table over that run: one write in
+        # both the memo.run_flush and the memo.compact window, then one
+        # manifest, the last the spill writes.  The skips thus count
+        # spills: run_flush skip=1 and memo.manifest skip=1 land on the
+        # second spill's run and manifest, skip=0 on the first's, and
+        # II/III's run_flush skip=2 on the third's.  A damaged run is
+        # caught by the next spill's validated read of it or by the reopen.
         if option == "I":
             scenarios.extend(
                 [

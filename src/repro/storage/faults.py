@@ -41,11 +41,14 @@ The registered fault points:
                         forced flush makes it durable
 ``wal.checkpoint``      at the start of a checkpoint append (the checkpoint
                         record never becomes durable)
-``memo.run_flush``      mid memo-run flush: the run file is (partially)
-                        written but not yet named by the manifest — torn /
-                        corrupt modes damage the run image itself
-``memo.compact``        after a compaction wrote its output run, before the
-                        manifest swaps it in (inputs must stay live)
+``memo.run_flush``      mid memo-run write that holds a spilled table: the
+                        run file is (partially) written but not yet named by
+                        the manifest — torn / corrupt modes damage the run
+                        image itself; the table's records are in no named run
+``memo.compact``        mid merge-output write, before the manifest swaps it
+                        in (inputs must stay live).  A spill folded over the
+                        newest run is one write in both windows: either
+                        point fires there, and both count it
 ``memo.manifest``       after the manifest temp file is written, before the
                         atomic rename — the previous manifest must survive
 ======================  ====================================================
