@@ -752,12 +752,12 @@ def bench_obs_ab() -> Dict[str, float]:
     the :class:`Observability` attached to the tree.  The plain leg
     (``obs=None``) pays one attribute load + ``None`` check per guarded
     site, as every uninstrumented tree does; level ``metrics``
-    additionally pays the bound counters, histograms, the
-    flight-recorder capture, and the drift EWMA feed, bar <2%.
+    additionally pays the histograms, the flight-recorder capture, and
+    the drift EWMA feed (counts are plain ints on both legs).
 
     Single-leg repeats on this workload disperse by ±5-10% (allocator
-    growth, interpreter warm-up, host jitter), which drowns the <2%
-    metrics-level budget.  Two counter-measures:
+    growth, interpreter warm-up, host jitter), which drowns a
+    few-percent overhead.  Two counter-measures:
 
     * **Chunk interleaving** — instead of timing whole legs back to
       back, one tree per leg advances through the *same* deterministic

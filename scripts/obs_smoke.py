@@ -19,6 +19,11 @@ recorder captured it:
   the retained records on ``seq`` / op (the event's ``name``) / tree /
   io — at ``trace`` the op record *is* the trace.
 
+A second, sharded pass runs a seeded update/query mix on a 4-shard
+``ShardRouter`` whose shards share one registry, and checks that every
+published count is the sum of the shards' own tallies and that a
+snapshot delta is the work done between its two snapshots.
+
 Artifacts (``recorder.json``, ``metrics.prom``) are written to OUT_DIR
 (default ``obs-smoke``) so CI can archive them; any violated check exits
 non-zero with a diagnostic.  This is the CI leg that keeps the recorder
@@ -48,6 +53,68 @@ EXPECTED_RECORD_KEYS = {
 def fail(msg: str) -> "None":
     print(f"obs-smoke: FAIL: {msg}", file=sys.stderr)
     raise SystemExit(1)
+
+
+#: Metric -> the tally one shard tree keeps for it.
+SHARD_TALLIES = {
+    "memo.lookups": lambda tree: tree.memo.lookup_count,
+    "memo.hits": lambda tree: tree.memo.hit_count,
+    "buffer.hits": lambda tree: tree.buffer.hit_count,
+    "buffer.misses": lambda tree: tree.buffer.miss_count,
+    "disk.page_reads": lambda tree: tree.buffer.disk.reads,
+    "disk.page_writes": lambda tree: tree.buffer.disk.writes,
+    "tree.updates": lambda tree: tree.update_count,
+    "tree.queries": lambda tree: tree.query_count,
+}
+
+
+def sharded_pass() -> str:
+    """Counts on a registry four shards share must add up."""
+    import random
+
+    from repro.obs import Observability
+    from repro.rtree.geometry import Rect
+    from repro.serving.router import ShardRouter
+
+    def tallies(router):
+        out = {
+            name: sum(read(shard.tree) for shard in router.shards)
+            for name, read in SHARD_TALLIES.items()
+        }
+        out["router.migrations"] = router.stats()["tallies"]["migrations"]
+        return out
+
+    def mix(router, rng, n_ops):
+        for _ in range(n_ops):
+            x, y = rng.random() * 0.7, rng.random() * 0.7
+            if rng.random() < 0.8:
+                router.upsert(rng.randrange(300), Rect.from_point(x, y))
+            else:
+                router.query(Rect(x, y, x + 0.3, y + 0.3))
+
+    obs = Observability(level="metrics")
+    rng = random.Random(7)
+    with ShardRouter(4, obs=obs) as router:
+        at_attach = tallies(router)
+        mix(router, rng, 500)
+        before, at_before = obs.registry.snapshot(), tallies(router)
+        mix(router, rng, 500)
+        after, at_after = obs.registry.snapshot(), tallies(router)
+    interval = after - before
+    for name, total in at_after.items():
+        published = after.counters.get(name)
+        if published != total - at_attach[name]:
+            fail(
+                f"{name} reads {published} on the shared registry, the "
+                f"shards counted {total - at_attach[name]}"
+            )
+        done = total - at_before[name]
+        if interval.counters[name] != done:
+            fail(
+                f"{name} snapshot delta {interval.counters[name]}, the "
+                f"interval did {done}"
+            )
+    return f"{len(at_after)} counts add up over 4 shards"
 
 
 def main(argv=None) -> int:
@@ -132,13 +199,15 @@ def main(argv=None) -> int:
         ):
             fail(f"span event #{record['seq']} differs from its record")
 
+    obs.close()
+    sharded = sharded_pass()
+
     print(
         f"obs-smoke: OK — {dump['recorded_total']} ops recorded, "
         f"{len(ops)} retained and paired with their span events, "
-        f"{len(seen_ops)} op classes, "
+        f"{len(seen_ops)} op classes, {sharded}, "
         f"artifacts in {out_dir}/"
     )
-    obs.close()
     return 0
 
 

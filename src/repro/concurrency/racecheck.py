@@ -40,9 +40,8 @@ every access they guard looks unlocked.
 
 Races are *collected*, not raised: each one becomes a
 :class:`RaceReport` carrying both access sites' stack traces, rendered
-in the linter's ``path:line: RCxxx message`` diagnostic style, and is
-counted on the ``racecheck.races`` counter when an
-:class:`~repro.obs.Observability` is attached.
+in the linter's ``path:line: RCxxx message`` diagnostic style;
+``attach_obs`` publishes their count as the ``racecheck.races`` counter.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ import traceback
 from dataclasses import dataclass
 from types import FrameType
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
+
+from repro.obs.metrics import UNPUBLISHED, republish
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -205,17 +206,18 @@ class RaceChecker:
         self._thread_tids: Dict[threading.Thread, int] = {}
         self._pending_forks: Dict[threading.Thread, Dict[int, int]] = {}
         self.races: List[RaceReport] = []
-        self._obs_races: Optional[Any] = None
+        self._obs: Optional["Observability"] = None
+        self._obs_published = UNPUBLISHED
 
     # -- observability -------------------------------------------------
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind the ``racecheck.races`` counter (mirrors ``attach_obs``
-        everywhere else: ``None`` detaches)."""
-        if obs is None:
-            self._obs_races = None
-            return
-        self._obs_races = obs.registry.counter("racecheck.races")
+        """Publish :attr:`race_count` as the ``racecheck.races`` counter
+        (``None`` detaches)."""
+        self._obs = obs
+        self._obs_published = republish(self._obs_published, obs, {
+            "racecheck.races": lambda: self.race_count,
+        })
 
     # -- thread identity -----------------------------------------------
 
@@ -376,8 +378,6 @@ class RaceChecker:
             prior=state.last_site,
         )
         self.races.append(report)
-        if self._obs_races is not None:
-            self._obs_races.inc()
 
     # -- reporting -----------------------------------------------------
 
@@ -397,7 +397,10 @@ class RaceChecker:
             raise RuntimeError(self.report())
 
     def reset(self) -> None:
-        """Forget all state (between independent test phases)."""
+        """Forget all state (between independent test phases) but what
+        ``racecheck.races`` counted: detach, clear, re-attach."""
+        obs = self._obs
+        self.attach_obs(None)
         with self._mu:
             self._fields.clear()
             self._class_names.clear()
@@ -405,6 +408,7 @@ class RaceChecker:
             self._thread_tids.clear()
             self._pending_forks.clear()
             self.races.clear()
+        self.attach_obs(obs)
 
 
 class TrackedLock:

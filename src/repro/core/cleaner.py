@@ -50,6 +50,7 @@ from typing import (
     Tuple,
 )
 
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.storage.iostats import IO_FIELDS, IOStats, io_counters
 
 from .memo import UpdateMemo
@@ -160,40 +161,35 @@ class GarbageCleaner:
         self.entries_removed = 0
         self.phantoms_purged = 0
         self.cycles_completed = 0
+        self._obs_published = UNPUBLISHED
         self.attach_obs(None)
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry: token steps, entries cleaned, cycle counts and
-        wall-clock cycle durations; per-step events at the ``debug``
-        level, one ``cleaner.cycle`` event per completed ring pass, and
-        one ``cleaner_cycle`` flight-recorder record (at ``trace`` also a
-        ``span`` event) carrying the cycle's own accumulated step I/O."""
+        """Publish the token steps, entries cleaned and cycles completed
+        as counters, bind the wall-clock cycle-duration histogram; per-step
+        events at the ``debug`` level, one ``cleaner.cycle`` event per
+        completed ring pass, and one ``cleaner_cycle`` flight-recorder
+        record (at ``trace`` also a ``span`` event) carrying the cycle's
+        own accumulated step I/O."""
         self._obs = obs
-        if obs is None:
-            self._obs_steps = self._obs_removed = None
-            self._obs_cycles = self._obs_cycle_ms = None
-            return
-        reg = obs.registry
-        self._obs_steps = reg.counter("cleaner.token_steps")
-        self._obs_removed = reg.counter("cleaner.entries_removed")
-        self._obs_cycles = reg.counter("cleaner.cycles")
-        self._obs_cycle_ms = reg.histogram(
+        self._obs_published = republish(self._obs_published, obs, {
+            "cleaner.token_steps": lambda: self.leaves_inspected,
+            "cleaner.entries_removed": lambda: self.entries_removed,
+            "cleaner.cycles": lambda: self.cycles_completed,
+        }, {
+            "cleaner.tokens": lambda: len(self.tokens),
+            "cleaner.updates_seen": lambda: self.updates_seen,
+        })
+        self._obs_cycle_ms = None if obs is None else obs.registry.histogram(
             "cleaner.cycle_ms",
             (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0),
-        )
-        reg.gauge("cleaner.tokens").set_function(lambda: len(self.tokens))
-        reg.gauge("cleaner.updates_seen").set_function(
-            lambda: self.updates_seen
         )
 
     def note_removed(self, n: int) -> None:
         """Count ``n`` obsolete entries removed from the index — by a
         token step or by clean-upon-touch (Section 3.3.3).  The one
-        counting point of ``entries_removed`` and its metric."""
-        if n:
-            self.entries_removed += n
-            if self._obs_removed is not None:
-                self._obs_removed.inc(n)
+        counting point of ``entries_removed``."""
+        self.entries_removed += n
 
     # ------------------------------------------------------------------
 
@@ -261,7 +257,6 @@ class GarbageCleaner:
         self.leaves_inspected += 1
         self.note_removed(removed)
         if obs is not None:
-            self._obs_steps.inc()
             if obs.debug:
                 obs.event(
                     "cleaner.step",
@@ -289,7 +284,6 @@ class GarbageCleaner:
             now = time.perf_counter()
             cycle_ms = (now - token.cycle_started_at) * 1000.0
             token.cycle_started_at = now
-            self._obs_cycles.inc()
             self._obs_cycle_ms.observe(cycle_ms)
             self._obs.record(
                 "cleaner_cycle", self.host.name, cycle_ms / 1000.0,

@@ -73,6 +73,7 @@ from typing import (
 )
 
 from repro.concurrency import racecheck
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.storage.wal import UM_ENTRY_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,57 +149,42 @@ class UpdateMemo:
         #: (empty for good without one): a RAM miss means "absent" exactly
         #: while this is empty.
         self._runs: Sequence["_Run"] = () if tier is None else tier.runs
-        #: Lifetime probe tallies, plain ints kept *unconditionally*:
-        #: memo probes run up to once per leaf entry scanned, so even a
-        #: ``None``-checked counter increment is measurable against the
-        #: metrics-level overhead budget.  One bare integer add costs
-        #: the same with or without observability; ``attach_obs``
-        #: mirrors the tallies into lazy gauges.
+        #: Lifetime tallies, plain ints kept whether or not obs is
+        #: attached (``attach_obs`` publishes them): probes and the
+        #: probes that found an entry, entries created and made
+        #: obsolete, obsolete entries cleaned, phantom purges run and
+        #: the entries they purged.
         self.lookup_count = 0
         self.hit_count = 0
-        self._obs_purge_runs = None
-        self._obs_purged = None
-        self._obs_inserts = None
-        self._obs_obsoleted = None
-        self._obs_cleaned = None
+        self.insert_count = 0
+        self.obsoleted_count = 0
+        self.clean_count = 0
+        self.purge_run_count = 0
+        self.purged_count = 0
+        self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry (cascading to the tier's instruments).
-
-        Memo *size* (entries, bytes, aggregate ``N_old``) is exposed as
-        callback gauges sampled at snapshot time; phantom purges — which
-        run once per cleaning cycle — get counters.  The per-update
-        mutation operations (``record_update``/``note_cleaned``) are
-        counted too (the gap PR 2 left open): at ``metrics`` level each
-        costs one ``None`` check plus an integer add, and with ``obs=None``
-        the bound instruments are ``None`` so the path without telemetry
-        pays the single check alone.  Lookups and hits fire once per *scanned leaf entry*,
-        far too hot even for that pattern — they ride the unconditional
-        plain-int tallies ``lookup_count``/``hit_count`` and surface as
-        the lazy gauges ``memo.lookups``/``memo.hits`` (values count
-        from memo construction, not from attach).
-        """
+        """Publish the memo's tallies as the ``memo.*`` counters and its
+        size (entries, bytes, aggregate ``N_old``, RAM bytes above a
+        tier) as gauges; cascades to the tier."""
         if self.tier is not None:
             self.tier.attach_obs(obs)
-        if obs is None:
-            self._obs_purge_runs = self._obs_purged = None
-            self._obs_inserts = self._obs_obsoleted = self._obs_cleaned = None
-            return
-        reg = obs.registry
-        self._obs_purge_runs = reg.counter("memo.purge_runs")
-        self._obs_purged = reg.counter("memo.purged_entries")
-        self._obs_inserts = reg.counter("memo.inserts")
-        self._obs_obsoleted = reg.counter("memo.obsoleted")
-        self._obs_cleaned = reg.counter("memo.cleaned")
-        reg.gauge("memo.lookups").set_function(
-            lambda: float(self.lookup_count)
-        )
-        reg.gauge("memo.hits").set_function(lambda: float(self.hit_count))
-        reg.gauge("memo.entries").set_function(self.__len__)
-        reg.gauge("memo.bytes").set_function(self.size_bytes)
-        reg.gauge("memo.total_n_old").set_function(self.total_n_old)
+        sizes = {
+            "memo.entries": self.__len__,
+            "memo.bytes": self.size_bytes,
+            "memo.total_n_old": self.total_n_old,
+        }
         if self.tier is not None:
-            reg.gauge("memo.ram_bytes").set_function(self.ram_size_bytes)
+            sizes["memo.ram_bytes"] = self.ram_size_bytes
+        self._obs_published = republish(self._obs_published, obs, {
+            "memo.lookups": lambda: self.lookup_count,
+            "memo.hits": lambda: self.hit_count,
+            "memo.inserts": lambda: self.insert_count,
+            "memo.obsoleted": lambda: self.obsoleted_count,
+            "memo.cleaned": lambda: self.clean_count,
+            "memo.purge_runs": lambda: self.purge_run_count,
+            "memo.purged_entries": lambda: self.purged_count,
+        }, sizes)
 
     def _rc_bucket(self, oid: int, write: bool) -> None:
         """Report one access of ``oid``'s hash bucket to the race detector.
@@ -240,11 +226,9 @@ class UpdateMemo:
             entry.n_old += 1
             if entry.tag == TOMBSTONE:
                 entry.tag = ABSOLUTE
-            if self._obs_obsoleted is not None:
-                self._obs_obsoleted.inc()
+            self.obsoleted_count += 1
             return
-        if self._obs_inserts is not None:
-            self._obs_inserts.inc()
+        self.insert_count += 1
         tier = self.tier
         if tier is None:
             self._table[oid] = UMEntry(oid, stamp, 1)
@@ -306,8 +290,7 @@ class UpdateMemo:
         # Count only cleans that actually drained an N_old — the KeyError
         # of an absent entry means nothing was cleaned, so `memo.cleaned`
         # must not move (it reconciles against the cleaner's removal count).
-        if self._obs_cleaned is not None:
-            self._obs_cleaned.inc()
+        self.clean_count += 1
 
     # holds: latch
     def sweep_obsolete(
@@ -332,7 +315,6 @@ class UpdateMemo:
             return []
         table = self._table
         runs = self._runs
-        cleaned = self._obs_cleaned
         probe: Iterable[int] = range(len(oids))
         if self.tier is None:
             probe = compress(probe, map(table.__contains__, oids))
@@ -359,8 +341,7 @@ class UpdateMemo:
                 # `_clean_one` raises for a slot with no entry anywhere.
                 self._clean_one(oid, entry)
                 slots.append(slot)
-                if cleaned is not None:
-                    cleaned.inc()
+                self.clean_count += 1
                 if len(slots) == budget:
                     last = slot
                     break
@@ -503,9 +484,8 @@ class UpdateMemo:
         purged = len(victims)
         if tier is not None:
             self._maybe_spill(tier)
-        if self._obs_purge_runs is not None:
-            self._obs_purge_runs.inc()
-            self._obs_purged.inc(purged)
+        self.purge_run_count += 1
+        self.purged_count += purged
         return purged
 
     # ------------------------------------------------------------------

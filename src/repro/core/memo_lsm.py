@@ -71,6 +71,7 @@ from typing import (
 )
 
 from repro.concurrency import racecheck
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.storage.faults import SimulatedCrash, corrupt_page
 
 from .memo import ABSOLUTE, DELTA, TOMBSTONE, Record, UpdateMemo, fold
@@ -377,12 +378,15 @@ class RunStore:
         #: While positive (a scope depth) the memo above holds its
         #: budget-triggered spills back.
         self.deferred = 0
-        #: Lifetime probe tallies (plain ints, same discipline as the
-        #: memo's ``lookup_count``): run pages read by probes, and how
-        #: many of those found no record (Bloom false positives, and the
-        #: oldest run's reads of absent oids the screen passed).
+        #: Lifetime tallies (plain ints, same discipline as the memo's
+        #: ``lookup_count``): run pages read by probes, and how many of
+        #: those found no record (Bloom false positives, and the oldest
+        #: run's reads of absent oids the screen passed); spills and
+        #: merges done.
         self.run_probe_count = 0
         self.bloom_fp_count = 0
+        self.spill_count = 0
+        self.compaction_count = 0
         #: The presence screen (``_screen``, ``_screen_shift``): the bit of
         #: every oid a live run holds is set — never a false negative — so
         #: a clear bit answers a probe before any Bloom filter is asked.
@@ -393,35 +397,27 @@ class RunStore:
         #: where a deep probe of the same oid takes the walk up.  True of
         #: immutable runs until the run set changes, which clears it.
         self._resume: Optional[Tuple[int, _Run, Record]] = None  # guarded-by: latch
-        self._obs_spills = None
-        self._obs_compactions = None
-        self._obs_run_probes = None
-        self._obs_bloom_fp = None
+        self._obs_published = UNPUBLISHED
         self._recover()
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind the tier's telemetry: ``memo.spills``/``memo.compactions``
-        counters, ``memo.run_probes``/``memo.bloom_fp`` probe counters
-        (mirroring the plain tallies, values since attach), and the gauges
-        ``memo.runs``, ``memo.run_records`` (over ``memo.entries``: the
-        tier's own space amplification), ``memo.screen_rejects`` (the plain
-        tally) and ``memo.tier_ram_bytes`` (``memo.ram_bytes`` is the
-        memo's)."""
-        if obs is None:
-            self._obs_spills = self._obs_compactions = None
-            self._obs_run_probes = self._obs_bloom_fp = None
-            return
-        reg = obs.registry
-        self._obs_spills = reg.counter("memo.spills")
-        self._obs_compactions = reg.counter("memo.compactions")
-        self._obs_run_probes = reg.counter("memo.run_probes")
-        self._obs_bloom_fp = reg.counter("memo.bloom_fp")
-        reg.gauge("memo.runs").set_function(lambda: float(len(self.runs)))
-        reg.gauge("memo.run_records").set_function(self.run_records)
-        reg.gauge("memo.screen_rejects").set_function(
-            lambda: float(self.screen_reject_count)
-        )
-        reg.gauge("memo.tier_ram_bytes").set_function(self.resident_bytes)
+        """Publish the tier's tallies as the counters ``memo.spills``,
+        ``memo.compactions``, ``memo.run_probes``, ``memo.bloom_fp`` and
+        ``memo.screen_rejects``, and its size as the gauges ``memo.runs``,
+        ``memo.run_records`` (over ``memo.entries``: the tier's own space
+        amplification) and ``memo.tier_ram_bytes`` (``memo.ram_bytes`` is
+        the memo's)."""
+        self._obs_published = republish(self._obs_published, obs, {
+            "memo.spills": lambda: self.spill_count,
+            "memo.compactions": lambda: self.compaction_count,
+            "memo.run_probes": lambda: self.run_probe_count,
+            "memo.bloom_fp": lambda: self.bloom_fp_count,
+            "memo.screen_rejects": lambda: self.screen_reject_count,
+        }, {
+            "memo.runs": lambda: float(len(self.runs)),
+            "memo.run_records": self.run_records,
+            "memo.tier_ram_bytes": self.resident_bytes,
+        })
 
     # ------------------------------------------------------------------
     # I/O charging (4 KiB page granularity)
@@ -469,13 +465,9 @@ class RunStore:
         for run in _admitting(reversed(runs), oid):
             self._charge_read_pages(1)
             self.run_probe_count += 1
-            if self._obs_run_probes is not None:
-                self._obs_run_probes.inc()
             rec = run.probe_page(oid)
             if rec is None:
                 self.bloom_fp_count += 1
-                if self._obs_bloom_fp is not None:
-                    self._obs_bloom_fp.inc()
                 continue
             if not deep:
                 self._resume = (oid, run, rec)
@@ -585,8 +577,7 @@ class RunStore:
         self.runs.append(run)
         self._resume = None
         self._screen_note(rec[0] for rec in records)
-        if self._obs_spills is not None:
-            self._obs_spills.inc()
+        self.spill_count += 1
 
     def spill(self, records: List[Record]) -> None:  # holds: latch
         """Move the memo's table — sorted ``records`` — into the tier.
@@ -603,8 +594,7 @@ class RunStore:
             self._screen_note((rec[0] for rec in records), pending=len(records))
         self._compact(len(runs) - 1, len(runs) - 1, records)
         self.compact()
-        if self._obs_spills is not None:
-            self._obs_spills.inc()
+        self.spill_count += 1
 
     def reset(self) -> None:  # holds: latch
         """Restart from no runs.  The empty manifest is committed
@@ -753,8 +743,7 @@ class RunStore:
         self._resume = None
         if len(self.runs) == len(new_runs):  # all there is: exact again
             self._screen_note((rec[0] for rec in merged), fresh=True)
-        if self._obs_compactions is not None:
-            self._obs_compactions.inc()
+        self.compaction_count += 1
 
     # ------------------------------------------------------------------
     # Open / recover / close

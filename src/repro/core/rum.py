@@ -35,8 +35,10 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
     from repro.obs.explain import ExplainReport
+    from repro.obs.metrics import Histogram
 
 from repro.concurrency import racecheck
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.storage.buffer import BufferPool
 from repro.storage.wal import WriteAheadLog
 
@@ -140,8 +142,14 @@ class RUMTree(RTreeBase, MemoHost):
         # Mutated by every update path; serialised by the structure
         # latch like the rest of the tree's volatile state.
         self._updates_since_checkpoint = 0  # guarded-by: latch
-        #: The batch counters and size histogram ``attach_obs`` binds.
-        self._obs_batch: Optional[tuple] = None
+        #: Batches, their ops, the ops dedup dropped, the leaf writes
+        #: coalescing saved; the batch-size histogram attach_obs binds.
+        self.batch_count = 0
+        self.batch_op_count = 0
+        self.batch_deduped = 0
+        self.batch_coalesced_writes = 0
+        self._obs_batch_published = UNPUBLISHED
+        self._obs_batch_sizes: Optional["Histogram"] = None
         #: The ring successor of the leaf a cleaning step is working on
         #: (see :meth:`clean_at`).
         self._ring_successor: Optional[int] = None
@@ -160,17 +168,19 @@ class RUMTree(RTreeBase, MemoHost):
         # The flight recorder's per-op memo columns ride the memo's
         # unconditional probe tallies (the baselines leave the base
         # class's None in place and report zeros).  Only the RUM-tree
-        # batches, so the batch row and its counters are bound here.
+        # batches, so the batch row and its counts are published here.
+        self._obs_batch_published = republish(self._obs_batch_published, obs, {
+            "tree.batches": lambda: self.batch_count,
+            "tree.batch_ops": lambda: self.batch_op_count,
+            "tree.batch_deduped": lambda: self.batch_deduped,
+            "tree.batch_coalesced_writes": lambda: self.batch_coalesced_writes,
+        })
+        self._obs_batch_sizes = None
         if obs is not None:
             self._obs_rec_memo = self.memo
-            reg = obs.registry
-            self._obs_kinds["update_batch"] = (None, None, None, None)
-            self._obs_batch = (
-                reg.counter("tree.batches"),
-                reg.counter("tree.batch_ops"),
-                reg.counter("tree.batch_deduped"),
-                reg.counter("tree.batch_coalesced_writes"),
-                reg.histogram("tree.batch_size", self._BATCH_BUCKETS),
+            self._obs_kinds["update_batch"] = (None, None, None)
+            self._obs_batch_sizes = obs.registry.histogram(
+                "tree.batch_size", self._BATCH_BUCKETS
             )
 
     def _drift_update_predicted(self, tracker) -> float:
@@ -264,17 +274,17 @@ class RUMTree(RTreeBase, MemoHost):
         # Looked up on the module, so a tracer that wraps it is seen.
         plan = batch.plan_batch(ops)
         if self.obs is None:
-            return self._apply_batch_plan(plan)
-        result = self._observed(
-            "update_batch", self._apply_batch_plan, plan,
-            ops=plan.total_ops, deduped=plan.deduped,
-        )
-        batches, batch_ops, deduped, coalesced, sizes = self._obs_batch
-        batches.inc()
-        batch_ops.inc(result.total_ops)
-        deduped.inc(result.deduped)
-        coalesced.inc(result.coalesced_writes)
-        sizes.observe(float(result.total_ops))
+            result = self._apply_batch_plan(plan)
+        else:
+            result = self._observed(
+                "update_batch", self._apply_batch_plan, plan,
+                ops=plan.total_ops, deduped=plan.deduped,
+            )
+            self._obs_batch_sizes.observe(float(result.total_ops))
+        self.batch_count += 1
+        self.batch_op_count += result.total_ops
+        self.batch_deduped += result.deduped
+        self.batch_coalesced_writes += result.coalesced_writes
         return result
 
     def _apply_batch_plan(self, plan: BatchPlan) -> BatchResult:  # holds: latch

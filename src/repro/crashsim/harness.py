@@ -417,11 +417,10 @@ def run_scenario(
             # damage — corruption is verified exactly as injected.
             break
     crashed = pending is not None
-    if obs is not None:
-        # The process model ends here.  Its callback gauges read its memo's
-        # runs, which the reopen below may unlink: keep what they read now.
-        for name, value in obs.registry.snapshot().gauges.items():
-            obs.registry.gauge(name).set(value)
+    # The process model ends here.  Its gauges read its memo's runs,
+    # which the reopen below may unlink: detaching freezes what it
+    # published.
+    tree.attach_obs(None)
     if obs is not None and crashed:
         obs.event(
             "crashsim.crash", point=scenario.point, option=option,

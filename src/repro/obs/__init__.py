@@ -12,9 +12,10 @@ The package bundles three layers behind one façade:
   exposition, and a structured ``logging`` debug channel.
 
 An :class:`Observability` object selects a level and wires the three
-together; components expose ``attach_obs(obs)`` which caches bound
-instruments, and ``attach_obs(None)`` — no telemetry — leaves the hot
-path one ``None`` check::
+together; components count in plain ints of their own, which
+``attach_obs(obs)`` publishes (see :mod:`repro.obs.metrics`), and
+``attach_obs(None)`` — no telemetry — freezes what was published and
+leaves the capture path one ``None`` check::
 
     obs = Observability(level="trace", sink=JsonlEventSink("events.jsonl"))
     tree = build_rum_tree(obs=obs)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Union
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, Publication
 
 #: Default EWMA smoothing factor (weight of the newest sample).
 DEFAULT_ALPHA = 0.05
@@ -126,6 +126,7 @@ class DriftMonitor:
         self.registry = registry
         self.alpha = alpha
         self.trackers: Dict[str, OpDriftTracker] = {}
+        self._published: List[Publication] = []
 
     def track(self, op: str, predictor: Predictor) -> OpDriftTracker:
         """Create (or replace) the tracker for ``op`` and bind its gauges.
@@ -138,16 +139,18 @@ class DriftMonitor:
         """
         tracker = OpDriftTracker(op, predictor, alpha=self.alpha)
         self.trackers[op] = tracker
-        reg = self.registry
-        reg.gauge(f"drift.{op}.predicted_io").set_function(tracker.predicted)
-        reg.gauge(f"drift.{op}.measured_io").set_function(
-            lambda: tracker.measured
-        )
-        reg.gauge(f"drift.{op}.ratio").set_function(tracker.ratio)
-        reg.gauge(f"drift.{op}.samples").set_function(
-            lambda: float(tracker.samples)
-        )
+        self._published.append(self.registry.publish({}, {
+            f"drift.{op}.predicted_io": tracker.predicted,
+            f"drift.{op}.measured_io": lambda: tracker.measured,
+            f"drift.{op}.ratio": tracker.ratio,
+            f"drift.{op}.samples": lambda: float(tracker.samples),
+        }))
         return tracker
+
+    def withdraw(self) -> None:
+        """Freeze every gauge still reading one of these trackers."""
+        for publication in self._published:
+            publication.withdraw()
 
     def get(self, op: str) -> Optional[OpDriftTracker]:
         return self.trackers.get(op)

@@ -14,19 +14,27 @@ yields per-interval values::
 
 Hot-path cost discipline
 ------------------------
-Instrumented components cache bound instrument objects at attach time
-(``self._c_appends = registry.counter("wal.appends")``) so the per-event
-cost is one ``None`` check plus one integer add — never a registry dict
-lookup.  Gauges support *callback* sampling (:meth:`Gauge.set_function`)
-so sizes such as the Update-Memo footprint are read only when a snapshot
-or exposition is produced, at zero cost on the update path.
+Components never touch an instrument to count.  Each keeps its counts
+as plain ints whether or not telemetry is attached (one integer add per
+event at every level), and ``attach_obs`` publishes them
+(:meth:`MetricsRegistry.publish`): a counter counts from the attach,
+sums every component published under its name (a router's shards add
+up) and keeps what it counted when the component detaches.  Sizes are
+callback gauges, read only at snapshot time; a gauge reads the
+component attached last and freezes when that component detaches.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from . import Observability
 
 #: Quantiles reported by ``percentiles()`` and the Prometheus exposition.
 PERCENTILES: Tuple[Tuple[str, float], ...] = (
@@ -66,16 +74,29 @@ def _bucket_percentile(
 
 
 class Counter:
-    """A monotonically increasing integer metric."""
+    """A monotonically increasing integer metric: what :meth:`inc` added
+    plus what each component published into it counted since attach."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_settled", "_live")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        self._settled = 0
+        #: Publication -> (tally reader, its reading at the attach).
+        self._live: Dict["Publication", Tuple[Callable[[], int], int]] = {}
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
+        self._settled += amount
+
+    @property
+    def value(self) -> int:
+        return self._settled + sum(
+            read() - base for read, base in list(self._live.values())
+        )
+
+    def _settle(self, publication: "Publication") -> None:
+        read, base = self._live.pop(publication)
+        self._settled += read() - base
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name}={self.value})"
@@ -238,13 +259,49 @@ class MetricsSnapshot:
         }
 
 
+class Publication:
+    """What one component publishes into one registry.  :meth:`withdraw`
+    is its detach: each counter keeps what the component counted, each
+    gauge it still feeds keeps its last reading."""
+
+    def __init__(self) -> None:
+        self.counters: List[Counter] = []
+        self.gauges: List[Tuple[Gauge, Callable[[], float]]] = []
+
+    def withdraw(self) -> None:
+        for counter in self.counters:
+            counter._settle(self)
+        for gauge, read in self.gauges:
+            if gauge._fn is read:
+                gauge.set(read())
+        self.counters, self.gauges = [], []
+
+
+#: What a detached component holds: nothing to withdraw.
+UNPUBLISHED = Publication()
+
+
+def republish(
+    old: Publication,
+    obs: Optional["Observability"],
+    counters: Mapping[str, Callable[[], int]],
+    gauges: Optional[Mapping[str, Callable[[], float]]] = None,
+) -> Publication:
+    """An ``attach_obs``: withdraw ``old``, then publish ``counters``
+    (tally readers) and ``gauges`` (size readers) unless ``obs`` is
+    ``None``."""
+    old.withdraw()
+    if obs is None:
+        return UNPUBLISHED
+    return obs.registry.publish(counters, gauges)
+
+
 class MetricsRegistry:
     """Named instruments with get-or-create semantics.
 
-    Asking twice for the same name returns the same object, so any
-    component may bind ``registry.counter("wal.appends")`` and all
-    increments land in one place.  Re-registering a name as a different
-    instrument kind is an error.
+    Asking twice for the same name returns the same object, so every
+    component that publishes ``wal.appends`` lands in one counter.
+    Re-registering a name as a different instrument kind is an error.
     """
 
     def __init__(self) -> None:
@@ -285,6 +342,25 @@ class MetricsRegistry:
                 f"histogram {name!r} already registered with different buckets"
             )
         return hist
+
+    def publish(
+        self,
+        counters: Mapping[str, Callable[[], int]],
+        gauges: Optional[Mapping[str, Callable[[], float]]] = None,
+    ) -> Publication:
+        """Count each tally reader of ``counters`` from now on, summed
+        with every other reader published under its name, and point each
+        gauge of ``gauges`` at its reader."""
+        publication = Publication()
+        for name, read in counters.items():
+            counter = self.counter(name)
+            counter._live[publication] = (read, read())
+            publication.counters.append(counter)
+        for name, size in (gauges or {}).items():
+            gauge = self.gauge(name)
+            gauge.set_function(size)
+            publication.gauges.append((gauge, size))
+        return publication
 
     # -- read side ---------------------------------------------------------
 

@@ -41,6 +41,7 @@ from repro import kernels
 from repro.concurrency.primitives import LockLike, make_lock
 from repro.obs.drift import DriftMonitor
 from repro.obs.explain import analyze
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import io_counters
 
@@ -177,6 +178,13 @@ class RTreeBase:
         #: points (update/query/kNN) guard on it, so the un-instrumented
         #: path costs one attribute load and a None check.
         self.obs: Optional["Observability"] = None
+        #: Operations through the public entry points, kept whether or
+        #: not obs is attached (``attach_obs`` publishes them): inserts,
+        #: updates and deletes; range queries; kNN queries.
+        self.update_count = 0
+        self.query_count = 0
+        self.knn_count = 0
+        self._obs_published = UNPUBLISHED
         self._obs_unbind()
         #: Serving decision of the most recent range_search ("mirror" vs
         #: "traversal"); one boolean store per query on every path so the
@@ -212,27 +220,25 @@ class RTreeBase:
 
         Cascades to the buffer pool (and through it, the disk manager);
         subclasses extend the cascade to the memo, the cleaner, the WAL,
-        or the secondary index.  Passing ``None`` detaches everything.
+        or the secondary index.  Passing ``None`` detaches everything,
+        and every count and gauge the stack published freezes.
         """
-        # Queries skipped since the last sampled one have not been
-        # counted yet; settle the balance before the counter is dropped
-        # or rebound.  (Updates need no settlement: their counter and
-        # histogram are exact per-op on the unsampled path too.)
-        pending = self._obs_qsample.stride - 1 - self._obs_qsample.tick
-        if pending > 0 and self._obs_c_queries is not None:
-            self._obs_c_queries.inc(pending)
+        if self._obs_drift is not None:
+            self._obs_drift.withdraw()
         self._obs_unbind()
         self.obs = obs
         self.buffer.attach_obs(obs)
+        self._obs_published = republish(self._obs_published, obs, {
+            "tree.updates": lambda: self.update_count,
+            "tree.queries": lambda: self.query_count,
+            "tree.knn_queries": lambda: self.knn_count,
+        }, {"tree.height": lambda: self.height})
         if obs is not None:
             reg = obs.registry
-            updates = self._obs_c_updates = reg.counter("tree.updates")
-            queries = self._obs_c_queries = reg.counter("tree.queries")
             update_io = self._obs_h_update_io = reg.histogram(
                 "tree.update_leaf_io", self._IO_BUCKETS
             )
             query_io = reg.histogram("tree.query_leaf_io", self._IO_BUCKETS)
-            reg.gauge("tree.height").set_function(lambda: self.height)
             # Flight recorder + drift monitor (the hot path reaches them
             # only through these bound references — lint rule REP010).
             self._obs_record = obs.record
@@ -243,27 +249,24 @@ class RTreeBase:
             query_drift = self._obs_drift.track(
                 "query", self._drift_query_predicted
             )
-            # The one counting rule, for every tree type — op: (op
-            # counter, leaf-I/O histogram, drift tracker, capture
-            # sampler).  Every operation through a public entry point
-            # lands in exactly one row.
+            # The one accounting rule, for every tree type — op:
+            # (leaf-I/O histogram, drift tracker, capture sampler).
+            # Every operation through a public entry point lands in
+            # exactly one row.
             insert_drift = update_drift if self._INSERT_IS_UPDATE else None
             self._obs_kinds = {
-                "insert": (updates, update_io, insert_drift, None),
-                "update": (
-                    updates, update_io, update_drift, self._obs_usample
-                ),
-                "delete": (updates, update_io, None, None),
-                "query": (queries, query_io, query_drift, self._obs_qsample),
-                "knn": (reg.counter("tree.knn_queries"), query_io, None, None),
+                "insert": (update_io, insert_drift, None),
+                "update": (update_io, update_drift, self._obs_usample),
+                "delete": (update_io, None, None),
+                "query": (query_io, query_drift, self._obs_qsample),
+                "knn": (query_io, None, None),
             }
 
     def _obs_unbind(self) -> None:
         """Every instrument ``attach_obs`` binds, in its detached state."""
-        #: Per-kind accounting table (see attach_obs); the counters and
-        #: histogram the inline paths touch are bound as attributes too.
+        #: Per-kind accounting table (see attach_obs); the histogram the
+        #: inline update path touches is bound as an attribute too.
         self._obs_kinds: Dict[str, tuple] = {}
-        self._obs_c_updates = self._obs_c_queries = None
         self._obs_h_update_io = None
         #: Flight recorder and drift monitor.  The memo reference is
         #: populated by the RUM subclass (the baselines have no memo) so
@@ -272,9 +275,9 @@ class RTreeBase:
         self._obs_record = None
         self._obs_rec_memo = None
         self._obs_drift = None
-        #: Capture sampling of the two hot operation classes: every
-        #: operation is counted, but only every ``stride``-th pays the
-        #: full recorder/drift capture (see ``_observed``).
+        #: Capture sampling of the two hot operation classes: only every
+        #: ``stride``-th operation pays the full recorder/drift capture
+        #: (see ``_observed``).
         self._obs_usample = _Sampler()
         self._obs_qsample = _Sampler()
 
@@ -289,12 +292,12 @@ class RTreeBase:
         ``stats.snapshot()`` keep the capture cheap) feed the flight
         recorder — whose record is, at ``trace`` level, also the
         operation's ``span`` event, carrying ``attrs`` — then the kind's
-        op counter, its per-op leaf-I/O histogram and, where the kind
-        has one, the drift monitor's measured EWMA.  ``window`` marks a
-        range query: its extents feed the drift model and its serving
-        decision rides the record.  An operation that raises is still
-        recorded (its event says ``error: true``) and re-raised; it
-        feeds nothing else.
+        per-op leaf-I/O histogram and, where the kind has one, the drift
+        monitor's measured EWMA (the entry point counts the operation).
+        ``window`` marks a range query: its extents feed the drift model
+        and its serving decision rides the record.  An operation that
+        raises is still recorded (its event says ``error: true``) and
+        re-raised; it feeds nothing else.
 
         For the sampled kinds it then applies the stride rule: a capture
         faster than ``_OBS_FAST_S`` doubles the stride (slow-op detection
@@ -302,7 +305,7 @@ class RTreeBase:
         ``_OBS_STRIDE_MAX``), a slow one resets it, and at ``trace``
         level the stride never widens so every operation is recorded.
         """
-        counter, histogram, tracker, sampler = self._obs_kinds[kind]
+        histogram, tracker, sampler = self._obs_kinds[kind]
         s = self.stats
         m = self._obs_rec_memo
         lookups0 = 0 if m is None else m.lookup_count
@@ -328,8 +331,6 @@ class RTreeBase:
                 failed,
                 attrs,
             )
-        if counter is not None:
-            counter.value += 1
         if histogram is not None:
             histogram.observe(io10[0] + io10[1])
         if tracker is not None:
@@ -401,6 +402,7 @@ class RTreeBase:
             self._insert_body(oid, rect)
         else:
             self._observed("insert", self._insert_body, oid, rect, oid=oid)
+        self.update_count += 1
 
     def update_object(
         self, oid: int, old_rect: Optional[Rect], new_rect: Rect
@@ -412,31 +414,28 @@ class RTreeBase:
         """
         if self.obs is None:
             self._update_body(oid, old_rect, new_rect)
-            return
-        sampler = self._obs_usample
-        if not sampler.tick:
+        elif not (sampler := self._obs_usample).tick:
             self._observed(
                 "update", self._update_body, oid, old_rect, new_rect, oid=oid
             )
-            return
-        # Unsampled update.  The counter and histogram stay exact on
-        # every operation — both are pure I/O accounting that needs no
-        # clock and touches three small hot objects, a few hundred
-        # nanoseconds.  What this path skips is the expensive capture
-        # (``perf_counter`` calls, the 10-field delta, the recorder
-        # record, the drift feed), whose working set is large enough that
-        # paying it every update breaks the <2% metrics-level budget
-        # (``bench_micro`` A/B) — and so would a call, hence inline.
-        sampler.tick -= 1
-        s = self.stats
-        lio0 = s.leaf_reads + s.leaf_writes
-        self._update_body(oid, old_rect, new_rect)
-        self._obs_c_updates.value += 1
-        h = self._obs_h_update_io
-        v = s.leaf_reads + s.leaf_writes - lio0
-        h.counts[bisect_left(h.buckets, v)] += 1
-        h.count += 1
-        h.total += v
+        else:
+            # Unsampled update.  The histogram stays exact on every
+            # operation — pure I/O accounting that needs no clock and
+            # touches three small hot objects.  What this path skips is
+            # the expensive capture (``perf_counter`` calls, the 10-field
+            # delta, the recorder record, the drift feed), whose working
+            # set is large enough that paying it every update shows in
+            # the ``bench_micro`` A/B — and so would a call, hence inline.
+            sampler.tick -= 1
+            s = self.stats
+            lio0 = s.leaf_reads + s.leaf_writes
+            self._update_body(oid, old_rect, new_rect)
+            h = self._obs_h_update_io
+            v = s.leaf_reads + s.leaf_writes - lio0
+            h.counts[bisect_left(h.buckets, v)] += 1
+            h.count += 1
+            h.total += v
+        self.update_count += 1
 
     def delete_object(self, oid: int, old_rect: Optional[Rect] = None) -> None:
         """Remove an object entirely (``old_rect`` as for updates)."""
@@ -444,6 +443,7 @@ class RTreeBase:
             self._delete_body(oid, old_rect)
         else:
             self._observed("delete", self._delete_body, oid, old_rect, oid=oid)
+        self.update_count += 1
 
     def search(self, window: Rect, stamped: bool = False) -> List[tuple]:
         """All live objects whose current MBR intersects ``window``, as
@@ -451,21 +451,19 @@ class RTreeBase:
         merge over several trees needs to tell the newer of two answers
         for one object (the shard router's max-stamp rule)."""
         if self.obs is None:
-            return self._search_body(window, stamped)
-        sampler = self._obs_qsample
-        if sampler.tick > 0:
-            # Unsampled query: tens of microseconds whichever path
-            # serves it, so it pays for nothing but this countdown and
-            # the next sampled query counts it.
+            rows = self._search_body(window, stamped)
+        elif (sampler := self._obs_qsample).tick > 0:
+            # An unsampled query is tens of microseconds whichever path
+            # serves it, so it pays for nothing but this countdown: the
+            # histogram, recorder and drift feeds see sampled queries only.
             sampler.tick -= 1
-            return self._search_body(window, stamped)
-        # ``tree.queries`` is thus exact at every sample boundary (and at
-        # detach, which settles the remainder); histogram, recorder and
-        # drift feeds see the sampled queries only.
-        self._obs_c_queries.value += sampler.stride - 1
-        return self._observed(
-            "query", self._search_body, window, stamped, window=window
-        )
+            rows = self._search_body(window, stamped)
+        else:
+            rows = self._observed(
+                "query", self._search_body, window, stamped, window=window
+            )
+        self.query_count += 1
+        return rows
 
     def nearest_neighbors(
         self, x: float, y: float, k: int, stamped: bool = False
@@ -476,8 +474,13 @@ class RTreeBase:
         if k <= 0:
             return []
         if self.obs is None:
-            return self._knn_body(x, y, k, stamped)
-        return self._observed("knn", self._knn_body, x, y, k, stamped, k=k)
+            rows = self._knn_body(x, y, k, stamped)
+        else:
+            rows = self._observed(
+                "knn", self._knn_body, x, y, k, stamped, k=k
+            )
+        self.knn_count += 1
+        return rows
 
     # -- operation bodies (the baselines' defaults) -------------------------
 

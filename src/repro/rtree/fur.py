@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.storage.buffer import BufferPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,23 +77,17 @@ class FURTree(RTreeBase):
         self.updates_in_place = 0
         self.updates_to_sibling = 0
         self.updates_top_down = 0
+        self._obs_fur_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Extend the base cascade with the bottom-up case mix and the
-        secondary-index footprint."""
+        """Extend the base cascade with the bottom-up case mix (counters)
+        and the secondary-index footprint (a gauge)."""
         super().attach_obs(obs)
-        if obs is not None:
-            reg = obs.registry
-            reg.gauge("fur.updates_in_place").set_function(
-                lambda: self.updates_in_place
-            )
-            reg.gauge("fur.updates_to_sibling").set_function(
-                lambda: self.updates_to_sibling
-            )
-            reg.gauge("fur.updates_top_down").set_function(
-                lambda: self.updates_top_down
-            )
-            reg.gauge("fur.index_bytes").set_function(self.index.size_bytes)
+        self._obs_fur_published = republish(self._obs_fur_published, obs, {
+            "fur.updates_in_place": lambda: self.updates_in_place,
+            "fur.updates_to_sibling": lambda: self.updates_to_sibling,
+            "fur.updates_top_down": lambda: self.updates_top_down,
+        }, {"fur.index_bytes": self.index.size_bytes})
 
     # ------------------------------------------------------------------
     # Secondary-index maintenance hooks

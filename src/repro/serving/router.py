@@ -64,6 +64,7 @@ from repro.concurrency import racecheck
 from repro.concurrency.primitives import LockLike, make_lock
 from repro.core.stamp import StampCounter
 from repro.factory import build_rum_tree
+from repro.obs.metrics import UNPUBLISHED, republish
 from repro.rtree.geometry import Rect
 from repro.rtree.zorder import (
     QUANT_SLACK,
@@ -75,7 +76,6 @@ from repro.rtree.zorder import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.rum import RUMTree
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
 
 #: Default shard-tree node size: the serving layer favours small nodes
 #: (shard trees are small; short descents beat page capacity).
@@ -176,40 +176,35 @@ class ShardRouter:
         # and written under one after a re-check (docs/SHARDING.md).
         self._extent_lock: LockLike = make_lock()
         self._max_half_extent = 0.0
-        # Router tallies (protected by _stats_lock); attach_obs mirrors
-        # them into counters.
+        # Router tallies (written under _stats_lock); attach_obs
+        # publishes the migrations and fan-out queries.
         self._stats_lock: LockLike = make_lock()
         self._n_updates = 0
         self._n_migrations = 0
         self._n_queries = 0
+        self._n_fanout = 0
         self._n_knn = 0
-        self._obs_migrations: Optional["Counter"] = None
-        self._obs_fanout: Optional["Counter"] = None
+        self._obs_published = UNPUBLISHED
         if obs is not None:
             self.attach_obs(obs)
 
     # -- attach cascades ---------------------------------------------------
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind router counters and cascade to every shard's stack.
+        """Publish the router's tallies and cascade to every shard's stack.
 
-        Shards share one registry, so per-tree counters (updates,
-        queries, memo activity ...) aggregate across shards; per-tree
-        gauges (height, memo size) reflect the last shard attached.
+        Shards share one registry, so every count (updates, queries,
+        memo probes, page reads ...) is the sum over the shards; size
+        gauges (height, memo entries, drift) read the last shard
+        attached.
         """
-        if obs is None:
-            self._obs_migrations = None
-            self._obs_fanout = None
-        else:
-            reg = obs.registry
-            self._obs_migrations = reg.counter("router.migrations")
-            self._obs_fanout = reg.counter("router.fanout_queries")
-            reg.gauge("router.shards").set_function(
-                lambda: float(self.n_shards)
-            )
-            reg.gauge("router.objects").set_function(
-                lambda: float(self.count_objects())
-            )
+        self._obs_published = republish(self._obs_published, obs, {
+            "router.migrations": lambda: self._n_migrations,
+            "router.fanout_queries": lambda: self._n_fanout,
+        }, {
+            "router.shards": lambda: float(self.n_shards),
+            "router.objects": lambda: float(self.count_objects()),
+        })
         for shard in self.shards:
             shard.tree.attach_obs(obs)
 
@@ -317,8 +312,6 @@ class ShardRouter:
             self._n_updates += 1
             if migrated:
                 self._n_migrations += 1
-        if migrated and self._obs_migrations is not None:
-            self._obs_migrations.inc()
         return {"shard": target, "migrated": migrated}
 
     #: ``insert`` and ``update`` are the same operation under the memo
@@ -372,10 +365,10 @@ class ShardRouter:
                     if seen is None or stamp > seen[0]:
                         best[oid] = (stamp, rect)
             rows = [(oid, rect) for oid, (_stamp, rect) in best.items()]
-            if self._obs_fanout is not None:
-                self._obs_fanout.inc()
         with self._stats_lock:
             self._n_queries += 1
+            if len(targets) > 1:
+                self._n_fanout += 1
         rows.sort()  # oids are unique: the rectangles are never compared
         return rows
 

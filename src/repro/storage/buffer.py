@@ -49,13 +49,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Set
 
 from repro.concurrency import racecheck
+from repro.obs.metrics import UNPUBLISHED, republish
 
 from .disk import PageStore
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
     from repro.rtree.node import Node
 
     from .codec import NodeCodec
@@ -151,50 +151,35 @@ class BufferPool:
         self._op_depth = 0
         #: Stats of the innermost open batch scope (None outside one).
         self._batch: Optional[BatchScopeStats] = None
-        #: Lifetime cache tallies, kept as plain ints *unconditionally*:
-        #: one integer add per page access costs the same with or
-        #: without observability attached, which keeps the per-page hot
-        #: paths off the metrics-level overhead budget entirely.
-        #: ``attach_obs`` mirrors them into lazy gauges.
+        #: Lifetime cache tallies, plain ints kept whether or not obs is
+        #: attached: one integer add per page access costs the same at
+        #: every level.  ``attach_obs`` publishes them.
         self.hit_count = 0
         self.miss_count = 0
         self.write_back_count = 0
-        # Telemetry counters bound by attach_obs(); None = disabled.
-        self._obs_evictions: Optional[Counter] = None
+        self.eviction_count = 0
+        self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry: cache hits/misses, evictions, write-backs.
+        """Publish the cache tallies as counters: hits, misses,
+        evictions, write-backs.
 
         A *hit* is any ``get_node`` served from the internal cache, the
         operation cache, or the resident LRU; a *miss* reads the disk.
         Write-backs count every dirty page written (operation end, LRU
-        eviction, write-through, and explicit ``flush``).  Hits, misses
-        and write-backs happen a dozen times per tree operation, so they
-        are tallied as plain ints on the pool itself and exposed here as
-        lazy gauges (values count from pool construction, not from
-        attach); rarer events keep real counters.  The attach cascades
-        to the disk manager so one call wires the whole stack.
+        eviction, write-through, and explicit ``flush``).  The cached
+        internal nodes and resident LRU pages are gauges.  The attach
+        cascades to the disk manager so one call wires the whole stack.
         """
-        if obs is None:
-            self._obs_evictions = None
-        else:
-            reg = obs.registry
-            self._obs_evictions = reg.counter("buffer.evictions")
-            reg.gauge("buffer.hits").set_function(
-                lambda: float(self.hit_count)
-            )
-            reg.gauge("buffer.misses").set_function(
-                lambda: float(self.miss_count)
-            )
-            reg.gauge("buffer.write_backs").set_function(
-                lambda: float(self.write_back_count)
-            )
-            reg.gauge("buffer.internal_cached").set_function(
-                self.cached_internal_nodes
-            )
-            reg.gauge("buffer.lru_resident").set_function(
-                lambda: len(self._lru)
-            )
+        self._obs_published = republish(self._obs_published, obs, {
+            "buffer.hits": lambda: self.hit_count,
+            "buffer.misses": lambda: self.miss_count,
+            "buffer.write_backs": lambda: self.write_back_count,
+            "buffer.evictions": lambda: self.eviction_count,
+        }, {
+            "buffer.internal_cached": self.cached_internal_nodes,
+            "buffer.lru_resident": lambda: len(self._lru),
+        })
         attach = getattr(self.disk, "attach_obs", None)
         if attach is not None:
             attach(obs)
@@ -287,8 +272,7 @@ class BufferPool:
 
     def _lru_evict(self, page_id: int) -> None:
         node = self._lru.pop(page_id)
-        if self._obs_evictions is not None:
-            self._obs_evictions.inc()
+        self.eviction_count += 1
         if page_id in self._lru_dirty:
             self._lru_dirty.discard(page_id)
             self.disk.write_page(page_id, self._page_bytes(node))

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol
 
+from repro.obs.metrics import UNPUBLISHED, republish
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
 
 
 class PageStore(Protocol):
@@ -89,37 +90,24 @@ class DiskManager:
         self._pages: Dict[int, bytes] = {}
         self._free: List[int] = []
         self._next_id = 0
+        #: Page reads, writes, allocations and frees: plain ints kept
+        #: whether or not obs is attached (``attach_obs`` publishes them).
         self.reads = 0
         self.writes = 0
-        # Telemetry counters bound by attach_obs(); None = disabled, so
-        # the hot-path cost without observability is a single None check.
-        self._obs_allocs: Optional[Counter] = None
-        self._obs_frees: Optional[Counter] = None
+        self.allocations = 0
+        self.frees = 0
+        self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind (or with ``None``, unbind) telemetry.
-
-        Page reads and writes are already tallied unconditionally as the
-        plain ints ``self.reads``/``self.writes`` — ``disk.page_reads``
-        and ``disk.page_writes`` are lazy gauges over those (values
-        count from manager construction, not from attach), so the
-        per-page hot path carries zero instrumentation cost at any
-        level.  Allocations/frees are rare and keep real counters; the
-        resident page count and byte footprint are callback gauges
-        sampled only at snapshot time.
-        """
-        if obs is None:
-            self._obs_allocs = self._obs_frees = None
-            return
-        reg = obs.registry
-        self._obs_allocs = reg.counter("disk.allocations")
-        self._obs_frees = reg.counter("disk.frees")
-        reg.gauge("disk.page_reads").set_function(lambda: float(self.reads))
-        reg.gauge("disk.page_writes").set_function(
-            lambda: float(self.writes)
-        )
-        reg.gauge("disk.pages").set_function(self.num_pages)
-        reg.gauge("disk.bytes").set_function(self.total_bytes)
+        """Publish the page tallies as the ``disk.*`` counters and the
+        resident page count and byte footprint as gauges (``None``
+        detaches)."""
+        self._obs_published = republish(self._obs_published, obs, {
+            "disk.page_reads": lambda: self.reads,
+            "disk.page_writes": lambda: self.writes,
+            "disk.allocations": lambda: self.allocations,
+            "disk.frees": lambda: self.frees,
+        }, {"disk.pages": self.num_pages, "disk.bytes": self.total_bytes})
 
     # -- allocation ----------------------------------------------------------
 
@@ -131,8 +119,7 @@ class DiskManager:
             page_id = self._next_id
             self._next_id += 1
         self._pages[page_id] = zero_page(self.page_size)
-        if self._obs_allocs is not None:
-            self._obs_allocs.inc()
+        self.allocations += 1
         return page_id
 
     def free(self, page_id: int) -> None:
@@ -141,8 +128,7 @@ class DiskManager:
             raise PageNotAllocatedError(page_id)
         del self._pages[page_id]
         self._free.append(page_id)
-        if self._obs_frees is not None:
-            self._obs_frees.inc()
+        self.frees += 1
 
     # -- I/O -----------------------------------------------------------------
 

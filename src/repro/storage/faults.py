@@ -25,8 +25,7 @@ points (metadata sync steps, WAL forces) are fired directly by
 :class:`~repro.storage.filedisk.FileDiskManager` and
 :class:`~repro.storage.wal.WriteAheadLog`, which both accept an optional
 injector.  Components without an injector pay nothing: the hook is a
-single ``is None`` check, the same discipline as the ``attach_obs``
-instrumentation.
+single ``is None`` check.
 
 The registered fault points:
 
@@ -58,11 +57,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
+from repro.obs.metrics import UNPUBLISHED, republish
+
 from .disk import PageStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
 
 #: Every fault point the storage stack fires, in rough workload order.
 #: The crash-matrix harness iterates this tuple; adding an instrumented
@@ -118,14 +118,15 @@ class FaultInjector:
         #: occurrences seen per point since the last ``arm`` (all points
         #: are counted, armed or not — useful for scenario discovery).
         self.hits: Dict[str, int] = {}
-        self._obs_fired: Optional[Counter] = None
+        #: Faults fired in the injector's life (``arm`` resets ``fired``).
+        self.fired_count = 0
+        self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry (``faults.fired`` counter)."""
-        if obs is None:
-            self._obs_fired = None
-            return
-        self._obs_fired = obs.registry.counter("faults.fired")
+        """Publish ``fired_count`` as the ``faults.fired`` counter."""
+        self._obs_published = republish(self._obs_published, obs, {
+            "faults.fired": lambda: self.fired_count,
+        })
 
     def arm(
         self,
@@ -191,8 +192,7 @@ class FaultInjector:
     def _mark_fired(self, point: str) -> None:
         self.fired = point
         self.point = None  # disarm: a process dies once
-        if self._obs_fired is not None:
-            self._obs_fired.inc()
+        self.fired_count += 1
 
 
 def torn_page(old: bytes, new: bytes, torn_bytes: int) -> bytes:

@@ -28,11 +28,12 @@ import os
 import pathlib
 from typing import TYPE_CHECKING, BinaryIO, Iterator, List, Optional, Set, Union
 
+from repro.obs.metrics import UNPUBLISHED, republish
+
 from .disk import PageNotAllocatedError, zero_page
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
     from .faults import FaultInjector
 
 PAGES_FILE = "pages.bin"
@@ -63,24 +64,17 @@ class FileDiskManager:
         self._next_id = 0
         self.reads = 0
         self.writes = 0
-        self._obs_syncs: Optional[Counter] = None
+        self.syncs = 0
+        self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry (same channel names as the in-memory manager,
-        plus ``disk.syncs`` for durability points).  Page reads/writes
-        ride the unconditional plain-int tallies as lazy gauges, exactly
-        like :class:`~repro.storage.disk.DiskManager`."""
-        if obs is None:
-            self._obs_syncs = None
-            return
-        reg = obs.registry
-        self._obs_syncs = reg.counter("disk.syncs")
-        reg.gauge("disk.page_reads").set_function(lambda: float(self.reads))
-        reg.gauge("disk.page_writes").set_function(
-            lambda: float(self.writes)
-        )
-        reg.gauge("disk.pages").set_function(self.num_pages)
-        reg.gauge("disk.bytes").set_function(self.total_bytes)
+        """Publish the page tallies under the in-memory manager's names,
+        plus ``disk.syncs`` for durability points."""
+        self._obs_published = republish(self._obs_published, obs, {
+            "disk.page_reads": lambda: self.reads,
+            "disk.page_writes": lambda: self.writes,
+            "disk.syncs": lambda: self.syncs,
+        }, {"disk.pages": self.num_pages, "disk.bytes": self.total_bytes})
 
     # -- persistence of the allocation state --------------------------------
 
@@ -113,8 +107,7 @@ class FileDiskManager:
         a sync can never leave torn or partially written metadata — a
         reopen sees either the previous state or the new one, complete.
         """
-        if self._obs_syncs is not None:
-            self._obs_syncs.inc()
+        self.syncs += 1
         self._file.flush()
         os.fsync(self._file.fileno())
         if self.faults is not None:

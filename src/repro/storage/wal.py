@@ -42,11 +42,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
 
+from repro.obs.metrics import UNPUBLISHED, republish
+
 from .iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
     from .faults import FaultInjector
 
 #: Simulated on-disk size of one Update-Memo entry (the paper's ``E``):
@@ -105,30 +106,26 @@ class WriteAheadLog:
         #: True when some record inside the open group asked for a force
         #: that was deferred to the scope exit.
         self._group_pending = False
+        #: Forces done, forces a group commit deferred, and group commits
+        #: that paid one (appends are ``_next_lsn``, page writes the
+        #: ``log_writes`` of ``stats``).
+        self.force_count = 0
+        self.deferred_force_count = 0
+        self.group_commit_count = 0
         self._obs: Optional["Observability"] = None
-        self._obs_appends: Optional[Counter] = None
-        self._obs_forced: Optional[Counter] = None
-        self._obs_page_writes: Optional[Counter] = None
-        self._obs_group_commits: Optional[Counter] = None
-        self._obs_deferred_forces: Optional[Counter] = None
+        self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
-        """Bind telemetry: append/force counts, page writes, log size."""
-        if obs is None:
-            self._obs = None
-            self._obs_appends = self._obs_forced = None
-            self._obs_page_writes = None
-            self._obs_group_commits = self._obs_deferred_forces = None
-            return
+        """Publish append/force counts and page writes as counters, the
+        log's size as gauges."""
         self._obs = obs
-        reg = obs.registry
-        self._obs_appends = reg.counter("wal.appends")
-        self._obs_forced = reg.counter("wal.forced_flushes")
-        self._obs_page_writes = reg.counter("wal.page_writes")
-        self._obs_group_commits = reg.counter("wal.group_commits")
-        self._obs_deferred_forces = reg.counter("wal.deferred_forces")
-        reg.gauge("wal.records").set_function(self.__len__)
-        reg.gauge("wal.bytes").set_function(self.total_bytes)
+        self._obs_published = republish(self._obs_published, obs, {
+            "wal.appends": lambda: self._next_lsn,
+            "wal.forced_flushes": lambda: self.force_count,
+            "wal.page_writes": lambda: self.stats.log_writes,
+            "wal.group_commits": lambda: self.group_commit_count,
+            "wal.deferred_forces": lambda: self.deferred_force_count,
+        }, {"wal.records": self.__len__, "wal.bytes": self.total_bytes})
 
     # -- writing -------------------------------------------------------------
 
@@ -150,8 +147,6 @@ class WriteAheadLog:
         record = LogRecord(self._next_lsn, kind, payload, nbytes)
         self._next_lsn += 1
         self._records.append(record)
-        if self._obs_appends is not None:
-            self._obs_appends.inc()
 
         remaining = nbytes
         pages_written = False
@@ -162,8 +157,6 @@ class WriteAheadLog:
             self._current_fill = 0
             pages_written = True
             self.stats.log_writes += 1
-            if self._obs_page_writes is not None:
-                self._obs_page_writes.inc()
         self._current_fill += remaining
         if pages_written:
             # Everything behind the flushed page boundary is durable; the
@@ -179,8 +172,7 @@ class WriteAheadLog:
                 # Group commit: the force is owed by the enclosing scope,
                 # which pays it once for the whole batch.
                 self._group_pending = True
-                if self._obs_deferred_forces is not None:
-                    self._obs_deferred_forces.inc()
+                self.deferred_force_count += 1
             else:
                 self.force()
         return record
@@ -201,10 +193,7 @@ class WriteAheadLog:
             self.faults.fire("wal.force")
         if self._current_fill > 0:
             self.stats.log_writes += 1
-            if self._obs_page_writes is not None:
-                self._obs_page_writes.inc()
-        if self._obs_forced is not None:
-            self._obs_forced.inc()
+        self.force_count += 1
         self._durable_count = len(self._records)
         self._group_pending = False
 
@@ -232,8 +221,7 @@ class WriteAheadLog:
                 and self._group_pending
             ):
                 self.force()
-                if self._obs_group_commits is not None:
-                    self._obs_group_commits.inc()
+                self.group_commit_count += 1
 
     @property
     def in_group_commit(self) -> bool:

@@ -256,14 +256,13 @@ class TestMetricsWiring:
         tree = build_rum_tree(node_size=2048, obs=obs)
         _run_workload(tree)
         snap = obs.registry.snapshot()
-        # Per-page tallies are plain ints mirrored into lazy gauges
-        # (zero hot-path instrumentation cost); rarer storage events
-        # stay counters.
-        assert snap.gauges["buffer.misses"] == snap.gauges[
+        # Per-page tallies are plain ints published as counters (from
+        # the attach); sizes are gauges.
+        assert snap.counters["buffer.misses"] == snap.counters[
             "disk.page_reads"
         ]
-        assert snap.gauges["buffer.hits"] > 0
-        assert snap.gauges["disk.page_writes"] > 0
+        assert snap.counters["buffer.hits"] > 0
+        assert snap.counters["disk.page_writes"] > 0
         assert snap.gauges["disk.pages"] > 0
 
     def test_wal_append_counter(self):
@@ -308,9 +307,9 @@ class TestMetricsWiring:
         _run_workload(tree, n_updates=100)
         snap = obs.registry.snapshot()
         mix = (
-            snap.gauges["fur.updates_in_place"]
-            + snap.gauges["fur.updates_to_sibling"]
-            + snap.gauges["fur.updates_top_down"]
+            snap.counters["fur.updates_in_place"]
+            + snap.counters["fur.updates_to_sibling"]
+            + snap.counters["fur.updates_top_down"]
         )
         assert mix == 100
         assert snap.gauges["fur.index_bytes"] > 0
@@ -338,22 +337,23 @@ class TestMemoOpTallies:
         tree.search(Rect(0.0, 0.0, 1.0, 1.0))
         snap = obs.registry.snapshot()
         memo = tree.memo
-        # The probe tallies ride plain ints mirrored into gauges; they
-        # must agree with the live object and partition lookups >= hits.
-        assert snap.gauges["memo.lookups"] == memo.lookup_count
-        assert snap.gauges["memo.hits"] == memo.hit_count
+        # The probe tallies are plain ints published as counters from
+        # the attach (here: the memo's birth); they must agree with the
+        # live object and partition lookups >= hits.
+        assert snap.counters["memo.lookups"] == memo.lookup_count
+        assert snap.counters["memo.hits"] == memo.hit_count
         assert memo.lookup_count > 0
         assert 0 <= memo.hit_count <= memo.lookup_count
         assert snap.counters["memo.inserts"] > 0
 
     def test_memo_mutation_counters_none_when_disabled(self):
         memo = UpdateMemo()
-        assert memo._obs_inserts is None
         memo.attach_obs(None)
-        assert memo._obs_inserts is None
         memo.record_update(1, 1)
-        assert memo.is_obsolete(1, 1) is False
-        # Probe tallies are unconditional (both paths pay one int add).
+        memo.record_update(1, 2)
+        assert memo.is_obsolete(1, 2) is False
+        # Every tally is unconditional (both paths pay one int add).
+        assert (memo.insert_count, memo.obsoleted_count) == (1, 1)
         assert memo.lookup_count == 1
         assert memo.hit_count == 1
 
@@ -363,10 +363,12 @@ class TestMemoOpTallies:
         memo.attach_obs(obs)
         memo.record_update(1, 1)
         memo.attach_obs(None)
-        assert memo._obs_inserts is None
         memo.record_update(2, 2)  # must not raise
         memo.is_obsolete(2, 1)
         assert memo.lookup_count == 1
+        # The counter froze at the detach; the tally went on.
+        assert obs.registry.snapshot().counters["memo.inserts"] == 1
+        assert memo.insert_count == 2
 
 
 class _FakeClock:
@@ -480,13 +482,65 @@ class TestOpSampling:
             assert counters["tree.queries"] == 1520
 
 
+class TestSharedRegistryCounts:
+    """Shards attached to one registry: every published count is the
+    sum of the shards' own tallies, and a snapshot delta is the work of
+    its interval."""
+
+    #: Metric -> the tally one shard tree keeps for it.
+    SHARD_TALLIES = {
+        "memo.lookups": lambda tree: tree.memo.lookup_count,
+        "memo.hits": lambda tree: tree.memo.hit_count,
+        "buffer.hits": lambda tree: tree.buffer.hit_count,
+        "disk.page_reads": lambda tree: tree.buffer.disk.reads,
+        "tree.updates": lambda tree: tree.update_count,
+        "tree.queries": lambda tree: tree.query_count,
+    }
+
+    def _tallies(self, router):
+        tallies = {
+            name: sum(read(shard.tree) for shard in router.shards)
+            for name, read in self.SHARD_TALLIES.items()
+        }
+        tallies["router.migrations"] = router.stats()["tallies"]["migrations"]
+        return tallies
+
+    @staticmethod
+    def _mix(router, rng, n_ops):
+        for _ in range(n_ops):
+            x, y = rng.random() * 0.7, rng.random() * 0.7
+            if rng.random() < 0.8:
+                router.upsert(rng.randrange(300), Rect.from_point(x, y))
+            else:
+                router.query(Rect(x, y, x + 0.3, y + 0.3))
+
+    def test_counts_sum_over_shards_and_deltas_are_intervals(self):
+        import random
+
+        obs = Observability(level="metrics")
+        rng = random.Random(3903)
+        with ShardRouter(4, obs=obs) as router:
+            at_attach = self._tallies(router)
+            self._mix(router, rng, 800)
+            before, at_before = obs.registry.snapshot(), self._tallies(router)
+            self._mix(router, rng, 800)
+            after, at_after = obs.registry.snapshot(), self._tallies(router)
+        interval = after - before
+        for name in at_after:
+            published = after.counters[name]
+            assert published == at_after[name] - at_attach[name], name
+            done = at_after[name] - at_before[name]
+            assert done > 0, name
+            assert interval.counters[name] == done, name
+
+
 class TestAttachDetach:
     def test_level_off_runs_uninstrumented_path(self):
         tree = build_rum_tree(node_size=2048, obs=None)
         assert tree.obs is None
-        assert tree._obs_c_updates is None
-        assert tree.buffer._obs_evictions is None
+        assert tree._obs_kinds == {}
         _run_workload(tree, n_updates=20)  # must not raise
+        assert tree.update_count == 120 + 20  # counted all the same
 
     def test_reattach_none_detaches(self):
         obs, _sink = _traced_obs()
@@ -494,8 +548,11 @@ class TestAttachDetach:
         assert tree.obs is obs
         tree.attach_obs(None)
         assert tree.obs is None
-        assert tree.buffer._obs_evictions is None
+        frozen = obs.registry.snapshot()
         _run_workload(tree, n_updates=20)
+        after = obs.registry.snapshot()
+        assert after.counters == frozen.counters
+        assert after.gauges == frozen.gauges
 
     def test_metrics_level_skips_spans(self):
         sink = ListEventSink()

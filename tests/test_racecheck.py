@@ -258,6 +258,16 @@ class TestReporting:
         self._seed_race(checker)
         assert obs.registry.counter("racecheck.races").value == 1
 
+    def test_obs_counter_survives_reset(self, checker):
+        obs = Observability(level="metrics")
+        checker.attach_obs(obs)
+        self._seed_race(checker)
+        checker.reset()  # clears the reports, not what was counted
+        races = obs.registry.counter("racecheck.races")
+        assert checker.race_count == 0 and races.value == 1
+        self._seed_race(checker)
+        assert races.value == 2
+
     def test_reset_forgets_everything(self, checker):
         self._seed_race(checker)
         checker.reset()
