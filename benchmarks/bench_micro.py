@@ -538,6 +538,40 @@ def bench_memo(metrics: Dict, iters: int) -> None:
             "ops_per_sec": rounds * n_removals / elapsed,
             "iterations": rounds * n_removals,
         }
+
+        # A batch's sweep of a leaf swept whole since the run set last
+        # changed (docs/MEMO.md, "Settled leaves").  The table spilled,
+        # then 28-slot columns over the runs' key range, one or two oids
+        # of each back in RAM, every slot at its latest stamp so nothing
+        # is removed.  `memo.sweep_spilled` probes every slot, as an
+        # unsettled sweep must; `memo.sweep_settled_spilled` only the
+        # slots the table holds.  Spills are held; ops are slots swept.
+        spilled.flush_ram()
+        settled_columns = []
+        with spilled.defer_spills():
+            for lo in range(0, 2 * n_oids - 28, 28):
+                oids = list(range(lo, lo + 28))
+                for oid in oids[: 1 + lo // 28 % 2]:
+                    clean_stamp += 1
+                    spilled.record_update(oid, clean_stamp)
+                settled_columns.append(
+                    (oids, [spilled.latest_stamp(oid) or 0 for oid in oids])
+                )
+            n_swept = 28 * len(settled_columns)
+            for name, settled in (
+                ("memo.sweep_spilled", False),
+                ("memo.sweep_settled_spilled", True),
+            ):
+                def sweep_settled_columns(settled: bool = settled) -> None:
+                    for oids, stamps in settled_columns:
+                        spilled.sweep_obsolete(oids, stamps, 28, settled)
+
+                metrics[name] = {
+                    "ops_per_sec": (
+                        _timed(sweep_settled_columns, rounds) * n_swept
+                    ),
+                    "iterations": rounds * n_swept,
+                }
         spilled.close()
 
 

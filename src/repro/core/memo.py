@@ -294,7 +294,8 @@ class UpdateMemo:
 
     # holds: latch
     def sweep_obsolete(
-        self, oids: Sequence[int], stamps: Sequence[int], budget: int
+        self, oids: Sequence[int], stamps: Sequence[int], budget: int,
+        settled: bool = False,
     ) -> List[int]:
         """Clean one leaf (Figure 8, step 1) given its id columns.
 
@@ -309,14 +310,18 @@ class UpdateMemo:
         C-level pass over the oid column picks the slots the table holds
         (lazily: a removal that drains an entry also screens out a later
         slot of its oid).  Above a tier every slot is probed, because a
-        spill in the middle of the sweep changes what a miss means.
+        spill in the middle of the sweep changes what a miss means —
+        unless the leaf is ``settled`` (swept whole since the run set last
+        changed, docs/MEMO.md) and spills are held: then a miss is LATEST
+        and is counted as a lookup that missed, as without a tier.
         """
         if budget <= 0:
             return []
         table = self._table
         runs = self._runs
+        tier = self.tier
         probe: Iterable[int] = range(len(oids))
-        if self.tier is None:
+        if tier is None or (settled and tier.deferred):
             probe = compress(probe, map(table.__contains__, oids))
         slots: List[int] = []
         hits = 0
@@ -327,7 +332,7 @@ class UpdateMemo:
             if entry is None:
                 if not runs:
                     continue
-                rec = self.tier.probe(oid)
+                rec = tier.probe(oid)
                 if rec is None or rec[3] == TOMBSTONE:
                     continue
                 s_latest = rec[1]
@@ -361,6 +366,7 @@ class UpdateMemo:
         oids: Sequence[int],
         stamps: Sequence[int],
         at: Optional[Sequence[int]] = None,
+        settled: bool = False,
     ) -> List[int]:
         """CheckStatus (Figure 3b) over id columns: the positions, in
         probe order, of the entries that are LATEST — every position, or
@@ -368,12 +374,13 @@ class UpdateMemo:
 
         The read-only twin of :meth:`sweep_obsolete`: nothing is written,
         and the tallies end up exactly as after one :meth:`latest_stamp`
-        per probed entry.
+        per probed entry.  For a ``settled`` leaf a RAM miss is LATEST
+        without a run probe (nothing here can spill).
         """
         if at is None:
             at = range(len(oids))
         table = self._table
-        runs = self._runs
+        runs = () if settled else self._runs
         tier = self.tier
         kept: List[int] = []
         keep = kept.append

@@ -60,6 +60,7 @@ the flight recorder like every other disk structure.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 import zlib
@@ -192,11 +193,11 @@ def _screen_slot(oid: int, shift: int) -> int:
 class _Run:
     """One immutable sorted run: RAM-resident fence pointers and, unless
     it was written oldest, Bloom filter; disk-resident records probed one
-    page at a time."""
+    page at a time, in place in a read-only map of the file."""
 
     __slots__ = (
         "path", "count", "min_oid", "max_oid", "m_bits", "k",
-        "bloom", "fences", "_records_off", "_fh",
+        "bloom", "fences", "_records_off", "_map", "_oids",
     )
 
     def __init__(self, path: Path, data: bytes) -> None:
@@ -212,7 +213,8 @@ class _Run:
         self._records_off = _HEADER.size + self.m_bits // 8
         self.bloom = data[_HEADER.size:self._records_off]
         self.fences = self.oids_in(data)[::_RECORDS_PER_PAGE].tolist()
-        self._fh: Optional[object] = None
+        self._map: Optional[mmap.mmap] = None
+        self._oids: Optional[memoryview] = None
 
     def oids_in(self, data: bytes) -> memoryview:
         """The oid column of this run's image ``data``."""
@@ -288,38 +290,41 @@ class _Run:
                 return False
         return True
 
-    def _file(self):  # lazy, kept open across probes
-        if self._fh is None:
-            self._fh = open(self.path, "rb")
-        return self._fh
+    def _mapped(self) -> memoryview:
+        """The oid column of the records, in place in the file mapped
+        read-only — mapped at first use and kept until :meth:`close`."""
+        if self._map is None:
+            with open(self.path, "rb") as f:
+                self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            end = self._records_off + self.count * _RECORD.size
+            self._oids = _oid_column(memoryview(self._map)[self._records_off:end])
+        return self._oids
 
     def probe_page(self, oid: int) -> Optional[Record]:
-        """Read the one fence-selected page and bisect its oid column.
+        """Bisect the one fence-selected page's oids in the map.
 
-        Caller has already seen the run admit ``oid`` (:func:`_admitting`);
-        this is the 1-page-read step, which returns ``None`` after paying
-        that read when the admission was false: a Bloom false positive, or
-        an absent oid inside the key range of a run that has no filter.
+        Caller has already seen the run admit ``oid`` (:func:`_admitting`)
+        and charges this as one page read; it returns ``None`` after that
+        read when the admission was false: a Bloom false positive, or an
+        absent oid inside the key range of a run that has no filter.
         """
         page = bisect_right(self.fences, oid) - 1
         if page < 0:
             return None
-        start = page * _RECORDS_PER_PAGE
-        n = min(self.count - start, _RECORDS_PER_PAGE)
-        fh = self._file()
-        fh.seek(self._records_off + start * _RECORD.size)
-        buf = fh.read(n * _RECORD.size)
-        oids = _oid_column(buf)
-        i = bisect_left(oids, oid)
-        if i < len(oids) and oids[i] == oid:
-            return _RECORD.unpack_from(buf, i * _RECORD.size)
+        oids = self._oids if self._map is not None else self._mapped()
+        lo = page * _RECORDS_PER_PAGE
+        hi = min(self.count, lo + _RECORDS_PER_PAGE)
+        i = bisect_left(oids, oid, lo, hi)
+        if i < hi and oids[i] == oid:
+            return _RECORD.unpack_from(self._map, self._records_off + i * _RECORD.size)
         return None
 
     def iter_records(self) -> Iterator[Record]:
-        """All records in oid order (merged scans; unvalidated)."""
-        fh = self._file()
-        fh.seek(self._records_off)
-        return _RECORD.iter_unpack(fh.read(self.count * _RECORD.size))
+        """All records in oid order (merged scans; unvalidated), copied out
+        of the map, so the iterator holds no view of it."""
+        self._mapped()
+        start = self._records_off
+        return _RECORD.iter_unpack(self._map[start:start + self.count * _RECORD.size])
 
     def read_validated(self) -> Iterator[Record]:
         """All records, with the whole file re-validated first.
@@ -342,9 +347,11 @@ class _Run:
         return (self.count + _RECORDS_PER_PAGE - 1) // _RECORDS_PER_PAGE
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Release the map (the file is unlinked only after this)."""
+        if self._map is not None:
+            self._oids.release()
+            self._map.close()
+            self._map = self._oids = None
 
 
 class RunStore:
@@ -397,6 +404,10 @@ class RunStore:
         #: where a deep probe of the same oid takes the walk up.  True of
         #: immutable runs until the run set changes, which clears it.
         self._resume: Optional[Tuple[int, _Run, Record]] = None  # guarded-by: latch
+        #: Bumped at every change of the run set (:meth:`_runs_changed`):
+        #: what the runs answer for an oid is fixed while it holds still,
+        #: which is what a tree's settled-leaf marks are taken against.
+        self.version = 0  # guarded-by: latch
         self._obs_published = UNPUBLISHED
         self._recover()
 
@@ -575,7 +586,7 @@ class RunStore:
         run = self._write_run(records, ("memo.run_flush",), filtered=bool(self.runs))
         self._write_manifest([r.path.name for r in self.runs] + [run.path.name])
         self.runs.append(run)
-        self._resume = None
+        self._runs_changed()
         self._screen_note(rec[0] for rec in records)
         self.spill_count += 1
 
@@ -603,12 +614,18 @@ class RunStore:
         missing files."""
         old_runs = self.runs[:]
         del self.runs[:]
-        self._resume = None
+        self._runs_changed()
         self._screen_note((), fresh=True)
         self._write_manifest([])
         for run in old_runs:
             run.close()
             run.path.unlink(missing_ok=True)
+
+    def _runs_changed(self) -> None:  # holds: latch
+        """The run set just changed: forget the resume point, bump the
+        version."""
+        self._resume = None
+        self.version += 1
 
     def _write_run(
         self, records: List[Record], points: Tuple[str, ...], filtered: bool,
@@ -740,7 +757,7 @@ class RunStore:
             run.close()
             run.path.unlink(missing_ok=True)
         self.runs[i:j + 1] = new_runs
-        self._resume = None
+        self._runs_changed()
         if len(self.runs) == len(new_runs):  # all there is: exact again
             self._screen_note((rec[0] for rec in merged), fresh=True)
         self.compaction_count += 1

@@ -23,6 +23,7 @@ from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     ContextManager,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -153,6 +154,9 @@ class RUMTree(RTreeBase, MemoHost):
         #: The ring successor of the leaf a cleaning step is working on
         #: (see :meth:`clean_at`).
         self._ring_successor: Optional[int] = None
+        #: Above a run tier: page id -> the tier's ``version`` when a sweep
+        #: last checked every slot of that leaf (see :meth:`clean_leaf`).
+        self._settled: Dict[int, int] = {}  # guarded-by: latch
 
     # ------------------------------------------------------------------
     # Observability
@@ -345,16 +349,22 @@ class RUMTree(RTreeBase, MemoHost):
     # Search (Figure 3b): raw R-tree answer set filtered through the memo
     # ------------------------------------------------------------------
 
+    # holds: latch
     def _memo_filtered_search(self, window: Rect, stamped: bool) -> List[tuple]:
         """All live objects whose latest MBR intersects ``window``."""
         filter_latest = self.memo.filter_latest
+        tier = self.memo.tier
+        marks = self._settled
 
         def collect(leaf: Node, hits: Sequence[int]) -> List[tuple]:
             # A raw hit stays two id words and four floats until the memo
             # has kept it: one CheckStatus pass per leaf, then a row per
             # survivor — no entry object for anything.
             oids, stamps = leaf.id_columns()
-            kept = filter_latest(oids, stamps, hits)
+            kept = filter_latest(
+                oids, stamps, hits,
+                tier is not None and marks.get(leaf.page_id) == tier.version,
+            )
             rects = leaf.rects_at(kept)
             if stamped:
                 return [(oids[i], r, stamps[i]) for i, r in zip(kept, rects)]
@@ -449,6 +459,7 @@ class RUMTree(RTreeBase, MemoHost):
     # Cleaning integration (the MemoHost side of the tree)
     # ------------------------------------------------------------------
 
+    # holds: latch
     def clean_leaf(
         self, leaf: Node, keep_at_least: int = 0,
         left: Optional[List[LeafEntry]] = None,
@@ -460,6 +471,14 @@ class RUMTree(RTreeBase, MemoHost):
         middle of another structural operation.  Returns the number of
         entries removed, and appends them to ``left`` if given; the caller
         owns MBR adjustment / condensation and needs to know what left.
+
+        Above a run tier a sweep that checks every slot marks the leaf
+        *settled* at the tier's ``version``: it then holds no obsolete
+        entry, and until the run set changes an entry of it can only turn
+        obsolete through ``record_update``, which leaves its oid in RAM —
+        so the next sweep or query filter of the leaf answers a RAM miss
+        as LATEST without a run probe (docs/MEMO.md, "Settled leaves").
+        A sweep stopped by its budget drops the mark.
         """
         budget = len(leaf) - keep_at_least
         if budget <= 0:
@@ -467,7 +486,19 @@ class RUMTree(RTreeBase, MemoHost):
         # A lazily decoded leaf answers both ends on its page image, so a
         # sweep that finds nothing decodes nothing.
         oids, stamps = leaf.id_columns()
-        slots = self.memo.sweep_obsolete(oids, stamps, budget)
+        tier = self.memo.tier
+        if tier is None:
+            slots = self.memo.sweep_obsolete(oids, stamps, budget)
+        else:
+            marks = self._settled
+            page = leaf.page_id
+            slots = self.memo.sweep_obsolete(
+                oids, stamps, budget, marks.get(page) == tier.version
+            )
+            if len(slots) < budget:
+                marks[page] = tier.version
+            else:
+                marks.pop(page, None)
         if slots:
             if left is not None:
                 left.extend(leaf.take(slots))
@@ -503,7 +534,9 @@ class RUMTree(RTreeBase, MemoHost):
             self.cleaner.note_removed(removed)
         self._shield_obsolete(*sibling.id_columns())
 
-    def _on_leaf_dissolved(self, node: Node) -> None:
+    def _on_leaf_dissolved(self, node: Node) -> None:  # holds: latch
+        # The page may come back as a split's new sibling.
+        self._settled.pop(node.page_id, None)
         if node.page_id == self._ring_successor:
             self._ring_successor = node.next_leaf
         self.cleaner.on_leaf_dissolved(
@@ -573,4 +606,5 @@ class RUMTree(RTreeBase, MemoHost):
         self.memo.restore([])
         self.stamps.restore(0)
         self.cleaner.reset()
+        self._settled.clear()
         self._updates_since_checkpoint = 0

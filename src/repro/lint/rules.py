@@ -491,20 +491,19 @@ class NoAssertRule(LintRule):
 
 @register
 class ObsBoundInstrumentRule(LintRule):
-    """Hot-path code reaches telemetry only via attach-time instruments.
+    """Hot-path code reaches telemetry only through ``attach_obs``.
 
-    The observability stack's overhead contract (<2% at ``metrics``, one
-    ``None`` check per site with ``obs=None``) rests on one discipline:
-    tree/core/storage code touches telemetry through instruments bound
-    once in ``attach_obs`` (``self._obs_* = reg.counter(...)``) and
-    thereafter pays a single ``None`` check per op.  A registry lookup
-    (``reg.counter("x")`` — a dict lookup plus instrument construction)
-    or a ``get_default_obs()`` call on the hot path re-introduces
-    per-operation name hashing that the A/B bench cannot see until it
-    regresses.  Registry methods are therefore only allowed inside an
-    ``attach_obs`` definition in these segments; ``obs/``,
-    ``experiments/``, and ``analysis/`` are not scanned (they are the
-    cold side).
+    Code in ``rtree/``, ``core/`` and ``storage/`` counts in plain ints of
+    its own, kept whether or not obs is attached; ``attach_obs`` publishes
+    those tallies to the registry (which reads them at snapshot time) and
+    binds the few instruments a capture path feeds (histograms, the
+    flight recorder).  A registry lookup (``reg.counter("x")`` — a dict
+    lookup plus instrument construction) or a ``get_default_obs()`` call
+    on the hot path re-introduces per-operation name hashing that the
+    A/B bench cannot see until it regresses.  Registry methods are
+    therefore only allowed inside an ``attach_obs`` definition in these
+    segments; ``obs/``, ``experiments/``, and ``analysis/`` are not
+    scanned (they are the cold side).
     """
 
     rule_id = "REP010"

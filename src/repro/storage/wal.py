@@ -106,12 +106,15 @@ class WriteAheadLog:
         #: True when some record inside the open group asked for a force
         #: that was deferred to the scope exit.
         self._group_pending = False
-        #: Forces done, forces a group commit deferred, and group commits
-        #: that paid one (appends are ``_next_lsn``, page writes the
-        #: ``log_writes`` of ``stats``).
+        #: Forces done, forces a group commit deferred, group commits
+        #: that paid one, and log pages written (appends are
+        #: ``_next_lsn``).  The page tally is the WAL's own: ``stats``
+        #: charges the same writes to ``log_writes``, which
+        #: ``IOStats.reset()`` rewinds.
         self.force_count = 0
         self.deferred_force_count = 0
         self.group_commit_count = 0
+        self.page_write_count = 0
         self._obs: Optional["Observability"] = None
         self._obs_published = UNPUBLISHED
 
@@ -122,7 +125,7 @@ class WriteAheadLog:
         self._obs_published = republish(self._obs_published, obs, {
             "wal.appends": lambda: self._next_lsn,
             "wal.forced_flushes": lambda: self.force_count,
-            "wal.page_writes": lambda: self.stats.log_writes,
+            "wal.page_writes": lambda: self.page_write_count,
             "wal.group_commits": lambda: self.group_commit_count,
             "wal.deferred_forces": lambda: self.deferred_force_count,
         }, {"wal.records": self.__len__, "wal.bytes": self.total_bytes})
@@ -157,6 +160,7 @@ class WriteAheadLog:
             self._current_fill = 0
             pages_written = True
             self.stats.log_writes += 1
+            self.page_write_count += 1
         self._current_fill += remaining
         if pages_written:
             # Everything behind the flushed page boundary is durable; the
@@ -193,6 +197,7 @@ class WriteAheadLog:
             self.faults.fire("wal.force")
         if self._current_fill > 0:
             self.stats.log_writes += 1
+            self.page_write_count += 1
         self.force_count += 1
         self._durable_count = len(self._records)
         self._group_pending = False

@@ -11,9 +11,12 @@ per-operation behaviours on both sides of a spill; this file holds what
 only exists with runs on disk.
 """
 
+import gc
 import hashlib
+import os
 import random
 import shutil
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import memo_lsm
 from repro.core.memo import ABSOLUTE, DELTA, LATEST, OBSOLETE, TOMBSTONE, UpdateMemo
+from repro.core.recovery import recover_option_iii
 from repro.core.memo_lsm import (
     MANIFEST_FILE,
     MANIFEST_TMP_FILE,
@@ -32,10 +36,14 @@ from repro.core.memo_lsm import (
     SpillingUpdateMemo,
     _Run,
 )
+from repro.factory import build_rum_tree
 from repro.obs import Observability
+from repro.rtree.geometry import Rect
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.iostats import IOStats
 from repro.storage.wal import UM_ENTRY_BYTES
+from repro.workload.objects import default_network_workload
+from repro.workload.queries import RangeQueryGenerator
 
 PARENT_RUNS = Path(__file__).parent / "fixtures" / "memo_runs_parent"
 
@@ -1291,3 +1299,321 @@ def test_probe_page_finds_every_oid_and_no_gap(tmp_path):
         for oid in range(records[0][0] - 3, records[-1][0] + 4):
             assert run.probe_page(oid) == by_oid.get(oid), (count, oid)
         run.close()
+
+
+# ---------------------------------------------------------------------------
+# Settled leaves: a leaf swept whole since the run set last changed is
+# cleaned and filtered from the RAM table alone (docs/MEMO.md)
+# ---------------------------------------------------------------------------
+
+
+class _NeverSettled(dict):
+    """A tree's mark table that never yields a mark: every sweep and query
+    filter above the tier takes the probing path."""
+
+    def get(self, key, default=None):
+        return None
+
+
+def settled_replay(directory, settled, seed=5, n=2000, batches=40):
+    """A seeded batched workload, with queries after every batch and a few
+    single updates (sweeps that may spill in mid-sweep), on a spilled
+    Option-III tree; everything it leaves behind that can be compared."""
+    tree = build_rum_tree(
+        node_size=2048, recovery_option="III", memo_dir=str(directory),
+        memo_spill_budget=480,  # 20 entries: the memo keeps spilling
+    )
+    if not settled:
+        tree._settled = _NeverSettled()
+    objects = default_network_workload(n, moving_distance=0.02, seed=seed)
+    windows = RangeQueryGenerator(side=0.05, seed=seed + 1)
+    ops = [("insert", oid, rect) for oid, rect in objects.initial()]
+    for i in range(0, len(ops), 512):
+        tree.apply_batch(ops[i:i + 512])
+    answers = []
+    for step in range(batches):
+        moves = [objects.next_update() for _ in range(64)]
+        tree.apply_batch([("update", oid, new) for oid, _old, new in moves])
+        answers.extend(
+            sorted(tree.search(windows.next_query()), key=lambda hit: hit[0])
+            for _ in range(6)
+        )
+        if step % 10 == 3:
+            for _ in range(20):
+                tree.update_object(*objects.next_update())
+    tree.buffer.flush()
+    tree.check_invariants()
+    digest = hashlib.sha256()
+    disk = tree.buffer.disk
+    for page_id in disk.page_ids():
+        digest.update(page_id.to_bytes(8, "little"))
+        digest.update(disk.peek(page_id))
+    outcome = {
+        "pages": digest.hexdigest(),
+        "answers": answers,
+        "removed": (tree.memo.clean_count, tree.cleaner.entries_removed),
+        "garbage_ratio": tree.garbage_ratio(n),
+        "memo": tree.memo.snapshot(),
+        "lookups": tree.memo.lookup_count,
+    }
+    tree.memo.close()
+    return outcome, tree.stats.snapshot(), tree.memo.tier
+
+
+def test_settled_leaves_change_nothing_but_run_reads(tmp_path):
+    """The settled path answers every sweep and query filter exactly as
+    the probing path does — same leaf pages, removals, garbage, answers,
+    memo and I/O — and reads no more run pages."""
+    settled, io_settled, tier = settled_replay(tmp_path / "settled", True)
+    probing, io_probing, tier_probing = settled_replay(tmp_path / "probing", False)
+    assert settled == probing
+    assert replace(io_settled, memo_reads=0) == replace(io_probing, memo_reads=0)
+    assert io_settled.memo_reads <= io_probing.memo_reads
+    # Not vacuous: the settled path answered misses the screen would have.
+    assert tier.screen_reject_count < tier_probing.screen_reject_count
+
+
+def marked_tree(tmp_path):
+    """A spilled tree whose sweeps run only when a test asks (no touch
+    cleaning, no tokens) and whose table never spills by itself: 300
+    point objects, their inserts spilled as one run."""
+    tree = build_rum_tree(
+        node_size=512, memo_dir=str(tmp_path / "memo"),
+        clean_upon_touch=False, inspection_ratio=0.0,
+    )
+    rng = random.Random(41)
+    tree.apply_batch([
+        ("insert", oid, Rect.from_point(rng.random(), rng.random()))
+        for oid in range(300)
+    ])
+    tree.memo.flush_ram()
+    return tree
+
+
+def leaf_oids(tree, page):
+    return list(tree.buffer.peek_node(page).id_columns()[0])
+
+
+def settle(tree, page):
+    """One token step on ``page`` with spills held, as inside a batch."""
+    with tree.memo.defer_spills():
+        return tree.clean_at(page)[1]
+
+
+def live_oids(tree):
+    return {oid for oid, _rect in tree.search(Rect(0.0, 0.0, 1.0, 1.0))}
+
+
+@pytest.mark.parametrize("spill", ["flush", "fold"])
+def test_a_spill_unsettles_every_leaf(tmp_path, spill):
+    """A spill between two batches moves the RAM record that made a
+    settled leaf's entry obsolete into a run: the version the leaf was
+    settled at is gone, so both the sweep and the query probe again."""
+    tree = marked_tree(tmp_path)
+    page = tree.leaf_ring()[0]
+    assert settle(tree, page) == 0
+    tier = tree.memo.tier
+    assert tree._settled[page] == tier.version
+    victim = leaf_oids(tree, page)[0]
+    tree.delete_object(victim)
+    if spill == "fold":  # a table the newest run does not outweigh 4:1
+        for oid in range(1000, 1100):
+            tree.delete_object(oid)
+    compactions = tier.compaction_count
+    tree.memo.flush_ram()
+    assert (tier.compaction_count > compactions) == (spill == "fold")
+    assert victim not in live_oids(tree)
+    assert settle(tree, page) == 1
+    assert victim not in leaf_oids(tree, page)
+
+
+def test_a_dissolved_leafs_page_comes_back_unsettled(tmp_path):
+    """A leaf settled, then dissolved: its page comes back as a split's
+    new sibling holding obsolete entries whose records are in a run.  The
+    sibling must not inherit the mark."""
+    tree = marked_tree(tmp_path)
+    ring = tree.leaf_ring()
+    full, doomed = ring[0], ring[10]
+    # The entries of `full` turn obsolete, their records spilled to a run.
+    spots = [entry.rect for entry in tree.buffer.peek_node(full).entries]
+    stale = set(leaf_oids(tree, full))
+    for oid in stale:
+        tree.delete_object(oid)
+    tree.memo.flush_ram()
+    version = tree.memo.tier.version
+    assert settle(tree, doomed) == 0
+    assert tree._settled[doomed] == version
+    # Dissolve `doomed`: all but min_leaf - 1 of its objects deleted (RAM
+    # records), then swept; the survivors are reinserted elsewhere.
+    victims = leaf_oids(tree, doomed)[tree.min_leaf - 1:]
+    for oid in victims:
+        tree.delete_object(oid)
+    assert settle(tree, doomed) == len(victims)
+    assert doomed not in tree.leaf_ring()
+    # Split `full` (its garbage kept: no touch cleaning) by inserting new
+    # objects where its stale ones lie; the page it allocates is `doomed`'s.
+    for oid in range(5000, 5040):
+        tree.insert_object(oid, spots[oid % len(spots)])
+        if doomed in tree.leaf_ring():
+            break
+    assert tree.memo.tier.version == version  # no spill in between
+    reused = set(leaf_oids(tree, doomed)) & stale
+    assert reused  # the sibling holds obsolete entries
+    assert not reused & live_oids(tree)
+    assert settle(tree, doomed) == len(reused)
+    assert not set(leaf_oids(tree, doomed)) & stale
+
+
+def test_a_sweep_stopped_by_its_budget_leaves_the_leaf_unsettled(tmp_path):
+    """A sweep that stops at its budget has left obsolete entries behind:
+    it must not settle the leaf, or their run records go unread."""
+    tree = marked_tree(tmp_path)
+    page = tree.leaf_ring()[0]
+    doomed = leaf_oids(tree, page)[:3]
+    for oid in doomed:
+        tree.delete_object(oid)
+    tree.memo.flush_ram()
+    with tree.memo.defer_spills(), tree.buffer.operation():
+        leaf = tree.buffer.get_node(page)
+        assert tree.clean_leaf(leaf, keep_at_least=len(leaf) - 1) == 1
+    assert page not in tree._settled
+    assert not set(doomed) & live_oids(tree)
+    assert settle(tree, page) == 2
+
+
+def test_crash_forgets_every_mark_and_recovery_answers_right(tmp_path):
+    """``crash()`` drops every mark (its memo reset has moved the version
+    on as well); the recovered tree's sweeps and queries are exact."""
+    tree = build_rum_tree(
+        node_size=512, recovery_option="III", memo_dir=str(tmp_path / "memo"),
+        memo_spill_budget=1024,
+    )
+    rng = random.Random(43)
+    positions = {}
+    for step in range(12):
+        ops = []
+        for _ in range(64):
+            oid = rng.randrange(400)
+            positions[oid] = Rect.from_point(rng.random(), rng.random())
+            ops.append(("update", oid, positions[oid]))
+        tree.apply_batch(ops)
+    assert tree._settled
+    tree.crash()
+    assert tree._settled == {}
+    recover_option_iii(tree)
+    for step in range(6):
+        ops = []
+        for _ in range(64):
+            oid = rng.randrange(400)
+            positions[oid] = Rect.from_point(rng.random(), rng.random())
+            ops.append(("update", oid, positions[oid]))
+        tree.apply_batch(ops)
+    assert {oid: rect for oid, rect in tree.search(Rect(0.0, 0.0, 1.0, 1.0))} == positions
+    tree.cleaner.run_full_cycle()
+    assert tree.garbage_count() == 0
+    tree.memo.close()
+
+
+# ---------------------------------------------------------------------------
+# Mapped runs: a run's file is mapped read-only at first use and released
+# before anything unlinks it
+# ---------------------------------------------------------------------------
+
+
+def runs_in(directory):
+    """Every live :class:`_Run` object describing a file in ``directory``
+    (in the tier or not)."""
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, _Run) and obj.path.parent == Path(directory)
+    ]
+
+
+def open_run_files(directory):
+    """Run files of ``directory`` this process holds a descriptor on (a map
+    holds one), or ``None`` where the platform does not list them."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        return None
+    held = set()
+    for fd in fds.iterdir():
+        try:
+            target = Path(os.readlink(fd))
+        except OSError:
+            continue
+        if target.parent == Path(directory) and target.name.endswith(RUN_SUFFIX):
+            held.add(target.name)
+    return held
+
+
+class TestMappedRuns:
+    def probed_memo(self, tmp_path):
+        memo = tiny_memo(tmp_path, budget_entries=8)
+        for oid in range(200):
+            memo.record_update(oid, oid + 1)
+        for oid in range(0, 200, 7):
+            memo.latest_stamp(oid)
+        assert any(run._map is not None for run in memo.runs)
+        return memo
+
+    def test_close_releases_every_map(self, tmp_path):
+        memo = self.probed_memo(tmp_path)
+        memo.close()
+        assert all(run._map is None for run in runs_in(memo.directory))
+        assert open_run_files(memo.directory) in (None, set())
+        # Reopened on demand: a probe after close maps the run again.
+        assert memo.latest_stamp(3) == 4
+        memo.close()
+
+    @pytest.mark.parametrize("change", ["fold", "merge", "reset"])
+    def test_a_run_is_released_before_its_file_goes(self, tmp_path, monkeypatch, change):
+        memo = self.probed_memo(tmp_path)
+        if change == "merge":  # stage a run the level rule would merge
+            with memo.defer_spills():
+                for oid in range(300, 340):
+                    memo.record_update(oid, oid)
+                spill_unmerged(memo)
+            for oid in range(300, 340):
+                memo.latest_stamp(oid)
+        before = list(memo.runs)
+        assert all(run._map is not None for run in before[-1:])
+        unlinked = []
+        real_unlink = Path.unlink
+
+        def unlink(path, missing_ok=False):
+            if path.suffix == RUN_SUFFIX:
+                unlinked.append(path.name)
+                assert not [r for r in runs_in(path.parent)
+                            if r.path == path and r._map is not None]
+            return real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        compactions = memo.tier.compaction_count
+        if change == "fold":
+            with memo.defer_spills():
+                for oid in range(0, 200, 3):
+                    memo.record_update(oid, 1000 + oid)
+            assert memo.tier.compaction_count > compactions
+        elif change == "merge":
+            memo.tier.compact()
+            assert memo.tier.compaction_count > compactions
+        else:
+            memo.tier.reset()
+        # A cascade may write and merge away a run of its own as well.
+        gone = [run for run in before if run not in memo.runs]
+        assert gone and {run.path.name for run in gone} <= set(unlinked)
+        assert not set(unlinked) & {run.path.name for run in memo.runs}
+        assert all(run._map is None for run in gone)
+        assert open_run_files(memo.directory) in (
+            None, {run.path.name for run in memo.runs if run._map is not None}
+        )
+        memo.close()
+
+    def test_a_record_iterator_does_not_hold_the_map(self, tmp_path):
+        memo = self.probed_memo(tmp_path)
+        run = memo.runs[-1]
+        records = run.iter_records()
+        first = next(records)
+        memo.close()  # no BufferError: the iterator holds a copy
+        assert run._map is None
+        assert [first, *records] == sorted(memo.tier.fold_runs([run], False).values())

@@ -197,6 +197,24 @@ class TestMetricsWiring:
         hist = delta.histograms["tree.update_leaf_io"]
         assert hist.count == 170
 
+    def test_wal_page_writes_never_go_down(self):
+        """``wal.page_writes`` is the WAL's own tally: rewinding the
+        stack's ``IOStats`` (which also charges ``log_writes``) does not
+        move it back (at the parent it read 202, then 0)."""
+        obs = Observability(level="metrics")
+        tree = build_rum_tree(node_size=2048, recovery_option="III", obs=obs)
+        objects = default_network_workload(200, moving_distance=0.02, seed=5)
+        for oid, rect in objects.initial():
+            tree.insert_object(oid, rect)
+        written = obs.registry.snapshot().counters["wal.page_writes"]
+        assert written == tree.stats.log_writes > 0
+        tree.stats.reset()
+        assert obs.registry.snapshot().counters["wal.page_writes"] == written
+        tree.insert_object(200, Rect.from_point(0.5, 0.5))
+        assert obs.registry.snapshot().counters["wal.page_writes"] == (
+            written + tree.stats.log_writes
+        )
+
     @pytest.mark.parametrize(
         "build",
         [build_rstar_tree, build_fur_tree, build_rum_tree],

@@ -452,9 +452,9 @@ class TestClose:
         for _ in range(40):
             router.query(_square(rng.random(), rng.random(), 0.2))
         runs = [run for shard in router.shards for run in shard.tree.memo.runs]
-        assert any(run._fh is not None for run in runs)
+        assert any(run._map is not None for run in runs)
         router.close()
-        assert all(run._fh is None for run in runs)
+        assert all(run._map is None for run in runs)
         router.close()
 
     def test_server_stop_closes_the_router(self, tmp_path):
@@ -467,7 +467,7 @@ class TestClose:
                                                       rng.uniform(0.02, 0.98)))
                 client.query(Rect(0.0, 0.0, 1.0, 1.0))
         runs = [run for shard in router.shards for run in shard.tree.memo.runs]
-        assert runs and all(run._fh is None for run in runs)
+        assert runs and all(run._map is None for run in runs)
 
 
 class TestRouterRefusesWhatItCannotPlace:
