@@ -410,7 +410,7 @@ def bench_buffer(metrics: Dict, iters: int) -> None:
 
 
 def bench_memo(metrics: Dict, iters: int) -> None:
-    memo = UpdateMemo(n_buckets=64)
+    memo = UpdateMemo()
     n_oids = 512
     stamp = 0
 

@@ -70,6 +70,7 @@ from typing import (
     Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
 )
 
+from repro.core.memo import N_BUCKETS
 from repro.core.rum import RUMTree
 from repro.rtree.geometry import Rect
 from repro.storage.iostats import IOStats
@@ -136,9 +137,8 @@ class GranuleLockedTree:
         not for the duration of its disk I/O.  The R*-tree has none."""
         if not self._is_rum:
             return []
-        n_buckets = self.tree.memo.n_buckets
         brief: Requests = [("stamp_counter", WRITE)]
-        brief.extend((("memo_bucket", oid % n_buckets), WRITE) for oid in oids)
+        brief.extend((("memo_bucket", oid % N_BUCKETS), WRITE) for oid in oids)
         return brief
 
     def footprint(self, op: StressOp) -> Tuple[Requests, Requests]:

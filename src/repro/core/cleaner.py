@@ -428,7 +428,6 @@ class MemoHost:
         self,
         inspection_ratio: float,
         clean_upon_touch: bool,
-        memo_buckets: int,
         memo: Optional[UpdateMemo] = None,
         stamp_counter: Optional[StampCounter] = None,
         **cleaner_options,
@@ -438,9 +437,7 @@ class MemoHost:
         # instance during crash recovery) replaces the default all-RAM
         # table; every memo touch goes through self.memo, so the index is
         # agnostic to which tier answers.
-        self.memo = memo if memo is not None else UpdateMemo(
-            n_buckets=memo_buckets
-        )
+        self.memo = memo if memo is not None else UpdateMemo()
         # An injected stamp counter lets several trees draw from one
         # totally-ordered stamp stream — the sharded serving layer's
         # cross-shard ordering rule (docs/SHARDING.md) depends on every

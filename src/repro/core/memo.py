@@ -17,7 +17,7 @@ nodes over the inspection ratio, Section 4.1, not by the number of objects).
 The memo is one dict, and every memo probe and mutation runs under the
 owning tree's structure latch (docs/CONCURRENCY.md).  The concurrency
 experiment (Section 3.5) models per-bucket locks as granules of its own
-over ``oid % n_buckets``.
+over ``oid % N_BUCKETS``.
 
 Below a run tier
 ----------------
@@ -85,6 +85,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 LATEST = "LATEST"
 OBSOLETE = "OBSOLETE"
 
+#: Hash buckets the paper's per-bucket locks would guard: the race
+#: detector names a probe of ``oid`` ``bucket[oid % N_BUCKETS]``, and the
+#: Figure-16 policy locks the same modulus as a granule.
+N_BUCKETS = 64
+
 #: Record tags (see module docstring).
 DELTA = 0
 ABSOLUTE = 1
@@ -139,10 +144,7 @@ class UpdateMemo:
     ``tier`` puts a run store below the table (see the module docstring).
     """
 
-    def __init__(self, n_buckets: int = 64, tier: Optional["RunStore"] = None):
-        if n_buckets <= 0:
-            raise ValueError("n_buckets must be positive")
-        self.n_buckets = n_buckets
+    def __init__(self, tier: Optional["RunStore"] = None):
         self._table: Dict[int, UMEntry] = {}  # guarded-by: latch
         self.tier = tier
         #: The tier's age-ordered run list, which the tier edits in place
@@ -194,11 +196,11 @@ class UpdateMemo:
         touch every bucket, so a lockless snapshot beside a locked
         per-bucket write is still a race on that bucket's location."""
         if (checker := racecheck.ACTIVE) is not None:
-            checker.access(self, f"bucket[{oid % self.n_buckets}]", write)
+            checker.access(self, f"bucket[{oid % N_BUCKETS}]", write)
 
     def _rc_all(self, write: bool) -> None:
         if (checker := racecheck.ACTIVE) is not None:
-            for index in range(self.n_buckets):
+            for index in range(N_BUCKETS):
                 checker.access(self, f"bucket[{index}]", write)
 
     # ------------------------------------------------------------------

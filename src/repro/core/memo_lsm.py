@@ -662,10 +662,11 @@ class RunStore:
         """Write + fsync ``data`` at ``path`` — then, for a temp file,
         rename it over ``replaces`` — honouring the fault points, each of
         which counts this write (a spill's fold is a flush and a merge):
-        ``corrupt`` writes a silently damaged image, ``torn`` persists a
-        prefix then dies, and ``crash`` dies before any byte of a run
-        lands, or with a temp file complete but not yet live (the
-        previous manifest must still name the previous runs)."""
+        ``corrupt`` writes a silently damaged image (the injector's
+        ``damage``), ``torn`` persists a prefix then dies, and ``crash``
+        dies before any byte of a run lands, or with a temp file complete
+        but not yet live (the previous manifest must still name the
+        previous runs)."""
         faults = self.faults
         mode: Optional[str] = None
         if faults is not None:
@@ -675,6 +676,7 @@ class RunStore:
                     faults._mark_fired(point)
         if mode == "corrupt":
             data = corrupt_page(data, faults.corrupt_bytes)
+            faults.damage = (replaces or path, data)
         elif mode == "torn":
             k = faults.torn_bytes if faults.torn_bytes > 0 else len(data) // 2
             data = data[:max(1, min(k, len(data) - 1))]
@@ -822,11 +824,10 @@ class SpillingUpdateMemo(UpdateMemo):
     def __init__(
         self,
         directory: str,
-        n_buckets: int = 64,
         spill_budget: int = DEFAULT_SPILL_BUDGET,
         stats: Optional["IOStats"] = None,
         faults: Optional["FaultInjector"] = None,
     ):
         tier = RunStore(directory, spill_budget, stats, faults)
-        super().__init__(n_buckets, tier)
+        super().__init__(tier)
         self.directory = tier.directory

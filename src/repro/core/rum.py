@@ -102,7 +102,6 @@ class RUMTree(RTreeBase, MemoHost):
         inspection_ratio: float = 0.2,
         n_tokens: int = 1,
         clean_upon_touch: bool = True,
-        memo_buckets: int = 64,
         memo: Optional[UpdateMemo] = None,
         stamp_counter: Optional[StampCounter] = None,
         recovery_option: Optional[str] = None,
@@ -131,7 +130,6 @@ class RUMTree(RTreeBase, MemoHost):
         self._wire_memo(
             inspection_ratio,
             clean_upon_touch,
-            memo_buckets,
             memo=memo,
             stamp_counter=stamp_counter,
             n_tokens=n_tokens,

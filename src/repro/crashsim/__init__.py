@@ -6,22 +6,28 @@ See :mod:`repro.crashsim.harness` for the model and
 
 from .harness import (
     FULL_WINDOW,
+    OUTCOMES,
+    SPILL_BUDGET,
     CrashOutcome,
     CrashScenario,
     CrashSimError,
     WorkloadConfig,
-    default_scenarios,
+    derive_scenarios,
+    discover,
     run_scenario,
     verify_pages,
 )
 
 __all__ = [
     "FULL_WINDOW",
+    "OUTCOMES",
+    "SPILL_BUDGET",
     "CrashOutcome",
     "CrashScenario",
     "CrashSimError",
     "WorkloadConfig",
-    "default_scenarios",
+    "derive_scenarios",
+    "discover",
     "run_scenario",
     "verify_pages",
 ]

@@ -8,53 +8,72 @@ into an executable contract.  One :func:`run_scenario` call
 1. builds a RUM-tree over a :class:`FileDiskManager` (wrapped in a
    :class:`~repro.storage.faults.FaultyDisk`) and, for recovery Options
    II/III, a :class:`~repro.storage.wal.WriteAheadLog`, all sharing one
-   :class:`~repro.storage.faults.FaultInjector`;
+   :class:`~repro.storage.faults.FaultInjector` — with the scenario's
+   ``tier``, its memo stands on a run tier of :data:`SPILL_BUDGET` bytes
+   of RAM, so run flushes, compactions and manifest swaps happen while
+   every other fault fires;
 2. loads an object population, then drives a scripted workload of
    updates, deletes, durability ticks (``buffer.checkpoint()``) and UM
-   checkpoints, with the injector armed at one registered fault point;
-3. when the simulated crash fires, truncates the log to its durable
-   prefix, reopens the store, runs the scenario's recovery option, and
-   checks every consistency property the paper promises — structural
-   invariants, stamp-counter monotonicity, memo/leaf agreement, and the
-   *exact* recovered live set, including the documented lost-delete
-   semantics of Options I and II.
+   checkpoints, with the injector armed at one occurrence of one
+   registered fault point;
+3. when the fault fires, either verifies that the damage it left is
+   *detected*, or truncates the log to its durable prefix, reopens the
+   store, runs the scenario's recovery option and checks every
+   consistency property the paper promises — structural invariants,
+   stamp-counter monotonicity, memo/leaf agreement, and the recovered
+   live set, including the documented lost-delete semantics of Options
+   I and II.
 
-Scenario families
------------------
+The matrix
+----------
 
-* **Logical crashes** (``mode="crash"``): the process dies between two
-  durability steps — mid WAL force, before a checkpoint record exists,
-  between the page-file fsync and the metadata replace, mid page write.
-  Recovery must restore exactly the semantics of the scenario's option;
-  the in-flight operation is the only permitted ambiguity (it may appear
-  applied or not applied, like any interrupted transaction).  The tree
-  pages themselves follow the paper's stable-buffer assumption: after
-  the crash the harness completes the outstanding tree-page writes
-  before reopening, which also proves the write path is exception-safe
-  mid-flush.
-* **Torn writes** (``mode="torn"``): a page write persists only a prefix
-  of the new image.  There is no recovering from that without page-level
-  redo — the guarantee is *detection*: the page's crc32 must fail
-  verification and decoding must raise
-  :class:`~repro.storage.codec.PageChecksumError`, never return garbage.
-* **Silent corruption** (``mode="corrupt"``): bytes are flipped without
-  a crash.  Same guarantee: the next verification pass flags the page.
+:func:`derive_scenarios` lists no fault point by hand.  Per recovery
+option, with the tier off and on, it runs the script once unarmed
+(:func:`discover`) and takes every fault-point occurrence counted after
+the load phase, crossed with every mode the point supports
+(:data:`~repro.storage.faults.FAULT_POINTS`), plus the clean shutdown.
+A change that moves a fault site moves the matrix with it.
+
+Verdicts
+--------
+
+Every scenario ends in one of :data:`OUTCOMES`:
+
+* ``recovered`` — the clean shutdown, or a crash: a crash-mode fault, or
+  a torn memo-run write (its file is never named, and the reopen sweeps
+  it).  The full recovery oracle holds.  The tree pages follow the
+  paper's stable-buffer assumption: after the crash the harness
+  completes the outstanding tree-page writes before reopening, which
+  also proves the write path is exception-safe mid-flush.
+* ``landed`` / ``lost`` — a torn page write whose image is the whole new
+  / old page: a write that landed, or was lost, before the crash.  The
+  full oracle holds.
+* ``healed`` — silent corruption that a later write of the same
+  operation replaced (the page rewritten, the manifest rewritten by a
+  second spill) before anything read it.  The full oracle holds.
+* ``detected`` — damage still in place is found: a read of the workload
+  raised :class:`~repro.storage.codec.PageChecksumError` or
+  :class:`~repro.core.memo_lsm.MemoCorruptionError`, or, inspected
+  exactly as the fault left it, the page fails its crc32 and refuses to
+  decode, or the memo tier refuses to reopen.  There is no repairing
+  that without page-level redo; the guarantee is that it never passes
+  for data.
 
 Oracle
 ------
 
-The workload runs with the garbage cleaner disabled
-(``inspection_ratio=0``, ``clean_upon_touch=False``), so every entry
-ever inserted is still in the tree and the recovered live set is exactly
-computable per option:
+The workload runs with the tree's default cleaner (inspection ratio
+0.2, clean-upon-touch on), so obsolete entries come and go; the oracle
+pins what cleaning cannot change:
 
 * Every *live* object (never deleted) is recovered at exactly its last
-  committed position, under every option.
+  committed position, under every option — its newest entry is never
+  obsolete, so no cleaner removes it.
 * Option I — completed deletes are lost: a memo-based delete leaves no
   trace, so a deleted object resurrects at whichever of its committed
-  positions still has a physical entry (insertion-path garbage drops may
-  have removed some, or even all, of its obsolete entries — in the
-  latter case the object happens to stay deleted).
+  positions still has a physical entry (cleaning and insertion-path
+  garbage drops may have removed some, or all, of its obsolete entries
+  — in the latter case the object happens to stay deleted).
 * Option II — deletes recorded in the last *durable* checkpoint stay
   deleted, exactly; later deletes are lost as under Option I.
 * Option III — every completed delete is durable (its memo record was
@@ -64,9 +83,8 @@ computable per option:
 
 from __future__ import annotations
 
-import os
 import random
-import warnings
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
@@ -77,14 +95,19 @@ from repro.core.memo_lsm import (
     MemoCorruptionError,
     SpillingUpdateMemo,
 )
-from repro.core.recovery import RECOVERY_PROCEDURES, RecoveryReport
+from repro.core.recovery import RECOVERY_PROCEDURES
 from repro.core.rum import RUMTree
 from repro.core.memo import LATEST
 from repro.lint.invariants import InvariantViolation, check_tree
 from repro.rtree.geometry import Rect
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import NodeCodec, PageChecksumError
-from repro.storage.faults import FaultInjector, FaultyDisk, SimulatedCrash
+from repro.storage.faults import (
+    FAULT_POINTS,
+    FaultInjector,
+    FaultyDisk,
+    SimulatedCrash,
+)
 from repro.storage.filedisk import FileDiskManager, META_TMP_FILE
 from repro.storage.iostats import IOStats
 from repro.storage.wal import WriteAheadLog
@@ -96,6 +119,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: search with this window returns the complete live set.
 FULL_WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
+#: RAM budget (bytes) of the tiered memo: small enough that the script
+#: spills, folds and swaps manifests many times.
+SPILL_BUDGET = 256
+
+#: What a scenario can end in (see the module docstring).
+OUTCOMES = ("recovered", "landed", "lost", "healed", "detected")
+
 _ABSENT = object()  # sentinel: "object not in the live set"
 
 
@@ -105,7 +135,8 @@ class CrashSimError(AssertionError):
 
 @dataclass(frozen=True)
 class CrashScenario:
-    """One cell of the crash matrix.
+    """One occurrence of one fault point, in one mode, under one recovery
+    option, with the memo's run tier off or on.
 
     ``point=None`` is the baseline: the workload completes, the process
     "dies" cleanly, and recovery must still restore the option's exact
@@ -116,14 +147,23 @@ class CrashScenario:
     point: Optional[str] = None  # fault point, None = clean shutdown
     mode: str = "crash"          # "crash" | "torn" | "corrupt"
     skip: int = 0                # fault-point hits to let pass first
-    torn_bytes: int = 0          # 0 = half a page survives
-    corrupt_bytes: int = 8
+    tier: bool = False           # the memo stands on a run tier
+
+    @property
+    def cell(self) -> str:
+        """The matrix cell — option, tier, point and mode — that every
+        occurrence of the point shares.  ``+tier`` marks the tier only
+        where the point also runs without one: ``memo.*`` points fire
+        only over a tier."""
+        where = self.point or "clean-shutdown"
+        if self.mode != "crash":
+            where += f"/{self.mode}"
+        marked = self.tier and not where.startswith("memo.")
+        return f"option-{self.option}{'+tier' if marked else ''}@{where}"
 
     @property
     def name(self) -> str:
-        where = self.point or "clean-shutdown"
-        label = f"{where}/{self.mode}" if self.mode != "crash" else where
-        return f"option-{self.option}@{label}"
+        return self.cell if self.point is None else f"{self.cell}#{self.skip}"
 
 
 @dataclass
@@ -137,36 +177,6 @@ class WorkloadConfig:
     tick_every: int = 25        # ops between durability ticks
     checkpoint_every: int = 30  # ops between UM checkpoints (II/III)
     seed: int = 7
-    #: RAM budget (bytes) for the disk-tiered Update Memo.  ``None``
-    #: keeps the pure in-RAM memo — except for ``memo.*`` fault points,
-    #: where the harness auto-enables the spilling memo with a tiny
-    #: default budget so the fault sites actually execute.
-    memo_spill_budget: Optional[int] = None
-
-
-#: Auto-enabled spill budget for ``memo.*`` scenarios: small enough that
-#: the 90-op crash workload spills several times.
-_MEMO_FAULT_BUDGET = 256
-
-
-def _env_spill_budget() -> Optional[int]:
-    """``REPRO_MEMO_SPILL_BUDGET`` (bytes): force *every* crash scenario
-    onto the disk-tiered memo.  The CI tier-1 memo leg sets a tiny value
-    so the whole fault matrix — disk and WAL points included — runs with
-    the memo actively spilling and compacting mid-workload."""
-    raw = os.environ.get("REPRO_MEMO_SPILL_BUDGET")
-    if raw is None:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed REPRO_MEMO_SPILL_BUDGET={raw!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return budget if budget > 0 else None
 
 
 @dataclass
@@ -175,13 +185,12 @@ class CrashOutcome:
 
     scenario: CrashScenario
     crashed: bool
-    kind: str                   # "recovered" | "torn-detected" | ...
+    kind: str                   # one of OUTCOMES
     pending: Optional[Tuple] = None   # op in flight when the crash hit
-    lost_log_records: int = 0
-    damaged_pages: List[int] = field(default_factory=list)
     checks: List[str] = field(default_factory=list)
-    report: Optional[RecoveryReport] = None
     live_objects: Optional[int] = None
+    #: Fault-point occurrences of the mutate phase, up to the fault.
+    hits: Dict[str, int] = field(default_factory=dict)
 
 
 class _WorkloadOracle:
@@ -299,6 +308,27 @@ def _check(condition: bool, message: str,
     checks.append(label)
 
 
+def _tiered_memo(
+    memo_dir: Optional[Path], stats: Optional[IOStats] = None,
+    faults: Optional[FaultInjector] = None,
+) -> Optional[SpillingUpdateMemo]:
+    """The memo on its run tier at ``memo_dir``; ``None`` (the tree's
+    own all-RAM memo) without a tier."""
+    if memo_dir is None:
+        return None
+    return SpillingUpdateMemo(
+        memo_dir, spill_budget=SPILL_BUDGET, stats=stats, faults=faults
+    )
+
+
+def _damage_present(damage, inner: FileDiskManager) -> bool:
+    """Whether the bytes a fault damaged still lie where it put them."""
+    where, image = damage
+    if isinstance(where, Path):
+        return where.exists() and where.read_bytes() == image
+    return inner.is_allocated(where) and bytes(inner.peek(where)) == image
+
+
 def run_scenario(
     scenario: CrashScenario,
     directory,
@@ -324,40 +354,15 @@ def run_scenario(
         if option != "I"
         else None
     )
-    # The disk-tiered memo: always for memo.* fault points (the sites
-    # must execute to fire), opt-in via the config otherwise.  It shares
-    # the scenario's injector and lands its run I/O on the same stats.
-    memo_fault = scenario.point is not None and scenario.point.startswith(
-        "memo."
-    )
-    env_budget = _env_spill_budget()
-    memo_budget = (
-        config.memo_spill_budget
-        if config.memo_spill_budget is not None
-        else (env_budget if env_budget is not None else _MEMO_FAULT_BUDGET)
-    )
-    memo_dir: Optional[Path] = None
-    memo: Optional[SpillingUpdateMemo] = None
-    if (
-        memo_fault
-        or config.memo_spill_budget is not None
-        or env_budget is not None
-    ):
-        memo_dir = Path(directory) / "memo"
-        memo = SpillingUpdateMemo(
-            memo_dir,
-            spill_budget=memo_budget,
-            stats=stats,
-            faults=injector,
-        )
+    # The tiered memo shares the scenario's injector and lands its run
+    # I/O on the same stats.
+    memo_dir = Path(directory) / "memo" if scenario.tier else None
     tree = RUMTree(
         buffer,
-        inspection_ratio=0.0,       # cleaning off -> exact oracle
-        clean_upon_touch=False,
         recovery_option=option,
         wal=wal,
         checkpoint_interval=10**9,  # checkpoints are scripted explicitly
-        memo=memo,
+        memo=_tiered_memo(memo_dir, stats, injector),
     )
     # Cascades to the storage stack and its injector; at ``trace`` the
     # operation a fault interrupts still emits its ``span`` event
@@ -374,18 +379,13 @@ def run_scenario(
     buffer.checkpoint()
     tick_allocs = [frozenset(inner.page_ids())]
 
-    # -- mutate phase, with the fault armed --
+    # -- mutate phase, with the fault armed; occurrences count from here --
+    injector.hits = {}
     if scenario.point is not None:
-        injector.arm(
-            scenario.point,
-            mode=scenario.mode,
-            skip=scenario.skip,
-            torn_bytes=scenario.torn_bytes,
-            corrupt_bytes=scenario.corrupt_bytes,
-        )
+        injector.arm(scenario.point, mode=scenario.mode, skip=scenario.skip)
 
     pending: Optional[Tuple] = None
-    memo_detected_inflight = False
+    caught: Optional[Exception] = None
     for op in _script_ops(config, option, rng):
         try:
             kind = op[0]
@@ -401,21 +401,21 @@ def run_scenario(
         except SimulatedCrash:
             pending = op
             break
-        except MemoCorruptionError:
-            # A silently damaged run was caught in flight (a compaction
-            # re-validated its inputs).  That *is* the detection
-            # guarantee — but only corrupt mode may trade a crash for it.
-            if scenario.mode != "corrupt":
+        except (PageChecksumError, MemoCorruptionError) as exc:
+            # A read refused damaged bytes in flight: that *is* the
+            # detection guarantee — if silent corruption put them there.
+            if scenario.mode != "corrupt" or injector.damage is None:
                 raise
-            memo_detected_inflight = True
+            caught = exc
             break
         oracle.commit(op)
         if kind == "tick":
             tick_allocs.append(frozenset(inner.page_ids()))
         if scenario.mode == "corrupt" and injector.fired:
-            # Stop before a later write to the same page heals the
-            # damage — corruption is verified exactly as injected.
+            # Stop with the operation that did the damage: a later one
+            # could rewrite it before it is verified.
             break
+    hits = dict(injector.hits)
     crashed = pending is not None
     # The process model ends here.  Its gauges read its memo's runs,
     # which the reopen below may unlink: detaching freezes what it
@@ -427,116 +427,78 @@ def run_scenario(
             pending=pending[0],
         )
 
-    if scenario.mode == "torn" and not memo_fault:
-        return _verify_damage_detected(
-            scenario, crashed, inner, codec, "torn-detected", obs
-        )
-    if scenario.mode == "corrupt":
-        if crashed:
-            raise CrashSimError(
-                f"{scenario.name}: silent corruption must not crash"
-            )
-        if not injector.fired:
-            raise CrashSimError(f"{scenario.name}: fault never fired")
-        if memo_fault:
-            return _verify_memo_corruption_detected(
-                scenario, memo_dir, memo_budget, injector,
-                memo_detected_inflight, obs,
-            )
-        return _verify_damage_detected(
-            scenario, crashed, inner, codec, "corruption-detected", obs
-        )
-
-    # A torn memo-run write crashes the writer like any torn page, but
-    # the damage sits in an *unnamed* run file: recovery must sweep it
-    # and proceed — so memo torn scenarios verify full recovery below.
-    if scenario.point is not None and not crashed:
+    if scenario.point is not None and injector.fired is None:
+        raise CrashSimError(f"{scenario.name}: fault never fired")
+    must_crash = scenario.point is not None and scenario.mode != "corrupt"
+    if crashed != must_crash:
         raise CrashSimError(
-            f"{scenario.name}: fault {scenario.point} never fired "
-            "(workload too short for skip={})".format(scenario.skip)
+            f"{scenario.name}: a {scenario.mode} fault "
+            f"{'crashed' if crashed else 'did not crash'} the writer"
+        )
+    damage = injector.damage
+    if caught is not None or (
+        damage is not None and _damage_present(damage, inner)
+    ):
+        return _verify_detected(
+            scenario, crashed, damage, caught, inner, codec, memo_dir,
+            hits, obs,
         )
     return _recover_and_verify(
-        scenario, config, directory, tree, buffer, inner, wal,
-        injector, oracle, tick_allocs, pending, obs,
-        memo_dir=memo_dir, memo_budget=memo_budget,
+        scenario, injector.tear or ("healed" if damage else "recovered"),
+        config, directory, tree, buffer, inner, wal, injector, oracle,
+        tick_allocs, pending, memo_dir, hits, obs,
     )
 
 
-def _verify_damage_detected(
-    scenario, crashed, inner, codec, kind, obs
+def _verify_detected(
+    scenario, crashed, damage, caught, inner, codec, memo_dir, hits, obs,
 ) -> CrashOutcome:
-    """Torn/corrupted pages cannot be repaired — they must be *found*.
-
-    No flush happens first: the persisted bytes are inspected exactly as
-    the fault left them, and the damaged page must fail its crc32 and
-    refuse to decode.
-    """
+    """Damage cannot be repaired — it must be *found*: a read of the
+    workload refused it, or, inspected exactly as the fault left it (no
+    flush first), the page fails its crc32 and refuses to decode, or the
+    memo tier refuses to reopen."""
     checks: List[str] = []
-    if scenario.mode == "torn":
-        _check(crashed, f"{scenario.name}: torn write must crash",
-               checks, "torn write crashed the writer")
-    damaged = verify_pages(inner, codec)
-    _check(
-        len(damaged) >= 1,
-        f"{scenario.name}: damaged page passed checksum verification",
-        checks, "damaged page fails crc32",
-    )
-    for page_id in damaged:
+    where, _image = damage
+    if caught is not None:
+        checks.append(f"damage refused in flight ({type(caught).__name__})")
+    elif isinstance(where, Path):
         try:
-            codec.decode(page_id, inner.peek(page_id))
-        except PageChecksumError:
-            continue
-        raise CrashSimError(
-            f"{scenario.name}: page {page_id} silently decoded"
-        )
-    checks.append("damaged page refuses to decode")
-    if obs is not None:
-        obs.event(
-            "crashsim.torn_detected", point=scenario.point,
-            pages=list(damaged),
-        )
-    return CrashOutcome(
-        scenario=scenario, crashed=crashed, kind=kind,
-        damaged_pages=damaged, checks=checks,
-    )
-
-
-def _verify_memo_corruption_detected(
-    scenario, memo_dir, memo_budget, injector, detected_inflight, obs,
-) -> CrashOutcome:
-    """Silent damage to the memo's disk tier cannot be repaired — it
-    must be *found*: either a compaction re-validating its inputs raised
-    in flight, or reopening the tier fails its CRC checks.  Never may a
-    damaged run or manifest silently decode into memo state."""
-    checks: List[str] = []
-    injector.disarm()
-    if detected_inflight:
-        checks.append("corrupt run caught in flight by compaction")
-    else:
-        try:
-            probe = SpillingUpdateMemo(memo_dir, spill_budget=memo_budget)
+            probe = _tiered_memo(memo_dir)
         except MemoCorruptionError:
-            checks.append("corrupt memo tier fails CRC at reopen")
+            checks.append("damaged memo tier fails its CRC at reopen")
         else:
             probe.close()
             raise CrashSimError(
                 f"{scenario.name}: damaged memo tier silently reopened"
             )
+    else:
+        _check(
+            where in verify_pages(inner, codec),
+            f"{scenario.name}: damaged page passed checksum verification",
+            checks, "damaged page fails crc32",
+        )
+        try:
+            codec.decode(where, inner.peek(where))
+        except PageChecksumError:
+            checks.append("damaged page refuses to decode")
+        else:
+            raise CrashSimError(
+                f"{scenario.name}: page {where} silently decoded"
+            )
     if obs is not None:
         obs.event(
-            "crashsim.memo_corruption_detected", point=scenario.point,
-            inflight=detected_inflight,
+            "crashsim.detected", point=scenario.point, mode=scenario.mode,
+            inflight=caught is not None,
         )
     return CrashOutcome(
-        scenario=scenario, crashed=False,
-        kind="memo-corruption-detected", checks=checks,
+        scenario=scenario, crashed=crashed, kind="detected", checks=checks,
+        hits=hits,
     )
 
 
 def _recover_and_verify(
-    scenario, config, directory, tree, buffer, inner, wal,
-    injector, oracle, tick_allocs, pending, obs,
-    memo_dir=None, memo_budget=0,
+    scenario, kind, config, directory, tree, buffer, inner, wal,
+    injector, oracle, tick_allocs, pending, memo_dir, hits, obs,
 ) -> CrashOutcome:
     checks: List[str] = []
     injector.disarm()
@@ -586,19 +548,16 @@ def _recover_and_verify(
     # output is an unnamed file).  The recovery option then *rebuilds*
     # the memo content through this reopened tier, so every oracle check
     # below also exercises the disk-resident memo path.
-    memo2: Optional[SpillingUpdateMemo] = None
-    if memo_dir is not None:
-        if scenario.point == "memo.manifest":
-            _check(
-                (memo_dir / MANIFEST_TMP_FILE).exists(),
-                f"{scenario.name}: crash left no temp memo manifest",
-                checks, "in-flight temp memo manifest present",
-            )
-        memo2 = SpillingUpdateMemo(
-            memo_dir,
-            spill_budget=memo_budget,
-            stats=stats2,
+    if memo_dir is not None and scenario.point == "memo.manifest" and (
+        scenario.mode == "crash"
+    ):
+        _check(
+            (memo_dir / MANIFEST_TMP_FILE).exists(),
+            f"{scenario.name}: crash left no temp memo manifest",
+            checks, "in-flight temp memo manifest present",
         )
+    memo2 = _tiered_memo(memo_dir, stats2)
+    if memo2 is not None:
         _check(
             not (memo_dir / MANIFEST_TMP_FILE).exists(),
             f"{scenario.name}: memo reopen kept the manifest temp file",
@@ -620,8 +579,6 @@ def _recover_and_verify(
 
     tree2 = RUMTree(
         buffer2,
-        inspection_ratio=0.0,
-        clean_upon_touch=False,
         recovery_option=scenario.option,
         wal=wal,
         checkpoint_interval=10**9,
@@ -631,7 +588,7 @@ def _recover_and_verify(
 
     _check(
         not verify_pages(disk2, codec2),
-        f"{scenario.name}: logical crash left a torn page",
+        f"{scenario.name}: a recovered store holds a damaged page",
         checks, "all pages checksum-clean",
     )
 
@@ -658,7 +615,7 @@ def _recover_and_verify(
             )
         checks.append("durable log prefix matches committed checkpoints")
 
-    report = RECOVERY_PROCEDURES[scenario.option](tree2)
+    RECOVERY_PROCEDURES[scenario.option](tree2)
     # Full structural + memo/stamp validation (not just lost/ghost
     # objects): MBR containment, fanout bounds, leaf ring, Lemma-1 memo
     # consistency, stamp monotonicity.
@@ -673,9 +630,9 @@ def _recover_and_verify(
 
     if memo2 is not None:
         _check(
-            memo2.ram_size_bytes() <= memo_budget,
+            memo2.ram_size_bytes() <= SPILL_BUDGET,
             f"{scenario.name}: recovery blew the memo RAM budget "
-            f"({memo2.ram_size_bytes()} > {memo_budget} bytes)",
+            f"({memo2.ram_size_bytes()} > {SPILL_BUDGET} bytes)",
             checks, "recovered memo within its RAM budget",
         )
         _check(
@@ -701,13 +658,12 @@ def _recover_and_verify(
     if obs is not None:
         obs.event(
             "crashsim.recovered", point=scenario.point,
-            option=scenario.option, live=len(live),
+            option=scenario.option, kind=kind, live=len(live),
             lost_log_records=lost,
         )
     return CrashOutcome(
-        scenario=scenario, crashed=pending is not None, kind="recovered",
-        pending=pending, lost_log_records=lost, checks=checks,
-        report=report, live_objects=len(live),
+        scenario=scenario, crashed=pending is not None, kind=kind,
+        pending=pending, checks=checks, live_objects=len(live), hits=hits,
     )
 
 
@@ -820,94 +776,27 @@ def _verify_recovered_state(
 # ---------------------------------------------------------------------------
 
 
-def default_scenarios() -> List[CrashScenario]:
-    """Every registered fault point crossed with every recovery option
-    it applies to, plus a clean-shutdown baseline per option."""
+def discover(option: str, tier: bool) -> Dict[str, int]:
+    """Fault-point occurrences of one unarmed run of the default script
+    after its load phase: the clean shutdown's, verified on the way."""
+    with tempfile.TemporaryDirectory(prefix="crashsim-") as tmp:
+        scenario = CrashScenario(option=option, tier=tier)
+        return run_scenario(scenario, Path(tmp)).hits
+
+
+def derive_scenarios() -> List[CrashScenario]:
+    """The crash matrix: per recovery option, with the memo's run tier off
+    and on, the clean shutdown and every occurrence :func:`discover`
+    counts, in every mode its point supports."""
     scenarios: List[CrashScenario] = []
-    for option in ("I", "II", "III"):
-        scenarios.append(CrashScenario(option=option))
-        scenarios.append(
-            CrashScenario(option=option, point="disk.page_write", skip=5)
-        )
-        scenarios.append(
-            CrashScenario(option=option, point="disk.sync.data")
-        )
-        scenarios.append(
-            CrashScenario(option=option, point="disk.meta.tmp")
-        )
-        scenarios.append(
-            CrashScenario(
-                option=option, point="disk.page_torn", mode="torn", skip=5
-            )
-        )
-        scenarios.append(
-            CrashScenario(
-                option=option, point="disk.page_write", mode="corrupt",
-                skip=5,
-            )
-        )
-        if option != "I":
-            # Option I has no log: wal.* points never execute.
-            scenarios.append(
-                CrashScenario(option=option, point="wal.checkpoint", skip=1)
-            )
-            scenarios.append(
-                CrashScenario(
-                    option=option, point="wal.force",
-                    skip=0 if option == "II" else 40,
-                )
-            )
-        if option == "III":
-            scenarios.append(
-                CrashScenario(option=option, point="wal.append", skip=8)
-            )
-        # Disk-tiered memo faults.  Option I carries the full grid (its
-        # recovery rebuilds the memo from a leaf scan, the worst case
-        # for stale spilled state); II/III spot-check that checkpoint /
-        # log replay also land correctly on a reopened spill tier.
-        # A corrupt-mode fault must hit an artifact that stays the *last*
-        # written, so no later manifest rewrite heals it before detection
-        # (the workload stops on fire, but only between operations).  At
-        # _MEMO_FAULT_BUDGET the load phase leaves one run, so every spill
-        # of the mutate phase folds its table over that run: one write in
-        # both the memo.run_flush and the memo.compact window, then one
-        # manifest, the last the spill writes.  The skips thus count
-        # spills: run_flush skip=1 and memo.manifest skip=1 land on the
-        # second spill's run and manifest, skip=0 on the first's, and
-        # II/III's run_flush skip=2 on the third's.  A damaged run is
-        # caught by the next spill's validated read of it or by the reopen.
-        if option == "I":
+    for option in RECOVERY_PROCEDURES:
+        for tier in (False, True):
+            hits = discover(option, tier)
+            scenarios.append(CrashScenario(option=option, tier=tier))
             scenarios.extend(
-                [
-                    CrashScenario(
-                        option=option, point="memo.run_flush", skip=1
-                    ),
-                    CrashScenario(
-                        option=option, point="memo.run_flush",
-                        mode="torn", skip=1,
-                    ),
-                    CrashScenario(
-                        option=option, point="memo.run_flush",
-                        mode="corrupt",
-                    ),
-                    CrashScenario(option=option, point="memo.compact"),
-                    CrashScenario(
-                        option=option, point="memo.compact", mode="corrupt"
-                    ),
-                    CrashScenario(
-                        option=option, point="memo.manifest", skip=1
-                    ),
-                    CrashScenario(
-                        option=option, point="memo.manifest",
-                        mode="corrupt", skip=1,
-                    ),
-                ]
-            )
-        else:
-            scenarios.append(
-                CrashScenario(option=option, point="memo.run_flush", skip=2)
-            )
-            scenarios.append(
-                CrashScenario(option=option, point="memo.manifest")
+                CrashScenario(option, point, mode, skip, tier)
+                for point, modes in FAULT_POINTS.items()
+                for mode in modes
+                for skip in range(hits.get(point, 0))
             )
     return scenarios

@@ -213,11 +213,12 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "crashmatrix",
-        "Crash matrix: fault injection x recovery options (Section 3.4)",
+        "Crash matrix: every fault-point occurrence x mode x recovery "
+        "option x memo tier (Section 3.4)",
         Table(run_crash_matrix, plain(
-            "Crash matrix — outcome per recovery option and fault point",
-            "option fault_point mode outcome pending_op lost_log_records "
-            "live_objects recovery_io checks_passed",
+            "Crash matrix — outcomes per option, tier, fault point and mode",
+            "option tier fault_point mode occurrences recovered landed lost "
+            "healed detected",
         )),
     ),
     Experiment(

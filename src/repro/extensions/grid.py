@@ -172,10 +172,9 @@ class MemoGrid(MemoHost, GridFile):
         page_size: int = 2048,
         inspection_ratio: float = 0.2,
         clean_upon_touch: bool = True,
-        memo_buckets: int = 64,
     ):
         super().__init__(side, page_size, stamped=True)
-        self._wire_memo(inspection_ratio, clean_upon_touch, memo_buckets)
+        self._wire_memo(inspection_ratio, clean_upon_touch)
 
     # -- memo-based operations ---------------------------------------------------
 

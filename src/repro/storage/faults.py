@@ -13,9 +13,9 @@ Three fault modes exist:
 
 * ``crash`` — die *before* the instrumented action happens (the write /
   sync / force is lost entirely);
-* ``torn`` — for page writes: persist only a prefix of the new page
-  image (the rest keeps the old bytes), then die — the classic torn
-  sector-sequence write of a power failure mid-page;
+* ``torn`` — for page and memo-run writes: persist only a prefix of the
+  new image (a page keeps the old bytes past it), then die — the classic
+  torn sector-sequence write of a power failure mid-page;
 * ``corrupt`` — flip bytes in the written image and *continue silently*,
   modelling bit rot / a misdirected write that no crash announces.
 
@@ -27,35 +27,52 @@ points (metadata sync steps, WAL forces) are fired directly by
 injector.  Components without an injector pay nothing: the hook is a
 single ``is None`` check.
 
-The registered fault points:
+The registered fault points and the modes each supports
+(:data:`FAULT_POINTS`, which the crash matrix iterates):
 
-======================  ====================================================
-``disk.page_write``     before a page write (the write never happens)
-``disk.page_torn``      mid page write (prefix persisted, then crash)
-``disk.sync.data``      after the data-file fsync, before any metadata write
-``disk.meta.tmp``       after the metadata temp file is written, before the
-                        atomic rename — ``disk.json`` must stay intact
-``wal.append``          before a log record enters the log
-``wal.force``           after a record is appended in memory, before the
-                        forced flush makes it durable
-``wal.checkpoint``      at the start of a checkpoint append (the checkpoint
-                        record never becomes durable)
-``memo.run_flush``      mid memo-run write that holds a spilled table: the
-                        run file is (partially) written but not yet named by
-                        the manifest — torn / corrupt modes damage the run
-                        image itself; the table's records are in no named run
-``memo.compact``        mid merge-output write, before the manifest swaps it
-                        in (inputs must stay live).  A spill folded over the
-                        newest run is one write in both windows: either
-                        point fires there, and both count it
-``memo.manifest``       after the manifest temp file is written, before the
-                        atomic rename — the previous manifest must survive
-======================  ====================================================
+======================  =================  ===================================
+``disk.page_write``     crash torn corrupt a page write: lost, torn (a prefix
+                                           of the new image over the old) or
+                                           silently damaged
+``disk.sync.data``      crash              after the data-file fsync, before
+                                           any metadata write
+``disk.meta.tmp``       crash              after the metadata temp file is
+                                           written, before the atomic rename
+                                           — ``disk.json`` must stay intact
+``wal.append``          crash              before a log record enters the log
+``wal.force``           crash              after a record is appended in
+                                           memory, before the forced flush
+                                           makes it durable
+``wal.checkpoint``      crash              at the start of a checkpoint
+                                           append (the checkpoint record
+                                           never becomes durable)
+``memo.run_flush``      crash torn corrupt mid memo-run write that holds a
+                                           spilled table: the run file is
+                                           (partially) written but not yet
+                                           named by the manifest
+``memo.compact``        crash torn corrupt mid merge-output write, before the
+                                           manifest swaps it in (inputs must
+                                           stay live).  A spill folded over
+                                           the newest run is one write in
+                                           both windows: either point fires
+                                           there, and both count it
+``memo.manifest``       crash corrupt      after the manifest temp file is
+                                           written, before the atomic rename
+                                           — the previous manifest must
+                                           survive (a torn temp file is a
+                                           crash: the reopen drops it)
+======================  =================  ===================================
+
+A fired ``torn`` or ``corrupt`` fault records what it left behind on the
+injector (:attr:`FaultInjector.damage`, :attr:`FaultInjector.tear`), so
+the harness can tell damage a reader may take for data from a tear that
+happened to leave a whole image, and from damage a later write replaced.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
 
 from repro.obs.metrics import UNPUBLISHED, republish
 
@@ -64,25 +81,25 @@ from .disk import PageStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
-#: Every fault point the storage stack fires, in rough workload order.
-#: The crash-matrix harness iterates this tuple; adding an instrumented
-#: site to the stack means adding its name here so the matrix covers it.
-FAULT_POINTS = (
-    "disk.page_write",
-    "disk.page_torn",
-    "disk.sync.data",
-    "disk.meta.tmp",
-    "wal.append",
-    "wal.force",
-    "wal.checkpoint",
-    "memo.run_flush",
-    "memo.compact",
-    "memo.manifest",
-)
-
 #: Fault modes: ``crash`` loses the action, ``torn`` persists a prefix of
-#: a page write, ``corrupt`` silently damages the written bytes.
+#: a write, ``corrupt`` silently damages the written bytes.
 MODES = ("crash", "torn", "corrupt")
+
+#: Every fault point the storage stack fires, in rough workload order,
+#: with the modes it supports.  The crash matrix crosses every occurrence
+#: of every point with each of its modes; adding an instrumented site to
+#: the stack means adding its name here so the matrix covers it.
+FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
+    "disk.page_write": MODES,
+    "disk.sync.data": ("crash",),
+    "disk.meta.tmp": ("crash",),
+    "wal.append": ("crash",),
+    "wal.force": ("crash",),
+    "wal.checkpoint": ("crash",),
+    "memo.run_flush": MODES,
+    "memo.compact": MODES,
+    "memo.manifest": ("crash", "corrupt"),
+}
 
 
 class SimulatedCrash(BaseException):
@@ -115,8 +132,17 @@ class FaultInjector:
         self.torn_bytes = 0
         self.corrupt_bytes = 8
         self.fired: Optional[str] = None
+        #: What a fired ``torn`` / ``corrupt`` fault left where a later
+        #: read may take it for data: the page id or file it damaged and
+        #: the bytes it put there.  A torn memo file is never named, so
+        #: it leaves none.
+        self.damage: Optional[Tuple[Union[int, Path], bytes]] = None
+        #: A torn page write whose image is whole: ``"landed"`` (the new
+        #: image) or ``"lost"`` (the old one).
+        self.tear: Optional[str] = None
         #: occurrences seen per point since the last ``arm`` (all points
-        #: are counted, armed or not — useful for scenario discovery).
+        #: are counted, armed or not — the crash matrix discovers its
+        #: scenarios from an unarmed run).
         self.hits: Dict[str, int] = {}
         #: Faults fired in the injector's life (``arm`` resets ``fired``).
         self.fired_count = 0
@@ -139,10 +165,11 @@ class FaultInjector:
         """Schedule a fault at the ``skip``-th next occurrence of ``point``."""
         if point not in FAULT_POINTS:
             raise ValueError(
-                f"unknown fault point {point!r}; expected one of {FAULT_POINTS}"
+                f"unknown fault point {point!r}; expected one of "
+                f"{tuple(FAULT_POINTS)}"
             )
-        if mode not in MODES:
-            raise ValueError(f"unknown fault mode {mode!r}")
+        if mode not in FAULT_POINTS[point]:
+            raise ValueError(f"fault point {point!r} has no mode {mode!r}")
         if skip < 0:
             raise ValueError("skip must be non-negative")
         self.point = point
@@ -151,6 +178,8 @@ class FaultInjector:
         self.torn_bytes = torn_bytes
         self.corrupt_bytes = corrupt_bytes
         self.fired = None
+        self.damage = None
+        self.tear = None
         self.hits = {}
         return self
 
@@ -168,8 +197,8 @@ class FaultInjector:
         otherwise returns and the action proceeds normally.  Page-level
         ``torn``/``corrupt`` modes are *not* handled here — they need the
         page image and are applied by :meth:`FaultyDisk.write_page`; for
-        those points ``fire`` only answers the countdown via
-        :meth:`should_trigger`.
+        those points the site answers the countdown via
+        :meth:`should_trigger` instead.
         """
         if not self._count(point):
             return
@@ -237,28 +266,30 @@ class FaultyDisk:
 
     def write_page(self, page_id: int, data: bytes) -> None:
         faults = self.faults
-        point = faults.point
-        if (
-            point is not None
-            and point in ("disk.page_write", "disk.page_torn")
-            and faults.should_trigger(point)
-        ):
-            if faults.mode == "corrupt":
-                # Silent misdirected write: damaged bytes, no crash.
-                faults._mark_fired(point)
-                self.inner.write_page(
-                    page_id, corrupt_page(bytes(data), faults.corrupt_bytes)
-                )
-                return
-            if point == "disk.page_torn":
-                old = bytes(self.inner.peek(page_id))
-                self.inner.write_page(
-                    page_id, torn_page(old, bytes(data), faults.torn_bytes)
-                )
-            # "disk.page_write" in crash mode: the write is lost entirely.
-            faults._mark_fired(point)
+        point = "disk.page_write"
+        if not faults.should_trigger(point):
+            self.inner.write_page(page_id, data)
+            return
+        faults._mark_fired(point)
+        if faults.mode == "crash":  # the write is lost entirely
             raise SimulatedCrash(point)
-        self.inner.write_page(page_id, data)
+        new = bytes(data)
+        if faults.mode == "corrupt":
+            # Silent misdirected write: damaged bytes, no crash.
+            image = corrupt_page(new, faults.corrupt_bytes)
+            self.inner.write_page(page_id, image)
+            faults.damage = (page_id, image)
+            return
+        old = bytes(self.inner.peek(page_id))
+        image = torn_page(old, new, faults.torn_bytes)
+        self.inner.write_page(page_id, image)
+        if image == new:
+            faults.tear = "landed"
+        elif image == old:
+            faults.tear = "lost"
+        else:
+            faults.damage = (page_id, image)
+        raise SimulatedCrash(point)
 
     # -- plain delegation ---------------------------------------------------
 

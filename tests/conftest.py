@@ -8,15 +8,16 @@ cycles, and root collapses all occur within a few hundred operations.
 from __future__ import annotations
 
 import itertools
+import os
 import random
-from typing import Dict, List, Set, Tuple
+import warnings
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import factory
 from repro.core.rum import RUMTree
-from repro.crashsim.harness import _env_spill_budget
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
 from repro.rtree.geometry import Rect
 
@@ -53,6 +54,24 @@ def rum_token_tree() -> RUMTree:
     return build_rum_tree(
         node_size=SMALL_NODE, clean_upon_touch=False, inspection_ratio=0.5
     )
+
+
+def _env_spill_budget() -> Optional[int]:
+    """``REPRO_MEMO_SPILL_BUDGET`` (bytes), or ``None`` when it is unset,
+    malformed (with a warning) or not positive."""
+    raw = os.environ.get("REPRO_MEMO_SPILL_BUDGET")
+    if raw is None:
+        return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        warnings.warn(
+            f"ignoring malformed REPRO_MEMO_SPILL_BUDGET={raw!r}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    return budget if budget > 0 else None
 
 
 def memo_on_a_run_tier(module, tmp_path, monkeypatch) -> None:

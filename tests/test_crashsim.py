@@ -2,23 +2,25 @@
 regression tests for the durable-store bugfixes.
 
 The heavyweight pieces live in :mod:`repro.crashsim`; this file (a)
-unit-tests the injection machinery and the page checksums, (b) runs the
-full crash matrix — every registered fault point crossed with every
-recovery option — and (c) pins each fixed bug with a test that fails on
-the pre-fix code.
+unit-tests the injection machinery and the page checksums, (b) pins the
+derived crash matrix — the fault-point occurrences the script reaches —
+and runs a fixed sample of it: the first and last occurrence of every
+(option, tier, point, mode) cell (``python -m repro.experiments
+crashmatrix`` runs all of them), and (c) pins each fixed bug with a test
+that fails on the pre-fix code.
 """
 
 import os
 import pathlib
+from typing import Dict, List, Set
 
 import pytest
 
 from repro.core.recovery import recover_option_ii
 from repro.crashsim import (
-    FULL_WINDOW,
     CrashScenario,
     WorkloadConfig,
-    default_scenarios,
+    derive_scenarios,
     run_scenario,
     verify_pages,
 )
@@ -90,6 +92,11 @@ class TestFaultInjector:
             inj.arm("no.such.point")
         with pytest.raises(ValueError):
             inj.arm("wal.force", mode="melt")
+        # A mode the point does not support: a log force cannot tear.
+        with pytest.raises(ValueError):
+            inj.arm("wal.force", mode="torn")
+        with pytest.raises(ValueError):
+            inj.arm("memo.manifest", mode="torn")
 
     def test_simulated_crash_evades_except_exception(self):
         # The crash models the process dying: ordinary error handling
@@ -130,6 +137,20 @@ class TestFaultyDisk:
         assert disk.read_page(pid) == b"\x01" * 128
         assert disk.writes == 1 and disk.reads == 1
 
+    def test_unarmed_page_writes_are_counted(self):
+        """``hits`` counts every occurrence, armed or not — the crash
+        matrix discovers its page-write scenarios from an unarmed run.
+        The pre-fix wrapper counted page writes only while one of its
+        points was armed."""
+        inj, disk = self._stack()
+        pid = disk.allocate()
+        for byte in (1, 2, 3):
+            disk.write_page(pid, bytes([byte]) * 128)
+        assert inj.hits == {"disk.page_write": 3}
+        inj.arm("wal.force")  # another point armed: still counted
+        disk.write_page(pid, b"\x04" * 128)
+        assert inj.hits == {"disk.page_write": 1}
+
     def test_crash_mode_loses_the_write(self):
         inj, disk = self._stack()
         pid = disk.allocate()
@@ -143,10 +164,26 @@ class TestFaultyDisk:
         inj, disk = self._stack()
         pid = disk.allocate()
         disk.write_page(pid, b"\x01" * 128)
-        inj.arm("disk.page_torn", mode="torn", torn_bytes=16)
+        inj.arm("disk.page_write", mode="torn", torn_bytes=16)
         with pytest.raises(SimulatedCrash):
             disk.write_page(pid, b"\x02" * 128)
         assert disk.peek(pid) == b"\x02" * 16 + b"\x01" * 112
+        assert inj.damage == (pid, disk.peek(pid)) and inj.tear is None
+
+    @pytest.mark.parametrize("tear, new", [
+        # The bytes past the tear did not change: the new image is whole.
+        ("landed", b"\x02" * 64 + b"\x01" * 64),
+        # The bytes before it did not: the old image is whole.
+        ("lost", b"\x01" * 64 + b"\x02" * 64),
+    ])
+    def test_a_whole_image_tear_is_no_damage(self, tear, new):
+        inj, disk = self._stack()
+        pid = disk.allocate()
+        disk.write_page(pid, b"\x01" * 128)
+        inj.arm("disk.page_write", mode="torn")  # half the page lands
+        with pytest.raises(SimulatedCrash):
+            disk.write_page(pid, new)
+        assert inj.tear == tear and inj.damage is None
 
     def test_corrupt_mode_is_silent(self):
         inj, disk = self._stack()
@@ -155,6 +192,7 @@ class TestFaultyDisk:
         disk.write_page(pid, b"\x03" * 128)  # no crash
         assert inj.fired == "disk.page_write"
         assert disk.peek(pid) != b"\x03" * 128
+        assert inj.damage == (pid, disk.peek(pid))
 
 
 # ---------------------------------------------------------------------------
@@ -207,46 +245,151 @@ class TestPageChecksums:
 
 
 # ---------------------------------------------------------------------------
-# The crash matrix (the tentpole): every fault point x recovery option
+# The crash matrix: every fault-point occurrence x mode x option x tier
 # ---------------------------------------------------------------------------
 
+#: Fault-point occurrences of one unarmed run of the default script after
+#: its load phase, per (recovery option, memo run tier).  The matrix is
+#: derived from these; a change that moves a crash point re-records them
+#: and says why in CHANGES.md.
+DISCOVERED = {
+    ("I", False): {
+        "disk.page_write": 113, "disk.sync.data": 4, "disk.meta.tmp": 4,
+    },
+    ("I", True): {
+        "disk.page_write": 113, "disk.sync.data": 4, "disk.meta.tmp": 4,
+        "memo.run_flush": 5, "memo.compact": 3, "memo.manifest": 8,
+    },
+    ("II", False): {
+        "disk.page_write": 113, "disk.sync.data": 4, "disk.meta.tmp": 4,
+        "wal.force": 2, "wal.checkpoint": 2,
+    },
+    ("II", True): {
+        "disk.page_write": 113, "disk.sync.data": 4, "disk.meta.tmp": 4,
+        "wal.force": 2, "wal.checkpoint": 2,
+        "memo.run_flush": 5, "memo.compact": 3, "memo.manifest": 8,
+    },
+    ("III", False): {
+        "disk.page_write": 113, "disk.sync.data": 4, "disk.meta.tmp": 4,
+        "wal.append": 90, "wal.force": 92, "wal.checkpoint": 2,
+    },
+    ("III", True): {
+        "disk.page_write": 113, "disk.sync.data": 4, "disk.meta.tmp": 4,
+        "wal.append": 90, "wal.force": 92, "wal.checkpoint": 2,
+        "memo.run_flush": 5, "memo.compact": 3, "memo.manifest": 8,
+    },
+}
 
-@pytest.mark.parametrize(
-    "scenario", default_scenarios(), ids=lambda s: s.name
-)
-def test_crash_matrix(scenario, tmp_path):
-    """run_scenario raises CrashSimError on any violated guarantee."""
-    outcome = run_scenario(scenario, tmp_path)
-    memo_fault = (scenario.point or "").startswith("memo.")
-    if scenario.mode == "crash" and scenario.point is not None:
-        assert outcome.crashed and outcome.kind == "recovered"
-    if memo_fault and outcome.kind == "recovered":
-        # The screen is RAM only: the reopen rebuilt it from the runs.
-        assert "presence screen rebuilt over every live run" in outcome.checks
-        # ... and what recovery spilled keeps nothing that nothing needs.
-        assert "oldest recovered memo run holds absolutes only" in outcome.checks
-    if scenario.mode == "torn":
-        if memo_fault:
-            # A torn memo-run is an unnamed orphan: recovery sweeps it
-            # and the full recovered-state oracle applies.
-            assert outcome.crashed and outcome.kind == "recovered"
-        else:
-            assert outcome.kind == "torn-detected" and outcome.damaged_pages
+#: The matrix those counts imply, by cell, each cell's occurrences in
+#: order.
+CELLS: Dict[str, List[CrashScenario]] = {}
+for (_option, _tier), _hits in DISCOVERED.items():
+    _clean = CrashScenario(_option, tier=_tier)
+    CELLS[_clean.cell] = [_clean]
+    for _point, _count in _hits.items():
+        for _mode in FAULT_POINTS[_point]:
+            _runs = [
+                CrashScenario(_option, _point, _mode, skip, _tier)
+                for skip in range(_count)
+            ]
+            CELLS[_runs[0].cell] = _runs
+
+
+def test_the_matrix_is_every_discovered_occurrence():
+    """derive_scenarios() is the clean shutdown and every occurrence
+    discover() counts, in every mode its point supports — and the counts
+    are the pinned ones."""
+    derived = derive_scenarios()
+    assert len(derived) == len(set(derived)) == 2584
+    assert set(derived) == {s for runs in CELLS.values() for s in runs}
+
+
+def _verdicts(scenario: CrashScenario) -> Set[str]:
+    """The outcomes a scenario's mode allows."""
+    if scenario.mode == "crash":
+        return {"recovered"}
     if scenario.mode == "corrupt":
-        if memo_fault:
-            assert outcome.kind == "memo-corruption-detected"
-        else:
-            assert outcome.kind == "corruption-detected"
+        return {"healed", "detected"}
+    if scenario.point.startswith("memo."):
+        return {"recovered"}  # a torn run is never named: swept at reopen
+    return {"landed", "lost", "detected"}
+
+
+@pytest.mark.parametrize("cell", list(CELLS))
+def test_crash_matrix(cell, tmp_path):
+    """The first and the last occurrence of one cell; run_scenario raises
+    CrashSimError on any violated guarantee."""
+    runs = CELLS[cell]
+    for scenario in runs[:1] + runs[1:][-1:]:
+        outcome = run_scenario(scenario, tmp_path / str(scenario.skip))
+        assert outcome.kind in _verdicts(scenario)
+        assert outcome.crashed == (
+            scenario.point is not None and scenario.mode != "corrupt"
+        )
+        if scenario.tier and outcome.kind != "detected":
+            # The screen is RAM only: the reopen rebuilt it from the runs.
+            assert "presence screen rebuilt over every live run" in (
+                outcome.checks
+            )
+            # ... and what recovery spilled keeps nothing that nothing
+            # needs.
+            assert "oldest recovered memo run holds absolutes only" in (
+                outcome.checks
+            )
+
+
+@pytest.mark.parametrize("skip", [3, 4])
+def test_a_tear_that_leaves_the_new_page_is_a_landed_write(skip, tmp_path):
+    """Half of a half-empty leaf is zero padding in both images, so a
+    tear there leaves the whole new page: the write landed, and the full
+    recovery oracle holds.  The pre-fix harness demanded a page that
+    fails its checksum ("damaged page passed checksum verification")."""
+    scenario = CrashScenario("I", "disk.page_write", "torn", skip)
+    outcome = run_scenario(scenario, tmp_path)
+    assert outcome.crashed and outcome.kind == "landed"
+    assert "search equals memo-filtered leaf content" in outcome.checks
+
+
+def test_damage_read_in_flight_counts_as_detected(tmp_path):
+    """The corrupted page is read back by the operation that wrote it;
+    the PageChecksumError it raises is the detection.  The pre-fix
+    harness let it escape the workload as an error."""
+    scenario = CrashScenario("I", "disk.page_write", "corrupt", 3)
+    outcome = run_scenario(scenario, tmp_path)
+    assert outcome.kind == "detected" and not outcome.crashed
+    assert outcome.checks == ["damage refused in flight (PageChecksumError)"]
+
+
+def test_damage_a_later_write_replaced_counts_as_healed(tmp_path):
+    """The first spill's manifest is written corrupt, and a second spill
+    of the same operation replaces it before anything reads it: nothing
+    damaged is left, and the full recovery oracle holds.  The pre-fix
+    harness demanded a tier that fails to reopen ("damaged memo tier
+    silently reopened")."""
+    scenario = CrashScenario("I", "memo.manifest", "corrupt", 0, tier=True)
+    outcome = run_scenario(scenario, tmp_path)
+    assert outcome.kind == "healed" and not outcome.crashed
+    assert outcome.hits["memo.manifest"] >= 2
+    assert "search equals memo-filtered leaf content" in outcome.checks
 
 
 def test_lost_delete_semantics_across_options(tmp_path):
     """Section 3.4's documented semantics, exactly: Option III recovers
     every delete, Option II only those before the durable checkpoint,
-    Option I none (modulo entries already physically garbage-dropped)."""
+    Option I none (modulo entries already physically garbage-dropped).
+
+    The cleaner removes a deleted object's entries as it goes, and then
+    no option can resurrect it: by the end of the default 90-update
+    script it has removed all but one deleted object's, so Options I and
+    II recover the same set (23 objects, Option III 22).  Forty updates
+    end before it gets there."""
     live = {}
     for option in ("I", "II", "III"):
         directory = tmp_path / option
-        outcome = run_scenario(CrashScenario(option=option), directory)
+        outcome = run_scenario(
+            CrashScenario(option=option), directory,
+            config=WorkloadConfig(n_updates=40),
+        )
         live[option] = outcome.live_objects
     assert live["III"] < live["II"] < live["I"]
 

@@ -116,12 +116,6 @@ class TestStampAcrossRecovery:
 
 
 class TestMemoBuckets:
-    def test_custom_bucket_count(self):
-        tree = build_rum_tree(node_size=SMALL_NODE, memo_buckets=7)
-        assert tree.memo.n_buckets == 7
-        populate(tree, 40, seed=205)
-        assert len(tree.memo) >= 0  # operations work with odd bucket count
-
     def test_search_empty_window_far_away(self):
         tree = build_rum_tree(node_size=SMALL_NODE)
         populate(tree, 30, seed=206)

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import racecheck
-from repro.core.memo import DELTA, LATEST, OBSOLETE, TOMBSTONE, UMEntry, UpdateMemo
+from repro.core.memo import (
+    DELTA, LATEST, N_BUCKETS, OBSOLETE, TOMBSTONE, UMEntry, UpdateMemo,
+)
 from repro.core.memo_lsm import RunStore
 from repro.core.stamp import StampCounter
 from repro.obs import Observability
@@ -37,12 +39,12 @@ class MemoCases:
         for tmp in self._dirs:
             tmp.cleanup()
 
-    def new_memo(self, n_buckets=64):
+    def new_memo(self):
         tier = None
         if self.TIERED:
             self._dirs.append(tempfile.TemporaryDirectory(prefix="memo-tier-"))
             tier = RunStore(self._dirs[-1].name, spill_budget=3 * UM_ENTRY_BYTES)
-        self._memos.append(UpdateMemo(n_buckets, tier))
+        self._memos.append(UpdateMemo(tier))
         return self._memos[-1]
 
 
@@ -58,8 +60,6 @@ _ANY_ENTRIES = given(
         max_size=60,
         unique_by=lambda e: e[0],
     ),
-    src_buckets=st.integers(min_value=1, max_value=17),
-    dst_buckets=st.integers(min_value=1, max_value=17),
 )
 _ANY_OPS = given(
     st.lists(
@@ -218,11 +218,11 @@ class TestPhantomPurge(MemoCases):
 
 class TestSnapshotRestore(MemoCases):
     def test_roundtrip(self):
-        memo = self.new_memo(n_buckets=4)
+        memo = self.new_memo()
         for oid in range(50):
             memo.record_update(oid, oid * 10 + 1)
         snapshot = memo.snapshot()
-        other = self.new_memo(n_buckets=16)  # different bucket count is fine
+        other = self.new_memo()
         other.restore(iter(snapshot))
         assert len(other) == 50
         for oid in range(50):
@@ -252,21 +252,19 @@ class TestSnapshotRestore(MemoCases):
         assert all(entry.n_old >= 1 for entry in memo)
 
     @_ANY_ENTRIES
-    def test_snapshot_restore_roundtrip_across_bucket_counts(
-        self, entries, src_buckets, dst_buckets
-    ):
-        self.check_roundtrip(entries, src_buckets, dst_buckets)
+    def test_snapshot_restore_roundtrip_across_bucket_counts(self, entries):
+        self.check_roundtrip(entries)
 
-    def check_roundtrip(self, entries, src_buckets, dst_buckets):
-        """snapshot() -> restore() preserves exactly the valid entries,
-        whatever the bucket counts on either side; a second round-trip
-        is the identity."""
-        memo = self.new_memo(n_buckets=src_buckets)
+    def check_roundtrip(self, entries):
+        """snapshot() -> restore() preserves exactly the valid entries; a
+        second round-trip, into another memo, is the identity.  (Memos
+        took a bucket count once; the name keeps the old wording.)"""
+        memo = self.new_memo()
         memo.restore(iter(entries))
         expected = sorted(e for e in entries if e[2] > 0)
         assert sorted(memo.snapshot()) == expected
 
-        other = self.new_memo(n_buckets=dst_buckets)
+        other = self.new_memo()
         other.restore(iter(memo.snapshot()))
         assert sorted(other.snapshot()) == expected
         for oid, s_latest, n_old in expected:
@@ -319,10 +317,6 @@ class TestSizeMetrics(MemoCases):
         assert memo.size_bytes() == 0
         assert memo.total_n_old() == 0
 
-    def test_invalid_bucket_count(self):
-        with pytest.raises(ValueError):
-            self.new_memo(n_buckets=0)
-
 
 class TestMemoProperties(MemoCases):
     @_ANY_OPS
@@ -332,7 +326,7 @@ class TestMemoProperties(MemoCases):
     def check_n_old_tracks_operations(self, ops):
         """N_old equals (updates so far) - (cleans so far) for each oid,
         and the entry exists iff that number is positive."""
-        memo = self.new_memo(n_buckets=4)
+        memo = self.new_memo()
         counter = StampCounter()
         balance = {}
         for oid, kind in ops:
@@ -356,8 +350,8 @@ class TestFilterLatest(MemoCases):
     ``latest_stamp`` per entry: the same positions kept, and every tally
     where that loop would have left it."""
 
-    def new_memo(self, n_buckets=64):
-        memo = super().new_memo(n_buckets)
+    def new_memo(self):
+        memo = super().new_memo()
         if memo.tier is not None:
             memo.tier.stats = IOStats()
         return memo
@@ -401,7 +395,7 @@ class TestFilterLatest(MemoCases):
         """A memo holding every kind of record the filter can meet; above
         a tier: records in runs, a ``DELTA`` over one, a tombstone in RAM
         and one already spilled."""
-        memo = self.new_memo(n_buckets=4)
+        memo = self.new_memo()
         stamp = iter(range(1, 10_000))
         latest = {}
         for _ in range(2):
@@ -482,7 +476,7 @@ class TestFilterLatest(MemoCases):
             racecheck.deactivate()
         buckets = [event for event in seen if event[0]]
         assert buckets == [event for event in per_entry if event[0]] == [
-            (True, f"bucket[{oid % 4}]", False) for oid in oids
+            (True, f"bucket[{oid % N_BUCKETS}]", False) for oid in oids
         ]
         # Above a tier, the same run probes: one write of ``runs`` each.
         assert sorted(seen) == sorted(per_entry)
@@ -520,7 +514,7 @@ class TestScreenedSweep:
 
     @staticmethod
     def agree(history, oids, stamps, budget):
-        memos = [UpdateMemo(n_buckets=4), UpdateMemo(n_buckets=4)]
+        memos = [UpdateMemo(), UpdateMemo()]
         for memo in memos:
             for stamp, oid in enumerate(history, start=1):
                 memo.record_update(oid, stamp)
@@ -583,10 +577,8 @@ class TestSnapshotRestoreTiered(TestSnapshotRestore):
     TIERED = True
 
     @_ANY_ENTRIES
-    def test_snapshot_restore_roundtrip_across_bucket_counts(
-        self, entries, src_buckets, dst_buckets
-    ):
-        self.check_roundtrip(entries, src_buckets, dst_buckets)
+    def test_snapshot_restore_roundtrip_across_bucket_counts(self, entries):
+        self.check_roundtrip(entries)
 
 
 class TestSizeMetricsTiered(TestSizeMetrics):

@@ -964,7 +964,7 @@ SCRIPT_BLOOM_FP_CEILING = 6
 
 
 def script_memo(directory, **kwargs):
-    return tiny_memo(directory, budget_entries=3, n_buckets=4, **kwargs)
+    return tiny_memo(directory, budget_entries=3, **kwargs)
 
 
 def run_script(directory):

@@ -169,11 +169,10 @@ def _memo_pair(kind, tmp_path_factory):
     for _ in range(2):
         stats = IOStats()
         if kind == "ram":
-            memo = UpdateMemo(n_buckets=4)
+            memo = UpdateMemo()
         else:
             memo = SpillingUpdateMemo(
                 tmp_path_factory.mktemp("memo"),
-                n_buckets=4,
                 spill_budget=3 * UM_ENTRY_BYTES,
                 stats=stats,
             )
@@ -211,7 +210,7 @@ def test_sweep_matches_per_entry_loop(
             memo.close()
             reopened.append(
                 SpillingUpdateMemo(
-                    memo.directory, n_buckets=4,
+                    memo.directory,
                     spill_budget=3 * UM_ENTRY_BYTES, stats=stats,
                 )
             )
@@ -261,7 +260,7 @@ def test_sweep_reports_its_bucket_accesses_to_the_race_detector():
 
     seen = []
     for sweep in (UpdateMemo.sweep_obsolete, _reference_sweep):
-        memo = UpdateMemo(n_buckets=4)
+        memo = UpdateMemo()
         for oid in (1, 2, 3):
             memo.record_update(oid, 10 + oid)
             memo.record_update(oid, 20 + oid)
@@ -278,7 +277,7 @@ def test_sweep_reports_its_bucket_accesses_to_the_race_detector():
 
 
 def test_sweep_budget_and_empty_leaf():
-    memo = UpdateMemo(n_buckets=4)
+    memo = UpdateMemo()
     for oid in (1, 2, 3):
         memo.record_update(oid, 10 + oid)
         memo.record_update(oid, 20 + oid)

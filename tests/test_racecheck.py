@@ -312,7 +312,7 @@ class TestSeededRacesOnRealStructures:
         # The canonical seeded bug: two threads record updates into the
         # same memo bucket without a lock (Section 3.5's protocol
         # requires one).  The detector must flag the bucket.
-        memo = UpdateMemo(n_buckets=4)
+        memo = UpdateMemo()
         stamps = iter(range(1, 10001))
         stamp_lock = threading.Lock()
 
@@ -329,7 +329,7 @@ class TestSeededRacesOnRealStructures:
     def test_locked_memo_updates_clean(self, checker):
         # Same workload, disciplined: each thread holds one lock across
         # its record_update.  Zero races.
-        memo = UpdateMemo(n_buckets=4)
+        memo = UpdateMemo()
         lock = make_lock()
         stamps = iter(range(1, 10001))
         stamp_lock = threading.Lock()
@@ -360,7 +360,7 @@ class TestSeededRacesOnRealStructures:
         # A lockless whole-table snapshot concurrent with a locked
         # bucket writer is still a race on that bucket: the snapshot
         # holds nothing, so the candidate lockset drains to empty.
-        memo = UpdateMemo(n_buckets=2)
+        memo = UpdateMemo()
         lock = make_lock()
 
         def writer():
