@@ -300,14 +300,14 @@ def bench_batch(metrics: Dict, iters: int) -> None:
     see the same tree and host: ``update_object`` alone, a one-op
     ``apply_batch``, and ``update_object`` behind each piece of bookkeeping
     only the batch pays — ``plan_batch`` of its op (fold and Z-order),
-    inside ``batch_scope`` (an ``operation()`` plus its tally), inside
+    inside the batch's one ``buffer.operation()`` (its page scope), inside
     ``defer_spills`` (the memo's spill hold, a no-op context here).
     ``ops_per_sec`` is the batch of one's rate; ``update_us`` and
     ``batch_of_one_us`` are medians, ``gap_us`` their difference, each
     ``*_us`` part its leg's median minus ``update_us`` — the piece's cost
     where it runs, between insertions that evict it from the CPU caches —
-    and ``other_us`` the rest of the gap (calls, the group-commit
-    placeholder, the ``BatchResult``).
+    and ``other_us`` the rest of the gap (calls, the leaf-tally deltas,
+    the ``BatchResult``).
     """
     workload = default_network_workload(
         scaled(20_000), moving_distance=0.02, seed=11
@@ -327,8 +327,8 @@ def bench_batch(metrics: Dict, iters: int) -> None:
         plan_batch([("update", oid, rect)])
         update_object(oid, None, rect)
 
-    def batch_scope_part(oid: int, rect: Rect) -> None:
-        with buffer.batch_scope():
+    def operation_part(oid: int, rect: Rect) -> None:
+        with buffer.operation():
             update_object(oid, None, rect)
 
     def defer_spills_part(oid: int, rect: Rect) -> None:
@@ -339,7 +339,7 @@ def bench_batch(metrics: Dict, iters: int) -> None:
         "update": update,
         "batch_of_one": batch_of_one,
         "plan_batch": plan_batch_part,
-        "batch_scope": batch_scope_part,
+        "operation": operation_part,
         "defer_spills": defer_spills_part,
     }
     order = list(legs.items())
@@ -366,7 +366,7 @@ def bench_batch(metrics: Dict, iters: int) -> None:
         "batch_of_one_us": us["batch_of_one"],
         "gap_us": us["batch_of_one"] - us["update"],
     }
-    parts = ("plan_batch", "batch_scope", "defer_spills")
+    parts = ("plan_batch", "operation", "defer_spills")
     for name in parts:
         row[f"{name}_us"] = us[name] - us["update"]
     row["other_us"] = row["gap_us"] - sum(row[f"{n}_us"] for n in parts)

@@ -26,11 +26,10 @@ half of that pipeline:
 * **Z-order locality key** (:func:`repro.rtree.zorder.zorder_key`) —
   surviving insertions are sorted by the Morton code of their
   rectangle's centre, so consecutive choose-subtree descents land on
-  nearby leaves and the batch scope's page pinning turns repeat visits
-  into buffer hits.  The encoding itself lives in
+  nearby leaves and the batch's one buffer operation turns repeat
+  visits into buffer hits.  The encoding lives in
   :mod:`repro.rtree.zorder` (it also drives the serving layer's shard
-  partition); ``zorder_key`` and ``ZORDER_BITS`` stay re-exported here
-  for existing callers.
+  partition).
 """
 
 from __future__ import annotations
@@ -39,14 +38,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rtree.geometry import Rect
-from repro.rtree.zorder import ZORDER_BITS, zorder_key, zorder_keys
+from repro.rtree.zorder import zorder_keys
 
 __all__ = [
     "KINDS",
-    "ZORDER_BITS",
-    "zorder_key",
-    "BatchUpsert",
-    "BatchDelete",
     "BatchPlan",
     "BatchResult",
     "normalize_op",
@@ -57,30 +52,16 @@ __all__ = [
 KINDS = ("insert", "update", "delete")
 
 
-@dataclass(frozen=True)
-class BatchUpsert:
-    """One surviving insertion of a batch plan."""
-
-    oid: int
-    rect: Rect
-
-
-@dataclass(frozen=True)
-class BatchDelete:
-    """One surviving deletion of a batch plan."""
-
-    oid: int
-
-
 @dataclass
 class BatchPlan:
     """The deduplicated, locality-ordered form of one operation batch."""
 
-    #: Surviving insertions, sorted by :func:`zorder_key` of their rects.
-    upserts: List[BatchUpsert] = field(default_factory=list)
-    #: Surviving deletions (order is irrelevant: they touch no page in
-    #: the memo-based path and distinct oids never interact).
-    deletes: List[BatchDelete] = field(default_factory=list)
+    #: Surviving insertions as ``(oid, rect)``, sorted by the Z-order key
+    #: of their rects.
+    upserts: List[Tuple[int, Rect]] = field(default_factory=list)
+    #: Surviving deletions as oids (order is irrelevant: they touch no
+    #: page in the memo-based path and distinct oids never interact).
+    deletes: List[int] = field(default_factory=list)
     #: Operations in the input batch.
     total_ops: int = 0
 
@@ -108,7 +89,8 @@ class BatchResult:
     deduped: int
     inserts: int
     deletes: int
-    #: Leaf dirty-marks vs. distinct pages written by the batch scope;
+    #: Leaf dirty-marks vs. leaf pages written during the batch (deltas
+    #: of the buffer pool's ``leaf_mark_count`` / ``write_back_count``);
     #: their difference is the writeback the batching coalesced away.
     write_marks: int = 0
     pages_written: int = 0
@@ -182,22 +164,22 @@ def plan_batch(ops: Iterable[Sequence]) -> BatchPlan:
         states[oid] = _fold(states.get(oid), op)
 
     plan = BatchPlan(total_ops=total)
+    upserts = plan.upserts
     for oid, (kind, new_rect) in states.items():
         if kind == "noop":
             continue
         if kind == "delete":
-            plan.deletes.append(BatchDelete(oid))
+            plan.deletes.append(oid)
         elif new_rect is None:  # fold invariant: upserts carry a rect
             raise RuntimeError(f"batch fold lost the rect of oid {oid}")
         else:
-            plan.upserts.append(BatchUpsert(oid, new_rect))
-    if plan.upserts:
+            upserts.append((oid, new_rect))
+    if upserts:
         # One bulk encode, then a keyed sort: same order as sorting by
-        # (zorder_key(u.rect), u.oid) per element.
-        keys = zorder_keys([u.rect for u in plan.upserts])
+        # (zorder_key(rect), oid) per element.
+        keys = zorder_keys([rect for _, rect in upserts])
         order = sorted(
-            range(len(plan.upserts)),
-            key=lambda i: (keys[i], plan.upserts[i].oid),
+            range(len(upserts)), key=lambda i: (keys[i], upserts[i][0])
         )
-        plan.upserts = [plan.upserts[i] for i in order]
+        plan.upserts = [upserts[i] for i in order]
     return plan

@@ -217,9 +217,9 @@ class GarbageCleaner:
         step credit accrues (to within one float rounding: one multiply
         here vs ``n`` additions there) and the same token steps run — but
         the bookkeeping is paid once and the steps execute back to back
-        at the end of the batch instead of interleaved with it.  Inside a
-        batch scope of the host's storage the steps' page writes then
-        coalesce with the batch's own writeback.
+        at the end of the batch instead of interleaved with it.  Inside
+        the batch's buffer operation the steps' page writes then coalesce
+        with the batch's own writeback.
         """
         if self.n_tokens == 0 or self.inspection_ratio <= 0 or n_updates <= 0:
             return

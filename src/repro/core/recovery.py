@@ -173,9 +173,9 @@ def recover_option_ii(tree: RUMTree) -> RecoveryReport:
 def recover_option_iii(tree: RUMTree) -> RecoveryReport:
     """Option III: restore the checkpoint and replay the memo-change log.
 
-    **Torn batches.** Batched ingestion (``RUMTree.apply_batch`` under
-    group commit) logs a *stamp lease* before each batch and defers the
-    forced flush of the batch's memo records to the batch end.  A crash
+    **Torn batches.** Batched ingestion (``RUMTree.apply_batch``) logs a
+    forced *stamp lease* before each batch, appends the batch's memo
+    records unforced and forces them once at the batch end.  A crash
     inside the batch therefore leaves the lease durable but (part of)
     the records volatile, while the tree — durable on its own in this
     failure model — may already contain entries the batch inserted.  The

@@ -19,10 +19,8 @@ here; the recovery procedures themselves live in
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
-    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -200,18 +198,22 @@ class RUMTree(RTreeBase, MemoHost):
     #: update drift model.
     _INSERT_IS_UPDATE = True
 
-    def _memo_write(self, oid: int, rect: Optional[Rect]) -> None:  # holds: latch
+    # holds: latch
+    def _memo_write(
+        self, oid: int, rect: Optional[Rect], force: bool = True
+    ) -> None:
         """The body every RUM-tree write runs: bump the stamp, record it in
-        the memo, log it under Option III and, for an upsert, insert the
-        new entry.  A deletion (``rect`` None) never touches the tree: the
-        bump alone makes every entry of ``oid`` obsolete (Figure 5)."""
+        the memo, log it under Option III (forced, unless a batch forces
+        once at its end) and, for an upsert, insert the new entry.  A
+        deletion (``rect`` None) never touches the tree: the bump alone
+        makes every entry of ``oid`` obsolete (Figure 5)."""
         stamp = self.stamps.next()
         # Update the memo first so that clean-upon-touch already sees the
         # previous entry of this object as obsolete while the target leaf
         # is in hand.
         self.memo.record_update(oid, stamp)
         if self.recovery_option == RECOVERY_FULL_LOG:
-            self.wal.append_memo_change(oid, stamp)
+            self.wal.append_memo_change(oid, stamp, force)
         if rect is not None:
             with self.buffer.operation():
                 self._insert(LeafEntry(rect, oid, stamp), 0, set())
@@ -290,48 +292,34 @@ class RUMTree(RTreeBase, MemoHost):
         return result
 
     def _apply_batch_plan(self, plan: BatchPlan) -> BatchResult:  # holds: latch
-        """Run :meth:`_memo_write` for every surviving operation inside
-
-        * one :meth:`BufferPool.batch_scope` — repeat leaf visits hit the
-          pinned op cache and writeback coalesces into a single ordered
-          flush at scope exit, and
-        * one :meth:`WriteAheadLog.group_commit` (Option III only) — the
-          per-record forced flushes fold into one force at scope exit,
-          so a batch of N memo changes costs one forced log write (plus
-          one for the stamp lease reserved up front, which keeps the
-          recovered stamp counter ahead of any tree entry a crashed
-          batch leaves behind; see :meth:`WriteAheadLog.
-          append_stamp_lease` and ``docs/BATCHING.md`` for the weakened
-          mid-batch durability contract).
-
-        The cleaner is credited once with :meth:`GarbageCleaner.on_batch`
-        inside the scopes, where its steps' page writes coalesce with the
-        batch's own writeback, and the batch accrues toward the checkpoint
-        after the group commit has made its memo records durable — so at
-        most one UM checkpoint is written per batch, at its end.
+        """Run :meth:`_memo_write` for every surviving operation
+        (docs/BATCHING.md).  Under Option III a forced stamp lease comes
+        first: the batch inserts durable tree entries before its records
+        are forced, and recovery must never reissue a stamp such an
+        orphan may carry.  One buffer operation then holds the writes
+        (unforced records) and the cleaner's one credit, so repeat leaf
+        visits hit its cache and the writeback is one ordered flush at
+        its end; the memo spills at most once, when the spill hold
+        closes; one forced log write (the group commit) follows, before
+        the leaf flush, and an exception skips it.  The checkpoint
+        accrual comes after that force: at most one UM checkpoint per
+        batch, at its end.
         """
         n = plan.surviving
         full_log = self.recovery_option == RECOVERY_FULL_LOG
         if full_log and n:
-            # Reserve the batch's stamp range up front (forced
-            # immediately, outside the group scope): the batch inserts
-            # durable tree entries before its memo records are forced,
-            # and recovery must never reissue a stamp that may sit on
-            # such an entry orphaned by a crashed group commit.
             self.wal.append_stamp_lease(self.stamps.current + n)
-        wal_scope: ContextManager[None] = (
-            self.wal.group_commit() if full_log else nullcontext()
-        )
-        # defer_spills: with a disk-tiered memo the batch's records stay
-        # in RAM and flush as at most one run at scope exit — the batch
-        # *is* the memo run flush (a no-op for the in-RAM memo).
-        with self.buffer.batch_scope() as scope, wal_scope, \
-                self.memo.defer_spills():
-            for d in plan.deletes:
-                self._memo_write(d.oid, None)
-            for u in plan.upserts:
-                self._memo_write(u.oid, u.rect)
-            self.cleaner.on_batch(n)
+        buffer = self.buffer
+        marks, written = buffer.leaf_mark_count, buffer.write_back_count
+        with buffer.operation():
+            with self.memo.defer_spills():
+                for oid in plan.deletes:
+                    self._memo_write(oid, None, False)
+                for oid, rect in plan.upserts:
+                    self._memo_write(oid, rect, False)
+                self.cleaner.on_batch(n)
+            if full_log and n:
+                self.wal.force()
         self._accrue(n)
         return BatchResult(
             total_ops=plan.total_ops,
@@ -339,8 +327,8 @@ class RUMTree(RTreeBase, MemoHost):
             deduped=plan.deduped,
             inserts=len(plan.upserts),
             deletes=len(plan.deletes),
-            write_marks=scope.write_marks,
-            pages_written=scope.pages_written,
+            write_marks=buffer.leaf_mark_count - marks,
+            pages_written=buffer.write_back_count - written,
         )
 
     # ------------------------------------------------------------------
@@ -380,23 +368,17 @@ class RUMTree(RTreeBase, MemoHost):
         Demonstrates that the memo filter composes with *any* R-tree query
         algorithm (Section 3.2.3): the incremental best-first stream of
         candidate entries is simply filtered through CheckStatus, pulling
-        further candidates whenever an obsolete entry (or an older version
-        of an object already reported) is skipped.
+        further candidates whenever an obsolete entry is skipped (ties at
+        the ``k``-th distance go to the smaller oid, as in the base tree).
         """
-        results: List[tuple] = []
-        reported = set()
-        for e, dist in self.iter_nearest(x, y):
-            if self.memo.check_status(e.oid, e.stamp) != "LATEST":
-                continue
-            if e.oid in reported:  # defensive; latest entries are unique
-                continue
-            reported.add(e.oid)
-            results.append(
-                (dist, e.oid, e.stamp, e.rect) if stamped else (e.oid, e.rect)
-            )
-            if len(results) == k:
-                break
-        return results
+        check_status = self.memo.check_status
+        return self._nearest_rows(
+            (
+                (e, dist) for e, dist in self.iter_nearest(x, y)
+                if check_status(e.oid, e.stamp) == "LATEST"
+            ),
+            k, stamped,
+        )
 
     _knn_body = _memo_filtered_knn
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, insort
-from operator import sub
+from operator import itemgetter, sub
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -504,14 +505,28 @@ class RTreeBase:
         return [(e.oid, e.rect) for e in raw]
 
     def _knn_body(self, x: float, y: float, k: int, stamped: bool) -> List[tuple]:
-        results: List[tuple] = []
-        for e, dist in self.iter_nearest(x, y):
-            results.append(
-                (dist, e.oid, e.stamp, e.rect) if stamped else (e.oid, e.rect)
-            )
-            if len(results) == k:
+        return self._nearest_rows(self.iter_nearest(x, y), k, stamped)
+
+    @staticmethod
+    def _nearest_rows(
+        candidates: Iterable[Tuple[LeafEntry, float]], k: int, stamped: bool
+    ) -> List[tuple]:
+        """The ``k`` nearest of ``candidates`` (``(entry, distance)`` in
+        increasing distance), ties broken by oid: every candidate as near
+        as the ``k``-th is pulled, then the rows are ordered by ``(dist,
+        oid)`` and cut at ``k``.  So the answer does not depend on the
+        order the traversal pops tied entries in, and a sharded router's
+        ``(dist, oid)`` merge agrees with one tree."""
+        rows: List[tuple] = []
+        for e, dist in candidates:
+            if len(rows) >= k and dist > rows[k - 1][0]:
                 break
-        return results
+            rows.append((dist, e.oid, e.stamp, e.rect))
+        rows.sort(key=itemgetter(0, 1))
+        del rows[k:]
+        if stamped:
+            return rows
+        return [(oid, rect) for _dist, oid, _stamp, rect in rows]
 
     # ------------------------------------------------------------------
     # Insertion

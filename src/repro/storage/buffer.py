@@ -25,13 +25,15 @@ Usage::
 Accesses outside an operation degrade gracefully to read-through /
 write-through with the same counters; the recovery scans use that mode.
 
-A **batch scope** (:meth:`BufferPool.batch_scope`) stretches the same
-mechanism over many logical operations: every operation opened inside the
-scope flattens into it, so a page touched by several updates of one batch
-is read at most once and written back at most once — at scope exit, in
-ascending page-id order so the disk sees one sequential sweep.  The scope
-reports how many dirty-marks it coalesced away, which is the batching
-pipeline's headline I/O saving.
+A batch stretches the same mechanism over many logical operations: it
+opens one :meth:`BufferPool.operation` around all of them, every operation
+opened inside flattens into it, so a page touched by several updates of
+one batch is read at most once and written back at most once — at scope
+exit, in ascending page-id order so the disk sees one sequential sweep.
+The pool counts leaf dirty-marks (``leaf_mark_count``) beside page
+write-backs (``write_back_count``); their deltas over a batch say how many
+leaf writes it coalesced away, the batching pipeline's headline I/O
+saving.
 
 The pool has one concurrency contract: a single writer.  Every entry
 point, a query's ``get_node`` included, fills or reorders a cache, so
@@ -44,9 +46,7 @@ operations conflict and a finer location would only delay the report.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
 from repro.concurrency import racecheck
 from repro.obs.metrics import UNPUBLISHED, republish
@@ -59,20 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.rtree.node import Node
 
     from .codec import NodeCodec
-
-
-@dataclass
-class BatchScopeStats:
-    """What one :meth:`BufferPool.batch_scope` saw and saved.
-
-    ``write_marks`` counts every leaf ``mark_dirty`` inside the scope;
-    ``pages_written`` the distinct dirty pages actually written at exit.
-    Their difference (``BatchResult.coalesced_writes``) is the number of
-    leaf writes the batch amortised away versus per-operation writeback.
-    """
-
-    write_marks: int = 0
-    pages_written: int = 0
 
 
 class _OperationScope:
@@ -149,20 +135,21 @@ class BufferPool:
         self._lru: Dict[int, "Node"] = {}
         self._lru_dirty: Set[int] = set()
         self._op_depth = 0
-        #: Stats of the innermost open batch scope (None outside one).
-        self._batch: Optional[BatchScopeStats] = None
         #: Lifetime cache tallies, plain ints kept whether or not obs is
         #: attached: one integer add per page access costs the same at
-        #: every level.  ``attach_obs`` publishes them.
+        #: every level.  ``attach_obs`` publishes them.  A leaf mark is a
+        #: ``mark_dirty`` of a leaf; its write-back may come later, and
+        #: once for many marks.
         self.hit_count = 0
         self.miss_count = 0
         self.write_back_count = 0
+        self.leaf_mark_count = 0
         self.eviction_count = 0
         self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
         """Publish the cache tallies as counters: hits, misses,
-        evictions, write-backs.
+        evictions, write-backs, leaf dirty-marks.
 
         A *hit* is any ``get_node`` served from the internal cache, the
         operation cache, or the resident LRU; a *miss* reads the disk.
@@ -175,6 +162,7 @@ class BufferPool:
             "buffer.hits": lambda: self.hit_count,
             "buffer.misses": lambda: self.miss_count,
             "buffer.write_backs": lambda: self.write_back_count,
+            "buffer.leaf_marks": lambda: self.leaf_mark_count,
             "buffer.evictions": lambda: self.eviction_count,
         }, {
             "buffer.internal_cached": self.cached_internal_nodes,
@@ -194,25 +182,6 @@ class BufferPool:
         page accesses, as in the paper.
         """
         return self._op_scope
-
-    @contextmanager
-    def batch_scope(self) -> Iterator[BatchScopeStats]:
-        """An :meth:`operation` plus a tally of what it coalesced.
-
-        Every operation opened inside it flattens into it, so a leaf page
-        touched by several updates of one batch is read once and written
-        once.  Yields a :class:`BatchScopeStats` that, after exit, reports
-        how many leaf writes the coalescing saved.  Nested scopes flatten
-        into the outermost one (an inner tally then only sees its own
-        dirty-marks; pages are written, and counted, by the outer exit).
-        """
-        stats = BatchScopeStats()
-        previous, self._batch = self._batch, stats
-        try:
-            with self._op_scope:
-                yield stats
-        finally:
-            self._batch = previous
 
     @property
     def in_operation(self) -> bool:
@@ -239,8 +208,6 @@ class BufferPool:
                 self.stats.record_write(is_leaf=True)
                 written += 1
             self.write_back_count += written
-        if self._batch is not None:
-            self._batch.pages_written = written
         self._dirty_leaves.clear()
         self._op_leaf_cache.clear()
         return written
@@ -421,9 +388,7 @@ class BufferPool:
         node.cached_bytes = None
         node.columns = node.area_rows = None
         if node.is_leaf:
-            batch = self._batch
-            if batch is not None:
-                batch.write_marks += 1
+            self.leaf_mark_count += 1
             if self.in_operation:
                 self._op_leaf_cache[node.page_id] = node
                 self._dirty_leaves.add(node.page_id)

@@ -24,23 +24,20 @@ behind it, which is exactly what a crash does to a real log device: the
 fault-injection harness arms a crash between "record appended in memory"
 and "force completed" and the record must be gone after reopen.
 
-**Group commit** (:meth:`group_commit`): inside the scope, ``force=True``
-appends defer their forced flush; the scope exit performs *one* force
-covering every deferred record.  A batch of N memo changes then costs one
-forced ``log_write`` instead of N (plus the page-fill writes either way).
-The durability contract weakens exactly as a real group-committed log
-does: a record inside an open group is durable only once its bytes are
-behind a flushed page boundary — a crash before the closing force loses
-the in-memory tail, and :meth:`crash_truncate` reflects that.  The scope
-never forces after an exception, so a :class:`SimulatedCrash` raised
+**Group commit** is the caller's: a batch appends its N memo changes
+unforced (``force=False``) and then calls :meth:`force` once, so it costs
+one forced ``log_write`` instead of N (plus the page-fill writes either
+way).  An unforced record is durable only once its bytes are behind a
+flushed page boundary — a crash before the closing force loses the
+in-memory tail, and :meth:`crash_truncate` reflects that.  A batch that
+raises never reaches its force, so a :class:`SimulatedCrash` raised
 mid-batch cannot retroactively make the batch durable.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.obs.metrics import UNPUBLISHED, republish
 
@@ -101,19 +98,10 @@ class WriteAheadLog:
         #: Records known to be on stable storage (prefix length); the
         #: suffix beyond it dies with the process — see crash_truncate().
         self._durable_count = 0
-        #: Open group-commit scopes (nested scopes flatten into one).
-        self._group_depth = 0
-        #: True when some record inside the open group asked for a force
-        #: that was deferred to the scope exit.
-        self._group_pending = False
-        #: Forces done, forces a group commit deferred, group commits
-        #: that paid one, and log pages written (appends are
-        #: ``_next_lsn``).  The page tally is the WAL's own: ``stats``
-        #: charges the same writes to ``log_writes``, which
-        #: ``IOStats.reset()`` rewinds.
+        #: Forces done and log pages written (appends are ``_next_lsn``).
+        #: The page tally is the WAL's own: ``stats`` charges the same
+        #: writes to ``log_writes``, which ``IOStats.reset()`` rewinds.
         self.force_count = 0
-        self.deferred_force_count = 0
-        self.group_commit_count = 0
         self.page_write_count = 0
         self._obs: Optional["Observability"] = None
         self._obs_published = UNPUBLISHED
@@ -126,8 +114,6 @@ class WriteAheadLog:
             "wal.appends": lambda: self._next_lsn,
             "wal.forced_flushes": lambda: self.force_count,
             "wal.page_writes": lambda: self.page_write_count,
-            "wal.group_commits": lambda: self.group_commit_count,
-            "wal.deferred_forces": lambda: self.deferred_force_count,
         }, {"wal.records": self.__len__, "wal.bytes": self.total_bytes})
 
     # -- writing -------------------------------------------------------------
@@ -172,13 +158,7 @@ class WriteAheadLog:
             )
 
         if force:
-            if self._group_depth > 0:
-                # Group commit: the force is owed by the enclosing scope,
-                # which pays it once for the whole batch.
-                self._group_pending = True
-                self.deferred_force_count += 1
-            else:
-                self.force()
+            self.force()
         return record
 
     def force(self) -> None:
@@ -200,41 +180,11 @@ class WriteAheadLog:
             self.page_write_count += 1
         self.force_count += 1
         self._durable_count = len(self._records)
-        self._group_pending = False
-
-    @contextmanager
-    def group_commit(self) -> Iterator[None]:
-        """Defer forced flushes inside the scope to one force at exit.
-
-        Nested scopes flatten: only the outermost exit forces.  The exit
-        force happens only when (a) some record inside the scope asked
-        for ``force=True`` and (b) the scope body completed without an
-        exception — a crash mid-batch must leave the undurable tail
-        undurable, which is exactly the group-commit contract the crash
-        tests pin down.
-        """
-        self._group_depth += 1
-        completed = False
-        try:
-            yield
-            completed = True
-        finally:
-            self._group_depth -= 1
-            if (
-                completed
-                and self._group_depth == 0
-                and self._group_pending
-            ):
-                self.force()
-                self.group_commit_count += 1
-
-    @property
-    def in_group_commit(self) -> bool:
-        return self._group_depth > 0
 
     def append_memo_change(self, oid: int, stamp: int,
                            force: bool = True) -> LogRecord:
-        """Option III: log a single memo change (force-flushed by default)."""
+        """Option III: log a single memo change (force-flushed by default;
+        a batch appends unforced and forces once at its end)."""
         return self.append(
             "memo", (oid, stamp), MEMO_CHANGE_BYTES, force=force
         )
@@ -242,13 +192,12 @@ class WriteAheadLog:
     def append_stamp_lease(self, stamp_hi: int) -> LogRecord:
         """Reserve the stamp range below ``stamp_hi`` ahead of a batch.
 
-        A group-committed batch inserts tree entries *before* its memo
-        records are forced; the tree is durable on its own, so a crash
-        can leave entries stamped beyond every durable memo record.
-        Logging the batch's stamp ceiling first — flushed immediately,
-        bypassing any open group-commit scope — lets Option III recovery
-        restore a stamp counter that dominates those orphaned entries
-        without scanning the tree.  Costs the batch one extra forced log
+        A batch inserts tree entries *before* its memo records are
+        forced; the tree is durable on its own, so a crash can leave
+        entries stamped beyond every durable memo record.  Logging the
+        batch's stamp ceiling first — flushed immediately — lets Option
+        III recovery restore a stamp counter that dominates those
+        orphaned entries without scanning the tree.  Costs the batch one extra forced log
         write (so two per batch, versus one per *update* unbatched).
         """
         record = self.append("lease", stamp_hi, STAMP_LEASE_BYTES)
@@ -320,9 +269,6 @@ class WriteAheadLog:
             del self._records[self._durable_count:]
         total = sum(r.nbytes for r in self._records)
         self._current_fill = total % self.page_size
-        # The process died: any open group-commit scope died with it.
-        self._group_depth = 0
-        self._group_pending = False
         return lost
 
     # -- introspection -------------------------------------------------------------

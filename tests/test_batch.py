@@ -1,11 +1,12 @@
 """Tests for the batched update ingestion pipeline.
 
-Covers the four layers the pipeline spans: the pure batch planner
-(``repro.core.batch``), the buffer pool's batch scope, the WAL's group
-commit (including its crash semantics), and the RUM-tree's
-``apply_batch``, which runs the same per-op memo write as a single
-update inside its scopes.  The centrepiece is the equivalence property: applying a batch must be
-observably identical to applying the same operations sequentially.
+Covers the layers the pipeline spans: the pure batch planner
+(``repro.core.batch``), the WAL's group commit (unforced appends and one
+closing force, including their crash semantics), and the RUM-tree's
+``apply_batch``, which runs the same per-op memo write as a single update
+inside one buffer operation.  The centrepiece is the equivalence
+property: applying a batch must be observably identical to applying the
+same operations sequentially.
 
 Under ``REPRO_MEMO_SPILL_BUDGET`` (CI's memo spill-tier leg) every RUM
 tree of this file stands its memo on a run tier with that RAM budget, so
@@ -14,6 +15,7 @@ tree of this file stands its memo on a run tier with that RAM budget, so
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -21,11 +23,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SMALL_NODE, memo_on_a_run_tier, populate, random_window
-from repro.core.batch import plan_batch, zorder_key
+from repro.core.batch import plan_batch
+from repro.core.memo_lsm import SpillingUpdateMemo
+from repro.core.rum import RUMTree
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
 from repro.lint.invariants import check_tree
 from repro.rtree.geometry import Rect
-from repro.storage.faults import FaultInjector, SimulatedCrash
+from repro.rtree.zorder import zorder_key
+from repro.storage.buffer import BufferPool
+from repro.storage.codec import NodeCodec
+from repro.storage.disk import DiskManager
+from repro.storage.faults import FaultInjector, FaultyDisk, SimulatedCrash
 from repro.storage.iostats import IOStats
 from repro.storage.wal import WriteAheadLog
 
@@ -70,8 +78,7 @@ class TestPlanBatch:
         )
         assert plan.total_ops == 3
         assert plan.deduped == 2
-        (up,) = plan.upserts
-        assert (up.oid, up.rect) == (7, _rect(0.4, 0.4))
+        assert plan.upserts == [(7, _rect(0.4, 0.4))]
 
     def test_insert_then_delete_is_noop(self):
         plan = plan_batch(
@@ -96,8 +103,7 @@ class TestPlanBatch:
             [("delete", 3, stored), ("insert", 3, _rect(0.8, 0.8))]
         )
         assert not plan.deletes
-        (up,) = plan.upserts
-        assert up.rect == _rect(0.8, 0.8)
+        assert plan.upserts == [(3, _rect(0.8, 0.8))]
 
     def test_noop_then_insert_is_fresh_insert(self):
         plan = plan_batch(
@@ -107,8 +113,7 @@ class TestPlanBatch:
                 ("insert", 1, _rect(0.9, 0.9)),
             ]
         )
-        (up,) = plan.upserts
-        assert up.rect == _rect(0.9, 0.9)
+        assert plan.upserts == [(1, _rect(0.9, 0.9))]
 
     def test_update_then_delete_is_a_delete(self):
         plan = plan_batch(
@@ -118,8 +123,7 @@ class TestPlanBatch:
             ]
         )
         assert not plan.upserts
-        (dl,) = plan.deletes
-        assert dl.oid == 5
+        assert plan.deletes == [5]
 
     def test_upserts_sorted_by_zorder(self):
         rng = random.Random(42)
@@ -128,7 +132,7 @@ class TestPlanBatch:
             for i in range(50)
         ]
         plan = plan_batch(ops)
-        keys = [zorder_key(u.rect) for u in plan.upserts]
+        keys = [zorder_key(rect) for _, rect in plan.upserts]
         assert keys == sorted(keys)
 
     def test_validation_errors(self):
@@ -169,14 +173,14 @@ class TestPlanBatch:
                 ops.append((kind, oid, rect))
                 visible[oid] = rect
         plan = plan_batch(ops)
-        planned = {u.oid: u.rect for u in plan.upserts}
+        planned = dict(plan.upserts)
         # Deletes in the plan must not overlap the upserts, and nothing
         # visible may be missing from the upserts.
         assert set(planned) == set(visible)
         for oid, rect in visible.items():
             assert planned[oid] == rect
-        for d in plan.deletes:
-            assert d.oid not in visible
+        for oid in plan.deletes:
+            assert oid not in visible
 
 
 class TestZOrder:
@@ -448,9 +452,7 @@ class TestBatchAmortisation:
         append_checkpoint = wal.append_checkpoint
 
         def recording_checkpoint(*args):
-            at_checkpoint.append(
-                (wal.in_group_commit, wal.durable_records(), len(wal))
-            )
+            at_checkpoint.append((wal.durable_records(), len(wal)))
             return append_checkpoint(*args)
 
         wal.append_checkpoint = recording_checkpoint
@@ -474,10 +476,10 @@ class TestBatchAmortisation:
         assert wal.checkpoint_count() == checkpoints + 1
         assert tree._updates_since_checkpoint == 0
         assert cleaner.updates_seen == seen + 11
-        # The checkpoint was appended outside the group commit with every
-        # earlier record durable: after the batch's closing force.
-        ((in_group, durable, logged),) = at_checkpoint
-        assert not in_group and durable == logged
+        # The checkpoint was appended with every earlier record durable:
+        # after the batch's closing force.
+        ((durable, logged),) = at_checkpoint
+        assert durable == logged
         if option == "III":
             *batch, last = wal.read_from(0)[-3:]
             assert sorted(r.payload[0] for r in batch) == [8, 9]
@@ -490,21 +492,37 @@ class TestBatchAmortisation:
 
 
 # ---------------------------------------------------------------------------
-# WAL group commit
+# WAL group commit: a batch appends its records unforced, then forces once
 # ---------------------------------------------------------------------------
 
 
+def _full_log_batch(seed):
+    rng = random.Random(seed)
+    return [
+        ("update", oid, _rect(rng.random(), rng.random()))
+        for oid in range(10)
+    ]
+
+
 class TestWalGroupCommit:
+    def _full_log_tree(self):
+        tree = build_rum_tree(
+            node_size=SMALL_NODE,
+            recovery_option="III",
+            checkpoint_interval=1_000,
+        )
+        populate(tree, 30, seed=61)
+        return tree
+
     def test_forces_once_per_group(self):
-        stats = IOStats()
-        wal = WriteAheadLog(4096, stats)
-        with wal.group_commit():
-            for i in range(10):
-                wal.append_memo_change(i, i + 1)  # force=True, deferred
-            assert wal.durable_records() == 0
-        assert wal.durable_records() == 10
-        # One forced flush for the whole group (no page ever filled).
-        assert stats.log_writes == 1
+        tree = self._full_log_tree()
+        wal = tree.wal
+        forces, logged = wal.force_count, len(wal)
+        tree.apply_batch(_full_log_batch(62))
+        # The stamp lease plus one closing force for all ten records.
+        assert wal.force_count == forces + 2
+        assert len(wal) == logged + 11
+        assert wal.durable_records() == len(wal)
 
     def test_without_group_each_append_forces(self):
         stats = IOStats()
@@ -516,43 +534,42 @@ class TestWalGroupCommit:
     def test_no_pending_force_means_no_flush(self):
         stats = IOStats()
         wal = WriteAheadLog(4096, stats)
-        with wal.group_commit():
-            wal.append("memo", None, 24, force=False)
+        for i in range(10):
+            wal.append_memo_change(i, i + 1, force=False)
         assert stats.log_writes == 0
         assert wal.durable_records() == 0
-
-    def test_nested_groups_flatten(self):
-        stats = IOStats()
-        wal = WriteAheadLog(4096, stats)
-        with wal.group_commit():
-            wal.append_memo_change(1, 1)
-            with wal.group_commit():
-                wal.append_memo_change(2, 2)
-            # Inner exit must not force: the outer scope owns it.
-            assert wal.durable_records() == 0
-        assert wal.durable_records() == 2
+        wal.force()
+        # One forced flush for all ten (no page ever filled).
         assert stats.log_writes == 1
+        assert wal.durable_records() == 10
 
     def test_page_boundary_inside_group_still_advances_durability(self):
         stats = IOStats()
         wal = WriteAheadLog(48, stats)  # two 24-byte records per page
-        with wal.group_commit():
-            wal.append_memo_change(1, 1)
-            wal.append_memo_change(2, 2)  # fills the page
-            assert wal.durable_records() == 2
-            wal.append_memo_change(3, 3)
-            assert wal.durable_records() == 2
+        wal.append_memo_change(1, 1, force=False)
+        wal.append_memo_change(2, 2, force=False)  # fills the page
+        assert wal.durable_records() == 2
+        wal.append_memo_change(3, 3, force=False)
+        assert wal.durable_records() == 2
+        wal.force()
         assert wal.durable_records() == 3
 
     def test_exception_inside_group_leaves_tail_undurable(self):
-        wal = WriteAheadLog(4096, IOStats())
+        tree = self._full_log_tree()
+        wal = tree.wal
+        forces, logged = wal.force_count, len(wal)
+
+        def boom(n):
+            raise RuntimeError("boom")
+
+        # The cleaner is credited after every record is appended and
+        # before the closing force.
+        tree.cleaner.on_batch = boom
         with pytest.raises(RuntimeError):
-            with wal.group_commit():
-                wal.append_memo_change(1, 1)
-                raise RuntimeError("boom")
-        assert wal.durable_records() == 0
-        assert wal.crash_truncate() == 1
-        assert len(wal) == 0
+            tree.apply_batch(_full_log_batch(63))
+        assert wal.force_count == forces + 1  # the stamp lease only
+        assert wal.durable_records() == logged + 1
+        assert wal.crash_truncate() == 10
 
     def test_crash_mid_group_loses_undurable_records(self):
         inj = FaultInjector()
@@ -560,24 +577,21 @@ class TestWalGroupCommit:
         wal.append_memo_change(0, 1)  # durable before the batch
         inj.arm("wal.append", skip=2)
         with pytest.raises(SimulatedCrash):
-            with wal.group_commit():
-                wal.append_memo_change(1, 2)
-                wal.append_memo_change(2, 3)
-                wal.append_memo_change(3, 4)  # crashes here
+            for i in range(1, 4):  # the third append crashes
+                wal.append_memo_change(i, i + 1, force=False)
         assert wal.durable_records() == 1
         lost = wal.crash_truncate()
         assert lost == 2
         assert [r.payload for r in wal.read_from(0)] == [(0, 1)]
-        assert not wal.in_group_commit  # crash reset the group state
 
     def test_crash_at_group_commit_force_loses_batch(self):
         inj = FaultInjector()
         wal = WriteAheadLog(4096, IOStats(), faults=inj)
+        wal.append_memo_change(1, 1, force=False)
+        wal.append_memo_change(2, 2, force=False)
         inj.arm("wal.force")
         with pytest.raises(SimulatedCrash):
-            with wal.group_commit():
-                wal.append_memo_change(1, 1)
-                wal.append_memo_change(2, 2)
+            wal.force()
         # The closing force crashed before flushing: the whole batch is
         # volatile, exactly like a crash an instant before the force.
         assert wal.durable_records() == 0
@@ -673,7 +687,7 @@ class TestBatchCrashRecovery:
         # the first four of the plan, not of the input batch.
         from repro.core.batch import plan_batch
 
-        applied = {u.oid: u.rect for u in plan_batch(ops).upserts[:4]}
+        applied = dict(plan_batch(ops).upserts[:4])
         expected = dict(positions)
         expected.update(applied)
         assert dict(tree.search(Rect(0, 0, 1, 1))) == expected
@@ -728,6 +742,49 @@ class TestBatchCrashRecovery:
         assert tree.stamps.current == stamp_after
         assert sorted(tree.search(Rect(0, 0, 1, 1))) == expected
         check_tree(tree)
+
+
+    def test_fault_points_fire_in_durability_order(self, tmp_path):
+        """One Option-III batch over a run tier, cleaner on, reaches its
+        crash windows in the batch's durability order: the stamp lease's
+        append and force, the memo records (unforced), the spill's run and
+        manifest writes, the one closing force, then the leaf flush."""
+        seen = []
+
+        class Recording(FaultInjector):
+            def _count(self, point):
+                seen.append(point)
+                return super()._count(point)
+
+        inj, stats = Recording(), IOStats()
+        tree = RUMTree(
+            BufferPool(
+                FaultyDisk(DiskManager(SMALL_NODE), inj),
+                NodeCodec(SMALL_NODE, rum_leaves=True),
+                stats,
+            ),
+            recovery_option="III",
+            wal=WriteAheadLog(SMALL_NODE, stats, faults=inj),
+            checkpoint_interval=10**9,
+            memo=SpillingUpdateMemo(
+                str(tmp_path), spill_budget=256, stats=stats, faults=inj
+            ),
+        )
+        populate(tree, 120, seed=7)
+        rng = random.Random(8)
+        seen.clear()
+        tree.apply_batch(
+            [("update", oid, _rect(rng.random(), rng.random()))
+             for oid in range(16)]
+        )
+        assert [(p, len(list(g))) for p, g in itertools.groupby(seen)] == [
+            ("wal.append", 1), ("wal.force", 1),
+            ("wal.append", 16),
+            ("memo.compact", 1), ("memo.run_flush", 1), ("memo.manifest", 1),
+            ("memo.compact", 1), ("memo.manifest", 1),
+            ("wal.force", 1),
+            ("disk.page_write", 14),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ class TestKNNAllTrees:
         distances = [_euclidean(rect, 0.5, 0.5) for _oid, rect in hits]
         assert distances == sorted(distances)
 
+    def test_ties_at_kth_distance_go_to_smaller_oids(self, builder):
+        """Five objects share one point; which of them fill the last
+        slots must not depend on the order the traversal pops them."""
+        tree = builder(node_size=SMALL_NODE)
+        for oid in (5, 4, 3, 2, 1):
+            tree.insert_object(oid, Rect.from_point(0.0, 0.0))
+        tree.insert_object(7, Rect.from_point(0.3, 0.9))
+        for k in range(1, 7):
+            got = [oid for oid, _r in tree.nearest_neighbors(0.0, 1.0, k)]
+            assert got == [7, 1, 2, 3, 4, 5][:k]
+
     def test_k_larger_than_population(self, builder):
         tree = builder(node_size=SMALL_NODE)
         populate(tree, 7, seed=153)

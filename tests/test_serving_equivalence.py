@@ -8,7 +8,7 @@ This is the test the CI racecheck job also runs with ``REPRO_RACECHECK=1``
 so migrations execute under the detector.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.factory import build_rum_tree
@@ -68,6 +68,13 @@ def _apply_to_tree(tree, ops):
 
 @settings(max_examples=40, deadline=None)
 @given(ops=ops_strategy, qx=coords, qy=coords)
+# Five objects tie at the k-th distance: each tree must break the tie by
+# oid, as the sharded merge does.
+@example(
+    ops=[("upsert", oid, 0.0, 0.0) for oid in (5, 4, 3, 2, 1)]
+    + [("upsert", 7, 0.3, 0.9)],
+    qx=0.0, qy=1.0,
+)
 def test_routers_equivalent_to_bare_tree(ops, qx, qy):
     tree = build_rum_tree(node_size=512)
     _apply_to_tree(tree, ops)

@@ -16,7 +16,6 @@ from repro.rtree.geometry import Rect
 from repro.rtree.zorder import (
     KEY_BITS,
     QUANT_SLACK,
-    ZORDER_BITS,
     morton_key,
     shard_bits,
     shard_for_key,
@@ -248,11 +247,3 @@ class TestShardsForWindow:
         # A window entirely outside the square clamps to the border.
         targets = shards_for_window(Rect(1.5, 1.5, 2.0, 2.0), 2)
         assert shard_for_point(1.5, 1.5, 2) in targets
-
-
-class TestBatchIntegration:
-    def test_batch_reexports_zorder(self):
-        from repro.core import batch
-
-        assert batch.zorder_key is zorder_key
-        assert batch.ZORDER_BITS == ZORDER_BITS
