@@ -19,8 +19,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Project-specific AST linter: enforces the repro conventions "
-            "(crash-safety excepts, buffer-pool accounting, codec "
-            "layouts, deterministic experiments, ...)."
+            "(crash-safety excepts, deterministic experiments, lock "
+            "discipline, ...)."
         ),
     )
     parser.add_argument(

@@ -12,9 +12,8 @@ Rules come in two flavours:
 * **per-file** rules implement ``check(ctx)`` and yield
   ``(line, col, message)`` tuples for one file at a time;
 * **project** rules additionally implement ``check_project(contexts)``
-  and see every scanned file at once (the codec/layout cross-check needs
-  the node-constant declarations *and* the struct format strings, which
-  live in different modules).
+  and see every scanned file at once (the lock-order graph joins the
+  nestings of every module before it looks for a cycle).
 """
 
 from __future__ import annotations

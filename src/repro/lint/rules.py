@@ -1,7 +1,7 @@
-"""The project-specific lint rules (REP001–REP010).
+"""The project-specific lint rules (REP001, REP004–REP008, REP010).
 
-Each rule enforces one convention that an earlier PR introduced and that
-nothing else checks mechanically.  Scoping is by path *segment* (e.g.
+Each rule enforces one convention whose violation can pass every test
+(``docs/LINT.md`` names a planted one per rule).  Scoping is by path *segment* (e.g.
 "under ``experiments/``", "exempt under ``crashsim/``"), so the rules
 apply identically to the real tree and to test fixtures arranged in the
 same directory shape.  See ``docs/LINT.md`` for the catalogue with
@@ -11,8 +11,7 @@ examples and suppression syntax.
 from __future__ import annotations
 
 import ast
-import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import FileContext, LintRule, register
 
@@ -89,153 +88,6 @@ class BroadExceptRule(LintRule):
                         "'except Exception' is too broad for library "
                         "code; catch the exceptions the block can raise",
                     )
-
-
-@register
-class BufferBypassRule(LintRule):
-    """Tree code must not talk to the disk behind the buffer pool.
-
-    Every leaf I/O must be billed through
-    :class:`~repro.storage.buffer.BufferPool` (the paper's accounting
-    model); a direct ``read_page``/``write_page`` from tree-level code
-    would produce unaccounted disk accesses and quietly falsify the
-    Section 4–5 cost comparisons.  The storage layer itself, the
-    persistence snapshotter, and the crash harness legitimately touch
-    pages and are exempt.
-    """
-
-    rule_id = "REP002"
-    summary = (
-        "no direct DiskManager.read_page/write_page from rtree/, core/ "
-        "or extensions/ (storage/, persistence.py, crashsim/ exempt)"
-    )
-
-    _BANNED = {"read_page", "write_page"}
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_segment("rtree", "core", "extensions"):
-            return
-        if ctx.in_segment("storage", "crashsim"):
-            return
-        if ctx.filename == "persistence.py":
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._BANNED
-            ):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"direct page I/O '.{node.func.attr}()' bypasses the "
-                    "BufferPool accounting path; go through the buffer "
-                    "pool so the access is billed",
-                )
-
-
-@register
-class CodecLayoutRule(LintRule):
-    """Struct format strings must match the declared node field layout.
-
-    The codec's entry formats (``_INDEX_FMT``/``_CLASSIC_FMT``/
-    ``_RUM_FMT``) and the header format must pack exactly the byte sizes
-    declared by ``repro.rtree.node`` (``*_ENTRY_BYTES``,
-    ``NODE_HEADER_BYTES``) and carry the right number of fields — a
-    silent drift (say, dropping the stamp from the RUM layout) would
-    corrupt every page on disk while still "working" in memory.  The
-    byte constants are read from the scanned tree when present and fall
-    back to the canonical paper layout.
-    """
-
-    rule_id = "REP003"
-    summary = (
-        "codec struct format strings must agree with the declared node "
-        "entry sizes and field counts"
-    )
-
-    #: format-constant name -> (size-constant name, canonical size,
-    #: expected number of packed fields)
-    _LAYOUTS = {
-        "_HEADER_FMT": ("NODE_HEADER_BYTES", 32, 5),
-        "_INDEX_FMT": ("INDEX_ENTRY_BYTES", 40, 5),
-        "_CLASSIC_FMT": ("CLASSIC_LEAF_ENTRY_BYTES", 40, 5),
-        "_RUM_FMT": ("RUM_LEAF_ENTRY_BYTES", 56, 7),
-    }
-
-    def _declared_sizes(
-        self, contexts: Sequence[FileContext]
-    ) -> Dict[str, int]:
-        sizes: Dict[str, int] = {}
-        wanted = {size_name for size_name, _, _ in self._LAYOUTS.values()}
-        for ctx in contexts:
-            # Only rtree/node.py declares the canonical layout; other
-            # modules (extensions/btree.py, rtree/secondary_index.py)
-            # reuse the same constant names for unrelated structures.
-            if ctx.filename != "node.py" or not ctx.in_segment("rtree"):
-                continue
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id in wanted
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, int)
-                    ):
-                        sizes[target.id] = node.value.value
-        return sizes
-
-    def check_project(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Tuple[FileContext, int, int, str]]:
-        declared = self._declared_sizes(contexts)
-        for ctx in contexts:
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    if not (
-                        isinstance(target, ast.Name)
-                        and target.id in self._LAYOUTS
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, str)
-                    ):
-                        continue
-                    fmt = node.value.value
-                    size_name, canonical, n_fields = self._LAYOUTS[target.id]
-                    expected = declared.get(size_name, canonical)
-                    try:
-                        kernel = struct.Struct("<" + fmt)
-                    except struct.error as exc:
-                        yield (
-                            ctx,
-                            node.lineno,
-                            node.col_offset,
-                            f"{target.id} = {fmt!r} is not a valid struct "
-                            f"format: {exc}",
-                        )
-                        continue
-                    if kernel.size != expected:
-                        yield (
-                            ctx,
-                            node.lineno,
-                            node.col_offset,
-                            f"{target.id} = {fmt!r} packs {kernel.size} "
-                            f"bytes but {size_name} declares {expected}",
-                        )
-                        continue
-                    got_fields = len(kernel.unpack(b"\x00" * kernel.size))
-                    if got_fields != n_fields:
-                        yield (
-                            ctx,
-                            node.lineno,
-                            node.col_offset,
-                            f"{target.id} = {fmt!r} packs {got_fields} "
-                            f"fields but the node layout declares "
-                            f"{n_fields}",
-                        )
 
 
 @register

@@ -22,8 +22,6 @@ REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 ALL_RULE_IDS = (
     "REP001",
-    "REP002",
-    "REP003",
     "REP004",
     "REP005",
     "REP006",
@@ -130,80 +128,6 @@ class TestBroadExcept:
             """,
         )
         assert lint(tmp_path, "REP001") == []
-
-
-class TestBufferBypass:
-    BAD = """
-        def probe(disk):
-            return disk.read_page(0)
-    """
-
-    def test_flags_in_tree_code(self, tmp_path):
-        write(tmp_path, "rtree/m.py", self.BAD)
-        write(tmp_path, "core/n.py", "def f(d):\n    d.write_page(1, b'')\n")
-        diags = lint(tmp_path, "REP002")
-        assert len(diags) == 2
-
-    def test_storage_and_persistence_exempt(self, tmp_path):
-        write(tmp_path, "storage/m.py", self.BAD)
-        write(tmp_path, "core/persistence.py", self.BAD)
-        write(tmp_path, "crashsim/m.py", self.BAD)
-        assert lint(tmp_path, "REP002") == []
-
-    def test_other_packages_not_scoped(self, tmp_path):
-        write(tmp_path, "workload/m.py", self.BAD)
-        assert lint(tmp_path, "REP002") == []
-
-
-class TestCodecLayout:
-    NODE = """
-        NODE_HEADER_BYTES = 32
-        INDEX_ENTRY_BYTES = 40
-        CLASSIC_LEAF_ENTRY_BYTES = 40
-        RUM_LEAF_ENTRY_BYTES = 56
-    """
-
-    def test_size_mismatch_flagged(self, tmp_path):
-        write(tmp_path, "rtree/node.py", self.NODE)
-        # 4d2q = 48 bytes, not the declared 56.
-        write(tmp_path, "storage/codec.py", '_RUM_FMT = "4d2q"\n')
-        diags = lint(tmp_path, "REP003")
-        assert len(diags) == 1
-        assert "48" in diags[0].message and "56" in diags[0].message
-
-    def test_field_count_mismatch_flagged(self, tmp_path):
-        write(tmp_path, "rtree/node.py", self.NODE)
-        # 6d2i packs the right 56 bytes but 8 fields instead of 7.
-        write(tmp_path, "storage/codec.py", '_RUM_FMT = "6d2i"\n')
-        diags = lint(tmp_path, "REP003")
-        assert len(diags) == 1
-        assert "fields" in diags[0].message
-
-    def test_invalid_format_flagged(self, tmp_path):
-        write(tmp_path, "storage/codec.py", '_INDEX_FMT = "4z"\n')
-        diags = lint(tmp_path, "REP003")
-        assert len(diags) == 1
-        assert "not a valid struct format" in diags[0].message
-
-    def test_correct_layout_passes(self, tmp_path):
-        write(tmp_path, "rtree/node.py", self.NODE)
-        write(
-            tmp_path,
-            "storage/codec.py",
-            """
-            _HEADER_FMT = "BxHxxxxqqI4x"
-            _INDEX_FMT = "4dq"
-            _CLASSIC_FMT = "4dq"
-            _RUM_FMT = "4d3q"
-            """,
-        )
-        assert lint(tmp_path, "REP003") == []
-
-    def test_canonical_fallback_without_node_module(self, tmp_path):
-        # No node.py in the fixture: the canonical paper sizes apply.
-        write(tmp_path, "storage/codec.py", '_CLASSIC_FMT = "4dqq"\n')
-        diags = lint(tmp_path, "REP003")
-        assert len(diags) == 1
 
 
 class TestDeterminism:

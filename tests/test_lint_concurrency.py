@@ -2,9 +2,8 @@
 
 Same fixture discipline as ``test_lint.py``: every rule gets a failing
 fixture (the violation the rule was written to catch), a suppression
-check, and a negative (compliant code passes).  The last test runs the
-five rules over the real source tree — the discipline they enforce must
-hold in the code that ships.
+check, and a negative (compliant code passes).  The real source tree is
+linted once, by ``test_lint.py::TestRealTree``, with every rule.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import textwrap
 from repro.lint import run_lint
 
 REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-CONCURRENCY_RULES = ("REP011", "REP012", "REP013", "REP014", "REP015")
 
 
 def write(root: pathlib.Path, rel: str, body: str) -> pathlib.Path:
@@ -616,11 +613,6 @@ class TestThreadingPrimitives:
 
 
 class TestRealTree:
-    def test_concurrency_rules_clean_over_src(self):
-        assert REPO_SRC.is_dir()
-        diags = run_lint([REPO_SRC], select=list(CONCURRENCY_RULES))
-        assert diags == []
-
     def test_lock_order_graph_sees_the_real_edge(self):
         # The harness nests granule locks outside the structure latch;
         # flipping one nesting elsewhere must close a reportable cycle.
