@@ -5,10 +5,9 @@ Unlike the ``bench_fig*`` experiment replays, these measure the raw
 throughput of single layers every experiment sits on — the page codec,
 the columnar kernels, the buffer pool, the update memo, the serving
 layers around a router that does nothing and the router around shards
-that do nothing — plus the paired A/B *ratios* of the observability
-levels and the race detector.  Every
-end-to-end number (ops/s, latency, counted I/O of a whole stack) comes
-from ``benchmarks/stack/bench_stack.py``, which verifies its answers.
+that do nothing.  Every end-to-end number (ops/s, latency, counted I/O
+of a whole stack) comes from ``benchmarks/stack/bench_stack.py``, which
+verifies its answers.
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_micro.py [output.json]
@@ -23,12 +22,8 @@ root (or to the path given as the first argument) with the schema::
       "metrics": {
         "<name>": {"ops_per_sec": <float>, "iterations": <int>},
         ...
-      },
-      "<leg>_overhead_pct": {"update": <float>, "query": <float>}
+      }
     }
-
-with one ``*_overhead_pct`` block per A/B leg (``obs_metrics``,
-``racecheck_on``).
 
 Metric names are stable identifiers; ``scripts/bench_compare.py`` diffs
 two such files and flags regressions.  Iteration counts scale with
@@ -47,26 +42,23 @@ import statistics
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from repro import kernels
-from repro.concurrency import racecheck
 from repro.concurrency.primitives import make_lock
 from repro.core.batch import plan_batch
 from repro.core.memo import UpdateMemo
 from repro.core.memo_lsm import SpillingUpdateMemo
-from repro.concurrency.racecheck import RaceChecker
-from repro.obs import Observability
 from repro.experiments.harness import (
     bench_scale,
     load_tree,
     make_tree,
     scaled,
 )
-from repro.rtree.base import MIRROR_QUERY_STREAK, RTreeBase
+from repro.rtree.base import RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
 from repro.serving import ServingClient, ShardRouter, ShardServer
@@ -75,7 +67,6 @@ from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
 from repro.storage.iostats import IOStats
 from repro.workload.objects import default_network_workload
-from repro.workload.queries import RangeQueryGenerator
 
 SCHEMA = "bench_micro/v1"
 NODE_SIZE = 8192
@@ -671,219 +662,6 @@ def bench_serving(metrics: Dict, iters: int) -> None:
             os.sched_setaffinity(0, affinity)
 
 
-#: Updates/queries per timed slice of the interleaved obs A/B.
-AB_CHUNK = 100
-
-#: Independent passes of the paired A/B; per-leg times take the minimum
-#: across passes, which discards passes hit by host-steal episodes.
-AB_PASSES = 3
-
-#: The observability A/B legs — plain baseline (``obs=None``) and level
-#: ``metrics`` — as the Observability factory for that leg's tree.
-AB_LEGS = (
-    lambda: None,
-    lambda: Observability(level="metrics"),
-)
-
-
-def _ab_pass(
-    factories: Sequence[Callable[[], object]],
-    n: int,
-    n_queries: int,
-    build_rot: int = 0,
-) -> tuple:
-    """One full paired pass: fresh trees, chunk-interleaved update then
-    query phases.  Returns per-leg ``(update_times, query_times)``.
-
-    ``factories`` build one tree per leg (the legs differ only in what
-    is attached to the tree); each gets its own copy of the same
-    deterministic workload.  ``build_rot`` rotates the order the legs'
-    trees are *built* in.  Build order shapes heap layout (later trees
-    land in a larger, more fragmented heap and see slightly worse
-    locality), which shows up as a systematic ~2-4% bias against
-    later-built legs that execution-order rotation cannot cancel.
-    Rotating build position across passes gives every leg one pass in
-    each position, and the per-leg min over passes compares the legs at
-    their common best layout.
-    """
-    n_legs = len(factories)
-    trees: list = [None] * n_legs
-    streams: list = [None] * n_legs
-    for j in range(n_legs):
-        i = (build_rot + j) % n_legs
-        workload = default_network_workload(n, moving_distance=0.01, seed=11)
-        tree = factories[i]()
-        load_tree(tree, workload.initial())
-        trees[i] = tree
-        streams[i] = iter(workload.updates(n))
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        utimes = [0.0] * n_legs
-        done = 0
-        rnd = 0
-        while done < n:
-            take = min(AB_CHUNK, n - done)
-            gc.collect()
-            # Rotate which leg runs first: the leg right after the
-            # collection sees colder caches, and that penalty must not
-            # always land on the same side of the ratios.
-            for k in range(n_legs):
-                i = (rnd + k) % n_legs
-                stream = streams[i]
-                update = trees[i].update_object
-                t0 = time.process_time()
-                for _ in range(take):
-                    oid, _old, new = next(stream)
-                    update(oid, _old, new)
-                utimes[i] += time.process_time() - t0
-            done += take
-            rnd += 1
-
-        # Unmeasured warm-up on a *different* query seed: a sustained
-        # query phase amortises away its one-time costs — per-entry-count
-        # struct kernels compiled on first decode, and the query mirror
-        # built after MIRROR_QUERY_STREAK mutation-free searches — and the
-        # metrics leg's adaptive query sampling reaches its steady
-        # stride, so the measured slices reflect sampled steady state.
-        for tree in trees:
-            for window in RangeQueryGenerator(seed=7).queries(
-                MIRROR_QUERY_STREAK + 8
-            ):
-                tree.search(window)
-        qstreams = [
-            iter(RangeQueryGenerator(seed=2).queries(n_queries))
-            for _ in trees
-        ]
-        qtimes = [0.0] * n_legs
-        done = 0
-        rnd = 0
-        while done < n_queries:
-            take = min(AB_CHUNK, n_queries - done)
-            gc.collect()
-            for k in range(n_legs):
-                i = (rnd + k) % n_legs
-                qstream = qstreams[i]
-                search = trees[i].search
-                t0 = time.process_time()
-                for _ in range(take):
-                    search(next(qstream))
-                qtimes[i] += time.process_time() - t0
-            done += take
-            rnd += 1
-        return utimes, qtimes
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def bench_obs_ab() -> Dict[str, float]:
-    """Paired end-to-end A/B of observability: the relative slowdown of
-    level ``metrics`` vs the plain leg.
-
-    Both legs execute the exact same workload; the only difference is
-    the :class:`Observability` attached to the tree.  The plain leg
-    (``obs=None``) pays one attribute load + ``None`` check per guarded
-    site, as every uninstrumented tree does; level ``metrics``
-    additionally pays the histograms, the flight-recorder capture, and
-    the drift EWMA feed (counts are plain ints on both legs).
-
-    Single-leg repeats on this workload disperse by ±5-10% (allocator
-    growth, interpreter warm-up, host jitter), which drowns a
-    few-percent overhead.  Two counter-measures:
-
-    * **Chunk interleaving** — instead of timing whole legs back to
-      back, one tree per leg advances through the *same* deterministic
-      update/query stream in alternating ``AB_CHUNK``-op slices, each
-      leg accumulating its own summed timer.  Slow drift of the host
-      then hits every leg's slices roughly equally and cancels out of
-      the ratios.  The cyclic GC is disabled inside timed slices (its
-      pauses would land on whichever leg happened to allocate past the
-      threshold) and runs at slice boundaries instead, off the clock.
-    * **Min-of-passes with rotated build order** — the whole paired
-      pass repeats ``AB_PASSES`` times on fresh trees, each pass
-      building the legs' trees in a rotated order (see
-      :func:`_ab_pass`), and each leg keeps its *minimum* total.
-      Host-steal episodes span many consecutive slices, so a stolen
-      pass inflates one leg's sum more than another's; the minimum
-      discards those passes, cancels the build-position bias, and
-      converges on the undisturbed cost.
-    """
-    return _ab_run([
-        (lambda make=make_obs: make_tree("rum_touch", node_size=2048, obs=make()))
-        for make_obs in AB_LEGS
-    ])[0]
-
-
-def _ab_run(
-    factories: Sequence[Callable[[], object]],
-) -> List[Dict[str, float]]:
-    """Min-of-passes paired A/B over ``factories``: for each leg after
-    the first (the plain baseline), its relative slowdown per op class
-    in percent.  Ratios from one interleaved run are all a 2 000-object
-    CPU-time loop can support, so no absolute rate is published."""
-    n = scaled(2000)
-    n_queries = scaled(2000)
-    n_legs = len(factories)
-    best_u = [float("inf")] * n_legs
-    best_q = [float("inf")] * n_legs
-    for p in range(AB_PASSES):
-        utimes, qtimes = _ab_pass(factories, n, n_queries, build_rot=p % n_legs)
-        for i in range(n_legs):
-            best_u[i] = min(best_u[i], utimes[i])
-            best_q[i] = min(best_q[i], qtimes[i])
-    return [
-        {
-            op: (best[i] / best[0] - 1.0) * 100.0 if best[0] > 0 else 0.0
-            for op, best in (("update", best_u), ("query", best_q))
-        }
-        for i in range(1, n_legs)
-    ]
-
-
-def bench_racecheck_ab() -> Dict[str, float]:
-    """Paired end-to-end A/B of the Eraser race detector: the relative
-    slowdown of a tree the detector watches vs the plain leg.
-
-    Same chunk-interleaved, min-of-passes machinery as
-    :func:`bench_obs_ab`.  The detector has one switch,
-    ``racecheck.ACTIVE``, which every probe in the process reads, so the
-    active leg's tree is built while it is on (its locks are tracked)
-    and its timed calls set it for their own duration only: the plain
-    leg's tree, sharing the process, stays unprobed.  The plain leg
-    pays each dormant probe's ``None`` check, as every shipped tree
-    does.
-
-    The run is single-threaded, so the active leg measures the per-probe
-    bookkeeping cost (lockset/epoch updates under the checker's mutex),
-    not contention; the threaded suites exercise the detection side.
-    """
-
-    def plain():
-        return make_tree("rum_touch", node_size=2048)
-
-    def active():
-        checker = racecheck.activate(RaceChecker())
-        try:
-            tree = make_tree("rum_touch", node_size=2048)
-        finally:
-            racecheck.deactivate()
-        for name in ("update_object", "search"):
-
-            def switched(*args, _call=getattr(tree, name)):
-                racecheck.activate(checker)
-                try:
-                    return _call(*args)
-                finally:
-                    racecheck.deactivate()
-
-            setattr(tree, name, switched)
-        return tree
-
-    return _ab_run((plain, active))[0]
-
-
 def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     scale = bench_scale()
     iters = max(50, int(2000 * scale))
@@ -894,17 +672,11 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
     bench_memo(metrics, iters)
     bench_batch(metrics, iters)
     bench_serving(metrics, iters)
-    # Each A/B is its own paired run with its own plain leg as the
-    # baseline: an overhead must come from one interleaved process run.
-    overhead_metrics = bench_obs_ab()
-    racecheck_on = bench_racecheck_ab()
     report = {
         "schema": SCHEMA,
         "scale": scale,
         "node_size": NODE_SIZE,
         "metrics": metrics,
-        "obs_metrics_overhead_pct": overhead_metrics,
-        "racecheck_on_overhead_pct": racecheck_on,
     }
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for name in sorted(metrics):
@@ -914,10 +686,6 @@ def run(output: pathlib.Path = DEFAULT_OUTPUT) -> Dict:
         "batch of one vs update_object: "
         + ", ".join(f"{k} {v:.2f}" for k, v in gap.items() if k.endswith("_us"))
     )
-    for op, pct in sorted(overhead_metrics.items()):
-        print(f"obs metrics overhead ({op}): {pct:+.2f}%")
-    for op, pct in sorted(racecheck_on.items()):
-        print(f"racecheck active overhead ({op}): {pct:+.2f}%")
     print(f"wrote {output}")
     return report
 

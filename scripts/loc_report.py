@@ -3,27 +3,30 @@
 
 Usage::
 
-    python scripts/loc_report.py [--markdown] [ROOT | FILE.py ...]
+    python scripts/loc_report.py [--markdown] [--options] [ROOT | FILE.py ...]
 
 For each root (default ``src`` and ``tests``) prints, per package and in
 total, the physical lines of its ``*.py`` files (what ``wc -l`` counts,
 the figure ROADMAP and CHANGES.md quote) and the code lines among them
 (not blank, not a ``#`` comment).  ``.py`` file arguments are reported
 together, one row each plus their total — the per-file figures an issue
-quotes.  ``--markdown`` emits tables for the CI job summary.
+quotes.  ``--options`` counts options instead of lines: the parameters
+with a default in the public signatures (see :func:`count_options`), the
+figure behind ROADMAP item 7's "no new option".  ``--markdown`` emits
+tables for the CI job summary.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import sys
-from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def count(path: pathlib.Path) -> Tuple[int, int]:
+def count(path: pathlib.Path) -> Tuple[int, ...]:
     """``(physical lines, code lines)`` of one source file."""
     lines = path.read_text(encoding="utf-8").splitlines()
     code = sum(
@@ -31,6 +34,29 @@ def count(path: pathlib.Path) -> Tuple[int, int]:
         if line.strip() and not line.lstrip().startswith("#")
     )
     return len(lines), code
+
+
+def count_options(path: pathlib.Path) -> Tuple[int, ...]:
+    """``(options,)`` of one source file: the parameters with a default
+    in its public signatures — the module-level functions and the
+    methods of module-level classes (``__init__`` included) whose names
+    and whose class's names do not start with ``_``."""
+    options = 0
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            if node.name.startswith("_"):
+                continue
+            defs = node.body
+        else:
+            defs = [node]
+        for fn in defs:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                fn.name == "__init__" or not fn.name.startswith("_")
+            ):
+                options += len(fn.args.defaults) + sum(
+                    default is not None for default in fn.args.kw_defaults
+                )
+    return (options,)
 
 
 def package_of(path: pathlib.Path, root: pathlib.Path) -> str:
@@ -42,24 +68,27 @@ def package_of(path: pathlib.Path, root: pathlib.Path) -> str:
     return parts[0] if parts else "."
 
 
-def report(keyed: List[Tuple[str, pathlib.Path]]) -> List[Tuple[str, int, int, int]]:
-    """Rows ``(key, files, lines, code)`` over ``(key, file)`` pairs,
-    keys sorted, total last."""
-    totals: Dict[str, List[int]] = defaultdict(lambda: [0, 0, 0])
+def report(
+    keyed: List[Tuple[str, pathlib.Path]],
+    measure: Callable[[pathlib.Path], Tuple[int, ...]],
+) -> List[Tuple]:
+    """Rows ``(key, files, *measure)`` over ``(key, file)`` pairs, keys
+    sorted, total last."""
+    totals: Dict[str, List[int]] = {}
     for name, path in keyed:
-        lines, code = count(path)
+        counts = (1, *measure(path))
         for key in (name, "total"):
-            row = totals[key]
-            row[0] += 1
-            row[1] += lines
-            row[2] += code
+            before = totals.get(key, [0] * len(counts))
+            totals[key] = [a + b for a, b in zip(before, counts)]
     names = sorted(name for name in totals if name != "total") + ["total"]
     return [(name, *totals[name]) for name in names]
 
 
 def main(argv: List[str]) -> int:
     markdown = "--markdown" in argv
-    args = [arg for arg in argv if arg != "--markdown"] or ["src", "tests"]
+    options = "--options" in argv
+    flags = ("--markdown", "--options")
+    args = [arg for arg in argv if arg not in flags] or ["src", "tests"]
     files = [arg for arg in args if arg.endswith(".py")]
     tables = [
         (f"{root}/", [
@@ -71,21 +100,24 @@ def main(argv: List[str]) -> int:
     if files:
         tables.append(("files", [(name, REPO / name) for name in files]))
     for name, keyed in tables:
-        rows = report(keyed)
+        rows = report(keyed, count_options if options else count)
         if markdown:
-            print(f"### `{name}` line counts\n")
-            print("| package | files | lines | code lines |")
-            print("|---|---:|---:|---:|")
+            what = "option" if options else "line"
+            columns = "options |" if options else "lines | code lines |"
+            print(f"### `{name}` {what} counts\n")
+            print(f"| package | files | {columns}")
+            print("|---|---:|---:|" + ("" if options else "---:|"))
             for row in rows:
-                print("| {} | {} | {} | {} |".format(*row))
+                print("| " + " | ".join(map(str, row)) + " |")
             print()
         else:
             print(name)
-            for package, n_files, lines, code in rows:
-                print(
-                    f"  {package:<14} {n_files:>4} files {lines:>7} lines "
-                    f"{code:>7} code"
+            for package, n_files, *counts in rows:
+                tail = (
+                    f"{counts[0]:>5} options" if options
+                    else f"{counts[0]:>7} lines {counts[1]:>7} code"
                 )
+                print(f"  {package:<14} {n_files:>4} files {tail}")
     return 0
 
 

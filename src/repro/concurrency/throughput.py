@@ -80,6 +80,14 @@ from . import racecheck
 from .locks import READ, WRITE, GranularLockManager
 from .primitives import LockLike
 
+#: The spatial granules of the lock policy: a ``GRID`` x ``GRID`` grid
+#: of cells over the unit square.
+GRID = 8
+
+#: How far past the old position an R*-tree update's deletion search
+#: write-locks: the neighbourhood its multi-path descent may visit.
+SEARCH_LOCK_PAD = 0.12
+
 
 def _cells_for(
     rect: Rect, grid: int, pad: float = 0.0
@@ -113,14 +121,10 @@ class GranuleLockedTree:
         self,
         tree: Any,
         *,
-        grid: int = 8,
         io_latency: float = 0.0005,
-        search_lock_pad: float = 0.12,
     ) -> None:
         self.tree = tree
-        self.grid = grid
         self.io_latency = io_latency
-        self.search_lock_pad = search_lock_pad
         self.locks = GranularLockManager()
         # Structure serialisation: the tree's own latch, so two policies
         # (or a policy and a router) over one tree exclude each other.
@@ -145,19 +149,18 @@ class GranuleLockedTree:
         """``(brief, held)`` granule requests of one operation: the
         in-memory latches released before any disk time, and the spatial
         granules kept across it."""
-        grid = self.grid
         if isinstance(op, QueryOp):
-            return [], [(cell, READ) for cell in _cells_for(op.window, grid)]
+            return [], [(cell, READ) for cell in _cells_for(op.window, GRID)]
         if isinstance(op, UpdateOp):
             # The insertion cell.  For a memo-based update that is all:
             # a single insertion path, one spatial granule held while
             # its page I/O completes.
-            cells = _cells_for(op.new_rect, grid)
+            cells = _cells_for(op.new_rect, GRID)
             if not self._is_rum:
                 # Top-down update: the deletion search follows multiple
                 # paths, write-locking the old position's whole
                 # neighbourhood.
-                cells += _cells_for(op.old_rect, grid, pad=self.search_lock_pad)
+                cells += _cells_for(op.old_rect, GRID, pad=SEARCH_LOCK_PAD)
             return (
                 self._brief_requests([op.oid]),
                 [(cell, WRITE) for cell in cells],
@@ -169,7 +172,7 @@ class GranuleLockedTree:
                 [
                     (cell, WRITE)
                     for _oid, rect in payload
-                    for cell in _cells_for(rect, grid)
+                    for cell in _cells_for(rect, GRID)
                 ],
             )
         if kind == "clean":

@@ -129,8 +129,6 @@ class GarbageCleaner:
         It gates the per-update credit only: at 0 nothing is ever
         inspected on behalf of an update, and :meth:`run_full_cycle`
         still cleans.
-    phantom_inspection:
-        Enable periodic purging of phantom memo entries.
     """
 
     def __init__(
@@ -138,7 +136,6 @@ class GarbageCleaner:
         host: "MemoHost",
         n_tokens: int = 1,
         inspection_ratio: float = 0.2,
-        phantom_inspection: bool = True,
     ):
         if n_tokens < 0:
             raise ValueError("n_tokens must be non-negative")
@@ -147,7 +144,6 @@ class GarbageCleaner:
         self.host = host
         self.n_tokens = n_tokens
         self.inspection_ratio = inspection_ratio if n_tokens > 0 else 0.0
-        self.phantom_inspection = phantom_inspection
         self.tokens: List[CleaningToken] = []
         self._step_credit = 0.0
         self._next_token = 0
@@ -239,7 +235,7 @@ class GarbageCleaner:
         for k in range(self.n_tokens):
             start = ring[(k * len(ring)) // self.n_tokens]
             token = CleaningToken(start, min_cycle_steps=len(ring))
-            if self.phantom_inspection and k == 0:
+            if k == 0:
                 token.pending_markers.append(self.host.stamps.current)
             self.tokens.append(token)
 
@@ -280,6 +276,15 @@ class GarbageCleaner:
         token.min_cycle_steps = max(1, len(self.host.leaf_ring()))
         tainted = token.tainted
         token.tainted = False
+        if token is self.tokens[0]:  # only token 0 carries stamp markers
+            if self._obs is None:
+                self._inspect_phantoms(token, tainted)
+            else:
+                # The purge's run scan and re-spill are the cycle's I/O.
+                io_before = io_counters(self.host.stats)
+                self._inspect_phantoms(token, tainted)
+                purge_io = map(sub, io_counters(self.host.stats), io_before)
+                token.cycle_io = tuple(map(add, token.cycle_io, purge_io))
         if self._obs is not None:
             now = time.perf_counter()
             cycle_ms = (now - token.cycle_started_at) * 1000.0
@@ -299,8 +304,10 @@ class GarbageCleaner:
                 entries_removed_total=self.entries_removed,
                 memo_entries=len(self.host.memo),
             )
-        if not self.phantom_inspection or token is not self.tokens[0]:
-            return  # only token 0 carries stamp markers
+
+    def _inspect_phantoms(self, token: CleaningToken, tainted: bool) -> None:
+        """Sample a stamp marker for the cycle token 0 completed and purge
+        the phantoms of the marker ``PHANTOM_LAG_CYCLES`` cycles back."""
         if tainted:
             # The cycle-start page was dissolved mid-cycle; the re-homed
             # boundary leaf may not have been visited, so Lemma 1 does not

@@ -73,7 +73,8 @@ from typing import (
 
 from repro.concurrency import racecheck
 from repro.obs.metrics import UNPUBLISHED, republish
-from repro.storage.faults import SimulatedCrash, corrupt_page
+from repro.storage import faults as fault_model
+from repro.storage.faults import SimulatedCrash, corrupt_page, torn_length
 
 from .memo import ABSOLUTE, DELTA, TOMBSTONE, Record, UpdateMemo, fold
 
@@ -671,15 +672,12 @@ class RunStore:
         mode: Optional[str] = None
         if faults is not None:
             for point in points:
-                if faults.should_trigger(point):
-                    mode = faults.mode
-                    faults._mark_fired(point)
+                mode = faults.trigger(point) or mode
         if mode == "corrupt":
-            data = corrupt_page(data, faults.corrupt_bytes)
+            data = corrupt_page(data, fault_model.CORRUPT_BYTES)
             faults.damage = (replaces or path, data)
         elif mode == "torn":
-            k = faults.torn_bytes if faults.torn_bytes > 0 else len(data) // 2
-            data = data[:max(1, min(k, len(data) - 1))]
+            data = data[:torn_length(len(data), fault_model.TORN_BYTES)]
         elif mode == "crash" and replaces is None:
             raise SimulatedCrash(faults.fired)
         with open(path, "wb") as f:

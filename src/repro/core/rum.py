@@ -92,6 +92,7 @@ class RUMTree(RTreeBase, MemoHost):
     """
 
     name = "RUM-tree"
+    maintain_leaf_ring = True
 
     def __init__(
         self,
@@ -105,7 +106,6 @@ class RUMTree(RTreeBase, MemoHost):
         recovery_option: Optional[str] = None,
         checkpoint_interval: int = 10_000,
         wal: Optional[WriteAheadLog] = None,
-        phantom_inspection: bool = True,
         **kwargs,
     ):
         if not buffer.codec.rum_leaves:
@@ -123,7 +123,6 @@ class RUMTree(RTreeBase, MemoHost):
                     f"recovery option {recovery_option} needs a write-ahead log"
                 )
 
-        kwargs.setdefault("maintain_leaf_ring", True)
         super().__init__(buffer, **kwargs)
         self._wire_memo(
             inspection_ratio,
@@ -131,7 +130,6 @@ class RUMTree(RTreeBase, MemoHost):
             memo=memo,
             stamp_counter=stamp_counter,
             n_tokens=n_tokens,
-            phantom_inspection=phantom_inspection,
         )
         self.recovery_option = recovery_option
         self.checkpoint_interval = checkpoint_interval

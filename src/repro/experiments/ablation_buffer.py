@@ -20,8 +20,6 @@ quantifies where that regime ends.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.workload.objects import default_network_workload
 
 from .harness import (
@@ -33,11 +31,11 @@ from .harness import (
     scaled,
 )
 
-DEFAULT_CACHE_SIZES = (0, 8, 32, 128)
+#: Resident leaf-cache pages swept, from the paper's model (0) up.
+CACHE_SIZES = (0, 8, 32, 128)
 
 
 def run_buffer_ablation(
-    cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
     num_objects: int = 6000,
     node_size: int = 2048,
     updates_per_object: float = 2.0,
@@ -51,7 +49,7 @@ def run_buffer_ablation(
     )
     n = scaled(num_objects)
     n_updates = max(16, int(n * updates_per_object))
-    for cache_pages in cache_sizes:
+    for cache_pages in CACHE_SIZES:
         for kind in ("rstar", "rum_touch"):
             workload = default_network_workload(
                 n, moving_distance=moving_distance, seed=seed

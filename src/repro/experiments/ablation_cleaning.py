@@ -116,8 +116,11 @@ def run_structure_ablation(
     return result
 
 
+#: FUR-tree leaf-MBR extension bands swept.
+FUR_EXTENSIONS = (0.0, 0.01, 0.02, 0.05)
+
+
 def run_fur_extension_ablation(
-    extensions=(0.0, 0.01, 0.02, 0.05),
     num_objects: int = 6000,
     node_size: int = 2048,
     updates_per_object: float = 2.0,
@@ -138,7 +141,7 @@ def run_fur_extension_ablation(
     )
     n = scaled(num_objects)
     n_updates = max(16, int(n * updates_per_object))
-    for extension in extensions:
+    for extension in FUR_EXTENSIONS:
         workload = default_network_workload(
             n, moving_distance=moving_distance, seed=seed
         )

@@ -17,6 +17,7 @@ from repro.workload.trace import mixed_trace, ratio_to_fraction
 
 from .harness import (
     ExperimentResult,
+    QUERY_SIDE,
     TREE_LABELS,
     auxiliary_size_bytes,
     load_tree,
@@ -28,6 +29,9 @@ from .harness import (
 #: The trees compared in Figures 12–14 (the RUM-tree is the touch variant
 #: with ir = 20%, the configuration Section 5.1.1 settles on).
 COMPARISON_KINDS = ("rstar", "fur", "rum_touch")
+
+#: Updates replayed per object in panels (a) and (b).
+UPDATES_FACTOR = 2.0
 
 #: Factory returning ``(workload, num_objects)`` for one sweep value.
 WorkloadFactory = Callable[[float], Tuple[object, int]]
@@ -42,16 +46,14 @@ def sweep_comparison(
     *,
     kinds: Iterable[str] = COMPARISON_KINDS,
     node_size: int = 2048,
-    updates_factor: float = 2.0,
     n_queries: int = 300,
-    query_side: float = 0.01,
     inspection_ratio: float = 0.2,
     fur_extension: float = 0.01,
 ) -> ExperimentResult:
     """Panels (a), (b), (d): update cost, search cost, auxiliary size.
 
     For every sweep value and every tree: load the initial population,
-    replay ``updates_factor x num_objects`` updates measuring their average
+    replay ``UPDATES_FACTOR x num_objects`` updates measuring their average
     cost, then measure ``n_queries`` range queries, then record the
     auxiliary-structure size.
     """
@@ -66,9 +68,9 @@ def sweep_comparison(
                 fur_extension=fur_extension,
             )
             load_tree(tree, workload.initial())
-            n_updates = max(16, int(num_objects * updates_factor))
+            n_updates = max(16, int(num_objects * UPDATES_FACTOR))
             update_cost = measure_updates(tree, workload, n_updates)
-            queries = RangeQueryGenerator(side=query_side, seed=17)
+            queries = RangeQueryGenerator(side=QUERY_SIDE, seed=17)
             query_cost = measure_queries(tree, queries, n_queries)
             result.rows.append(
                 {
@@ -94,7 +96,6 @@ def overall_comparison(
     kinds: Iterable[str] = COMPARISON_KINDS,
     node_size: int = 2048,
     ops_factor: float = 2.0,
-    query_side: float = 0.01,
     inspection_ratio: float = 0.2,
     fur_extension: float = 0.01,
 ) -> ExperimentResult:
@@ -120,7 +121,7 @@ def overall_comparison(
             total_ops = max(32, int(num_objects * ops_factor))
             trace = mixed_trace(
                 workload,
-                RangeQueryGenerator(side=query_side, seed=23),
+                RangeQueryGenerator(side=QUERY_SIDE, seed=23),
                 total_ops,
                 fraction,
                 seed=29,

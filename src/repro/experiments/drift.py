@@ -21,6 +21,7 @@ from repro.workload.queries import RangeQueryGenerator
 
 from .harness import (
     ExperimentResult,
+    QUERY_SIDE,
     TREE_KINDS,
     TREE_LABELS,
     load_tree,
@@ -30,14 +31,15 @@ from .harness import (
     scaled,
 )
 
+#: Range queries measured per tree (before scaling).
+NUM_QUERIES = 400
+
 
 def run_drift(
     node_size: int = 2048,
     num_objects: int = 8000,
     updates_per_object: float = 3.0,
-    num_queries: int = 400,
     moving_distance: float = 0.01,
-    query_side: float = 0.01,
     seed: int = 11,
 ) -> ExperimentResult:
     """One row per (tree, op class) with predicted/measured I/O and the
@@ -50,7 +52,7 @@ def run_drift(
     )
     n = scaled(num_objects)
     n_updates = max(16, int(n * updates_per_object))
-    n_queries = scaled(num_queries)
+    n_queries = scaled(NUM_QUERIES)
     # Each tree needs its own registry (clean drift gauges), but the
     # flight recorder can be shared: when the CLI installed a default
     # obs (--obs-out), feeding its recorder keeps the sidecar's
@@ -66,7 +68,7 @@ def run_drift(
         load_tree(tree, workload.initial())
         measure_updates(tree, workload, n_updates)
         measure_queries(
-            tree, RangeQueryGenerator(side=query_side, seed=29), n_queries
+            tree, RangeQueryGenerator(side=QUERY_SIDE, seed=29), n_queries
         )
         for row in tree.drift_report():
             result.rows.append(dict(row, tree=TREE_LABELS[kind]))

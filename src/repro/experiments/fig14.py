@@ -33,6 +33,13 @@ DEFAULT_RATIOS = ((1, 100), (1, 10), (1, 1), (10, 1), (100, 1), (10000, 1))
 #: the tree sweep up to one million objects (scaled by REPRO_BENCH_SCALE).
 MEMO_POPULATIONS = (10_000, 100_000, 1_000_000)
 
+#: Objects in panel (c), before scaling.
+OVERALL_POPULATION = 10_000
+
+#: Random re-updates per object in the tiered-memo leg, on top of each
+#: object's first update.
+MEMO_UPDATE_FACTOR = 0.5
+
 
 def run_fig14(
     populations: Sequence[int] = DEFAULT_POPULATIONS,
@@ -62,7 +69,6 @@ def run_fig14(
 
 
 def run_fig14_overall(
-    population: int = 10000,
     node_size: int = 2048,
     ratios: Sequence[Tuple[int, int]] = DEFAULT_RATIOS,
     moving_distance: float = 0.01,
@@ -70,7 +76,7 @@ def run_fig14_overall(
 ) -> ExperimentResult:
     """Panel (c): overall cost vs update:query ratio at the largest
     population."""
-    n = scaled(population)
+    n = scaled(OVERALL_POPULATION)
 
     def factory():
         return (
@@ -93,7 +99,6 @@ def run_fig14_overall(
 def run_fig14_memo(
     populations: Sequence[int] = MEMO_POPULATIONS,
     spill_budget: int = 64 * 1024,
-    update_factor: float = 0.5,
     probe_sample: int = 2000,
     seed: int = 37,
 ) -> ExperimentResult:
@@ -103,7 +108,7 @@ def run_fig14_memo(
     population — which caps how far the in-RAM memo scales.  This leg
     reruns the memo half of the sweep against a memo on a run tier
     (:class:`~repro.core.memo_lsm.RunStore`): every object gets
-    one update plus ``update_factor`` random re-updates, while RAM is
+    one update plus :data:`MEMO_UPDATE_FACTOR` random re-updates, while RAM is
     pinned at ``spill_budget`` bytes and overflow spills to sorted runs.
     Reported per population: the logical memo size (still linear, as the
     paper predicts), the *peak* table footprint (the run raises if it ever
@@ -130,7 +135,7 @@ def run_fig14_memo(
             peak_ram = 0
             updates = chain(
                 range(0, 2 * n, 2),
-                (2 * rng.randrange(n) for _ in range(int(n * update_factor))),
+                (2 * rng.randrange(n) for _ in range(int(n * MEMO_UPDATE_FACTOR))),
             )
             for stamp, oid in enumerate(updates, start=1):
                 memo.record_update(oid, stamp)

@@ -31,6 +31,9 @@ from .harness import (
 
 DEFAULT_UPDATE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+#: Side of the square range queries in the mixed traces.
+QUERY_SIDE = 0.05
+
 
 def run_fig16(
     num_objects: int = 2000,
@@ -39,7 +42,6 @@ def run_fig16(
     n_threads: int = 16,
     io_latency: float = 0.0004,
     update_fractions: Sequence[float] = DEFAULT_UPDATE_FRACTIONS,
-    query_side: float = 0.05,
     moving_distance: float = 0.02,
     seed: int = 47,
 ) -> ExperimentResult:
@@ -60,7 +62,7 @@ def run_fig16(
         load_tree(tree, workload.initial())
         trace = mixed_trace(
             workload,
-            RangeQueryGenerator(side=query_side, seed=53),
+            RangeQueryGenerator(side=QUERY_SIDE, seed=53),
             ops,
             fraction,
             seed=59,

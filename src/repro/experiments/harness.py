@@ -43,6 +43,10 @@ TREE_LABELS = {
     "rum_touch": "RUM-tree(touch)",
 }
 
+#: Side of the square range queries of Figures 12–14 and the drift
+#: report (the paper's standard 0.01 window).
+QUERY_SIDE = 0.01
+
 
 #: Malformed ``REPRO_BENCH_SCALE`` values already warned about, so a bad
 #: setting produces exactly one warning per process, not one per call.

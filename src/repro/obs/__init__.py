@@ -83,7 +83,6 @@ class Observability:
         registry: Optional[MetricsRegistry] = None,
         recorder: Optional[FlightRecorder] = None,
         recorder_capacity: Optional[int] = None,
-        slow_op_ms: Optional[float] = None,
     ) -> None:
         if level not in LEVELS:
             raise ValueError(
@@ -95,22 +94,15 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sink: EventSink = sink if sink is not None else NullEventSink()
         # A pre-built recorder (shared across Observability instances)
-        # wins over the capacity/threshold knobs.
+        # wins over recorder_capacity.
         self.recorder: FlightRecorder
         if recorder is not None:
             self.recorder = recorder
         else:
             self.recorder = FlightRecorder(
-                capacity=(
-                    recorder_capacity
-                    if recorder_capacity is not None
-                    else recorder_mod.DEFAULT_CAPACITY
-                ),
-                slow_ms=(
-                    slow_op_ms
-                    if slow_op_ms is not None
-                    else recorder_mod.DEFAULT_SLOW_MS
-                ),
+                recorder_capacity
+                if recorder_capacity is not None
+                else recorder_mod.DEFAULT_CAPACITY
             )
 
     # -- convenience pass-throughs ----------------------------------------

@@ -34,8 +34,8 @@ from typing import Callable, Dict, List, Optional, Union
 
 from .metrics import MetricsRegistry, Publication
 
-#: Default EWMA smoothing factor (weight of the newest sample).
-DEFAULT_ALPHA = 0.05
+#: EWMA smoothing factor (weight of the newest sample).
+ALPHA = 0.05
 
 #: A predictor receives its tracker (for the window-extent EWMAs) and
 #: returns the model's expected counted I/O per operation.
@@ -53,7 +53,6 @@ class OpDriftTracker:
 
     __slots__ = (
         "op",
-        "alpha",
         "samples",
         "measured",
         "window_samples",
@@ -62,13 +61,8 @@ class OpDriftTracker:
         "_predictor",
     )
 
-    def __init__(
-        self, op: str, predictor: Predictor, alpha: float = DEFAULT_ALPHA
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+    def __init__(self, op: str, predictor: Predictor) -> None:
         self.op = op
-        self.alpha = alpha
         self.samples = 0
         self.measured = 0.0
         self.window_samples = 0
@@ -84,8 +78,7 @@ class OpDriftTracker:
         if n == 0:
             self.measured = measured_io
         else:
-            a = self.alpha
-            self.measured += a * (measured_io - self.measured)
+            self.measured += ALPHA * (measured_io - self.measured)
         self.samples = n + 1
 
     def observe_window(self, width: float, height: float) -> None:
@@ -95,9 +88,8 @@ class OpDriftTracker:
             self.window_w = width
             self.window_h = height
         else:
-            a = self.alpha
-            self.window_w += a * (width - self.window_w)
-            self.window_h += a * (height - self.window_h)
+            self.window_w += ALPHA * (width - self.window_w)
+            self.window_h += ALPHA * (height - self.window_h)
         self.window_samples = n + 1
 
     # -- lazy gauge reads --------------------------------------------------
@@ -120,11 +112,8 @@ class OpDriftTracker:
 class DriftMonitor:
     """Registers and owns the per-op-class drift trackers of one tree."""
 
-    def __init__(
-        self, registry: MetricsRegistry, alpha: float = DEFAULT_ALPHA
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.alpha = alpha
         self.trackers: Dict[str, OpDriftTracker] = {}
         self._published: List[Publication] = []
 
@@ -137,7 +126,7 @@ class DriftMonitor:
         tracker — the same last-attach-wins behaviour as every other
         ``set_function`` gauge in the stack.
         """
-        tracker = OpDriftTracker(op, predictor, alpha=self.alpha)
+        tracker = OpDriftTracker(op, predictor)
         self.trackers[op] = tracker
         self._published.append(self.registry.publish({}, {
             f"drift.{op}.predicted_io": tracker.predicted,

@@ -15,6 +15,9 @@ import os
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+#: The logger :class:`LoggingEventSink` writes to.
+LOGGER = logging.getLogger("repro.obs")
+
 
 class EventSink:
     """Interface: receive one event dict."""
@@ -90,13 +93,10 @@ class LoggingEventSink(EventSink):
     unchanged.
     """
 
-    def __init__(self, logger: Optional[logging.Logger] = None) -> None:
-        self.logger = logger or logging.getLogger("repro.obs")
-
     def emit(self, event: Dict[str, Any]) -> None:
-        if self.logger.isEnabledFor(logging.DEBUG):
+        if LOGGER.isEnabledFor(logging.DEBUG):
             payload = {k: v for k, v in event.items() if k != "type"}
-            self.logger.debug(
+            LOGGER.debug(
                 "%s %s",
                 event.get("type", "event"),
                 json.dumps(payload, sort_keys=True, default=str),

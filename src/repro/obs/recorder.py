@@ -45,11 +45,14 @@ SCHEMA = "flight_recorder/v1"
 #: Default ring capacity (operations retained).
 DEFAULT_CAPACITY = 256
 
-#: Default slow-op threshold in milliseconds.
-DEFAULT_SLOW_MS = 10.0
+#: Slow-op threshold in milliseconds: an op at least this slow also
+#: enters the slow-op log.
+SLOW_MS = 10.0
 
-#: Default number of slowest operations retained beyond the ring.
-DEFAULT_SLOW_TOP_K = 16
+#: How many of the slowest above-threshold ops the slow-op log retains.
+#: They survive ring eviction, so a latency spike stays diagnosable long
+#: after the ring has wrapped.
+SLOW_TOP_K = 16
 
 # (seq, op, tree, dur_s, io10, memo_lookups, memo_hits, served_by)
 _Raw = Tuple[int, str, str, float, Tuple[int, ...], int, int, str]
@@ -117,49 +120,26 @@ def _to_record(raw: _Raw) -> OpRecord:
 
 
 class FlightRecorder:
-    """Bounded ring of per-operation records plus a slow-op top-K log.
+    """Bounded ring of per-operation records plus a slow-op top-K log
+    (:data:`SLOW_MS`, :data:`SLOW_TOP_K`).
 
     Parameters
     ----------
     capacity:
         Operations retained in the ring (oldest evicted first).
-    slow_ms:
-        Threshold above which an op also enters the slow-op log.
-    slow_top_k:
-        How many of the slowest above-threshold ops to retain — these
-        survive ring eviction, so a latency spike stays diagnosable long
-        after the ring has wrapped.
     """
 
-    __slots__ = (
-        "capacity",
-        "slow_ms",
-        "slow_top_k",
-        "_ring",
-        "_slow",
-        "_slow_s",
-        "_seq",
-    )
+    __slots__ = ("capacity", "_ring", "_slow", "_seq")
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        slow_ms: float = DEFAULT_SLOW_MS,
-        slow_top_k: int = DEFAULT_SLOW_TOP_K,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if slow_top_k < 0:
-            raise ValueError("slow_top_k must be non-negative")
         self.capacity = capacity
-        self.slow_ms = slow_ms
-        self.slow_top_k = slow_top_k
         self._ring: Deque[_Raw] = deque(maxlen=capacity)
         # Min-heap of (dur_s, seq, raw); the root is the fastest retained
         # slow op and is displaced first.  seq breaks duration ties so the
         # raw tuples are never compared.
         self._slow: List[Tuple[float, int, _Raw]] = []
-        self._slow_s = slow_ms / 1000.0
         self._seq = 0
 
     # -- capture (hot path) ------------------------------------------------
@@ -180,9 +160,9 @@ class FlightRecorder:
         self._seq = seq + 1
         raw: _Raw = (seq, op, tree, dur_s, io10, memo_lookups, memo_hits, served_by)
         self._ring.append(raw)
-        if dur_s >= self._slow_s and self.slow_top_k:
+        if dur_s * 1000.0 >= SLOW_MS and SLOW_TOP_K:
             slow = self._slow
-            if len(slow) < self.slow_top_k:
+            if len(slow) < SLOW_TOP_K:
                 heapq.heappush(slow, (dur_s, seq, raw))
             elif dur_s > slow[0][0]:
                 heapq.heapreplace(slow, (dur_s, seq, raw))
@@ -232,7 +212,7 @@ class FlightRecorder:
             "capacity": self.capacity,
             "recorded_total": self.recorded_total,
             "dropped": self.dropped,
-            "slow_op_threshold_ms": self.slow_ms,
+            "slow_op_threshold_ms": SLOW_MS,
             "backend": kernels.BACKEND,
             "ops": [r.as_dict() for r in self.records()],
             "slow_ops": [r.as_dict() for r in self.slow_records()],

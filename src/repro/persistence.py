@@ -92,7 +92,6 @@ def save_tree(tree, directory: Union[str, os.PathLike]) -> None:
         "root_id": tree.root_id,
         "height": tree.height,
         "parent": list(tree.parent.items()),
-        "maintain_leaf_ring": tree.maintain_leaf_ring,
     }
     if kind == "rum":
         meta["stamp_counter"] = tree.stamps.current

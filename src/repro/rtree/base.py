@@ -102,6 +102,9 @@ _SPLIT_FUNCTIONS: Dict[str, SplitFunction] = {
     "quadratic": quadratic_split,
 }
 
+#: Minimum node occupancy as a fraction of capacity (the R* default).
+MIN_FILL = 0.4
+
 
 class RTreeBase:
     """Height-balanced R-tree over a :class:`BufferPool`.
@@ -115,12 +118,6 @@ class RTreeBase:
     forced_reinsert:
         Enable R* forced reinsertion on first overflow per level per
         operation (default on; the ablation benches switch it off).
-    min_fill:
-        Minimum node occupancy as a fraction of capacity (R* default 0.4).
-    maintain_leaf_ring:
-        Keep the circular doubly-linked leaf list up to date.  The RUM-tree
-        needs it for cleaning tokens; the baselines leave it off to avoid
-        charging them the ring-maintenance writes.
     attach:
         Adopt an existing on-disk tree instead of creating a fresh root:
         a dict with ``root_id``, ``height``, and ``parent`` (the parent
@@ -128,32 +125,32 @@ class RTreeBase:
         indexes.
     """
 
+    #: Keep the circular doubly-linked leaf list up to date.  The
+    #: RUM-tree's cleaning tokens walk it; the baselines leave it off so
+    #: they are not charged the ring-maintenance writes.
+    maintain_leaf_ring = False
+
     def __init__(
         self,
         buffer: BufferPool,
         *,
         split: str = "rstar",
         forced_reinsert: bool = True,
-        min_fill: float = 0.4,
-        maintain_leaf_ring: bool = False,
         attach: Optional[Dict] = None,
     ):
         if split not in _SPLIT_FUNCTIONS:
             raise ValueError(f"unknown split policy {split!r}")
-        if not 0.0 < min_fill <= 0.5:
-            raise ValueError("min_fill must be in (0, 0.5]")
         self.buffer = buffer
         self.stats = buffer.stats
         self.split_fn: SplitFunction = _SPLIT_FUNCTIONS[split]
         self.forced_reinsert = forced_reinsert
-        self.maintain_leaf_ring = maintain_leaf_ring
 
         codec = buffer.codec
         self.leaf_cap = codec.leaf_cap
         self.index_cap = codec.index_cap
-        self.min_leaf = max(2, min(int(self.leaf_cap * min_fill),
+        self.min_leaf = max(2, min(int(self.leaf_cap * MIN_FILL),
                                    self.leaf_cap // 2))
-        self.min_index = max(2, min(int(self.index_cap * min_fill),
+        self.min_index = max(2, min(int(self.index_cap * MIN_FILL),
                                     self.index_cap // 2))
 
         #: child page id -> parent page id (root has no entry).

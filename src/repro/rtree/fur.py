@@ -51,8 +51,6 @@ class FURTree(RTreeBase):
         original nodes", Section 5).  Larger values favour cheap in-place
         updates but degrade search performance — the source of the
         FUR-tree's search-cost peak in Figure 12(b).
-    n_index_buckets:
-        Bucket count of the secondary hash index.
     """
 
     name = "FUR-tree"
@@ -62,16 +60,13 @@ class FURTree(RTreeBase):
         buffer: BufferPool,
         *,
         extension: float = 0.01,
-        n_index_buckets: int = 1024,
         **kwargs,
     ):
         if extension < 0:
             raise ValueError("extension must be non-negative")
         super().__init__(buffer, **kwargs)
         self.extension = extension
-        self.index = SecondaryIndex(
-            self.stats, buffer.codec.node_size, n_buckets=n_index_buckets
-        )
+        self.index = SecondaryIndex(self.stats, buffer.codec.node_size)
         # Update-path statistics (Section 4.2.2 distinguishes the three
         # cases; the ablation benches report their mix).
         self.updates_in_place = 0

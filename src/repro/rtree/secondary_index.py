@@ -11,9 +11,10 @@ emphasises two costs of this structure that the RUM-tree avoids:
   1 write per repointing).
 
 This implementation is a bucketed hash directory with page-granular cost
-accounting on the ``index_reads`` / ``index_writes`` channels.  With the
-default sizing each bucket fits one page, matching the paper's unit costs;
-oversized buckets charge their extra chain pages.
+accounting on the ``index_reads`` / ``index_writes`` channels.  With
+:data:`N_BUCKETS` buckets each bucket fits one page at the evaluated
+populations, matching the paper's unit costs; oversized buckets charge
+their extra chain pages.
 """
 
 from __future__ import annotations
@@ -25,28 +26,23 @@ from repro.storage.iostats import IOStats
 #: On-disk bytes per (oid, leaf page id) mapping.
 INDEX_ENTRY_BYTES = 16
 
+#: Buckets of the hash directory (an oid lives in ``oid % N_BUCKETS``).
+N_BUCKETS = 1024
+
 
 class SecondaryIndex:
     """Hash directory mapping object id to the leaf page holding its entry."""
 
-    def __init__(
-        self,
-        stats: IOStats,
-        page_size: int,
-        n_buckets: int = 1024,
-    ):
-        if n_buckets <= 0:
-            raise ValueError("n_buckets must be positive")
+    def __init__(self, stats: IOStats, page_size: int):
         self.stats = stats
         self.page_size = page_size
-        self.n_buckets = n_buckets
         self.entries_per_page = max(1, page_size // INDEX_ENTRY_BYTES)
         self._buckets: Dict[int, Dict[int, int]] = {}
 
     # -- cost helpers ----------------------------------------------------------
 
     def _bucket(self, oid: int) -> Dict[int, int]:
-        return self._buckets.setdefault(oid % self.n_buckets, {})
+        return self._buckets.setdefault(oid % N_BUCKETS, {})
 
     def _bucket_pages(self, bucket: Dict[int, int]) -> int:
         if not bucket:
@@ -99,7 +95,7 @@ class SecondaryIndex:
         """
         by_bucket: Dict[int, list] = {}
         for oid, leaf_page in mappings:
-            by_bucket.setdefault(oid % self.n_buckets, []).append(
+            by_bucket.setdefault(oid % N_BUCKETS, []).append(
                 (oid, leaf_page)
             )
         for bucket_id, pairs in by_bucket.items():
@@ -113,7 +109,7 @@ class SecondaryIndex:
 
     def peek(self, oid: int) -> Optional[int]:
         """Uncounted lookup for tests and metrics."""
-        return self._buckets.get(oid % self.n_buckets, {}).get(oid)
+        return self._buckets.get(oid % N_BUCKETS, {}).get(oid)
 
     def num_entries(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())

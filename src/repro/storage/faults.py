@@ -102,6 +102,13 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+#: Bytes of the new image a ``torn`` write lands (0: half of it).
+TORN_BYTES = 0
+
+#: Bytes a ``corrupt`` write flips.
+CORRUPT_BYTES = 8
+
+
 class SimulatedCrash(BaseException):
     """The process model dies at a fault point.
 
@@ -129,8 +136,6 @@ class FaultInjector:
         self.point: Optional[str] = None
         self.mode = "crash"
         self.skip = 0
-        self.torn_bytes = 0
-        self.corrupt_bytes = 8
         self.fired: Optional[str] = None
         #: What a fired ``torn`` / ``corrupt`` fault left where a later
         #: read may take it for data: the page id or file it damaged and
@@ -159,8 +164,6 @@ class FaultInjector:
         point: str,
         mode: str = "crash",
         skip: int = 0,
-        torn_bytes: int = 0,
-        corrupt_bytes: int = 8,
     ) -> "FaultInjector":
         """Schedule a fault at the ``skip``-th next occurrence of ``point``."""
         if point not in FAULT_POINTS:
@@ -175,8 +178,6 @@ class FaultInjector:
         self.point = point
         self.mode = mode
         self.skip = skip
-        self.torn_bytes = torn_bytes
-        self.corrupt_bytes = corrupt_bytes
         self.fired = None
         self.damage = None
         self.tear = None
@@ -196,42 +197,42 @@ class FaultInjector:
         Raises :class:`SimulatedCrash` when the armed countdown expires;
         otherwise returns and the action proceeds normally.  Page-level
         ``torn``/``corrupt`` modes are *not* handled here — they need the
-        page image and are applied by :meth:`FaultyDisk.write_page`; for
-        those points the site answers the countdown via
-        :meth:`should_trigger` instead.
+        page image, so those sites call :meth:`trigger` and apply the
+        mode themselves.
         """
-        if not self._count(point):
-            return
-        self._mark_fired(point)
-        raise SimulatedCrash(point)
+        if self.trigger(point) is not None:
+            raise SimulatedCrash(point)
 
-    def should_trigger(self, point: str) -> bool:
-        """Countdown check for sites that apply the fault themselves."""
-        return self._count(point)
-
-    def _count(self, point: str) -> bool:
+    def trigger(self, point: str) -> Optional[str]:
+        """Count one occurrence of ``point``; when the armed countdown
+        expires there, mark the fault fired (and the injector disarmed:
+        a process dies once) and return its mode, else ``None``."""
         self.hits[point] = self.hits.get(point, 0) + 1
         if self.point != point or self.fired is not None:
-            return False
+            return None
         if self.skip > 0:
             self.skip -= 1
-            return False
-        return True
-
-    def _mark_fired(self, point: str) -> None:
+            return None
         self.fired = point
-        self.point = None  # disarm: a process dies once
+        self.point = None
         self.fired_count += 1
+        return self.mode
 
 
 def torn_page(old: bytes, new: bytes, torn_bytes: int) -> bytes:
     """The image a power failure leaves mid-write: a prefix of ``new``
-    followed by the remainder of ``old`` (default: half the page)."""
+    followed by the remainder of ``old``."""
     if len(old) != len(new):
         raise ValueError("torn_page needs images of equal size")
-    k = torn_bytes if torn_bytes > 0 else len(new) // 2
-    k = max(1, min(k, len(new) - 1))
+    k = torn_length(len(new), torn_bytes)
     return new[:k] + old[k:]
+
+
+def torn_length(size: int, torn_bytes: int) -> int:
+    """Bytes of a ``size``-byte image a torn write lands: ``torn_bytes``
+    (half the image at 0), and never all or none of it."""
+    k = torn_bytes if torn_bytes > 0 else size // 2
+    return max(1, min(k, size - 1))
 
 
 def corrupt_page(data: bytes, n_bytes: int, offset: Optional[int] = None) -> bytes:
@@ -267,21 +268,21 @@ class FaultyDisk:
     def write_page(self, page_id: int, data: bytes) -> None:
         faults = self.faults
         point = "disk.page_write"
-        if not faults.should_trigger(point):
+        mode = faults.trigger(point)
+        if mode is None:
             self.inner.write_page(page_id, data)
             return
-        faults._mark_fired(point)
-        if faults.mode == "crash":  # the write is lost entirely
+        if mode == "crash":  # the write is lost entirely
             raise SimulatedCrash(point)
         new = bytes(data)
-        if faults.mode == "corrupt":
+        if mode == "corrupt":
             # Silent misdirected write: damaged bytes, no crash.
-            image = corrupt_page(new, faults.corrupt_bytes)
+            image = corrupt_page(new, CORRUPT_BYTES)
             self.inner.write_page(page_id, image)
             faults.damage = (page_id, image)
             return
         old = bytes(self.inner.peek(page_id))
-        image = torn_page(old, new, faults.torn_bytes)
+        image = torn_page(old, new, TORN_BYTES)
         self.inner.write_page(page_id, image)
         if image == new:
             faults.tear = "landed"

@@ -752,9 +752,9 @@ class TestBatchCrashRecovery:
         seen = []
 
         class Recording(FaultInjector):
-            def _count(self, point):
+            def trigger(self, point):
                 seen.append(point)
-                return super()._count(point)
+                return super().trigger(point)
 
         inj, stats = Recording(), IOStats()
         tree = RUMTree(

@@ -100,7 +100,7 @@ class TestPropertyOne:
         tree.check_invariants()
 
     def test_full_cycle_drains_memo_of_real_entries(self):
-        tree = _token_tree(ir=0.2, phantom_inspection=True)
+        tree = _token_tree(ir=0.2)
         positions = populate(tree, 100, seed=92)
         random_walk(tree, positions, steps=300, seed=93, distance=0.2)
         tree.cleaner.run_full_cycle()

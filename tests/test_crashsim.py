@@ -34,6 +34,7 @@ from repro.storage.codec import (
     checksum_ok,
     stamp_checksum,
 )
+from repro.storage import faults
 from repro.storage.disk import DiskManager
 from repro.storage.faults import (
     FAULT_POINTS,
@@ -160,11 +161,12 @@ class TestFaultyDisk:
             disk.write_page(pid, b"\x02" * 128)
         assert disk.peek(pid) == b"\x01" * 128  # old content intact
 
-    def test_torn_mode_persists_a_prefix(self):
+    def test_torn_mode_persists_a_prefix(self, monkeypatch):
+        monkeypatch.setattr(faults, "TORN_BYTES", 16)
         inj, disk = self._stack()
         pid = disk.allocate()
         disk.write_page(pid, b"\x01" * 128)
-        inj.arm("disk.page_write", mode="torn", torn_bytes=16)
+        inj.arm("disk.page_write", mode="torn")
         with pytest.raises(SimulatedCrash):
             disk.write_page(pid, b"\x02" * 128)
         assert disk.peek(pid) == b"\x02" * 16 + b"\x01" * 112
@@ -185,10 +187,11 @@ class TestFaultyDisk:
             disk.write_page(pid, new)
         assert inj.tear == tear and inj.damage is None
 
-    def test_corrupt_mode_is_silent(self):
+    def test_corrupt_mode_is_silent(self, monkeypatch):
+        monkeypatch.setattr(faults, "CORRUPT_BYTES", 4)
         inj, disk = self._stack()
         pid = disk.allocate()
-        inj.arm("disk.page_write", mode="corrupt", corrupt_bytes=4)
+        inj.arm("disk.page_write", mode="corrupt")
         disk.write_page(pid, b"\x03" * 128)  # no crash
         assert inj.fired == "disk.page_write"
         assert disk.peek(pid) != b"\x03" * 128

@@ -11,7 +11,7 @@ model describes the tree it was derived for).
 import pytest
 
 from repro.factory import build_rum_tree
-from repro.obs import Observability
+from repro.obs import Observability, drift
 from repro.obs.drift import DriftMonitor, OpDriftTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.workload.objects import default_network_workload
@@ -20,21 +20,23 @@ from repro.workload.queries import RangeQueryGenerator
 
 class TestTrackerMath:
     def test_first_sample_seeds_ewma(self):
-        t = OpDriftTracker("update", lambda tr: 4.0, alpha=0.1)
+        t = OpDriftTracker("update", lambda tr: 4.0)
         t.observe(8.0)
         assert t.samples == 1
         assert t.measured == 8.0
 
-    def test_ewma_folds_with_alpha(self):
-        t = OpDriftTracker("update", lambda tr: 4.0, alpha=0.5)
+    def test_ewma_folds_with_alpha(self, monkeypatch):
+        monkeypatch.setattr(drift, "ALPHA", 0.5)
+        t = OpDriftTracker("update", lambda tr: 4.0)
         t.observe(8.0)
         t.observe(4.0)
         assert t.measured == pytest.approx(6.0)  # 8 + 0.5*(4-8)
         t.observe(4.0)
         assert t.measured == pytest.approx(5.0)
 
-    def test_window_ewma_independent_of_io_ewma(self):
-        t = OpDriftTracker("query", lambda tr: 1.0, alpha=0.5)
+    def test_window_ewma_independent_of_io_ewma(self, monkeypatch):
+        monkeypatch.setattr(drift, "ALPHA", 0.5)
+        t = OpDriftTracker("query", lambda tr: 1.0)
         t.observe_window(0.1, 0.2)
         t.observe_window(0.3, 0.2)
         assert t.window_samples == 2
@@ -50,12 +52,6 @@ class TestTrackerMath:
         z = OpDriftTracker("update", lambda tr: 0.0)
         z.observe(8.0)
         assert z.ratio() == 0.0  # model predicts nothing
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            OpDriftTracker("update", lambda tr: 1.0, alpha=0.0)
-        with pytest.raises(ValueError):
-            OpDriftTracker("update", lambda tr: 1.0, alpha=1.5)
 
 
 class TestMonitorGauges:

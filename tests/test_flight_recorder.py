@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.factory import build_rum_tree
-from repro.obs import FlightRecorder, Observability, OpRecord
+from repro.obs import FlightRecorder, Observability, OpRecord, recorder
 from repro.obs.recorder import IO_FIELDS, SCHEMA
 from repro.rtree.geometry import Rect
 from repro.storage.iostats import IOSnapshot
@@ -42,8 +42,6 @@ class TestRingSemantics:
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(slow_top_k=-1)
 
     def test_clear_keeps_lifetime_counters(self):
         rec = FlightRecorder(capacity=8)
@@ -70,9 +68,15 @@ class TestRingSemantics:
         assert r.pages_touched == r.io.counted_total
 
 
+def _slow_log(monkeypatch, slow_ms, top_k=recorder.SLOW_TOP_K):
+    monkeypatch.setattr(recorder, "SLOW_MS", slow_ms)
+    monkeypatch.setattr(recorder, "SLOW_TOP_K", top_k)
+
+
 class TestSlowOpLog:
-    def test_top_k_keeps_slowest_and_survives_eviction(self):
-        rec = FlightRecorder(capacity=4, slow_ms=10.0, slow_top_k=3)
+    def test_top_k_keeps_slowest_and_survives_eviction(self, monkeypatch):
+        _slow_log(monkeypatch, 10.0, 3)
+        rec = FlightRecorder(capacity=4)
         # 20 ops, durations 0..19ms: slow ops are >= 10ms; top-3 = 17,18,19.
         for i in range(20):
             _record(rec, dur_s=i / 1000.0)
@@ -82,14 +86,16 @@ class TestSlowOpLog:
         ring_seqs = {r.seq for r in rec.records()}
         assert all(r.seq not in ring_seqs or r.seq >= 16 for r in slow)
 
-    def test_below_threshold_never_enters_log(self):
-        rec = FlightRecorder(slow_ms=10.0)
+    def test_below_threshold_never_enters_log(self, monkeypatch):
+        _slow_log(monkeypatch, 10.0)
+        rec = FlightRecorder()
         for _ in range(50):
             _record(rec, dur_s=0.001)
         assert rec.slow_records() == []
 
-    def test_duration_ties_break_by_sequence(self):
-        rec = FlightRecorder(slow_ms=1.0, slow_top_k=2)
+    def test_duration_ties_break_by_sequence(self, monkeypatch):
+        _slow_log(monkeypatch, 1.0, 2)
+        rec = FlightRecorder()
         for _ in range(4):
             _record(rec, dur_s=0.005)
         slow = rec.slow_records()
@@ -98,8 +104,9 @@ class TestSlowOpLog:
 
 
 class TestDumpSchema:
-    def test_dump_is_json_ready_and_schema_tagged(self):
-        rec = FlightRecorder(capacity=8, slow_ms=1.0)
+    def test_dump_is_json_ready_and_schema_tagged(self, monkeypatch):
+        _slow_log(monkeypatch, 1.0)
+        rec = FlightRecorder(capacity=8)
         for i in range(12):
             _record(rec, dur_s=i / 1000.0)
         dump = rec.dump()
@@ -184,16 +191,32 @@ class TestTreeIntegration:
         assert 0 <= r.memo_hits <= r.memo_lookups
 
     def test_cleaner_cycle_record_carries_the_memo_io(self, tmp_path):
-        """Regression: the cleaner hand-typed an 8-field I/O delta where
+        """Regressions: the cleaner hand-typed an 8-field I/O delta where
         the recorder takes 10, so the run pages a cycle's sweeps read
-        from a memo on a run tier never reached its record."""
+        from a memo on a run tier never reached its record; and the
+        record was written before the cycle's phantom purge, so the
+        purge's run scan and re-spill never reached it either."""
         obs = Observability(level="trace", recorder_capacity=4096)
+        # No token steps ride on the updates, so the measured cycle's
+        # record starts from nothing, like the stats delta; no touch
+        # cleaning, so the garbage (and the memo) waits for the cycles.
         tree = build_rum_tree(
-            node_size=2048, obs=obs, phantom_inspection=False,
+            node_size=2048, obs=obs, inspection_ratio=0.0,
+            clean_upon_touch=False,
             memo_dir=str(tmp_path), memo_spill_budget=8 * UM_ENTRY_BYTES,
         )
-        self._workload(tree)
-        tree.cleaner.run_full_cycle()  # closes the cycle the updates began
+        w = default_network_workload(100, moving_distance=0.02, seed=5)
+        for oid, rect in w.initial():
+            tree.insert_object(oid, rect)
+        for oid, old, new in w.updates(150):
+            tree.update_object(oid, old, new)
+        tree.cleaner.run_full_cycle()
+        tree.cleaner.run_full_cycle()
+        purges = tree.memo.purge_run_count
+        assert purges > 0  # a purge pulled the tier up into RAM
+        for oid, old, new in w.updates(150):
+            tree.update_object(oid, old, new)
+        assert tree.memo.runs  # refilled
         obs.recorder.clear()
         before = tree.stats.snapshot()
         tree.cleaner.run_full_cycle()
@@ -201,6 +224,7 @@ class TestTreeIntegration:
         (cycle,) = [
             r for r in obs.recorder.records() if r.op == "cleaner_cycle"
         ]
+        assert tree.memo.purge_run_count == purges + 1
         assert cycle.io.memo_reads > 0
         assert cycle.io == delta
         tree.memo.close()
@@ -240,9 +264,11 @@ class TestExporterRoundTrips:
     @settings(max_examples=40, deadline=None)
     @given(mix=_op_mix(), capacity=st.integers(min_value=1, max_value=16))
     def test_dump_json_round_trip_over_random_mixes(self, mix, capacity):
-        rec = FlightRecorder(capacity=capacity, slow_ms=5.0, slow_top_k=4)
-        for op, dur, io8, lookups, hits, served in mix:
-            rec.record(op, "T", dur, io8, lookups, hits, served)
+        rec = FlightRecorder(capacity=capacity)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _slow_log(monkeypatch, 5.0, 4)
+            for op, dur, io8, lookups, hits, served in mix:
+                rec.record(op, "T", dur, io8, lookups, hits, served)
         dump = json.loads(json.dumps(rec.dump()))
         assert dump["recorded_total"] == len(mix)
         assert dump["dropped"] == max(0, len(mix) - capacity)

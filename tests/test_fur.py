@@ -129,12 +129,14 @@ class TestIOAccounting:
 
 
 class TestSecondaryIndexUnit:
-    def test_lookup_assign_remove_counting(self):
+    def test_lookup_assign_remove_counting(self, monkeypatch):
+        from repro.rtree import secondary_index
         from repro.rtree.secondary_index import SecondaryIndex
         from repro.storage.iostats import IOStats
 
+        monkeypatch.setattr(secondary_index, "N_BUCKETS", 8)
         stats = IOStats()
-        index = SecondaryIndex(stats, page_size=256, n_buckets=8)
+        index = SecondaryIndex(stats, page_size=256)
         assert index.lookup(1) is None
         assert stats.index_reads == 1
         index.assign(1, 77)
@@ -145,24 +147,28 @@ class TestSecondaryIndexUnit:
         index.remove(1)
         assert index.peek(1) is None
 
-    def test_assign_many_batches_by_bucket(self):
+    def test_assign_many_batches_by_bucket(self, monkeypatch):
+        from repro.rtree import secondary_index
         from repro.rtree.secondary_index import SecondaryIndex
         from repro.storage.iostats import IOStats
 
+        monkeypatch.setattr(secondary_index, "N_BUCKETS", 4)
         stats = IOStats()
-        index = SecondaryIndex(stats, page_size=256, n_buckets=4)
+        index = SecondaryIndex(stats, page_size=256)
         # 8 oids over 4 buckets: exactly 4 bucket pages touched.
         index.assign_many((oid, 123) for oid in range(8))
         assert stats.index_writes == 4
         assert index.num_entries() == 8
 
-    def test_overflowing_bucket_charges_chain(self):
+    def test_overflowing_bucket_charges_chain(self, monkeypatch):
+        from repro.rtree import secondary_index
         from repro.rtree.secondary_index import SecondaryIndex
         from repro.storage.iostats import IOStats
 
+        monkeypatch.setattr(secondary_index, "N_BUCKETS", 1)
         stats = IOStats()
         # 16-byte entries, 32-byte pages: 2 entries per bucket page.
-        index = SecondaryIndex(stats, page_size=32, n_buckets=1)
+        index = SecondaryIndex(stats, page_size=32)
         for oid in range(6):
             index.assign(oid, oid)
         stats.reset()

@@ -13,12 +13,17 @@ import threading
 import pytest
 
 from repro.core.memo import UpdateMemo
+from repro.core.rum import RUMTree
 from repro.crashsim import CrashScenario, run_scenario
 from repro.experiments.__main__ import main as cli_main
 from repro.factory import build_fur_tree, build_rstar_tree, build_rum_tree
 from repro.obs import ListEventSink, Observability
 from repro.rtree.geometry import Rect
 from repro.serving.router import ShardRouter
+from repro.storage.buffer import BufferPool
+from repro.storage.codec import NodeCodec
+from repro.storage.filedisk import FileDiskManager
+from repro.storage.iostats import IOStats
 from repro.workload.objects import default_network_workload
 
 
@@ -282,6 +287,27 @@ class TestMetricsWiring:
         assert snap.counters["buffer.hits"] > 0
         assert snap.counters["disk.page_writes"] > 0
         assert snap.gauges["disk.pages"] > 0
+
+    def test_file_disk_publishes_its_tallies(self, tmp_path):
+        disk = FileDiskManager(2048, tmp_path)
+        tree = RUMTree(
+            BufferPool(disk, NodeCodec(2048, rum_leaves=True), IOStats())
+        )
+        obs = Observability(level="metrics")
+        tree.attach_obs(obs)  # counters count from here, after the root write
+        before = (disk.reads, disk.writes, disk.syncs)
+        _run_workload(tree)
+        disk.sync()
+        counters = obs.registry.snapshot().counters
+        reads, writes, syncs = (
+            now - then
+            for now, then in zip((disk.reads, disk.writes, disk.syncs), before)
+        )
+        assert reads > 0 and writes > 0 and syncs == 1
+        assert counters["disk.page_reads"] == reads
+        assert counters["disk.page_writes"] == writes
+        assert counters["disk.syncs"] == syncs
+        disk.close()
 
     def test_wal_append_counter(self):
         obs, _sink = _traced_obs()

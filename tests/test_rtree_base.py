@@ -29,10 +29,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RTreeBase(build_storage(SMALL_NODE), split="bogus")
 
-    def test_bad_min_fill_rejected(self):
-        with pytest.raises(ValueError):
-            RTreeBase(build_storage(SMALL_NODE), min_fill=0.9)
-
     def test_min_entries_at_most_half_capacity(self, rstar_tree):
         assert rstar_tree.min_leaf <= rstar_tree.leaf_cap // 2
         assert rstar_tree.min_index <= rstar_tree.index_cap // 2
@@ -167,10 +163,13 @@ class TestStructuralInvariants:
         assert rstar_tree.num_leaf_entries() == 77
 
 
+class _RingTree(RTreeBase):
+    maintain_leaf_ring = True
+
+
 class TestLeafRing:
     def _ring_tree(self):
-        tree = RTreeBase(build_storage(SMALL_NODE), maintain_leaf_ring=True)
-        return tree
+        return _RingTree(build_storage(SMALL_NODE))
 
     def test_ring_covers_all_leaves_after_growth(self):
         tree = self._ring_tree()
