@@ -285,20 +285,18 @@ def bench_kernels(metrics: Dict, iters: int) -> None:
 def bench_batch(metrics: Dict, iters: int) -> None:
     """A one-op ``apply_batch`` against ``update_object`` on one tree in
     ``bench_stack``'s ``tree_update`` shape (network objects, 2 048-byte
-    nodes, ir 0.2, touch cleaning).
+    nodes, ir 0.2, touch cleaning).  Both run the one write body, with
+    its page scope and spill hold; only the batch plans its op.
 
-    Five legs take turns update by update (the first leg rotates), so all
+    Three legs take turns update by update (the first leg rotates), so all
     see the same tree and host: ``update_object`` alone, a one-op
-    ``apply_batch``, and ``update_object`` behind each piece of bookkeeping
-    only the batch pays — ``plan_batch`` of its op (fold and Z-order),
-    inside the batch's one ``buffer.operation()`` (its page scope), inside
-    ``defer_spills`` (the memo's spill hold, a no-op context here).
-    ``ops_per_sec`` is the batch of one's rate; ``update_us`` and
-    ``batch_of_one_us`` are medians, ``gap_us`` their difference, each
-    ``*_us`` part its leg's median minus ``update_us`` — the piece's cost
-    where it runs, between insertions that evict it from the CPU caches —
-    and ``other_us`` the rest of the gap (calls, the leaf-tally deltas,
-    the ``BatchResult``).
+    ``apply_batch``, and ``update_object`` behind ``plan_batch`` of its op
+    (fold, no Z-order for one upsert).  ``ops_per_sec`` is the batch of
+    one's rate; ``update_us`` and ``batch_of_one_us`` are medians,
+    ``gap_us`` their difference, ``plan_batch_us`` its leg's median minus
+    ``update_us`` — the planning's cost where it runs, between insertions
+    that evict it from the CPU caches — and ``other_us`` the rest of the
+    gap (calls, the leaf-tally deltas, the ``BatchResult``).
     """
     workload = default_network_workload(
         scaled(20_000), moving_distance=0.02, seed=11
@@ -306,7 +304,6 @@ def bench_batch(metrics: Dict, iters: int) -> None:
     tree = make_tree("rum_touch", node_size=2048, inspection_ratio=0.2)
     load_tree(tree, workload.initial())
     update_object, apply_batch = tree.update_object, tree.apply_batch
-    buffer, memo = tree.buffer, tree.memo
 
     def update(oid: int, rect: Rect) -> None:
         update_object(oid, None, rect)
@@ -318,20 +315,10 @@ def bench_batch(metrics: Dict, iters: int) -> None:
         plan_batch([("update", oid, rect)])
         update_object(oid, None, rect)
 
-    def operation_part(oid: int, rect: Rect) -> None:
-        with buffer.operation():
-            update_object(oid, None, rect)
-
-    def defer_spills_part(oid: int, rect: Rect) -> None:
-        with memo.defer_spills():
-            update_object(oid, None, rect)
-
     legs = {
         "update": update,
         "batch_of_one": batch_of_one,
         "plan_batch": plan_batch_part,
-        "operation": operation_part,
-        "defer_spills": defer_spills_part,
     }
     order = list(legs.items())
     times: Dict[str, List[float]] = {name: [] for name in legs}
@@ -350,18 +337,17 @@ def bench_batch(metrics: Dict, iters: int) -> None:
     finally:
         gc.enable()
     us = {name: statistics.median(t) * 1e6 for name, t in times.items()}
-    row = {
+    gap = us["batch_of_one"] - us["update"]
+    plan = us["plan_batch"] - us["update"]
+    metrics["batch.update_vs_batch_of_one"] = {
         "ops_per_sec": 1e6 / us["batch_of_one"],
         "iterations": iters,
         "update_us": us["update"],
         "batch_of_one_us": us["batch_of_one"],
-        "gap_us": us["batch_of_one"] - us["update"],
+        "gap_us": gap,
+        "plan_batch_us": plan,
+        "other_us": gap - plan,
     }
-    parts = ("plan_batch", "operation", "defer_spills")
-    for name in parts:
-        row[f"{name}_us"] = us[name] - us["update"]
-    row["other_us"] = row["gap_us"] - sum(row[f"{n}_us"] for n in parts)
-    metrics["batch.update_vs_batch_of_one"] = row
 
 
 def bench_buffer(metrics: Dict, iters: int) -> None:

@@ -46,17 +46,20 @@ over `id_columns`) it no longer pays per entry, and what is left of an
 update — the descent, one leaf read, one write-back — does not grow
 with the fanout.  The claim asserts panels (a) and (c) only.
 
-**Panel (a) at 1024 B moved once, on a tie.** It reads 2.70471 (token) /
+**Panel (a) at 1024 B moved once, on a tie.** It read 2.70471 (token) /
 2.353458 (touch); the seed of this repository read 2.70379 / 2.353375
-(22 and 2 more counted I/Os over 24,000 updates); 2048–8192 B never
-moved.  The commit after the seed ranks R* forced-reinsertion candidates
+(22 and 2 more counted I/Os over 24,000 updates); 2048–8192 B did not
+move then.  The commit after the seed ranks R* forced-reinsertion candidates
 by squared centre distance instead of `math.hypot`.  In 15 of 5,504
 reinsertions at 1024 B that swaps the first two candidates — two point
 objects on opposite corners of the node MBR, exactly equidistant from
 its centre: `hypot` rounds both to one double and the stable sort keeps
 node order, while the squared sums differ in the last bit.  Which entries
 are reinserted never changes and R* leaves the tie open, so nothing
-departs from the split; the archive keeps today's numbers.
+departs from the split; the archive keeps today's numbers.  Since every
+write is one page scope with its cleaning steps, which then reuse the
+leaves it holds, every node size reads up to 0.006 lower (1024 B:
+2.70413 / 2.353083).
 """),
 "fig12_moving_distance": ("Figure 12(a,b,d) — varying the moving distance", """
 **Paper:** R*-tree worst and roughly flat on updates; FUR-tree degrades

@@ -174,9 +174,9 @@ def plan_batch(ops: Iterable[Sequence]) -> BatchPlan:
             raise RuntimeError(f"batch fold lost the rect of oid {oid}")
         else:
             upserts.append((oid, new_rect))
-    if upserts:
+    if len(upserts) > 1:
         # One bulk encode, then a keyed sort: same order as sorting by
-        # (zorder_key(rect), oid) per element.
+        # (zorder_key(rect), oid) per element.  One upsert is in order.
         keys = zorder_keys([rect for _, rect in upserts])
         order = sorted(
             range(len(upserts)), key=lambda i: (keys[i], upserts[i][0])

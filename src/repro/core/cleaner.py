@@ -365,8 +365,11 @@ class GarbageCleaner:
             return 0
         token = self.tokens[0]
         removed_before = self.entries_removed
+        # Starts afresh: drop what update-driven steps gathered so far.
         token.cycle_start = token.position
         token.steps_in_cycle = 0
+        token.cycle_started_at = time.perf_counter()
+        token.cycle_io = _NO_IO
         token.min_cycle_steps = max(1, len(self.host.leaf_ring()))
         completed = self.cycles_completed
         # The ring may shrink or grow while we walk; the guard bounds the

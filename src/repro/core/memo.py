@@ -58,7 +58,6 @@ miss means "absent": the tier is consulted only where a RAM miss or a
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from itertools import compress
 from typing import (
     TYPE_CHECKING,
@@ -138,6 +137,29 @@ class UMEntry:
         return f"UMEntry(oid={self.oid}, S_latest={self.s_latest}, N_old={self.n_old})"
 
 
+class _SpillHold:
+    """:meth:`UpdateMemo.defer_spills`'s scope: it sits on every write,
+    so it is one shared ``__slots__`` instance (the depth lives on the
+    tier), like the buffer pool's operation scope."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, memo: "UpdateMemo") -> None:
+        self._memo = memo
+
+    def __enter__(self) -> None:
+        tier = self._memo.tier
+        if tier is not None:
+            tier.deferred += 1
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        memo = self._memo
+        tier = memo.tier
+        if tier is not None:
+            tier.deferred -= 1
+            memo._maybe_spill(tier)
+
+
 class UpdateMemo:
     """Hash table on oid holding ``(oid, S_latest, N_old)`` entries.
 
@@ -163,6 +185,7 @@ class UpdateMemo:
         self.clean_count = 0
         self.purge_run_count = 0
         self.purged_count = 0
+        self._spill_hold = _SpillHold(self)
         self._obs_published = UNPUBLISHED
 
     def attach_obs(self, obs: Optional["Observability"]) -> None:
@@ -571,22 +594,12 @@ class UpdateMemo:
     # Spilling to the tier (no-ops without one)
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def defer_spills(self) -> Iterator[None]:
-        """Suspend budget-triggered spills for a batch apply (PR 5):
-        every ``record_update`` in the scope stays in RAM, and scope
-        exit spills at most once — the batch *becomes* one run write,
-        folded into the newest run or flushed beside it, instead of
-        shearing into many mid-batch spills."""
-        tier = self.tier
-        if tier is not None:
-            tier.deferred += 1
-        try:
-            yield
-        finally:
-            if tier is not None:
-                tier.deferred -= 1
-                self._maybe_spill(tier)
+    def defer_spills(self) -> "_SpillHold":
+        """Suspend budget-triggered spills for one write: every
+        ``record_update`` in the scope stays in RAM, and scope exit spills
+        at most once — one run write, folded into the newest run or
+        flushed beside it, instead of many mid-write spills."""
+        return self._spill_hold
 
     def _maybe_spill(self, tier: "RunStore") -> None:  # holds: latch
         if not tier.deferred and self.ram_size_bytes() > tier.spill_budget:

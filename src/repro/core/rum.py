@@ -46,7 +46,7 @@ from repro.rtree.geometry import Rect
 from repro.rtree.node import LeafEntry, Node
 
 from . import batch
-from .batch import BatchPlan, BatchResult
+from .batch import BatchResult
 from .cleaner import MemoHost
 from .memo import UpdateMemo
 from .stamp import StampCounter
@@ -189,7 +189,7 @@ class RUMTree(RTreeBase, MemoHost):
         return expected_memo_update_io(self.cleaner.inspection_ratio)
 
     # ------------------------------------------------------------------
-    # The write path: one memo write per operation (Figures 4 and 5)
+    # The write path: one body for every write (Figures 4 and 5)
     # ------------------------------------------------------------------
 
     #: "Inserts and updates are the same operation": both feed the
@@ -197,24 +197,51 @@ class RUMTree(RTreeBase, MemoHost):
     _INSERT_IS_UPDATE = True
 
     # holds: latch
-    def _memo_write(
-        self, oid: int, rect: Optional[Rect], force: bool = True
+    def _write(
+        self, deletes: Sequence[int], upserts: Sequence[Tuple[int, Rect]]
     ) -> None:
-        """The body every RUM-tree write runs: bump the stamp, record it in
-        the memo, log it under Option III (forced, unless a batch forces
-        once at its end) and, for an upsert, insert the new entry.  A
-        deletion (``rect`` None) never touches the tree: the bump alone
-        makes every entry of ``oid`` obsolete (Figure 5)."""
-        stamp = self.stamps.next()
-        # Update the memo first so that clean-upon-touch already sees the
-        # previous entry of this object as obsolete while the target leaf
-        # is in hand.
-        self.memo.record_update(oid, stamp)
-        if self.recovery_option == RECOVERY_FULL_LOG:
-            self.wal.append_memo_change(oid, stamp, force)
-        if rect is not None:
-            with self.buffer.operation():
-                self._insert(LeafEntry(rect, oid, stamp), 0, set())
+        """The body every RUM-tree write runs (docs/BATCHING.md, "One
+        write path"): MemoBasedDelete (Figure 5) per oid of ``deletes``,
+        then MemoBasedInsert (Figure 4) per ``(oid, rect)`` of
+        ``upserts``; a single write is a batch of one.  Under Option III
+        one stamp's record is forced before its insert; two or more
+        stamps get a forced stamp lease first (their entries reach the
+        tree before their records are forced, and recovery must never
+        reissue an orphan's stamp) and one closing force.  One buffer
+        operation holds the write and the cleaner's credit; the memo
+        spills at most once, when the spill hold closes, before the
+        closing force and the leaf flush.
+        """
+        n = len(deletes) + len(upserts)
+        full_log = self.recovery_option == RECOVERY_FULL_LOG
+        leased = full_log and n > 1
+        if leased:
+            self.wal.append_stamp_lease(self.stamps.current + n)
+        stamps, memo, wal = self.stamps, self.memo, self.wal
+        watch = self._watch  # EXPLAIN's phases: memo | insert | clean
+        with self.buffer.operation():
+            with memo.defer_spills():
+                for oid in deletes:
+                    stamp = stamps.next()
+                    memo.record_update(oid, stamp)
+                    if full_log:
+                        wal.append_memo_change(oid, stamp, not leased)
+                for oid, rect in upserts:
+                    stamp = stamps.next()
+                    # The memo first: clean-upon-touch then sees the
+                    # object's previous entry as obsolete.
+                    memo.record_update(oid, stamp)
+                    if full_log:
+                        wal.append_memo_change(oid, stamp, not leased)
+                    if watch is not None:
+                        watch.end_phase()
+                    self._insert(LeafEntry(rect, oid, stamp), 0, set())
+                if watch is not None:
+                    watch.end_phase()
+                self.cleaner.on_batch(n)
+            if leased:
+                wal.force()
+        self._accrue(n)
 
     def _accrue(self, n: int) -> None:  # holds: latch
         """Count ``n`` applied writes toward the next UM checkpoint
@@ -229,25 +256,18 @@ class RUMTree(RTreeBase, MemoHost):
         if self._updates_since_checkpoint >= self.checkpoint_interval:
             self.write_checkpoint()
 
-    def _memo_based_insert(self, oid: int, rect: Optional[Rect]) -> None:
-        """One single write — MemoBasedInsert (Figure 4), or with no
-        ``rect`` MemoBasedDelete (Figure 5) — with its cleaner credit and
-        checkpoint accrual."""
-        self._memo_write(oid, rect)
-        self.cleaner.on_update()
-        self._accrue(1)
-
-    _insert_body = _memo_based_insert
+    def _insert_body(self, oid: int, rect: Rect) -> None:
+        self._write((), ((oid, rect),))
 
     def _update_body(
         self, oid: int, old_rect: Optional[Rect], new_rect: Rect
     ) -> None:
         """Memo-based update.  ``old_rect`` is ignored: *"The old value of
         the object being updated is not required"* (Section 3.2.1)."""
-        self._memo_based_insert(oid, new_rect)
+        self._write((), ((oid, new_rect),))
 
     def _delete_body(self, oid: int, old_rect: Optional[Rect]) -> None:
-        self._memo_based_insert(oid, None)
+        self._write((oid,), ())
 
     def write_checkpoint(self) -> None:  # holds: latch
         """Log the UM and the stamp counter (recovery options II/III)."""
@@ -275,59 +295,30 @@ class RUMTree(RTreeBase, MemoHost):
         """
         # Looked up on the module, so a tracer that wraps it is seen.
         plan = batch.plan_batch(ops)
-        if self.obs is None:
-            result = self._apply_batch_plan(plan)
-        else:
-            result = self._observed(
-                "update_batch", self._apply_batch_plan, plan,
-                ops=plan.total_ops, deduped=plan.deduped,
-            )
-            self._obs_batch_sizes.observe(float(result.total_ops))
-        self.batch_count += 1
-        self.batch_op_count += result.total_ops
-        self.batch_deduped += result.deduped
-        self.batch_coalesced_writes += result.coalesced_writes
-        return result
-
-    def _apply_batch_plan(self, plan: BatchPlan) -> BatchResult:  # holds: latch
-        """Run :meth:`_memo_write` for every surviving operation
-        (docs/BATCHING.md).  Under Option III a forced stamp lease comes
-        first: the batch inserts durable tree entries before its records
-        are forced, and recovery must never reissue a stamp such an
-        orphan may carry.  One buffer operation then holds the writes
-        (unforced records) and the cleaner's one credit, so repeat leaf
-        visits hit its cache and the writeback is one ordered flush at
-        its end; the memo spills at most once, when the spill hold
-        closes; one forced log write (the group commit) follows, before
-        the leaf flush, and an exception skips it.  The checkpoint
-        accrual comes after that force: at most one UM checkpoint per
-        batch, at its end.
-        """
-        n = plan.surviving
-        full_log = self.recovery_option == RECOVERY_FULL_LOG
-        if full_log and n:
-            self.wal.append_stamp_lease(self.stamps.current + n)
         buffer = self.buffer
         marks, written = buffer.leaf_mark_count, buffer.write_back_count
-        with buffer.operation():
-            with self.memo.defer_spills():
-                for oid in plan.deletes:
-                    self._memo_write(oid, None, False)
-                for oid, rect in plan.upserts:
-                    self._memo_write(oid, rect, False)
-                self.cleaner.on_batch(n)
-            if full_log and n:
-                self.wal.force()
-        self._accrue(n)
-        return BatchResult(
+        if self.obs is None:
+            self._write(plan.deletes, plan.upserts)
+        else:
+            self._observed(
+                "update_batch", self._write, plan.deletes, plan.upserts,
+                ops=plan.total_ops, deduped=plan.deduped,
+            )
+            self._obs_batch_sizes.observe(float(plan.total_ops))
+        result = BatchResult(
             total_ops=plan.total_ops,
-            applied=n,
+            applied=plan.surviving,
             deduped=plan.deduped,
             inserts=len(plan.upserts),
             deletes=len(plan.deletes),
             write_marks=buffer.leaf_mark_count - marks,
             pages_written=buffer.write_back_count - written,
         )
+        self.batch_count += 1
+        self.batch_op_count += result.total_ops
+        self.batch_deduped += result.deduped
+        self.batch_coalesced_writes += result.coalesced_writes
+        return result
 
     # ------------------------------------------------------------------
     # Search (Figure 3b): raw R-tree answer set filtered through the memo
@@ -414,14 +405,15 @@ class RUMTree(RTreeBase, MemoHost):
         """ANALYZE one memo-based update — **this mutates the tree**.
 
         ``old_rect`` is accepted for protocol compatibility and ignored
-        (Section 3.2.1).  The real :meth:`_memo_based_insert` runs, split
-        at the boundaries of its insertion's buffer operation into
+        (Section 3.2.1).  The real write body (:meth:`_write`, a batch of
+        one) runs, split at the phase marks it makes into
 
         * ``memo``   — stamp bump + UM record (+ the Option III forced
           log write, the only phase I/O the memo side can charge);
         * ``insert`` — the single-path R* insertion of the new entry;
-        * ``clean``  — the token cleaner steps driven by this update
-          (plus a UM checkpoint when one falls due).
+        * ``clean``  — the token cleaner steps driven by this update,
+          then the write's one leaf flush (the insertion's pages too)
+          and any spill or UM checkpoint that falls due.
 
         The visits are the ChooseSubtree descents the insertion really
         took (forced reinsertions included), each carrying the I/O of

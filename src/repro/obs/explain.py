@@ -27,14 +27,12 @@ I/O where exact accounting is available.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -218,12 +216,13 @@ class TraversalObserver:
       residency before and the exact I/O across every fetch are known —
       a visit claims the fetch that produced its node, fetches nobody
       claims (ring maintenance, cleaning steps) stay in the phase;
-    * ``buffer.operation`` is tapped too: each boundary of an outermost
-      buffer operation ends the current phase of ``phases`` until one
-      name is left, which takes the rest.
-      ``("memo", "insert", "clean")`` thus reads: before the insertion's
-      operation opens, inside it, after it.  With no names (read-only
-      operations) every charged page is a visit's.
+    * a mutating body marks its phase boundaries, through
+      ``tree._watch`` too: each :meth:`end_phase` ends the current phase
+      of ``phases`` until one name is left, which takes the rest.  The
+      RUM-tree's ``("memo", "insert", "clean")`` thus reads: up to the
+      insertion, the insertion, then the cleaner's steps and the
+      write's closing leaf flush.  With no names (read-only operations)
+      every charged page is a visit's.
 
     A phase's I/O is its residual — what it charged minus what its
     visits claimed — so visits plus phases equal ``io_delta`` exactly.
@@ -242,14 +241,10 @@ class TraversalObserver:
     def __enter__(self) -> "TraversalObserver":
         buffer = self.tree.buffer
         # An instance-level patch already in place (the stack benchmark's
-        # tracer) is what the taps call through to and what exit restores.
-        self._untapped = {
-            name: vars(buffer).get(name) for name in ("get_node", "operation")
-        }
+        # tracer) is what the tap calls through to and what exit restores.
+        self._untapped = vars(buffer).get("get_node")
         self._get_node = buffer.get_node
-        self._open_operation = buffer.operation
         buffer.get_node = self._fetch  # type: ignore[method-assign]
-        buffer.operation = self._operation  # type: ignore[method-assign]
         self.tree._watch = self
         self._start = self._phase_start = self.tree.stats.snapshot()
         return self
@@ -257,13 +252,12 @@ class TraversalObserver:
     def __exit__(self, *exc: object) -> None:
         buffer = self.tree.buffer
         self.tree._watch = None
-        for name, previous in self._untapped.items():
-            if previous is None:
-                delattr(buffer, name)
-            else:
-                setattr(buffer, name, previous)
+        if self._untapped is None:
+            delattr(buffer, "get_node")
+        else:
+            buffer.get_node = self._untapped  # type: ignore[method-assign]
         if self._names:
-            self._end_phase()
+            self._close_phase()
         self.io_delta = self.tree.stats.snapshot() - self._start
 
     def _fetch(self, page_id: int) -> "Node":
@@ -276,21 +270,13 @@ class TraversalObserver:
         )
         return node
 
-    @contextmanager
-    def _operation(self) -> Iterator[None]:
-        outermost = not self.tree.buffer.in_operation
-        if outermost:
-            self._boundary()
-        with self._open_operation():
-            yield
-        if outermost:
-            self._boundary()
-
-    def _boundary(self) -> None:
+    def end_phase(self) -> None:
+        """A boundary the observed body marks: the current phase ends,
+        unless it is the last one left, which takes the rest."""
         if len(self._names) > 1:
-            self._end_phase()
+            self._close_phase()
 
-    def _end_phase(self) -> None:
+    def _close_phase(self) -> None:
         now = self.tree.stats.snapshot()
         self.phases[self._names.pop(0)] = (
             now - self._phase_start - self._claimed

@@ -184,7 +184,8 @@ class WriteAheadLog:
     def append_memo_change(self, oid: int, stamp: int,
                            force: bool = True) -> LogRecord:
         """Option III: log a single memo change (force-flushed by default;
-        a batch appends unforced and forces once at its end)."""
+        a write of two or more stamps appends unforced and forces once at
+        its end)."""
         return self.append(
             "memo", (oid, stamp), MEMO_CHANGE_BYTES, force=force
         )

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SMALL_NODE, memo_on_a_run_tier, populate, random_window
+from repro import factory
 from repro.core.batch import plan_batch
 from repro.core.memo_lsm import SpillingUpdateMemo
 from repro.core.rum import RUMTree
@@ -35,7 +36,7 @@ from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector, FaultyDisk, SimulatedCrash
 from repro.storage.iostats import IOStats
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import UM_ENTRY_BYTES, WriteAheadLog
 
 
 @pytest.fixture(autouse=True)
@@ -489,6 +490,102 @@ class TestBatchAmortisation:
         assert tree._updates_since_checkpoint == 1
         assert wal.checkpoint_count() == checkpoints + 1
         assert cleaner.updates_seen == seen + 12
+
+
+# ---------------------------------------------------------------------------
+# One write body: a single write is a batch of one
+# ---------------------------------------------------------------------------
+
+
+def _pages(tree):
+    """Every page image on the tree's disk, after the buffer's flush."""
+    tree.buffer.flush()
+    disk = tree.buffer.disk
+    return {page_id: disk.peek(page_id) for page_id in disk.page_ids()}
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("tier", [False, True], ids=["ram", "tier"])
+    @pytest.mark.parametrize("option", [None, "III"])
+    def test_single_writes_equal_batches_of_one(self, option, tier, tmp_path):
+        """Twin trees, one driven by ``update_object`` / ``insert_object``
+        / ``delete_object``, the other by ``apply_batch`` of each op alone:
+        same pages, I/O, log and memo.  The single writes run the batch's
+        body, with its one page scope, cleaner credit and spill hold; a
+        batch of one hands out one stamp, so it forces its record before
+        its insert and buys no stamp lease."""
+        twins = []
+        for name in ("single", "batched"):
+            memo = (
+                {"memo_dir": str(tmp_path / name),
+                 "memo_spill_budget": 8 * UM_ENTRY_BYTES}
+                if tier else {}
+            )
+            tree = factory.build_rum_tree(
+                node_size=SMALL_NODE, recovery_option=option,
+                checkpoint_interval=50, **memo,
+            )
+            populate(tree, 60, seed=111)
+            twins.append(tree)
+        single, batched = twins
+        rng = random.Random(112)
+        for step in range(300):
+            oid = rng.randrange(80)
+            if step % 7 == 0:
+                single.delete_object(oid)
+                batched.apply_batch([("delete", oid)])
+            else:
+                rect = _rect(rng.random(), rng.random())
+                if oid < 60:
+                    single.update_object(oid, None, rect)
+                    batched.apply_batch([("update", oid, rect)])
+                else:
+                    single.insert_object(oid, rect)
+                    batched.apply_batch([("insert", oid, rect)])
+        if tier:
+            assert single.memo.runs  # the memo spilled on the way
+        assert single.stats.snapshot() == batched.stats.snapshot()
+        assert _pages(single) == _pages(batched)
+        if option is not None:
+            assert single.wal.read_from(0) == batched.wal.read_from(0)
+            assert single.wal.force_count == batched.wal.force_count
+        assert single.memo.snapshot() == batched.memo.snapshot()
+        assert single.stamps.current == batched.stamps.current
+        check_tree(batched)
+        single.memo.close()
+        batched.memo.close()
+
+    def test_option_iii_forces_once_per_single_write(self):
+        """Under Option III a single update or delete forces exactly one
+        log write and appends no stamp lease, as the paper logs it; a
+        batch of 64 still forces two: its lease and its group commit."""
+        tree = factory.build_rum_tree(
+            node_size=SMALL_NODE, recovery_option="III",
+            checkpoint_interval=10**6,
+        )
+        populate(tree, 100, seed=113)
+        wal = tree.wal
+        for write in (
+            lambda: tree.update_object(3, None, _rect(0.4, 0.4)),
+            lambda: tree.delete_object(4),
+            lambda: tree.apply_batch([("update", 5, _rect(0.6, 0.6))]),
+        ):
+            forces, logged = wal.force_count, len(wal)
+            log_writes = tree.stats.log_writes
+            write()
+            assert wal.force_count == forces + 1
+            assert tree.stats.log_writes == log_writes + 1
+            (record,) = wal.read_from(0)[logged:]
+            assert record.kind == "memo"
+        forces, logged = wal.force_count, len(wal)
+        rng = random.Random(114)
+        tree.apply_batch(
+            [("update", oid, _rect(rng.random(), rng.random()))
+             for oid in range(10, 74)]
+        )
+        assert wal.force_count == forces + 2
+        kinds = [r.kind for r in wal.read_from(0)[logged:]]
+        assert kinds == ["lease"] + ["memo"] * 64
 
 
 # ---------------------------------------------------------------------------

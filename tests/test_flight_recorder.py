@@ -9,6 +9,7 @@ recorder and both exporters and assert the dump round-trips losslessly.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,30 @@ class TestTreeIntegration:
         assert cycle.io.memo_reads > 0
         assert cycle.io == delta
         tree.memo.close()
+
+    def test_forced_cycle_record_starts_at_the_forced_start(self):
+        """Regression: a forced cycle restarted the token's cycle but kept
+        the I/O and the start time its update-driven steps had gathered
+        toward the partial cycle before it, so its record carried both."""
+        obs = Observability(level="trace", recorder_capacity=4096)
+        tree = build_rum_tree(node_size=2048, obs=obs, inspection_ratio=0.2)
+        w = default_network_workload(300, moving_distance=0.02, seed=5)
+        for oid, rect in w.initial():
+            tree.insert_object(oid, rect)
+        for oid, old, new in w.updates(25):
+            tree.update_object(oid, old, new)
+        assert tree.cleaner.tokens[0].steps_in_cycle > 0  # a partial cycle
+        obs.recorder.clear()
+        before = tree.stats.snapshot()
+        started = time.perf_counter()
+        tree.cleaner.run_full_cycle()
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        delta = tree.stats.snapshot() - before
+        (cycle,) = [
+            r for r in obs.recorder.records() if r.op == "cleaner_cycle"
+        ]
+        assert cycle.io == delta
+        assert cycle.duration_ms <= elapsed_ms
 
     def test_off_level_has_no_recorder(self):
         tree = build_rum_tree(node_size=2048, obs=None)

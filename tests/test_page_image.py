@@ -355,12 +355,13 @@ def test_plain_update_and_clean_step_do_not_thaw(monkeypatch):
 # (d) golden replay
 # ---------------------------------------------------------------------------
 
-# Recorded on the parent commit (2f89b67, per-entry sweep, thawing insert).
+# Pages recorded at 2f89b67 (per-entry sweep, thawing insert); the I/O
+# since a write is one page scope with its cleaning steps.
 GOLDEN_SHA256 = (
     "a41351819c688a0c4c0653aeefe5d0305918bdfb328817166644d855ddbe897d"
 )
 GOLDEN_IO = IOSnapshot(
-    leaf_reads=19864, leaf_writes=16454, internal_writes=7
+    leaf_reads=19822, leaf_writes=16453, internal_writes=7
 )
 GOLDEN_LOOKUPS = 700866
 
