@@ -62,6 +62,7 @@ from repro.rtree.base import RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
 from repro.serving import ServingClient, ShardRouter, ShardServer
+from repro.serving.router import Answer
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
@@ -557,13 +558,13 @@ class _NullRouter:
     layers' own — two frames each way, dispatch, two thread wake-ups."""
 
     ACK = {"shard": 1, "migrated": False}
-    ROWS = [(oid, Rect(0.1, 0.1, 0.2, 0.2)) for oid in range(47)]
+    ANSWER = Answer([(oid, 0.1, 0.1, 0.2, 0.2) for oid in range(47)])
 
     def upsert(self, oid: int, rect: Rect) -> Dict:
         return self.ACK
 
-    def query(self, window: Rect) -> List:
-        return self.ROWS
+    def query(self, window: Rect) -> Answer:
+        return self.ANSWER
 
     def close(self) -> None:
         pass
@@ -589,7 +590,7 @@ class _StubTree:
     def delete_object(self, oid: int) -> None:
         pass
 
-    def search(self, window: Rect, stamped: bool = False) -> List:
+    def search_rows(self, window: Rect, stamped: bool) -> List:
         return []
 
 

@@ -12,7 +12,11 @@ arrival due at once: a saturation probe), and then asserts:
 * a truncated frame, an unknown-tag frame and a non-finite ``update``, each
   on a throw-away connection, are dropped or answered ``ok: false``;
 * after them, the routing directory's live count still matches a
-  full-square query.
+  full-square query;
+* a probe's served answer equals the in-process ``router.query`` of the
+  same window and is sorted by oid, and the ``R`` frame the server sent
+  for it, read off the socket byte for byte, is ``9 + 40n`` bytes for its
+  ``n`` rows.
 
 It also prints the frame sizes of one update and one query, so the log
 carries the real bytes per op.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import socket
+import struct
 import sys
 from typing import Any, List
 
@@ -39,12 +44,7 @@ from repro.concurrency.racecheck import RaceChecker
 from repro.concurrency.throughput import LoadDriver
 from repro.rtree.geometry import Rect
 from repro.serving import ServingClient, ShardRouter, ShardServer
-from repro.serving.protocol import (
-    encode_frame,
-    rect_to_wire,
-    recv_frame,
-    results_to_wire,
-)
+from repro.serving.protocol import encode_frame, rect_to_wire, recv_frame
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
 from repro.workload.trace import UpdateOp, mixed_trace
@@ -72,6 +72,40 @@ def hostile_frames(host: str, port: int) -> List[str]:
         refused = answer is not None and answer.get("ok") is False
         if not (refused or (answer is None and not answered)):
             failures.append(f"{name} was answered {answer!r}")
+    return failures
+
+
+def raw_answer(host: str, port: int, window: Rect) -> bytes:
+    """The answer frame to one query, exactly as the server sent it."""
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(
+            encode_frame({"op": "query", "window": rect_to_wire(window)})
+        )
+        frame = b""
+        need = 4
+        while len(frame) < need:
+            chunk = sock.recv(need - len(frame))
+            if not chunk:
+                raise ConnectionError("server closed mid-frame")
+            frame += chunk
+            if len(frame) == 4:
+                need = 4 + struct.unpack(">I", frame)[0]
+    return frame
+
+
+def answer_failures(served: List[Any], frame: bytes) -> List[str]:
+    """What is wrong with a probe's served answer and its raw frame."""
+    failures = []
+    oids = [oid for oid, _rect in served]
+    if oids != sorted(oids):
+        failures.append("served answer is not sorted by oid")
+    n = len(served)
+    if frame[4:5] != b"R" or struct.unpack_from("<I", frame, 5)[0] != n:
+        failures.append(f"answer frame is not an R frame of {n} rows")
+    if len(frame) != 9 + 40 * n:
+        failures.append(
+            f"R frame of {n} rows is {len(frame)} B, not {9 + 40 * n}"
+        )
     return failures
 
 
@@ -123,8 +157,13 @@ def main(argv: List[str] | None = None) -> int:
                 op.window for op in trace if not isinstance(op, UpdateOp)
             )
             rows = probe.query(window)
+            frame = raw_answer(host, port, window)
         for client in clients:
             client.close()
+        # Nothing writes any more: the router answers as the server did.
+        if rows != router.query(window):
+            failures.append("served answer differs from router.query")
+        failures += answer_failures(rows, frame)
 
     if checker.race_count != 0:
         failures.append(
@@ -163,9 +202,8 @@ def main(argv: List[str] | None = None) -> int:
             {"op": "update", "oid": 0, "rect": rect_to_wire(window)},
             {"ok": True, "result": {"shard": 0, "migrated": False}},
             {"op": "query", "window": rect_to_wire(window)},
-            {"ok": True, "result": results_to_wire(rows)},
         )
-    ]
+    ] + [len(frame)]
     print(
         "  frame bytes: update {} out / {} back, query {} out / {} back "
         "({} rows)".format(*sizes, len(rows))

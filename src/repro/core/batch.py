@@ -34,7 +34,7 @@ half of that pipeline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rtree.geometry import Rect
@@ -52,18 +52,23 @@ __all__ = [
 KINDS = ("insert", "update", "delete")
 
 
-@dataclass
+# Both records are slotted and built from positional arguments: a batch
+# of one pays for them on every write, and default factories or keyword
+# passing cost as much again.
+
+
+@dataclass(slots=True)
 class BatchPlan:
     """The deduplicated, locality-ordered form of one operation batch."""
 
     #: Surviving insertions as ``(oid, rect)``, sorted by the Z-order key
     #: of their rects.
-    upserts: List[Tuple[int, Rect]] = field(default_factory=list)
+    upserts: List[Tuple[int, Rect]]
     #: Surviving deletions as oids (order is irrelevant: they touch no
     #: page in the memo-based path and distinct oids never interact).
-    deletes: List[int] = field(default_factory=list)
+    deletes: List[int]
     #: Operations in the input batch.
-    total_ops: int = 0
+    total_ops: int
 
     @property
     def surviving(self) -> int:
@@ -80,20 +85,37 @@ class BatchPlan:
         return self.deduped / self.total_ops if self.total_ops else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchResult:
-    """What applying one batch did (returned by ``apply_batch``)."""
+    """What applying one batch did (returned by ``apply_batch``): the
+    counts of the plan it applied, and its leaf writeback."""
 
-    total_ops: int
-    applied: int
-    deduped: int
-    inserts: int
-    deletes: int
+    plan: BatchPlan
     #: Leaf dirty-marks vs. leaf pages written during the batch (deltas
     #: of the buffer pool's ``leaf_mark_count`` / ``write_back_count``);
     #: their difference is the writeback the batching coalesced away.
-    write_marks: int = 0
-    pages_written: int = 0
+    write_marks: int
+    pages_written: int
+
+    @property
+    def total_ops(self) -> int:
+        return self.plan.total_ops
+
+    @property
+    def applied(self) -> int:
+        return self.plan.surviving
+
+    @property
+    def deduped(self) -> int:
+        return self.plan.deduped
+
+    @property
+    def inserts(self) -> int:
+        return len(self.plan.upserts)
+
+    @property
+    def deletes(self) -> int:
+        return len(self.plan.deletes)
 
     @property
     def coalesced_writes(self) -> int:
@@ -163,13 +185,13 @@ def plan_batch(ops: Iterable[Sequence]) -> BatchPlan:
         oid = op[1]
         states[oid] = _fold(states.get(oid), op)
 
-    plan = BatchPlan(total_ops=total)
-    upserts = plan.upserts
+    upserts: List[Tuple[int, Rect]] = []
+    deletes: List[int] = []
     for oid, (kind, new_rect) in states.items():
         if kind == "noop":
             continue
         if kind == "delete":
-            plan.deletes.append(oid)
+            deletes.append(oid)
         elif new_rect is None:  # fold invariant: upserts carry a rect
             raise RuntimeError(f"batch fold lost the rect of oid {oid}")
         else:
@@ -181,5 +203,5 @@ def plan_batch(ops: Iterable[Sequence]) -> BatchPlan:
         order = sorted(
             range(len(upserts)), key=lambda i: (keys[i], upserts[i][0])
         )
-        plan.upserts = [upserts[i] for i in order]
-    return plan
+        upserts = [upserts[i] for i in order]
+    return BatchPlan(upserts, deletes, total)

@@ -306,17 +306,13 @@ class RUMTree(RTreeBase, MemoHost):
             )
             self._obs_batch_sizes.observe(float(plan.total_ops))
         result = BatchResult(
-            total_ops=plan.total_ops,
-            applied=plan.surviving,
-            deduped=plan.deduped,
-            inserts=len(plan.upserts),
-            deletes=len(plan.deletes),
-            write_marks=buffer.leaf_mark_count - marks,
-            pages_written=buffer.write_back_count - written,
+            plan,
+            buffer.leaf_mark_count - marks,
+            buffer.write_back_count - written,
         )
         self.batch_count += 1
-        self.batch_op_count += result.total_ops
-        self.batch_deduped += result.deduped
+        self.batch_op_count += plan.total_ops
+        self.batch_deduped += plan.deduped
         self.batch_coalesced_writes += result.coalesced_writes
         return result
 
@@ -324,9 +320,22 @@ class RUMTree(RTreeBase, MemoHost):
     # Search (Figure 3b): raw R-tree answer set filtered through the memo
     # ------------------------------------------------------------------
 
+    def search_rows(self, window: Rect, stamped: bool) -> List[tuple]:
+        """:meth:`search` answered as flat rows ``(oid, x1, y1, x2, y2)``
+        — or, ``stamped``, ``(oid, x1, y1, x2, y2, stamp)`` — in the
+        shape a packed answer frame takes (:mod:`repro.serving.protocol`):
+        the same query, counted, sampled and recorded as one."""
+        return self._range_query(
+            self._memo_filtered_search, window, stamped, True
+        )
+
     # holds: latch
-    def _memo_filtered_search(self, window: Rect, stamped: bool) -> List[tuple]:
-        """All live objects whose latest MBR intersects ``window``."""
+    def _memo_filtered_search(
+        self, window: Rect, stamped: bool, flat: bool = False
+    ) -> List[tuple]:
+        """All live objects whose latest MBR intersects ``window``, as
+        ``(oid, rect[, stamp])`` pairs or, ``flat``, as the rows of
+        :meth:`search_rows`."""
         filter_latest = self.memo.filter_latest
         tier = self.memo.tier
         marks = self._settled
@@ -340,6 +349,8 @@ class RUMTree(RTreeBase, MemoHost):
                 oids, stamps, hits,
                 tier is not None and marks.get(leaf.page_id) == tier.version,
             )
+            if flat:
+                return leaf.rows_at(kept, oids, stamps if stamped else None)
             rects = leaf.rects_at(kept)
             if stamped:
                 return [(oids[i], r, stamps[i]) for i, r in zip(kept, rects)]

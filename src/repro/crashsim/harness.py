@@ -13,7 +13,9 @@ into an executable contract.  One :func:`run_scenario` call
    of RAM, so run flushes, compactions and manifest swaps happen while
    every other fault fires;
 2. loads an object population, then drives a scripted workload of
-   updates, deletes, durability ticks (``buffer.checkpoint()``) and UM
+   updates and deletes, each followed by a full-window range query (a
+   write's pages go out when it ends, so the query is what reads them
+   back), durability ticks (``buffer.checkpoint()``) and UM
    checkpoints, with the injector armed at one occurrence of one
    registered fault point;
 3. when the fault fires, either verifies that the damage it left is
@@ -280,6 +282,9 @@ def _script_ops(config: WorkloadConfig, option: str,
     one option, so outcomes are reproducible and comparable)."""
     alive = list(range(1, config.n_objects + 1))
     ops: List[Tuple] = []
+    # Every write is followed by a read of the whole tree: the write's
+    # pages go out when its page scope ends, so only a later operation
+    # can read a damaged one back in flight.
     for i in range(config.n_updates):
         if i and i % config.tick_every == 0:
             ops.append(("tick",))
@@ -297,6 +302,7 @@ def _script_ops(config: WorkloadConfig, option: str,
             ops.append(
                 ("update", oid, Rect.from_point(rng.random(), rng.random()))
             )
+        ops.append(("query",))
     ops.append(("tick",))
     return ops
 
@@ -386,13 +392,20 @@ def run_scenario(
 
     pending: Optional[Tuple] = None
     caught: Optional[Exception] = None
+    damaged = False
     for op in _script_ops(config, option, rng):
+        kind = op[0]
+        if damaged and kind != "query":
+            # Stop before the next write: it could rewrite the damage
+            # before it is verified.  A query only reads it.
+            break
         try:
-            kind = op[0]
             if kind == "update":
                 tree.update_object(op[1], None, op[2])
             elif kind == "delete":
                 tree.delete_object(op[1])
+            elif kind == "query":
+                tree.search(FULL_WINDOW)
             elif kind == "tick":
                 buffer.checkpoint()
             elif kind == "checkpoint":
@@ -411,10 +424,7 @@ def run_scenario(
         oracle.commit(op)
         if kind == "tick":
             tick_allocs.append(frozenset(inner.page_ids()))
-        if scenario.mode == "corrupt" and injector.fired:
-            # Stop with the operation that did the damage: a later one
-            # could rewrite it before it is verified.
-            break
+        damaged = scenario.mode == "corrupt" and injector.fired is not None
     hits = dict(injector.hits)
     crashed = pending is not None
     # The process model ends here.  Its gauges read its memo's runs,

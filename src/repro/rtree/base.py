@@ -448,18 +448,21 @@ class RTreeBase:
         ``(oid, rect)`` — or, ``stamped``, ``(oid, rect, stamp)``: what a
         merge over several trees needs to tell the newer of two answers
         for one object (the shard router's max-stamp rule)."""
+        return self._range_query(self._search_body, window, stamped)
+
+    def _range_query(self, body, window: Rect, *args) -> List[tuple]:
+        """``body(window, *args)`` as one range query: the one copy of
+        the query's accounting, whatever shape ``body`` answers in."""
         if self.obs is None:
-            rows = self._search_body(window, stamped)
+            rows = body(window, *args)
         elif (sampler := self._obs_qsample).tick > 0:
             # An unsampled query is tens of microseconds whichever path
             # serves it, so it pays for nothing but this countdown: the
             # histogram, recorder and drift feeds see sampled queries only.
             sampler.tick -= 1
-            rows = self._search_body(window, stamped)
+            rows = body(window, *args)
         else:
-            rows = self._observed(
-                "query", self._search_body, window, stamped, window=window
-            )
+            rows = self._observed("query", body, window, *args, window=window)
         self.query_count += 1
         return rows
 

@@ -174,6 +174,24 @@ class Node:
         entries = self.entries
         return [entries[i].rect for i in slots]
 
+    def rows_at(
+        self,
+        slots: Sequence[int],
+        oids: Sequence[int],
+        stamps: Optional[Sequence[int]],
+    ) -> List[tuple]:
+        """The answer rows ``(oid, x1, y1, x2, y2)`` of the entries at
+        ``slots`` — ``(oid, x1, y1, x2, y2, stamp)`` unless ``stamps`` is
+        ``None`` — lifted out of the coordinate block with no ``Rect`` or
+        entry built; ``oids`` / ``stamps`` are the leaf's id columns."""
+        _n, xs1, ys1, xs2, ys2 = self.coord_block()
+        if stamps is None:
+            return [(oids[i], xs1[i], ys1[i], xs2[i], ys2[i]) for i in slots]
+        return [
+            (oids[i], xs1[i], ys1[i], xs2[i], ys2[i], stamps[i])
+            for i in slots
+        ]
+
     def add_entry(self, entry: Entry) -> None:
         """Append ``entry`` after the last slot (then ``mark_dirty``, as
         after any edit)."""

@@ -49,12 +49,15 @@ hardware.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from math import isfinite
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -92,6 +95,51 @@ def _require_finite(rect: Rect) -> None:
     if not (isfinite(rect.xmin) and isfinite(rect.ymin)
             and isfinite(rect.xmax) and isfinite(rect.ymax)):
         raise ValueError(f"non-finite coordinate in {rect!r}")
+
+
+#: The sort key of an answer row: its oid.
+_OID = itemgetter(0)
+
+
+def _pair(row: tuple) -> Tuple[int, Rect]:
+    return row[0], Rect(row[1], row[2], row[3], row[4])
+
+
+class Answer(Sequence[Tuple[int, Rect]]):
+    """A range query's answer: ``rows``, the flat ``(oid, x1, y1, x2,
+    y2)`` rows the shards returned, sorted by oid — what the server packs
+    into an answer frame as it stands.  In process the answer reads as
+    the ``[(oid, rect)]`` list it stands for: ``len``, indexing, slicing,
+    iteration and ``==`` / ``!=`` against such a list or another answer;
+    a pair is built only when it is read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: List[tuple]) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [_pair(row) for row in self.rows[index]]
+        return _pair(self.rows[index])
+
+    def __iter__(self) -> Iterator[Tuple[int, Rect]]:
+        return map(_pair, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Answer):
+            return self.rows == other.rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Answer({list(self)!r})"
 
 
 class Shard:
@@ -337,8 +385,9 @@ class ShardRouter:
 
     # -- query fan-out -----------------------------------------------------
 
-    def query(self, window: Rect) -> List[Tuple[int, Rect]]:
-        """All live objects intersecting ``window``, merged over shards.
+    def query(self, window: Rect) -> "Answer":
+        """All live objects intersecting ``window``, merged over shards,
+        in oid order.
 
         The window is grown by the largest object half-extent before
         computing the fan-out (an object routes by its centre but its
@@ -348,29 +397,36 @@ class ShardRouter:
         may transiently exist on two shards, and the higher stamp is by
         construction the newer rectangle.  One shard's memo-filtered
         answer already holds exactly one latest entry per object, so a
-        window that names a single shard skips the merge.
+        window that names a single shard skips the merge.  The shards
+        answer in flat rows (``RUMTree.search_rows``), which the
+        :class:`Answer` keeps as they are for the server to pack.
         """
         _require_finite(window)
         targets = self._targets(window)
         if len(targets) == 1:
             shard = self.shards[targets[0]]
-            rows = self._on_shard(shard, shard.tree.search, window, False)
+            rows = self._on_shard(shard, shard.tree.search_rows, window, False)
         else:
-            best: Dict[int, Tuple[int, Rect]] = {}
+            best: Dict[int, tuple] = {}
             for index in targets:
                 shard = self.shards[index]
-                part = self._on_shard(shard, shard.tree.search, window, True)
-                for oid, rect, stamp in part:
-                    seen = best.get(oid)
-                    if seen is None or stamp > seen[0]:
-                        best[oid] = (stamp, rect)
-            rows = [(oid, rect) for oid, (_stamp, rect) in best.items()]
+                part = self._on_shard(
+                    shard, shard.tree.search_rows, window, True
+                )
+                for row in part:  # (oid, x1, y1, x2, y2, stamp)
+                    seen = best.get(row[0])
+                    if seen is None or row[5] > seen[5]:
+                        best[row[0]] = row
+            rows = [row[:5] for row in best.values()]
         with self._stats_lock:
             self._n_queries += 1
             if len(targets) > 1:
                 self._n_fanout += 1
-        rows.sort()  # oids are unique: the rectangles are never compared
-        return rows
+        # Oids are unique, so the order is the oids' alone; a key sort
+        # compares bare ints, which a sort of the tuples themselves does
+        # not (about half the time at 46 rows).
+        rows.sort(key=_OID)
+        return Answer(rows)
 
     def nearest_neighbors(
         self, x: float, y: float, k: int

@@ -201,9 +201,8 @@ class ShardServer:
         if op == "delete":
             return {"existed": router.delete(int_from_wire(request["oid"]))}
         if op == "query":
-            return results_to_wire(
-                router.query(rect_from_wire(request["window"]))
-            )
+            # The router's answer already holds the frame's flat rows.
+            return router.query(rect_from_wire(request["window"])).rows
         if op == "knn":
             return results_to_wire(
                 router.nearest_neighbors(

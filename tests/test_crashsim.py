@@ -17,7 +17,6 @@ from typing import Dict, List, Set
 import pytest
 
 from repro.core.recovery import recover_option_ii
-from repro.core.rum import RUMTree
 from repro.crashsim import (
     CrashScenario,
     WorkloadConfig,
@@ -354,20 +353,11 @@ def test_a_tear_that_leaves_the_new_page_is_a_landed_write(skip, tmp_path):
     assert "search equals memo-filtered leaf content" in outcome.checks
 
 
-def test_damage_read_in_flight_counts_as_detected(tmp_path, monkeypatch):
-    """The corrupted page is read back by the operation that wrote it;
-    the PageChecksumError it raises is the detection.  The pre-fix
-    harness let it escape the workload as an error.  A write is one page
-    scope whose pages go out when it ends, so no operation of the script
-    reads one back; here every update ends with a read of the whole
-    tree."""
-    update = RUMTree.update_object
-
-    def update_then_read(tree, oid, old_rect, new_rect):
-        update(tree, oid, old_rect, new_rect)
-        tree.search(Rect(0.0, 0.0, 1.0, 1.0))
-
-    monkeypatch.setattr(RUMTree, "update_object", update_then_read)
+def test_damage_read_in_flight_counts_as_detected(tmp_path):
+    """The corrupted page is read back by the script's range query after
+    the write that damaged it; the PageChecksumError it raises is the
+    detection.  The pre-fix harness let it escape the workload as an
+    error."""
     scenario = CrashScenario("I", "disk.page_write", "corrupt", 3)
     outcome = run_scenario(scenario, tmp_path)
     assert outcome.kind == "detected" and not outcome.crashed

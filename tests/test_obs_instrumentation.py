@@ -578,6 +578,69 @@ class TestSharedRegistryCounts:
             assert interval.counters[name] == done, name
 
 
+class TestServedQueryParity:
+    """A query served over the socket (client, server, router, the
+    shards' ``search_rows``) leaves the flight-recorder records and the
+    ``tree.queries`` count that ``tree.search`` of the same window on
+    the same shards leaves: one range query per shard visited."""
+
+    @staticmethod
+    def _router(obs):
+        import random
+
+        router = ShardRouter(4, obs=obs)
+        rng = random.Random(4807)
+        for oid in range(400):
+            x, y = rng.random() * 0.99, rng.random() * 0.99
+            router.upsert(oid, Rect(x, y, x + 0.01, y + 0.01))
+        for oid in range(0, 400, 3):  # garbage for the memo filter
+            x, y = rng.random() * 0.99, rng.random() * 0.99
+            router.upsert(oid, Rect(x, y, x + 0.01, y + 0.01))
+        return router
+
+    @staticmethod
+    def _queries(obs):
+        return [
+            (r.op, r.tree, r.io, r.memo_lookups, r.memo_hits, r.served_by)
+            for r in obs.recorder.records() if r.op == "query"
+        ]
+
+    def test_served_query_records_as_tree_search(self):
+        from repro.serving import ServingClient, ShardServer
+
+        served_obs, direct_obs = _traced_obs()[0], _traced_obs()[0]
+        served, direct = self._router(served_obs), self._router(direct_obs)
+        windows = [Rect(0.05, 0.05, 0.2, 0.2), Rect(0.3, 0.3, 0.7, 0.7),
+                   Rect(0.0, 0.0, 1.0, 1.0), Rect(0.6, 0.1, 0.9, 0.4)]
+        fan_outs = []
+        with ShardServer(served) as server:
+            with ServingClient(*server.address) as client:
+                for window in windows:
+                    targets = direct._targets(window)
+                    fan_outs.append(len(targets))
+                    stamped = len(targets) > 1
+                    want = {}
+                    for index in targets:
+                        for oid, rect, *_ in direct.shards[index].tree.search(
+                            window, stamped
+                        ):
+                            want[oid] = rect
+                    assert client.query(window) == sorted(want.items())
+        assert 1 in fan_outs and max(fan_outs) == 4
+        assert self._queries(served_obs) == self._queries(direct_obs)
+        assert len(self._queries(served_obs)) == sum(fan_outs)
+        for router in (served, direct):
+            assert sum(s.tree.query_count for s in router.shards) == sum(
+                fan_outs
+            )
+        assert (
+            served_obs.registry.snapshot().counters["tree.queries"]
+            == direct_obs.registry.snapshot().counters["tree.queries"]
+            == sum(fan_outs)
+        )
+        direct.close()
+
+
 class TestAttachDetach:
     def test_level_off_runs_uninstrumented_path(self):
         tree = build_rum_tree(node_size=2048, obs=None)

@@ -2,6 +2,7 @@
 searches, deletes, clean-upon-touch, and the garbage metrics."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,71 @@ class TestSearchEqualsThePerEntryFilter:
                 v.entries_matched for v in report.visits if v.is_leaf
             )
             assert report.memo["obsolete"] > 0
+
+
+class TestSearchRowsEqualSearch:
+    """``search_rows`` is ``search`` in the answer frame's shape: over
+    twin churned trees, one asked through each, every answer holds the
+    same objects in the same order with bit-identical coordinates, and
+    the two trees count the same I/O, memo probes and queries — walked
+    and mirror-served, with the memo's run tier off and on."""
+
+    @staticmethod
+    def churned(directory, tier):
+        kwargs = {}
+        if tier:
+            kwargs = {"memo_dir": str(directory), "memo_spill_budget": 256}
+        tree = build_rum_tree(
+            node_size=SMALL_NODE, clean_upon_touch=False,
+            inspection_ratio=0.05, **kwargs,
+        )
+        positions = populate(tree, 250, seed=41)
+        random_walk(tree, positions, steps=500, seed=42, distance=0.15)
+        assert tree.garbage_count() > 100
+        assert not tier or tree.memo.tier.runs
+        return tree
+
+    @staticmethod
+    def tallies(tree):
+        return (
+            tree.stats.snapshot(), tree.memo.lookup_count,
+            tree.memo.hit_count, tree.query_count,
+        )
+
+    @pytest.mark.parametrize("stamped", [False, True])
+    @pytest.mark.parametrize("tier", [False, True], ids=["ram", "tier"])
+    def test_rows_are_the_pairs(self, tmp_path, tier, stamped):
+        by_pairs = self.churned(tmp_path / "pairs", tier)
+        by_rows = self.churned(tmp_path / "rows", tier)
+        rng = random.Random(43)
+        windows = [random_window(rng, side=0.3) for _ in range(8)]
+        # 2 x MIRROR_QUERY_STREAK mutation-free queries (the second half
+        # mirror-served), one write on each tree, then walked again.
+        script = windows * (2 * MIRROR_QUERY_STREAK // len(windows))
+        script += [None] + windows
+        served = []
+        for window in script:
+            if window is None:
+                for tree in (by_pairs, by_rows):
+                    tree.update_object(7, None, Rect(0.5, 0.5, 0.51, 0.51))
+                continue
+            pairs = by_pairs.search(window, stamped)
+            rows = by_rows.search_rows(window, stamped)
+            assert by_pairs._served_by_mirror == by_rows._served_by_mirror
+            served.append(by_rows._served_by_mirror)
+            flat = [
+                (oid, r.xmin, r.ymin, r.xmax, r.ymax, *rest)
+                for oid, r, *rest in pairs
+            ]
+            assert rows == flat and rows
+            assert [struct.pack("<q4d", *row[:5]) for row in rows] == [
+                struct.pack("<q4d", *row[:5]) for row in flat
+            ]
+            assert all(len(row) == 5 + stamped for row in rows)
+            assert self.tallies(by_rows) == self.tallies(by_pairs)
+        assert True in served and served[0] is False and served[-1] is False
+        for tree in (by_pairs, by_rows):
+            tree.memo.close()
 
 
 class TestCleanUponTouch:

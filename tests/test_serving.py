@@ -162,6 +162,36 @@ class TestFanOut:
             hits = router.query(Rect(0, 0, 1, 1))
             assert [oid for oid, _ in hits] == list(range(40))
 
+    def test_mid_migration_row_is_the_newer_one_once_in_oid_order(self):
+        with ShardRouter(4) as router:
+            for oid in range(40):
+                router.upsert(
+                    oid, _square((oid % 8) / 8.0 + 0.05,
+                                 (oid // 8) / 5.0 + 0.05)
+                )
+            # Object 9, caught mid-migration: inserted on its new shard
+            # (a newer stamp), its old entry not yet memo-deleted.
+            old_home = router.shard_for_rect(_square(0.175, 0.25))
+            moved = _square(0.8, 0.8)
+            new_home = router.shards[router.shard_for_rect(moved)]
+            assert new_home.index != old_home
+            new_home.tree.insert_object(9, moved)
+            for shard in router.shards:
+                found = shard.tree.search(Rect(0, 0, 1, 1))
+                assert (9 in dict(found)) == (
+                    shard.index in (old_home, new_home.index)
+                )
+            for window in (Rect(0, 0, 1, 1), Rect(0.1, 0.1, 0.9, 0.9)):
+                assert len(router._targets(window)) > 1
+                rows = router.query(window).rows
+                oids = [row[0] for row in rows]
+                assert oids == sorted(oids)
+                assert oids.count(9) == 1
+                assert rows[oids.index(9)] == (
+                    9, moved.xmin, moved.ymin, moved.xmax, moved.ymax
+                )
+                assert all(len(row) == 5 for row in rows)
+
     def test_knn_across_shards(self):
         with ShardRouter(4) as router:
             # A ring of points around the centre, one per quadrant.
@@ -601,7 +631,7 @@ class TestProtocol:
         with pytest.raises(ValueError):
             rect_from_wire([1.0, 2.0])
         wire = results_to_wire([(7, rect), (9, rect)])
-        assert wire == [[7, 9], [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3, 0.4]]
+        assert wire == [(7, 0.1, 0.2, 0.3, 0.4), (9, 0.1, 0.2, 0.3, 0.4)]
         assert results_from_wire(wire) == [(7, rect), (9, rect)]
 
 

@@ -82,7 +82,10 @@ PACKED = {
     "ack": {"ok": True, "result": {"shard": 3, "migrated": True}},
     "rows": {
         "ok": True,
-        "result": [[1, 2, 3], [float(i) for i in range(12)]],
+        "result": [
+            (oid, *(float(4 * row + i) for i in range(4)))
+            for row, oid in enumerate((1, 2, 3))
+        ],
     },
 }
 FIXED_BODY = {"insert": 40, "update": 40, "query": 32, "ack": 5}
@@ -246,12 +249,15 @@ class TestFailsClosed:
     def test_malformed_frames_raise_only_the_two_documented_errors(
         self, monkeypatch
     ):
-        layouts = []  # row counts a layout was compiled for
-        rows_struct = protocol._rows_struct
-        monkeypatch.setattr(
-            protocol, "_rows_struct",
-            lambda n: layouts.append(n) or rows_struct(n),
-        )
+        unpacked = []  # sizes of the row regions handed to the unpacker
+        row = protocol._ROW
+
+        class Spy:
+            def iter_unpack(self, buffer):
+                unpacked.append(len(buffer))
+                return row.iter_unpack(buffer)
+
+        monkeypatch.setattr(protocol, "_ROW", Spy())
         assert len(MALFORMED) == 426
         for read in (recv_frame, _reader_read):
             for name, data in MALFORMED:
@@ -263,7 +269,7 @@ class TestFailsClosed:
                 # RecursionError ...) propagates and fails the test by
                 # itself.
                 pytest.fail(f"{name}: {read.__name__} returned {got!r}")
-        assert layouts == []  # a lying count is refused unallocated
+        assert unpacked == []  # a lying count is refused unread
 
     def test_rejected_frames_decode(self):
         # The table's second half is hostile in *content*, not in form.
@@ -306,7 +312,7 @@ class TestFailsClosed:
         for message in (
             {"op": "update", "oid": oid, "rect": rect},
             {"op": "insert", "oid": oid, "rect": rect},
-            {"ok": True, "result": [[oid], rect]},
+            {"ok": True, "result": [(oid, *rect)]},
         ):
             with pytest.raises(ValueError):
                 encode_frame(message)
@@ -320,7 +326,7 @@ class TestFailsClosed:
         {"op": "query", "window": 5},
         {"ok": True, "result": {"shard": -1, "migrated": False}},
         {"ok": True, "result": {"shard": 2**32, "migrated": False}},
-        {"ok": True, "result": [[1, 2], [0.0] * 4]},
+        {"ok": True, "result": [(1, 0.0, 0.0, 0.0)]},
         {"op": "stats", "blob": object()},
     ])
     def test_unpackable_message_is_a_value_error(self, message):
@@ -409,7 +415,9 @@ class TestFrameReader:
 
     def test_the_largest_answer_is_read_in_linear_recvs(self):
         n = 26_214
-        message = {"ok": True, "result": [list(range(n)), [0.5] * (4 * n)]}
+        message = {
+            "ok": True, "result": [(i, 0.5, 0.5, 0.5, 0.5) for i in range(n)]
+        }
         frame = encode_frame(message)
         assert len(frame) > MAX_FRAME - 40
         segment = 16_384  # what loopback hands over at a time
@@ -510,16 +518,20 @@ class TestExactness:
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(st.tuples(oids, quads), max_size=40))
     def test_rows(self, rows):
-        flat = [c for _oid, quad in rows for c in quad]
-        _assert_exact({"ok": True, "result": [[o for o, _ in rows], flat]})
+        _assert_exact(
+            {"ok": True, "result": [(oid, *quad) for oid, quad in rows]}
+        )
 
     @pytest.mark.parametrize("n", [0, 1, 5000])
     def test_rows_at_fixed_sizes(self, n):
         rng = random.Random(n)
         edge = [-0.0, 5e-324, 1e308, -1e308]
-        id_column = [rng.choice((-1, 1)) * (INT64_MAX - i) for i in range(n)]
-        flat = [rng.choice(edge + [rng.random()]) for _ in range(4 * n)]
-        message = {"ok": True, "result": [id_column, flat]}
+        rows = [
+            (rng.choice((-1, 1)) * (INT64_MAX - i),
+             *(rng.choice(edge + [rng.random()]) for _ in range(4)))
+            for i in range(n)
+        ]
+        message = {"ok": True, "result": rows}
         assert len(encode_frame(message)) == 9 + 40 * n
         _assert_exact(message)
 
@@ -532,21 +544,21 @@ class TestExactness:
 
     def test_a_frame_holds_26214_rows(self):
         def answer(n):
-            return {"ok": True, "result": [[0] * n, [0.0] * (4 * n)]}
+            return {"ok": True, "result": [(0, 0.0, 0.0, 0.0, 0.0)] * n}
 
         assert (MAX_FRAME - 5) // protocol.ROW_BYTES == 26_214
         assert len(encode_frame(answer(26_214))) <= 4 + MAX_FRAME
         with pytest.raises(ValueError, match="26215 rows exceed MAX_FRAME"):
             encode_frame(answer(26_215))
 
-    def test_columns_invert(self):
+    def test_rows_invert(self):
         rows = sorted(_seeded_objects(40, seed=3).items())
         assert results_from_wire(results_to_wire(rows)) == rows
-        assert results_to_wire([]) == [[], []]
+        assert results_to_wire([]) == []
         with pytest.raises(ValueError):
-            results_from_wire([[1, 2], [0.0] * 4])
+            results_from_wire([(1, 0.0, 0.0, 0.0)])
         with pytest.raises(ValueError):  # Rect still validates each row
-            results_from_wire([[1], [0.5, 0.5, 0.4, 0.6]])
+            results_from_wire([(1, 0.5, 0.5, 0.4, 0.6)])
 
     def test_socket_answers_equal_the_routers(self):
         rng = random.Random(47)
