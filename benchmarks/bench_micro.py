@@ -62,7 +62,6 @@ from repro.rtree.base import RTreeBase
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
 from repro.serving import ServingClient, ShardRouter, ShardServer
-from repro.serving.router import Answer
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import NodeCodec
 from repro.storage.disk import DiskManager
@@ -558,12 +557,12 @@ class _NullRouter:
     layers' own — two frames each way, dispatch, two thread wake-ups."""
 
     ACK = {"shard": 1, "migrated": False}
-    ANSWER = Answer([(oid, 0.1, 0.1, 0.2, 0.2) for oid in range(47)])
+    ANSWER = [(oid, 0.1, 0.1, 0.2, 0.2) for oid in range(47)]
 
     def upsert(self, oid: int, rect: Rect) -> Dict:
         return self.ACK
 
-    def query(self, window: Rect) -> Answer:
+    def query(self, window: Rect) -> List[tuple]:
         return self.ANSWER
 
     def close(self) -> None:

@@ -5,6 +5,9 @@ Usage::
 
     python scripts/loc_report.py [--markdown] [--options] [ROOT | FILE.py ...]
 
+An unknown flag or a root or file that does not exist prints this usage
+line and exits 2.
+
 For each root (default ``src`` and ``tests``) prints, per package and in
 total, the physical lines of its ``*.py`` files (what ``wc -l`` counts,
 the figure ROADMAP and CHANGES.md quote) and the code lines among them
@@ -24,6 +27,10 @@ import sys
 from typing import Callable, Dict, List, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+USAGE = (
+    "usage: python scripts/loc_report.py [--markdown] [--options] "
+    "[ROOT | FILE.py ...]"
+)
 
 
 def count(path: pathlib.Path) -> Tuple[int, ...]:
@@ -90,6 +97,11 @@ def main(argv: List[str]) -> int:
     flags = ("--markdown", "--options")
     args = [arg for arg in argv if arg not in flags] or ["src", "tests"]
     files = [arg for arg in args if arg.endswith(".py")]
+    for arg in args:
+        found = (REPO / arg).is_file() if arg in files else (REPO / arg).is_dir()
+        if arg.startswith("-") or not found:
+            print(USAGE, file=sys.stderr)
+            return 2
     tables = [
         (f"{root}/", [
             (package_of(path, REPO / root), path)

@@ -16,7 +16,11 @@ arrival due at once: a saturation probe), and then asserts:
 * a probe's served answer equals the in-process ``router.query`` of the
   same window and is sorted by oid, and the ``R`` frame the server sent
   for it, read off the socket byte for byte, is ``9 + 40n`` bytes for its
-  ``n`` rows.
+  ``n`` rows;
+* a served kNN query answers ``k`` objects, the in-process
+  ``router.nearest_neighbors`` at the same point;
+* a served delete of a live object answers true, a second one false, and
+  the served count drops by exactly one.
 
 It also prints the frame sizes of one update and one query, so the log
 carries the real bytes per op.
@@ -44,7 +48,12 @@ from repro.concurrency.racecheck import RaceChecker
 from repro.concurrency.throughput import LoadDriver
 from repro.rtree.geometry import Rect
 from repro.serving import ServingClient, ShardRouter, ShardServer
-from repro.serving.protocol import encode_frame, rect_to_wire, recv_frame
+from repro.serving.protocol import (
+    encode_frame,
+    rect_to_wire,
+    recv_frame,
+    results_from_wire,
+)
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
 from repro.workload.trace import UpdateOp, mixed_trace
@@ -109,6 +118,24 @@ def answer_failures(served: List[Any], frame: bytes) -> List[str]:
     return failures
 
 
+def delete_failures(probe: ServingClient, oid: int) -> List[str]:
+    """What is wrong with deleting the live object ``oid``, by ``count``."""
+    failures = []
+    before = probe.count()
+    if not probe.delete(oid):
+        failures.append(f"delete of live object {oid} answered false")
+    if probe.delete(oid):
+        failures.append(f"second delete of object {oid} answered true")
+    after = probe.count()
+    if after != before - 1:
+        failures.append(f"count went {before} -> {after} over one delete")
+    return failures
+
+
+#: Neighbours the kNN probe asks for.
+KNN = 5
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shards", type=int, default=4)
@@ -149,21 +176,32 @@ def main(argv: List[str] | None = None) -> int:
         driver = LoadDriver(factory, n_clients=args.clients)
         result = driver.run(trace, rate=float("inf"))
         failures = hostile_frames(host, port)
+        for client in clients:
+            client.close()
         with ServingClient(host, port) as probe:
             live = probe.count()
-            answered = len(probe.query(Rect(0.0, 0.0, 1.0, 1.0)))
+            everything = probe.query(Rect(0.0, 0.0, 1.0, 1.0))
+            answered = len(everything)
             stats = probe.stats()
             window = next(
                 op.window for op in trace if not isinstance(op, UpdateOp)
             )
             rows = probe.query(window)
             frame = raw_answer(host, port, window)
-        for client in clients:
-            client.close()
-        # Nothing writes any more: the router answers as the server did.
-        if rows != router.query(window):
-            failures.append("served answer differs from router.query")
-        failures += answer_failures(rows, frame)
+            x, y = window.center()
+            near = probe.nearest_neighbors(x, y, KNN)
+            # Nothing else writes any more: the router answers as the
+            # server did.
+            if rows != results_from_wire(router.query(window)):
+                failures.append("served answer differs from router.query")
+            if len(near) != KNN or near != results_from_wire(
+                router.nearest_neighbors(x, y, KNN)
+            ):
+                failures.append(
+                    "served kNN differs from router.nearest_neighbors"
+                )
+            failures += answer_failures(rows, frame)
+            failures += delete_failures(probe, everything[0][0])
 
     if checker.race_count != 0:
         failures.append(

@@ -11,7 +11,7 @@ from typing import Any
 
 from . import racecheck
 from .locks import READ, WRITE, GranularLockManager, ReadWriteLock
-from .primitives import LockLike, make_condition, make_lock, make_rlock
+from .primitives import LockLike, make_lock
 
 __all__ = [
     "ReadWriteLock",
@@ -20,8 +20,6 @@ __all__ = [
     "WRITE",
     "LockLike",
     "make_lock",
-    "make_rlock",
-    "make_condition",
     "racecheck",
     "GranuleLockedTree",
     "LoadDriver",

@@ -1,4 +1,4 @@
-"""Lock-construction factories — the only sanctioned way to build
+"""The lock-construction factory — the only sanctioned way to build
 ``threading`` primitives outside this package (rule REP015).
 
 Two reasons to funnel construction through here instead of calling
@@ -11,7 +11,7 @@ Two reasons to funnel construction through here instead of calling
   racecheck` is (or may become) active, :func:`make_lock` returns a
   :class:`~repro.concurrency.racecheck.TrackedLock` whose
   acquire/release feed the checker's held-lock sets.  When detection
-  is off the factories return the bare ``threading`` primitive — the
+  is off the factory returns the bare ``threading.Lock`` — the
   hot paths pay nothing.
 """
 
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import threading
 from types import TracebackType
-from typing import Any, Optional, Protocol
+from typing import Optional, Protocol
 
 from . import racecheck
 
 
 class LockLike(Protocol):
-    """Structural type shared by ``threading.Lock``/``RLock`` and
+    """Structural type shared by ``threading.Lock`` and
     :class:`~repro.concurrency.racecheck.TrackedLock`."""
 
     def acquire(self, blocking: bool = ..., timeout: float = ...) -> bool:
@@ -56,17 +56,3 @@ def make_lock() -> LockLike:
     if _tracking():
         return racecheck.TrackedLock(lock)
     return lock
-
-
-def make_rlock() -> LockLike:
-    """A reentrant mutex, tracked like :func:`make_lock`."""
-    rlock = threading.RLock()
-    if _tracking():
-        return racecheck.TrackedLock(rlock)
-    return rlock
-
-
-def make_condition(lock: Optional[Any] = None) -> threading.Condition:
-    """A condition variable (never tracked: conditions serialise their
-    own waiters; the lockset checker cares about data-guarding locks)."""
-    return threading.Condition(lock)

@@ -331,11 +331,11 @@ class RUMTree(RTreeBase, MemoHost):
 
     # holds: latch
     def _memo_filtered_search(
-        self, window: Rect, stamped: bool, flat: bool = False
+        self, window: Rect, stamped: bool = False, flat: bool = False
     ) -> List[tuple]:
         """All live objects whose latest MBR intersects ``window``, as
-        ``(oid, rect[, stamp])`` pairs or, ``flat``, as the rows of
-        :meth:`search_rows`."""
+        ``(oid, rect)`` pairs or, ``flat``, as the rows of
+        :meth:`search_rows` (with the stamp when ``stamped``)."""
         filter_latest = self.memo.filter_latest
         tier = self.memo.tier
         marks = self._settled
@@ -351,10 +351,7 @@ class RUMTree(RTreeBase, MemoHost):
             )
             if flat:
                 return leaf.rows_at(kept, oids, stamps if stamped else None)
-            rects = leaf.rects_at(kept)
-            if stamped:
-                return [(oids[i], r, stamps[i]) for i, r in zip(kept, rects)]
-            return [(oids[i], r) for i, r in zip(kept, rects)]
+            return [(oids[i], r) for i, r in zip(kept, leaf.rects_at(kept))]
 
         return self.range_search(window, collect)
 

@@ -529,19 +529,19 @@ class ThreadingPrimitiveRule(LintRule):
     """REP015: threading primitives are built only in repro.concurrency.
 
     Everything else goes through
-    :func:`repro.concurrency.primitives.make_lock` (or ``make_rlock`` /
-    ``make_condition``), which hands out race-detector-tracked wrappers
-    when the checker is active.  A raw ``threading.Lock()`` elsewhere is
-    invisible to the detector: accesses under it look unprotected and
-    the lockset algorithm reports false races — or worse, the lock
-    silently exempts itself from the discipline the linter enforces.
+    :func:`repro.concurrency.primitives.make_lock`, which hands out a
+    race-detector-tracked wrapper when the checker is active.  A raw
+    ``threading.Lock()`` elsewhere is invisible to the detector:
+    accesses under it look unprotected and the lockset algorithm
+    reports false races — or worse, the lock silently exempts itself
+    from the discipline the linter enforces.
     Tests are exempt (they build scaffolding locks freely).
     """
 
     rule_id = "REP015"
     summary = (
         "threading primitive constructed outside repro.concurrency "
-        "(use primitives.make_lock and friends)"
+        "(use primitives.make_lock)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -583,7 +583,7 @@ class ThreadingPrimitiveRule(LintRule):
                         node.col_offset,
                         f"'{flagged}()' constructed outside "
                         "repro.concurrency — use repro.concurrency."
-                        "primitives.make_lock/make_rlock/make_condition",
+                        "primitives.make_lock",
                     )
                 )
         return iter(out)

@@ -443,12 +443,10 @@ class RTreeBase:
             self._observed("delete", self._delete_body, oid, old_rect, oid=oid)
         self.update_count += 1
 
-    def search(self, window: Rect, stamped: bool = False) -> List[tuple]:
+    def search(self, window: Rect) -> List[tuple]:
         """All live objects whose current MBR intersects ``window``, as
-        ``(oid, rect)`` — or, ``stamped``, ``(oid, rect, stamp)``: what a
-        merge over several trees needs to tell the newer of two answers
-        for one object (the shard router's max-stamp rule)."""
-        return self._range_query(self._search_body, window, stamped)
+        ``(oid, rect)``."""
+        return self._range_query(self._search_body, window)
 
     def _range_query(self, body, window: Rect, *args) -> List[tuple]:
         """``body(window, *args)`` as one range query: the one copy of
@@ -470,8 +468,9 @@ class RTreeBase:
         self, x: float, y: float, k: int, stamped: bool = False
     ) -> List[tuple]:
         """The ``k`` live objects nearest to ``(x, y)``, nearest first, as
-        ``(oid, rect)`` — or, ``stamped``, ``(dist, oid, stamp, rect)``
-        (see :meth:`search`)."""
+        ``(oid, rect)`` — or, ``stamped``, ``(dist, oid, stamp, rect)``:
+        what a merge over several trees needs to tell the newer of two
+        answers for one object (the shard router's max-stamp rule)."""
         if k <= 0:
             return []
         if self.obs is None:
@@ -498,11 +497,8 @@ class RTreeBase:
     def _delete_body(self, oid: int, old_rect: Optional[Rect]) -> None:
         raise NotImplementedError
 
-    def _search_body(self, window: Rect, stamped: bool) -> List[tuple]:
-        raw = self.range_search(window)
-        if stamped:
-            return [(e.oid, e.rect, e.stamp) for e in raw]
-        return [(e.oid, e.rect) for e in raw]
+    def _search_body(self, window: Rect) -> List[tuple]:
+        return [(e.oid, e.rect) for e in self.range_search(window)]
 
     def _knn_body(self, x: float, y: float, k: int, stamped: bool) -> List[tuple]:
         return self._nearest_rows(self.iter_nearest(x, y), k, stamped)
@@ -1170,7 +1166,7 @@ class RTreeBase:
                 self,
                 "query",
                 {"window": (window.xmin, window.ymin, window.xmax, window.ymax)},
-                lambda: self._search_body(window, False),
+                lambda: self._search_body(window),
             )
         finally:
             for name, value in found.items():

@@ -11,10 +11,9 @@ rides as UTF-8 JSON under one more tag:
 =====  =========================  ==========================  ==========
 tag    message                    body                        frame size
 =====  =========================  ==========================  ==========
-``I``  ``insert`` request         ``oid:i64 rect:4×f64``      45 B
 ``U``  ``update`` request         ``oid:i64 rect:4×f64``      45 B
 ``Q``  ``query`` request          ``window:4×f64``            37 B
-``A``  answer to insert / update  ``shard:u32 migrated:u8``   10 B
+``A``  answer to update           ``shard:u32 migrated:u8``   10 B
 ``R``  answer to query / knn      ``n:u32 n×(i64 4×f64)``     9 + 40n B
 ``J``  everything else            one UTF-8 JSON object       5 + len B
 =====  =========================  ==========================  ==========
@@ -27,18 +26,19 @@ error.
 
 In dict form (what :func:`send_frame` takes and :func:`recv_frame`
 returns) a request carries an ``op``: ``ping``, ``count``, ``stats``,
-``delete`` (``oid``), ``insert`` / ``update`` (``oid``, ``rect: [x1, y1,
-x2, y2]``), ``query`` (``window``) or ``knn`` (``x``, ``y``, ``k``).
-Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false, "error":
-"<message>"}``; query and kNN results are the list of flat rows ``(oid,
-x1, y1, x2, y2)`` of :func:`results_to_wire` (a router's range answer
-already holds its rows in that shape, and the server packs them as they
-are; any list result is a rows frame).  The connection is persistent:
-frames are processed in order until the client closes its end.  Each end
-reads through a :class:`FrameReader`: one ``recv`` per frame, over-read
-bytes kept for the next, so a client may pipeline requests.  A client whose
-round trip failed in transport (timeout, reset, malformed answer) is
-closed, not reused: the late answer would be read as the next reply.
+``delete`` (``oid``), ``update`` (``oid``, ``rect: [x1, y1, x2, y2]``;
+it inserts an object it does not know), ``query`` (``window``) or ``knn``
+(``x``, ``y``, ``k``).  Responses are ``{"ok": true, "result": ...}`` or
+``{"ok": false, "error": "<message>"}``; query and kNN results are the
+list of flat rows ``(oid, x1, y1, x2, y2)`` the router answers both in,
+which the server packs as they are (any list result is a rows frame;
+:func:`results_to_wire` builds them from ``(oid, rect)`` pairs).  The
+connection is persistent: frames are processed in order until the client
+closes its end.  Each end reads through a :class:`FrameReader`: one
+``recv`` per frame, over-read bytes kept for the next, so a client may
+pipeline requests.  A client whose round trip failed in transport
+(timeout, reset, malformed answer) is closed, not reused: the late answer
+would be read as the next reply.
 """
 
 from __future__ import annotations
@@ -61,14 +61,12 @@ ROW_BYTES = 40
 _LEN = struct.Struct(">I")
 _COUNT = struct.Struct("<I")
 _MOVE = struct.Struct("<q4d")
-#: One answer row: the same layout as a move request's body.
+#: One answer row: the same layout as an update request's body.
 _ROW = _MOVE
 #: The fixed-shape kinds, one row each: tag, body layout, message ->
 #: values to pack, unpacked values -> message.  The variable-length kinds
 #: ("rows" under ``R``, "json" under ``J``) are branches of the codec.
 _FIXED: Dict[str, Tuple[bytes, struct.Struct, Any, Any]] = {
-    "insert": (b"I", _MOVE, lambda m: (m["oid"], *m["rect"]),
-               lambda v: {"op": "insert", "oid": v[0], "rect": list(v[1:])}),
     "update": (b"U", _MOVE, lambda m: (m["oid"], *m["rect"]),
                lambda v: {"op": "update", "oid": v[0], "rect": list(v[1:])}),
     "query": (b"Q", struct.Struct("<4d"), lambda m: m["window"],
@@ -84,7 +82,7 @@ _BY_TAG = {row[0]: row for row in _FIXED.values()}
 def _kind(message: Dict[str, Any]) -> str:
     """Which frame ``message`` travels as — decided by its shape alone."""
     op = message.get("op")
-    if op in ("insert", "update", "query"):  # a tuple: op may be unhashable
+    if op in ("update", "query"):  # a tuple: op may be unhashable
         return op
     result = message.get("result") if message.get("ok") is True else None
     if type(result) is dict and result.keys() == {"shard", "migrated"}:

@@ -40,7 +40,8 @@ thread, one latch at a time; shards serve in parallel only across
 callers.  The optional ``io_latency`` models one disk channel per
 shard: after releasing the structure latch, the operation sleeps its
 leaf I/O times ``io_latency`` while holding the shard's I/O-channel
-lock, so a multi-shard query sleeps on each shard's channel in turn.
+lock, so a multi-shard query sleeps on each shard's channel in turn,
+and a delete sleeps the cleaning it drove.
 Sleeps of different callers on different shards overlap (the GIL is
 released), which is exactly the parallelism sharding buys on real
 hardware.
@@ -49,19 +50,9 @@ hardware.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from math import isfinite
 from operator import itemgetter
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency import racecheck
 from repro.concurrency.primitives import LockLike, make_lock
@@ -99,47 +90,6 @@ def _require_finite(rect: Rect) -> None:
 
 #: The sort key of an answer row: its oid.
 _OID = itemgetter(0)
-
-
-def _pair(row: tuple) -> Tuple[int, Rect]:
-    return row[0], Rect(row[1], row[2], row[3], row[4])
-
-
-class Answer(Sequence[Tuple[int, Rect]]):
-    """A range query's answer: ``rows``, the flat ``(oid, x1, y1, x2,
-    y2)`` rows the shards returned, sorted by oid — what the server packs
-    into an answer frame as it stands.  In process the answer reads as
-    the ``[(oid, rect)]`` list it stands for: ``len``, indexing, slicing,
-    iteration and ``==`` / ``!=`` against such a list or another answer;
-    a pair is built only when it is read."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: List[tuple]) -> None:
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            return [_pair(row) for row in self.rows[index]]
-        return _pair(self.rows[index])
-
-    def __iter__(self) -> Iterator[Tuple[int, Rect]]:
-        return map(_pair, self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Answer):
-            return self.rows == other.rows
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Answer({list(self)!r})"
 
 
 class Shard:
@@ -296,8 +246,9 @@ class ShardRouter:
     def _on_shard(
         self, shard: Shard, call: Callable[..., Any], *args: Any
     ) -> Any:
-        """``call(*args)`` under ``shard``'s latch, like every tree
-        operation, then its leaf I/O on the shard's disk channel.  Only
+        """``call(*args)`` under ``shard``'s latch, then its leaf I/O on
+        the shard's disk channel: the router's one way into a shard's
+        tree (:meth:`close` alone takes a latch itself).  Only
         when ``io_latency > 0``: the leaf I/O is the change of the shard's
         ``leaf_reads + leaf_writes`` across the call, read inside the
         latch, where no other operation moves them."""
@@ -351,21 +302,16 @@ class ShardRouter:
             directory[oid] = target  # only once the shard has taken it
             if migrated:
                 # Step 2: memo-only delete on the old shard (stamp
-                # s2 > s1): no tree page is touched, the old entries
-                # become garbage for the old shard's cleaner.
-                old_tree = self.shards[old].tree
-                with old_tree.latch:
-                    old_tree.delete_object(oid)
+                # s2 > s1): it writes no tree page of its own, the old
+                # entries become garbage for the old shard's cleaner, and
+                # the cleaning it drives sleeps on the old shard's channel.
+                old_shard = self.shards[old]
+                self._on_shard(old_shard, old_shard.tree.delete_object, oid)
         with self._stats_lock:
             self._n_updates += 1
             if migrated:
                 self._n_migrations += 1
         return {"shard": target, "migrated": migrated}
-
-    #: ``insert`` and ``update`` are the same operation under the memo
-    #: approach (Section 3.2.1); both route by the new position.
-    insert = upsert
-    update = upsert
 
     def delete(self, oid: int) -> bool:
         """Remove ``oid``; returns whether it existed."""
@@ -377,17 +323,16 @@ class ShardRouter:
             if old is None:
                 return False
             shard = self.shards[old]
-            with shard.tree.latch:
-                shard.tree.delete_object(oid)
+            self._on_shard(shard, shard.tree.delete_object, oid)
         with self._stats_lock:
             self._n_updates += 1
         return True
 
     # -- query fan-out -----------------------------------------------------
 
-    def query(self, window: Rect) -> "Answer":
+    def query(self, window: Rect) -> List[tuple]:
         """All live objects intersecting ``window``, merged over shards,
-        in oid order.
+        as flat rows ``(oid, x1, y1, x2, y2)`` in oid order.
 
         The window is grown by the largest object half-extent before
         computing the fan-out (an object routes by its centre but its
@@ -397,9 +342,9 @@ class ShardRouter:
         may transiently exist on two shards, and the higher stamp is by
         construction the newer rectangle.  One shard's memo-filtered
         answer already holds exactly one latest entry per object, so a
-        window that names a single shard skips the merge.  The shards
-        answer in flat rows (``RUMTree.search_rows``), which the
-        :class:`Answer` keeps as they are for the server to pack.
+        window that names a single shard skips the merge.  The rows are
+        the shards' own (``RUMTree.search_rows``), which the server packs
+        as they are.
         """
         _require_finite(window)
         targets = self._targets(window)
@@ -426,12 +371,11 @@ class ShardRouter:
         # compares bare ints, which a sort of the tuples themselves does
         # not (about half the time at 46 rows).
         rows.sort(key=_OID)
-        return Answer(rows)
+        return rows
 
-    def nearest_neighbors(
-        self, x: float, y: float, k: int
-    ) -> List[Tuple[int, Rect]]:
-        """The ``k`` live objects nearest ``(x, y)``, nearest first.
+    def nearest_neighbors(self, x: float, y: float, k: int) -> List[tuple]:
+        """The ``k`` live objects nearest ``(x, y)``, nearest first, as
+        the flat rows of :meth:`query`.
 
         Every shard contributes at most ``k`` candidates (its own kNN
         answer); the merge dedups by maximum stamp, then takes the ``k``
@@ -456,21 +400,16 @@ class ShardRouter:
         )
         with self._stats_lock:
             self._n_knn += 1
-        return [(oid, rect) for _dist, oid, rect in ranked[:k]]
+        return [
+            (oid, rect.xmin, rect.ymin, rect.xmax, rect.ymax)
+            for _dist, oid, rect in ranked[:k]
+        ]
 
     # -- introspection -----------------------------------------------------
 
     def count_objects(self) -> int:
         """Live objects according to the routing directory."""
-        total = 0
-        for stripe in range(STRIPES):
-            with self._stripe_locks[stripe]:
-                if (checker := racecheck.ACTIVE) is not None:
-                    checker.access(
-                        self, f"directory[{stripe}]", write=False
-                    )
-                total += len(self._directory[stripe])
-        return total
+        return sum(self.shard_object_counts())
 
     def shard_object_counts(self) -> List[int]:
         """Directory objects per shard (the routing balance)."""

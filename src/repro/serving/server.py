@@ -27,7 +27,6 @@ from .protocol import (
     float_from_wire,
     int_from_wire,
     rect_from_wire,
-    results_to_wire,
 )
 from .router import ShardRouter
 
@@ -194,22 +193,20 @@ class ShardServer:
         router = self.router
         if op == "ping":
             return "pong"
-        if op in ("insert", "update"):
+        if op == "update":
             return router.upsert(
                 int_from_wire(request["oid"]), rect_from_wire(request["rect"])
             )
         if op == "delete":
             return {"existed": router.delete(int_from_wire(request["oid"]))}
+        # Both query verbs answer the flat rows an R frame packs.
         if op == "query":
-            # The router's answer already holds the frame's flat rows.
-            return router.query(rect_from_wire(request["window"])).rows
+            return router.query(rect_from_wire(request["window"]))
         if op == "knn":
-            return results_to_wire(
-                router.nearest_neighbors(
-                    float_from_wire(request["x"]),
-                    float_from_wire(request["y"]),
-                    int_from_wire(request["k"]),
-                )
+            return router.nearest_neighbors(
+                float_from_wire(request["x"]),
+                float_from_wire(request["y"]),
+                int_from_wire(request["k"]),
             )
         if op == "count":
             return router.count_objects()

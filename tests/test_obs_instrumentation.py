@@ -618,13 +618,10 @@ class TestServedQueryParity:
                 for window in windows:
                     targets = direct._targets(window)
                     fan_outs.append(len(targets))
-                    stamped = len(targets) > 1
                     want = {}
                     for index in targets:
-                        for oid, rect, *_ in direct.shards[index].tree.search(
-                            window, stamped
-                        ):
-                            want[oid] = rect
+                        tree = direct.shards[index].tree
+                        want.update(tree.search(window))
                     assert client.query(window) == sorted(want.items())
         assert 1 in fan_outs and max(fan_outs) == 4
         assert self._queries(served_obs) == self._queries(direct_obs)

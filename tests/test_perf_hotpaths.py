@@ -519,20 +519,32 @@ class TestBenchmarkPatchPointsResolve:
         assert ("serving.router.query" in patched) == spec.served
 
 
+def _load_script(name):
+    """``scripts/<name>.py`` imported as a module."""
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLocReport:
+    def test_refuses_what_it_cannot_count(self, capsys):
+        """``--help`` and a missing root ended in ``KeyError: 'total'``."""
+        main = _load_script("loc_report").main
+        for argv in (["--help"], ["no_such_dir"], ["no_such_file.py"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("usage: ")
+        assert main(["src"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("src/\n") and "  total " in out
+
+
 class TestBenchCompare:
     def _load_script(self):
-        import importlib.util
-        import pathlib
-
-        path = (
-            pathlib.Path(__file__).parent.parent
-            / "scripts"
-            / "bench_compare.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_compare", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return _load_script("bench_compare")
 
     def _report(self, **ops):
         return {

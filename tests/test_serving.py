@@ -39,7 +39,7 @@ class TestShardRouterBasics:
             router.upsert(2, _square(0.8, 0.8))
             assert router.count_objects() == 2
             hits = router.query(Rect(0.1, 0.1, 0.3, 0.3))
-            assert [oid for oid, _ in hits] == [1]
+            assert [row[0] for row in hits] == [1]
             assert router.delete(1)
             assert not router.delete(1)  # second delete: gone
             assert router.count_objects() == 1
@@ -87,7 +87,7 @@ class TestShardRouterBasics:
             router.upsert(7, _square(0.1, 0.1))
             router.upsert(7, _square(0.15, 0.15))  # same shard
             assert router.count_objects() == 1
-            hits = router.query(Rect(0.0, 0.0, 0.3, 0.3))
+            hits = results_from_wire(router.query(Rect(0.0, 0.0, 0.3, 0.3)))
             assert len(hits) == 1
             assert hits[0][1].xmin == pytest.approx(0.14)
 
@@ -117,7 +117,7 @@ class TestMigration:
             # Only the new position answers queries.
             assert router.query(Rect(0.1, 0.1, 0.3, 0.3)) == []
             hits = router.query(Rect(0.7, 0.7, 0.9, 0.9))
-            assert [oid for oid, _ in hits] == [42]
+            assert [row[0] for row in hits] == [42]
             assert router.stats()["tallies"]["migrations"] == 1
 
     def test_migration_leaves_old_shard_consistent(self):
@@ -150,7 +150,7 @@ class TestFanOut:
             # spills well into the lower-left one.
             router.upsert(1, Rect(0.45, 0.45, 0.56, 0.56))
             hits = router.query(Rect(0.40, 0.40, 0.47, 0.47))
-            assert [oid for oid, _ in hits] == [1]
+            assert [row[0] for row in hits] == [1]
 
     def test_query_spanning_all_shards(self):
         with ShardRouter(4) as router:
@@ -160,7 +160,7 @@ class TestFanOut:
                                  (oid // 8) / 5.0 + 0.05)
                 )
             hits = router.query(Rect(0, 0, 1, 1))
-            assert [oid for oid, _ in hits] == list(range(40))
+            assert [row[0] for row in hits] == list(range(40))
 
     def test_mid_migration_row_is_the_newer_one_once_in_oid_order(self):
         with ShardRouter(4) as router:
@@ -183,7 +183,7 @@ class TestFanOut:
                 )
             for window in (Rect(0, 0, 1, 1), Rect(0.1, 0.1, 0.9, 0.9)):
                 assert len(router._targets(window)) > 1
-                rows = router.query(window).rows
+                rows = router.query(window)
                 oids = [row[0] for row in rows]
                 assert oids == sorted(oids)
                 assert oids.count(9) == 1
@@ -203,7 +203,7 @@ class TestFanOut:
             for oid, (x, y) in positions.items():
                 router.upsert(oid, _square(x, y))
             got = router.nearest_neighbors(0.5, 0.5, 4)
-            assert sorted(oid for oid, _ in got) == [1, 2, 3, 4]
+            assert sorted(row[0] for row in got) == [1, 2, 3, 4]
             assert router.nearest_neighbors(0.5, 0.5, 0) == []
             everyone = router.nearest_neighbors(0.5, 0.5, 100)
             assert len(everyone) == 6
@@ -212,7 +212,7 @@ class TestFanOut:
         with ShardRouter(4) as router:
             router.upsert(9, _square(0.5, 0.5))
             router.upsert(9, _square(0.9, 0.9))  # migrates away
-            got = router.nearest_neighbors(0.5, 0.5, 1)
+            got = results_from_wire(router.nearest_neighbors(0.5, 0.5, 1))
             assert len(got) == 1
             oid, rect = got[0]
             assert oid == 9
@@ -235,12 +235,12 @@ class TestFanOut:
             hits = router.query(window)
             knn = router.nearest_neighbors(0.5, 0.5, 12)
             assert set(threading.enumerate()) == threads
-        assert hits == sorted(
+        assert results_from_wire(hits) == sorted(
             (oid, rect) for oid, rect in objects.items()
             if rect.intersects(window)
         )
         nearest = sorted(objects, key=lambda oid: objects[oid].min_dist(0.5, 0.5))
-        assert [oid for oid, _ in knn] == nearest[:12]
+        assert [row[0] for row in knn] == nearest[:12]
 
     def test_stats_shape(self):
         with ShardRouter(2) as router:
@@ -363,54 +363,105 @@ class TestSimulatedIO:
     ):
         router, counting, slept = self._router(monkeypatch, 0.25)
         stats = counting._stats  # this test's own readings go untallied
+
+        def bracketed(call, *args):
+            """``call(*args)``'s leaf I/O, checked to be slept exactly."""
+            before = stats.leaf_reads + stats.leaf_writes
+            reads, naps = counting.reads, len(slept)
+            assert call(*args)
+            leaf_io = stats.leaf_reads + stats.leaf_writes - before
+            # The exact bracket: two readings, one sleep of its size.
+            assert counting.reads - reads == 2
+            assert slept[naps:] == ([leaf_io * 0.25] if leaf_io else [])
+            return leaf_io
+
         with router:
             for i in range(60):
-                before = stats.leaf_reads + stats.leaf_writes
-                reads, naps = counting.reads, len(slept)
                 if i % 3 == 2:
-                    router.query(_square(0.5, 0.5, 0.2))
+                    bracketed(router.query, _square(0.5, 0.5, 0.2))
                 elif i % 3 == 1:
-                    router.nearest_neighbors(0.5, 0.5, 3)
+                    bracketed(router.nearest_neighbors, 0.5, 0.5, 3)
                 else:
-                    router.upsert(i, _square(0.3 + i / 200.0, 0.5))
-                leaf_io = stats.leaf_reads + stats.leaf_writes - before
-                # The exact bracket: two readings, one sleep of its size.
-                assert counting.reads - reads == 2
-                assert slept[naps:] == ([leaf_io * 0.25] if leaf_io else [])
+                    bracketed(router.upsert, i, _square(0.3 + i / 200.0, 0.5))
             assert len(slept) > 40
+            # A delete writes only the memo; the cleaning it drives is its
+            # leaf I/O, and it sleeps that like any other operation.
+            deletes = [bracketed(router.delete, oid) for oid in range(0, 60, 3)]
+            assert any(deletes) and router.count_objects() == 0
 
     def test_spanning_query_sleeps_once_per_shard_it_visits(
         self, monkeypatch
     ):
         """Over 4 shards a spanning window visits each shard in turn and
         sleeps on each one's channel, each sleep sized to that shard's
-        own leaf I/O."""
+        own leaf I/O; a migration sleeps its insert on the new shard's
+        channel and its memo-only delete on the old one's."""
         router = ShardRouter(4, io_latency=0.25)
         counters = []
+        channels = []  # the shard whose channel each sleep was taken on
+
+        class Channel:
+            def __init__(self, index):
+                self.index = index
+
+            def __enter__(self):
+                channels.append(self.index)
+
+            def __exit__(self, *exc):
+                return None
+
         for shard in router.shards:
             counting = _CountingStats(shard.tree.stats)
             monkeypatch.setattr(shard.tree, "stats", counting)
+            monkeypatch.setattr(shard, "io_lock", Channel(shard.index))
             counters.append(counting)
         slept = []
         monkeypatch.setattr(router_module.time, "sleep", slept.append)
+
+        def bracket():
+            return (
+                [c._stats.leaf_reads + c._stats.leaf_writes for c in counters],
+                [c.reads for c in counters],
+            )
+
+        def since(io_before, reads_before):
+            return (
+                [c._stats.leaf_reads + c._stats.leaf_writes - b
+                 for c, b in zip(counters, io_before)],
+                [c.reads - r for c, r in zip(counters, reads_before)],
+            )
+
+        def rect_of(oid, row):
+            return _square(0.05 + oid % 12 / 12.5, 0.05 + row / 11.0)
+
         with router:
             for oid in range(120):
-                router.upsert(oid, _square(0.05 + oid % 12 / 12.5,
-                                           0.05 + oid // 12 / 11.0))
+                router.upsert(oid, rect_of(oid, oid // 12))
             window = Rect(0.2, 0.2, 0.8, 0.8)
             assert router._targets(window) == [0, 1, 2, 3]
-            before = [c._stats.leaf_reads + c._stats.leaf_writes
-                      for c in counters]
-            reads = [c.reads for c in counters]
-            del slept[:]
+            before = bracket()
+            del slept[:], channels[:]
             assert router.query(window)
-            leaf_io = [
-                c._stats.leaf_reads + c._stats.leaf_writes - b
-                for c, b in zip(counters, before)
-            ]
-        assert [c.reads - r for c, r in zip(counters, reads)] == [2] * 4
-        assert all(io > 0 for io in leaf_io)
-        assert slept == [io * 0.25 for io in leaf_io]
+            leaf_io, reads = since(*before)
+            assert reads == [2] * 4
+            assert all(io > 0 for io in leaf_io)
+            assert slept == [io * 0.25 for io in leaf_io]
+            assert channels == [0, 1, 2, 3]
+            # The bottom row moves to the top: every move migrates.
+            old_slept = 0
+            for oid in range(12):
+                old = router.shard_for_rect(rect_of(oid, 0))
+                new = router.shard_for_rect(rect_of(oid, 10))
+                before = bracket()
+                del slept[:], channels[:]
+                assert router.upsert(oid, rect_of(oid, 10))["migrated"]
+                leaf_io, reads = since(*before)
+                assert reads == [2 * (i in (old, new)) for i in range(4)]
+                assert list(zip(channels, slept)) == [
+                    (i, leaf_io[i] * 0.25) for i in (new, old) if leaf_io[i]
+                ]
+                old_slept += leaf_io[old] > 0
+            assert old_slept > 0
 
     def test_zero_latency_reads_no_tally_and_never_sleeps(self, monkeypatch):
         router, counting, slept = self._router(monkeypatch, 0.0)
@@ -553,7 +604,9 @@ class TestRouterRefusesWhatItCannotPlace:
             with pytest.raises(RuntimeError, match="disk full"):
                 router.upsert(1, _square(0.8, 0.8))
             assert router.shard_object_counts() == [1, 0, 0, 0]
-            assert router.query(Rect(0, 0, 1, 1)) == [(1, _square(0.2, 0.2))]
+            assert results_from_wire(router.query(Rect(0, 0, 1, 1))) == [
+                (1, _square(0.2, 0.2))
+            ]
             assert router.delete(1) is True
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.factory import build_rum_tree
 from repro.rtree.geometry import Rect
 from repro.serving import ShardRouter
+from repro.serving.protocol import results_from_wire
 
 coords = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -98,7 +99,7 @@ def test_routers_equivalent_to_bare_tree(ops, qx, qy):
         for window in windows:
             expected = sorted(oid for oid, _ in tree.search(window))
             for router in (single, sharded):
-                got = router.query(window)
+                got = results_from_wire(router.query(window))
                 assert [oid for oid, _ in got] == expected
                 # Rectangles match the live positions exactly.
                 for oid, rect in got:

@@ -76,7 +76,6 @@ def _brute_force(objects, window):
 # ---------------------------------------------------------------------------
 
 PACKED = {
-    "insert": {"op": "insert", "oid": 7, "rect": [0.1, 0.2, 0.3, 0.4]},
     "update": {"op": "update", "oid": -7, "rect": [0.1, 0.2, 0.3, 0.4]},
     "query": {"op": "query", "window": [0.1, 0.2, 0.3, 0.4]},
     "ack": {"ok": True, "result": {"shard": 3, "migrated": True}},
@@ -88,7 +87,11 @@ PACKED = {
         ],
     },
 }
-FIXED_BODY = {"insert": 40, "update": 40, "query": 32, "ack": 5}
+FIXED_BODY = {"update": 40, "query": 32, "ack": 5}
+#: Every tag the protocol knows: the packed kinds' own, then ``J``.
+TAGS = b"".join(encode_frame(m)[4:5] for m in PACKED.values()) + b"J"
+#: The retired second move verb: a JSON frame now, refused as an op.
+RETIRED_INSERT = {"op": "insert", "oid": 7, "rect": [0.1, 0.2, 0.3, 0.4]}
 
 
 def _rows_payload(claimed: int, held: int) -> bytes:
@@ -106,9 +109,9 @@ def _malformed_frames():
             cases.append((f"{kind} cut at {cut}", frame[:cut]))
     cases.append(("length 0", struct.pack(">I", 0)))
     cases.append(("length over MAX_FRAME", struct.pack(">I", MAX_FRAME + 1)))
-    for tag in b"IUQARJ":
+    for tag in TAGS:
         cases.append((f"length 1, tag {chr(tag)}", _framed(bytes([tag]))))
-    known = set(b"IUQARJ")
+    known = set(TAGS)
     unknown = [t for t in range(256) if t not in known]
     for tag in [0, 255, ord("{"), ord("[")] + rng.sample(unknown, 12):
         body = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
@@ -135,7 +138,6 @@ def _malformed_frames():
         ("deep nesting", b"[" * 20_000),
         ("query under J", json.dumps(PACKED["query"]).encode()),
         ("update under J", json.dumps(PACKED["update"]).encode()),
-        ("insert under J", json.dumps(PACKED["insert"]).encode()),
         ("ack under J", json.dumps(PACKED["ack"]).encode()),
         ("rows under J", json.dumps(PACKED["rows"]).encode()),
         ("NaN rect under J",
@@ -152,7 +154,7 @@ def _malformed_frames():
         cases.append(
             (f"garbage #{i}", _framed(bytes([rng.randrange(256)]) + body))
         )
-    for i, tag in enumerate(b"IUQARJ" * 4):
+    for i, tag in enumerate(TAGS * 4):
         body = bytes(rng.randrange(256) for _ in range(rng.choice(lengths)))
         cases.append((f"garbage {chr(tag)} #{i}", _framed(bytes([tag]) + body)))
     return cases
@@ -170,11 +172,10 @@ def _rejected_frames():
         ("inf extent", [0.5, 0.5, inf, inf]),
         ("-inf corner", [-inf, 0.5, 0.6, 0.6]),
     ]:
-        for op in ("insert", "update"):
-            cases.append((
-                f"{op}: {name}",
-                encode_frame({"op": op, "oid": 999, "rect": rect}),
-            ))
+        cases.append((
+            f"update: {name}",
+            encode_frame({"op": "update", "oid": 999, "rect": rect}),
+        ))
         cases.append(
             (f"query: {name}", encode_frame({"op": "query", "window": rect}))
         )
@@ -186,6 +187,7 @@ def _rejected_frames():
     cases.append(("ack as a request", encode_frame(PACKED["ack"])))
     cases.append(("rows as a request", encode_frame(PACKED["rows"])))
     cases.append(("unknown op", encode_frame({"op": "drop-all"})))
+    cases.append(("insert, a retired verb", encode_frame(RETIRED_INSERT)))
     cases.append(("unhashable op", encode_frame({"op": [1, 2]})))
     cases.append(("delete without oid", encode_frame({"op": "delete"})))
     # ``int()`` would have made these object 1, object 2, object 1, k = 1.
@@ -258,7 +260,7 @@ class TestFailsClosed:
                 return row.iter_unpack(buffer)
 
         monkeypatch.setattr(protocol, "_ROW", Spy())
-        assert len(MALFORMED) == 426
+        assert len(MALFORMED) == 372
         for read in (recv_frame, _reader_read):
             for name, data in MALFORMED:
                 try:
@@ -311,7 +313,6 @@ class TestFailsClosed:
         rect = [0.1, 0.2, 0.3, 0.4]
         for message in (
             {"op": "update", "oid": oid, "rect": rect},
-            {"op": "insert", "oid": oid, "rect": rect},
             {"ok": True, "result": [(oid, *rect)]},
         ):
             with pytest.raises(ValueError):
@@ -496,11 +497,11 @@ def _assert_exact(message):
 
 class TestExactness:
     @settings(max_examples=60, deadline=None)
-    @given(op=st.sampled_from(["insert", "update"]), oid=oids, rect=quads)
-    @example(op="update", oid=INT64_MAX, rect=[-0.0, 5e-324, 1e308, -1e308])
-    @example(op="insert", oid=-INT64_MAX, rect=[0.0, -0.0, 2.2e-308, 1e308])
-    def test_move_requests(self, op, oid, rect):
-        _assert_exact({"op": op, "oid": oid, "rect": rect})
+    @given(oid=oids, rect=quads)
+    @example(oid=INT64_MAX, rect=[-0.0, 5e-324, 1e308, -1e308])
+    @example(oid=-INT64_MAX, rect=[0.0, -0.0, 2.2e-308, 1e308])
+    def test_move_requests(self, oid, rect):
+        _assert_exact({"op": "update", "oid": oid, "rect": rect})
 
     @settings(max_examples=40, deadline=None)
     @given(window=quads)
@@ -538,7 +539,7 @@ class TestExactness:
     def test_frame_sizes(self):
         sizes = {kind: len(encode_frame(m)) for kind, m in PACKED.items()}
         assert sizes == {
-            "insert": 45, "update": 45, "query": 37, "ack": 10,
+            "update": 45, "query": 37, "ack": 10,
             "rows": 9 + 40 * 3,
         }
 
@@ -580,12 +581,14 @@ class TestExactness:
                 ]
                 for window in windows:
                     served = client.query(window)
-                    assert served == router.query(window)
+                    assert served == results_from_wire(router.query(window))
                     assert served == _brute_force(objects, window)
                 for k in (1, 7, 60):
                     x, y = rng.random(), rng.random()
                     served = client.nearest_neighbors(x, y, k)
-                    assert served == router.nearest_neighbors(x, y, k)
+                    assert served == results_from_wire(
+                        router.nearest_neighbors(x, y, k)
+                    )
                     assert len(served) == k
 
     def test_single_shard_and_fan_out_agree_with_brute_force(self):
@@ -616,7 +619,7 @@ class TestExactness:
             spanning = Rect(0.1, 0.1, 0.9, 0.9)
             assert fan_out(single) == 1 and fan_out(spanning) == 4
             for window in (single, spanning, FULL):
-                got = router.query(window)
+                got = results_from_wire(router.query(window))
                 assert got == _brute_force(objects, window)
                 assert (0, objects[0]) in got  # once, at the newer rect
 
@@ -640,7 +643,7 @@ class TestServingBugs:
             with ServingClient(*server.address, timeout=TIMEOUT) as client:
                 for message in (
                     {"op": "update", "oid": 999, "rect": [nan] * 4},
-                    {"op": "insert", "oid": 998, "rect": [0.5, 0.5, inf, inf]},
+                    {"op": "update", "oid": 998, "rect": [0.5, 0.5, inf, inf]},
                     {"op": "update", "oid": 3, "rect": [-inf, 0.1, 0.2, 0.2]},
                     {"op": "query", "window": [0.0, 0.0, nan, 1.0]},
                     {"op": "query", "window": [-inf, -inf, inf, inf]},
