@@ -45,7 +45,7 @@ from typing import Dict, List, Optional
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.experiments.harness import bench_scale, load_tree, scaled
+from repro.experiments.harness import bench_scale, populate, scaled
 from repro.factory import build_rum_tree
 from repro.workload.objects import default_network_workload
 
@@ -75,7 +75,7 @@ def sweep_one(mode: str, batch_size: int, n_updates: int) -> Dict:
         scaled(2000), moving_distance=0.01, seed=WORKLOAD_SEED
     )
     tree = _make_tree(mode)
-    load_tree(tree, workload.initial())
+    populate(tree, workload.initial())
     log_before = tree.stats.log_writes if tree.wal is not None else 0
 
     before = tree.stats.snapshot()

@@ -54,8 +54,8 @@ from repro.core.memo import UpdateMemo
 from repro.core.memo_lsm import SpillingUpdateMemo
 from repro.experiments.harness import (
     bench_scale,
-    load_tree,
     make_tree,
+    populate,
     scaled,
 )
 from repro.rtree.base import RTreeBase
@@ -302,7 +302,7 @@ def bench_batch(metrics: Dict, iters: int) -> None:
         scaled(20_000), moving_distance=0.02, seed=11
     )
     tree = make_tree("rum_touch", node_size=2048, inspection_ratio=0.2)
-    load_tree(tree, workload.initial())
+    populate(tree, workload.initial())
     update_object, apply_batch = tree.update_object, tree.apply_batch
 
     def update(oid: int, rect: Rect) -> None:

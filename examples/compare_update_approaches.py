@@ -14,10 +14,10 @@ import sys
 
 from repro.experiments.harness import (
     auxiliary_size_bytes,
-    load_tree,
     make_tree,
     measure_queries,
     measure_updates,
+    populate,
 )
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
@@ -50,7 +50,7 @@ def main() -> None:
             NUM_OBJECTS, moving_distance=distance, seed=7
         )
         tree = make_tree(kind, node_size=NODE_SIZE)
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         update_cost = measure_updates(tree, workload, UPDATES)
         query_cost = measure_queries(
             tree, RangeQueryGenerator(side=0.01, seed=8), QUERIES

@@ -17,7 +17,7 @@ from repro.core.recovery import (
     recover_option_ii,
     recover_option_iii,
 )
-from repro.experiments.harness import load_tree, make_tree, measure_updates
+from repro.experiments.harness import make_tree, measure_updates, populate
 from repro.workload.objects import default_network_workload
 
 NUM_OBJECTS = 1500
@@ -53,7 +53,7 @@ def main() -> None:
             recovery_option=option if option != "I" else None,
             checkpoint_interval=CHECKPOINT_EVERY,
         )
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         measure_updates(tree, workload, UPDATES)
         logging_io = tree.stats.log_writes
 

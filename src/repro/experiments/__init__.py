@@ -1,7 +1,8 @@
 """Experiment drivers — one per figure/table of the paper's evaluation.
 
-Each ``run_*`` function builds fresh trees, replays a deterministic
-workload, and returns an :class:`~repro.experiments.harness.ExperimentResult`
+Each ``run_*`` function takes no arguments (its settings are its module's
+constants), builds fresh trees, replays a deterministic workload, and
+returns an :class:`~repro.experiments.harness.ExperimentResult`
 whose rows mirror the series the paper plots; :mod:`.registry` declares
 how each result prints and which tables ``benchmarks/results/`` archives.
 """
@@ -30,10 +31,10 @@ from .harness import (
     TREE_LABELS,
     auxiliary_size_bytes,
     bench_scale,
-    load_tree,
     make_tree,
     measure_queries,
     measure_updates,
+    populate,
     run_trace,
     scaled,
 )
@@ -65,7 +66,7 @@ __all__ = [
     "TREE_KINDS",
     "TREE_LABELS",
     "make_tree",
-    "load_tree",
+    "populate",
     "measure_updates",
     "measure_queries",
     "run_trace",

@@ -22,42 +22,38 @@ from __future__ import annotations
 
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .harness import (
     ExperimentResult,
     TREE_LABELS,
-    load_tree,
     make_tree,
     measure_updates,
+    populate,
     scaled,
 )
 
 #: Resident leaf-cache pages swept, from the paper's model (0) up.
 CACHE_SIZES = (0, 8, 32, 128)
+NUM_OBJECTS = 6000
+UPDATES_PER_OBJECT = 2.0
+SEED = 83
 
 
-def run_buffer_ablation(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    updates_per_object: float = 2.0,
-    moving_distance: float = 0.01,
-    seed: int = 83,
-) -> ExperimentResult:
+def run_buffer_ablation() -> ExperimentResult:
     """One row per (cache size, tree) with the measured per-update I/O."""
     result = ExperimentResult(
         experiment="Buffer-size ablation",
         description="per-update I/O vs resident leaf-cache pages",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
     for cache_pages in CACHE_SIZES:
         for kind in ("rstar", "rum_touch"):
             workload = default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
+                n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
             )
-            tree = make_tree(
-                kind, node_size=node_size, leaf_cache_pages=cache_pages
-            )
-            load_tree(tree, workload.initial())
+            tree = make_tree(kind, leaf_cache_pages=cache_pages)
+            populate(tree, workload.initial())
             cost = measure_updates(tree, workload, n_updates)
             result.rows.append(
                 {

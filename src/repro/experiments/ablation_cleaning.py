@@ -13,48 +13,40 @@ Two studies the paper motivates but does not plot:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
 
+from . import harness
 from .harness import (
     ExperimentResult,
-    load_tree,
     make_tree,
     measure_queries,
     measure_updates,
+    populate,
     scaled,
 )
 
+#: Parallel cleaning tokens swept.
+TOKEN_COUNTS = (1, 2, 4, 8)
+TOKEN_NUM_OBJECTS = 6000
+TOKEN_UPDATES_PER_OBJECT = 3.0
+TOKEN_SEED = 67
 
-def run_token_ablation(
-    token_counts: Sequence[int] = (1, 2, 4, 8),
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    updates_per_object: float = 3.0,
-    inspection_ratio: float = 0.2,
-    moving_distance: float = 0.01,
-    seed: int = 67,
-) -> ExperimentResult:
+
+def run_token_ablation() -> ExperimentResult:
     """Sweep the number of parallel cleaning tokens at fixed ir."""
     result = ExperimentResult(
         experiment="Token-count ablation",
         description="RUM-tree(token) with 1-8 parallel cleaning tokens at ir=20%",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
-    for n_tokens in token_counts:
+    n = scaled(TOKEN_NUM_OBJECTS)
+    n_updates = max(16, int(n * TOKEN_UPDATES_PER_OBJECT))
+    for n_tokens in TOKEN_COUNTS:
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=harness.MOVING_DISTANCE, seed=TOKEN_SEED
         )
-        tree = make_tree(
-            "rum_token",
-            node_size=node_size,
-            inspection_ratio=inspection_ratio,
-            n_tokens=n_tokens,
-        )
-        load_tree(tree, workload.initial())
+        tree = make_tree("rum_token", n_tokens=n_tokens)
+        populate(tree, workload.initial())
         cost = measure_updates(tree, workload, n_updates)
         result.rows.append(
             {
@@ -69,21 +61,23 @@ def run_token_ablation(
     return result
 
 
-def run_structure_ablation(
-    num_objects: int = 5000,
-    node_size: int = 2048,
-    updates_per_object: float = 2.0,
-    n_queries: int = 300,
-    moving_distance: float = 0.01,
-    seed: int = 71,
-) -> ExperimentResult:
+STRUCTURE_NUM_OBJECTS = 5000
+STRUCTURE_SEED = 71
+
+#: Updates per object and range queries (before scaling) of the
+#: structure and FUR-extension ablations.
+UPDATES_PER_OBJECT = 2.0
+NUM_QUERIES = 300
+
+
+def run_structure_ablation() -> ExperimentResult:
     """R* vs quadratic split, forced reinsertion on/off (RUM-tree)."""
     result = ExperimentResult(
         experiment="Structure-policy ablation",
         description="split policy and forced reinsertion on the RUM-tree",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(STRUCTURE_NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
     configs = (
         ("rstar split + reinsert", "rstar", True),
         ("rstar split, no reinsert", "rstar", False),
@@ -92,18 +86,13 @@ def run_structure_ablation(
     )
     for label, split, forced in configs:
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=harness.MOVING_DISTANCE, seed=STRUCTURE_SEED
         )
-        tree = make_tree(
-            "rum_touch",
-            node_size=node_size,
-            split=split,
-            forced_reinsert=forced,
-        )
-        load_tree(tree, workload.initial())
+        tree = make_tree("rum_touch", split=split, forced_reinsert=forced)
+        populate(tree, workload.initial())
         update_cost = measure_updates(tree, workload, n_updates)
         queries = RangeQueryGenerator(side=0.01, seed=73)
-        query_cost = measure_queries(tree, queries, scaled(n_queries))
+        query_cost = measure_queries(tree, queries, scaled(NUM_QUERIES))
         result.rows.append(
             {
                 "config": label,
@@ -118,16 +107,12 @@ def run_structure_ablation(
 
 #: FUR-tree leaf-MBR extension bands swept.
 FUR_EXTENSIONS = (0.0, 0.01, 0.02, 0.05)
+FUR_NUM_OBJECTS = 6000
+FUR_MOVING_DISTANCE = 0.02
+FUR_SEED = 89
 
 
-def run_fur_extension_ablation(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    updates_per_object: float = 2.0,
-    n_queries: int = 300,
-    moving_distance: float = 0.02,
-    seed: int = 89,
-) -> ExperimentResult:
+def run_fur_extension_ablation() -> ExperimentResult:
     """FUR-tree leaf-MBR extension sweep (the Figure-12b trade-off).
 
     The extension is the FUR-tree's central tuning knob: a larger band
@@ -139,19 +124,17 @@ def run_fur_extension_ablation(
         experiment="FUR-extension ablation",
         description="FUR-tree update/search I/O vs leaf-MBR extension band",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(FUR_NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
     for extension in FUR_EXTENSIONS:
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=FUR_MOVING_DISTANCE, seed=FUR_SEED
         )
-        tree = make_tree(
-            "fur", node_size=node_size, fur_extension=extension
-        )
-        load_tree(tree, workload.initial())
+        tree = make_tree("fur", fur_extension=extension)
+        populate(tree, workload.initial())
         update_cost = measure_updates(tree, workload, n_updates)
         queries = RangeQueryGenerator(side=0.01, seed=91)
-        query_cost = measure_queries(tree, queries, scaled(n_queries))
+        query_cost = measure_queries(tree, queries, scaled(NUM_QUERIES))
         in_place, sibling, top_down = tree.update_case_mix()
         result.rows.append(
             {

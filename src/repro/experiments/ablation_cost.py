@@ -25,37 +25,37 @@ from repro.analysis.cost_model import (
 )
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .harness import (
     ExperimentResult,
-    load_tree,
     make_tree,
     measure_updates,
+    populate,
     scaled,
 )
 
+NUM_OBJECTS = 6000
+UPDATES_PER_OBJECT = 2.0
+MOVING_DISTANCE = 0.02
+SEED = 61
 
-def run_cost_validation(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    updates_per_object: float = 2.0,
-    inspection_ratio: float = 0.2,
-    moving_distance: float = 0.02,
-    seed: int = 61,
-) -> ExperimentResult:
+
+def run_cost_validation() -> ExperimentResult:
     """One row per approach: measured vs predicted per-update leaf I/O."""
     result = ExperimentResult(
         experiment="Cost-model validation",
         description="measured vs Section-4 predicted update I/O",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
+    inspection_ratio = harness.INSPECTION_RATIO
 
     # --- top-down (R*-tree) ------------------------------------------------
     workload = default_network_workload(
-        n, moving_distance=moving_distance, seed=seed
+        n, moving_distance=MOVING_DISTANCE, seed=SEED
     )
-    rstar = make_tree("rstar", node_size=node_size)
-    load_tree(rstar, workload.initial())
+    rstar = make_tree("rstar")
+    populate(rstar, workload.initial())
     measured = measure_updates(rstar, workload, n_updates)
     predicted = expected_topdown_update_io(rstar.leaf_mbr_sides())
     result.rows.append(
@@ -68,10 +68,10 @@ def run_cost_validation(
 
     # --- bottom-up (FUR-tree) -----------------------------------------------
     workload = default_network_workload(
-        n, moving_distance=moving_distance, seed=seed
+        n, moving_distance=MOVING_DISTANCE, seed=SEED
     )
-    fur = make_tree("fur", node_size=node_size)
-    load_tree(fur, workload.initial())
+    fur = make_tree("fur")
+    populate(fur, workload.initial())
     fur.updates_in_place = fur.updates_to_sibling = fur.updates_top_down = 0
     measured = measure_updates(fur, workload, n_updates)
     in_place, sibling, top_down = fur.update_case_mix()
@@ -90,12 +90,10 @@ def run_cost_validation(
 
     # --- memo-based (RUM-tree) -------------------------------------------------
     workload = default_network_workload(
-        n, moving_distance=moving_distance, seed=seed
+        n, moving_distance=MOVING_DISTANCE, seed=SEED
     )
-    rum = make_tree(
-        "rum_token", node_size=node_size, inspection_ratio=inspection_ratio
-    )
-    load_tree(rum, workload.initial())
+    rum = make_tree("rum_token", inspection_ratio=inspection_ratio)
+    populate(rum, workload.initial())
     measured = measure_updates(rum, workload, n_updates)
     predicted = expected_memo_update_io(inspection_ratio)
     n_leaves = rum.num_leaf_nodes()

@@ -19,7 +19,12 @@ from repro.extensions.grid import GridFile, MemoGrid
 from repro.extensions.quadtree import MemoQuadtree, PRQuadtree
 from repro.storage.iostats import IOSnapshot
 
+from . import harness
 from .harness import ExperimentResult, scaled
+
+NUM_OBJECTS = 4000
+UPDATES_PER_OBJECT = 2.0
+SEED = 79
 
 
 def _drive_btree(
@@ -62,13 +67,7 @@ def _drive_grid(
     return grid.stats.snapshot() - before
 
 
-def run_extension_ablation(
-    num_objects: int = 4000,
-    updates_per_object: float = 2.0,
-    node_size: int = 2048,
-    inspection_ratio: float = 0.2,
-    seed: int = 79,
-) -> ExperimentResult:
+def run_extension_ablation() -> ExperimentResult:
     """One row per (structure, update approach) with per-update I/O."""
     result = ExperimentResult(
         experiment="Extension ablation",
@@ -77,8 +76,10 @@ def run_extension_ablation(
             "grid files"
         ),
     )
-    n = scaled(num_objects)
-    updates = max(16, int(n * updates_per_object))
+    n = scaled(NUM_OBJECTS)
+    updates = max(16, int(n * UPDATES_PER_OBJECT))
+    node_size = harness.NODE_SIZE
+    inspection_ratio = harness.INSPECTION_RATIO
 
     structures = (
         ("B+-tree", "classic", BPlusTree(node_size=node_size), _drive_btree),
@@ -111,7 +112,7 @@ def run_extension_ablation(
         ),
     )
     for family, approach, structure, drive in structures:
-        measured = drive(structure, n, updates, seed)
+        measured = drive(structure, n, updates, SEED)
         row = {
             "structure": family,
             "approach": approach,

@@ -10,7 +10,7 @@ here implement that structure once; the figure modules supply the sweep.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.workload.queries import RangeQueryGenerator
 from repro.workload.trace import mixed_trace, ratio_to_fraction
@@ -20,10 +20,11 @@ from .harness import (
     QUERY_SIDE,
     TREE_LABELS,
     auxiliary_size_bytes,
-    load_tree,
     make_tree,
     measure_queries,
     measure_updates,
+    populate,
+    run_trace,
 )
 
 #: The trees compared in Figures 12–14 (the RUM-tree is the touch variant
@@ -32,6 +33,12 @@ COMPARISON_KINDS = ("rstar", "fur", "rum_touch")
 
 #: Updates replayed per object in panels (a) and (b).
 UPDATES_FACTOR = 2.0
+
+#: Range queries measured per tree in panel (b).
+NUM_QUERIES = 300
+
+#: The update:query ratios panel (c) sweeps, from 1:100 to 10000:1.
+RATIOS = ((1, 100), (1, 10), (1, 1), (10, 1), (100, 1), (10000, 1))
 
 #: Factory returning ``(workload, num_objects)`` for one sweep value.
 WorkloadFactory = Callable[[float], Tuple[object, int]]
@@ -43,35 +50,24 @@ def sweep_comparison(
     sweep_key: str,
     values: Sequence[float],
     make_workload: WorkloadFactory,
-    *,
-    kinds: Iterable[str] = COMPARISON_KINDS,
-    node_size: int = 2048,
-    n_queries: int = 300,
-    inspection_ratio: float = 0.2,
-    fur_extension: float = 0.01,
 ) -> ExperimentResult:
     """Panels (a), (b), (d): update cost, search cost, auxiliary size.
 
     For every sweep value and every tree: load the initial population,
     replay ``UPDATES_FACTOR x num_objects`` updates measuring their average
-    cost, then measure ``n_queries`` range queries, then record the
+    cost, then measure :data:`NUM_QUERIES` range queries, then record the
     auxiliary-structure size.
     """
     result = ExperimentResult(experiment=experiment, description=description)
     for value in values:
-        for kind in kinds:
+        for kind in COMPARISON_KINDS:
             workload, num_objects = make_workload(value)
-            tree = make_tree(
-                kind,
-                node_size=node_size,
-                inspection_ratio=inspection_ratio,
-                fur_extension=fur_extension,
-            )
-            load_tree(tree, workload.initial())
+            tree = make_tree(kind)
+            populate(tree, workload.initial())
             n_updates = max(16, int(num_objects * UPDATES_FACTOR))
             update_cost = measure_updates(tree, workload, n_updates)
             queries = RangeQueryGenerator(side=QUERY_SIDE, seed=17)
-            query_cost = measure_queries(tree, queries, n_queries)
+            query_cost = measure_queries(tree, queries, NUM_QUERIES)
             result.rows.append(
                 {
                     sweep_key: value,
@@ -90,34 +86,22 @@ def sweep_comparison(
 def overall_comparison(
     experiment: str,
     description: str,
-    ratios: Sequence[Tuple[int, int]],
     make_workload: Callable[[], Tuple[object, int]],
-    *,
-    kinds: Iterable[str] = COMPARISON_KINDS,
-    node_size: int = 2048,
-    ops_factor: float = 2.0,
-    inspection_ratio: float = 0.2,
-    fur_extension: float = 0.01,
+    ops_factor: float,
 ) -> ExperimentResult:
     """Panel (c): overall I/O per operation vs. the update:query ratio.
 
-    Every tree replays the *same* mixed trace for each ratio (fresh trees
-    per ratio so configurations do not contaminate each other).
+    Every tree replays the *same* mixed trace of ``ops_factor x
+    num_objects`` operations for each of :data:`RATIOS` (fresh trees per
+    ratio so configurations do not contaminate each other).
     """
-    from .harness import run_trace  # local import keeps module load cheap
-
     result = ExperimentResult(experiment=experiment, description=description)
-    for updates, queries in ratios:
+    for updates, queries in RATIOS:
         fraction = ratio_to_fraction(updates, queries)
-        for kind in kinds:
+        for kind in COMPARISON_KINDS:
             workload, num_objects = make_workload()
-            tree = make_tree(
-                kind,
-                node_size=node_size,
-                inspection_ratio=inspection_ratio,
-                fur_extension=fur_extension,
-            )
-            load_tree(tree, workload.initial())
+            tree = make_tree(kind)
+            populate(tree, workload.initial())
             total_ops = max(32, int(num_objects * ops_factor))
             trace = mixed_trace(
                 workload,

@@ -19,29 +19,27 @@ from repro.obs import Observability, get_default_obs
 from repro.workload.objects import default_network_workload
 from repro.workload.queries import RangeQueryGenerator
 
+from . import harness
 from .harness import (
     ExperimentResult,
     QUERY_SIDE,
     TREE_KINDS,
     TREE_LABELS,
-    load_tree,
     make_tree,
     measure_queries,
     measure_updates,
+    populate,
     scaled,
 )
 
 #: Range queries measured per tree (before scaling).
 NUM_QUERIES = 400
+NUM_OBJECTS = 8000
+UPDATES_PER_OBJECT = 3.0
+SEED = 11
 
 
-def run_drift(
-    node_size: int = 2048,
-    num_objects: int = 8000,
-    updates_per_object: float = 3.0,
-    moving_distance: float = 0.01,
-    seed: int = 11,
-) -> ExperimentResult:
+def run_drift() -> ExperimentResult:
     """One row per (tree, op class) with predicted/measured I/O and the
     drift ratio, measured at the Figure-10 workload configuration."""
     result = ExperimentResult(
@@ -50,8 +48,8 @@ def run_drift(
             "predicted vs measured per-op I/O (EWMA) and drift ratio"
         ),
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
     n_queries = scaled(NUM_QUERIES)
     # Each tree needs its own registry (clean drift gauges), but the
     # flight recorder can be shared: when the CLI installed a default
@@ -61,11 +59,11 @@ def run_drift(
     shared_recorder = None if default is None else default.recorder
     for kind in TREE_KINDS:
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
         )
         obs = Observability(level="metrics", recorder=shared_recorder)
-        tree = make_tree(kind, node_size=node_size, obs=obs)
-        load_tree(tree, workload.initial())
+        tree = make_tree(kind, obs=obs)
+        populate(tree, workload.initial())
         measure_updates(tree, workload, n_updates)
         measure_queries(
             tree, RangeQueryGenerator(side=QUERY_SIDE, seed=29), n_queries

@@ -10,44 +10,40 @@ matches the token variant's I/O while achieving far lower garbage ratios.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .harness import (
     ExperimentResult,
     TREE_LABELS,
-    load_tree,
     make_tree,
     measure_updates,
+    populate,
     scaled,
 )
 
-DEFAULT_RATIOS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+#: The inspection ratios swept.
+RATIOS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+NUM_OBJECTS = 8000
+UPDATES_PER_OBJECT = 3.0
+SEED = 11
 
 
-def run_fig10(
-    node_size: int = 2048,
-    num_objects: int = 8000,
-    updates_per_object: float = 3.0,
-    ratios: Sequence[float] = DEFAULT_RATIOS,
-    moving_distance: float = 0.01,
-    seed: int = 11,
-) -> ExperimentResult:
+def run_fig10() -> ExperimentResult:
     """Run the Figure-10 sweep; one row per (ir, RUM variant)."""
     result = ExperimentResult(
         experiment="Figure 10",
         description="RUM-tree update I/O and garbage ratio vs inspection ratio",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
-    for ir in ratios:
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
+    for ir in RATIOS:
         for kind in ("rum_token", "rum_touch"):
             workload = default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
+                n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
             )
-            tree = make_tree(kind, node_size=node_size, inspection_ratio=ir)
-            load_tree(tree, workload.initial())
+            tree = make_tree(kind, inspection_ratio=ir)
+            populate(tree, workload.initial())
             cost = measure_updates(tree, workload, n_updates)
             result.rows.append(
                 {

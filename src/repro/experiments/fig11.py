@@ -12,46 +12,40 @@ columns and no longer pays per entry).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .harness import (
     ExperimentResult,
     TREE_LABELS,
-    load_tree,
     make_tree,
     measure_updates,
+    populate,
     scaled,
 )
 
-DEFAULT_NODE_SIZES = (1024, 2048, 4096, 8192)
+#: The node sizes (bytes) swept.
+NODE_SIZES = (1024, 2048, 4096, 8192)
+NUM_OBJECTS = 8000
+UPDATES_PER_OBJECT = 3.0
+SEED = 13
 
 
-def run_fig11(
-    node_sizes: Sequence[int] = DEFAULT_NODE_SIZES,
-    num_objects: int = 8000,
-    updates_per_object: float = 3.0,
-    inspection_ratio: float = 0.2,
-    moving_distance: float = 0.01,
-    seed: int = 13,
-) -> ExperimentResult:
+def run_fig11() -> ExperimentResult:
     """Run the Figure-11 sweep; one row per (node size, RUM variant)."""
     result = ExperimentResult(
         experiment="Figure 11",
         description="RUM-tree update I/O, update CPU and garbage ratio vs node size",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
-    for node_size in node_sizes:
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
+    for node_size in NODE_SIZES:
         for kind in ("rum_token", "rum_touch"):
             workload = default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
+                n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
             )
-            tree = make_tree(
-                kind, node_size=node_size, inspection_ratio=inspection_ratio
-            )
-            load_tree(tree, workload.initial())
+            tree = make_tree(kind, node_size=node_size)
+            populate(tree, workload.initial())
             cost = measure_updates(tree, workload, n_updates)
             result.rows.append(
                 {

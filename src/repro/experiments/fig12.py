@@ -22,29 +22,27 @@ distances, but the ordering and monotonicity are preserved (DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .comparison import overall_comparison, sweep_comparison
 from .harness import ExperimentResult, scaled
 
-DEFAULT_DISTANCES = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)
-DEFAULT_RATIOS = ((1, 100), (1, 10), (1, 1), (10, 1), (100, 1), (10000, 1))
+#: The moving distances swept in panels (a), (b) and (d).
+DISTANCES = (0.0, 0.01, 0.02, 0.04, 0.08, 0.16)
+NUM_OBJECTS = 8000
+#: Objects in panel (c), before scaling.
+OVERALL_NUM_OBJECTS = 6000
+SEED = 19
 
 
-def run_fig12(
-    num_objects: int = 8000,
-    node_size: int = 2048,
-    distances: Sequence[float] = DEFAULT_DISTANCES,
-    seed: int = 19,
-) -> ExperimentResult:
+def run_fig12() -> ExperimentResult:
     """Panels (a), (b), (d): sweep the moving distance."""
-    n = scaled(num_objects)
+    n = scaled(NUM_OBJECTS)
 
     def factory(distance: float):
         return (
-            default_network_workload(n, moving_distance=distance, seed=seed),
+            default_network_workload(n, moving_distance=distance, seed=SEED),
             n,
         )
 
@@ -52,27 +50,21 @@ def run_fig12(
         "Figure 12(a,b,d)",
         "update I/O, search I/O and auxiliary size vs moving distance",
         "moving_distance",
-        distances,
+        DISTANCES,
         factory,
-        node_size=node_size,
     )
 
 
-def run_fig12_overall(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    ratios: Sequence[Tuple[int, int]] = DEFAULT_RATIOS,
-    moving_distance: float = 0.01,
-    seed: int = 19,
-) -> ExperimentResult:
+def run_fig12_overall() -> ExperimentResult:
     """Panel (c): overall cost vs update:query ratio at the default
     moving distance."""
-    n = scaled(num_objects)
+    n = scaled(OVERALL_NUM_OBJECTS)
+    moving_distance = harness.MOVING_DISTANCE
 
     def factory():
         return (
             default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
+                n, moving_distance=moving_distance, seed=SEED
             ),
             n,
         )
@@ -81,7 +73,6 @@ def run_fig12_overall(
         "Figure 12(c)",
         "overall I/O per operation vs update:query ratio "
         f"(moving distance {moving_distance})",
-        ratios,
         factory,
-        node_size=node_size,
+        ops_factor=2.0,
     )

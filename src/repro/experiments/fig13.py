@@ -16,34 +16,32 @@ regime (see DESIGN.md on scale substitution).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .comparison import overall_comparison, sweep_comparison
 from .harness import ExperimentResult, scaled
 
-DEFAULT_EXTENTS = (0.0, 0.01, 0.02, 0.04)
-DEFAULT_RATIOS = ((1, 100), (1, 10), (1, 1), (10, 1), (100, 1), (10000, 1))
+#: The object extents swept in panels (a), (b) and (d).
+EXTENTS = (0.0, 0.01, 0.02, 0.04)
+NUM_OBJECTS = 8000
+#: Objects in panel (c), before scaling, and their extent there.
+OVERALL_NUM_OBJECTS = 6000
+OVERALL_EXTENT = 0.01
+SEED = 31
 
 
-def run_fig13(
-    num_objects: int = 8000,
-    node_size: int = 2048,
-    extents: Sequence[float] = DEFAULT_EXTENTS,
-    moving_distance: float = 0.01,
-    seed: int = 31,
-) -> ExperimentResult:
+def run_fig13() -> ExperimentResult:
     """Panels (a), (b), (d): sweep the object extent."""
-    n = scaled(num_objects)
+    n = scaled(NUM_OBJECTS)
 
     def factory(extent: float):
         return (
             default_network_workload(
                 n,
-                moving_distance=moving_distance,
+                moving_distance=harness.MOVING_DISTANCE,
                 extent=extent,
-                seed=seed,
+                seed=SEED,
             ),
             n,
         )
@@ -52,38 +50,30 @@ def run_fig13(
         "Figure 13(a,b,d)",
         "update I/O, search I/O and auxiliary size vs object extent",
         "extent",
-        extents,
+        EXTENTS,
         factory,
-        node_size=node_size,
     )
 
 
-def run_fig13_overall(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    ratios: Sequence[Tuple[int, int]] = DEFAULT_RATIOS,
-    extent: float = 0.01,
-    moving_distance: float = 0.01,
-    seed: int = 31,
-) -> ExperimentResult:
+def run_fig13_overall() -> ExperimentResult:
     """Panel (c): overall cost vs update:query ratio at extent 0.01."""
-    n = scaled(num_objects)
+    n = scaled(OVERALL_NUM_OBJECTS)
 
     def factory():
         return (
             default_network_workload(
                 n,
-                moving_distance=moving_distance,
-                extent=extent,
-                seed=seed,
+                moving_distance=harness.MOVING_DISTANCE,
+                extent=OVERALL_EXTENT,
+                seed=SEED,
             ),
             n,
         )
 
     return overall_comparison(
         "Figure 13(c)",
-        f"overall I/O per operation vs update:query ratio (extent {extent})",
-        ratios,
+        "overall I/O per operation vs update:query ratio "
+        f"(extent {OVERALL_EXTENT})",
         factory,
-        node_size=node_size,
+        ops_factor=2.0,
     )

@@ -15,17 +15,17 @@ from __future__ import annotations
 import random
 import tempfile
 from itertools import chain
-from typing import Sequence, Tuple
 
 from repro.core.memo_lsm import SpillingUpdateMemo
 from repro.storage.iostats import IOStats
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .comparison import overall_comparison, sweep_comparison
 from .harness import ExperimentResult, scaled
 
-DEFAULT_POPULATIONS = (2500, 5000, 10000, 20000)
-DEFAULT_RATIOS = ((1, 100), (1, 10), (1, 1), (10, 1), (100, 1), (10000, 1))
+#: The populations swept in panels (a), (b) and (d), before scaling.
+POPULATIONS = (2500, 5000, 10000, 20000)
 
 #: Populations for the disk-tiered memo leg.  The paper's Figure 14 runs
 #: 2M-20M objects against a memo that must stay in RAM; the spilling
@@ -40,20 +40,23 @@ OVERALL_POPULATION = 10_000
 #: object's first update.
 MEMO_UPDATE_FACTOR = 0.5
 
+#: RAM budget of the tiered memo's table, in bytes.
+SPILL_BUDGET = 64 * 1024
 
-def run_fig14(
-    populations: Sequence[int] = DEFAULT_POPULATIONS,
-    node_size: int = 2048,
-    moving_distance: float = 0.01,
-    seed: int = 37,
-) -> ExperimentResult:
+#: Present and absent keys each probed per population in the memo leg.
+PROBE_SAMPLE = 2000
+
+SEED = 37
+
+
+def run_fig14() -> ExperimentResult:
     """Panels (a), (b), (d): sweep the number of objects."""
 
     def factory(population: float):
         n = scaled(int(population))
         return (
             default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
+                n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
             ),
             n,
         )
@@ -62,18 +65,12 @@ def run_fig14(
         "Figure 14(a,b,d)",
         "update I/O, search I/O and memo size vs number of objects",
         "num_objects_swept",
-        list(populations),
+        list(POPULATIONS),
         factory,
-        node_size=node_size,
     )
 
 
-def run_fig14_overall(
-    node_size: int = 2048,
-    ratios: Sequence[Tuple[int, int]] = DEFAULT_RATIOS,
-    moving_distance: float = 0.01,
-    seed: int = 37,
-) -> ExperimentResult:
+def run_fig14_overall() -> ExperimentResult:
     """Panel (c): overall cost vs update:query ratio at the largest
     population."""
     n = scaled(OVERALL_POPULATION)
@@ -81,7 +78,7 @@ def run_fig14_overall(
     def factory():
         return (
             default_network_workload(
-                n, moving_distance=moving_distance, seed=seed
+                n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
             ),
             n,
         )
@@ -89,19 +86,12 @@ def run_fig14_overall(
     return overall_comparison(
         "Figure 14(c)",
         f"overall I/O per operation vs update:query ratio ({n} objects)",
-        ratios,
         factory,
-        node_size=node_size,
         ops_factor=1.0,
     )
 
 
-def run_fig14_memo(
-    populations: Sequence[int] = MEMO_POPULATIONS,
-    spill_budget: int = 64 * 1024,
-    probe_sample: int = 2000,
-    seed: int = 37,
-) -> ExperimentResult:
+def run_fig14_memo() -> ExperimentResult:
     """Panel (d) extended: memo scalability with a *fixed* RAM budget.
 
     Figure 14(d) shows the Update Memo growing linearly with the object
@@ -109,7 +99,7 @@ def run_fig14_memo(
     reruns the memo half of the sweep against a memo on a run tier
     (:class:`~repro.core.memo_lsm.RunStore`): every object gets
     one update plus :data:`MEMO_UPDATE_FACTOR` random re-updates, while RAM is
-    pinned at ``spill_budget`` bytes and overflow spills to sorted runs.
+    pinned at :data:`SPILL_BUDGET` bytes and overflow spills to sorted runs.
     Reported per population: the logical memo size (still linear, as the
     paper predicts), the *peak* table footprint (the run raises if it ever
     exceeds the budget) beside what the tier keeps resident
@@ -126,9 +116,10 @@ def run_fig14_memo(
     load, where every record stays live, ``flush_writes`` is its price.
     """
     rows = []
-    for population in populations:
+    spill_budget, probe_sample = SPILL_BUDGET, PROBE_SAMPLE
+    for population in MEMO_POPULATIONS:
         n = scaled(int(population))
-        rng = random.Random(seed)
+        rng = random.Random(SEED)
         stats = IOStats()
         with tempfile.TemporaryDirectory(prefix="fig14memo-") as tmp:
             memo = SpillingUpdateMemo(tmp, spill_budget=spill_budget, stats=stats)

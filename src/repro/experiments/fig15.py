@@ -12,45 +12,41 @@ from __future__ import annotations
 
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .harness import (
     ExperimentResult,
-    load_tree,
     make_tree,
     measure_updates,
+    populate,
     scaled,
 )
 
 OPTIONS = ("I", "II", "III")
+NUM_OBJECTS = 6000
+UPDATES_PER_OBJECT = 3.0
+#: Updates between two Update-Memo checkpoints (Options II and III).
+CHECKPOINT_INTERVAL = 2000
+SEED = 41
 
 
-def run_fig15(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    updates_per_object: float = 3.0,
-    checkpoint_interval: int = 2000,
-    inspection_ratio: float = 0.2,
-    moving_distance: float = 0.01,
-    seed: int = 41,
-) -> ExperimentResult:
+def run_fig15() -> ExperimentResult:
     """One row per logging option with its per-update cost breakdown."""
     result = ExperimentResult(
         experiment="Figure 15",
         description="RUM-tree update I/O under logging options I/II/III",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
     for option in OPTIONS:
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
         )
         tree = make_tree(
             "rum_touch",
-            node_size=node_size,
-            inspection_ratio=inspection_ratio,
             recovery_option=option,
-            checkpoint_interval=checkpoint_interval,
+            checkpoint_interval=CHECKPOINT_INTERVAL,
         )
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         cost = measure_updates(tree, workload, n_updates)
         result.rows.append(
             {
@@ -58,7 +54,7 @@ def run_fig15(
                 "update_io": cost.io_per_operation,
                 "leaf_io": cost.leaf_io_per_operation,
                 "log_io": cost.io.log_total / cost.updates,
-                "checkpoint_interval": checkpoint_interval,
+                "checkpoint_interval": CHECKPOINT_INTERVAL,
             }
         )
     return result

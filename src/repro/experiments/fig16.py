@@ -14,7 +14,6 @@ FUR-tree").
 from __future__ import annotations
 
 import gc
-from typing import Sequence
 
 from repro.concurrency.throughput import GranuleLockedTree, LoadDriver
 from repro.workload.objects import default_network_workload
@@ -24,42 +23,43 @@ from repro.workload.trace import mixed_trace
 from .harness import (
     ExperimentResult,
     TREE_LABELS,
-    load_tree,
     make_tree,
+    populate,
     scaled,
 )
 
-DEFAULT_UPDATE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+#: The update shares swept.
+UPDATE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 #: Side of the square range queries in the mixed traces.
 QUERY_SIDE = 0.05
 
+NUM_OBJECTS = 2000
+#: Operations per replay and the client threads that share them.
+TOTAL_OPS = 800
+THREADS = 16
+#: Simulated seconds per leaf page access, slept under the page's latch.
+IO_LATENCY = 0.0004
+MOVING_DISTANCE = 0.02
+SEED = 47
 
-def run_fig16(
-    num_objects: int = 2000,
-    node_size: int = 2048,
-    total_ops: int = 800,
-    n_threads: int = 16,
-    io_latency: float = 0.0004,
-    update_fractions: Sequence[float] = DEFAULT_UPDATE_FRACTIONS,
-    moving_distance: float = 0.02,
-    seed: int = 47,
-) -> ExperimentResult:
+
+def run_fig16() -> ExperimentResult:
     """One row per (update fraction, tree) with the measured throughput."""
     result = ExperimentResult(
         experiment="Figure 16",
         description="throughput vs update percentage under concurrent access",
     )
-    n = scaled(num_objects)
-    ops = scaled(total_ops)
+    n = scaled(NUM_OBJECTS)
+    ops = scaled(TOTAL_OPS)
 
     def cell(fraction: float, kind: str):
         """One closed-loop replay on a fresh tree."""
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=MOVING_DISTANCE, seed=SEED
         )
-        tree = make_tree(kind, node_size=node_size)
-        load_tree(tree, workload.initial())
+        tree = make_tree(kind)
+        populate(tree, workload.initial())
         trace = mixed_trace(
             workload,
             RangeQueryGenerator(side=QUERY_SIDE, seed=53),
@@ -67,8 +67,8 @@ def run_fig16(
             fraction,
             seed=59,
         )
-        locked = GranuleLockedTree(tree, io_latency=io_latency)
-        driver = LoadDriver(lambda k: locked.perform, n_clients=n_threads)
+        locked = GranuleLockedTree(tree, io_latency=IO_LATENCY)
+        driver = LoadDriver(lambda k: locked.perform, n_clients=THREADS)
         # A cyclic-GC pass stops every thread, and one over the dead
         # trees of earlier cells takes 20-100 ms against a ~60 ms cell:
         # collect before the clock starts, not at random inside it.
@@ -84,7 +84,7 @@ def run_fig16(
     # Whichever cell runs first in the process also pays one-time costs
     # (an 80-160 ms stall, in either tree order): warm up unmeasured.
     cell(0.5, "rum_touch")
-    for fraction in update_fractions:
+    for fraction in UPDATE_FRACTIONS:
         for kind in ("rum_touch", "rstar"):
             outcome = cell(fraction, kind)
             result.rows.append(
@@ -93,7 +93,7 @@ def run_fig16(
                     "tree": TREE_LABELS[kind],
                     "ops_per_s": outcome.achieved_rate,
                     "elapsed_s": outcome.elapsed_seconds,
-                    "threads": n_threads,
+                    "threads": THREADS,
                     "operations": ops,
                 }
             )

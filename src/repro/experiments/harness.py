@@ -5,20 +5,25 @@ identical workloads and all metrics are computed the same way:
 
 * :func:`make_tree` — build one of the four evaluated index variants
   ("rstar", "fur", "rum_token", "rum_touch") on a fresh storage stack;
-* :func:`load_tree` — bulk-load the initial object population;
+* :func:`populate` — insert the initial object population;
 * :func:`measure_updates` — average per-update disk accesses and CPU time
   over an update stream;
 * :func:`measure_queries` — average per-query disk accesses;
 * :func:`run_trace` — replay a mixed update/query trace.
 
+A driver takes no arguments: as in Section 5, a figure sweeps one axis
+and holds every other setting fixed, so its sweep and its held values are
+module constants, read when it runs (a test shrinks a run by
+monkeypatching them).  The settings every figure holds alike are below.
 The paper's absolute workload sizes (2M–20M objects, 100k queries) are far
-beyond a pure-Python simulator's single-run budget; the drivers default to
+beyond a pure-Python simulator's single-run budget; the drivers run
 thousands of objects and scale every count by ``REPRO_BENCH_SCALE``
 (float, default 1.0), so the suite can be run larger when time allows.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import warnings
@@ -47,6 +52,15 @@ TREE_LABELS = {
 #: report (the paper's standard 0.01 window).
 QUERY_SIDE = 0.01
 
+#: Node (page) size in bytes of every tree a figure does not size itself.
+NODE_SIZE = 2048
+
+#: The garbage cleaner's inspection ratio (Section 5.1.1 settles on 20%).
+INSPECTION_RATIO = 0.2
+
+#: Distance an object moves between two consecutive updates.
+MOVING_DISTANCE = 0.01
+
 
 #: Malformed ``REPRO_BENCH_SCALE`` values already warned about, so a bad
 #: setting produces exactly one warning per process, not one per call.
@@ -56,14 +70,17 @@ _warned_bench_scales: set = set()
 def bench_scale() -> float:
     """Global workload multiplier from the ``REPRO_BENCH_SCALE`` env var.
 
-    A value that does not parse as a float falls back to 1.0 with a
-    one-time :class:`RuntimeWarning` naming the offending value — a typo
-    in the variable should not silently run the full-size workload.
+    A value that is not a finite float (a typo, ``inf``, ``nan``) falls
+    back to 1.0 with a one-time :class:`RuntimeWarning` naming the
+    offending value — a typo in the variable should not silently run the
+    full-size workload.
     """
     raw = os.environ.get("REPRO_BENCH_SCALE", "1.0")
     try:
-        return max(0.01, float(raw))
+        scale = float(raw)
     except ValueError:
+        scale = math.nan
+    if not math.isfinite(scale):
         if raw not in _warned_bench_scales:
             _warned_bench_scales.add(raw)
             warnings.warn(
@@ -73,28 +90,35 @@ def bench_scale() -> float:
                 stacklevel=2,
             )
         return 1.0
+    return max(0.01, scale)
 
 
-def scaled(count: int, scale: Optional[float] = None) -> int:
-    """Scale a workload count, keeping it at a sane minimum."""
-    factor = bench_scale() if scale is None else scale
-    return max(16, int(count * factor))
+def scaled(count: int) -> int:
+    """Scale a workload count by :func:`bench_scale`, keeping it at a
+    sane minimum."""
+    return max(16, int(count * bench_scale()))
 
 
 def make_tree(
     kind: str,
-    node_size: int = 8192,
-    inspection_ratio: float = 0.2,
+    node_size: Optional[int] = None,
+    inspection_ratio: Optional[float] = None,
     fur_extension: float = 0.01,
     obs: Optional[Observability] = None,
     **extra,
 ):
     """Construct one evaluated index variant on a fresh storage stack.
 
-    When no ``obs`` is given, the process-default observability (set by
-    the CLI's ``--obs-out``/``--obs-level``) is attached, so every figure
-    driver emits telemetry without threading a parameter through.
+    ``node_size`` and ``inspection_ratio`` default to :data:`NODE_SIZE`
+    and :data:`INSPECTION_RATIO`, read at call time.  When no ``obs`` is
+    given, the process-default observability (set by the CLI's
+    ``--obs-out``/``--obs-level``) is attached, so every figure driver
+    emits telemetry without threading a parameter through.
     """
+    if node_size is None:
+        node_size = NODE_SIZE
+    if inspection_ratio is None:
+        inspection_ratio = INSPECTION_RATIO
     if obs is None:
         obs = get_default_obs()
     if obs is not None:
@@ -122,7 +146,7 @@ def make_tree(
     raise ValueError(f"unknown tree kind {kind!r}; expected {TREE_KINDS}")
 
 
-def load_tree(tree, initial: Iterable) -> int:
+def populate(tree, initial: Iterable) -> int:
     """Insert the initial population; returns the number of objects."""
     count = 0
     for oid, rect in initial:

@@ -22,11 +22,12 @@ from repro.core.recovery import (
 )
 from repro.workload.objects import default_network_workload
 
+from . import harness
 from .harness import (
     ExperimentResult,
-    load_tree,
     make_tree,
     measure_updates,
+    populate,
     scaled,
 )
 
@@ -36,23 +37,21 @@ from .harness import (
 #: does not fit).
 SPILL_BUDGET_FRACTION = 0.1
 
+NUM_OBJECTS = 6000
+UPDATES_PER_OBJECT = 2.0
+#: Updates between two Update-Memo checkpoints (Options II and III).
+CHECKPOINT_INTERVAL = 2000
+SEED = 43
 
-def run_table2(
-    num_objects: int = 6000,
-    node_size: int = 2048,
-    updates_per_object: float = 2.0,
-    checkpoint_interval: int = 2000,
-    inspection_ratio: float = 0.2,
-    moving_distance: float = 0.01,
-    seed: int = 43,
-) -> ExperimentResult:
+
+def run_table2() -> ExperimentResult:
     """One row per option with its recovery disk accesses."""
     result = ExperimentResult(
         experiment="Table 2",
         description="number of I/Os to recover the Update Memo after a crash",
     )
-    n = scaled(num_objects)
-    n_updates = max(16, int(n * updates_per_object))
+    n = scaled(NUM_OBJECTS)
+    n_updates = max(16, int(n * UPDATES_PER_OBJECT))
     procedures = {
         "I": lambda tree: recover_option_i(
             tree, memory_budget_entries=max(1, int(n * SPILL_BUDGET_FRACTION))
@@ -62,16 +61,14 @@ def run_table2(
     }
     for option, recover in procedures.items():
         workload = default_network_workload(
-            n, moving_distance=moving_distance, seed=seed
+            n, moving_distance=harness.MOVING_DISTANCE, seed=SEED
         )
         tree = make_tree(
             "rum_touch",
-            node_size=node_size,
-            inspection_ratio=inspection_ratio,
             recovery_option=option if option != "I" else None,
-            checkpoint_interval=checkpoint_interval,
+            checkpoint_interval=CHECKPOINT_INTERVAL,
         )
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         measure_updates(tree, workload, n_updates)
         memo_before = {e.oid: (e.s_latest, e.n_old) for e in tree.memo}
         tree.crash()

@@ -235,14 +235,13 @@ def torn_length(size: int, torn_bytes: int) -> int:
     return max(1, min(k, size - 1))
 
 
-def corrupt_page(data: bytes, n_bytes: int, offset: Optional[int] = None) -> bytes:
-    """``data`` with ``n_bytes`` bytes bit-flipped (deterministic offset:
-    the middle of the page unless given), modelling silent bit rot."""
+def corrupt_page(data: bytes, n_bytes: int) -> bytes:
+    """``data`` with ``n_bytes`` bytes bit-flipped in the middle of the
+    page (a deterministic offset), modelling silent bit rot."""
     if not data:
         return data
     n = max(1, min(n_bytes, len(data)))
-    start = (len(data) - n) // 2 if offset is None else offset
-    start = max(0, min(start, len(data) - n))
+    start = (len(data) - n) // 2
     damaged = bytearray(data)
     for i in range(start, start + n):
         damaged[i] ^= 0xFF

@@ -5,21 +5,24 @@ experiments do: workload generator → index → queries → metrics, including
 crash/recovery mid-stream and the experiment harness itself.
 """
 
+import inspect
 import os
 
 import pytest
 
 from conftest import SMALL_NODE
 from repro.core.recovery import recover_option_ii
+from repro.experiments import harness
 from repro.experiments.harness import (
     auxiliary_size_bytes,
-    load_tree,
     make_tree,
     measure_queries,
     measure_updates,
+    populate,
     run_trace,
     scaled,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.factory import build_rum_tree
 from repro.rtree.geometry import Rect
 from repro.workload.objects import default_network_workload
@@ -39,7 +42,7 @@ class TestFullScenario:
             120, moving_distance=0.04, seed=140
         )
         tree = make_tree(kind, node_size=SMALL_NODE)
-        assert load_tree(tree, workload.initial()) == 120
+        assert populate(tree, workload.initial()) == 120
         measure_updates(tree, workload, 360)
         # Queries agree with the generator's own positions.
         oracle = _oracle(workload)
@@ -63,7 +66,7 @@ class TestFullScenario:
         workload = default_network_workload(
             100, moving_distance=0.05, seed=142
         )
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         measure_updates(tree, workload, 250)
         tree.crash()
         recover_option_ii(tree)
@@ -81,7 +84,7 @@ class TestFullScenario:
     def test_mixed_trace_measurement(self):
         workload = default_network_workload(80, seed=144)
         tree = make_tree("rum_touch", node_size=SMALL_NODE)
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         trace = mixed_trace(
             workload, RangeQueryGenerator(seed=145), 200, 0.6, seed=146
         )
@@ -95,7 +98,7 @@ class TestFullScenario:
     def test_query_measurement_counts_results(self):
         workload = default_network_workload(100, seed=147)
         tree = make_tree("rstar", node_size=SMALL_NODE)
-        load_tree(tree, workload.initial())
+        populate(tree, workload.initial())
         queries = RangeQueryGenerator(side=0.3, seed=148)
         measurement = measure_queries(tree, queries, 30)
         assert measurement.queries == 30
@@ -109,7 +112,7 @@ class TestFullScenario:
         workload = default_network_workload(60, seed=149)
         for tree in (rum, fur, rstar):
             wl = default_network_workload(60, seed=149)
-            load_tree(tree, wl.initial())
+            populate(tree, wl.initial())
             measure_updates(tree, wl, 120)
         assert auxiliary_size_bytes(rstar) == 0
         assert auxiliary_size_bytes(fur) == 60 * 16  # one entry per object
@@ -123,13 +126,20 @@ class TestHarnessUtilities:
             make_tree("btree")
 
     def test_scaled_env(self, monkeypatch):
+        monkeypatch.setattr(harness, "_warned_bench_scales", set())
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
         assert scaled(1000) == 500
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
-        assert scaled(1000) == 1000
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
+        assert scaled(100) == 25
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        assert scaled(10) == 16  # floor of 16
+        # Not a finite float: one warning each, then the full scale.
+        for malformed in ("bogus", "inf", "nan"):
+            monkeypatch.setenv("REPRO_BENCH_SCALE", malformed)
+            with pytest.warns(RuntimeWarning, match=malformed):
+                assert scaled(1000) == 1000
         monkeypatch.delenv("REPRO_BENCH_SCALE")
-        assert scaled(100, scale=0.25) == 25
-        assert scaled(10, scale=0.1) == 16  # floor of 16
+        assert scaled(1000) == 1000
 
     def test_tree_kinds_all_constructible(self):
         for kind in ("rstar", "fur", "rum_token", "rum_touch"):
@@ -139,62 +149,105 @@ class TestHarnessUtilities:
                 (1, Rect.from_point(0.5, 0.5))
             ]
 
+    def test_make_tree_reads_the_harness_settings_when_called(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "NODE_SIZE", SMALL_NODE)
+        monkeypatch.setattr(harness, "INSPECTION_RATIO", 0.5)
+        tree = make_tree("rum_touch")
+        assert tree.buffer.codec.node_size == SMALL_NODE
+        assert tree.cleaner.inspection_ratio == 0.5
+
+
+class TestEveryDriverIsItsSettings:
+    def test_no_driver_takes_an_argument(self):
+        """A figure is its module constants: the CLI, the paper-claims
+        benchmark and EXPERIMENTS.md's builder all call
+        ``table.driver()``, so no driver has a parameter to set."""
+        drivers = [
+            table.driver for e in EXPERIMENTS for table in e.tables
+        ]
+        assert len(drivers) == 20
+        for driver in drivers:
+            assert not inspect.signature(driver).parameters, driver.__name__
+
 
 class TestExperimentDriversSmoke:
-    """Tiny-scale smoke runs of every figure driver (structure only)."""
+    """Tiny-scale smoke runs of every figure driver (structure only),
+    shrunk by monkeypatching the constants the drivers read when they
+    run."""
 
     @pytest.fixture(autouse=True)
-    def _tiny_scale(self, monkeypatch):
+    def setting(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.02")
 
-    def test_fig10(self):
-        from repro.experiments import run_fig10
+        def set_constants(module, **constants):
+            for name, value in constants.items():
+                monkeypatch.setattr(module, name, value)
 
-        result = run_fig10(ratios=(0.0, 0.5), updates_per_object=1.0)
+        return set_constants
+
+    def test_fig10(self, setting):
+        from repro.experiments import fig10
+
+        setting(fig10, RATIOS=(0.0, 0.5), UPDATES_PER_OBJECT=1.0)
+        result = fig10.run_fig10()
         assert len(result.rows) == 4
         assert {"inspection_ratio", "update_io", "garbage_ratio"} <= set(
             result.rows[0]
         )
 
-    def test_fig11(self):
-        from repro.experiments import run_fig11
+    def test_fig11(self, setting):
+        from repro.experiments import fig11
 
-        result = run_fig11(node_sizes=(512, 1024), updates_per_object=1.0)
+        setting(fig11, NODE_SIZES=(512, 1024), UPDATES_PER_OBJECT=1.0)
+        result = fig11.run_fig11()
         assert len(result.rows) == 4
         assert result.rows[0]["update_cpu_ms"] >= 0
 
-    def test_fig12(self):
-        from repro.experiments import run_fig12, run_fig12_overall
+    def test_fig12(self, setting):
+        from repro.experiments import comparison, fig12
 
-        result = run_fig12(distances=(0.0, 0.05), node_size=512)
+        setting(harness, NODE_SIZE=512)
+        setting(fig12, DISTANCES=(0.0, 0.05))
+        result = fig12.run_fig12()
         assert len(result.rows) == 6  # 2 distances x 3 trees
-        overall = run_fig12_overall(ratios=((1, 1), (100, 1)), node_size=512)
+        setting(comparison, RATIOS=((1, 1), (100, 1)))
+        overall = fig12.run_fig12_overall()
         assert len(overall.rows) == 6
 
-    def test_fig13(self):
-        from repro.experiments import run_fig13
+    def test_fig13(self, setting):
+        from repro.experiments import fig13
 
-        result = run_fig13(extents=(0.0, 0.01), node_size=512)
+        setting(harness, NODE_SIZE=512)
+        setting(fig13, EXTENTS=(0.0, 0.01))
+        result = fig13.run_fig13()
         assert len(result.rows) == 6
 
-    def test_fig14(self):
-        from repro.experiments import run_fig14
+    def test_fig14(self, setting):
+        from repro.experiments import fig14
 
-        result = run_fig14(populations=(1000, 2000), node_size=512)
+        setting(harness, NODE_SIZE=512)
+        setting(fig14, POPULATIONS=(1000, 2000))
+        result = fig14.run_fig14()
         assert len(result.rows) == 6
         assert result.rows[0]["num_objects"] >= 16
 
-    def test_fig14memo_misses_lie_inside_the_runs(self):
+    def test_fig14memo_misses_lie_inside_the_runs(self, setting):
         """The absent keys of the memo leg must be ones only the presence
         screen, a Bloom filter or a page read can answer: keys past every
         run's ``max_oid`` (what this leg used to probe) fall to the
         key-range test and report 0 pages, 0 false positives by
         construction."""
-        from repro.experiments import run_fig14_memo
+        from repro.experiments import fig14
 
-        (row,) = run_fig14_memo(
-            populations=(150_000,), spill_budget=4096, probe_sample=400
-        ).rows
+        setting(
+            fig14,
+            MEMO_POPULATIONS=(150_000,),
+            SPILL_BUDGET=4096,
+            PROBE_SAMPLE=400,
+        )
+        (row,) = fig14.run_fig14_memo().rows
         assert row["runs"] >= 2 and row["peak_ram_bytes"] <= 4096
         assert row["miss_in_range"] == 1.0
         # A miss that read a page is a Bloom false positive, and nothing else.
@@ -210,51 +263,58 @@ class TestExperimentDriversSmoke:
         # budget is not all the RAM.
         assert row["tier_ram_bytes"] > 2 * row["spilled_pages"]
 
-    def test_fig15(self):
-        from repro.experiments import run_fig15
+    def test_fig15(self, setting):
+        from repro.experiments import fig15
 
-        result = run_fig15(node_size=512, updates_per_object=1.0)
+        setting(harness, NODE_SIZE=512)
+        setting(fig15, UPDATES_PER_OBJECT=1.0)
+        result = fig15.run_fig15()
         options = [row["option"] for row in result.rows]
         assert options == ["I", "II", "III"]
 
-    def test_table2(self):
-        from repro.experiments import run_table2
+    def test_table2(self, setting):
+        from repro.experiments import table2
 
-        result = run_table2(node_size=512, updates_per_object=1.0)
+        setting(harness, NODE_SIZE=512)
+        setting(table2, UPDATES_PER_OBJECT=1.0)
+        result = table2.run_table2()
         assert [row["option"] for row in result.rows] == ["I", "II", "III"]
         assert all(row["recovery_io"] >= 0 for row in result.rows)
 
-    def test_fig16(self):
-        from repro.experiments import run_fig16
+    def test_fig16(self, setting):
+        from repro.experiments import fig16
 
-        result = run_fig16(
-            num_objects=300,
-            total_ops=80,
-            n_threads=4,
-            io_latency=0.0,
-            update_fractions=(0.0, 1.0),
+        setting(
+            fig16,
+            NUM_OBJECTS=300,
+            TOTAL_OPS=80,
+            THREADS=4,
+            IO_LATENCY=0.0,
+            UPDATE_FRACTIONS=(0.0, 1.0),
         )
+        result = fig16.run_fig16()
         assert len(result.rows) == 4
         assert all(row["ops_per_s"] > 0 for row in result.rows)
 
-    def test_ablations(self):
-        from repro.experiments import (
-            run_cost_validation,
-            run_structure_ablation,
-            run_token_ablation,
-        )
+    def test_ablations(self, setting):
+        from repro.experiments import ablation_cleaning, ablation_cost
 
-        cost = run_cost_validation(node_size=512, updates_per_object=1.0)
+        setting(harness, NODE_SIZE=512)
+        setting(ablation_cost, UPDATES_PER_OBJECT=1.0)
+        cost = ablation_cost.run_cost_validation()
         assert len(cost.rows) == 3
-        tokens = run_token_ablation(token_counts=(1, 2), node_size=512)
+        setting(ablation_cleaning, TOKEN_COUNTS=(1, 2))
+        tokens = ablation_cleaning.run_token_ablation()
         assert len(tokens.rows) == 2
-        structure = run_structure_ablation(node_size=512)
+        structure = ablation_cleaning.run_structure_ablation()
         assert len(structure.rows) == 4
 
-    def test_report_formatting(self):
-        from repro.experiments import format_table, run_fig15, series_table
+    def test_report_formatting(self, setting):
+        from repro.experiments import fig15, format_table, series_table
 
-        result = run_fig15(node_size=512, updates_per_object=1.0)
+        setting(harness, NODE_SIZE=512)
+        setting(fig15, UPDATES_PER_OBJECT=1.0)
+        result = fig15.run_fig15()
         text = format_table(
             ["option", "update_io"],
             [[row["option"], row["update_io"]] for row in result.rows],
